@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -77,12 +78,26 @@ def load_spec(name: str, kmax: int) -> valuation.MinkowskiValuationSpec:
 
 def _parse_vec(text: str) -> np.ndarray:
     try:
-        v = np.array([float(x) for x in text.split(",")])
+        v = [float(x) for x in text.split(",")]
     except ValueError:
         raise InputError(f"cannot parse vector {text!r}") from None
-    if v.shape != (3,):
+    if len(v) != 3:
         raise InputError(f"expected 3 components, got {text!r}")
-    return v
+    if not all(map(math.isfinite, v)) or not any(v):
+        raise InputError(f"need a finite nonzero vector, got {text!r}")
+    return np.array(v)
+
+
+def _mc_size(cfg: RunConfig) -> tuple[int, int]:
+    """Sample count N and shard count of a Monte-Carlo command: the standard
+    error needs two shards, and every shard at least two samples."""
+    N = int(cfg.values.get("N", 200000))
+    shards = int(cfg.values.get("shards", integral_geom.DEFAULT_SHARDS))
+    if shards < 2:
+        raise InputError(f"--shards must be at least 2, got {shards}")
+    if N < 2 * shards:
+        raise InputError(f"--N must be at least 2 * shards = {2 * shards}, got {N}")
+    return N, shards
 
 
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
@@ -173,7 +188,6 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     tol = float(cfg.values.get("tol", 1e-9))
     meas = convex.area_measure(body, i)
     iv = convex.intrinsic_volumes(body)
-    import math
     target = 3 * kappa(3 - i) * iv[i] / math.comb(3, i)
     residual = abs(meas.total_mass - target)
     report = {
@@ -265,12 +279,11 @@ def cmd_crofton(args) -> tuple[int, dict, list, list]:
         raise InputError("--seed is mandatory for stochastic commands")
     if int(cfg.values.get("n", 3)) != 3:
         raise InputError("geometric Crofton runs are restricted to n = 3")
+    N, shards = _mc_size(cfg)
     body = load_body(str(cfg.values["body"]))
     rep = integral_geom.crofton_intrinsic(
-        body, int(cfg.values["i"]), int(cfg.values["j"]),
-        int(cfg.values.get("N", 200000)), int(cfg.values["seed"]),
-        radius=cfg.values.get("radius"),
-        shards=int(cfg.values.get("shards", integral_geom.DEFAULT_SHARDS)))
+        body, int(cfg.values["i"]), int(cfg.values["j"]), N, int(cfg.values["seed"]),
+        radius=cfg.values.get("radius"), shards=shards)
     ok = rep.within(3.0)
     report = {"config": cfg.as_json(), **rep.to_json(), "pass": ok}
     return (0 if ok else 1), report, [], []
@@ -281,12 +294,11 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
                                  "spec", "dir", "kmax", "shards", "out", "csv"])
     if cfg.values.get("seed") is None:
         raise InputError("--seed is mandatory for stochastic commands")
+    N, shards = _mc_size(cfg)
     body = load_body(str(cfg.values["body"]))
     other = load_body(str(cfg.values.get("other", cfg.values["body"])))
     j = int(cfg.values.get("j", 0))
-    N = int(cfg.values.get("N", 200000))
     seed = int(cfg.values["seed"])
-    shards = int(cfg.values.get("shards", integral_geom.DEFAULT_SHARDS))
     if cfg.values.get("spec"):
         # valuation-valued kinematic formula at a fixed direction
         kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
@@ -317,6 +329,7 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
                                  "probe", "kmax", "shards", "out", "csv"])
     if cfg.values.get("seed") is None:
         raise InputError("--seed is mandatory for stochastic commands")
+    N, shards = _mc_size(cfg)
     kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
     body = load_body(str(cfg.values["body"]))
     mu = zonal.builtin_zonal(str(cfg.values.get("mu", "dirac_pole")), n=3, kmax=kmax)
@@ -324,9 +337,8 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     probe = _parse_vec(str(cfg.values.get("probe", "0.36,-0.48,0.8")))
     res = integral_geom.crofton_minkowski(
         body, mu, int(cfg.values.get("i", 1)), int(cfg.values.get("j", 1)),
-        int(cfg.values.get("N", 200000)), int(cfg.values["seed"]),
-        degrees=degrees, probe=probe, kmax=kmax,
-        shards=int(cfg.values.get("shards", integral_geom.DEFAULT_SHARDS)))
+        N, int(cfg.values["seed"]), degrees=degrees, probe=probe, kmax=kmax,
+        shards=shards)
     report = {"config": cfg.as_json(), **{k: v for k, v in res.items() if k != "rows"},
               "rows": res["rows"]}
     report["pass"] = res["all_pass"]

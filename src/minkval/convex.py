@@ -62,6 +62,15 @@ def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 3))
 
 
+def _distinct_axes(vectors) -> np.ndarray:
+    """The unit vectors of `vectors` that are distinct up to sign, in order."""
+    out: list[np.ndarray] = []
+    for a in vectors:
+        if not any(abs(abs(np.dot(a, b)) - 1.0) < 1e-9 for b in out):
+            out.append(a)
+    return np.array(out) if out else np.zeros((0, 3))
+
+
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     b1 = _unit(np.cross(normal, a))
@@ -265,12 +274,8 @@ class Polytope:
 
     def edge_directions(self) -> np.ndarray:
         """Distinct unit edge directions (up to sign)."""
-        dirs = []
-        for a, b in self.edge_index_pairs():
-            d = _unit(self.vertices[b] - self.vertices[a])
-            if not any(abs(abs(np.dot(d, e)) - 1.0) < 1e-9 for e in dirs):
-                dirs.append(d)
-        return np.array(dirs) if dirs else np.zeros((0, 3))
+        return _distinct_axes([_unit(self.vertices[b] - self.vertices[a])
+                              for a, b in self.edge_index_pairs()])
 
     # -- transforms ---------------------------------------------------------
 

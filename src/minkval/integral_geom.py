@@ -7,10 +7,14 @@ complement; the estimator weight C(n, n-i) kappa_n / kappa_(n-i) * R^i is
 the invariant measure of the sampling window, normalized so that the planes
 meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the plane
 dimension).  Rigid motions combine a uniform rotation (probability law) with
-a translation uniform in a cube that covers all contact positions.  All
-estimators are deterministic in (seed, shard): samples are drawn per shard
-from spawned seed sequences and reduced in fixed order, and the standard
-error comes from the per-shard spread.
+a translation uniform in a cube that covers all contact positions.
+
+Every estimator runs through one shard loop, `run_shards`: shard k draws its
+samples from the k-th spawned seed sequence, a kernel evaluates them in
+chunks of bounded memory that may span several shards, and the per-shard
+means are reduced in fixed order; the standard error comes from the
+per-shard spread.  Results are deterministic in (seed, shards).  Plane
+sections of a fixed body use an ordering-free kernel (`PlaneSections`).
 """
 
 from __future__ import annotations
@@ -18,25 +22,29 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .constants import crofton_c, crofton_q, flag, kappa, omega
+from .constants import crofton_q, flag, kappa
 from .convex import (
     Polytope,
     area_measure,
+    _distinct_axes,
     intersect,
     intrinsic_volumes,
     section_line,
     section_plane,
 )
-from .harmonics import harmonic_dimension, legendre_recurrence
+from .harmonics import legendre_recurrence
 from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_zonal
 
 __all__ = [
     "EstimateReport",
     "PlaneSampler",
     "MotionSampler",
+    "PlaneSections",
+    "run_shards",
     "crofton_intrinsic",
     "crofton_target",
     "kinematic_check",
@@ -45,10 +53,11 @@ __all__ = [
     "hadwiger_check",
     "crofton_minkowski",
     "crofton_minkowski_rhs",
-    "geometric_constants_entries",
 ]
 
 DEFAULT_SHARDS = 20
+# Bytes of kernel temporaries per chunk of samples (see run_shards).
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -104,6 +113,23 @@ class PlaneSampler:
                 * kappa(self.n) / kappa(self.n - self.codim)
                 * self.radius ** self.codim)
 
+    def draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        """m flats: (normals a, offsets s) of planes {x . a = s},
+        (directions, points) of lines, or (points,)."""
+        R = self.radius
+        dirs = _unit_rows(rng.standard_normal((m, 3)))
+        if self.codim == 1:
+            return dirs, rng.uniform(-R, R, m)
+        if self.codim == 3:
+            return (dirs * (R * rng.uniform(0.0, 1.0, m) ** (1.0 / 3.0))[:, None],)
+        # uniform offsets in the disc of radius R orthogonal to the line
+        aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
+        e1 = _unit_rows(np.cross(dirs, aux))
+        e2 = np.cross(dirs, e1)
+        rad = R * np.sqrt(rng.uniform(0.0, 1.0, m))
+        ang = rng.uniform(0.0, 2.0 * math.pi, m)
+        return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+
 
 @dataclass(frozen=True)
 class MotionSampler:
@@ -120,9 +146,16 @@ class MotionSampler:
     def weight(self) -> float:
         return self.window ** self.n
 
+    def draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """m motions x -> R x + t: rotations (m, 3, 3), translations (m, 3)."""
+        R = _rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4))))
+        return R, rng.uniform(-self.window / 2.0, self.window / 2.0, (m, 3))
 
-def _shard_rngs(seed: int, shards: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
+
+def _shard_rngs(seed: int, shards: int):
+    # child k of SeedSequence(seed).spawn(shards), built only when drawn
+    return (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in range(shards))
 
 
 def _shard_sizes(n_samples: int, shards: int) -> list[int]:
@@ -159,47 +192,116 @@ def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
     return R
 
 
+def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate of sampler.weight * E[kernel(sample)]: the mean of the
+    per-shard means, with its standard error.  Shard k draws with
+    `sampler.draw` from the k-th spawned seed sequence; `kernel(*draws)` maps
+    a chunk of whole shards (or of one large shard) to values (m,) or
+    (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes samples,
+    sample_bytes being the kernel's temporary memory per sample."""
+    if sampler.shards < 2 or sampler.n_samples < 2 * sampler.shards:
+        raise ValueError(f"need shards >= 2 and n_samples >= 2 * shards; got "
+                         f"n_samples={sampler.n_samples}, shards={sampler.shards}")
+    sizes = _shard_sizes(sampler.n_samples, sampler.shards)
+    chunk = max(1, CHUNK_BYTES // sample_bytes)
+    sums, parts, first, count = None, [], 0, 0
+    for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
+        parts.append(sampler.draw(rng, sizes[k]))
+        count += sizes[k]
+        if k + 1 < len(sizes) and count + sizes[k + 1] <= chunk:
+            continue
+        draws = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
+        starts = np.cumsum([0] + sizes[first:k])   # shards first..k within the chunk
+        parts = []
+        for lo in range(0, count, chunk):  # several pieces only for one large shard
+            vals = np.asarray(kernel(*(d[lo:lo + chunk] for d in draws)), dtype=float)
+            if sums is None:
+                sums = np.zeros((sampler.shards,) + vals.shape[1:])
+            sums[first:k + 1] += np.add.reduceat(vals, starts, axis=0)
+        first, count = k + 1, 0
+    sizes = np.array(sizes, dtype=float).reshape((-1,) + (1,) * (sums.ndim - 1))
+    return _reduce_shards(sampler.weight * (sums / sizes))
+
+
 # -- plane sections of a fixed body -----------------------------------------
 
-def _section_polygon_2d(P: Polytope, a: np.ndarray, s: float,
-                        b1: np.ndarray, b2: np.ndarray,
-                        tol: float = 1e-12):
-    """Ordered 2-d coordinates (in the plane frame) of P cut by the plane
-    {x . a = s}, or None when the section is empty/degenerate."""
-    d = P.vertices @ a - s
-    pts = []
-    for i, j in P.edge_index_pairs():
-        di, dj = d[i], d[j]
-        if (di > tol) != (dj > tol) and abs(di - dj) > tol:
-            lam = di / (di - dj)
-            if 0.0 <= lam <= 1.0:
-                pts.append(P.vertices[i] + lam * (P.vertices[j] - P.vertices[i]))
-    on_plane = np.abs(d) <= tol
-    for k in np.flatnonzero(on_plane):
-        pts.append(P.vertices[k])
-    if len(pts) < 3:
-        return None
-    pts = np.array(pts)
-    xy = np.column_stack((pts @ b1, pts @ b2))
-    ctr = xy.mean(axis=0)
-    ang = np.arctan2(xy[:, 1] - ctr[1], xy[:, 0] - ctr[0])
-    order = np.argsort(ang)
-    xy = xy[order]
-    keep = [0]
-    for k in range(1, len(xy)):
-        if np.linalg.norm(xy[k] - xy[keep[-1]]) > 1e-10:
-            keep.append(k)
-    if len(keep) >= 2 and np.linalg.norm(xy[keep[-1]] - xy[keep[0]]) <= 1e-10:
-        keep.pop()
-    xy = xy[keep]
-    return xy if xy.shape[0] >= 3 else None
+class PlaneSections:
+    """Sections of a full-dimensional polytope by planes {x . a = s}, facet
+    by facet, with no ordering of the section polygon.  A plane cuts facet F
+    in at most one segment between crossing points p_e of its edges.  With
+    the signed incidence B (+1 where the ccw cycle of F runs along edge
+    e = (i, j) from i to j, else -1) and crossing signs c_e in {-1, 0, +1},
+    the segment is v_F = sum_e B_eF c_e p_e, its midpoint
+    1/2 sum_e |B_eF c_e| p_e and its outward normal in the plane
+    m_F = unit(n_F - (n_F . a) a); the divergence theorem in the plane gives
+    perimeter, area and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).
+    Points are taken about the vertex centroid; S_1 moments integrate each
+    half circle by Gauss-Legendre on `arc_nodes` points."""
 
+    def __init__(self, P: Polytope, arc_nodes: int = 20):
+        self.vertices, self.normals = P.vertices, P.facet_normals
+        x, wts = np.polynomial.legendre.leggauss(arc_nodes)
+        theta = 0.5 * math.pi * (x + 1.0)
+        self.arc_cos, self.arc_sin = np.cos(theta), np.sin(theta)
+        self.arc_weights = 0.5 * math.pi * wts
+        ij = np.array([(i, j) for i, j, _, _ in P.edges])
+        self.vi, self.vj = ij[:, 0], ij[:, 1]
+        local = P.vertices - P.vertices.mean(axis=0)
+        self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
+        index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
+        B = np.zeros((len(ij), len(P.facet_cycles)))
+        for f, cyc in enumerate(P.facet_cycles):
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if (a, b) in index:
+                    B[index[a, b], f] = 1.0
+                else:
+                    B[index[b, a], f] = -1.0
+        self.incidence, self.touches = B, np.abs(B)
+        # the (m, V), (m, E), (m, 3, E) and (m, 3, F) temporaries of segments()
+        self.sample_bytes = 8 * (2 * len(P.vertices) + 12 * len(ij) + 12 * B.shape[1])
 
-def _polygon_perimeter_area(xy: np.ndarray) -> tuple[float, float]:
-    nxt = np.roll(xy, -1, axis=0)
-    per = float(np.sum(np.linalg.norm(nxt - xy, axis=1)))
-    area = 0.5 * abs(float(np.sum(xy[:, 0] * nxt[:, 1] - nxt[:, 0] * xy[:, 1])))
-    return per, area
+    def segments(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Facet segments v_F and their midpoints, (m, 3, F) each, of the
+        sections by the planes {x . a[t] = s[t]}."""
+        m = a.shape[0]
+        d = a @ self.vertices.T - s[:, None]                  # (m, V)
+        above = d > 1e-12
+        c = (above[:, self.vi].astype(float) - above[:, self.vj])[:, None, :]
+        di, dj = d[:, self.vi], d[:, self.vj]
+        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c[:, 0] != 0)
+        p = self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step  # (m, 3, E)
+        v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
+        mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
+        return v, mid
+
+    def volumes(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
+        each section, 0 where the plane misses the body."""
+        v, mid = self.segments(a, s)
+        twice_area = np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1))
+        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, 0.5 * np.abs(twice_area)
+
+    def s1_moments(self, a: np.ndarray, s: np.ndarray, w: np.ndarray,
+                   kmax: int) -> np.ndarray:
+        """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
+        S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
+        crossed facet."""
+        length = np.linalg.norm(self.segments(a, s)[0], axis=1)   # (m, F)
+        rows, cols = np.nonzero(length > 0.0)
+        nf, ar = self.normals[cols], a[rows]
+        m_f = _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+        out = np.zeros((a.shape[0], kmax + 1))
+        # Legendre values and two derivatives of one half circle's nodes
+        per_call = max(1, CHUNK_BYTES // (24 * (kmax + 1) * self.arc_cos.size))
+        for lo in range(0, rows.size, per_call):
+            part = slice(lo, lo + per_call)
+            # points u(theta) = cos(theta) a + sin(theta) m_F
+            dots = (self.arc_cos[None, :] * (ar[part] @ w)[:, None]
+                    + self.arc_sin[None, :] * (m_f[part] @ w)[:, None])
+            Pk, _, _ = legendre_recurrence(3, kmax, np.clip(dots, -1, 1).ravel())
+            arc = Pk.reshape(kmax + 1, *dots.shape) @ self.arc_weights
+            np.add.at(out, rows[part], (arc * (0.5 * length[rows[part], cols[part]])).T)
+        return out
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -221,58 +323,38 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
     sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
                            n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    rngs = _shard_rngs(seed, shards)
-    sizes = _shard_sizes(n_samples, shards)
-    means = np.empty(shards)
     A, b = P.inequalities()
-    for sh in range(shards):
-        rng, m = rngs[sh], sizes[sh]
-        if i == 1:
-            dirs = _unit_rows(rng.standard_normal((m, 3)))
-            offs = rng.uniform(-R, R, m)
-            if j == 0:
-                proj = P.vertices @ dirs.T
-                vals = ((proj.min(axis=0) <= offs) & (offs <= proj.max(axis=0))).astype(float)
-            else:
-                vals = np.zeros(m)
-                for t in range(m):
-                    a3 = dirs[t]
-                    aux = np.array([1.0, 0, 0]) if abs(a3[0]) < 0.9 else np.array([0, 1.0, 0])
-                    b1 = np.cross(a3, aux)
-                    b1 /= np.linalg.norm(b1)
-                    b2 = np.cross(a3, b1)
-                    xy = _section_polygon_2d(P, a3, offs[t], b1, b2)
-                    if xy is None:
-                        continue
-                    per, area = _polygon_perimeter_area(xy)
-                    vals[t] = per / 2.0 if j == 1 else area
-        elif i == 2:
-            dirs = _unit_rows(rng.standard_normal((m, 3)))
-            # uniform offsets in the disc of radius R orthogonal to the line
-            aux = np.where(np.abs(dirs[:, :1]) < 0.9,
-                           np.tile([1.0, 0, 0], (m, 1)), np.tile([0, 1.0, 0], (m, 1)))
-            e1 = _unit_rows(np.cross(dirs, aux))
-            e2 = np.cross(dirs, e1)
-            rad = R * np.sqrt(rng.uniform(0.0, 1.0, m))
-            ang = rng.uniform(0.0, 2.0 * math.pi, m)
-            p = rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
-            den = dirs @ A.T                       # (m, F)
-            num = b[None, :] - p @ A.T
+    AT = np.ascontiguousarray(A.T)         # (3, F): faster products than the view
+    if i == 1 and j == 0:
+        def kernel(dirs, offs):
+            proj = P.vertices @ dirs.T
+            return (proj.min(axis=0) <= offs) & (offs <= proj.max(axis=0))
+        sample_bytes = 8 * (len(P.vertices) + 8)
+    elif i == 1:
+        sections = PlaneSections(P)
+
+        def kernel(dirs, offs):
+            return sections.volumes(dirs, offs)[j - 1]
+        sample_bytes = sections.sample_bytes
+    elif i == 2:
+        def kernel(dirs, p):
+            den = dirs @ AT                        # (m, F)
+            num = b[None, :] - p @ AT
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = num / den
             hi = np.where(den > 1e-12, ratio, math.inf).min(axis=1)
             lo = np.where(den < -1e-12, ratio, -math.inf).max(axis=1)
             feasible = ~np.any((np.abs(den) <= 1e-12) & (num < -1e-12), axis=1)
-            length = np.clip(hi - lo, 0.0, None)
             hit = feasible & (hi >= lo)
-            vals = hit.astype(float) if j == 0 else np.where(hit, length, 0.0)
-        else:  # i == 3: points
-            u = _unit_rows(rng.standard_normal((m, 3)))
-            r3 = R * rng.uniform(0.0, 1.0, m) ** (1.0 / 3.0)
-            x = u * r3[:, None]
-            vals = np.all(x @ A.T <= b[None, :] + 1e-12, axis=1).astype(float)
-        means[sh] = sampler.weight * vals.mean()
-    est, se = _reduce_shards(means)
+            return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+        sample_bytes = 8 * (8 * len(b) + 16)
+    else:  # i == 3: points
+        bound = b + 1e-12
+
+        def kernel(x):
+            return np.all(x @ AT <= bound, axis=1)
+        sample_bytes = 9 * len(b) + 80
+    est, se = run_shards(sampler, kernel, sample_bytes)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=crofton_target(P, i, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
@@ -321,14 +403,6 @@ def _sat_batch(vp: np.ndarray, axesP: np.ndarray, dirsP: np.ndarray,
     return hit
 
 
-def _dedupe_axes(v: np.ndarray) -> np.ndarray:
-    out = []
-    for a in v:
-        if not any(abs(abs(np.dot(a, b)) - 1.0) < 1e-9 for b in out):
-            out.append(a)
-    return np.array(out)
-
-
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                     shards: int = DEFAULT_SHARDS,
                     window: float | None = None) -> EstimateReport:
@@ -346,23 +420,18 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     W = window if window is not None else safe
     sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    rngs = _shard_rngs(seed, shards)
-    sizes = _shard_sizes(n_samples, shards)
-    means = np.empty(shards)
-    axesP = _dedupe_axes(P.facet_normals)
-    axesL = _dedupe_axes(L.facet_normals)
+    axesP, axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
     dirsP, dirsL = P.edge_directions(), L.edge_directions()
     boundary_hits = 0
-    for sh in range(shards):
-        rng, m = rngs[sh], sizes[sh]
-        q = _unit_rows(rng.standard_normal((m, 4)))
-        R = _rotations_from_quaternions(q)
-        x = rng.uniform(-W / 2.0, W / 2.0, (m, 3))
+
+    def kernel(R, x):
+        nonlocal boundary_hits
         if j == 0:
             hits = _sat_batch(P.vertices, axesP, dirsP,
                               L.vertices, axesL, dirsL, R, x)
             vals = hits.astype(float)
         else:
+            m = R.shape[0]
             vals = np.zeros(m)
             hits = np.zeros(m, dtype=bool)
             for t in range(m):
@@ -373,12 +442,15 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                     vals[t] = intrinsic_volumes(body)[j]
         shell = np.max(np.abs(x), axis=1) >= 0.98 * (W / 2.0)
         boundary_hits += int(np.count_nonzero(hits & shell))
-        means[sh] = sampler.weight * vals.mean()
+        return vals
+
+    # the (m, axes, vertices) arrays of the separating-axis test dominate
+    axes = len(axesP) + len(axesL) + len(dirsP) * len(dirsL)
+    est, se = run_shards(sampler, kernel, 8 * axes * (len(P.vertices) + len(L.vertices) + 12))
     if W < safe * (1.0 - 1e-12) and boundary_hits > 0:
         raise ValueError(
             f"translation window {W:.4g} too small for the contact set "
             f"(needs {safe:.4g}): {boundary_hits} boundary hits")
-    est, se = _reduce_shards(means)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=kinematic_target(P, L, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
@@ -446,59 +518,33 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     u = (u / np.linalg.norm(u))[None, :]
 
     def phi(body) -> float:
-        if body.is_empty:
-            return 0.0
-        return float(evaluate(spec, body, u).values[0])
+        return 0.0 if body.is_empty else float(evaluate(spec, body, u).values[0])
+
+    def motions(R, x):
+        return [phi(intersect(Polytope.from_vertices(L.vertices @ Rt.T + xt), P))
+                for Rt, xt in zip(R, x)]
+
+    def planes(dirs, offs):
+        return [phi(section_plane(P, s * a, normal=a)) for a, s in zip(dirs, offs)]
+
+    def lines(dirs, p):
+        return [phi(section_line(P, pt, a)) for a, pt in zip(dirs, p)]
 
     t0 = time.perf_counter()
     W = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-    rngs = _shard_rngs(seed, shards)
-    sizes = _shard_sizes(n_samples, shards)
-    lhs_means = np.empty(shards)
-    for sh in range(shards):
-        rng, m = rngs[sh], sizes[sh]
-        q = _unit_rows(rng.standard_normal((m, 4)))
-        R = _rotations_from_quaternions(q)
-        x = rng.uniform(-W / 2.0, W / 2.0, (m, 3))
-        acc = 0.0
-        for t in range(m):
-            moved = Polytope.from_vertices(L.vertices @ R[t].T + x[t])
-            acc += phi(intersect(moved, P))
-        lhs_means[sh] = W ** 3 * acc / m
-    lhs, lhs_se = _reduce_shards(lhs_means)
+    # one body per sample: the chunks only hold the draws
+    lhs, lhs_se = run_shards(MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples,
+                                           shards=shards), motions, 96)
 
     vl = intrinsic_volumes(L)
     rhs = vl[n] * phi(P)                       # i = 0
     rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]  # i = n: points keep c0
     rhs_var = 0.0
     R_enc = P.enclosing_radius * (1.0 + 1e-12)
-    for i in (1, 2):
+    for i, kernel in ((1, planes), (2, lines)):
         sampler = PlaneSampler(n=n, codim=i, radius=R_enc, seed=seed + i,
                                n_samples=n_samples, shards=shards)
-        rngs_i = _shard_rngs(seed + i, shards)
-        means = np.empty(shards)
-        for sh in range(shards):
-            rng, m = rngs_i[sh], sizes[sh]
-            dirs = _unit_rows(rng.standard_normal((m, 3)))
-            acc = 0.0
-            if i == 1:
-                offs = rng.uniform(-R_enc, R_enc, m)
-                for t in range(m):
-                    acc += phi(section_plane(P, offs[t] * dirs[t], normal=dirs[t]))
-            else:
-                aux = np.where(np.abs(dirs[:, :1]) < 0.9,
-                               np.tile([1.0, 0, 0], (m, 1)),
-                               np.tile([0, 1.0, 0], (m, 1)))
-                e1 = _unit_rows(np.cross(dirs, aux))
-                e2 = np.cross(dirs, e1)
-                rad = R_enc * np.sqrt(rng.uniform(0.0, 1.0, m))
-                ang = rng.uniform(0.0, 2.0 * math.pi, m)
-                p = rad[:, None] * (np.cos(ang)[:, None] * e1
-                                    + np.sin(ang)[:, None] * e2)
-                for t in range(m):
-                    acc += phi(section_line(P, p[t], dirs[t]))
-            means[sh] = sampler.weight * acc / m
-        est_i, se_i = _reduce_shards(means)
+        est_i, se_i = run_shards(sampler, kernel, 96)
         coef = vl[n - i] / flag(n, i)
         rhs += coef * float(est_i)
         rhs_var += (coef * float(se_i)) ** 2
@@ -571,49 +617,9 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
     sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
                            n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    # Gauss nodes on the half circle nu -> m_e -> -nu
-    gl_x, gl_w = np.polynomial.legendre.leggauss(arc_nodes)
-    theta = 0.5 * math.pi * (gl_x + 1.0)
-    th_w = 0.5 * math.pi * gl_w
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rngs = _shard_rngs(seed, shards)
-    sizes = _shard_sizes(n_samples, shards)
-    shard_means = np.zeros((shards, kk + 1))
-    for sh in range(shards):
-        rng, m = rngs[sh], sizes[sh]
-        dirs = _unit_rows(rng.standard_normal((m, 3)))
-        offs = rng.uniform(-R, R, m)
-        acc = np.zeros(kk + 1)
-        for t in range(m):
-            a3 = dirs[t]
-            aux = np.array([1.0, 0, 0]) if abs(a3[0]) < 0.9 else np.array([0, 1.0, 0])
-            b1 = np.cross(a3, aux)
-            b1 /= np.linalg.norm(b1)
-            b2 = np.cross(a3, b1)
-            xy = _section_polygon_2d(P, a3, offs[t], b1, b2)
-            if xy is None:
-                continue
-            edges = np.roll(xy, -1, axis=0) - xy
-            lens = np.linalg.norm(edges, axis=1)
-            good = lens > 1e-12
-            if not np.any(good):
-                continue
-            ed = edges[good] / lens[good][:, None]
-            me2 = np.column_stack((ed[:, 1], -ed[:, 0]))   # outward for CCW
-            # ensure counterclockwise orientation: positive signed area
-            signed = 0.5 * np.sum(xy[:, 0] * np.roll(xy[:, 1], -1)
-                                  - np.roll(xy[:, 0], -1) * xy[:, 1])
-            if signed < 0:
-                me2 = -me2
-            me3 = me2[:, 0:1] * b1[None, :] + me2[:, 1:2] * b2[None, :]
-            # arc points u(theta) = cos(theta) nu + sin(theta) m_e
-            dots = cos_t[None, :] * float(a3 @ w) + sin_t[None, :] * (me3 @ w)[:, None]
-            Pk, _, _ = legendre_recurrence(n, kk, np.clip(dots, -1, 1).ravel())
-            Pk = Pk.reshape(kk + 1, *dots.shape)
-            arc_int = np.tensordot(Pk, th_w, axes=(2, 0))   # (kk+1, E)
-            acc += arc_int @ (0.5 * lens[good])
-        shard_means[sh] = sampler.weight * acc / m
-    est, se = _reduce_shards(shard_means)
+    sections = PlaneSections(P, arc_nodes)
+    kernel = partial(sections.s1_moments, w=w, kmax=kk)
+    est, se = run_shards(sampler, kernel, sections.sample_bytes + 8 * (kk + 1))
     # moments of S_1(Q) * mu pick up the Funk-Hecke factor of mu per degree
     a_mu = mu.multipliers[:kk + 1]
     est = est * a_mu
@@ -644,12 +650,3 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         "wall_time_s": time.perf_counter() - t0,
         "all_pass": all(r["pass"] for r in rows),
     }
-
-
-def geometric_constants_entries(n: int, i: int | None = None,
-                                j: int | None = None,
-                                k: int | None = None) -> dict:
-    """Exact evaluation of the constants entering the integral-geometric
-    formulas (kappa, omega, flag coefficients, c_(n,k), q_(n,i,j))."""
-    from .constants import geometric_constants
-    return geometric_constants(n, i=i, j=j, k=k)

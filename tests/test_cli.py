@@ -112,6 +112,37 @@ def test_seed_mandatory_for_stochastic(tmp_path):
     assert "seed" in rep["error"]
 
 
+MC_COMMANDS = [
+    ["crofton", "--body", "cube", "--i", "1", "--j", "1"],
+    ["crofton-mv", "--body", "cube"],
+    ["kinematic", "--body", "cube", "--other", "cube"],
+]
+
+
+@pytest.mark.parametrize("argv", MC_COMMANDS)
+def test_single_shard_is_an_input_error(tmp_path, argv):
+    # one shard has no spread: the stderr would be NaN
+    code, rep = run(tmp_path, *argv, "--N", "100", "--seed", "1", "--shards", "1")
+    assert code == 2
+    assert "--shards" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", MC_COMMANDS)
+def test_fewer_than_two_samples_per_shard_is_an_input_error(tmp_path, argv):
+    # empty shards made the estimate and z NaN
+    code, rep = run(tmp_path, *argv, "--N", "10", "--seed", "1", "--shards", "20")
+    assert code == 2
+    assert "--N" in rep["error"]
+
+
+@pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
+def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
+    code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
+                    "--body", "cube", f"--dir={vec}")
+    assert code == 2
+    assert "nonzero" in rep["error"]
+
+
 def test_input_error_unknown_body(tmp_path):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
                     "--body", "nonexistent_body")

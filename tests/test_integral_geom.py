@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from minkval.constants import crofton_c, crofton_q, flag, kappa, mean_section_q, omega
+from minkval.constants import (crofton_c, crofton_q, flag, geometric_constants, kappa,
+                               mean_section_q, omega)
 from minkval.convex import ball_polytope, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import (
     EstimateReport,
@@ -15,7 +16,6 @@ from minkval.integral_geom import (
     crofton_minkowski,
     crofton_minkowski_rhs,
     crofton_target,
-    geometric_constants_entries,
     hadwiger_check,
     kinematic_check,
     kinematic_minkowski_check,
@@ -57,9 +57,9 @@ def test_crofton_constants():
 
 
 def test_geometric_constants_entries():
-    d = geometric_constants_entries(3, i=1, j=1)
+    d = geometric_constants(3, i=1, j=1)
     assert d["q_3,1,1"] == pytest.approx(1.0)
-    d2 = geometric_constants_entries(3, j=2)
+    d2 = geometric_constants(3, j=2)
     assert d2["q_3,2"] == pytest.approx(0.5)
     assert d2["omega"][3] == pytest.approx(4 * math.pi)
 
