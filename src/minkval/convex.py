@@ -85,7 +85,7 @@ def _prune_collinear(cycle: list[int], pts: np.ndarray, tol: float = MERGE_TOL) 
             a = pts[cycle[idx - 1]]
             b = pts[cycle[idx]]
             c = pts[cycle[(idx + 1) % len(cycle)]]
-            if np.linalg.norm(np.cross(b - a, c - a)) <= tol * max(1.0, np.linalg.norm(c - a) ** 2):
+            if np.linalg.norm(np.cross(b - a, c - a)) <= tol * np.linalg.norm(c - a) ** 2:
                 cycle.pop(idx)
                 changed = True
                 break

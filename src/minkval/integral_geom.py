@@ -13,8 +13,12 @@ Every estimator runs through one shard loop, `run_shards`: shard k draws its
 samples from the k-th spawned seed sequence, a kernel evaluates them in
 chunks of bounded memory that may span several shards, and the per-shard
 means are reduced in fixed order; the standard error comes from the
-per-shard spread.  Results are deterministic in (seed, shards).  Plane
-sections of a fixed body use an ordering-free kernel (`PlaneSections`).
+per-shard spread.  Results are deterministic in (seed, shards).  No kernel
+builds a hull per sample: plane sections of a fixed body come from its
+edges and facets (`PlaneSections`), the intersections of a body with moved
+copies of another from the edges of the intersection, clipped out of the
+stacked facet inequalities (`MotionIntersections`), and the hit test of the
+kinematic formula from separating axes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .convex import (
     Polytope,
     area_measure,
     _distinct_axes,
-    intersect,
     intrinsic_volumes,
     section_line,
     section_plane,
@@ -44,6 +47,7 @@ __all__ = [
     "PlaneSampler",
     "MotionSampler",
     "PlaneSections",
+    "MotionIntersections",
     "run_shards",
     "crofton_intrinsic",
     "crofton_target",
@@ -223,6 +227,20 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
     return _reduce_shards(sampler.weight * (sums / sizes))
 
 
+def _clip_lines(den: np.ndarray, num: np.ndarray, lo, hi,
+                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip lines p + s u, s in [lo, hi], by constraints n . x <= b given
+    along the last axis as den = u . n and num = b - p . n.  Returns the
+    clipped [lo, hi] and whether it is non-empty; a constraint parallel to
+    the line (|den| <= tol) empties it when p violates it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    hi = np.minimum(hi, np.where(den > tol, ratio, math.inf).min(axis=-1))
+    lo = np.maximum(lo, np.where(den < -tol, ratio, -math.inf).max(axis=-1))
+    feasible = ~np.any((np.abs(den) <= tol) & (num < -tol), axis=-1)
+    return lo, hi, feasible & (hi >= lo)
+
+
 # -- plane sections of a fixed body -----------------------------------------
 
 class PlaneSections:
@@ -304,6 +322,183 @@ class PlaneSections:
         return out
 
 
+# -- intersections with a moving body ---------------------------------------
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Facet and edge arrays of a full-dimensional polytope, points taken
+    about a given centre."""
+
+    normals: np.ndarray      # (F, 3) outward unit normals
+    heights: np.ndarray      # (F,) offsets of the facet planes about the centre
+    start: np.ndarray        # (E, 3) first vertex of each edge
+    unit: np.ndarray         # (E, 3) unit edge directions
+    length: np.ndarray       # (E,)
+    facets: np.ndarray       # (E, 2) the two facets of each edge
+    centres: np.ndarray      # (F, 3) vertex means of the facets
+    radii: np.ndarray        # (F,) distance from a facet's centre to its farthest vertex
+    neighbours: np.ndarray   # (F, D) facets across the edges of each facet, padded with F
+    radius: float            # distance from the centre to the farthest vertex
+
+    @classmethod
+    def of(cls, P: Polytope, centre: np.ndarray) -> "_Lattice":
+        v = P.vertices - centre
+        ij = np.array([(i, j) for i, j, _, _ in P.edges])
+        facets = np.array([(f, g) for _, _, f, g in P.edges])
+        step = v[ij[:, 1]] - v[ij[:, 0]]
+        length = np.linalg.norm(step, axis=1)
+        centres = np.array([v[cyc].mean(axis=0) for cyc in P.facet_cycles])
+        radii = np.array([np.linalg.norm(v[cyc] - c, axis=1).max()
+                          for cyc, c in zip(P.facet_cycles, centres)])
+        nf = len(P.facet_cycles)
+        adjacent = [[] for _ in range(nf)]
+        for f, g in facets.tolist():
+            adjacent[f].append(g)
+            adjacent[g].append(f)
+        neighbours = np.full((nf, max(map(len, adjacent))), nf)
+        for f, fs in enumerate(adjacent):
+            neighbours[f, :len(fs)] = fs
+        return cls(normals=P.facet_normals, heights=P.facet_offsets - P.facet_normals @ centre,
+                   start=v[ij[:, 0]], unit=step / length[:, None], length=length,
+                   facets=facets, centres=centres, radii=radii, neighbours=neighbours,
+                   radius=float(np.linalg.norm(v, axis=1).max()))
+
+
+class MotionIntersections:
+    """Intersections of a full-dimensional polytope P with moved copies
+    g L = R L + x of another, edge by edge, with no hull per motion.  Stack
+    the facet inequalities of P and of g L: in general position every edge
+    of P n gL lies on exactly two constraint planes k, l and is the segment
+    of their common line cut out by the other constraints.  Only three kinds
+    of lines can carry one: an edge of P clipped by the facets of g L, an
+    edge of g L clipped by the facets of P, and the line of a facet F of P
+    and a facet G of g L clipped by the neighbours of F and of G.  From the
+    segments (length l, midpoint t about the centre c of P) and the in-plane
+    outward normals m_kl = unit(n_l - (n_l . n_k) n_k), the divergence
+    theorem gives the facet areas A_k = 1/2 sum l m_kl . t, and
+
+        V_1 = sum l angle(n_k, n_l) / 2 pi,   V_2 = 1/2 sum_k A_k,
+        V_3 = 1/3 sum_k A_k (n_k . t)
+
+    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Motions whose
+    bounding spheres miss, and facet pairs whose polygons' bounding spheres
+    miss each other or the other facet's plane, are skipped."""
+
+    def __init__(self, P: Polytope, L: Polytope):
+        self.centre = P.vertices.mean(axis=0)
+        self.L_centre = L.vertices.mean(axis=0)
+        self.P, self.L = _Lattice.of(P, self.centre), _Lattice.of(L, self.L_centre)
+        # P's facets with the padding row of `neighbours`: no constraint
+        self.pad_normals = np.vstack([self.P.normals, np.zeros(3)])
+        self.pad_heights = np.append(self.P.heights, math.inf)
+        # slack of the pruning tests, relative to the bodies
+        self.slack = 1e-9 * (self.P.radius + self.L.radius)
+        fp, fl = len(self.P.normals), len(self.L.normals)
+        ep, el = len(self.P.length), len(self.L.length)
+        d = self.P.neighbours.shape[1] + self.L.neighbours.shape[1]
+        # per motion whose bounding spheres meet, when every facet pair is a
+        # candidate: world copies of L, the (m, E, F) edge clips, the
+        # (m, F, F) pair tests and the (K, D) facet-pair clips
+        self.piece = max(1, CHUNK_BYTES // (8 * (7 * fl + 6 * el + 8 * (ep * fl + el * fp)
+                                                 + fp * fl * (9 * d + 28))))
+        # per motion: the draws, the sphere test, and the arrays over the at
+        # most 3 (F_P + F_L) edges of P n gL in segments() and volumes()
+        self.sample_bytes = 96 + 8 * (16 + 34 * 3 * (fp + fl))
+
+    def segments(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Edges of P n (R[t] L + x[t]) over the motions t: motion index
+        (K,), length (K,), midpoint about `centre` (K, 3), unit direction
+        (K, 3), and the outward normals n_k, n_l (K, 3) of its two planes.
+        The motions whose bounding spheres meet run in pieces of bounded
+        memory."""
+        g = R @ self.L_centre + x - self.centre              # centres of g L about c
+        live = np.flatnonzero(np.linalg.norm(g, axis=1)
+                              <= self.P.radius + self.L.radius + self.slack)
+        parts = []
+        for lo in range(0, max(live.size, 1), self.piece):  # one empty piece if none
+            idx = live[lo:lo + self.piece]
+            parts += [(idx[t], *rest) for t, *rest in self._edges(R[idx], g[idx])]
+        rows, length, mid, unit, nk, nl = (np.concatenate(a) for a in zip(*parts))
+        return rows, length, mid, unit, nk, nl
+
+    def _edges(self, R: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """The edges of P n gL, as in segments(), in three parts by the kind
+        of their line, for motions R and centres g of g L about c."""
+        P, L = self.P, self.L
+        fl = len(L.normals)
+        m = R.shape[0]
+        # facets of g L about c, with the padding row of `neighbours`
+        N = np.zeros((m, fl + 1, 3))
+        N[:, :fl] = np.einsum("mij,fj->mfi", R, L.normals)
+        H = np.full((m, fl + 1), math.inf)
+        H[:, :fl] = L.heights + np.einsum("mfi,mi->mf", N[:, :fl], g)
+        NL, HL = N[:, :fl], H[:, :fl]
+        parts = []
+        # edges of P clipped by the facets of g L
+        lo, hi, hit = _clip_lines(np.einsum("ei,mfi->mef", P.unit, NL),
+                                  HL[:, None, :] - np.einsum("ei,mfi->mef", P.start, NL),
+                                  0.0, P.length)
+        t, e = np.nonzero(hit & (hi > lo))
+        parts.append((t, (hi - lo)[t, e], P.start[e] + 0.5 * (lo + hi)[t, e, None] * P.unit[e],
+                      P.unit[e], P.normals[P.facets[e, 0]], P.normals[P.facets[e, 1]]))
+        # edges of g L clipped by the facets of P
+        start = np.einsum("mij,ej->mei", R, L.start) + g[:, None, :]
+        unit = np.einsum("mij,ej->mei", R, L.unit)
+        lo, hi, hit = _clip_lines(unit @ P.normals.T, P.heights - start @ P.normals.T,
+                                  0.0, L.length)
+        t, e = np.nonzero(hit & (hi > lo))
+        parts.append((t, (hi - lo)[t, e], start[t, e] + 0.5 * (lo + hi)[t, e, None] * unit[t, e],
+                      unit[t, e], N[t, L.facets[e, 0]], N[t, L.facets[e, 1]]))
+        # lines of facet pairs F of P, G of g L whose polygons' bounding
+        # spheres meet each other and the other facet's plane
+        cG = np.einsum("mij,fj->mfi", R, L.centres) + g[:, None, :]
+        gap = (np.sum(P.centres ** 2, axis=1)[None, :, None] + np.sum(cG ** 2, axis=2)[:, None, :]
+               - 2.0 * np.einsum("fi,mgi->mfg", P.centres, cG))
+        reach = P.radii[None, :, None] + L.radii[None, None, :] + self.slack
+        near = gap <= reach ** 2
+        near &= (np.abs(np.einsum("fi,mgi->mfg", P.centres, NL) - HL[:, None, :])
+                 <= P.radii[None, :, None] + self.slack)
+        near &= (np.abs(np.einsum("fi,mgi->mfg", P.normals, cG) - P.heights[None, :, None])
+                 <= L.radii[None, None, :] + self.slack)
+        t, F, G = np.nonzero(near)
+        n, NG = P.normals[F], N[t, G]
+        d = np.cross(n, NG)
+        dd = np.einsum("ki,ki->k", d, d)
+        keep = dd > 1e-24                                   # parallel planes share no line
+        t, F, G, n, NG, d, dd = t[keep], F[keep], G[keep], n[keep], NG[keep], d[keep], dd[keep]
+        # the point of the line nearest to c, and the neighbours of F and G
+        y = (P.heights[F, None] * np.cross(NG, d) + H[t, G, None] * np.cross(d, n)) / dd[:, None]
+        u = d / np.sqrt(dd)[:, None]
+        cn = np.concatenate([self.pad_normals[P.neighbours[F]], N[t[:, None], L.neighbours[G]]],
+                            axis=1)
+        ch = np.concatenate([self.pad_heights[P.neighbours[F]], H[t[:, None], L.neighbours[G]]],
+                            axis=1)
+        lo, hi, hit = _clip_lines(np.einsum("kci,ki->kc", cn, u),
+                                  ch - np.einsum("kci,ki->kc", cn, y), -math.inf, math.inf)
+        ok = hit & (hi > lo)
+        parts.append((t[ok], (hi - lo)[ok], y[ok] + 0.5 * (lo + hi)[ok, None] * u[ok],
+                      u[ok], n[ok], NG[ok]))
+        return parts
+
+    def volumes(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Intrinsic volumes V_0..V_3 (m, 4) of P n (R[t] L + x[t]), 0 where
+        the bodies miss."""
+        m = R.shape[0]
+        rows, length, mid, _, nk, nl = self.segments(R, x)
+        cos = np.einsum("ki,ki->k", nk, nl)
+        sin = np.linalg.norm(np.cross(nk, nl), axis=1)
+        # facet areas: the segment's share of the facets on plane k and on l
+        ak = 0.5 * length * np.einsum("ki,ki->k", nl - cos[:, None] * nk, mid) / sin
+        al = 0.5 * length * np.einsum("ki,ki->k", nk - cos[:, None] * nl, mid) / sin
+        hk, hl = np.einsum("ki,ki->k", nk, mid), np.einsum("ki,ki->k", nl, mid)
+        out = np.zeros((m, 4))
+        out[:, 0] = np.bincount(rows, minlength=m) > 0
+        out[:, 1] = np.bincount(rows, length * np.arctan2(sin, cos), m) / (2.0 * math.pi)
+        out[:, 2] = np.bincount(rows, 0.5 * (ak + al), m)
+        out[:, 3] = np.bincount(rows, (ak * hk + al * hl) / 3.0, m)
+        return out
+
+
 def crofton_target(P: Polytope, i: int, j: int) -> float:
     """Analytic value [i+j; j] V_(i+j)(P) of the Crofton integral."""
     return flag(i + j, j) * intrinsic_volumes(P)[i + j]
@@ -338,14 +533,7 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
         sample_bytes = sections.sample_bytes
     elif i == 2:
         def kernel(dirs, p):
-            den = dirs @ AT                        # (m, F)
-            num = b[None, :] - p @ AT
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = num / den
-            hi = np.where(den > 1e-12, ratio, math.inf).min(axis=1)
-            lo = np.where(den < -1e-12, ratio, -math.inf).max(axis=1)
-            feasible = ~np.any((np.abs(den) <= 1e-12) & (num < -1e-12), axis=1)
-            hit = feasible & (hi >= lo)
+            lo, hi, hit = _clip_lines(dirs @ AT, b[None, :] - p @ AT, -math.inf, math.inf)
             return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
         sample_bytes = 8 * (8 * len(b) + 16)
     else:  # i == 3: points
@@ -373,34 +561,47 @@ def kinematic_target(P: Polytope, L: Polytope, j: int) -> float:
                      for i in range(0, n - j + 1)))
 
 
-def _sat_batch(vp: np.ndarray, axesP: np.ndarray, dirsP: np.ndarray,
-               vl: np.ndarray, axesL: np.ndarray, dirsL: np.ndarray,
-               R: np.ndarray, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized separating-axis test: does P intersect R@L + x, per sample."""
-    m = R.shape[0]
-    vlw = np.einsum("mij,vj->mvi", R, vl) + x[:, None, :]     # (m, VL, 3)
-    hit = np.ones(m, dtype=bool)
-    # fixed axes of P
-    pp = vp @ axesP.T                                          # (VP, A)
-    plo, phi = pp.min(axis=0), pp.max(axis=0)
-    ql = np.einsum("ai,mvi->mav", axesP, vlw)                  # (m, A, VL)
-    hit &= ~np.any((ql.min(axis=2) > phi[None, :] + tol)
-                   | (ql.max(axis=2) < plo[None, :] - tol), axis=1)
-    # axes carried by L (rotated facet normals)
-    axL = np.einsum("mij,aj->mai", R, axesL)                   # (m, AL, 3)
-    # axes from edge-direction cross products
-    crs = np.cross(dirsP[None, :, None, :],
-                   np.einsum("mij,ej->mei", R, dirsL)[:, None, :, :])
-    crs = crs.reshape(m, -1, 3)
-    axall = np.concatenate([axL, crs], axis=1)                 # (m, AA, 3)
-    pp2 = np.einsum("mai,vi->mav", axall, vp)                  # (m, AA, VP)
-    qq2 = np.einsum("mai,mvi->mav", axall, vlw)                # (m, AA, VL)
-    nrm = np.linalg.norm(axall, axis=2)
-    valid = nrm > 1e-12
-    sep = ((qq2.min(axis=2) > pp2.max(axis=2) + tol * nrm)
-           | (qq2.max(axis=2) < pp2.min(axis=2) - tol * nrm)) & valid
-    hit &= ~np.any(sep, axis=1)
-    return hit
+class _SeparatingAxes:
+    """Exact separating-axis test of P against moved copies R L + x.  The
+    axes are tried in three stages, each only on the motions that no earlier
+    stage separated: the facet normals of P (P projected once), the rotated
+    facet normals of L, and the cross products of edge directions."""
+
+    def __init__(self, P: Polytope, L: Polytope, tol: float = 1e-12):
+        self.vp, self.vl, self.tol = P.vertices, L.vertices, tol
+        self.axesP, self.axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
+        self.dirsP, self.dirsL = P.edge_directions(), L.edge_directions()
+        pp = self.vp @ self.axesP.T                            # (VP, A)
+        self.plo, self.phi = pp.min(axis=0), pp.max(axis=0)
+        self.cross_axes = len(self.dirsP) * len(self.dirsL)
+        # the (m, axes, vertices) projections of the last stage dominate
+        axes = len(self.axesP) + len(self.axesL) + self.cross_axes
+        self.sample_bytes = 8 * axes * (len(self.vp) + len(self.vl) + 12)
+
+    def hits(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Does P meet R[t] L + x[t], per motion t."""
+        tol = self.tol
+        vlw = np.einsum("mij,vj->mvi", R, self.vl) + x[:, None, :]     # (m, VL, 3)
+        ql = np.einsum("ai,mvi->mav", self.axesP, vlw)                  # (m, A, VL)
+        hit = ~np.any((ql.min(axis=2) > self.phi[None, :] + tol)
+                      | (ql.max(axis=2) < self.plo[None, :] - tol), axis=1)
+        live = np.flatnonzero(hit)
+        axL = np.einsum("mij,aj->mai", R[live], self.axesL)            # (m', AL, 3)
+        hit[live] = ~self._separated(axL, vlw[live])
+        live = live[hit[live]]
+        crs = np.cross(self.dirsP[None, :, None, :],
+                       np.einsum("mij,ej->mei", R[live], self.dirsL)[:, None, :, :])
+        hit[live] = ~self._separated(crs.reshape(live.size, self.cross_axes, 3), vlw[live])
+        return hit
+
+    def _separated(self, axes: np.ndarray, vlw: np.ndarray) -> np.ndarray:
+        """Does one of the axes (m, AA, 3) separate P from the moved vertices."""
+        pp = np.einsum("mai,vi->mav", axes, self.vp)                    # (m, AA, VP)
+        qq = np.einsum("mai,mvi->mav", axes, vlw)                       # (m, AA, VL)
+        nrm = np.linalg.norm(axes, axis=2)
+        sep = ((qq.min(axis=2) > pp.max(axis=2) + self.tol * nrm)
+               | (qq.max(axis=2) < pp.min(axis=2) - self.tol * nrm)) & (nrm > 1e-12)
+        return np.any(sep, axis=1)
 
 
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
@@ -409,8 +610,9 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     """Monte-Carlo check of the principal kinematic formula: average of
     V_j(P n gL) over rigid motions g against the bilinear target.
 
-    j = 0 runs a vectorized exact separating-axis test; j >= 1 clips the
-    moving body and evaluates intrinsic volumes per sample (slower)."""
+    j = 0 runs a vectorized exact separating-axis test; j >= 1 reads V_j of
+    the intersection from its edges (`MotionIntersections`), with no hull
+    per motion."""
     n = 3
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= {n}")
@@ -420,33 +622,27 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     W = window if window is not None else safe
     sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    axesP, axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
-    dirsP, dirsL = P.edge_directions(), L.edge_directions()
     boundary_hits = 0
+    if j == 0:
+        test = _SeparatingAxes(P, L)
+        sample_bytes = test.sample_bytes
+    else:
+        inter = MotionIntersections(P, L)
+        sample_bytes = inter.sample_bytes
 
     def kernel(R, x):
         nonlocal boundary_hits
         if j == 0:
-            hits = _sat_batch(P.vertices, axesP, dirsP,
-                              L.vertices, axesL, dirsL, R, x)
+            hits = test.hits(R, x)
             vals = hits.astype(float)
         else:
-            m = R.shape[0]
-            vals = np.zeros(m)
-            hits = np.zeros(m, dtype=bool)
-            for t in range(m):
-                moved = Polytope.from_vertices(L.vertices @ R[t].T + x[t])
-                body = intersect(moved, P)
-                if not body.is_empty:
-                    hits[t] = True
-                    vals[t] = intrinsic_volumes(body)[j]
+            vols = inter.volumes(R, x)
+            hits, vals = vols[:, 0] > 0, vols[:, j]
         shell = np.max(np.abs(x), axis=1) >= 0.98 * (W / 2.0)
         boundary_hits += int(np.count_nonzero(hits & shell))
         return vals
 
-    # the (m, axes, vertices) arrays of the separating-axis test dominate
-    axes = len(axesP) + len(axesL) + len(dirsP) * len(dirsL)
-    est, se = run_shards(sampler, kernel, 8 * axes * (len(P.vertices) + len(L.vertices) + 12))
+    est, se = run_shards(sampler, kernel, sample_bytes)
     if W < safe * (1.0 - 1e-12) and boundary_hits > 0:
         raise ValueError(
             f"translation window {W:.4g} too small for the contact set "
@@ -508,7 +704,9 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     with the i = 0 (whole space) and i = n (points, only the constant piece
     of the valuation survives) terms exact and the plane/line terms
     estimated by Monte Carlo.  Both sides carry standard errors; the report
-    states their 3-sigma consistency."""
+    states their 3-sigma consistency.  The motion term builds one lattice
+    per motion that meets P, from the ends of the edges of P n gL
+    (`MotionIntersections`)."""
     from .valuation import evaluate  # deferred: valuation builds on this module's siblings
 
     n = 3
@@ -521,8 +719,17 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
         return 0.0 if body.is_empty else float(evaluate(spec, body, u).values[0])
 
     def motions(R, x):
-        return [phi(intersect(Polytope.from_vertices(L.vertices @ Rt.T + xt), P))
-                for Rt, xt in zip(R, x)]
+        # one lattice per motion that meets P, from the ends of its edges
+        rows, length, mid, unit, _, _ = inter.segments(R, x)
+        half = 0.5 * length[:, None] * unit
+        ends = inter.centre + np.concatenate([mid - half, mid + half])
+        rows = np.concatenate([rows, rows])
+        order = np.argsort(rows, kind="stable")
+        hit, first = np.unique(rows[order], return_index=True)
+        vals = np.zeros(R.shape[0])
+        for t, pts in zip(hit, np.split(ends[order], first[1:])):
+            vals[t] = phi(Polytope.from_vertices(pts))
+        return vals
 
     def planes(dirs, offs):
         return [phi(section_plane(P, s * a, normal=a)) for a, s in zip(dirs, offs)]
@@ -531,10 +738,10 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
         return [phi(section_line(P, pt, a)) for a, pt in zip(dirs, p)]
 
     t0 = time.perf_counter()
+    inter = MotionIntersections(P, L)
     W = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-    # one body per sample: the chunks only hold the draws
     lhs, lhs_se = run_shards(MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples,
-                                           shards=shards), motions, 96)
+                                           shards=shards), motions, inter.sample_bytes)
 
     vl = intrinsic_volumes(L)
     rhs = vl[n] * phi(P)                       # i = 0

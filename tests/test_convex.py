@@ -328,6 +328,19 @@ def test_slice_plane_through_cube():
     assert iv.v2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_section_of_small_body_keeps_short_edges():
+    # the collinearity test of a polygon's vertices is relative to its
+    # edges: an absolute one dropped a vertex of this 12-gon of size 1e-3
+    Q = random_hull(77).scaled(1e-3)
+    z = Q.vertices[:, 2]
+    s = z.min() + 0.023 * (z.max() - z.min())
+    small = section_plane(Q, [0.0, 0.0, s], normal=[0, 0, 1.0])
+    unit = section_plane(random_hull(77), [0.0, 0.0, s * 1e3], normal=[0, 0, 1.0])
+    assert small.num_vertices == unit.num_vertices == 12
+    assert intrinsic_volumes(small).v1 == pytest.approx(1e-3 * intrinsic_volumes(unit).v1,
+                                                        rel=1e-12)
+
+
 def test_slice_halfspace_cases():
     Q = cube()
     assert clip_halfspace(Q, [1.0, 0, 0], 1.0).num_vertices == 8

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minkval.convex import area_measure, cube, intrinsic_volumes, random_hull, section_plane
+from minkval.convex import (
+    Polytope,
+    area_measure,
+    cube,
+    intrinsic_volumes,
+    random_hull,
+    section_plane,
+)
 from minkval.integral_geom import PlaneSections, crofton_intrinsic, crofton_minkowski
 from minkval.zonal import ZonalObject
 
@@ -52,6 +59,25 @@ def test_sections_match_section_polygon(base, copy, a, t):
     assert abs(v2[0] / lam ** 2 - ref.v2) <= 1e-9 * size ** 2
     moments = sections.s1_moments(*planes, PROBE, KMAX)[0] / lam
     assert np.allclose(moments, expect, rtol=0.0, atol=1e-9 * size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.sampled_from(sorted(BASES)), a=unit_vectors, t=st.floats(0.02, 0.98))
+def test_sections_of_small_body_match_its_section_polygon(base, a, t):
+    # section_plane cuts the copy of size 1e-3 itself
+    sections = SECTIONS[base, "small"]
+    P = Polytope.from_vertices(sections.vertices)
+    size = float(np.linalg.norm(np.ptp(P.vertices, axis=0)))
+    proj = P.vertices @ a
+    s = proj.min() + t * (proj.max() - proj.min())
+    # section_plane snaps vertices within an absolute 1e-9 of the plane
+    assume(np.min(np.abs(proj - s)) > 1e-5 * size)
+    Q = section_plane(P, s * a, normal=a)
+    assert Q.dim == 2
+    ref = intrinsic_volumes(Q)
+    v1, v2 = sections.volumes(a[None, :], np.array([s]))
+    assert abs(v1[0] - ref.v1) <= 1e-9 * size
+    assert abs(v2[0] - ref.v2) <= 1e-9 * size ** 2
 
 
 def test_sections_of_missed_planes_vanish():
