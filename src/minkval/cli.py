@@ -40,7 +40,16 @@ def _data_dir() -> str | None:
 def load_body(name: str) -> convex.Polytope:
     """Resolve a body argument: a JSON path, a corpus name (cube, simplex,
     octahedron -- looked up under $MINKVAL_DATA first, then the packaged
-    data), "ball:depth", or "random:seed[:points]"."""
+    data), "ball:depth", or "random:seed[:points]".  A body the lattice
+    build rejects (such as one with non-finite coordinates) is an input
+    error."""
+    try:
+        return _resolve_body(name)
+    except ValueError as exc:
+        raise InputError(f"bad body {name!r}: {exc}") from None
+
+
+def _resolve_body(name: str) -> convex.Polytope:
     if os.path.exists(name):
         with open(name) as fh:
             return convex.Polytope.from_json(json.load(fh))

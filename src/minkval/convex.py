@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .harmonics import legendre_recurrence
+from .harmonics import legendre_rows
 
 __all__ = [
     "Polytope",
@@ -25,7 +25,6 @@ __all__ = [
     "SphericalArc",
     "SphericalPatch",
     "IntrinsicVolumes",
-    "support_function",
     "area_measure",
     "steiner_area_measure",
     "intrinsic_volumes",
@@ -44,6 +43,12 @@ __all__ = [
 
 MERGE_TOL = 1e-10
 POINT_TOL = 1e-9
+# Bytes of temporaries per chunk of work: Monte-Carlo samples (see
+# integral_geom.run_shards) or node-direction pairs of the zonal sums.
+CHUNK_BYTES = 1 << 20
+# The zonal sums keep about eight float64 arrays of shape (nodes, directions)
+# alive: cosines, two Legendre rows, the running sum and their temporaries.
+_PAIR_BYTES = 8 * 8
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -54,12 +59,22 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v, each equal to np.linalg.norm(row):
+    vecdot sums with the same BLAS dot as the 1-d norm, so threshold tests
+    decide as they would row by row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
-    out: list[np.ndarray] = []
+    """The points farther than tol from every earlier point kept, in order."""
+    kept = np.empty((pts.shape[0], 3))
+    k = 0
     for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
-            out.append(p)
-    return np.array(out) if out else np.zeros((0, 3))
+        if not np.any(_norms(kept[:k] - p) <= tol):
+            kept[k] = p
+            k += 1
+    return kept[:k]
 
 
 def _distinct_axes(vectors) -> np.ndarray:
@@ -71,24 +86,39 @@ def _distinct_axes(vectors) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 3))
 
 
+def _coplanar_groups(eqs: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Merge the facet simplices of a hull by their equations (rows normal,
+    offset; normal.x + offset <= 0 inside): each simplex joins the first
+    group whose representative, the equation of its first simplex, is
+    within 1e-8 in max norm, or starts a group.  Returns the groups and
+    their representatives."""
+    groups: list[list[int]] = []
+    reps = np.empty_like(eqs)
+    for s, eq in enumerate(eqs):
+        hit = np.flatnonzero(np.abs(reps[:len(groups)] - eq).max(axis=1) <= 1e-8)
+        if hit.size:
+            groups[hit[0]].append(s)
+        else:
+            reps[len(groups)] = eq
+            groups.append([s])
+    return groups, reps[:len(groups)]
+
+
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     b1 = _unit(np.cross(normal, a))
     return b1, np.cross(normal, b1)
 
 
-def _prune_collinear(cycle: list[int], pts: np.ndarray, tol: float = MERGE_TOL) -> list[int]:
-    changed = True
-    while changed and len(cycle) > 2:
-        changed = False
-        for idx in range(len(cycle)):
-            a = pts[cycle[idx - 1]]
-            b = pts[cycle[idx]]
-            c = pts[cycle[(idx + 1) % len(cycle)]]
-            if np.linalg.norm(np.cross(b - a, c - a)) <= tol * np.linalg.norm(c - a) ** 2:
-                cycle.pop(idx)
-                changed = True
-                break
+def _prune_collinear(cycle: np.ndarray, pts: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
+    """Drop, one at a time and first in cycle order, a vertex b whose
+    neighbours a, c make |(b - a) x (c - a)| <= tol |c - a|^2."""
+    while len(cycle) > 2:
+        a, b, c = pts[np.roll(cycle, 1)], pts[cycle], pts[np.roll(cycle, -1)]
+        flat = np.flatnonzero(_norms(np.cross(b - a, c - a)) <= tol * _norms(c - a) ** 2)
+        if not flat.size:
+            break
+        cycle = np.delete(cycle, flat[0])
     return cycle
 
 
@@ -124,6 +154,8 @@ class Polytope:
     @classmethod
     def from_vertices(cls, points) -> "Polytope":
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not np.isfinite(pts).all():
+            raise ValueError("vertex coordinates must be finite")
         pts = _dedupe_points(pts)
         P = cls()
         if pts.shape[0] == 0:
@@ -146,43 +178,32 @@ class Polytope:
 
     def _build_3d(self, pts: np.ndarray):
         hull = ConvexHull(pts)
-        eqs = hull.equations  # rows (normal, offset): normal.x + offset <= 0 inside
-        groups: list[list[int]] = []
-        reps: list[np.ndarray] = []
-        for s, eq in enumerate(eqs):
-            for gi, rep in enumerate(reps):
-                if np.max(np.abs(eq - rep)) <= 1e-8:
-                    groups[gi].append(s)
-                    break
-            else:
-                groups.append([s])
-                reps.append(eq)
+        groups, reps = _coplanar_groups(hull.equations)
         normals, offsets, cycles, areas = [], [], [], []
         for gi, group in enumerate(groups):
             nrm = _unit(reps[gi][:3])  # qhull normals point outward
-            vidx = sorted({int(i) for s in group for i in hull.simplices[s]})
+            vidx = np.unique(hull.simplices[group])
             centroid = pts[vidx].mean(axis=0)
             b1, b2 = _plane_basis(nrm)
             ang = np.arctan2((pts[vidx] - centroid) @ b2, (pts[vidx] - centroid) @ b1)
-            cyc = [vidx[i] for i in np.argsort(ang)]
-            cyc = _prune_collinear(cyc, pts)
+            cyc = _prune_collinear(vidx[np.argsort(ang)], pts)
             normals.append(nrm)
             offsets.append(float(np.dot(nrm, pts[cyc[0]])))
-            cycles.append(cyc)
             areas.append(_polygon_area3d(pts[cyc]))
-        # orient cycles counterclockwise as seen from outside
-        for f, cyc in enumerate(cycles):
+            # orient counterclockwise as seen from outside
             if len(cyc) >= 3:
-                v0, v1, v2 = pts[cyc[0]], pts[cyc[1]], pts[cyc[2]]
-                if np.dot(np.cross(v1 - v0, v2 - v0), normals[f]) < 0:
-                    cycles[f] = cyc[::-1]
+                v0, v1, v2 = pts[cyc[:3]]
+                if np.dot(np.cross(v1 - v0, v2 - v0), nrm) < 0:
+                    cyc = cyc[::-1]
+            cycles.append(cyc)
         # re-index to extreme vertices only
-        used = sorted({i for cyc in cycles for i in cyc})
-        remap = {old: new for new, old in enumerate(used)}
+        used = np.unique(np.concatenate(cycles))
+        remap = np.empty(pts.shape[0], dtype=int)
+        remap[used] = np.arange(used.size)
         self.vertices = pts[used]
         self.facet_normals = np.array(normals)
         self.facet_offsets = np.array(offsets)
-        self.facet_cycles = [[remap[i] for i in cyc] for cyc in cycles]
+        self.facet_cycles = [remap[cyc].tolist() for cyc in cycles]
         self.facet_areas = np.array(areas)
         edge_map: dict[tuple[int, int], list[int]] = {}
         for f, cyc in enumerate(self.facet_cycles):
@@ -207,12 +228,9 @@ class Polytope:
         b1, b2 = _plane_basis(normal)
         xy = np.column_stack(((pts - center) @ b1, (pts - center) @ b2))
         hull = ConvexHull(xy)
-        cyc = [int(i) for i in hull.vertices]  # counterclockwise in (b1, b2)
-        cyc = _prune_collinear(cyc, pts)
-        used = cyc
-        remap = {old: new for new, old in enumerate(used)}
-        self.vertices = pts[used]
-        self.polygon_cycle = [remap[i] for i in cyc]
+        cyc = _prune_collinear(hull.vertices, pts)  # counterclockwise in (b1, b2)
+        self.vertices = pts[cyc]
+        self.polygon_cycle = list(range(len(cyc)))
         self.plane_normal = np.cross(b1, b2)
         m = len(self.polygon_cycle)
         normals = []
@@ -310,16 +328,11 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={self.num_vertices})"
 
 
-def support_function(P: Polytope, u) -> float:
-    return P.support(u)
-
-
 def _polygon_area3d(pts: np.ndarray) -> float:
     if pts.shape[0] < 3:
         return 0.0
-    s = np.zeros(3)
-    for k in range(1, pts.shape[0] - 1):
-        s += np.cross(pts[k] - pts[0], pts[k + 1] - pts[0])
+    # a sum over axis 0 adds the fan's cross products row after row
+    s = np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0]).sum(axis=0)
     return 0.5 * float(np.linalg.norm(s))
 
 
@@ -360,35 +373,34 @@ class SphericalPatch:
 
     @property
     def area(self) -> float:
-        return sum(_spherical_triangle_area(t) for t in self.triangles)
+        return sum(_spherical_triangle_area(self.triangles).tolist())
 
     @property
     def mass(self) -> float:
         return self.weight * self.area
 
 
-def _spherical_triangle_area(tri: np.ndarray) -> float:
-    """Spherical excess by l'Huilier's formula."""
+def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
+    """Spherical excess by l'Huilier's formula, for triangles stacked on the
+    leading axes of an (..., 3, 3) array of unit vectors."""
+    tri = np.asarray(tri, dtype=float)
+
     def side(u, v):
-        return math.atan2(np.linalg.norm(np.cross(u, v)), float(np.dot(u, v)))
-    a, b, c = side(tri[1], tri[2]), side(tri[0], tri[2]), side(tri[0], tri[1])
+        return np.arctan2(_norms(np.cross(u, v)), np.vecdot(u, v))
+    A, B, C = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    a, b, c = side(B, C), side(A, C), side(A, B)
     s = 0.5 * (a + b + c)
-    arg = (math.tan(0.5 * s) * math.tan(0.5 * (s - a))
-           * math.tan(0.5 * (s - b)) * math.tan(0.5 * (s - c)))
-    return 4.0 * math.atan(math.sqrt(max(arg, 0.0)))
+    arg = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
+    return 4.0 * np.arctan(np.sqrt(np.maximum(arg, 0.0)))
 
 
 def _fan_triangles(cycle_pts: np.ndarray) -> np.ndarray:
     """Triangulate a geodesically convex spherical polygon by fanning from
     the normalized vertex mean."""
     c = _unit(cycle_pts.sum(axis=0))
-    tris = []
-    m = cycle_pts.shape[0]
-    for k in range(m):
-        a, b = cycle_pts[k], cycle_pts[(k + 1) % m]
-        if np.linalg.norm(np.cross(a - c, b - c)) > 1e-14:
-            tris.append((c, a, b))
-    return np.array(tris) if tris else np.zeros((0, 3, 3))
+    nxt = np.roll(cycle_pts, -1, axis=0)
+    keep = _norms(np.cross(cycle_pts - c, nxt - c)) > 1e-14
+    return np.stack([np.broadcast_to(c, cycle_pts.shape), cycle_pts, nxt], axis=1)[keep]
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -523,12 +535,12 @@ class AreaMeasure:
         dirs; returns an array of shape (kmax+1, len(dirs))."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         pts, wts = self.node_cloud(arc_order, tri_order, tri_refine)
-        if pts.shape[0] == 0:
-            return np.zeros((kmax + 1, dirs.shape[0]))
-        dots = np.clip(pts @ dirs.T, -1.0, 1.0)
-        P, _, _ = legendre_recurrence(self.n, kmax, dots.ravel())
-        P = P.reshape(kmax + 1, *dots.shape)
-        return np.tensordot(P, wts, axes=(1, 0))
+        out = np.zeros((kmax + 1, dirs.shape[0]))
+        for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
+            dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
+            for k, pk in enumerate(legendre_rows(self.n, kmax, dots)):
+                out[k, block] = wts @ pk
+        return out
 
     def integrate_zonal(self, profile, dirs: np.ndarray,
                         arc_order: int = 24, tri_order: int = 10,
@@ -536,11 +548,11 @@ class AreaMeasure:
         """Values of w -> int profile(u . w) dS(u) for each direction."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         pts, wts = self.node_cloud(arc_order, tri_order, tri_refine)
-        if pts.shape[0] == 0:
-            return np.zeros(dirs.shape[0])
-        dots = np.clip(pts @ dirs.T, -1.0, 1.0)
-        vals = np.asarray(profile(dots), dtype=float)
-        return wts @ vals
+        out = np.zeros(dirs.shape[0])
+        for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
+            dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
+            out[block] = wts @ np.asarray(profile(dots), dtype=float)
+        return out
 
     def scaled_mass(self, c: float) -> "AreaMeasure":
         return AreaMeasure(
@@ -556,11 +568,21 @@ class AreaMeasure:
                            patches=self.patches + other.patches)
 
 
+def _direction_blocks(nodes: int, ndirs: int) -> list[slice]:
+    """Consecutive blocks of directions whose (nodes, block) temporaries of
+    the zonal sums fit in CHUNK_BYTES (one direction at least); none when
+    there are no nodes."""
+    if nodes == 0:
+        return []
+    step = max(1, CHUNK_BYTES // (_PAIR_BYTES * nodes))
+    return [slice(j, j + step) for j in range(0, ndirs, step)]
+
+
 # -- area measures of polytopes ---------------------------------------------
 
-def _vertex_cone_cycle(P: Polytope, v: int) -> np.ndarray:
-    """Facet normals around vertex v in cyclic order."""
-    incident = [(a, b, f1, f2) for (a, b, f1, f2) in P.edges if v in (a, b)]
+def _vertex_cone_cycle(P: Polytope, incident: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """Facet normals around a vertex in cyclic order, from its incident
+    edges (in the order of P.edges)."""
     if not incident:
         raise ValueError("vertex has no incident edges")
     # walk the facet cycle: consecutive facets share an edge at v
@@ -568,18 +590,11 @@ def _vertex_cone_cycle(P: Polytope, v: int) -> np.ndarray:
     for idx, (_, _, f1, f2) in enumerate(incident):
         edge_of.setdefault(f1, []).append(idx)
         edge_of.setdefault(f2, []).append(idx)
-    start = incident[0][2]
-    cycle = [start]
-    prev_edge = incident[0]
-    prev_idx = 0
+    cycle = [incident[0][2]]
     used = {0}
     while len(cycle) < len(edge_of):
         f = cycle[-1]
-        nxt = None
-        for idx in edge_of[f]:
-            if idx not in used:
-                nxt = idx
-                break
+        nxt = next((idx for idx in edge_of[f] if idx not in used), None)
         if nxt is None:
             break
         used.add(nxt)
@@ -612,8 +627,12 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
                                               P.facet_normals[f2],
                                               length / binom))
         else:
+            incident: list[list] = [[] for _ in range(P.num_vertices)]
+            for e in P.edges:
+                incident[e[0]].append(e)
+                incident[e[1]].append(e)
             for v in range(P.num_vertices):
-                cyc = _vertex_cone_cycle(P, v)
+                cyc = _vertex_cone_cycle(P, incident[v])
                 tris = _fan_triangles(cyc)
                 if tris.size:
                     meas.patches.append(SphericalPatch(tris, 1.0))
@@ -700,15 +719,18 @@ class IntrinsicVolumes:
 
 def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
     """Intrinsic volumes (V0, V1, V2, V3) from the face lattice: volume by
-    the divergence theorem, V2 = surface/2, V1 from edge lengths and
-    exterior dihedral angles; lower-dimensional bodies use their own closed
-    forms (V1 of a planar body is half its perimeter)."""
+    the divergence theorem about the vertex centroid, V2 = surface/2, V1
+    from edge lengths and exterior dihedral angles; lower-dimensional bodies
+    use their own closed forms (V1 of a planar body is half its perimeter)."""
     if P.is_empty:
         return IntrinsicVolumes(0.0, 0.0, 0.0, 0.0)
     if P.dim == 3:
+        # cones from the vertex centroid: terms stay of the body's size
+        # wherever it sits
+        center = P.vertices.mean(axis=0)
         vol = 0.0
         for f, cyc in enumerate(P.facet_cycles):
-            centroid = P.vertices[cyc].mean(axis=0)
+            centroid = P.vertices[cyc].mean(axis=0) - center
             vol += P.facet_areas[f] * float(np.dot(P.facet_normals[f], centroid)) / 3.0
         surf = float(np.sum(P.facet_areas))
         v1 = 0.0

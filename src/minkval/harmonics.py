@@ -22,7 +22,7 @@ from .constants import omega
 __all__ = [
     "harmonic_dimension",
     "LegendreTable",
-    "legendre_eval",
+    "legendre_rows",
     "JacobiQuadrature",
     "jacobi_quadrature",
     "ZonalPolynomial",
@@ -86,6 +86,22 @@ def legendre_recurrence(n: int, kmax: int, t: np.ndarray) -> tuple[np.ndarray, n
     return P, dP, d2P
 
 
+def legendre_rows(n: int, kmax: int, t: np.ndarray):
+    """Yield P_0^n(t), ..., P_kmax^n(t) one degree at a time, by the
+    recurrence of legendre_recurrence (same arithmetic, so the same values)
+    with only two rows alive: memory is O(t.size), not O(kmax * t.size)."""
+    t = np.asarray(t, dtype=float)
+    prev, cur = np.ones_like(t), t
+    yield prev
+    if kmax >= 1:
+        yield cur
+    for k in range(1, kmax):
+        a = 2 * k + n - 2
+        c = k + n - 2
+        prev, cur = cur, (a * t * cur - k * prev) / c
+        yield cur
+
+
 @dataclass(frozen=True)
 class LegendreTable:
     """Evaluator for the Legendre polynomials of dimension n up to kmax."""
@@ -113,11 +129,6 @@ class LegendreTable:
             raise ValueError(f"degree {k} out of range [0, {self.kmax}]")
         out = self.values(t, deriv)[k]
         return float(out) if np.ndim(out) == 0 else out
-
-
-def legendre_eval(table: LegendreTable, k: int, t, deriv: int = 0):
-    """P_k^n(t) or its first/second t-derivative."""
-    return table.eval(k, t, deriv)
 
 
 @dataclass(frozen=True)
@@ -165,8 +176,14 @@ class ZonalPolynomial:
         self._table = LegendreTable(n, self.degree)
 
     def __call__(self, t, deriv: int = 0):
-        vals = self._table.values(t, deriv)
-        return np.tensordot(self.coeffs, vals, axes=(0, 0))
+        if deriv:
+            vals = self._table.values(t, deriv)
+            return np.tensordot(self.coeffs, vals, axes=(0, 0))
+        # values: sum c_k P_k degree by degree, in O(t.size) memory
+        out = np.zeros(np.shape(t))
+        for c, pk in zip(self.coeffs, legendre_rows(self.n, self.degree, t)):
+            out += c * pk
+        return out
 
 
 class ZonalProfile:

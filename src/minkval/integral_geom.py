@@ -32,6 +32,7 @@ import numpy as np
 
 from .constants import crofton_q, flag, kappa
 from .convex import (
+    CHUNK_BYTES,
     Polytope,
     area_measure,
     _distinct_axes,
@@ -60,8 +61,6 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 20
-# Bytes of kernel temporaries per chunk of samples (see run_shards).
-CHUNK_BYTES = 1 << 20
 
 
 @dataclass

@@ -143,6 +143,18 @@ def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
     assert "nonzero" in rep["error"]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_body_coordinate_is_an_input_error(tmp_path, bad):
+    # a NaN vertex ended in a LinAlgError traceback with exit code 1
+    body = tmp_path / "bad.json"
+    body.write_text('{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], '
+                    f'[0, 0, 1], [1, 1, {bad}]]}}')
+    out = tmp_path / "report.json"
+    assert main(["area-measure", "--body", str(body), "--i", "0", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert "finite" in rep["error"]
+
+
 def test_input_error_unknown_body(tmp_path):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
                     "--body", "nonexistent_body")

@@ -24,7 +24,6 @@ from minkval.convex import (
     section_plane,
     simplex,
     steiner_area_measure,
-    support_function,
 )
 from minkval.harmonics import ZonalPolynomial
 
@@ -83,14 +82,14 @@ def test_facet_normals_unit_and_outward():
 
 def test_support_function_examples():
     Q = cube()
-    assert support_function(Q, [1, 0, 0]) == 1.0
+    assert Q.support([1, 0, 0]) == 1.0
     seg = Polytope.from_vertices([[-1, 0, 0], [1, 0, 0]])
     for th in (0.0, 0.4, 2.2):
         u = [math.cos(th), math.sin(th), 0.0]
-        assert support_function(seg, u) == pytest.approx(abs(math.cos(th)), abs=1e-14)
+        assert seg.support(u) == pytest.approx(abs(math.cos(th)), abs=1e-14)
     refl = Polytope.from_vertices(-Q.vertices)
     u = np.array([0.3, -0.5, 0.81])
-    assert support_function(Q, -u) == pytest.approx(support_function(refl, u), abs=1e-14)
+    assert Q.support(-u) == pytest.approx(refl.support(u), abs=1e-14)
 
 
 def test_support_of_empty_raises():
@@ -320,6 +319,17 @@ def test_steiner_polynomial_consistency():
 
 
 # -- slicing ----------------------------------------------------------------------
+
+def test_volume_of_far_body_is_relative_to_its_size():
+    # facet terms about the origin gave V3 = 1.0000000075 at this offset
+    assert intrinsic_volumes(cube().translated([1e8] * 3)).v3 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_nonfinite_vertex_is_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, bad]])
+
 
 def test_slice_plane_through_cube():
     sq = section_plane(cube(), [0.5, 0.5, 0.5], normal=[0, 0, 1.0])

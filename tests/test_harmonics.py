@@ -16,7 +16,7 @@ from minkval.harmonics import (
     boundary_flux,
     harmonic_dimension,
     jacobi_quadrature,
-    legendre_eval,
+    legendre_rows,
     regularity_probe,
     zonal_ck_norm,
     zonal_coefficient,
@@ -81,6 +81,18 @@ def test_legendre_recurrence_residual():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("n,kmax", [(3, 0), (3, 1), (3, 32), (5, 12)])
+def test_streamed_legendre_rows_match_the_table(n, kmax):
+    t = np.linspace(-1, 1, 257).reshape(1, 257)
+    rows = list(legendre_rows(n, kmax, t))
+    assert len(rows) == kmax + 1
+    assert np.array_equal(np.array(rows), LegendreTable(n, kmax).values(t))
+    coeffs = np.random.default_rng(n + kmax).standard_normal(kmax + 1)
+    table_sum = np.tensordot(coeffs, LegendreTable(n, kmax).values(t), axes=(0, 0))
+    assert np.allclose(ZonalPolynomial(n, coeffs)(t), table_sum, rtol=0, atol=1e-13)
+    assert ZonalPolynomial(n, coeffs)(1.0) == pytest.approx(coeffs.sum(), abs=1e-13)
+
+
 def test_legendre_bounded_on_interval():
     for n in (3, 5):
         tab = LegendreTable(n, 32)
@@ -91,7 +103,7 @@ def test_legendre_bounded_on_interval():
 def test_legendre_degree_out_of_range():
     tab = LegendreTable(3, 4)
     with pytest.raises(ValueError):
-        legendre_eval(tab, 5, 0.1)
+        tab.eval(5, 0.1)
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 7), (5, 12)])

@@ -2,6 +2,7 @@
 mean sections, pairing, additivity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,3 +409,19 @@ def test_builtin_mean_width_ball():
     res = evaluate(mw, cube(), np.array([[0.0, 1.0, 0.0]]))
     # mean width of the unit cube = V_1 / 2 = 3/2
     assert res.values[0] == pytest.approx(1.5, abs=1e-10)
+
+
+def test_difference_body_evaluation_memory_is_bounded():
+    # the degree-32 Legendre density was summed from three full
+    # (degrees x nodes x directions) tables: about 650 MiB here
+    spec = builtin_spec("difference_body")
+    P = random_hull(42, 200)
+    dirs = random_directions(np.random.default_rng(3), 200)
+    tracemalloc.start()
+    try:
+        res = evaluate(spec, P, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(res.values))
+    assert peak < 16 * 2 ** 20
