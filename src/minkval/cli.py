@@ -111,7 +111,7 @@ def _mc_size(cfg: RunConfig) -> tuple[int, int]:
 
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
                    csv_path: str | None = None, csv_header=None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+    payload = json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(payload)

@@ -38,7 +38,6 @@ __all__ = [
     "octahedron",
     "ball_polytope",
     "random_hull",
-    "QuadratureBudgetError",
 ]
 
 MERGE_TOL = 1e-10
@@ -51,12 +50,9 @@ CHUNK_BYTES = 1 << 20
 _PAIR_BYTES = 8 * 8
 
 
-class QuadratureBudgetError(RuntimeError):
-    """Adaptive spherical quadrature exceeded its refinement budget."""
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    """v scaled to unit length along its last axis."""
+    return v / _norms(v)[..., None]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -78,12 +74,16 @@ def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
 
 
 def _distinct_axes(vectors) -> np.ndarray:
-    """The unit vectors of `vectors` that are distinct up to sign, in order."""
-    out: list[np.ndarray] = []
-    for a in vectors:
-        if not any(abs(abs(np.dot(a, b)) - 1.0) < 1e-9 for b in out):
-            out.append(a)
-    return np.array(out) if out else np.zeros((0, 3))
+    """The unit vectors of `vectors` that are distinct up to sign, in order:
+    each is kept unless | |a . b| - 1 | < 1e-9 for an earlier kept b."""
+    vecs = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    kept = np.empty_like(vecs)
+    k = 0
+    for a in vecs:
+        if not np.any(np.abs(np.abs(np.vecdot(kept[:k], a)) - 1.0) < 1e-9):
+            kept[k] = a
+            k += 1
+    return kept[:k]
 
 
 def _coplanar_groups(eqs: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
@@ -348,8 +348,7 @@ class SphericalArc:
 
     @property
     def angle(self) -> float:
-        return float(np.arctan2(np.linalg.norm(np.cross(self.a, self.b)),
-                                np.dot(self.a, self.b)))
+        return float(_arc_angles(self.a, self.b))
 
     @property
     def mass(self) -> float:
@@ -360,8 +359,20 @@ class SphericalArc:
         th = self.angle
         if th < 1e-14:
             return np.tile(self.a, (len(s), 1))
-        return (np.sin((1.0 - s)[:, None] * th) * self.a
-                + np.sin(s[:, None] * th) * self.b) / math.sin(th)
+        return _slerp(self.a[None], self.b[None], np.array([th]), s)[0]
+
+
+def _arc_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles between the rows of a and b."""
+    return np.arctan2(_norms(np.cross(a, b)), np.vecdot(a, b))
+
+
+def _slerp(a: np.ndarray, b: np.ndarray, th: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Points at parameters s in [0, 1] of the great-circle arcs from a[r]
+    to b[r] (R, 3) of angles th[r] > 0: (R, len(s), 3)."""
+    return ((np.sin(np.multiply.outer(th, 1.0 - s))[..., None] * a[:, None, :]
+             + np.sin(np.multiply.outer(th, s))[..., None] * b[:, None, :])
+            / np.sin(th)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -384,11 +395,8 @@ def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
     """Spherical excess by l'Huilier's formula, for triangles stacked on the
     leading axes of an (..., 3, 3) array of unit vectors."""
     tri = np.asarray(tri, dtype=float)
-
-    def side(u, v):
-        return np.arctan2(_norms(np.cross(u, v)), np.vecdot(u, v))
     A, B, C = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    a, b, c = side(B, C), side(A, C), side(A, B)
+    a, b, c = _arc_angles(B, C), _arc_angles(A, C), _arc_angles(A, B)
     s = 0.5 * (a + b + c)
     arg = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
     return 4.0 * np.arctan(np.sqrt(np.maximum(arg, 0.0)))
@@ -403,56 +411,59 @@ def _fan_triangles(cycle_pts: np.ndarray) -> np.ndarray:
     return np.stack([np.broadcast_to(c, cycle_pts.shape), cycle_pts, nxt], axis=1)[keep]
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[order]
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _triangle_nodes(tri: np.ndarray, order: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (unit vectors) and weights for the spherical triangle
-    spanned by tri, via radial projection of the planar triangle; the
-    spherical area element is |det(A, u, v)| / |x|^3 dalpha dbeta."""
-    A, B, C = tri
-    u, v = B - A, C - A
-    triple = abs(float(np.dot(A, np.cross(u, v))))
-    if triple < 1e-16:
-        return np.zeros((0, 3)), np.zeros(0)
+def _collapsed_square(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (alpha, beta) and weights of the order x order Gauss rule on the
+    triangle alpha, beta >= 0, alpha + beta <= 1: the unit square in
+    (alpha, eta) collapsed by beta = eta (1 - alpha)."""
     xi, wx = _gauss01(order)
     alpha = np.repeat(xi, order)
-    eta = np.tile(xi, order)
-    w2 = np.repeat(wx, order) * np.tile(wx, order) * (1.0 - alpha)
-    beta = eta * (1.0 - alpha)
-    x = A + np.outer(alpha, u) + np.outer(beta, v)
-    r = np.linalg.norm(x, axis=1)
-    return x / r[:, None], w2 * triple / r ** 3
+    return (alpha, np.tile(xi, order) * (1.0 - alpha),
+            np.repeat(wx, order) * np.tile(wx, order) * (1.0 - alpha))
 
 
-def _split_triangle(tri: np.ndarray) -> list[np.ndarray]:
-    A, B, C = tri
+# The quadrature rule of the area measures: Gauss-Legendre on ARC_NODES
+# points per arc, and the TRI_ORDER x TRI_ORDER collapsed square on each
+# vertex-cone triangle after one uniform split.  The coarse cloud (arcs on
+# COARSE_ARC_NODES points, triangles unsplit) backs the error estimate of
+# AreaMeasure.integrate.
+ARC_NODES = 24
+COARSE_ARC_NODES = 12
+TRI_ORDER = 10
+_ARC_RULE = _gauss01(ARC_NODES)
+_COARSE_ARC_RULE = _gauss01(COARSE_ARC_NODES)
+_TRI_RULE = _collapsed_square(TRI_ORDER)
+
+
+def _triangle_nodes(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature nodes (unit vectors) and weights, (K, TRI_ORDER^2, 3) and
+    (K, TRI_ORDER^2), of the spherical triangles tri (T, 3, 3), via radial
+    projection of the planar triangles; the spherical area element is
+    |det(A, u, v)| / |x|^3 dalpha dbeta.  The K triangles with
+    |det(A, u, v)| >= 1e-16 get nodes; the third array (T,) marks them."""
+    A = tri[:, 0]
+    u, v = tri[:, 1] - A, tri[:, 2] - A
+    triple = np.abs(np.vecdot(A, np.cross(u, v)))
+    keep = triple >= 1e-16
+    A, u, v, triple = A[keep, None], u[keep, None], v[keep, None], triple[keep, None]
+    alpha, beta, w = _TRI_RULE
+    x = A + alpha[:, None] * u + beta[:, None] * v
+    r = np.linalg.norm(x, axis=-1)   # rounds each square, unlike the dot of _norms
+    return x / r[..., None], w * triple / r ** 3, keep
+
+
+def _split_triangle(tri: np.ndarray) -> np.ndarray:
+    """Split spherical triangles (..., 3, 3) at their edge midpoints into
+    four each: (..., 4, 3, 3)."""
+    A, B, C = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
     ab, bc, ca = _unit(A + B), _unit(B + C), _unit(C + A)
-    return [np.array(t) for t in ((A, ab, ca), (ab, B, bc), (ca, bc, C), (ab, bc, ca))]
-
-
-def _integrate_triangle_adaptive(tri, fn, tol, order, depth, budget) -> float:
-    pts, w = _triangle_nodes(tri, order)
-    coarse = float(np.dot(w, fn(pts))) if pts.size else 0.0
-    children = _split_triangle(tri)
-    fine = 0.0
-    for ch in children:
-        p2, w2 = _triangle_nodes(ch, order)
-        fine += float(np.dot(w2, fn(p2))) if p2.size else 0.0
-    if abs(fine - coarse) <= tol or depth >= budget:
-        if abs(fine - coarse) > tol:
-            raise QuadratureBudgetError(
-                f"patch quadrature stalled at depth {depth}, residual {abs(fine - coarse):.3e}")
-        return fine
-    return sum(_integrate_triangle_adaptive(ch, fn, tol / 4.0, order, depth + 1, budget)
-               for ch in children)
+    return np.stack([np.stack(t, axis=-2)
+                     for t in ((A, ab, ca), (ab, B, bc), (ca, bc, C), (ab, bc, ca))], axis=-3)
 
 
 @dataclass
@@ -472,86 +483,68 @@ class AreaMeasure:
                 + sum(arc.mass for arc in self.arcs)
                 + sum(p.mass for p in self.patches))
 
-    def node_cloud(self, arc_order: int = 24, tri_order: int = 10,
-                   tri_refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened quadrature nodes and weights (atoms exact, arcs by
-        Gauss-Legendre, patches by fixed-order triangle rules after
-        tri_refine uniform subdivisions)."""
-        pts, wts = [], []
-        for u, m in self.atoms:
-            pts.append(np.asarray(u, dtype=float)[None, :])
-            wts.append(np.array([m]))
-        if self.arcs:
-            s, w = _gauss01(arc_order)
-            for arc in self.arcs:
-                th = arc.angle
-                if th < 1e-14:
-                    continue
-                pts.append(arc.points(s))
-                wts.append(arc.density * th * w)
-        for patch in self.patches:
-            tris = list(patch.triangles)
-            for _ in range(tri_refine):
-                tris = [t for tri in tris for t in _split_triangle(np.asarray(tri))]
-            for tri in tris:
-                p, w = _triangle_nodes(np.asarray(tri), tri_order)
-                if p.size:
-                    pts.append(p)
-                    wts.append(patch.weight * w)
-        if not pts:
-            return np.zeros((0, 3)), np.zeros(0)
-        return np.vstack(pts), np.concatenate(wts)
+    def node_cloud(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened quadrature nodes and weights: atoms exact, arcs by
+        Gauss-Legendre on ARC_NODES points, patch triangles by the
+        TRI_ORDER x TRI_ORDER collapsed square after one uniform split."""
+        return self._cloud(_ARC_RULE, split=True)
 
-    def integrate(self, fn, tol: float = 1e-9, with_error: bool = False,
-                  arc_order: int = 32, tri_order: int = 10, budget: int = 10):
+    def _cloud(self, arc_rule: tuple[np.ndarray, np.ndarray],
+               split: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the atoms, the arcs by the Gauss-Legendre
+        rule arc_rule on [0, 1], and the patch triangles, split once if
+        `split`, by the collapsed square."""
+        atom_pts = np.array([u for u, _ in self.atoms], dtype=float).reshape(-1, 3)
+        atom_wts = np.array([m for _, m in self.atoms], dtype=float)
+        a = np.array([arc.a for arc in self.arcs], dtype=float).reshape(-1, 3)
+        b = np.array([arc.b for arc in self.arcs], dtype=float).reshape(-1, 3)
+        th = _arc_angles(a, b)
+        live = th >= 1e-14
+        s, w = arc_rule
+        dens = np.array([arc.density for arc in self.arcs], dtype=float)[live]
+        arc_pts = _slerp(a[live], b[live], th[live], s).reshape(-1, 3)
+        arc_wts = ((dens * th[live])[:, None] * w).ravel()
+        tris = np.concatenate([p.triangles for p in self.patches] + [np.zeros((0, 3, 3))])
+        weight = np.repeat([p.weight for p in self.patches],
+                           [len(p.triangles) for p in self.patches])
+        if split:
+            tris, weight = _split_triangle(tris).reshape(-1, 3, 3), np.repeat(weight, 4)
+        tri_pts, tri_wts, keep = _triangle_nodes(tris)
+        return (np.concatenate([atom_pts, arc_pts, tri_pts.reshape(-1, 3)]),
+                np.concatenate([atom_wts, arc_wts, (weight[keep, None] * tri_wts).ravel()]))
+
+    def integrate(self, fn, with_error: bool = False):
         """Integral of fn (vectorized on (m, 3) arrays of unit vectors)
-        against the measure; spherical regions are integrated adaptively to
-        the requested tolerance.  Raises QuadratureBudgetError when the
-        refinement budget is exhausted."""
-        total = sum(m * float(fn(np.asarray(u)[None, :])[0]) for u, m in self.atoms)
-        err = 0.0
-        if self.arcs:
-            s1, w1 = _gauss01(arc_order)
-            s2, w2 = _gauss01(arc_order // 2)
-            for arc in self.arcs:
-                th = arc.angle
-                if th < 1e-14:
-                    continue
-                v1 = arc.density * th * float(np.dot(w1, fn(arc.points(s1))))
-                v2 = arc.density * th * float(np.dot(w2, fn(arc.points(s2))))
-                total += v1
-                err += abs(v1 - v2)
-        for patch in self.patches:
-            for tri in patch.triangles:
-                val = _integrate_triangle_adaptive(np.asarray(tri), fn, tol, tri_order, 0, budget)
-                total += patch.weight * val
-                err += tol
-        return (total, err) if with_error else total
+        against the measure, over node_cloud().  With with_error, also the
+        estimate |fine - coarse| of its error, the coarse value coming from
+        arcs on COARSE_ARC_NODES points and unsplit triangles."""
+        pts, wts = self.node_cloud()
+        total = float(wts @ fn(pts))
+        if not with_error:
+            return total
+        pts, wts = self._cloud(_COARSE_ARC_RULE, split=False)
+        return total, abs(total - float(wts @ fn(pts)))
 
-    def zonal_moments(self, dirs: np.ndarray, kmax: int,
-                      arc_order: int = 24, tri_order: int = 10,
-                      tri_refine: int = 1) -> np.ndarray:
+    def zonal_moments(self, dirs: np.ndarray, kmax: int) -> np.ndarray:
         """Moments M_k(w) = int P_k^n(u . w) dS(u) for every direction w in
         dirs; returns an array of shape (kmax+1, len(dirs))."""
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        pts, wts = self.node_cloud(arc_order, tri_order, tri_refine)
-        out = np.zeros((kmax + 1, dirs.shape[0]))
-        for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
-            dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
-            for k, pk in enumerate(legendre_rows(self.n, kmax, dots)):
-                out[k, block] = wts @ pk
-        return out
+        return self._zonal_sums(dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
 
-    def integrate_zonal(self, profile, dirs: np.ndarray,
-                        arc_order: int = 24, tri_order: int = 10,
-                        tri_refine: int = 1) -> np.ndarray:
+    def integrate_zonal(self, profile, dirs: np.ndarray) -> np.ndarray:
         """Values of w -> int profile(u . w) dS(u) for each direction."""
+        return self._zonal_sums(dirs, 1, lambda t: [np.asarray(profile(t), dtype=float)])[0]
+
+    def _zonal_sums(self, dirs, nrows: int, rows) -> np.ndarray:
+        """sum_u wts_u r(u . w) over node_cloud() for the nrows functions r
+        that rows(cosines) yields, at every direction w: (nrows, len(dirs)).
+        Directions run in blocks of bounded memory."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        pts, wts = self.node_cloud(arc_order, tri_order, tri_refine)
-        out = np.zeros(dirs.shape[0])
+        pts, wts = self.node_cloud()
+        out = np.zeros((nrows, dirs.shape[0]))
         for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
             dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
-            out[block] = wts @ np.asarray(profile(dots), dtype=float)
+            for k, row in enumerate(rows(dots)):
+                out[k, block] = wts @ row
         return out
 
     def scaled_mass(self, c: float) -> "AreaMeasure":
@@ -877,11 +870,11 @@ def ball_polytope(subdiv: int = 3) -> Polytope:
     """Inscribed polytopal approximation of the unit ball, by repeated
     midpoint subdivision of the octahedron projected to the sphere."""
     e = np.eye(3)
-    tris = [np.array([sx * e[0], sy * e[1], sz * e[2]])
-            for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    tris = np.array([[sx * e[0], sy * e[1], sz * e[2]]
+                     for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
     for _ in range(subdiv):
-        tris = [t for tri in tris for t in _split_triangle(tri)]
-    pts = np.vstack(tris)
+        tris = _split_triangle(tris).reshape(-1, 3, 3)
+    pts = tris.reshape(-1, 3)
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
     return Polytope.from_vertices(_dedupe_points(pts, 1e-12))
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -36,11 +35,12 @@ from .convex import (
     Polytope,
     area_measure,
     _distinct_axes,
+    _gauss01,
     intrinsic_volumes,
     section_line,
     section_plane,
 )
-from .harmonics import legendre_recurrence
+from .harmonics import legendre_rows
 from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_zonal
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 20
+HALF_CIRCLE_NODES = 20  # Gauss-Legendre nodes per half circle of PlaneSections
 
 
 @dataclass
@@ -90,7 +91,7 @@ class EstimateReport:
             "estimate": self.estimate,
             "stderr": self.stderr,
             "target": self.target,
-            "z": self.z,
+            "z": self.z if math.isfinite(self.z) else None,   # JSON has no inf
             "N": self.n_samples,
             "seed": self.seed,
             "wall_time_s": self.wall_time_s,
@@ -253,14 +254,13 @@ class PlaneSections:
     m_F = unit(n_F - (n_F . a) a); the divergence theorem in the plane gives
     perimeter, area and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).
     Points are taken about the vertex centroid; S_1 moments integrate each
-    half circle by Gauss-Legendre on `arc_nodes` points."""
+    half circle by Gauss-Legendre on HALF_CIRCLE_NODES points."""
 
-    def __init__(self, P: Polytope, arc_nodes: int = 20):
+    def __init__(self, P: Polytope):
         self.vertices, self.normals = P.vertices, P.facet_normals
-        x, wts = np.polynomial.legendre.leggauss(arc_nodes)
-        theta = 0.5 * math.pi * (x + 1.0)
-        self.arc_cos, self.arc_sin = np.cos(theta), np.sin(theta)
-        self.arc_weights = 0.5 * math.pi * wts
+        s, wts = _gauss01(HALF_CIRCLE_NODES)
+        self.arc_cos, self.arc_sin = np.cos(math.pi * s), np.sin(math.pi * s)
+        self.arc_weights = math.pi * wts
         ij = np.array([(i, j) for i, j, _, _ in P.edges])
         self.vi, self.vj = ij[:, 0], ij[:, 1]
         local = P.vertices - P.vertices.mean(axis=0)
@@ -308,15 +308,15 @@ class PlaneSections:
         nf, ar = self.normals[cols], a[rows]
         m_f = _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
         out = np.zeros((a.shape[0], kmax + 1))
-        # Legendre values and two derivatives of one half circle's nodes
-        per_call = max(1, CHUNK_BYTES // (24 * (kmax + 1) * self.arc_cos.size))
+        # per half circle: its cosines, two Legendre rows, temporaries, moments
+        per_call = max(1, CHUNK_BYTES // (8 * (6 * self.arc_cos.size + kmax + 1)))
         for lo in range(0, rows.size, per_call):
             part = slice(lo, lo + per_call)
             # points u(theta) = cos(theta) a + sin(theta) m_F
             dots = (self.arc_cos[None, :] * (ar[part] @ w)[:, None]
                     + self.arc_sin[None, :] * (m_f[part] @ w)[:, None])
-            Pk, _, _ = legendre_recurrence(3, kmax, np.clip(dots, -1, 1).ravel())
-            arc = Pk.reshape(kmax + 1, *dots.shape) @ self.arc_weights
+            arc = np.array([pk @ self.arc_weights
+                            for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
             np.add.at(out, rows[part], (arc * (0.5 * length[rows[part], cols[part]])).T)
         return out
 
@@ -797,8 +797,7 @@ def crofton_minkowski_rhs(n: int, i: int, j: int, mu: ZonalObject,
 def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
                       n_samples: int, seed: int, degrees=(0, 2, 3, 4),
                       probe=(0.36, -0.48, 0.8), radius: float | None = None,
-                      shards: int = DEFAULT_SHARDS, arc_nodes: int = 20,
-                      kmax: int = DEFAULT_KMAX) -> dict:
+                      shards: int = DEFAULT_SHARDS, kmax: int = DEFAULT_KMAX) -> dict:
     """Per-harmonic-degree Monte-Carlo check of the Crofton formula for the
     degree-j valuation generated by the zonal measure mu, at codimension i
     (geometric path: n = 3, i = j = 1).
@@ -823,9 +822,9 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
     sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
                            n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    sections = PlaneSections(P, arc_nodes)
-    kernel = partial(sections.s1_moments, w=w, kmax=kk)
-    est, se = run_shards(sampler, kernel, sections.sample_bytes + 8 * (kk + 1))
+    sections = PlaneSections(P)
+    est, se = run_shards(sampler, lambda a, s: sections.s1_moments(a, s, w, kk),
+                         sections.sample_bytes + 8 * (kk + 1))
     # moments of S_1(Q) * mu pick up the Funk-Hecke factor of mu per degree
     a_mu = mu.multipliers[:kk + 1]
     est = est * a_mu

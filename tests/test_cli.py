@@ -68,6 +68,25 @@ def test_crofton_command(tmp_path):
     assert abs(rep["z"]) <= 3.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def test_missed_target_with_zero_stderr_writes_null_z(tmp_path):
+    # points sampled in the ball about the origin never hit a unit cube
+    # 1000 away: estimate 0 with stderr 0 against target 1, so z is infinite
+    body = tmp_path / "far_cube.json"
+    body.write_text(json.dumps({"dimension": 3, "vertices": [
+        [x + 1000.0, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}))
+    out = tmp_path / "report.json"
+    code = main(["crofton", "--body", str(body), "--i", "3", "--j", "0",
+                 "--N", "2000", "--seed", "1", "--out", str(out)])
+    rep = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert code == 1
+    assert rep["stderr"] == 0.0 and rep["estimate"] != rep["target"]
+    assert rep["z"] is None
+
+
 def test_kinematic_command(tmp_path):
     code, rep = run(tmp_path, "kinematic", "--body", "cube", "--other", "cube",
                     "--j", "0", "--N", "20000", "--seed", "11")

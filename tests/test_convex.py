@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from minkval.constants import kappa, omega
 from minkval.convex import (
+    AreaMeasure,
     Polytope,
     SphericalArc,
+    SphericalPatch,
     _spherical_triangle_area,
+    _triangle_nodes,
     area_measure,
     ball_polytope,
     clip_halfspace,
@@ -183,14 +188,16 @@ def test_integrate_reports_error_estimate():
 
 def test_spherical_triangle_quadrature_matches_excess():
     # quadrature of 1 over the octant vs l'Huilier spherical excess = pi/2:
-    # one fixed-order pass lands within ~1e-7, the adaptive path refines it
+    # one unsplit triangle rule lands within ~1e-7, the node cloud (one
+    # split) within 1e-10, and the reported error bounds the true one
     tri = np.eye(3)
-    from minkval.convex import _integrate_triangle_adaptive, _triangle_nodes
-    pts, w = _triangle_nodes(tri, 10)
+    pts, w, _ = _triangle_nodes(tri[None])
     assert _spherical_triangle_area(tri) == pytest.approx(math.pi / 2, rel=1e-12)
     assert w.sum() == pytest.approx(math.pi / 2, rel=1e-6)
-    refined = _integrate_triangle_adaptive(tri, ones, 1e-11, 10, 0, 10)
-    assert refined == pytest.approx(math.pi / 2, rel=1e-10)
+    octant = AreaMeasure(3, 0, patches=[SphericalPatch(tri[None], 1.0)])
+    val, err = octant.integrate(ones, with_error=True)
+    assert val == pytest.approx(math.pi / 2, rel=1e-10)
+    assert err >= abs(val - math.pi / 2)
 
 
 def test_zonal_moments_against_integrate():
@@ -202,6 +209,104 @@ def test_zonal_moments_against_integrate():
     for d in range(2):
         direct = s1.integrate(lambda pts: tab(np.clip(pts @ dirs[d], -1, 1)))
         assert mom[4, d] == pytest.approx(direct, abs=1e-9)
+
+
+def test_arc_integrals_of_a_linear_function_in_closed_form():
+    # along the arc u(phi) = cos(phi) a + sin(phi) t, 0 <= phi <= theta, with
+    # t the unit tangent at a: int u . w ds = sin(theta) a.w + (1 - cos(theta)) t.w
+    w = np.array([0.36, -0.48, 0.8])
+    s1 = area_measure(random_hull(4), 1)
+    expect = 0.0
+    for arc in s1.arcs:
+        th = arc.angle
+        t = arc.b - np.dot(arc.a, arc.b) * arc.a
+        t /= np.linalg.norm(t)
+        expect += arc.density * (math.sin(th) * np.dot(arc.a, w)
+                                 + (1.0 - math.cos(th)) * np.dot(t, w))
+    assert s1.integrate(lambda pts: pts @ w) == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
+
+def loop_node_cloud(meas):
+    """The node cloud built piece by piece: one slerp per arc on 24
+    Gauss-Legendre nodes, and per patch triangle one midpoint split and a
+    10 x 10 collapsed-square rule per child."""
+    x, wx = np.polynomial.legendre.leggauss(24)
+    s, ws = 0.5 * (x + 1.0), 0.5 * wx
+    x, wx = np.polynomial.legendre.leggauss(10)
+    xi, wi = 0.5 * (x + 1.0), 0.5 * wx
+    alpha, eta = np.repeat(xi, 10), np.tile(xi, 10)
+    w2 = np.repeat(wi, 10) * np.tile(wi, 10) * (1.0 - alpha)
+    beta = eta * (1.0 - alpha)
+    pts, wts = [], []
+    for u, m in meas.atoms:
+        pts.append(np.asarray(u, dtype=float)[None, :])
+        wts.append(np.array([m]))
+    for arc in meas.arcs:
+        th = float(np.arctan2(np.linalg.norm(np.cross(arc.a, arc.b)), np.dot(arc.a, arc.b)))
+        if th < 1e-14:
+            continue
+        pts.append((np.sin((1.0 - s)[:, None] * th) * arc.a
+                    + np.sin(s[:, None] * th) * arc.b) / math.sin(th))
+        wts.append(arc.density * th * ws)
+    for patch in meas.patches:
+        for A, B, C in patch.triangles:
+            ab, bc, ca = (v / np.linalg.norm(v) for v in (A + B, B + C, C + A))
+            for P, Q, R in ((A, ab, ca), (ab, B, bc), (ca, bc, C), (ab, bc, ca)):
+                u, v = Q - P, R - P
+                triple = abs(float(np.dot(P, np.cross(u, v))))
+                if triple < 1e-16:
+                    continue
+                y = P + np.outer(alpha, u) + np.outer(beta, v)
+                r = np.linalg.norm(y, axis=1)
+                pts.append(y / r[:, None])
+                wts.append(patch.weight * (w2 * triple / r ** 3))
+    if not pts:
+        return np.zeros((0, 3)), np.zeros(0)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_node_cloud_is_bit_identical_to_loop_build(i):
+    meas = area_measure(random_hull(42, 200), i)
+    pts, wts = meas.node_cloud()
+    ref_pts, ref_wts = loop_node_cloud(meas)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(wts, ref_wts)
+
+
+# a positive zonal-polynomial probe: 1 + sum_k 2^-k P_k(u . w) >= 1/16
+PROBE = ZonalPolynomial(3, [1.0, 0.5, 0.25, 0.125, 0.0625])
+PROBE_AXIS = np.array([0.36, -0.48, 0.8])
+
+
+def probe(pts):
+    return PROBE(np.clip(pts @ PROBE_AXIS, -1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), exponent=st.floats(-3.0, 3.0),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_area_measure_integrals_scale_as_lambda_i_and_ignore_translation(seed, exponent, shift):
+    P = random_hull(seed)
+    lam = 10.0 ** exponent
+    moved = Polytope.from_vertices(lam * P.vertices + np.array(shift))
+    for i in range(3):
+        expect = lam ** i * area_measure(P, i).integrate(probe)
+        assert area_measure(moved, i).integrate(probe) == pytest.approx(expect, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_integral_of_one_is_the_total_mass(seed):
+    # exact for atoms and arcs; the triangle rule of S_0 carries its own
+    # error, which the reported estimate must cover
+    P = random_hull(seed)
+    for i in (1, 2):
+        meas = area_measure(P, i)
+        assert meas.integrate(ones) == pytest.approx(meas.total_mass, rel=1e-12)
+    s0 = area_measure(P, 0)
+    val, err = s0.integrate(ones, with_error=True)
+    assert abs(val - s0.total_mass) <= err
 
 
 def test_steiner_measure_identity_and_point():

@@ -1,6 +1,6 @@
 """The vectorised lattice build against the pairwise rules it replaced:
-point dedupe, facet grouping and the whole face lattice, which must come out
-bit-identical."""
+point dedupe, facet grouping, distinct axes and the whole face lattice, which
+must come out bit-identical."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from minkval.convex import (
     Polytope,
     _coplanar_groups,
     _dedupe_points,
+    _distinct_axes,
     _plane_basis,
     _prune_collinear,
     _unit,
@@ -29,6 +30,14 @@ def pairwise_dedupe(pts, tol=POINT_TOL):
     for p in pts:
         if not any(np.linalg.norm(p - q) <= tol for q in out):
             out.append(p)
+    return np.array(out) if out else np.zeros((0, 3))
+
+
+def pairwise_axes(vectors):
+    out = []
+    for a in vectors:
+        if not any(abs(abs(np.dot(a, b)) - 1.0) < 1e-9 for b in out):
+            out.append(a)
     return np.array(out) if out else np.zeros((0, 3))
 
 
@@ -138,6 +147,22 @@ def planted_clouds(draw):
 
 
 @st.composite
+def planted_axes(draw):
+    """Random unit vectors with near-parallel copies (either sign) of earlier
+    ones, tilted so that | |a . b| - 1 | is 0.5 or 2 times the 1e-9 threshold,
+    inserted at drawn positions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vecs = [_unit(v) for v in rng.standard_normal((draw(st.integers(1, 30)), 3))]
+    for _ in range(draw(st.integers(0, 20))):
+        src = vecs[draw(st.integers(0, len(vecs) - 1))]
+        tilt = np.arccos(1.0 - draw(st.sampled_from([0.5, 2.0])) * 1e-9)
+        across = _unit(np.cross(src, rng.standard_normal(3)))
+        new = draw(st.sampled_from([1.0, -1.0])) * (np.cos(tilt) * src + np.sin(tilt) * across)
+        vecs.insert(draw(st.integers(0, len(vecs))), new)
+    return np.array(vecs)
+
+
+@st.composite
 def coplanar_clouds(draw):
     """The vertices of a random hull plus points inside its facets (convex
     combinations of a facet's vertices) and exact repeats."""
@@ -186,6 +211,18 @@ def test_dedupe_keeps_a_point_whose_only_close_neighbour_was_dropped():
     e = np.array([1.0, 0.0, 0.0])
     pts = np.array([np.zeros(3), 0.6 * POINT_TOL * e, 1.2 * POINT_TOL * e])
     assert np.array_equal(_dedupe_points(pts), pts[[0, 2]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_axes())
+def test_distinct_axes_match_pairwise_first_match_rule(vecs):
+    assert np.array_equal(_distinct_axes(vecs), pairwise_axes(vecs))
+
+
+def test_random_hull_200_edge_directions_match_pairwise_rule():
+    P = random_hull(42, 200)
+    units = [_unit(P.vertices[b] - P.vertices[a]) for a, b in P.edge_index_pairs()]
+    assert np.array_equal(P.edge_directions(), pairwise_axes(units))
 
 
 @settings(max_examples=60, deadline=None)
