@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convex, integral_geom, valuation, zonal
-from .constants import berg_multiplier_frac, box_multiplier_frac, kappa, omega
-from .harmonics import ZonalPolynomial, jacobi_quadrature, regularity_probe, zonal_coefficient
+from .constants import berg_multiplier_frac, box_multiplier_frac, kappa
+from .harmonics import ZonalPolynomial, regularity_probe
 
 DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
@@ -97,16 +96,21 @@ def _parse_vec(text: str) -> np.ndarray:
     return np.array(v)
 
 
+def _int_option(cfg: RunConfig, key: str, lo: int, hi: float = math.inf,
+                default: int | None = None) -> int:
+    """Integer option --key of the run, which must lie in [lo, hi]."""
+    value = int(cfg.values.get(key, default))
+    if not lo <= value <= hi:
+        bound = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise InputError(f"--{key} must be {bound}, got {value}")
+    return value
+
+
 def _mc_size(cfg: RunConfig) -> tuple[int, int]:
     """Sample count N and shard count of a Monte-Carlo command: the standard
     error needs two shards, and every shard at least two samples."""
-    N = int(cfg.values.get("N", 200000))
-    shards = int(cfg.values.get("shards", integral_geom.DEFAULT_SHARDS))
-    if shards < 2:
-        raise InputError(f"--shards must be at least 2, got {shards}")
-    if N < 2 * shards:
-        raise InputError(f"--N must be at least 2 * shards = {2 * shards}, got {N}")
-    return N, shards
+    shards = _int_option(cfg, "shards", 2, default=integral_geom.DEFAULT_SHARDS)
+    return _int_option(cfg, "N", 2 * shards, default=200000), shards
 
 
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
@@ -193,7 +197,7 @@ def cmd_multipliers(args) -> tuple[int, dict, list, list]:
 def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "i", "out", "csv", "tol"])
     body = load_body(str(cfg.values["body"]))
-    i = int(cfg.values["i"])
+    i = _int_option(cfg, "i", 0, 2)
     tol = float(cfg.values.get("tol", 1e-9))
     meas = convex.area_measure(body, i)
     iv = convex.intrinsic_volumes(body)
@@ -264,7 +268,7 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
     normal = np.array([float(x) for x in plane[:3]])
     offset = float(plane[3])
     seed = int(cfg.values["seed"])
-    m = int(cfg.values.get("num-dirs", 50))
+    m = _int_option(cfg, "num-dirs", 1, default=50)
     tol = float(cfg.values.get("tol", 1e-6))
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((m, 3))
@@ -282,17 +286,17 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
 
 
 def cmd_crofton(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "i", "j", "n", "N", "seed", "radius",
+    cfg = _resolve_config(args, ["body", "i", "j", "n", "N", "seed",
                                  "shards", "out", "csv"])
     if cfg.values.get("seed") is None:
         raise InputError("--seed is mandatory for stochastic commands")
-    if int(cfg.values.get("n", 3)) != 3:
-        raise InputError("geometric Crofton runs are restricted to n = 3")
+    _int_option(cfg, "n", 3, 3, 3)   # geometric Crofton runs are restricted to n = 3
     N, shards = _mc_size(cfg)
+    i = _int_option(cfg, "i", 1, 3)
+    j = _int_option(cfg, "j", 0, 3 - i)
     body = load_body(str(cfg.values["body"]))
-    rep = integral_geom.crofton_intrinsic(
-        body, int(cfg.values["i"]), int(cfg.values["j"]), N, int(cfg.values["seed"]),
-        radius=cfg.values.get("radius"), shards=shards)
+    rep = integral_geom.crofton_intrinsic(body, i, j, N, int(cfg.values["seed"]),
+                                          shards=shards)
     ok = rep.within(3.0)
     report = {"config": cfg.as_json(), **rep.to_json(), "pass": ok}
     return (0 if ok else 1), report, [], []
@@ -306,9 +310,11 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
     N, shards = _mc_size(cfg)
     body = load_body(str(cfg.values["body"]))
     other = load_body(str(cfg.values.get("other", cfg.values["body"])))
-    j = int(cfg.values.get("j", 0))
+    j = _int_option(cfg, "j", 0, 3, 0)
     seed = int(cfg.values["seed"])
     if cfg.values.get("spec"):
+        if cfg.values.get("hadwiger"):
+            raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
         # valuation-valued kinematic formula at a fixed direction
         kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
         spec = load_spec(str(cfg.values["spec"]), kmax)
@@ -342,12 +348,16 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
     body = load_body(str(cfg.values["body"]))
     mu = zonal.builtin_zonal(str(cfg.values.get("mu", "dirac_pole")), n=3, kmax=kmax)
-    degrees = [int(x) for x in str(cfg.values.get("degrees", "0,2,3,4")).split(",")]
+    degrees = str(cfg.values.get("degrees", "0,2,3,4")).split(",")
+    if not all(k.strip().isdecimal() and int(k) <= kmax for k in degrees):
+        raise InputError(f"--degrees must be integers in [0, kmax = {kmax}], "
+                         f"got {','.join(degrees)}")
+    degrees = [int(k) for k in degrees]
     probe = _parse_vec(str(cfg.values.get("probe", "0.36,-0.48,0.8")))
-    res = integral_geom.crofton_minkowski(
-        body, mu, int(cfg.values.get("i", 1)), int(cfg.values.get("j", 1)),
-        N, int(cfg.values["seed"]), degrees=degrees, probe=probe, kmax=kmax,
-        shards=shards)
+    i, j = _int_option(cfg, "i", 1, 1, 1), _int_option(cfg, "j", 1, 1, 1)
+    res = integral_geom.crofton_minkowski(body, mu, i, j, N, int(cfg.values["seed"]),
+                                          degrees=degrees, probe=probe, kmax=kmax,
+                                          shards=shards)
     report = {"config": cfg.as_json(), **{k: v for k, v in res.items() if k != "rows"},
               "rows": res["rows"]}
     report["pass"] = res["all_pass"]
@@ -452,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--N", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--radius", type=float)
     sp.add_argument("--shards", type=int)
     common(sp)
 

@@ -298,18 +298,12 @@ class Polytope:
     # -- transforms ---------------------------------------------------------
 
     def scaled(self, lam: float) -> "Polytope":
-        if self.is_empty:
-            return Polytope.empty()
         return Polytope.from_vertices(lam * self.vertices)
 
     def translated(self, x) -> "Polytope":
-        if self.is_empty:
-            return Polytope.empty()
         return Polytope.from_vertices(self.vertices + np.asarray(x, dtype=float))
 
     def rotated(self, R) -> "Polytope":
-        if self.is_empty:
-            return Polytope.empty()
         return Polytope.from_vertices(self.vertices @ np.asarray(R, dtype=float).T)
 
     def to_json(self) -> dict:
@@ -746,52 +740,33 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
 
 # -- slicing ------------------------------------------------------------------
 
+def _cut(P: Polytope, d: np.ndarray, keep: np.ndarray, tol: float) -> Polytope:
+    """Hull of the vertices of P where `keep` and of the edge crossings of a
+    plane, d being the signed distances of the vertices to the plane."""
+    ij = np.array(P.edge_index_pairs(), dtype=int).reshape(-1, 2)
+    di, dj = d[ij[:, 0]], d[ij[:, 1]]
+    cross = ((di > tol) & (dj < -tol)) | ((di < -tol) & (dj > tol))
+    vi, vj = P.vertices[ij[cross, 0]], P.vertices[ij[cross, 1]]
+    lam = di[cross] / (di[cross] - dj[cross])
+    return Polytope.from_vertices(np.vstack([P.vertices[keep], vi + lam[:, None] * (vj - vi)]))
+
+
 def clip_halfspace(P: Polytope, normal, offset: float, tol: float = POINT_TOL) -> Polytope:
     """Intersection of P with the halfspace {x : normal . x <= offset}."""
-    if P.is_empty:
-        return Polytope.empty()
-    a = np.asarray(normal, dtype=float)
-    d = P.vertices @ a - offset
-    if P.dim == 0:
-        return P if d[0] <= tol else Polytope.empty()
-    pts = [P.vertices[k] for k in range(P.num_vertices) if d[k] <= tol]
-    for i, j in P.edge_index_pairs():
-        di, dj = d[i], d[j]
-        if (di > tol and dj < -tol) or (di < -tol and dj > tol):
-            lam = di / (di - dj)
-            pts.append(P.vertices[i] + lam * (P.vertices[j] - P.vertices[i]))
-    if not pts:
-        return Polytope.empty()
-    return Polytope.from_vertices(np.array(pts))
+    d = P.vertices @ np.asarray(normal, dtype=float) - offset
+    return _cut(P, d, d <= tol, tol)
 
 
-def section_plane(P: Polytope, point, normal=None, frame=None,
-                  tol: float = POINT_TOL) -> Polytope:
-    """Intersection of P with an affine 2-plane, given either by a point and
-    unit normal or by a point and an orthonormal frame (b1, b2)."""
-    if normal is None:
-        if frame is None:
-            raise ValueError("need a normal or an orthonormal frame")
-        b1, b2 = np.asarray(frame[0], float), np.asarray(frame[1], float)
-        normal = np.cross(b1, b2)
+def section_plane(P: Polytope, point, normal, tol: float = POINT_TOL) -> Polytope:
+    """Intersection of P with the plane through `point` normal to `normal`."""
     a = _unit(np.asarray(normal, dtype=float))
-    c = float(np.dot(a, np.asarray(point, dtype=float)))
-    if P.is_empty:
-        return Polytope.empty()
-    d = P.vertices @ a - c
-    pts = [P.vertices[k] for k in range(P.num_vertices) if abs(d[k]) <= tol]
-    for i, j in P.edge_index_pairs():
-        di, dj = d[i], d[j]
-        if (di > tol and dj < -tol) or (di < -tol and dj > tol):
-            lam = di / (di - dj)
-            pts.append(P.vertices[i] + lam * (P.vertices[j] - P.vertices[i]))
-    if not pts:
-        return Polytope.empty()
-    return Polytope.from_vertices(np.array(pts))
+    d = P.vertices @ a - float(np.dot(a, np.asarray(point, dtype=float)))
+    return _cut(P, d, np.abs(d) <= tol, tol)
 
 
 def section_line(P: Polytope, point, direction, tol: float = 1e-12) -> Polytope:
-    """Intersection of a full-dimensional P with the line point + t*direction."""
+    """Intersection of a full-dimensional P with the line point + t*direction:
+    the tests' reference for the batched chords of integral_geom.LineSections."""
     if P.is_empty:
         return Polytope.empty()
     if P.dim != 3:

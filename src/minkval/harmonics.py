@@ -214,10 +214,6 @@ class ZonalProfile:
         raise ValueError("deriv must be 0, 1 or 2")
 
 
-def _profile_degree(f) -> int | None:
-    return getattr(f, "degree", None)
-
-
 def zonal_coefficient(f, k: int, quad: JacobiQuadrature, n: int | None = None) -> float:
     """Multiplier a_k^n[f] = omega_(n-1) * int f(t) P_k^n(t) w_n(t) dt of a
     zonal profile f.
@@ -231,14 +227,13 @@ def zonal_coefficient(f, k: int, quad: JacobiQuadrature, n: int | None = None) -
     if hasattr(f, "multipliers"):
         return float(f.multipliers[k])
     n = quad.n if n is None else n
-    deg = _profile_degree(f)
+    deg = getattr(f, "degree", None)
     if deg is not None and k + deg > quad.exact_degree:
         raise InsufficientQuadratureError(
             f"order-{quad.order} rule is exact to degree {quad.exact_degree}, "
             f"integrand has degree {k + deg}"
         )
-    table = LegendreTable(n, k)
-    pk = table.eval(k, quad.nodes)
+    *_, pk = legendre_rows(n, k, quad.nodes)
     vals = np.asarray(f(quad.nodes), dtype=float)
     return omega(n - 1) * quad.integrate(vals * pk)
 

@@ -13,12 +13,13 @@ Every estimator runs through one shard loop, `run_shards`: shard k draws its
 samples from the k-th spawned seed sequence, a kernel evaluates them in
 chunks of bounded memory that may span several shards, and the per-shard
 means are reduced in fixed order; the standard error comes from the
-per-shard spread.  Results are deterministic in (seed, shards).  No kernel
-builds a hull per sample: plane sections of a fixed body come from its
-edges and facets (`PlaneSections`), the intersections of a body with moved
+per-shard spread.  Results are deterministic in (seed, shards).  Sections
+come from batched kernels: plane sections and line chords of a fixed body
+(`PlaneSections`, `LineSections`), the intersections of a body with moved
 copies of another from the edges of the intersection, clipped out of the
 stacked facet inequalities (`MotionIntersections`), and the hit test of the
-kinematic formula from separating axes.
+kinematic formula from separating axes.  Only the valuation-valued check
+builds a lattice per sample, from the points these kernels give.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .convex import (
     _distinct_axes,
     _gauss01,
     intrinsic_volumes,
-    section_line,
-    section_plane,
 )
 from .harmonics import legendre_rows
 from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_zonal
@@ -48,6 +47,7 @@ __all__ = [
     "PlaneSampler",
     "MotionSampler",
     "PlaneSections",
+    "LineSections",
     "MotionIntersections",
     "run_shards",
     "crofton_intrinsic",
@@ -233,12 +233,27 @@ def _clip_lines(den: np.ndarray, num: np.ndarray, lo, hi,
     along the last axis as den = u . n and num = b - p . n.  Returns the
     clipped [lo, hi] and whether it is non-empty; a constraint parallel to
     the line (|den| <= tol) empties it when p violates it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / den
     hi = np.minimum(hi, np.where(den > tol, ratio, math.inf).min(axis=-1))
     lo = np.maximum(lo, np.where(den < -tol, ratio, -math.inf).max(axis=-1))
     feasible = ~np.any((np.abs(den) <= tol) & (num < -tol), axis=-1)
     return lo, hi, feasible & (hi >= lo)
+
+
+def _hull_kernel(phi, points):
+    """Kernel of phi of the hull of each sample's points, which
+    `points(*draws)` gives as sample index (K,) and point (K, 3); 0 for a
+    sample without points.  One lattice per sample that has points."""
+    def kernel(*draws):
+        rows, pts = points(*draws)
+        order = np.argsort(rows, kind="stable")
+        hit, first = np.unique(rows[order], return_index=True)
+        vals = np.zeros(len(draws[0]))
+        for t, group in zip(hit, np.split(pts[order], first[1:])):
+            vals[t] = phi(Polytope.from_vertices(group))
+        return vals
+    return kernel
 
 
 # -- plane sections of a fixed body -----------------------------------------
@@ -253,6 +268,7 @@ class PlaneSections:
     1/2 sum_e |B_eF c_e| p_e and its outward normal in the plane
     m_F = unit(n_F - (n_F . a) a); the divergence theorem in the plane gives
     perimeter, area and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).
+    The crossing points p_e themselves span the section (`crossings`).
     Points are taken about the vertex centroid; S_1 moments integrate each
     half circle by Gauss-Legendre on HALF_CIRCLE_NODES points."""
 
@@ -263,7 +279,8 @@ class PlaneSections:
         self.arc_weights = math.pi * wts
         ij = np.array([(i, j) for i, j, _, _ in P.edges])
         self.vi, self.vj = ij[:, 0], ij[:, 1]
-        local = P.vertices - P.vertices.mean(axis=0)
+        self.centre = P.vertices.mean(axis=0)
+        local = P.vertices - self.centre
         self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
         index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
         B = np.zeros((len(ij), len(P.facet_cycles)))
@@ -277,16 +294,29 @@ class PlaneSections:
         # the (m, V), (m, E), (m, 3, E) and (m, 3, F) temporaries of segments()
         self.sample_bytes = 8 * (2 * len(P.vertices) + 12 * len(ij) + 12 * B.shape[1])
 
+    def _cross(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Crossing signs c_e (m, E) of the edges by the planes {x . a[t] = s[t]}
+        and crossing points p_e (m, 3, E) about the centroid, used where c_e != 0."""
+        d = a @ self.vertices.T - s[:, None]                  # (m, V)
+        above = d > 1e-12
+        c = above[:, self.vi].astype(float) - above[:, self.vj]
+        di, dj = d[:, self.vi], d[:, self.vj]
+        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
+        return c, self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step
+
+    def crossings(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points where the planes {x . a[t] = s[t]} cross the edges:
+        plane index t (K,) and world point (K, 3), grouped by plane."""
+        c, p = self._cross(a, s)
+        rows, e = np.nonzero(c)
+        return rows, p[rows, :, e] + self.centre
+
     def segments(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Facet segments v_F and their midpoints, (m, 3, F) each, of the
         sections by the planes {x . a[t] = s[t]}."""
         m = a.shape[0]
-        d = a @ self.vertices.T - s[:, None]                  # (m, V)
-        above = d > 1e-12
-        c = (above[:, self.vi].astype(float) - above[:, self.vj])[:, None, :]
-        di, dj = d[:, self.vi], d[:, self.vj]
-        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c[:, 0] != 0)
-        p = self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step  # (m, 3, E)
+        c, p = self._cross(a, s)
+        c = c[:, None, :]
         v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
         mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
         return v, mid
@@ -319,6 +349,26 @@ class PlaneSections:
                             for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
             np.add.at(out, rows[part], (arc * (0.5 * length[rows[part], cols[part]])).T)
         return out
+
+
+class LineSections:
+    """Chords of a full-dimensional polytope by lines p + s u, from its facets."""
+
+    def __init__(self, P: Polytope):
+        A, self.b = P.inequalities()
+        self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
+        self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
+
+    def chords(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clipped [lo, hi] of each line, and whether it meets the body."""
+        return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
+
+    def ends(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ends of the chords: line index (K,) and world point (K, 3)."""
+        lo, hi, hit = self.chords(u, p)
+        t = np.flatnonzero(hit)
+        return (np.concatenate([t, t]),
+                np.concatenate([p[t] + lo[t, None] * u[t], p[t] + hi[t, None] * u[t]]))
 
 
 # -- intersections with a moving body ---------------------------------------
@@ -420,6 +470,13 @@ class MotionIntersections:
         rows, length, mid, unit, nk, nl = (np.concatenate(a) for a in zip(*parts))
         return rows, length, mid, unit, nk, nl
 
+    def ends(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ends of the edges of P n (R[t] L + x[t]): motion index (K,)
+        and world point (K, 3)."""
+        rows, length, mid, unit, _, _ = self.segments(R, x)
+        half = 0.5 * length[:, None] * unit
+        return np.concatenate([rows, rows]), self.centre + np.concatenate([mid - half, mid + half])
+
     def _edges(self, R: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
         """The edges of P n gL, as in segments(), in three parts by the kind
         of their line, for motions R and centres g of g L about c."""
@@ -504,7 +561,6 @@ def crofton_target(P: Polytope, i: int, j: int) -> float:
 
 
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
-                      radius: float | None = None,
                       shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
     planes meeting P, against the target [i+j; j] V_(i+j)(P)."""
@@ -513,12 +569,10 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")
     if P.dim != 3:
         raise ValueError("crofton sampling expects a full-dimensional body")
-    R = P.enclosing_radius * (1.0 + 1e-12) if radius is None else radius
+    R = P.enclosing_radius * (1.0 + 1e-12)
     sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
                            n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
-    A, b = P.inequalities()
-    AT = np.ascontiguousarray(A.T)         # (3, F): faster products than the view
     if i == 1 and j == 0:
         def kernel(dirs, offs):
             proj = P.vertices @ dirs.T
@@ -531,12 +585,15 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
             return sections.volumes(dirs, offs)[j - 1]
         sample_bytes = sections.sample_bytes
     elif i == 2:
+        lines = LineSections(P)
+
         def kernel(dirs, p):
-            lo, hi, hit = _clip_lines(dirs @ AT, b[None, :] - p @ AT, -math.inf, math.inf)
+            lo, hi, hit = lines.chords(dirs, p)
             return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
-        sample_bytes = 8 * (8 * len(b) + 16)
+        sample_bytes = lines.sample_bytes
     else:  # i == 3: points
-        bound = b + 1e-12
+        A, b = P.inequalities()
+        AT, bound = np.ascontiguousarray(A.T), b + 1e-12
 
         def kernel(x):
             return np.all(x @ AT <= bound, axis=1)
@@ -703,9 +760,10 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     with the i = 0 (whole space) and i = n (points, only the constant piece
     of the valuation survives) terms exact and the plane/line terms
     estimated by Monte Carlo.  Both sides carry standard errors; the report
-    states their 3-sigma consistency.  The motion term builds one lattice
-    per motion that meets P, from the ends of the edges of P n gL
-    (`MotionIntersections`)."""
+    states their 3-sigma consistency.  Each sample that meets P builds one
+    lattice (`_hull_kernel`) from points of a batched kernel: the edge ends
+    of P n gL, the edge crossings of a plane or the ends of a chord
+    (`MotionIntersections.ends`, `PlaneSections.crossings`, `LineSections.ends`)."""
     from .valuation import evaluate  # deferred: valuation builds on this module's siblings
 
     n = 3
@@ -715,42 +773,23 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     u = (u / np.linalg.norm(u))[None, :]
 
     def phi(body) -> float:
-        return 0.0 if body.is_empty else float(evaluate(spec, body, u).values[0])
-
-    def motions(R, x):
-        # one lattice per motion that meets P, from the ends of its edges
-        rows, length, mid, unit, _, _ = inter.segments(R, x)
-        half = 0.5 * length[:, None] * unit
-        ends = inter.centre + np.concatenate([mid - half, mid + half])
-        rows = np.concatenate([rows, rows])
-        order = np.argsort(rows, kind="stable")
-        hit, first = np.unique(rows[order], return_index=True)
-        vals = np.zeros(R.shape[0])
-        for t, pts in zip(hit, np.split(ends[order], first[1:])):
-            vals[t] = phi(Polytope.from_vertices(pts))
-        return vals
-
-    def planes(dirs, offs):
-        return [phi(section_plane(P, s * a, normal=a)) for a, s in zip(dirs, offs)]
-
-    def lines(dirs, p):
-        return [phi(section_line(P, pt, a)) for a, pt in zip(dirs, p)]
+        return float(evaluate(spec, body, u).values[0])
 
     t0 = time.perf_counter()
-    inter = MotionIntersections(P, L)
+    inter, planes, lines = MotionIntersections(P, L), PlaneSections(P), LineSections(P)
     W = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-    lhs, lhs_se = run_shards(MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples,
-                                           shards=shards), motions, inter.sample_bytes)
+    sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
+    lhs, lhs_se = run_shards(sampler, _hull_kernel(phi, inter.ends), inter.sample_bytes)
 
     vl = intrinsic_volumes(L)
     rhs = vl[n] * phi(P)                       # i = 0
     rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]  # i = n: points keep c0
     rhs_var = 0.0
     R_enc = P.enclosing_radius * (1.0 + 1e-12)
-    for i, kernel in ((1, planes), (2, lines)):
+    for i, sections, points in ((1, planes, planes.crossings), (2, lines, lines.ends)):
         sampler = PlaneSampler(n=n, codim=i, radius=R_enc, seed=seed + i,
                                n_samples=n_samples, shards=shards)
-        est_i, se_i = run_shards(sampler, kernel, 96)
+        est_i, se_i = run_shards(sampler, _hull_kernel(phi, points), sections.sample_bytes)
         coef = vl[n - i] / flag(n, i)
         rhs += coef * float(est_i)
         rhs_var += (coef * float(se_i)) ** 2
@@ -796,7 +835,7 @@ def crofton_minkowski_rhs(n: int, i: int, j: int, mu: ZonalObject,
 
 def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
                       n_samples: int, seed: int, degrees=(0, 2, 3, 4),
-                      probe=(0.36, -0.48, 0.8), radius: float | None = None,
+                      probe=(0.36, -0.48, 0.8),
                       shards: int = DEFAULT_SHARDS, kmax: int = DEFAULT_KMAX) -> dict:
     """Per-harmonic-degree Monte-Carlo check of the Crofton formula for the
     degree-j valuation generated by the zonal measure mu, at codimension i
@@ -816,9 +855,11 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         raise ValueError("need a full-dimensional body")
     degrees = list(degrees)
     kk = max(degrees)
+    if min(degrees) < 0 or kk > min(kmax, mu.kmax):
+        raise ValueError(f"degrees must lie in [0, {min(kmax, mu.kmax)}], got {degrees}")
     w = np.asarray(probe, dtype=float)
     w = w / np.linalg.norm(w)
-    R = P.enclosing_radius * (1.0 + 1e-12) if radius is None else radius
+    R = P.enclosing_radius * (1.0 + 1e-12)
     sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
                            n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()

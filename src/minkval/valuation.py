@@ -141,9 +141,6 @@ class SupportFunctionResult:
     truncation_tail: float = 0.0
     per_degree: np.ndarray | None = None
 
-    def value(self, k: int = 0) -> float:
-        return float(self.values[k])
-
 
 def _steiner_volume(P: Polytope, t: float) -> float:
     iv = intrinsic_volumes(P)

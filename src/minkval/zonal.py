@@ -20,12 +20,11 @@ from scipy.special import roots_jacobi
 
 from .constants import berg_multiplier_frac, box_multiplier_frac, omega
 from .harmonics import (
-    LegendreTable,
     ZonalPolynomial,
     check_ambient_dim,
     harmonic_dimension,
     jacobi_quadrature,
-    legendre_recurrence,
+    legendre_rows,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 32
-CONSISTENCY_TOL = 1e-10
 
 
 def box_multiplier(n: int, k: int) -> float:
@@ -116,13 +114,15 @@ class ZonalObject:
 
     # -- construction ---------------------------------------------------
 
-    def _compute_multipliers(self) -> np.ndarray:
+    def _compute_multipliers(self, atoms_only: bool = False) -> np.ndarray:
+        """Multipliers from the structural data (with atoms_only, the atoms' share)."""
         a = np.zeros(self.kmax + 1)
         if self.atoms:
             ts = np.array([t for t, _ in self.atoms])
             ms = np.array([m for _, m in self.atoms])
-            P, _, _ = legendre_recurrence(self.n, self.kmax, ts)
-            a += P @ ms
+            a += np.array(list(legendre_rows(self.n, self.kmax, ts))) @ ms
+        if atoms_only:
+            return a
         if self.profile_fn is not None:
             a += self._profile_multipliers(self.profile_fn, self.pieces)
         if self.coeffs is not None:
@@ -144,7 +144,7 @@ class ZonalObject:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
             t = mid + half * x
             wt = half * w * (1.0 - t * t) ** alpha
-            P, _, _ = legendre_recurrence(self.n, self.kmax + overshoot, t)
+            P = np.array(list(legendre_rows(self.n, self.kmax + overshoot, t)))
             vals = np.asarray(fn(t), dtype=float)
             a += omega(self.n - 1) * (P @ (wt * vals))
         self.tail_l2 = max(self.tail_l2, float(np.sqrt(np.sum(a[self.kmax + 1:] ** 2))))
@@ -252,15 +252,11 @@ class ZonalObject:
             multipliers=c * self.multipliers, tail_l2=abs(c) * self.tail_l2,
             mult_error=None if self.mult_error is None else abs(c) * self.mult_error)
 
-    def multiplier_sequence(self) -> MultiplierSequence:
-        return MultiplierSequence(self.n, self.multipliers, self.mult_error)
-
-    def check_consistency(self, tol: float = CONSISTENCY_TOL) -> float:
+    def check_consistency(self) -> float:
         """Largest deviation between the cached multipliers and the ones
         recomputed from the structural data."""
         fresh = self._compute_multipliers()
-        dev = float(np.max(np.abs(fresh - self.multipliers))) if fresh.size else 0.0
-        return dev
+        return float(np.max(np.abs(fresh - self.multipliers))) if fresh.size else 0.0
 
     # -- serialization ---------------------------------------------------
 
@@ -268,7 +264,7 @@ class ZonalObject:
         """Schema {"n", "legendre_coeffs", "atoms"}.  Callable-backed
         densities are serialized through their band-limited coefficients."""
         if self.profile_fn is not None:
-            dens = self.multipliers - self._compute_atom_multipliers()
+            dens = self.multipliers - self._compute_multipliers(atoms_only=True)
             coeffs = [dens[k] * harmonic_dimension(self.n, k) / omega(self.n)
                       for k in range(self.kmax + 1)]
         else:
@@ -278,15 +274,6 @@ class ZonalObject:
             "legendre_coeffs": coeffs,
             "atoms": [{"t": t, "mass": m} for t, m in self.atoms],
         }
-
-    def _compute_atom_multipliers(self) -> np.ndarray:
-        a = np.zeros(self.kmax + 1)
-        if self.atoms:
-            ts = np.array([t for t, _ in self.atoms])
-            ms = np.array([m for _, m in self.atoms])
-            P, _, _ = legendre_recurrence(self.n, self.kmax, ts)
-            a = P @ ms
-        return a
 
     @classmethod
     def from_json(cls, data, kmax: int = DEFAULT_KMAX) -> "ZonalObject":
@@ -461,7 +448,7 @@ def berg(j: int, kmax: int = DEFAULT_KMAX, n: int | None = None,
 def _ambient_berg_multipliers(profile: ZonalPolynomial, n: int, kmax: int) -> np.ndarray:
     order = (profile.degree + kmax) // 2 + 4
     quad = jacobi_quadrature(n, order)
-    P, _, _ = legendre_recurrence(n, kmax, quad.nodes)
+    P = np.array(list(legendre_rows(n, kmax, quad.nodes)))
     vals = np.asarray(profile(quad.nodes), dtype=float)
     return omega(n - 1) * (P @ (quad.weights * vals))
 
@@ -533,16 +520,10 @@ def builtin_zonal(name: str, n: int = 3, kmax: int = DEFAULT_KMAX) -> ZonalObjec
     if name.startswith("berg:"):
         j = int(name.split(":", 1)[1])
         bf, ambient = berg(j, kmax=kmax, n=n)
-        if j == n:
-            coeffs = np.array([ambient[k] * harmonic_dimension(n, k) / omega(n)
-                               for k in range(kmax + 1)])
-            return ZonalObject(n, coeffs=coeffs, kmax=kmax,
-                               multipliers=ambient.values,
-                               mult_error=ambient.error)
-        # re-expanded band-limited proxy on the ambient sphere
         coeffs = np.array([ambient[k] * harmonic_dimension(n, k) / omega(n)
                            for k in range(kmax + 1)])
+        # for j < n, a re-expanded band-limited proxy on the ambient sphere
         return ZonalObject(n, coeffs=coeffs, kmax=kmax,
                            multipliers=ambient.values, mult_error=ambient.error,
-                           tail_l2=bf.tail_l1)
+                           tail_l2=0.0 if j == n else bf.tail_l1)
     raise KeyError(f"unknown zonal builtin {name!r}")

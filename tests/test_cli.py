@@ -154,6 +154,27 @@ def test_fewer_than_two_samples_per_shard_is_an_input_error(tmp_path, argv):
     assert "--N" in rep["error"]
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["crofton-mv", "--body", "cube", "--i", "2", "--N", "100", "--seed", "1"], "--i"),
+    (["crofton", "--body", "cube", "--i", "4", "--j", "0", "--N", "100", "--seed", "1"], "--i"),
+    (["kinematic", "--body", "cube", "--j", "5", "--N", "100", "--seed", "1"], "--j"),
+    (["area-measure", "--body", "cube", "--i", "3"], "--i"),
+    (["check-valuation", "--spec", "projection_body", "--body", "cube",
+      "--plane", "0,0,1,0.5", "--seed", "5", "--num-dirs", "0"], "--num-dirs"),
+    (["crofton-mv", "--body", "cube", "--degrees", "40", "--N", "100", "--seed", "1"],
+     "--degrees"),
+    (["crofton-mv", "--body", "cube", "--degrees", "0,a", "--N", "100", "--seed", "1"],
+     "--degrees"),
+    (["kinematic", "--body", "cube", "--spec", "projection_body", "--hadwiger",
+      "--N", "100", "--seed", "1"], "--hadwiger"),
+])
+def test_out_of_range_argument_is_an_input_error(tmp_path, argv, flag):
+    # each ended in a traceback, or --hadwiger was silently ignored
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert set(rep) == {"error"} and flag in rep["error"]
+
+
 @pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
 def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",

@@ -464,12 +464,6 @@ def test_slice_halfspace_cases():
     assert intrinsic_volumes(half).v3 == pytest.approx(0.25, abs=1e-12)
 
 
-def test_slice_by_frame():
-    b1, b2 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-    sq = section_plane(cube(), [0.0, 0.0, 0.25], frame=(b1, b2))
-    assert intrinsic_volumes(sq).v2 == pytest.approx(1.0, abs=1e-12)
-
-
 def test_section_line():
     seg = section_line(cube(), [0.5, 0.5, -3.0], [0, 0, 1.0])
     assert intrinsic_volumes(seg).v1 == pytest.approx(1.0, abs=1e-12)

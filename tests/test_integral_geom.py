@@ -240,6 +240,8 @@ def test_crofton_mv_guards():
     mu = ZonalObject.dirac_pole(3, kmax=8)
     with pytest.raises(ValueError):
         crofton_minkowski(cube(), mu, 2, 1, 100, seed=1)
+    with pytest.raises(ValueError, match="degrees"):
+        crofton_minkowski(cube(), mu, 1, 1, 100, seed=1, degrees=(0, 9))
 
 
 def test_crofton_mv_determinism():
