@@ -315,6 +315,8 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
     if cfg.values.get("spec"):
         if cfg.values.get("hadwiger"):
             raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
+        if "j" in cfg.values:
+            raise InputError("--j selects V_j runs; it does not apply with --spec")
         # valuation-valued kinematic formula at a fixed direction
         kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
         spec = load_spec(str(cfg.values["spec"]), kmax)

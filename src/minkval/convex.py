@@ -32,7 +32,6 @@ __all__ = [
     "section_plane",
     "section_line",
     "intersect",
-    "polytopes_intersect",
     "cube",
     "simplex",
     "octahedron",
@@ -86,26 +85,10 @@ def _distinct_axes(vectors) -> np.ndarray:
     return kept[:k]
 
 
-def _coplanar_groups(eqs: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """Merge the facet simplices of a hull by their equations (rows normal,
-    offset; normal.x + offset <= 0 inside): each simplex joins the first
-    group whose representative, the equation of its first simplex, is
-    within 1e-8 in max norm, or starts a group.  Returns the groups and
-    their representatives."""
-    groups: list[list[int]] = []
-    reps = np.empty_like(eqs)
-    for s, eq in enumerate(eqs):
-        hit = np.flatnonzero(np.abs(reps[:len(groups)] - eq).max(axis=1) <= 1e-8)
-        if hit.size:
-            groups[hit[0]].append(s)
-        else:
-            reps[len(groups)] = eq
-            groups.append([s])
-    return groups, reps[:len(groups)]
-
-
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    """Unit vectors b1, b2 with (b1, b2, normal) right-handed, for one unit
+    normal or a stack of them along the last axis."""
+    a = np.where(np.abs(normal[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     b1 = _unit(np.cross(normal, a))
     return b1, np.cross(normal, b1)
 
@@ -177,44 +160,80 @@ class Polytope:
         return P
 
     def _build_3d(self, pts: np.ndarray):
+        """The face lattice from qhull's simplices.  Facets are the simplices
+        joined across ridges where their equations agree within 1e-8 (max
+        norm), numbered and oriented by their first simplex; a facet's cycle
+        is the boundary of its union, walked counterclockwise from outside
+        and started at the vertex of least angle about its vertex mean in
+        _plane_basis; edges are the boundary ridges."""
         hull = ConvexHull(pts)
-        groups, reps = _coplanar_groups(hull.equations)
-        normals, offsets, cycles, areas = [], [], [], []
-        for gi, group in enumerate(groups):
-            nrm = _unit(reps[gi][:3])  # qhull normals point outward
-            vidx = np.unique(hull.simplices[group])
-            centroid = pts[vidx].mean(axis=0)
-            b1, b2 = _plane_basis(nrm)
-            ang = np.arctan2((pts[vidx] - centroid) @ b2, (pts[vidx] - centroid) @ b1)
-            cyc = _prune_collinear(vidx[np.argsort(ang)], pts)
-            normals.append(nrm)
-            offsets.append(float(np.dot(nrm, pts[cyc[0]])))
-            areas.append(_polygon_area3d(pts[cyc]))
-            # orient counterclockwise as seen from outside
-            if len(cyc) >= 3:
-                v0, v1, v2 = pts[cyc[:3]]
-                if np.dot(np.cross(v1 - v0, v2 - v0), nrm) < 0:
-                    cyc = cyc[::-1]
-            cycles.append(cyc)
+        tri, nbr, eqs = hull.simplices, hull.neighbors, hull.equations
+        # counterclockwise from outside: ridge k runs from tri[k+1] to
+        # tri[k+2], and nbr[s, k] lies across it
+        p0, p1, p2 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+        flip = np.vecdot(np.cross(p1 - p0, p2 - p0), eqs[:, :3]) < 0
+        tri[flip], nbr[flip] = tri[flip][:, [0, 2, 1]], nbr[flip][:, [0, 2, 1]]
+        # facets: components of the simplices joined across agreeing ridges, by
+        # hooking roots and compressing paths, labelled by their first simplex
+        rows, cols = np.repeat(np.arange(len(tri)), 3), nbr.ravel()
+        join = np.abs(eqs[rows] - eqs[cols]).max(axis=1) <= 1e-8
+        rows, cols, label = rows[join], cols[join], np.arange(len(tri))
+        while not np.array_equal(label[rows], label[cols]):
+            np.minimum.at(label, label[rows], label[cols])
+            while not np.array_equal(label[label], label):
+                label = label[label]
+        first, facet = np.unique(label, return_inverse=True)
+        normals = _unit(eqs[first, :3])  # qhull normals point outward
+        # each facet's vertices, grouped by one sort: their mean and plane
+        # basis (np.add.at sums rows in order, as ndarray.sum(axis=0) does)
+        fv_facet, fv_vertex = np.divmod(np.unique(facet[:, None] * len(pts) + tri), len(pts))
+        centroid = np.zeros((len(first), 3))
+        np.add.at(centroid, fv_facet, pts[fv_vertex])
+        centroid /= np.bincount(fv_facet)[:, None]
+        b1, b2 = _plane_basis(normals)
+        # boundary ridges, tail to head, and each one's successor in its facet
+        s, k = np.nonzero(facet[nbr] != facet[:, None])
+        f, g = facet[s], facet[nbr[s, k]]
+        tail, head = tri[s, (k + 1) % 3], tri[s, (k + 2) % 3]
+        key = f * len(pts) + tail
+        by_key = np.argsort(key)
+        if np.any(np.diff(key[by_key]) == 0):
+            raise ValueError("facet boundary touches itself")
+        succ = by_key[np.searchsorted(key[by_key], f * len(pts) + head)].tolist()
+        local = pts[tail] - centroid[f]
+        ang = np.arctan2(np.vecdot(local, b2[f]), np.vecdot(local, b1[f]))
+        by_angle = np.lexsort((ang, f))
+        walk = []
+        for r in by_angle[np.searchsorted(f[by_angle], np.arange(len(first)))].tolist():
+            walk.append(r)
+            while succ[walk[-1]] != r:
+                walk.append(succ[walk[-1]])
+        if len(walk) != len(tail):
+            raise ValueError("facet boundary is not a single cycle")
+        walk = np.array(walk)
+        lens = np.bincount(f)
+        cyc_start = np.cumsum(lens) - lens
+        cyc = tail[walk]
+        # fan areas about each cycle's first vertex, summed in cycle order; the
+        # products with that vertex, and across cycles, are exact zeros
+        rel = pts[cyc] - np.repeat(pts[cyc[cyc_start]], lens, axis=0)
+        fan = np.zeros((len(first), 3))
+        np.add.at(fan, f[walk[:-1]], np.cross(rel[:-1], rel[1:]))
         # re-index to extreme vertices only
-        used = np.unique(np.concatenate(cycles))
+        used = np.unique(cyc)
         remap = np.empty(pts.shape[0], dtype=int)
         remap[used] = np.arange(used.size)
+        cyc = remap[cyc].tolist()
         self.vertices = pts[used]
-        self.facet_normals = np.array(normals)
-        self.facet_offsets = np.array(offsets)
-        self.facet_cycles = [remap[cyc].tolist() for cyc in cycles]
-        self.facet_areas = np.array(areas)
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        for f, cyc in enumerate(self.facet_cycles):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                edge_map.setdefault((min(a, b), max(a, b)), []).append(f)
-        edges = []
-        for (a, b), fs in edge_map.items():
-            if len(fs) != 2:
-                raise ValueError("inconsistent facet merge: edge not shared by two facets")
-            edges.append((a, b, fs[0], fs[1]))
-        self.edges = edges
+        self.facet_normals = normals
+        self.facet_offsets = np.vecdot(normals, pts[tail[walk[cyc_start]]])
+        self.facet_cycles = [cyc[a:a + n] for a, n in zip(cyc_start.tolist(), lens.tolist())]
+        self.facet_areas = 0.5 * _norms(fan)
+        # each edge once, where the walk of its lower facet crosses it
+        r = walk[f[walk] < g[walk]]
+        a, b = remap[tail[r]], remap[head[r]]
+        self.edges = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(),
+                              f[r].tolist(), g[r].tolist()))
         self.dim = 3
         ne, nf = len(self.edges), len(self.facet_cycles)
         if len(self.vertices) - ne + nf != 2:
@@ -802,26 +821,6 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
         if out.is_empty:
             return out
     return out
-
-
-def polytopes_intersect(P: Polytope, Q: Polytope, tol: float = 1e-12) -> bool:
-    """Exact separating-axis test for two full-dimensional convex polytopes
-    (facet normals of both plus cross products of edge directions)."""
-    if P.is_empty or Q.is_empty:
-        return False
-    axes = [P.facet_normals, Q.facet_normals]
-    ep, eq = P.edge_directions(), Q.edge_directions()
-    if ep.size and eq.size:
-        cr = np.cross(ep[:, None, :], eq[None, :, :]).reshape(-1, 3)
-        nrm = np.linalg.norm(cr, axis=1)
-        cr = cr[nrm > 1e-12] / nrm[nrm > 1e-12][:, None]
-        axes.append(cr)
-    for ax in np.vstack(axes):
-        pp = P.vertices @ ax
-        qq = Q.vertices @ ax
-        if pp.max() < qq.min() - tol or qq.max() < pp.min() - tol:
-            return False
-    return True
 
 
 # -- canonical bodies ---------------------------------------------------------

@@ -21,6 +21,7 @@ from .constants import omega
 
 __all__ = [
     "harmonic_dimension",
+    "legendre_coefficients",
     "LegendreTable",
     "legendre_rows",
     "JacobiQuadrature",
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 MIN_AMBIENT_DIM = 3
+CK_GRID = 4096          # points of the grid of zonal_ck_norm and regularity_probe
+FLUX_QUAD_ORDER = 96    # Gauss order of boundary_flux and regularity_probe
 
 
 class InsufficientQuadratureError(ValueError):
@@ -57,6 +60,14 @@ def harmonic_dimension(n: int, k: int) -> int:
     if k == 0:
         return 1
     return (n + 2 * k - 2) * math.comb(n + k - 2, n - 2) // (n + k - 2)
+
+
+def legendre_coefficients(n: int, multipliers) -> np.ndarray:
+    """Legendre coefficients a_k N(n,k) / omega_n of the zonal function on
+    S^(n-1) whose Funk-Hecke multipliers are a_0, a_1, ..."""
+    a = np.asarray(multipliers, dtype=float)
+    dims = np.array([harmonic_dimension(n, k) for k in range(a.size)], dtype=float)
+    return a * dims / omega(n)
 
 
 def legendre_recurrence(n: int, kmax: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +262,7 @@ def _ck_grid(resolution: int) -> np.ndarray:
     return np.cos(theta)
 
 
-def zonal_ck_norm(f, k: int, n: int, resolution: int = 4096) -> float:
+def zonal_ck_norm(f, k: int, n: int, resolution: int = CK_GRID) -> float:
     """C^k norm (k = 0, 1, 2) of the zonal function with profile f, using the
     closed-form covariant-derivative norms
 
@@ -289,14 +300,12 @@ def boundary_flux(f, n: int, quad: JacobiQuadrature | None = None) -> float:
     """The integral of the zonal Laplacian of f against the weight
     (1-s^2)^((n-3)/2); vanishes for every C^2 zonal function (it is the
     total integral of Lap f over the sphere, up to a constant)."""
-    quad = quad if quad is not None else jacobi_quadrature(n, 96)
+    quad = quad if quad is not None else jacobi_quadrature(n, FLUX_QUAD_ORDER)
     vals = zonal_laplacian(f, quad.nodes, n)
     return quad.integrate(np.asarray(vals, dtype=float))
 
 
-def regularity_probe(profiles: Sequence, n: int, q: float | None = None,
-                     resolution: int = 4096,
-                     quad: JacobiQuadrature | None = None) -> dict:
+def regularity_probe(profiles: Sequence, n: int, q: float | None = None) -> dict:
     """Empirical study of the a-priori estimate bounding the C^2 norm of a
     centered zonal function by the sup norm of its box-operator image.
 
@@ -309,11 +318,11 @@ def regularity_probe(profiles: Sequence, n: int, q: float | None = None,
     The constant in the estimate is not pinned anywhere; the probe only
     reports the empirical supremum of the ratios.
     """
-    quad = quad if quad is not None else jacobi_quadrature(n, 96)
+    quad = jacobi_quadrature(n, FLUX_QUAD_ORDER)
     box_case = q is None or q == n - 1
     # sup norms include the poles (the cylindrical expression of the
     # Laplacian extends continuously to t = +-1 for smooth profiles)
-    t = np.concatenate(([-1.0], _ck_grid(resolution), [1.0]))
+    t = np.concatenate(([-1.0], _ck_grid(CK_GRID), [1.0]))
     ratios, fluxes, rejected = [], [], []
     for idx, f in enumerate(profiles):
         if box_case:
@@ -326,7 +335,7 @@ def regularity_probe(profiles: Sequence, n: int, q: float | None = None,
         else:
             denom_vals = zonal_laplacian(f, t, n) + q * np.asarray(f(t, 0), dtype=float)
         denom = float(np.max(np.abs(denom_vals)))
-        c2 = zonal_ck_norm(f, 2, n, resolution)
+        c2 = zonal_ck_norm(f, 2, n)
         ratios.append(c2 / denom if denom > 0 else math.inf)
         fluxes.append(boundary_flux(f, n, quad))
     return {

@@ -62,6 +62,8 @@ __all__ = [
 
 DEFAULT_SHARDS = 20
 HALF_CIRCLE_NODES = 20  # Gauss-Legendre nodes per half circle of PlaneSections
+PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
+SAT_TOL = 1e-12         # slack of the separating-axis test, per unit axis length
 
 
 @dataclass
@@ -227,17 +229,17 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
     return _reduce_shards(sampler.weight * (sums / sizes))
 
 
-def _clip_lines(den: np.ndarray, num: np.ndarray, lo, hi,
-                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _clip_lines(den: np.ndarray, num: np.ndarray, lo,
+                hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clip lines p + s u, s in [lo, hi], by constraints n . x <= b given
     along the last axis as den = u . n and num = b - p . n.  Returns the
     clipped [lo, hi] and whether it is non-empty; a constraint parallel to
-    the line (|den| <= tol) empties it when p violates it."""
+    the line (|den| <= PARALLEL_TOL) empties it when p violates it."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / den
-    hi = np.minimum(hi, np.where(den > tol, ratio, math.inf).min(axis=-1))
-    lo = np.maximum(lo, np.where(den < -tol, ratio, -math.inf).max(axis=-1))
-    feasible = ~np.any((np.abs(den) <= tol) & (num < -tol), axis=-1)
+    hi = np.minimum(hi, np.where(den > PARALLEL_TOL, ratio, math.inf).min(axis=-1))
+    lo = np.maximum(lo, np.where(den < -PARALLEL_TOL, ratio, -math.inf).max(axis=-1))
+    feasible = ~np.any((np.abs(den) <= PARALLEL_TOL) & (num < -PARALLEL_TOL), axis=-1)
     return lo, hi, feasible & (hi >= lo)
 
 
@@ -280,7 +282,7 @@ class PlaneSections:
         ij = np.array([(i, j) for i, j, _, _ in P.edges])
         self.vi, self.vj = ij[:, 0], ij[:, 1]
         self.centre = P.vertices.mean(axis=0)
-        local = P.vertices - self.centre
+        self.local = local = P.vertices - self.centre
         self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
         index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
         B = np.zeros((len(ij), len(P.facet_cycles)))
@@ -296,8 +298,8 @@ class PlaneSections:
 
     def _cross(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Crossing signs c_e (m, E) of the edges by the planes {x . a[t] = s[t]}
-        and crossing points p_e (m, 3, E) about the centroid, used where c_e != 0."""
-        d = a @ self.vertices.T - s[:, None]                  # (m, V)
+        and crossing points p_e (m, 3, E), used where c_e != 0, all about the centroid."""
+        d = a @ self.local.T - (s - a @ self.centre)[:, None]   # (m, V)
         above = d > 1e-12
         c = above[:, self.vi].astype(float) - above[:, self.vj]
         di, dj = d[:, self.vi], d[:, self.vj]
@@ -623,8 +625,8 @@ class _SeparatingAxes:
     stage separated: the facet normals of P (P projected once), the rotated
     facet normals of L, and the cross products of edge directions."""
 
-    def __init__(self, P: Polytope, L: Polytope, tol: float = 1e-12):
-        self.vp, self.vl, self.tol = P.vertices, L.vertices, tol
+    def __init__(self, P: Polytope, L: Polytope):
+        self.vp, self.vl = P.vertices, L.vertices
         self.axesP, self.axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
         self.dirsP, self.dirsL = P.edge_directions(), L.edge_directions()
         pp = self.vp @ self.axesP.T                            # (VP, A)
@@ -636,11 +638,10 @@ class _SeparatingAxes:
 
     def hits(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Does P meet R[t] L + x[t], per motion t."""
-        tol = self.tol
         vlw = np.einsum("mij,vj->mvi", R, self.vl) + x[:, None, :]     # (m, VL, 3)
         ql = np.einsum("ai,mvi->mav", self.axesP, vlw)                  # (m, A, VL)
-        hit = ~np.any((ql.min(axis=2) > self.phi[None, :] + tol)
-                      | (ql.max(axis=2) < self.plo[None, :] - tol), axis=1)
+        hit = ~np.any((ql.min(axis=2) > self.phi[None, :] + SAT_TOL)
+                      | (ql.max(axis=2) < self.plo[None, :] - SAT_TOL), axis=1)
         live = np.flatnonzero(hit)
         axL = np.einsum("mij,aj->mai", R[live], self.axesL)            # (m', AL, 3)
         hit[live] = ~self._separated(axL, vlw[live])
@@ -655,8 +656,8 @@ class _SeparatingAxes:
         pp = np.einsum("mai,vi->mav", axes, self.vp)                    # (m, AA, VP)
         qq = np.einsum("mai,mvi->mav", axes, vlw)                       # (m, AA, VL)
         nrm = np.linalg.norm(axes, axis=2)
-        sep = ((qq.min(axis=2) > pp.max(axis=2) + self.tol * nrm)
-               | (qq.max(axis=2) < pp.min(axis=2) - self.tol * nrm)) & (nrm > 1e-12)
+        sep = ((qq.min(axis=2) > pp.max(axis=2) + SAT_TOL * nrm)
+               | (qq.max(axis=2) < pp.min(axis=2) - SAT_TOL * nrm)) & (nrm > 1e-12)
         return np.any(sep, axis=1)
 
 

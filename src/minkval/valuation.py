@@ -30,7 +30,7 @@ from .convex import (
     section_plane,
     steiner_area_measure,
 )
-from .harmonics import ZonalPolynomial, harmonic_dimension, jacobi_quadrature
+from .harmonics import ZonalPolynomial, harmonic_dimension, jacobi_quadrature, legendre_coefficients
 from .zonal import (
     DEFAULT_KMAX,
     MultiplierSequence,
@@ -196,8 +196,7 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
                 f"band {band} overflows the degree-{i} datum (kmax = {z.kmax})")
         kk = min(L, z.kmax)
         moments = meas[i].zonal_moments(dirs, kk)
-        coef = np.array([z.multipliers[k] * harmonic_dimension(spec.n, k) / w
-                         for k in range(kk + 1)])
+        coef = legendre_coefficients(spec.n, z.multipliers[:kk + 1])
         per_degree[:kk + 1] += coef[:, None] * moments
         if z.kmax > kk:
             # rigorous bound on the dropped terms: |M_k(u)| <= total mass
@@ -264,13 +263,13 @@ def mean_section_spec(n: int, j: int, kmax: int = DEFAULT_KMAX) -> MinkowskiValu
     return MinkowskiValuationSpec(n=n, mu={deg: datum})
 
 
-def poincare_pair(h: ZonalObject, f: ZonalObject, i: int, quad_order: int = 96) -> float:
+def poincare_pair(h: ZonalObject, f: ZonalObject, i: int) -> float:
     """Pairing of the spherical valuations generated by zonal densities h at
     degree i and f at degree n-i:
 
         (n-i)! i! / (n-1)! * int h(u) (box f)(-u) du,
 
-    computed by weighted 1-d quadrature using P_k(-t) = (-1)^k P_k(t)."""
+    computed by order-96 Gauss quadrature using P_k(-t) = (-1)^k P_k(t)."""
     n = h.n
     if f.n != n:
         raise ValueError("dimension mismatch")
@@ -280,15 +279,11 @@ def poincare_pair(h: ZonalObject, f: ZonalObject, i: int, quad_order: int = 96) 
         _require_centered(z, lab)
         if not z.has_density or z.atoms:
             raise ValueError(f"{lab} must be a zonal density")
-    quad = jacobi_quadrature(n, quad_order)
+    quad = jacobi_quadrature(n, 96)
     # box f reflected: coefficients pick up the box multiplier and parity
     kf = f.kmax
     coeffs = np.zeros(kf + 1)
-    src = f.coeffs if f.coeffs is not None else None
-    if src is None:
-        w = omega(n)
-        src = np.array([f.multipliers[k] * harmonic_dimension(n, k) / w
-                        for k in range(kf + 1)])
+    src = f.coeffs if f.coeffs is not None else legendre_coefficients(n, f.multipliers)
     m = min(src.size, kf + 1)
     for k in range(m):
         coeffs[k] = src[k] * box_multiplier(n, k) * (-1.0) ** k
@@ -351,9 +346,8 @@ def builtin_spec(name: str, n: int = 3, kmax: int = DEFAULT_KMAX) -> MinkowskiVa
         # of the Berg kernel, so box(mu_1) has multipliers 1 + (-1)^k
         g = builtin_zonal(f"berg:{n}", n=n, kmax=kmax)
         mult = np.array([(1.0 + (-1.0) ** k) * g.multipliers[k] for k in range(kmax + 1)])
-        w = omega(n)
-        coeffs = np.array([mult[k] * harmonic_dimension(n, k) / w for k in range(kmax + 1)])
-        mu1 = ZonalObject(n, coeffs=coeffs, kmax=kmax, multipliers=mult)
+        mu1 = ZonalObject(n, coeffs=legendre_coefficients(n, mult), kmax=kmax,
+                          multipliers=mult)
         return MinkowskiValuationSpec(n=n, mu={1: mu1})
     if name == "mean_width_ball":
         # K -> (mean width of K) B; constant density 2/omega_n at degree 1

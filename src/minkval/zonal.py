@@ -24,6 +24,7 @@ from .harmonics import (
     check_ambient_dim,
     harmonic_dimension,
     jacobi_quadrature,
+    legendre_coefficients,
     legendre_rows,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 32
+BERG_NATIVE_KMAX = 512  # truncation of the Berg expansions berg re-expands
 
 
 def box_multiplier(n: int, k: int) -> float:
@@ -166,9 +168,9 @@ class ZonalObject:
         return cls(n, profile_fn=fn, pieces=pieces, kmax=kmax)
 
     @classmethod
-    def dirac_pole(cls, n: int, kmax: int = DEFAULT_KMAX, mass: float = 1.0) -> "ZonalObject":
+    def dirac_pole(cls, n: int, kmax: int = DEFAULT_KMAX) -> "ZonalObject":
         """The convolution identity: unit mass at the pole, a_k = 1."""
-        return cls(n, atoms=[(1.0, mass)], kmax=kmax)
+        return cls(n, atoms=[(1.0, 1.0)], kmax=kmax)
 
     @classmethod
     def equator(cls, n: int, kmax: int = DEFAULT_KMAX) -> "ZonalObject":
@@ -265,8 +267,7 @@ class ZonalObject:
         densities are serialized through their band-limited coefficients."""
         if self.profile_fn is not None:
             dens = self.multipliers - self._compute_multipliers(atoms_only=True)
-            coeffs = [dens[k] * harmonic_dimension(self.n, k) / omega(self.n)
-                      for k in range(self.kmax + 1)]
+            coeffs = legendre_coefficients(self.n, dens).tolist()
         else:
             coeffs = [] if self.coeffs is None else list(map(float, self.coeffs))
         return {
@@ -319,9 +320,7 @@ def convolve(x: ZonalObject, y: ZonalObject) -> ZonalObject:
                               profile_fn=out.profile_fn, pieces=out.pieces,
                               kmax=kmax, multipliers=a, mult_error=err)
         return out
-    w = omega(x.n)
-    coeffs = [a[k] * harmonic_dimension(x.n, k) / w for k in range(kmax + 1)]
-    return ZonalObject(x.n, coeffs=coeffs, kmax=kmax, multipliers=a,
+    return ZonalObject(x.n, coeffs=legendre_coefficients(x.n, a), kmax=kmax, multipliers=a,
                        mult_error=err)
 
 
@@ -406,8 +405,7 @@ class BergFunction:
 def _berg_native(j: int, kmax_native: int) -> tuple[np.ndarray, ZonalPolynomial, float]:
     a = np.array([berg_native_multiplier(j, k) for k in range(kmax_native + 1)])
     w = omega(j)
-    coeffs = np.array([a[k] * harmonic_dimension(j, k) / w
-                       for k in range(kmax_native + 1)])
+    coeffs = legendre_coefficients(j, a)
     # l1 tail of the coefficient series: |a_k| ~ (j-1)/k^2, N(j,k) ~ k^(j-2)
     ks = np.arange(kmax_native + 1, 4 * kmax_native + 2)
     tail = float(np.sum((j - 1) / ((ks - 1.0) * (ks + j - 1.0))
@@ -415,30 +413,30 @@ def _berg_native(j: int, kmax_native: int) -> tuple[np.ndarray, ZonalPolynomial,
     return a, ZonalPolynomial(j, coeffs), tail
 
 
-def berg(j: int, kmax: int = DEFAULT_KMAX, n: int | None = None,
-         kmax_native: int = 512) -> tuple[BergFunction, MultiplierSequence]:
+def berg(j: int, kmax: int = DEFAULT_KMAX,
+         n: int | None = None) -> tuple[BergFunction, MultiplierSequence]:
     """Berg kernel of dimension j together with its multipliers on the
     ambient sphere S^(n-1).
 
     For j = n the ambient multipliers are the native ones, exact.  For j < n
-    they are obtained by quadrature of the truncated native expansion against
-    the ambient Legendre polynomials; the error bars report the observed
-    change when the truncation order is halved (the kernel is only L^1, so
-    the re-expansion carries no a-priori guarantee).
+    they are obtained by quadrature of the native expansion, truncated at
+    BERG_NATIVE_KMAX, against the ambient Legendre polynomials; the error
+    bars report the observed change when the truncation order is halved (the
+    kernel is only L^1, so the re-expansion carries no a-priori guarantee).
     """
     if j < 2:
         raise ValueError(f"Berg kernel needs dimension j >= 2, got {j}")
     n = j if n is None else n
     if not 2 <= j <= n:
         raise ValueError(f"need 2 <= j <= n, got j={j}, n={n}")
-    native, profile, tail = _berg_native(j, kmax_native if j < n else max(kmax, 8))
+    native, profile, tail = _berg_native(j, BERG_NATIVE_KMAX if j < n else max(kmax, 8))
     bf = BergFunction(j=j, native_multipliers=native[:kmax + 1].copy() if j == n else native,
                       profile=profile, kmax_native=profile.degree, tail_l1=tail)
     if j == n:
         vals = np.array([berg_native_multiplier(j, k) for k in range(kmax + 1)])
         return bf, MultiplierSequence(n, vals, np.zeros(kmax + 1))
     ambient = _ambient_berg_multipliers(profile, n, kmax)
-    half_native, half_profile, _ = _berg_native(j, max(kmax_native // 2, kmax + 2))
+    half_native, half_profile, _ = _berg_native(j, max(BERG_NATIVE_KMAX // 2, kmax + 2))
     ambient_half = _ambient_berg_multipliers(half_profile, n, kmax)
     err = np.abs(ambient - ambient_half) + 1e-15
     ambient[1] = 0.0  # centered by construction
@@ -453,8 +451,7 @@ def _ambient_berg_multipliers(profile: ZonalPolynomial, n: int, kmax: int) -> np
     return omega(n - 1) * (P @ (quad.weights * vals))
 
 
-def box_j_apply(x: ZonalObject, j: int, rel_tol: float = 1e-12,
-                kmax_native: int = 512) -> ZonalObject:
+def box_j_apply(x: ZonalObject, j: int, rel_tol: float = 1e-12) -> ZonalObject:
     """Apply the inverse of convolution with the Berg kernel of dimension j
     (realized on the ambient sphere of x): divide each multiplier by
     a_k[g_j], forcing the degree-1 entry to zero.
@@ -462,7 +459,7 @@ def box_j_apply(x: ZonalObject, j: int, rel_tol: float = 1e-12,
     Raises when a divisor falls below rel_tol relative to the largest one;
     the exception carries the observed condition number.
     """
-    _, ambient = berg(j, kmax=x.kmax, n=x.n, kmax_native=kmax_native)
+    _, ambient = berg(j, kmax=x.kmax, n=x.n)
     vals = ambient.values.copy()
     vals[1] = 1.0  # placeholder; degree 1 is zeroed below
     finite = np.abs(vals)
@@ -520,10 +517,8 @@ def builtin_zonal(name: str, n: int = 3, kmax: int = DEFAULT_KMAX) -> ZonalObjec
     if name.startswith("berg:"):
         j = int(name.split(":", 1)[1])
         bf, ambient = berg(j, kmax=kmax, n=n)
-        coeffs = np.array([ambient[k] * harmonic_dimension(n, k) / omega(n)
-                           for k in range(kmax + 1)])
         # for j < n, a re-expanded band-limited proxy on the ambient sphere
-        return ZonalObject(n, coeffs=coeffs, kmax=kmax,
+        return ZonalObject(n, coeffs=legendre_coefficients(n, ambient.values), kmax=kmax,
                            multipliers=ambient.values, mult_error=ambient.error,
                            tail_l2=0.0 if j == n else bf.tail_l1)
     raise KeyError(f"unknown zonal builtin {name!r}")

@@ -167,9 +167,11 @@ def test_fewer_than_two_samples_per_shard_is_an_input_error(tmp_path, argv):
      "--degrees"),
     (["kinematic", "--body", "cube", "--spec", "projection_body", "--hadwiger",
       "--N", "100", "--seed", "1"], "--hadwiger"),
+    (["kinematic", "--body", "cube", "--spec", "projection_body", "--j", "2",
+      "--N", "100", "--seed", "1"], "--j"),
 ])
 def test_out_of_range_argument_is_an_input_error(tmp_path, argv, flag):
-    # each ended in a traceback, or --hadwiger was silently ignored
+    # each ended in a traceback, or --hadwiger or --j was silently ignored
     code, rep = run(tmp_path, *argv)
     assert code == 2
     assert set(rep) == {"error"} and flag in rep["error"]

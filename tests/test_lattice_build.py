@@ -11,7 +11,6 @@ from minkval.convex import (
     MERGE_TOL,
     POINT_TOL,
     Polytope,
-    _coplanar_groups,
     _dedupe_points,
     _distinct_axes,
     _plane_basis,
@@ -235,17 +234,11 @@ def test_prune_matches_pairwise_rule(case):
 @settings(max_examples=30, deadline=None)
 @given(coplanar_clouds())
 def test_facet_grouping_and_lattice_match_pairwise_build(pts):
-    groups, reps = _coplanar_groups(ConvexHull(pts).equations)
-    ref_groups, ref_reps = pairwise_groups(ConvexHull(pts).equations)
-    assert groups == ref_groups
-    assert np.array_equal(reps, np.array(ref_reps))
     assert_same_lattice(Polytope.from_vertices(pts), pairwise_lattice(pts))
 
 
 def test_coplanar_bodies_match_pairwise_build():
     for pts in COPLANAR.values():
-        eqs = ConvexHull(pairwise_dedupe(pts)).equations
-        assert _coplanar_groups(eqs)[0] == pairwise_groups(eqs)[0]
         assert_same_lattice(Polytope.from_vertices(pts), pairwise_lattice(pts))
     assert len(Polytope.from_vertices(COPLANAR["cube_centres"]).facet_cycles) == 6
 

@@ -80,6 +80,30 @@ def test_sections_of_small_body_match_its_section_polygon(base, a, t):
     assert abs(v2[0] - ref.v2) <= 1e-9 * size ** 2
 
 
+def test_sections_of_far_body_match_sections_about_its_centre():
+    # planes {x . a = s} with s - a . centre = t exactly, t on a grid of
+    # 2^-20 and 1e-4 clear of the vertices: the same planes for the cube
+    # shifted by SHIFT * 1e3 and for the cube centred at the origin.  With
+    # signed distances taken in world coordinates the volumes differed by
+    # up to 4.5e-12.
+    near = Polytope.from_vertices(cube().vertices - 0.5)
+    far = Polytope.from_vertices(cube().vertices + 1e3 * SHIFT)
+    centre = far.vertices.mean(axis=0)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4000, 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    t = np.round(rng.uniform(-0.9, 0.9, len(a)) * 2 ** 20) / 2 ** 20
+    s = a @ centre + t
+    keep = (s - a @ centre == t) & (np.abs(a @ near.vertices.T - t[:, None]).min(axis=1) > 1e-4)
+    a, s, t = a[keep], s[keep], t[keep]
+    near_sections, far_sections = PlaneSections(near), PlaneSections(far)
+    assert np.abs(np.subtract(far_sections.volumes(a, s), near_sections.volumes(a, t))).max() <= 1e-12
+    rows, pts = far_sections.crossings(a, s)
+    near_rows, near_pts = near_sections.crossings(a, t)
+    assert np.array_equal(rows, near_rows)
+    assert np.abs(pts - (centre - near.vertices.mean(axis=0)) - near_pts).max() <= 1e-12
+
+
 def test_sections_of_missed_planes_vanish():
     sections = SECTIONS["hull30", "unit"]
     a = np.array([[0.0, 0.6, 0.8]] * 2)
