@@ -10,10 +10,12 @@ dimension).  Rigid motions combine a uniform rotation (probability law) with
 a translation uniform in a cube that covers all contact positions.
 
 Every estimator runs through one shard loop, `run_shards`: shard k draws its
-samples from the k-th spawned seed sequence, a kernel evaluates them in
-chunks of bounded memory that may span several shards, and the per-shard
-means are reduced in fixed order; the standard error comes from the
-per-shard spread.  Results are deterministic in (seed, shards).  Sections
+random numbers (`variates`) from the k-th spawned seed sequence, in chunks
+of bounded memory that may span several shards; each chunk's variates are
+transformed into flats or motions at once (`draw`, elementwise, so the
+samples do not depend on the chunking), a kernel evaluates them, and the
+per-shard means are reduced in fixed order; the standard error comes from
+the per-shard spread.  Results are deterministic in (seed, shards).  Sections
 come from batched kernels: plane sections and line chords of a fixed body
 (`PlaneSections`, `LineSections`), the intersections of a body with moved
 copies of another from the edges of the intersection, clipped out of the
@@ -119,21 +121,38 @@ class PlaneSampler:
                 * kappa(self.n) / kappa(self.n - self.codim)
                 * self.radius ** self.codim)
 
-    def draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
-        """m flats: (normals a, offsets s) of planes {x . a = s},
-        (directions, points) of lines, or (points,)."""
-        R = self.radius
-        dirs = _unit_rows(rng.standard_normal((m, 3)))
+    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        """The random numbers of m flats, in the generator's call order:
+        normal directions (m, 3), then the uniform offsets (codim 1), radii
+        (codim 2, 3) and angles (codim 2)."""
+        g = rng.standard_normal((m, 3))
         if self.codim == 1:
-            return dirs, rng.uniform(-R, R, m)
+            return g, rng.uniform(-self.radius, self.radius, m)
         if self.codim == 3:
-            return (dirs * (R * rng.uniform(0.0, 1.0, m) ** (1.0 / 3.0))[:, None],)
+            return g, rng.uniform(0.0, 1.0, m)
+        return g, rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+
+    def draw(self, g: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Flats from their variates: (normals a, offsets s) of planes
+        {x . a = s}, (directions, points) of lines, or (points,).  Points
+        overwrite their variates, so that a chunk holds one copy."""
+        R = self.radius
+        if self.codim == 3:
+            u, = rest
+            g /= np.linalg.norm(g, axis=-1, keepdims=True)
+            np.power(u, 1.0 / 3.0, out=u)
+            u *= R
+            g *= u[:, None]
+            return (g,)
+        dirs = _unit_rows(g)
+        if self.codim == 1:
+            return dirs, rest[0]
         # uniform offsets in the disc of radius R orthogonal to the line
+        u, ang = rest
         aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
         e1 = _unit_rows(np.cross(dirs, aux))
         e2 = np.cross(dirs, e1)
-        rad = R * np.sqrt(rng.uniform(0.0, 1.0, m))
-        ang = rng.uniform(0.0, 2.0 * math.pi, m)
+        rad = R * np.sqrt(u)
         return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
 
 
@@ -152,10 +171,16 @@ class MotionSampler:
     def weight(self) -> float:
         return self.window ** self.n
 
-    def draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """m motions x -> R x + t: rotations (m, 3, 3), translations (m, 3)."""
-        R = _rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4))))
-        return R, rng.uniform(-self.window / 2.0, self.window / 2.0, (m, 3))
+    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The random numbers of m motions: normal quaternions (m, 4), then
+        the translations (m, 3)."""
+        return (rng.standard_normal((m, 4)),
+                rng.uniform(-self.window / 2.0, self.window / 2.0, (m, 3)))
+
+    def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Motions x -> R x + t from their variates: rotations (m, 3, 3),
+        translations (m, 3)."""
+        return _rotations_from_quaternions(_unit_rows(q)), t
 
 
 def _shard_rngs(seed: int, shards: int):
@@ -200,9 +225,10 @@ def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
 
 def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of sampler.weight * E[kernel(sample)]: the mean of the
-    per-shard means, with its standard error.  Shard k draws with
-    `sampler.draw` from the k-th spawned seed sequence; `kernel(*draws)` maps
-    a chunk of whole shards (or of one large shard) to values (m,) or
+    per-shard means, with its standard error.  Shard k takes its variates
+    (`sampler.variates`) from the k-th spawned seed sequence; a chunk of
+    whole shards (or of one large shard) is transformed into samples at once
+    (`sampler.draw`), and `kernel(*draws)` maps it to values (m,) or
     (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes samples,
     sample_bytes being the kernel's temporary memory per sample."""
     if sampler.shards < 2 or sampler.n_samples < 2 * sampler.shards:
@@ -212,18 +238,24 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
     chunk = max(1, CHUNK_BYTES // sample_bytes)
     sums, parts, first, count = None, [], 0, 0
     for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
-        parts.append(sampler.draw(rng, sizes[k]))
+        parts.append(sampler.variates(rng, sizes[k]))
         count += sizes[k]
         if k + 1 < len(sizes) and count + sizes[k + 1] <= chunk:
             continue
-        draws = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
-        starts = np.cumsum([0] + sizes[first:k])   # shards first..k within the chunk
+        # each array goes as soon as it is used, to bound the peak memory:
+        # the per-shard variates before the transform, the chunk's variates
+        # before the kernel, and its samples before the next chunk
+        variates = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
         parts = []
+        draws = sampler.draw(*variates)
+        del variates
+        starts = np.cumsum([0] + sizes[first:k])   # shards first..k within the chunk
         for lo in range(0, count, chunk):  # several pieces only for one large shard
             vals = np.asarray(kernel(*(d[lo:lo + chunk] for d in draws)), dtype=float)
             if sums is None:
                 sums = np.zeros((sampler.shards,) + vals.shape[1:])
             sums[first:k + 1] += np.add.reduceat(vals, starts, axis=0)
+        del draws, vals
         first, count = k + 1, 0
     sizes = np.array(sizes, dtype=float).reshape((-1,) + (1,) * (sums.ndim - 1))
     return _reduce_shards(sampler.weight * (sums / sizes))
@@ -723,11 +755,10 @@ def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     report carries the combined standard error."""
     n = 3
     lhs = kinematic_check(P, L, j, n_samples, seed, shards=shards)
-    vl = intrinsic_volumes(L)
-    rhs = vl[n] * intrinsic_volumes(P)[j]  # i = 0: the whole space
+    vp, vl = intrinsic_volumes(P), intrinsic_volumes(L)
+    rhs = vl[n] * vp[j]  # i = 0: the whole space
     rhs_var = 0.0
-    terms = [{"i": 0, "estimate": intrinsic_volumes(P)[j], "stderr": 0.0,
-              "coef": vl[n]}]
+    terms = [{"i": 0, "estimate": vp[j], "stderr": 0.0, "coef": vl[n]}]
     for i in range(1, n - j + 1):
         rep = crofton_intrinsic(P, i, j, n_samples, seed + i, shards=shards)
         coef = vl[n - i] / flag(n, i)
@@ -744,7 +775,7 @@ def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
         "difference": lhs.estimate - rhs,
         "consistent_3sigma": abs(lhs.estimate - rhs) <= 3.0 * combined,
         "terms": terms,
-        "target": kinematic_target(P, L, j),
+        "target": lhs.target,
     }
 
 

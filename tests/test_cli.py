@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from minkval import integral_geom
 from minkval.cli import load_body, load_spec, main
 
 
@@ -92,6 +93,23 @@ def test_kinematic_command(tmp_path):
                     "--j", "0", "--N", "20000", "--seed", "11")
     assert code == 0
     assert rep["target"] == pytest.approx(11.0)
+
+
+def test_kinematic_hadwiger_command_estimates_the_motions_once(tmp_path, monkeypatch):
+    # the report's estimate is the left side of the Hadwiger decomposition
+    calls = []
+    kinematic_check = integral_geom.kinematic_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kinematic_check(*args, **kwargs)
+
+    monkeypatch.setattr(integral_geom, "kinematic_check", counted)
+    code, rep = run(tmp_path, "kinematic", "--body", "cube", "--other", "cube",
+                    "--j", "0", "--N", "2000", "--seed", "11", "--hadwiger")
+    assert len(calls) == 1
+    assert rep["N"] == 2000 and "hadwiger" in rep
+    assert rep["hadwiger"]["difference"] == pytest.approx(rep["estimate"] - rep["hadwiger"]["rhs"])
 
 
 def test_kinematic_valuation_command(tmp_path):

@@ -1,6 +1,7 @@
 """The ordering-free plane-section kernel against the section polygons of
 convex.section_plane, and the sharded Monte-Carlo loop run_shards: pinned
-estimates, input checks and bounded memory."""
+estimates, the per-chunk transform of the variates against a per-shard
+one, input checks and bounded memory."""
 
 import tracemalloc
 
@@ -17,7 +18,17 @@ from minkval.convex import (
     random_hull,
     section_plane,
 )
-from minkval.integral_geom import PlaneSections, crofton_intrinsic, crofton_minkowski
+from minkval import integral_geom
+from minkval.integral_geom import (
+    MotionSampler,
+    PlaneSampler,
+    PlaneSections,
+    _shard_rngs,
+    _shard_sizes,
+    crofton_intrinsic,
+    crofton_minkowski,
+    run_shards,
+)
 from minkval.zonal import ZonalObject
 
 KMAX = 4
@@ -104,6 +115,28 @@ def test_sections_of_far_body_match_sections_about_its_centre():
     assert np.abs(pts - (centre - near.vertices.mean(axis=0)) - near_pts).max() <= 1e-12
 
 
+def test_section_plane_of_far_body_matches_section_about_its_centre():
+    # planes through centre + t a, with a and t on a grid of 2^-20, so that
+    # point - centre = t a exactly: the same planes for the cube shifted by
+    # SHIFT * 1e3 and for the cube centred at the origin.  With signed
+    # distances taken in world coordinates V_1 and V_2 of the sections
+    # differed by up to 1.4e-11.
+    near = Polytope.from_vertices(cube().vertices - 0.5)
+    far = Polytope.from_vertices(cube().vertices + 1e3 * SHIFT)
+    centre = far.vertices.mean(axis=0)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((300, 3))
+    a = np.round(a / np.linalg.norm(a, axis=1)[:, None] * 2 ** 20) / 2 ** 20
+    t = np.round(rng.uniform(-0.9, 0.9, len(a)) * 2 ** 20) / 2 ** 20
+    unit = a / np.linalg.norm(a, axis=1)[:, None]
+    keep = np.abs(unit @ near.vertices.T - t[:, None]).min(axis=1) > 1e-4
+    for ak, tk in zip(a[keep], t[keep]):
+        assert np.array_equal(centre + tk * ak - centre, tk * ak)
+        ref = intrinsic_volumes(section_plane(near, tk * ak, ak))
+        got = intrinsic_volumes(section_plane(far, centre + tk * ak, ak))
+        assert abs(got.v1 - ref.v1) <= 1e-12 and abs(got.v2 - ref.v2) <= 1e-12
+
+
 def test_sections_of_missed_planes_vanish():
     sections = SECTIONS["hull30", "unit"]
     a = np.array([[0.0, 0.6, 0.8]] * 2)
@@ -138,6 +171,57 @@ def test_crofton_minkowski_estimates_pinned():
 def test_run_shards_rejects_degenerate_shards(n_samples, shards):
     with pytest.raises(ValueError, match="shards"):
         crofton_intrinsic(cube(), 1, 1, n_samples, seed=1, shards=shards)
+
+
+def per_shard_loop(sampler, kernel, chunk: int):
+    """run_shards with each shard's variates transformed on their own, the
+    chunks and reductions otherwise the same."""
+    sizes = _shard_sizes(sampler.n_samples, sampler.shards)
+    sums, parts, first, count = None, [], 0, 0
+    for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
+        parts.append(sampler.draw(*sampler.variates(rng, sizes[k])))
+        count += sizes[k]
+        if k + 1 < len(sizes) and count + sizes[k + 1] <= chunk:
+            continue
+        draws = [np.concatenate(a) for a in zip(*parts)]
+        starts = np.cumsum([0] + sizes[first:k])
+        parts = []
+        for lo in range(0, count, chunk):
+            vals = kernel(*(d[lo:lo + chunk] for d in draws))
+            if sums is None:
+                sums = np.zeros((sampler.shards,) + vals.shape[1:])
+            sums[first:k + 1] += np.add.reduceat(vals, starts, axis=0)
+        first, count = k + 1, 0
+    means = sampler.weight * (sums / np.array(sizes, dtype=float)[:, None])
+    return means.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(sampler.shards)
+
+
+def every_coordinate(*draws):
+    return np.hstack([d.reshape(len(d), -1) for d in draws])
+
+
+SAMPLERS = {
+    "planes": lambda n, shards: PlaneSampler(3, 1, 1.3, 21, n, shards),
+    "lines": lambda n, shards: PlaneSampler(3, 2, 1.3, 22, n, shards),
+    "points": lambda n, shards: PlaneSampler(3, 3, 1.3, 23, n, shards),
+    "motions": lambda n, shards: MotionSampler(3, 2.5, 24, n, shards),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("n_samples,shards,chunk", [
+    (1003, 20, 10 ** 6),   # uneven shards, all in one chunk
+    (1003, 20, 130),       # chunks of two shards
+    (1003, 20, 17),        # every shard in pieces
+    (1003, 2, 100),        # two large shards of six pieces each
+    (1003, 501, 40),       # shards of 2 and 3 samples, many per chunk
+])
+def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, shards, chunk):
+    sampler = SAMPLERS[kind](n_samples, shards)
+    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
+    est, se = run_shards(sampler, every_coordinate, 8)
+    ref_est, ref_se = per_shard_loop(sampler, every_coordinate, chunk)
+    assert np.array_equal(est, ref_est) and np.array_equal(se, ref_se)
 
 
 def _peak_bytes(fn) -> int:
