@@ -202,11 +202,12 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     meas = convex.area_measure(body, i)
     iv = convex.intrinsic_volumes(body)
     target = 3 * kappa(3 - i) * iv[i] / math.comb(3, i)
-    residual = abs(meas.total_mass - target)
+    total = meas.total_mass
+    residual = abs(total - target)
     report = {
         "config": cfg.as_json(),
         "degree": i,
-        "total_mass": meas.total_mass,
+        "total_mass": total,
         "steiner_target": target,
         "residual": residual,
         "atoms": len(meas.atoms),
@@ -215,9 +216,10 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
         "intrinsic_volumes": list(iv.as_tuple()),
         "pass": residual <= tol,
     }
-    rows = [["atom", float(m), *map(float, u)] for u, m in meas.atoms]
-    rows += [["arc", a.mass, *map(float, a.a), *map(float, a.b)] for a in meas.arcs]
-    rows += [["patch", p.mass] for p in meas.patches]
+    atom_mass, arc_mass, patch_mass = (m.tolist() for m in meas.piece_masses())
+    rows = [["atom", m, *map(float, u)] for (u, _), m in zip(meas.atoms, atom_mass)]
+    rows += [["arc", m, *map(float, a.a), *map(float, a.b)] for a, m in zip(meas.arcs, arc_mass)]
+    rows += [["patch", m] for m in patch_mass]
     return (0 if residual <= tol else 1), report, rows, ["piece", "mass", "data"]
 
 

@@ -11,6 +11,7 @@ cones).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -139,13 +140,14 @@ class Polytope:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.isfinite(pts).all():
             raise ValueError("vertex coordinates must be finite")
-        pts = _dedupe_points(pts)
         P = cls()
         if pts.shape[0] == 0:
             return P
-        center = pts.mean(axis=0)
-        centered = pts - center
-        scale = max(1.0, float(np.abs(centered).max()))
+        # both tolerances are relative to the extent of the centred cloud,
+        # so that a body's lattice does not depend on its size or position
+        scale = float(np.abs(pts - pts.mean(axis=0)).max())
+        pts = _dedupe_points(pts, POINT_TOL * scale)
+        centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False) if pts.shape[0] > 1 else np.zeros(3)
         dim = int(np.sum(sv > 1e-9 * scale * math.sqrt(pts.shape[0])))
         if dim >= 3:
@@ -363,10 +365,6 @@ class SphericalArc:
     def angle(self) -> float:
         return float(_arc_angles(self.a, self.b))
 
-    @property
-    def mass(self) -> float:
-        return self.density * self.angle
-
     def points(self, s: np.ndarray) -> np.ndarray:
         """Arc points at parameters s in [0, 1] (slerp)."""
         th = self.angle
@@ -395,14 +393,6 @@ class SphericalPatch:
     triangles: np.ndarray  # (m, 3, 3) rows of unit vectors
     weight: float
 
-    @property
-    def area(self) -> float:
-        return sum(_spherical_triangle_area(self.triangles).tolist())
-
-    @property
-    def mass(self) -> float:
-        return self.weight * self.area
-
 
 def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
     """Spherical excess E of triangles stacked on the leading axes of an
@@ -423,15 +413,6 @@ def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
     A, B, C = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
     num = np.abs(np.vecdot(A, np.cross(B - A, C - B)))
     return 2.0 * np.arctan2(num, 1.0 + np.vecdot(A, B) + np.vecdot(B, C) + np.vecdot(C, A))
-
-
-def _fan_triangles(cycle_pts: np.ndarray) -> np.ndarray:
-    """Triangulate a geodesically convex spherical polygon by fanning from
-    the normalized vertex mean."""
-    c = _unit(cycle_pts.sum(axis=0))
-    nxt = np.roll(cycle_pts, -1, axis=0)
-    keep = _norms(np.cross(cycle_pts - c, nxt - c)) > 1e-14
-    return np.stack([np.broadcast_to(c, cycle_pts.shape), cycle_pts, nxt], axis=1)[keep]
 
 
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,7 +473,13 @@ def _split_triangle(tri: np.ndarray) -> np.ndarray:
 @dataclass
 class AreaMeasure:
     """Area measure S_i(P, .) on the unit sphere, split into atoms, arcs and
-    triangulated regions; all masses and densities are non-negative."""
+    triangulated regions; all masses and densities are non-negative.
+
+    Masses come from one batched pass over the pieces (piece_masses): one
+    _arc_angles call over all arcs and one _spherical_triangle_area call
+    over all patch triangles, each patch's excesses added in triangle order
+    and each kind of piece summed in piece order, as a loop over the pieces
+    would add them."""
 
     n: int
     degree: int
@@ -502,9 +489,32 @@ class AreaMeasure:
 
     @property
     def total_mass(self) -> float:
-        return (sum(m for _, m in self.atoms)
-                + sum(arc.mass for arc in self.arcs)
-                + sum(p.mass for p in self.patches))
+        """Sum of the atom masses, plus that of the arc masses, plus that of
+        the patch masses, each summed in piece order."""
+        return sum(sum(m.tolist()) for m in self.piece_masses())
+
+    def piece_masses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masses of the atoms, of the arcs (density times angle) and of the
+        patches (weight times the summed spherical excess of its triangles)."""
+        a, b, density = self._arc_arrays()
+        tris, patch, weight = self._triangle_arrays()
+        excess = np.zeros(len(self.patches))
+        np.add.at(excess, patch, _spherical_triangle_area(tris))   # in triangle order
+        return (np.array([m for _, m in self.atoms], dtype=float),
+                density * _arc_angles(a, b), weight * excess)
+
+    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ends (R, 3), (R, 3) and densities (R,) of the arcs."""
+        a = np.array([arc.a for arc in self.arcs], dtype=float).reshape(-1, 3)
+        b = np.array([arc.b for arc in self.arcs], dtype=float).reshape(-1, 3)
+        return a, b, np.array([arc.density for arc in self.arcs], dtype=float)
+
+    def _triangle_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triangles of all patches (T, 3, 3), the patch of each (T,),
+        and the patch weights (K,)."""
+        tris = np.concatenate([p.triangles for p in self.patches] + [np.zeros((0, 3, 3))])
+        patch = np.repeat(np.arange(len(self.patches)), [len(p.triangles) for p in self.patches])
+        return tris, patch, np.array([p.weight for p in self.patches], dtype=float)
 
     def node_cloud(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened quadrature nodes and weights: atoms exact, arcs by
@@ -519,17 +529,14 @@ class AreaMeasure:
         `split`, by the collapsed square."""
         atom_pts = np.array([u for u, _ in self.atoms], dtype=float).reshape(-1, 3)
         atom_wts = np.array([m for _, m in self.atoms], dtype=float)
-        a = np.array([arc.a for arc in self.arcs], dtype=float).reshape(-1, 3)
-        b = np.array([arc.b for arc in self.arcs], dtype=float).reshape(-1, 3)
+        a, b, dens = self._arc_arrays()
         th = _arc_angles(a, b)
         live = th >= 1e-14
         s, w = arc_rule
-        dens = np.array([arc.density for arc in self.arcs], dtype=float)[live]
         arc_pts = _slerp(a[live], b[live], th[live], s).reshape(-1, 3)
-        arc_wts = ((dens * th[live])[:, None] * w).ravel()
-        tris = np.concatenate([p.triangles for p in self.patches] + [np.zeros((0, 3, 3))])
-        weight = np.repeat([p.weight for p in self.patches],
-                           [len(p.triangles) for p in self.patches])
+        arc_wts = ((dens[live] * th[live])[:, None] * w).ravel()
+        tris, patch, weight = self._triangle_arrays()
+        weight = weight[patch]
         if split:
             tris, weight = _split_triangle(tris).reshape(-1, 3, 3), np.repeat(weight, 4)
         tri_pts, tri_wts, keep = _triangle_nodes(tris)
@@ -596,27 +603,74 @@ def _direction_blocks(nodes: int, ndirs: int) -> list[slice]:
 
 # -- area measures of polytopes ---------------------------------------------
 
-def _vertex_cone_cycle(P: Polytope, incident: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """Facet normals around a vertex in cyclic order, from its incident
-    edges (in the order of P.edges)."""
-    if not incident:
-        raise ValueError("vertex has no incident edges")
-    # walk the facet cycle: consecutive facets share an edge at v
-    edge_of: dict[int, list[int]] = {}
-    for idx, (_, _, f1, f2) in enumerate(incident):
-        edge_of.setdefault(f1, []).append(idx)
-        edge_of.setdefault(f2, []).append(idx)
-    cycle = [incident[0][2]]
-    used = {0}
-    while len(cycle) < len(edge_of):
-        f = cycle[-1]
-        nxt = next((idx for idx in edge_of[f] if idx not in used), None)
-        if nxt is None:
-            break
-        used.add(nxt)
-        _, _, f1, f2 = incident[nxt]
-        cycle.append(f2 if f1 == f else f1)
-    return P.facet_normals[cycle]
+def _edge_array(P: Polytope) -> np.ndarray:
+    """P.edges of a full-dimensional P as an (E, 4) integer array."""
+    return np.array(P.edges, dtype=int).reshape(-1, 4)
+
+
+def _facet_entries(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The facet cycles of a full-dimensional P, concatenated in order: the
+    vertex and the facet of each entry."""
+    lens = [len(c) for c in P.facet_cycles]
+    cyc = np.fromiter(itertools.chain.from_iterable(P.facet_cycles), dtype=int, count=sum(lens))
+    return cyc, np.repeat(np.arange(len(lens)), lens)
+
+
+def _vertex_cone_triangles(P: Polytope) -> list[np.ndarray]:
+    """The fan triangles of the normal cone of each vertex of a
+    full-dimensional P that has any, vertex by vertex.
+
+    A vertex's cone is the cycle of the normals of its facets.  The cycle
+    starts at the lower facet of the vertex's first edge in P.edges and
+    leaves it across its other edge at the vertex; it is fanned from its
+    normalised vertex sum (added in cycle order), and a triangle whose
+    sides at the centre have |cross| <= 1e-14 is dropped."""
+    cyc, facet = _facet_entries(P)
+    nv = P.num_vertices
+    lens = np.bincount(facet)
+    first = (np.cumsum(lens) - lens)[facet]
+    pos = np.arange(len(cyc)) - first
+    succ = cyc[first + (pos + 1) % lens[facet]]
+    pred = cyc[first + (pos - 1) % lens[facet]]
+    # the entry across the edge (v, succ) is the one of v whose predecessor
+    # is succ (cycles run counterclockwise from outside); across (pred, v)
+    # is the inverse step
+    key = cyc * nv + pred
+    by_key = np.argsort(key)
+    across_succ = by_key[np.searchsorted(key[by_key], cyc * nv + succ)]
+    across_pred = np.empty_like(across_succ)
+    across_pred[across_succ] = np.arange(len(cyc))
+    # each vertex's first edge, its lower facet, and the entry of both
+    edges = _edge_array(P)
+    e0 = np.full(nv, len(edges))
+    np.minimum.at(e0, edges[:, 0], np.arange(len(edges)))
+    np.minimum.at(e0, edges[:, 1], np.arange(len(edges)))
+    v = np.arange(nv)
+    other = np.where(edges[e0, 0] == v, edges[e0, 1], edges[e0, 0])
+    key = facet * nv + cyc
+    by_key = np.argsort(key)
+    start = by_key[np.searchsorted(key[by_key], edges[e0, 2] * nv + v)]
+    step = np.where((succ[start] == other)[cyc], across_pred, across_succ)
+    # walk all cones at once, one facet per vertex and step
+    deg = np.bincount(cyc, minlength=nv)
+    offset = np.cumsum(deg) - deg
+    walk = np.empty(len(cyc), dtype=int)
+    cur = start
+    for k in range(int(deg.max())):
+        live = deg > k
+        walk[offset[live] + k] = cur[live]
+        cur = step[cur]
+    pts = P.facet_normals[facet[walk]]
+    owner = np.repeat(v, deg)
+    centre = np.zeros((nv, 3))
+    np.add.at(centre, owner, pts)   # in cycle order, as ndarray.sum(axis=0)
+    c = _unit(centre)[owner]
+    rank = np.arange(len(cyc)) - offset[owner]
+    nxt = pts[offset[owner] + (rank + 1) % deg[owner]]
+    keep = _norms(np.cross(pts - c, nxt - c)) > 1e-14
+    tris = np.stack([c, pts, nxt], axis=1)[keep]
+    counts = np.bincount(owner[keep], minlength=nv)
+    return [t for t in np.split(tris, np.cumsum(counts)[:-1]) if len(t)]
 
 
 def area_measure(P: Polytope, i: int) -> AreaMeasure:
@@ -624,7 +678,8 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
 
     S_i = C(2, i)^(-1) * sum over i-faces F of vol_i(F) times the spherical
     Hausdorff measure on the normal cone of F; the binomial normalization
-    makes the total mass equal to n V(P[i]; B[n-i]).
+    makes the total mass equal to n V(P[i]; B[n-i]).  The faces' lengths and
+    cones are computed for all faces at once.
     """
     if not 0 <= i <= 2:
         raise ValueError(f"degree must satisfy 0 <= i <= n-1 = 2, got {i}")
@@ -634,49 +689,38 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
     binom = math.comb(2, i)
     if P.dim == 3:
         if i == 2:
-            meas.atoms = [(P.facet_normals[f], float(P.facet_areas[f]))
-                          for f in range(len(P.facet_cycles))]
+            meas.atoms = list(zip(P.facet_normals, P.facet_areas.tolist()))
         elif i == 1:
-            for a, b, f1, f2 in P.edges:
-                length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
-                meas.arcs.append(SphericalArc(P.facet_normals[f1],
-                                              P.facet_normals[f2],
-                                              length / binom))
+            edges = _edge_array(P)
+            density = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]]) / binom
+            meas.arcs = [SphericalArc(a, b, d) for a, b, d in
+                         zip(P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]],
+                             density.tolist())]
         else:
-            incident: list[list] = [[] for _ in range(P.num_vertices)]
-            for e in P.edges:
-                incident[e[0]].append(e)
-                incident[e[1]].append(e)
-            for v in range(P.num_vertices):
-                cyc = _vertex_cone_cycle(P, incident[v])
-                tris = _fan_triangles(cyc)
-                if tris.size:
-                    meas.patches.append(SphericalPatch(tris, 1.0))
+            meas.patches = [SphericalPatch(t, 1.0) for t in _vertex_cone_triangles(P)]
     elif P.dim == 2:
         w = P.plane_normal
-        area = _polygon_area3d(P.vertices[P.polygon_cycle])
-        cyc = P.polygon_cycle
-        m = len(cyc)
+        pts = P.vertices[P.polygon_cycle]
+        me = P.edge_normals_inplane
         if i == 2:
+            area = _polygon_area3d(pts)
             meas.atoms = [(w.copy(), area), (-w, area)]
         elif i == 1:
-            for k in range(m):
-                a, b = P.vertices[cyc[k]], P.vertices[cyc[(k + 1) % m]]
-                length = float(np.linalg.norm(b - a))
-                me = P.edge_normals_inplane[k]
-                meas.arcs.append(SphericalArc(w.copy(), me, length / binom))
-                meas.arcs.append(SphericalArc(me, -w, length / binom))
+            density = (_norms(np.roll(pts, -1, axis=0) - pts) / binom).tolist()
+            meas.arcs = [arc for k, d in enumerate(density)
+                         for arc in (SphericalArc(w.copy(), me[k], d), SphericalArc(me[k], -w, d))]
         else:
-            for k in range(m):
-                m_prev = P.edge_normals_inplane[(k - 1) % m]
-                m_next = P.edge_normals_inplane[k]
-                c = m_prev + m_next
-                if np.linalg.norm(c) < 1e-12:
-                    continue
-                c = _unit(c)
-                tris = np.array([(c, w, m_prev), (c, m_prev, -w),
-                                 (c, -w, m_next), (c, m_next, w)])
-                meas.patches.append(SphericalPatch(tris, 1.0))
+            # the lune of each vertex, between its two edge normals, as four
+            # triangles about their normalised sum
+            m_prev, m_next = np.roll(me, 1, axis=0), me
+            c = m_prev + m_next
+            keep = _norms(c) >= 1e-12
+            c, m_prev, m_next = _unit(c[keep]), m_prev[keep], m_next[keep]
+            up, down = np.broadcast_to(w, c.shape), np.broadcast_to(-w, c.shape)
+            tris = np.stack([np.stack(t, axis=1) for t in ((c, up, m_prev), (c, m_prev, down),
+                                                          (c, down, m_next), (c, m_next, up))],
+                            axis=1)
+            meas.patches = [SphericalPatch(t, 1.0) for t in tris]
     elif P.dim == 1:
         d = _unit(P.vertices[1] - P.vertices[0])
         length = float(np.linalg.norm(P.vertices[1] - P.vertices[0]))
@@ -737,31 +781,38 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
     """Intrinsic volumes (V0, V1, V2, V3) from the face lattice: volume by
     the divergence theorem about the vertex centroid, V2 = surface/2, V1
     from edge lengths and exterior dihedral angles; lower-dimensional bodies
-    use their own closed forms (V1 of a planar body is half its perimeter)."""
+    use their own closed forms (V1 of a planar body is half its perimeter).
+
+    Each sum over faces is one batched pass over the lattice's arrays: the
+    per-face terms are computed for all faces at once and added in face
+    order (facet centroids add their vertices in cycle order), so the sums
+    are those of a loop over the faces."""
     if P.is_empty:
         return IntrinsicVolumes(0.0, 0.0, 0.0, 0.0)
     if P.dim == 3:
         # cones from the vertex centroid: terms stay of the body's size
         # wherever it sits
-        center = P.vertices.mean(axis=0)
-        vol = 0.0
-        for f, cyc in enumerate(P.facet_cycles):
-            centroid = P.vertices[cyc].mean(axis=0) - center
-            vol += P.facet_areas[f] * float(np.dot(P.facet_normals[f], centroid)) / 3.0
+        cyc, facet = _facet_entries(P)
+        centroid = np.zeros((len(P.facet_cycles), 3))
+        np.add.at(centroid, facet, P.vertices[cyc])
+        centroid = centroid / np.bincount(facet)[:, None] - P.vertices.mean(axis=0)
+        vol = sum((P.facet_areas * np.vecdot(P.facet_normals, centroid) / 3.0).tolist())
         surf = float(np.sum(P.facet_areas))
-        v1 = 0.0
-        for a, b, f1, f2 in P.edges:
-            length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
-            n1, n2 = P.facet_normals[f1], P.facet_normals[f2]
-            ang = math.atan2(float(np.linalg.norm(np.cross(n1, n2))), float(np.dot(n1, n2)))
-            v1 += length * ang
+        edges = _edge_array(P)
+        length = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]])
+        n1, n2 = P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]]
+        # math.atan2, not np.arctan2 (as in _arc_angles): numpy's array
+        # arctan2 differs from libm's by one ulp on some arguments, which
+        # moves V1 in its last bit on 7 of the 220 full-dimensional bodies
+        # of tests/test_face_sums.py
+        angle = list(map(math.atan2, _norms(np.cross(n1, n2)).tolist(),
+                         np.vecdot(n1, n2).tolist()))
+        v1 = sum((length * angle).tolist())
         return IntrinsicVolumes(1.0, v1 / (2.0 * math.pi), surf / 2.0, float(vol))
     if P.dim == 2:
-        cyc = P.polygon_cycle
-        area = _polygon_area3d(P.vertices[cyc])
-        per = sum(float(np.linalg.norm(P.vertices[cyc[(k + 1) % len(cyc)]] - P.vertices[cyc[k]]))
-                  for k in range(len(cyc)))
-        return IntrinsicVolumes(1.0, per / 2.0, area, 0.0)
+        pts = P.vertices[P.polygon_cycle]
+        per = sum(_norms(np.roll(pts, -1, axis=0) - pts).tolist())
+        return IntrinsicVolumes(1.0, per / 2.0, _polygon_area3d(pts), 0.0)
     if P.dim == 1:
         return IntrinsicVolumes(1.0, float(np.linalg.norm(P.vertices[1] - P.vertices[0])), 0.0, 0.0)
     return IntrinsicVolumes(1.0, 0.0, 0.0, 0.0)

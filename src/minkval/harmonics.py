@@ -196,6 +196,13 @@ class ZonalPolynomial:
             out += c * pk
         return out
 
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """self(t, 1) and self(t, 2), both from one Legendre recurrence."""
+        t = np.asarray(t, dtype=float)
+        _, d1, d2 = legendre_recurrence(self.n, self.degree, t.ravel())
+        return tuple(np.tensordot(self.coeffs, d.reshape((self.degree + 1,) + t.shape), axes=(0, 0))
+                     for d in (d1, d2))
+
 
 class ZonalProfile:
     """Zonal profile backed by callables for f, f' and f''.  Derivatives
@@ -253,7 +260,15 @@ def zonal_laplacian(f, t, n: int):
     """Laplace-Beltrami operator on a zonal profile:
     (1-t^2) f''(t) - (n-1) t f'(t)."""
     t = np.asarray(t, dtype=float)
-    return (1.0 - t * t) * f(t, 2) - (n - 1) * t * f(t, 1)
+    f1, f2 = _derivatives(f, t)
+    return (1.0 - t * t) * f2 - (n - 1) * t * f1
+
+
+def _derivatives(f, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f'(t) and f''(t); a ZonalPolynomial takes both from one recurrence."""
+    if isinstance(f, ZonalPolynomial):
+        return f.derivatives(t)
+    return f(t, 1), f(t, 2)
 
 
 def _ck_grid(resolution: int) -> np.ndarray:
@@ -283,12 +298,11 @@ def zonal_ck_norm(f, k: int, n: int, resolution: int = CK_GRID) -> float:
     norm = max(np.max(np.abs(f0)), np.max(np.abs(np.asarray(f(ends, 0), dtype=float))))
     if k == 0:
         return float(norm)
-    f1 = np.asarray(f(t, 1), dtype=float)
+    f1, f2 = (np.asarray(d, dtype=float) for d in _derivatives(f, t))
     grad1 = np.sqrt(1.0 - t * t) * np.abs(f1)
     norm += np.max(grad1)  # endpoint limit of |grad f| is 0
     if k == 1:
         return float(norm)
-    f2 = np.asarray(f(t, 2), dtype=float)
     hess_sq = (n - 2) * (t * f1) ** 2 + ((1.0 - t * t) * f2 - t * f1) ** 2
     end_d1 = np.abs(np.asarray(f(ends, 1), dtype=float))
     hess_end = math.sqrt(n - 1) * np.max(end_d1)

@@ -664,9 +664,12 @@ class _SeparatingAxes:
         pp = self.vp @ self.axesP.T                            # (VP, A)
         self.plo, self.phi = pp.min(axis=0), pp.max(axis=0)
         self.cross_axes = len(self.dirsP) * len(self.dirsL)
-        # the (m, axes, vertices) projections of the last stage dominate
-        axes = len(self.axesP) + len(self.axesL) + self.cross_axes
-        self.sample_bytes = 8 * axes * (len(self.vp) + len(self.vl) + 12)
+        # the (m, axes, vertices) projections dominate: per motion of the
+        # first two stages, and per motion that reaches the cross products,
+        # which run on those motions in pieces
+        per_axis = 8 * (len(self.vp) + len(self.vl) + 12)
+        self.sample_bytes = per_axis * (len(self.axesP) + len(self.axesL))
+        self.piece = max(1, CHUNK_BYTES // (per_axis * max(1, self.cross_axes)))
 
     def hits(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Does P meet R[t] L + x[t], per motion t."""
@@ -678,9 +681,11 @@ class _SeparatingAxes:
         axL = np.einsum("mij,aj->mai", R[live], self.axesL)            # (m', AL, 3)
         hit[live] = ~self._separated(axL, vlw[live])
         live = live[hit[live]]
-        crs = np.cross(self.dirsP[None, :, None, :],
-                       np.einsum("mij,ej->mei", R[live], self.dirsL)[:, None, :, :])
-        hit[live] = ~self._separated(crs.reshape(live.size, self.cross_axes, 3), vlw[live])
+        for lo in range(0, live.size, self.piece):
+            idx = live[lo:lo + self.piece]
+            crs = np.cross(self.dirsP[None, :, None, :],
+                           np.einsum("mij,ej->mei", R[idx], self.dirsL)[:, None, :, :])
+            hit[idx] = ~self._separated(crs.reshape(idx.size, self.cross_axes, 3), vlw[idx])
         return hit
 
     def _separated(self, axes: np.ndarray, vlw: np.ndarray) -> np.ndarray:

@@ -176,8 +176,10 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     data = spec.degrees()
     if path == "auto":
         path = "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
-    base = spec.c0 + spec.cn * (_steiner_volume(P, parallel_t) if parallel_t > 0.0
-                                else intrinsic_volumes(P).v3)
+    base = float(spec.c0)
+    if spec.cn != 0.0:
+        base += spec.cn * (_steiner_volume(P, parallel_t) if parallel_t > 0.0
+                           else intrinsic_volumes(P).v3)
     values = np.full(dirs.shape[0], base)
     meas = _measures_for(P, [i for i, _ in data], parallel_t)
     tail = 0.0

@@ -4,9 +4,13 @@ reproducibility."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minkval
 from minkval import integral_geom
 from minkval.cli import load_body, load_spec, main
 
@@ -232,6 +236,19 @@ def test_reports_are_reproducible(tmp_path):
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["area-measure", "--body", "cube", "--i", "1"]
+    src = str(Path(minkval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "minkval", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == main(argv) == 0
+    ours, theirs = json.loads(capsys.readouterr().out), json.loads(proc.stdout)
+    ours.pop("wall_time_s", None), theirs.pop("wall_time_s", None)
+    assert theirs == ours
 
 
 def test_reports_round_trip_as_json(tmp_path):

@@ -511,6 +511,32 @@ def test_intrinsic_volume_homogeneity():
             assert ivl[i] == pytest.approx(lam ** i * iv[i], rel=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), exponent=st.floats(-6.0, 6.0),
+       shift=st.tuples(*[st.floats(-1e6, 1e6)] * 3))
+def test_intrinsic_volumes_scale_as_lambda_i_and_ignore_translation(seed, exponent, shift):
+    # V_i(lam P + x) = lam^i V_i(P), up to the rounding of the moved
+    # coordinates: eps |x| is a relative eps |x| / lam of the body
+    P = random_hull(seed)
+    lam = 10.0 ** exponent
+    moved = Polytope.from_vertices(lam * P.vertices + np.array(shift))
+    assert moved.dim == 3 and moved.num_vertices == P.num_vertices
+    rel = 1e-12 + 64 * np.finfo(float).eps * (max(map(abs, shift)) + lam) / lam
+    iv, ivm = intrinsic_volumes(P), intrinsic_volumes(moved)
+    for i in range(4):
+        assert ivm[i] == pytest.approx(lam ** i * iv[i], rel=rel)
+
+
+def test_tiny_cube_keeps_its_lattice():
+    # absolute tolerances merged the vertices of this cube into one point
+    lam = 1e-9
+    P = cube().scaled(lam)
+    assert P.dim == 3 and P.num_vertices == 8
+    iv = intrinsic_volumes(cube())
+    for i in range(4):
+        assert intrinsic_volumes(P)[i] == pytest.approx(lam ** i * iv[i], rel=1e-12)
+
+
 def test_steiner_polynomial_consistency():
     # V(P + tB) = sum kappa_(3-i) V_i t^(3-i): check the t-coefficients by
     # evaluating the polynomial against the area-measure totals
@@ -583,7 +609,7 @@ def test_intersect_and_sat_agree():
 def test_arc_geometry():
     arc = SphericalArc(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2.0)
     assert arc.angle == pytest.approx(math.pi / 2)
-    assert arc.mass == pytest.approx(math.pi)
+    assert AreaMeasure(3, 1, arcs=[arc]).total_mass == pytest.approx(math.pi)
     pts = arc.points(np.array([0.0, 0.5, 1.0]))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert np.allclose(pts[1], [math.sqrt(0.5), math.sqrt(0.5), 0.0])

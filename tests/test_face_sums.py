@@ -1,0 +1,255 @@
+"""The one-body sums over faces (intrinsic volumes, area-measure pieces and
+masses, the area-measure CSV rows) against the per-face loops they replaced:
+the batched pass adds the same terms in the same order, so every value must
+come out bit-identical."""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from minkval import cli, convex
+from minkval.convex import (
+    AreaMeasure,
+    Polytope,
+    _arc_angles,
+    _polygon_area3d,
+    _spherical_triangle_area,
+    _unit,
+    area_measure,
+    ball_polytope,
+    cube,
+    intrinsic_volumes,
+    octahedron,
+    random_hull,
+    simplex,
+)
+
+
+# -- the per-face loops --------------------------------------------------------
+
+def loop_intrinsic_volumes(P):
+    """V_0..V_3 face by face: facet cones about the vertex centroid, and
+    edge lengths times libm's atan2 of the dihedral angle."""
+    if P.is_empty:
+        return (0.0, 0.0, 0.0, 0.0)
+    if P.dim == 3:
+        center = P.vertices.mean(axis=0)
+        vol = 0.0
+        for f, cyc in enumerate(P.facet_cycles):
+            centroid = P.vertices[cyc].mean(axis=0) - center
+            vol += P.facet_areas[f] * float(np.dot(P.facet_normals[f], centroid)) / 3.0
+        v1 = 0.0
+        for a, b, f1, f2 in P.edges:
+            length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
+            n1, n2 = P.facet_normals[f1], P.facet_normals[f2]
+            v1 += length * math.atan2(float(np.linalg.norm(np.cross(n1, n2))),
+                                      float(np.dot(n1, n2)))
+        return (1.0, v1 / (2.0 * math.pi), float(np.sum(P.facet_areas)) / 2.0, float(vol))
+    if P.dim == 2:
+        cyc = P.polygon_cycle
+        per = sum(float(np.linalg.norm(P.vertices[cyc[(k + 1) % len(cyc)]] - P.vertices[cyc[k]]))
+                  for k in range(len(cyc)))
+        return (1.0, per / 2.0, _polygon_area3d(P.vertices[cyc]), 0.0)
+    if P.dim == 1:
+        return (1.0, float(np.linalg.norm(P.vertices[1] - P.vertices[0])), 0.0, 0.0)
+    return (1.0, 0.0, 0.0, 0.0)
+
+
+def loop_vertex_cone(P, incident):
+    """Facet normals about a vertex, walked facet to facet from the lower
+    facet of its first incident edge (in the order of P.edges)."""
+    edge_of = {}
+    for idx, (_, _, f1, f2) in enumerate(incident):
+        edge_of.setdefault(f1, []).append(idx)
+        edge_of.setdefault(f2, []).append(idx)
+    cycle, used = [incident[0][2]], {0}
+    while len(cycle) < len(edge_of):
+        nxt = next(idx for idx in edge_of[cycle[-1]] if idx not in used)
+        used.add(nxt)
+        _, _, f1, f2 = incident[nxt]
+        cycle.append(f2 if f1 == cycle[-1] else f1)
+    return P.facet_normals[cycle]
+
+
+def loop_fan(cycle_pts):
+    """Fan triangles of a spherical polygon about its normalised vertex sum."""
+    c = _unit(cycle_pts.sum(axis=0))
+    nxt = np.roll(cycle_pts, -1, axis=0)
+    keep = np.linalg.norm(np.cross(cycle_pts - c, nxt - c), axis=1) > 1e-14
+    return np.stack([np.broadcast_to(c, cycle_pts.shape), cycle_pts, nxt], axis=1)[keep]
+
+
+def loop_pieces(P, i):
+    """The atoms (normal, mass), arcs (a, b, density) and patch triangles of
+    S_i of a polytope of dimension 2 or 3, face by face."""
+    binom = math.comb(2, i)
+    atoms, arcs, patches = [], [], []
+    if P.dim == 3:
+        if i == 2:
+            atoms = [(P.facet_normals[f], float(P.facet_areas[f]))
+                     for f in range(len(P.facet_cycles))]
+        elif i == 1:
+            for a, b, f1, f2 in P.edges:
+                length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
+                arcs.append((P.facet_normals[f1], P.facet_normals[f2], length / binom))
+        else:
+            incident = [[] for _ in range(P.num_vertices)]
+            for e in P.edges:
+                incident[e[0]].append(e)
+                incident[e[1]].append(e)
+            for v in range(P.num_vertices):
+                tris = loop_fan(loop_vertex_cone(P, incident[v]))
+                if tris.size:
+                    patches.append(tris)
+    else:
+        w, cyc = P.plane_normal, P.polygon_cycle
+        m = len(cyc)
+        if i == 2:
+            area = _polygon_area3d(P.vertices[cyc])
+            atoms = [(w, area), (-w, area)]
+        elif i == 1:
+            for k in range(m):
+                length = float(np.linalg.norm(P.vertices[cyc[(k + 1) % m]] - P.vertices[cyc[k]]))
+                me = P.edge_normals_inplane[k]
+                arcs += [(w, me, length / binom), (me, -w, length / binom)]
+        else:
+            for k in range(m):
+                m_prev, m_next = P.edge_normals_inplane[(k - 1) % m], P.edge_normals_inplane[k]
+                c = m_prev + m_next
+                if np.linalg.norm(c) < 1e-12:
+                    continue
+                c = _unit(c)
+                patches.append(np.array([(c, w, m_prev), (c, m_prev, -w),
+                                         (c, -w, m_next), (c, m_next, w)]))
+    return atoms, arcs, patches
+
+
+def loop_piece_masses(meas):
+    """Atom masses, arc masses (density times angle, arc by arc) and patch
+    masses (weight times the excesses of its triangles, summed in order)."""
+    return ([m for _, m in meas.atoms],
+            [arc.density * float(_arc_angles(arc.a, arc.b)) for arc in meas.arcs],
+            [p.weight * sum(_spherical_triangle_area(p.triangles).tolist())
+             for p in meas.patches])
+
+
+def loop_total_mass(meas):
+    atoms, arcs, patches = loop_piece_masses(meas)
+    return sum(atoms) + sum(arcs) + sum(patches)
+
+
+def loop_csv(meas):
+    """The area-measure CSV, header and rows, with the loops' masses."""
+    atoms, arcs, patches = loop_piece_masses(meas)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["piece", "mass", "data"])
+    writer.writerows([["atom", float(m), *map(float, u)] for (u, _), m in zip(meas.atoms, atoms)])
+    writer.writerows([["arc", m, *map(float, a.a), *map(float, a.b)]
+                      for a, m in zip(meas.arcs, arcs)])
+    writer.writerows([["patch", m] for m in patches])
+    return buf.getvalue()
+
+
+# -- bodies -----------------------------------------------------------------------
+
+def jittered_icosahedron(rng):
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    base = np.array([v for a in (-1.0, 1.0) for b in (-phi, phi)
+                     for v in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
+    return Polytope.from_vertices(base * rng.uniform(0.9, 1.1, (12, 1)))
+
+
+def bodies():
+    """random_hull(0..199), three 200-point hulls, the ball approximations,
+    the canonical bodies, ten bodies of other kinds (jittered icosahedra,
+    an ellipsoid hull, a rotated cube, 300- and 400-point hulls, one of
+    them rotated, one far from the origin and large, one tiny), and a
+    square, a segment and a point."""
+    rng = np.random.default_rng(2015)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    ellipsoid = _unit(rng.standard_normal((30, 3))) * [1.0, 0.7, 0.45]
+    out = [random_hull(s) for s in range(200)]
+    out += [random_hull(s, 200) for s in (42, 61, 62)]
+    out += [ball_polytope(k) for k in range(4)]
+    out += [cube(), octahedron(), simplex()]
+    out += [jittered_icosahedron(rng), jittered_icosahedron(rng),
+            Polytope.from_vertices(ellipsoid), cube().rotated(rot),
+            random_hull(7, 400), random_hull(8, 300), random_hull(8, 300).rotated(rot),
+            random_hull(5, 400).translated((1e3, -2e3, 5e2)).scaled(50.0),
+            random_hull(6, 240, scale=1e3), random_hull(9, 30).scaled(1e-4)]
+    out += [Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
+            Polytope.from_vertices([[0, 0, 0], [1, 2, 3]]),
+            Polytope.from_vertices([[1, 2, 3]])]
+    return out
+
+
+BODIES = bodies()
+
+
+def test_body_set_covers_every_dimension():
+    assert len(BODIES) == 223
+    assert [P.dim for P in BODIES[-3:]] == [2, 1, 0]
+
+
+def test_intrinsic_volumes_equal_the_face_loop():
+    for P in BODIES:
+        assert intrinsic_volumes(P).as_tuple() == loop_intrinsic_volumes(P)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_area_measure_pieces_equal_the_face_loop(i):
+    for P in (P for P in BODIES if P.dim >= 2):
+        meas = area_measure(P, i)
+        atoms, arcs, patches = loop_pieces(P, i)
+        assert len(meas.atoms) == len(atoms)
+        for (u, m), (ru, rm) in zip(meas.atoms, atoms):
+            assert np.array_equal(u, ru) and m == rm
+        assert len(meas.arcs) == len(arcs)
+        for arc, (a, b, density) in zip(meas.arcs, arcs):
+            assert np.array_equal(arc.a, a) and np.array_equal(arc.b, b)
+            assert arc.density == density
+        assert len(meas.patches) == len(patches)
+        for patch, tris in zip(meas.patches, patches):
+            assert np.array_equal(patch.triangles, tris) and patch.weight == 1.0
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_masses_equal_the_piece_loop(i):
+    for P in BODIES:
+        meas = area_measure(P, i)
+        assert [m.tolist() for m in meas.piece_masses()] == list(loop_piece_masses(meas))
+        assert meas.total_mass == loop_total_mass(meas)
+
+
+def test_total_mass_is_one_batched_pass(monkeypatch):
+    calls = {"_arc_angles": 0, "_spherical_triangle_area": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(convex, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(convex, name, counted)
+    s0, s1 = area_measure(random_hull(42, 200), 0), area_measure(random_hull(42, 200), 1)
+    meas = s0.merged(s1).merged(area_measure(random_hull(42, 200), 2))
+    assert len(meas.arcs) > 100 and len(meas.patches) > 50
+    meas.total_mass
+    assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 1}
+
+
+def test_empty_measure_has_zero_mass():
+    assert AreaMeasure(3, 0).total_mass == 0
+    assert area_measure(Polytope.empty(), 1).total_mass == 0
+
+
+@pytest.mark.parametrize("body", ["cube", "random:42:200"])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_area_measure_csv_rows_equal_the_loop(tmp_path, body, i):
+    path = tmp_path / "rows.csv"
+    code = cli.main(["area-measure", "--body", body, "--i", str(i), "--csv", str(path),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    with open(path, newline="") as fh:
+        assert fh.read() == loop_csv(area_measure(cli.load_body(body), i))

@@ -2,16 +2,21 @@
 acceptance gates run in test_acceptance.py)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from minkval import integral_geom
 from minkval.constants import (crofton_c, crofton_q, flag, geometric_constants, kappa,
                                mean_section_q, omega)
-from minkval.convex import ball_polytope, cube, intrinsic_volumes, random_hull
+from minkval.convex import Polytope, ball_polytope, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import (
+    CHUNK_BYTES,
     EstimateReport,
     PlaneSampler,
+    _rotations_from_quaternions,
+    _SeparatingAxes,
     crofton_intrinsic,
     crofton_minkowski,
     crofton_minkowski_rhs,
@@ -163,6 +168,41 @@ def test_kinematic_mc_random_bodies():
     L = random_hull(52)
     rep = kinematic_check(P, L, 0, 30000, seed=53)
     assert rep.within(3.5)
+
+
+def jittered_icosahedra(seed):
+    """Two icosahedra with radial jitter of +-10 %: 20 + 20 facet axes and
+    30 x 30 cross-product axes for the separating-axis test."""
+    rng = np.random.default_rng(seed)
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    base = np.array([v for a in (-1.0, 1.0) for b in (-phi, phi)
+                     for v in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
+    return [Polytope.from_vertices(base * rng.uniform(0.9, 1.1, (12, 1))) for _ in range(2)]
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 1 << 24])
+def test_separating_axes_estimate_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    P, L = jittered_icosahedra(1)
+    ref = kinematic_check(P, L, 0, 1000, seed=5)
+    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", chunk)
+    rep = kinematic_check(P, L, 0, 1000, seed=5)
+    assert (rep.estimate, rep.stderr) == (ref.estimate, ref.stderr)
+
+
+def test_separating_axes_memory_is_bounded_by_the_chunk():
+    # 100 overlapping motions all reach the 900 cross-product axes, whose
+    # projections took 23 MB when they ran on all motions at once
+    P, L = jittered_icosahedra(1)
+    q = np.random.default_rng(2).standard_normal((100, 4))
+    R = _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
+    test = _SeparatingAxes(P, L)
+    tracemalloc.start()
+    try:
+        hits = test.hits(R, np.zeros((100, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits.all() and peak < 2 * CHUNK_BYTES
 
 
 def test_kinematic_window_too_small_detected():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minkval import valuation
 from minkval.constants import omega
 from minkval.convex import Polytope, cube, random_hull
 from minkval.valuation import (
@@ -77,6 +78,18 @@ def test_volume_only_spec():
     spec = MinkowskiValuationSpec(n=3, cn=0.7)
     res = evaluate(spec, cube(), np.array([[1.0, 0, 0]]))
     assert res.values[0] == pytest.approx(0.7)
+
+
+def test_volume_is_taken_only_for_a_volume_term(monkeypatch):
+    calls = []
+    volumes = valuation.intrinsic_volumes
+    monkeypatch.setattr(valuation, "intrinsic_volumes", lambda P: calls.append(P) or volumes(P))
+    dirs = np.array([[0.0, 0.6, 0.8]])
+    for name in ("projection_body", "difference_body", "mean_section:2"):
+        evaluate(builtin_spec(name), cube(), dirs)
+    assert calls == []
+    evaluate(MinkowskiValuationSpec(n=3, cn=0.7), cube(), dirs)
+    assert len(calls) == 1
 
 
 def test_empty_body_contributes_zero():
