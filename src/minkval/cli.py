@@ -98,12 +98,25 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _int_option(cfg: RunConfig, key: str, lo: int, hi: float = math.inf,
                 default: int | None = None) -> int:
-    """Integer option --key of the run, which must lie in [lo, hi]."""
-    value = int(cfg.values.get(key, default))
+    """Integer option --key of the run, which must lie in [lo, hi].  A config
+    file may give it as a JSON integer or an integral float; a string, a
+    boolean or a fraction is an input error, not a truncation."""
+    value = cfg.values.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"--{key} must be an integer, got {value!r}")
     if not lo <= value <= hi:
         bound = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
         raise InputError(f"--{key} must be {bound}, got {value}")
     return value
+
+
+def _seed(cfg: RunConfig) -> int:
+    """The --seed of a stochastic command: mandatory, a non-negative integer."""
+    if cfg.values.get("seed") is None:
+        raise InputError("--seed is mandatory for stochastic commands")
+    return _int_option(cfg, "seed", 0)
 
 
 def _mc_size(cfg: RunConfig) -> tuple[int, int]:
@@ -259,8 +272,7 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
 def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["spec", "body", "plane", "num-dirs", "seed",
                                  "tol", "kmax", "out", "csv"])
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
+    seed = _seed(cfg)
     kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
@@ -269,7 +281,6 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
         raise InputError("--plane expects nx,ny,nz,c")
     normal = np.array([float(x) for x in plane[:3]])
     offset = float(plane[3])
-    seed = int(cfg.values["seed"])
     m = _int_option(cfg, "num-dirs", 1, default=50)
     tol = float(cfg.values.get("tol", 1e-6))
     rng = np.random.default_rng(seed)
@@ -290,15 +301,13 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
 def cmd_crofton(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "i", "j", "n", "N", "seed",
                                  "shards", "out", "csv"])
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
+    seed = _seed(cfg)
     _int_option(cfg, "n", 3, 3, 3)   # geometric Crofton runs are restricted to n = 3
     N, shards = _mc_size(cfg)
     i = _int_option(cfg, "i", 1, 3)
     j = _int_option(cfg, "j", 0, 3 - i)
     body = load_body(str(cfg.values["body"]))
-    rep = integral_geom.crofton_intrinsic(body, i, j, N, int(cfg.values["seed"]),
-                                          shards=shards)
+    rep = integral_geom.crofton_intrinsic(body, i, j, N, seed, shards=shards)
     ok = rep.within(3.0)
     report = {"config": cfg.as_json(), **rep.to_json(), "pass": ok}
     return (0 if ok else 1), report, [], []
@@ -307,13 +316,11 @@ def cmd_crofton(args) -> tuple[int, dict, list, list]:
 def cmd_kinematic(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "other", "j", "N", "seed", "hadwiger",
                                  "spec", "dir", "kmax", "shards", "out", "csv"])
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
+    seed = _seed(cfg)
     N, shards = _mc_size(cfg)
     body = load_body(str(cfg.values["body"]))
     other = load_body(str(cfg.values.get("other", cfg.values["body"])))
     j = _int_option(cfg, "j", 0, 3, 0)
-    seed = int(cfg.values["seed"])
     if cfg.values.get("spec"):
         if cfg.values.get("hadwiger"):
             raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
@@ -350,8 +357,7 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
 def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "mu", "i", "j", "N", "seed", "degrees",
                                  "probe", "kmax", "shards", "out", "csv"])
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
+    seed = _seed(cfg)
     N, shards = _mc_size(cfg)
     kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
     body = load_body(str(cfg.values["body"]))
@@ -363,7 +369,7 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     degrees = [int(k) for k in degrees]
     probe = _parse_vec(str(cfg.values.get("probe", "0.36,-0.48,0.8")))
     i, j = _int_option(cfg, "i", 1, 1, 1), _int_option(cfg, "j", 1, 1, 1)
-    res = integral_geom.crofton_minkowski(body, mu, i, j, N, int(cfg.values["seed"]),
+    res = integral_geom.crofton_minkowski(body, mu, i, j, N, seed,
                                           degrees=degrees, probe=probe, kmax=kmax,
                                           shards=shards)
     report = {"config": cfg.as_json(), **{k: v for k, v in res.items() if k != "rows"},
@@ -378,11 +384,9 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
 def cmd_lemma52(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["n", "samples", "seed", "q", "band",
                                  "flux-tol", "out", "csv"])
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
+    seed = _seed(cfg)
     n = int(cfg.values.get("n", 3))
     count = int(cfg.values.get("samples", 50))
-    seed = int(cfg.values["seed"])
     band = int(cfg.values.get("band", 8))
     qval = cfg.values.get("q")
     flux_tol = float(cfg.values.get("flux-tol", 1e-8))

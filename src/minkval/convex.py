@@ -62,15 +62,33 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+# A generic direction: points within tol of each other lie within tol along
+# it, and on it even the points of symmetric bodies rarely tie.
+_DEDUPE_AXIS = np.array([0.5772733045463205, 0.588818770637247, 0.5657278384553941])
+
+
 def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
-    """The points farther than tol from every earlier point kept, in order."""
-    kept = np.empty((pts.shape[0], 3))
-    k = 0
-    for p in pts:
-        if not np.any(_norms(kept[:k] - p) <= tol):
-            kept[k] = p
-            k += 1
-    return kept[:k]
+    """The points farther than tol from every earlier point kept, in order.
+    Only pairs within 2 tol (plus rounding) along _DEDUPE_AXIS can be that
+    close; the rule runs over those candidate pairs alone, in input order."""
+    n = pts.shape[0]
+    proj = pts @ _DEDUPE_AXIS
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    window = 2.0 * tol + 1e-12 * float(np.abs(pts).max(initial=0.0))
+    ends = np.searchsorted(proj, proj + window, side="right")
+    count = ends - np.arange(n) - 1     # candidates after each point in sorted order
+    a = np.repeat(np.arange(n), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    first, later = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    close = _norms(pts[first] - pts[later]) <= tol
+    first, later = first[close], later[close]
+    drop = np.zeros(n, dtype=bool)
+    # by the later point: each point's fate is settled before it is compared
+    for late, early in sorted(zip(later.tolist(), first.tolist())):
+        if not drop[early]:
+            drop[late] = True
+    return pts[~drop]
 
 
 def _distinct_axes(vectors) -> np.ndarray:

@@ -15,7 +15,11 @@ of bounded memory that may span several shards; each chunk's variates are
 transformed into flats or motions at once (`draw`, elementwise, so the
 samples do not depend on the chunking), a kernel evaluates them, and the
 per-shard means are reduced in fixed order; the standard error comes from
-the per-shard spread.  Results are deterministic in (seed, shards).  Sections
+the per-shard spread.  Results are deterministic in (seed, shards).  The
+streams are numpy's SeedSequence children; only their seeding is batched
+(`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
+the variates are Generator.random doubles that `draw` scales to the
+uniform ranges as Generator.uniform would.  Sections
 come from batched kernels: plane sections and line chords of a fixed body
 (`PlaneSections`, `LineSections`), the intersections of a body with moved
 copies of another from the edges of the intersection, clipped out of the
@@ -27,10 +31,12 @@ builds a lattice per sample, from the points these kernels give.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .constants import crofton_q, flag, kappa
 from .convex import (
@@ -123,19 +129,20 @@ class PlaneSampler:
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
         """The random numbers of m flats, in the generator's call order:
-        normal directions (m, 3), then the uniform offsets (codim 1), radii
-        (codim 2, 3) and angles (codim 2)."""
+        normal directions (m, 3), then doubles in [0, 1) for the offsets
+        (codim 1), radii (codim 2, 3) and angles (codim 2).  The stream is
+        that of rng.uniform for each of them; `draw` scales them."""
         g = rng.standard_normal((m, 3))
-        if self.codim == 1:
-            return g, rng.uniform(-self.radius, self.radius, m)
-        if self.codim == 3:
-            return g, rng.uniform(0.0, 1.0, m)
-        return g, rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+        if self.codim == 2:
+            u = rng.random((2, m))   # the radii's doubles, then the angles'
+            return g, u[0], u[1]
+        return g, rng.random(m)
 
     def draw(self, g: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
         """Flats from their variates: (normals a, offsets s) of planes
-        {x . a = s}, (directions, points) of lines, or (points,).  Points
-        overwrite their variates, so that a chunk holds one copy."""
+        {x . a = s}, (directions, points) of lines, or (points,).  Offsets,
+        angles and points overwrite their variates, so that a chunk holds one
+        copy; radii in [0, 1) are the variates themselves."""
         R = self.radius
         if self.codim == 3:
             u, = rest
@@ -146,9 +153,10 @@ class PlaneSampler:
             return (g,)
         dirs = _unit_rows(g)
         if self.codim == 1:
-            return dirs, rest[0]
+            return dirs, _uniform(rest[0], -R, R)
         # uniform offsets in the disc of radius R orthogonal to the line
         u, ang = rest
+        _uniform(ang, 0.0, 2.0 * math.pi)
         aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
         e1 = _unit_rows(np.cross(dirs, aux))
         e2 = np.cross(dirs, e1)
@@ -173,20 +181,108 @@ class MotionSampler:
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The random numbers of m motions: normal quaternions (m, 4), then
-        the translations (m, 3)."""
-        return (rng.standard_normal((m, 4)),
-                rng.uniform(-self.window / 2.0, self.window / 2.0, (m, 3)))
+        doubles in [0, 1) for the translations (m, 3)."""
+        return rng.standard_normal((m, 4)), rng.random((m, 3))
 
     def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Motions x -> R x + t from their variates: rotations (m, 3, 3),
-        translations (m, 3)."""
-        return _rotations_from_quaternions(_unit_rows(q)), t
+        translations (m, 3), which overwrite their variates."""
+        return (_rotations_from_quaternions(_unit_rows(q)),
+                _uniform(t, -self.window / 2.0, self.window / 2.0))
+
+
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) * u, in place: of the doubles u of Generator.random,
+    the values that Generator.uniform(lo, hi) draws from the same stream."""
+    u *= hi - lo
+    u += lo
+    return u
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32
+# words, hashmix and mix constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+SEED_BLOCK = 128   # shards seeded per numpy pass
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of uint32 values (a Python int or a uint32
+    array) under hash constant h: the hashed value and the next constant."""
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, word, h: int) -> tuple[list, int]:
+    """The pool with one more entropy word mixed into each of its words."""
+    out = []
+    for x in pool:
+        v, h = _hashmix(word, h)
+        out.append(_mix(x, v))
+    return out, h
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands out one precomputed state, the row
+    SeedSequence.generate_state(4, np.uint64) of a shard: PCG64 seeds itself
+    from it exactly as from that SeedSequence."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.row
 
 
 def _shard_rngs(seed: int, shards: int):
-    # child k of SeedSequence(seed).spawn(shards), built only when drawn
-    return (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            for k in range(shards))
+    """The generators of shards 0..shards-1, built as they are drawn: shard k
+    draws the stream of default_rng(SeedSequence(seed, spawn_key=(k,))),
+    child k of SeedSequence(seed).spawn(shards).  Only its seeding is
+    batched: the run entropy (the 32-bit words of seed, padded to the pool)
+    is mixed once, with Python ints; then the spawn-key word k (k < 2^32)
+    and the hash of the state run as uint32 arithmetic over SEED_BLOCK
+    shards at a time."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    pool, h = [], _INIT_A
+    for w in words[:_POOL]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for s in range(_POOL):   # every word into every other, as SeedSequence does
+        for d in range(_POOL):
+            if s != d:
+                v, h = _hashmix(pool[s], h)
+                pool[d] = _mix(pool[d], v)
+    for w in words[_POOL:]:
+        pool, h = _mix_in(pool, w, h)
+
+    def generators():
+        for lo in range(0, shards, SEED_BLOCK):
+            mixed, _ = _mix_in(pool, np.arange(lo, min(lo + SEED_BLOCK, shards),
+                                               dtype=np.uint32), h)
+            state = np.empty((len(mixed[0]), 2 * _POOL), dtype=np.uint32)
+            hb = _INIT_B
+            for i in range(2 * _POOL):
+                state[:, i], hb = _hashmix(mixed[i % _POOL], hb, _MULT_B)
+            # uint64 words from little-endian pairs, as generate_state does
+            for row in state.astype("<u4").view("<u8").astype(np.uint64):
+                yield np.random.Generator(np.random.PCG64(_Words(row)))
+    return generators()
 
 
 def _shard_sizes(n_samples: int, shards: int) -> list[int]:
@@ -226,10 +322,11 @@ def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
 def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of sampler.weight * E[kernel(sample)]: the mean of the
     per-shard means, with its standard error.  Shard k takes its variates
-    (`sampler.variates`) from the k-th spawned seed sequence; a chunk of
-    whole shards (or of one large shard) is transformed into samples at once
-    (`sampler.draw`), and `kernel(*draws)` maps it to values (m,) or
-    (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes samples,
+    (`sampler.variates`) from the k-th spawned seed sequence, the stream of
+    SeedSequence(seed, spawn_key=(k,)), whose seeding `_shard_rngs` batches;
+    a chunk of whole shards (or of one large shard) is transformed into
+    samples at once (`sampler.draw`), and `kernel(*draws)` maps it to values
+    (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes samples,
     sample_bytes being the kernel's temporary memory per sample."""
     if sampler.shards < 2 or sampler.n_samples < 2 * sampler.shards:
         raise ValueError(f"need shards >= 2 and n_samples >= 2 * shards; got "

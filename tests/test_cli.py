@@ -199,6 +199,41 @@ def test_out_of_range_argument_is_an_input_error(tmp_path, argv, flag):
     assert set(rep) == {"error"} and flag in rep["error"]
 
 
+CROFTON_11 = ["crofton", "--body", "cube", "--i", "1", "--j", "1", "--N", "100"]
+
+
+@pytest.mark.parametrize("argv,config,flag", [
+    (CROFTON_11 + ["--seed", "-1"], None, "--seed"),
+    (["kinematic", "--body", "cube", "--N", "100", "--seed", "-1"], None, "--seed"),
+    (["crofton-mv", "--body", "cube", "--N", "100", "--seed", "-1"], None, "--seed"),
+    (["check-valuation", "--spec", "projection_body", "--body", "cube",
+      "--plane", "0,0,1,0.5", "--seed", "-1"], None, "--seed"),
+    (["lemma52", "--samples", "2", "--seed", "-1"], None, "--seed"),
+    (CROFTON_11, {"seed": 1.7}, "--seed"),
+    (CROFTON_11, {"seed": True}, "--seed"),
+    (CROFTON_11, {"seed": "3"}, "--seed"),
+    (CROFTON_11[:-2] + ["--seed", "1"], {"N": "abc"}, "--N"),
+    (CROFTON_11[:-2] + ["--seed", "1"], {"N": 100.5}, "--N"),
+])
+def test_bad_integer_option_is_an_input_error(tmp_path, argv, config, flag):
+    # a negative seed ended in a numpy traceback, "N": "abc" in a ValueError
+    # from int(), and "seed": 1.7 ran silently as seed 1
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert set(rep) == {"error"} and flag in rep["error"]
+
+
+def test_integral_float_option_from_config_is_accepted(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 7.0}))
+    code, rep = run(tmp_path, *CROFTON_11, "--config", str(path))
+    assert code == 0 and rep["seed"] == 7
+
+
 @pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
 def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",

@@ -11,6 +11,7 @@ from minkval.convex import (
     MERGE_TOL,
     POINT_TOL,
     Polytope,
+    _DEDUPE_AXIS,
     _dedupe_points,
     _distinct_axes,
     _plane_basis,
@@ -210,6 +211,16 @@ def test_dedupe_keeps_a_point_whose_only_close_neighbour_was_dropped():
     e = np.array([1.0, 0.0, 0.0])
     pts = np.array([np.zeros(3), 0.6 * POINT_TOL * e, 1.2 * POINT_TOL * e])
     assert np.array_equal(_dedupe_points(pts), pts[[0, 2]])
+
+
+def test_dedupe_of_points_that_tie_along_the_candidate_axis():
+    # chains of 0.7 POINT_TOL steps in the plane orthogonal to the axis that
+    # picks candidate pairs: every pair is a candidate, few are close
+    b1, b2 = _plane_basis(_DEDUPE_AXIS / np.linalg.norm(_DEDUPE_AXIS))
+    steps = 0.7 * POINT_TOL * np.arange(6)
+    pts = np.array([0.5 + x * b1 + y * b2 for x in steps for y in steps[::-1]])
+    pts = pts[np.random.default_rng(8).permutation(len(pts))]
+    assert np.array_equal(_dedupe_points(pts), pairwise_dedupe(pts))
 
 
 @settings(max_examples=60, deadline=None)

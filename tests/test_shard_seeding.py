@@ -1,0 +1,119 @@
+"""The batched shard seeding of run_shards against numpy's SeedSequence, and
+the samplers' draws from Generator.random against the rng.uniform draws
+they replaced: the streams, and with them every estimate, are unchanged."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minkval.convex import cube
+from minkval.integral_geom import (
+    SEED_BLOCK,
+    MotionSampler,
+    PlaneSampler,
+    _rotations_from_quaternions,
+    _shard_rngs,
+    _unit_rows,
+    crofton_intrinsic,
+)
+
+
+def reference_rng(seed, k):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+def assert_streams_match(seed, shards):
+    for k, rng in enumerate(_shard_rngs(seed, shards)):
+        ref = np.random.SeedSequence(seed, spawn_key=(k,))
+        row = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert np.array_equal(row, ref.generate_state(4, np.uint64)), (seed, k)
+        assert rng.bit_generator.state == reference_rng(seed, k).bit_generator.state
+        assert np.array_equal(rng.random(3), reference_rng(seed, k).random(3))
+    assert k == shards - 1
+
+
+# 2^128 + 7 has five 32-bit words, one more than the pool
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 7,
+                                  20151021])
+def test_shard_streams_match_spawned_seed_sequences(seed):
+    assert_streams_match(seed, 2 * SEED_BLOCK + 3)   # k across two block boundaries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 160 - 1), st.integers(1, SEED_BLOCK + 2))
+def test_shard_streams_match_for_any_seed(seed, shards):
+    assert_streams_match(seed, shards)
+
+
+def test_negative_seed_is_rejected_like_seed_sequence():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        _shard_rngs(-1, 4)
+
+
+def test_run_shards_builds_no_seed_sequence(monkeypatch):
+    built = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    crofton_intrinsic(cube(), 1, 1, 2000, seed=4, shards=1000)
+    assert built == []
+
+
+# -- the samplers as they drew with rng.uniform ---------------------------------
+
+def uniform_flats(sampler, rng, m):
+    """PlaneSampler.variates and .draw before they drew Generator.random."""
+    g = rng.standard_normal((m, 3))
+    R = sampler.radius
+    if sampler.codim == 1:
+        return _unit_rows(g), rng.uniform(-R, R, m)
+    if sampler.codim == 3:
+        u = rng.uniform(0.0, 1.0, m)
+        return (_unit_rows(g) * (R * u ** (1.0 / 3.0))[:, None],)
+    u, ang = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+    dirs = _unit_rows(g)
+    aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
+    e1 = _unit_rows(np.cross(dirs, aux))
+    e2 = np.cross(dirs, e1)
+    rad = R * np.sqrt(u)
+    return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+
+
+def uniform_motions(sampler, rng, m):
+    """MotionSampler.variates and .draw before they drew Generator.random."""
+    q = rng.standard_normal((m, 4))
+    t = rng.uniform(-sampler.window / 2.0, sampler.window / 2.0, (m, 3))
+    return _rotations_from_quaternions(_unit_rows(q)), t
+
+
+SAMPLERS = [
+    (PlaneSampler(3, 1, 1.3, 0, 0), uniform_flats),
+    (PlaneSampler(3, 1, 7.0 / 3.0, 0, 0), uniform_flats),
+    (PlaneSampler(3, 2, 1.3, 0, 0), uniform_flats),
+    (PlaneSampler(3, 2, 1e-3, 0, 0), uniform_flats),
+    (PlaneSampler(3, 3, 1.3, 0, 0), uniform_flats),
+    (MotionSampler(3, 2.5, 0, 0), uniform_motions),
+    (MotionSampler(3, 1e3 / 3.0, 0, 0), uniform_motions),
+]
+
+
+@pytest.mark.parametrize("sampler,reference", SAMPLERS)
+@pytest.mark.parametrize("seed", [0, 7, 20151021])
+@pytest.mark.parametrize("m", [1, 5, 1000])
+def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sampler.draw(*sampler.variates(rng, m))
+    want = reference(sampler, ref, m)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the generator was left where the uniform draws left it
+    assert rng.bit_generator.state == ref.bit_generator.state
