@@ -21,11 +21,12 @@ import numpy as np
 
 from . import convex, integral_geom, valuation, zonal
 from .constants import berg_multiplier_frac, box_multiplier_frac, kappa
-from .harmonics import ZonalPolynomial, regularity_probe
+from .harmonics import FLUX_QUAD_ORDER, ZonalPolynomial, regularity_probe
 
 DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
                   "random_hull_7", "random_hull_42")
+MAX_DIM = 64   # largest ambient dimension n of multipliers and lemma52
 
 
 class InputError(Exception):
@@ -119,6 +120,12 @@ def _seed(cfg: RunConfig) -> int:
     return _int_option(cfg, "seed", 0)
 
 
+def _spec_kmax(cfg: RunConfig) -> int:
+    """The --kmax of a valuation spec or zonal measure: its multipliers run
+    up to degree kmax, at most the Berg expansions' BERG_NATIVE_KMAX."""
+    return _int_option(cfg, "kmax", 1, zonal.BERG_NATIVE_KMAX, zonal.DEFAULT_KMAX)
+
+
 def _mc_size(cfg: RunConfig) -> tuple[int, int]:
     """Sample count N and shard count of a Monte-Carlo command: the standard
     error needs two shards, and every shard at least two samples."""
@@ -183,15 +190,15 @@ def _resolve_config(args, keys: list[str]) -> RunConfig:
 
 def cmd_multipliers(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["n", "kmax", "berg", "box", "out", "csv"])
-    n = int(cfg.values.get("n", 3))
-    kmax = int(cfg.values.get("kmax", 8))
+    n = _int_option(cfg, "n", 2, MAX_DIM, 3)
+    kmax = _int_option(cfg, "kmax", 0, zonal.BERG_NATIVE_KMAX, 8)
     rows = []
     header = ["k"]
     want_berg = cfg.values.get("berg") is not None
     want_box = bool(cfg.values.get("box", True))
     table: dict[str, list] = {}
     if want_berg:
-        j = int(cfg.values["berg"])
+        j = _int_option(cfg, "berg", 2, n)
         _, ambient = zonal.berg(j, kmax=kmax, n=n)
         table["berg_native"] = [float(berg_multiplier_frac(j, k)) for k in range(kmax + 1)]
         table["berg_ambient"] = [float(v) for v in ambient.values]
@@ -239,14 +246,13 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
 def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["spec", "body", "dir", "band", "path", "kmax",
                                  "crosscheck", "tol", "out", "csv"])
-    kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
+    kmax = _spec_kmax(cfg)
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
     dirs = [_parse_vec(d) for d in (cfg.values.get("dir") or ["1,0,0"])]
-    band = cfg.values.get("band")
+    band = None if cfg.values.get("band") is None else _int_option(cfg, "band", 0, kmax)
     path = str(cfg.values.get("path", "auto"))
-    res = valuation.evaluate(spec, body, np.array(dirs),
-                             band=None if band is None else int(band), path=path)
+    res = valuation.evaluate(spec, body, np.array(dirs), band=band, path=path)
     report = {
         "config": cfg.as_json(),
         "path": res.path,
@@ -259,8 +265,7 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     if cfg.values.get("crosscheck"):
         tol = float(cfg.values.get("tol", 1e-6))
         a = valuation.evaluate(spec, body, np.array(dirs), path="pointwise")
-        b = valuation.evaluate(spec, body, np.array(dirs), path="spectral",
-                               band=None if band is None else int(band))
+        b = valuation.evaluate(spec, body, np.array(dirs), path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
         report["crosscheck_deviation"] = dev
         report["crosscheck_tolerance"] = tol + b.truncation_tail
@@ -273,7 +278,7 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["spec", "body", "plane", "num-dirs", "seed",
                                  "tol", "kmax", "out", "csv"])
     seed = _seed(cfg)
-    kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
+    kmax = _spec_kmax(cfg)
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
     plane = str(cfg.values["plane"]).split(",")
@@ -327,8 +332,7 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
         if "j" in cfg.values:
             raise InputError("--j selects V_j runs; it does not apply with --spec")
         # valuation-valued kinematic formula at a fixed direction
-        kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
-        spec = load_spec(str(cfg.values["spec"]), kmax)
+        spec = load_spec(str(cfg.values["spec"]), _spec_kmax(cfg))
         dirs = cfg.values.get("dir") or ["0,0,1"]
         res = integral_geom.kinematic_minkowski_check(
             spec, body, other, _parse_vec(dirs[0]), N, seed, shards=shards)
@@ -359,7 +363,7 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
                                  "probe", "kmax", "shards", "out", "csv"])
     seed = _seed(cfg)
     N, shards = _mc_size(cfg)
-    kmax = int(cfg.values.get("kmax", zonal.DEFAULT_KMAX))
+    kmax = _spec_kmax(cfg)
     body = load_body(str(cfg.values["body"]))
     mu = zonal.builtin_zonal(str(cfg.values.get("mu", "dirac_pole")), n=3, kmax=kmax)
     degrees = str(cfg.values.get("degrees", "0,2,3,4")).split(",")
@@ -385,9 +389,10 @@ def cmd_lemma52(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["n", "samples", "seed", "q", "band",
                                  "flux-tol", "out", "csv"])
     seed = _seed(cfg)
-    n = int(cfg.values.get("n", 3))
-    count = int(cfg.values.get("samples", 50))
-    band = int(cfg.values.get("band", 8))
+    n = _int_option(cfg, "n", 2, MAX_DIM, 3)
+    count = _int_option(cfg, "samples", 1, default=50)
+    # the flux rule integrates profiles of degree band + 1 exactly
+    band = _int_option(cfg, "band", 1, 2 * FLUX_QUAD_ORDER - 2, 8)
     qval = cfg.values.get("q")
     flux_tol = float(cfg.values.get("flux-tol", 1e-8))
     rng = np.random.default_rng(seed)

@@ -6,16 +6,20 @@ plus an offset uniform in the i-ball of radius R in the orthogonal
 complement; the estimator weight C(n, n-i) kappa_n / kappa_(n-i) * R^i is
 the invariant measure of the sampling window, normalized so that the planes
 meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the plane
-dimension).  Rigid motions combine a uniform rotation (probability law) with
-a translation uniform in a cube that covers all contact positions.
+dimension).  Rigid motions g L = R L + x combine a uniform rotation
+(probability law) with a translation uniform in the coordinate box of
+P - R L for the rotation drawn, weighted per sample by the box volume
+(conditional Monte Carlo; the box holds every contact position), or, when
+a window is given, uniform in a centred cube of that side.
 
 Every estimator runs through one shard loop, `run_shards`: shard k draws its
 random numbers (`variates`) from the k-th spawned seed sequence, in chunks
 of bounded memory that may span several shards; each chunk's variates are
 transformed into flats or motions at once (`draw`, elementwise, so the
-samples do not depend on the chunking), a kernel evaluates them, and the
-per-shard means are reduced in fixed order; the standard error comes from
-the per-shard spread.  Results are deterministic in (seed, shards).  The
+samples do not depend on the chunking), a kernel evaluates them, and each
+shard's values are summed in fixed blocks from its start, so that the sums
+do not depend on the chunking either; the standard error comes from the
+per-shard spread.  Results are deterministic in (seed, shards).  The
 streams are numpy's SeedSequence children; only their seeding is batched
 (`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
 the variates are Generator.random doubles that `draw` scales to the
@@ -25,7 +29,8 @@ come from batched kernels: plane sections and line chords of a fixed body
 copies of another from the edges of the intersection, clipped out of the
 stacked facet inequalities (`MotionIntersections`), and the hit test of the
 kinematic formula from separating axes.  Only the valuation-valued check
-builds a lattice per sample, from the points these kernels give.
+builds a lattice per sample, from the points these kernels give; its motions
+keep the cube window, since a hit costs a lattice there.
 """
 
 from __future__ import annotations
@@ -119,6 +124,7 @@ class PlaneSampler:
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
+    weighted = False    # one weight for all samples
 
     @property
     def weight(self) -> float:
@@ -166,29 +172,66 @@ class PlaneSampler:
 
 @dataclass(frozen=True)
 class MotionSampler:
-    """Rigid-motion law: uniform rotations (probability) and translations
-    uniform in the centered cube of side `window`; weight = window^n."""
+    """Rigid-motion law of g L = R L + x against a fixed body P: uniform
+    rotations R (the probability law), and translations x in one of two
+    windows.
+
+    - The cube law (`window` given): x uniform in the centred cube of side
+      `window`; the weight window^n is the same for every sample.
+    - The box law (`window` None, `box` and `moving` given): x uniform in
+      the coordinate box of P - R L for the rotation drawn,
+      [lo_P - max_v R v, hi_P - min_v R v] over the vertices v of L, with
+      [lo_P, hi_P] = `box` the coordinate box of P.  Every x at which R L + x
+      meets P lies in it, so the box volume as a per-sample weight keeps the
+      motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
+      Stochastic Simulation, 2007, ch. V), and far fewer motions miss."""
 
     n: int
-    window: float
+    window: float | None
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
+    box: np.ndarray | None = None      # (2, 3): [lo_P, hi_P] of the box law
+    moving: np.ndarray | None = None   # (V, 3): the vertices of L, for the box law
+
+    @classmethod
+    def tight(cls, P: Polytope, L: Polytope, seed: int, n_samples: int,
+              shards: int = DEFAULT_SHARDS) -> "MotionSampler":
+        """The box law of motions of L against P."""
+        return cls(n=3, window=None, seed=seed, n_samples=n_samples, shards=shards,
+                   box=np.array([P.vertices.min(axis=0), P.vertices.max(axis=0)]),
+                   moving=L.vertices)
+
+    @property
+    def weighted(self) -> bool:
+        """Whether `draw` ends with per-sample weights (the box law)."""
+        return self.window is None
 
     @property
     def weight(self) -> float:
-        return self.window ** self.n
+        """The weight common to all samples: window^n, or 1 under the box
+        law, whose weights come per sample from `draw`."""
+        return 1.0 if self.weighted else self.window ** self.n
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The random numbers of m motions: normal quaternions (m, 4), then
         doubles in [0, 1) for the translations (m, 3)."""
         return rng.standard_normal((m, 4)), rng.random((m, 3))
 
-    def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Motions x -> R x + t from their variates: rotations (m, 3, 3),
-        translations (m, 3), which overwrite their variates."""
-        return (_rotations_from_quaternions(_unit_rows(q)),
-                _uniform(t, -self.window / 2.0, self.window / 2.0))
+    def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Motions x -> R x + t from their variates: rotations (m, 3, 3) and
+        translations (m, 3), which overwrite their variates; under the box
+        law also the box volumes (m,)."""
+        R = _rotations_from_quaternions(_unit_rows(q))
+        if not self.weighted:
+            return R, _uniform(t, -self.window / 2.0, self.window / 2.0)
+        proj = R @ self.moving.T                     # (m, 3, V): coordinates of R v
+        lo = self.box[0] - proj.max(axis=2)
+        width = self.box[1] - proj.min(axis=2)
+        width -= lo
+        t *= width
+        t += lo
+        return R, t, np.prod(width, axis=1)
 
 
 def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -207,6 +250,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 SEED_BLOCK = 128   # shards seeded per numpy pass
+SUM_BLOCK = 1 << 14   # samples per block of a shard's sum (_ShardSums)
 
 
 def _hashmix(value, h: int, mult: int = _MULT_A):
@@ -319,21 +363,66 @@ def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
     return R
 
 
+class _ShardSums:
+    """Per-shard sums of the kernel values, in an order that depends on the
+    shards only, not on the pieces the kernel runs on.  A shard's values are
+    cut into blocks of SUM_BLOCK from its start; each block is summed by one
+    np.add.reduceat over its values, and a shard's block sums are added in
+    order.  A block that spans pieces keeps its values until it is complete
+    (at most SUM_BLOCK values), never the samples.  A shard of at most
+    SUM_BLOCK samples is a single block, whose sum is the plain reduceat."""
+
+    def __init__(self, sizes: list[int]):
+        ends = np.cumsum(sizes)
+        # 0 and the ends of the blocks, as sample positions, and their shards
+        self.cuts = np.sort(np.concatenate(
+            [[0], ends] + [np.arange(e - s + SUM_BLOCK, e, SUM_BLOCK)
+                           for s, e in zip(sizes, ends) if s > SUM_BLOCK]))
+        self.shard = np.searchsorted(ends, self.cuts, side="left")
+        self.shards, self.sums, self.pending, self.pos, self.next = len(sizes), None, [], 0, 1
+
+    def add(self, vals: np.ndarray) -> None:
+        """Take the values of the next len(vals) samples."""
+        if self.sums is None:
+            self.sums = np.zeros((self.shards,) + vals.shape[1:])
+        lo, i0 = self.pos, self.next          # cuts[i0 - 1] <= lo < cuts[i0]
+        self.pos += len(vals)
+        self.next = i1 = int(self.cuts.searchsorted(self.pos, side="right"))
+        if i1 == i0:                          # no block ends in these values
+            self.pending.append(vals)
+            return
+        bounds = self.cuts[i0 - 1:i1] - lo    # the blocks ending here: starts, last end
+        bounds[0] = 0
+        block = np.add.reduceat(vals[:bounds[-1]], bounds[:-1], axis=0)
+        if self.pending:                      # the first block began before these values
+            self.pending.append(vals[:bounds[1]])
+            block[0] = np.add.reduceat(np.concatenate(self.pending), [0], axis=0)[0]
+        self.pending = [vals[bounds[-1]:]] if bounds[-1] < len(vals) else []
+        first, last = self.shard[i0], self.shard[i1 - 1]
+        if last - first == i1 - i0 - 1:       # one block per shard
+            self.sums[first:last + 1] += block
+        else:                                 # in order, per shard
+            np.add.at(self.sums, self.shard[i0:i1], block)
+
+
 def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate of sampler.weight * E[kernel(sample)]: the mean of the
-    per-shard means, with its standard error.  Shard k takes its variates
-    (`sampler.variates`) from the k-th spawned seed sequence, the stream of
+    """Estimate of sampler.weight * E[kernel(sample)] (times the per-sample
+    weight of a `weighted` sampler): the mean of the per-shard means, with
+    its standard error.  Shard k takes its variates (`sampler.variates`) from
+    the k-th spawned seed sequence, the stream of
     SeedSequence(seed, spawn_key=(k,)), whose seeding `_shard_rngs` batches;
     a chunk of whole shards (or of one large shard) is transformed into
-    samples at once (`sampler.draw`), and `kernel(*draws)` maps it to values
-    (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes samples,
-    sample_bytes being the kernel's temporary memory per sample."""
+    samples at once (`sampler.draw`, whose last array is the per-sample
+    weight of a weighted sampler), and `kernel(*draws)` maps it to values
+    (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes
+    samples, sample_bytes being the kernel's temporary memory per sample;
+    the sums do not depend on the chunking (`_ShardSums`)."""
     if sampler.shards < 2 or sampler.n_samples < 2 * sampler.shards:
         raise ValueError(f"need shards >= 2 and n_samples >= 2 * shards; got "
                          f"n_samples={sampler.n_samples}, shards={sampler.shards}")
     sizes = _shard_sizes(sampler.n_samples, sampler.shards)
     chunk = max(1, CHUNK_BYTES // sample_bytes)
-    sums, parts, first, count = None, [], 0, 0
+    totals, parts, count = _ShardSums(sizes), [], 0
     for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
         parts.append(sampler.variates(rng, sizes[k]))
         count += sizes[k]
@@ -346,14 +435,17 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
         parts = []
         draws = sampler.draw(*variates)
         del variates
-        starts = np.cumsum([0] + sizes[first:k])   # shards first..k within the chunk
+        if sampler.weighted:
+            *draws, weights = draws
         for lo in range(0, count, chunk):  # several pieces only for one large shard
             vals = np.asarray(kernel(*(d[lo:lo + chunk] for d in draws)), dtype=float)
-            if sums is None:
-                sums = np.zeros((sampler.shards,) + vals.shape[1:])
-            sums[first:k + 1] += np.add.reduceat(vals, starts, axis=0)
+            if sampler.weighted:
+                w = weights[lo:lo + chunk]
+                vals = vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+            totals.add(vals)
         del draws, vals
-        first, count = k + 1, 0
+        count = 0
+    sums = totals.sums
     sizes = np.array(sizes, dtype=float).reshape((-1,) + (1,) * (sums.ndim - 1))
     return _reduce_shards(sampler.weight * (sums / sizes))
 
@@ -751,48 +843,69 @@ def kinematic_target(P: Polytope, L: Polytope, j: int) -> float:
 class _SeparatingAxes:
     """Exact separating-axis test of P against moved copies R L + x.  The
     axes are tried in three stages, each only on the motions that no earlier
-    stage separated: the facet normals of P (P projected once), the rotated
-    facet normals of L, and the cross products of edge directions."""
+    stage separated: the facet normals of P, the rotated facet normals of L,
+    and the cross products of edge directions.  Axes are stored as columns,
+    (3, A) for all motions or (m, 3, A) per motion, so that each projection
+    is one matmul to (m, vertices, A), reduced over the vertex axis
+    (`_vertex_major`)."""
 
     def __init__(self, P: Polytope, L: Polytope):
         self.vp, self.vl = P.vertices, L.vertices
-        self.axesP, self.axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
+        self.axesP = _distinct_axes(P.facet_normals).T              # (3, A)
+        self.axesL = _distinct_axes(L.facet_normals).T              # (3, AL)
         self.dirsP, self.dirsL = P.edge_directions(), L.edge_directions()
-        pp = self.vp @ self.axesP.T                            # (VP, A)
-        self.plo, self.phi = pp.min(axis=0), pp.max(axis=0)
         self.cross_axes = len(self.dirsP) * len(self.dirsL)
-        # the (m, axes, vertices) projections dominate: per motion of the
+        # the (m, vertices, axes) projections dominate: per motion of the
         # first two stages, and per motion that reaches the cross products,
         # which run on those motions in pieces
         per_axis = 8 * (len(self.vp) + len(self.vl) + 12)
-        self.sample_bytes = per_axis * (len(self.axesP) + len(self.axesL))
+        self.sample_bytes = per_axis * (self.axesP.shape[1] + self.axesL.shape[1])
         self.piece = max(1, CHUNK_BYTES // (per_axis * max(1, self.cross_axes)))
 
     def hits(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Does P meet R[t] L + x[t], per motion t."""
-        vlw = np.einsum("mij,vj->mvi", R, self.vl) + x[:, None, :]     # (m, VL, 3)
-        ql = np.einsum("ai,mvi->mav", self.axesP, vlw)                  # (m, A, VL)
-        hit = ~np.any((ql.min(axis=2) > self.phi[None, :] + SAT_TOL)
-                      | (ql.max(axis=2) < self.plo[None, :] - SAT_TOL), axis=1)
+        vlw = self.vl @ R.transpose(0, 2, 1)                        # (m, VL, 3)
+        vlw += x[:, None, :]
+        hit = ~self._separated(self.axesP, vlw)
         live = np.flatnonzero(hit)
-        axL = np.einsum("mij,aj->mai", R[live], self.axesL)            # (m', AL, 3)
-        hit[live] = ~self._separated(axL, vlw[live])
+        hit[live] = ~self._separated(R[live] @ self.axesL, vlw[live])
         live = live[hit[live]]
         for lo in range(0, live.size, self.piece):
             idx = live[lo:lo + self.piece]
-            crs = np.cross(self.dirsP[None, :, None, :],
-                           np.einsum("mij,ej->mei", R[idx], self.dirsL)[:, None, :, :])
-            hit[idx] = ~self._separated(crs.reshape(idx.size, self.cross_axes, 3), vlw[idx])
+            hit[idx] = ~self._separated(self._cross(R[idx]), vlw[idx])
         return hit
 
+    def _cross(self, R: np.ndarray) -> np.ndarray:
+        """The axes d_P x R d_L (m, 3, EP * EL) of every pair of edge
+        directions."""
+        a, b = self.dirsP.T, self.dirsL @ R.transpose(0, 2, 1)       # (3, EP), (m, EL, 3)
+        out = np.empty((len(R), 3, a.shape[1], b.shape[1]))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            np.subtract(a[j, None, :, None] * b[:, None, :, k],
+                        a[k, None, :, None] * b[:, None, :, j], out=out[:, i])
+        return out.reshape(len(R), 3, -1)
+
     def _separated(self, axes: np.ndarray, vlw: np.ndarray) -> np.ndarray:
-        """Does one of the axes (m, AA, 3) separate P from the moved vertices."""
-        pp = np.einsum("mai,vi->mav", axes, self.vp)                    # (m, AA, VP)
-        qq = np.einsum("mai,mvi->mav", axes, vlw)                       # (m, AA, VL)
-        nrm = np.linalg.norm(axes, axis=2)
-        sep = ((qq.min(axis=2) > pp.max(axis=2) + SAT_TOL * nrm)
-               | (qq.max(axis=2) < pp.min(axis=2) - SAT_TOL * nrm)) & (nrm > 1e-12)
-        return np.any(sep, axis=1)
+        """Does one of the axes, (3, AA) or (m, 3, AA), separate P from the
+        moved vertices vlw (m, VL, 3)."""
+        pp = _vertex_major(self.vp, axes)                            # (VP, [m,] AA)
+        qq = _vertex_major(vlw, axes)                                # (VL, m, AA)
+        nrm = np.sqrt(np.sum(axes * axes, axis=-2))
+        slack = SAT_TOL * nrm
+        sep = ((qq.min(axis=0) > pp.max(axis=0) + slack)
+               | (qq.max(axis=0) < pp.min(axis=0) - slack)) & (nrm > 1e-12)
+        return np.any(sep, axis=-1)
+
+
+def _vertex_major(v: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """The projections v @ axes, (m, V, A) for v (m, V, 3) or (V, 3), stored
+    vertex-major as (V, m, A), so that the extremes over the vertices run
+    over whole (m, A) rows rather than A values at a time."""
+    lead = np.broadcast_shapes(v.shape[:-2], axes.shape[:-2])
+    out = np.empty((v.shape[-2],) + lead + (axes.shape[-1],))
+    np.matmul(v, axes, out=np.moveaxis(out, 0, -2))
+    return out
 
 
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
@@ -801,6 +914,10 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     """Monte-Carlo check of the principal kinematic formula: average of
     V_j(P n gL) over rigid motions g against the bilinear target.
 
+    Translations follow the box law of `MotionSampler` (the coordinate box
+    of P - R L per rotation, weighted by its volume); an explicit `window`
+    draws them in the centred cube of that side instead, and raises if hits
+    reach its boundary when it is smaller than the provably safe side.
     j = 0 runs a vectorized exact separating-axis test; j >= 1 reads V_j of
     the intersection from its edges (`MotionIntersections`), with no hull
     per motion."""
@@ -809,9 +926,6 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
         raise ValueError(f"need 0 <= j <= {n}")
     if P.dim != 3 or L.dim != 3:
         raise ValueError("kinematic sampling expects full-dimensional bodies")
-    safe = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-    W = window if window is not None else safe
-    sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
     boundary_hits = 0
     if j == 0:
@@ -820,6 +934,12 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     else:
         inter = MotionIntersections(P, L)
         sample_bytes = inter.sample_bytes
+    if window is None:
+        sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
+        sample_bytes += 24 * len(L.vertices)   # the (m, 3, V) coordinates of R L in draw
+    else:
+        sampler = MotionSampler(n=n, window=window, seed=seed, n_samples=n_samples,
+                                shards=shards)
 
     def kernel(R, x):
         nonlocal boundary_hits
@@ -829,20 +949,24 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
         else:
             vols = inter.volumes(R, x)
             hits, vals = vols[:, 0] > 0, vols[:, j]
-        shell = np.max(np.abs(x), axis=1) >= 0.98 * (W / 2.0)
-        boundary_hits += int(np.count_nonzero(hits & shell))
+        if window is not None:
+            shell = np.max(np.abs(x), axis=1) >= 0.98 * (window / 2.0)
+            boundary_hits += int(np.count_nonzero(hits & shell))
         return vals
 
     est, se = run_shards(sampler, kernel, sample_bytes)
-    if W < safe * (1.0 - 1e-12) and boundary_hits > 0:
-        raise ValueError(
-            f"translation window {W:.4g} too small for the contact set "
-            f"(needs {safe:.4g}): {boundary_hits} boundary hits")
+    extra = {"j": j, "window": window, "shards": shards}
+    if window is not None:
+        safe = 2.0 * (P.enclosing_radius + L.enclosing_radius)
+        if window < safe * (1.0 - 1e-12) and boundary_hits > 0:
+            raise ValueError(
+                f"translation window {window:.4g} too small for the contact set "
+                f"(needs {safe:.4g}): {boundary_hits} boundary hits")
+        extra.update(weight=sampler.weight, boundary_hits=boundary_hits)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=kinematic_target(P, L, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"j": j, "window": W, "weight": sampler.weight, "shards": shards,
-               "boundary_hits": boundary_hits})
+        extra=extra)
 
 
 def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,

@@ -234,6 +234,43 @@ def test_integral_float_option_from_config_is_accepted(tmp_path):
     assert code == 0 and rep["seed"] == 7
 
 
+EVALUATE = ["evaluate", "--spec", "projection_body", "--body", "cube"]
+CHECK_VALUATION = ["check-valuation", "--spec", "projection_body", "--body", "cube",
+                   "--plane", "0,0,1,0.5", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv,config,flag", [
+    (["lemma52", "--seed", "1"], {"samples": "abc"}, "--samples"),
+    (["lemma52", "--seed", "1"], {"samples": 0}, "--samples"),
+    (["lemma52", "--seed", "1"], {"band": 0}, "--band"),
+    (["lemma52", "--seed", "1"], {"band": 191}, "--band"),
+    (["lemma52", "--seed", "1"], {"n": 1}, "--n"),
+    (["multipliers", "--n", "3"], {"berg": 99}, "--berg"),
+    (["multipliers"], {"berg": 1}, "--berg"),
+    (["multipliers"], {"kmax": 2.5}, "--kmax"),
+    (["multipliers"], {"kmax": -3}, "--kmax"),
+    (["multipliers"], {"kmax": 100000}, "--kmax"),
+    (["multipliers"], {"n": "3"}, "--n"),
+    (EVALUATE, {"band": -1}, "--band"),
+    (EVALUATE, {"band": 33}, "--band"),
+    (EVALUATE, {"kmax": 100000}, "--kmax"),
+    (EVALUATE, {"kmax": 0}, "--kmax"),
+    (CHECK_VALUATION, {"kmax": 2.5}, "--kmax"),
+    (["kinematic", "--body", "cube", "--spec", "projection_body", "--N", "100",
+      "--seed", "1"], {"kmax": 100000}, "--kmax"),
+    (["crofton-mv", "--body", "cube", "--N", "100", "--seed", "1"], {"kmax": -3}, "--kmax"),
+])
+def test_integer_option_out_of_its_range_is_an_input_error(tmp_path, argv, config, flag):
+    # from a config file, "samples": "abc" and "berg": 99 ended in
+    # tracebacks, "kmax": 2.5 ran as kmax 2, "kmax": -3 printed no rows,
+    # "band": -1 was ignored and "kmax": 100000 ran for minutes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, rep = run(tmp_path, *argv, "--config", str(path))
+    assert code == 2
+    assert set(rep) == {"error"} and flag in rep["error"]
+
+
 @pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
 def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",

@@ -170,6 +170,36 @@ def test_kinematic_mc_random_bodies():
     assert rep.within(3.5)
 
 
+def slab_and_needle():
+    """A thin slab and a needle: for most rotations the coordinate box of
+    P - R L is much larger than P - R L itself."""
+    corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    return (Polytope.from_vertices(corners * [1.0, 1.0, 0.02]),
+            Polytope.from_vertices(corners * [0.02, 0.02, 1.0]))
+
+
+@pytest.mark.parametrize("j,n_samples,seed", [(0, 20000, 61), (1, 3000, 62), (2, 3000, 63),
+                                              (3, 3000, 64)])
+def test_box_law_is_unbiased_on_slab_and_needle(j, n_samples, seed):
+    rep = kinematic_check(*slab_and_needle(), j, n_samples, seed=seed)
+    assert rep.within(3.5), f"j={j}: z = {rep.z:.2f}"
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("shift,shift_other", [
+    ((1e3, -1e3, 1e3), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (-1e3, 0.0, 1e3)),
+    ((1e3 / 3, 1e3 / 7, -1e3), (1e3, -1e3 / 3, 0.5)),
+])
+def test_kinematic_estimate_is_translation_invariant(j, shift, shift_other):
+    # the box law moves with the bodies: the same motions up to rounding
+    P, L = cube(), random_hull(52)
+    ref = kinematic_check(P, L, j, 1000, seed=9)
+    rep = kinematic_check(P.translated(shift), L.translated(shift_other), j, 1000, seed=9)
+    assert rep.estimate == pytest.approx(ref.estimate, rel=1e-10)
+    assert rep.stderr == pytest.approx(ref.stderr, rel=1e-10)
+
+
 def jittered_icosahedra(seed):
     """Two icosahedra with radial jitter of +-10 %: 20 + 20 facet axes and
     30 x 30 cross-product axes for the separating-axis test."""
@@ -208,9 +238,12 @@ def test_separating_axes_memory_is_bounded_by_the_chunk():
 def test_kinematic_window_too_small_detected():
     with pytest.raises(ValueError, match="boundary hits"):
         kinematic_check(cube(), cube(), 0, 4000, seed=3, window=1.5)
-    # the default window is provably safe: no error, hits recorded
-    rep = kinematic_check(cube(), cube(), 0, 4000, seed=3)
+    # the provably safe window: no error, hits recorded
+    rep = kinematic_check(cube(), cube(), 0, 4000, seed=3, window=4.0 * cube().enclosing_radius)
     assert "boundary_hits" in rep.extra
+    # the default box law contains every contact position: no window to check
+    rep = kinematic_check(cube(), cube(), 0, 4000, seed=3)
+    assert rep.extra["window"] is None and "boundary_hits" not in rep.extra
 
 
 def test_hadwiger_consistency():

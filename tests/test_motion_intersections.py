@@ -76,14 +76,14 @@ def test_kernel_of_missed_motions_vanishes():
 
 
 # estimates of the per-motion loop (hull of the moved body, then intersect)
-# that MotionIntersections replaced
+# that MotionIntersections replaced, under the cube law of translations
 @pytest.mark.parametrize("j,estimate,stderr", [
     (1, 16.397872239130802, 3.646578132759551),
     (2, 6.732316316378385, 2.034482768869439),
     (3, 0.9058473200956854, 0.37614675219453886),
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
-    rep = kinematic_check(cube(), cube(), j, 400, seed=33)
+    rep = kinematic_check(cube(), cube(), j, 400, seed=33, window=4.0 * cube().enclosing_radius)
     assert rep.estimate == pytest.approx(estimate, rel=1e-12)
     assert rep.stderr == pytest.approx(stderr, rel=1e-12)
 

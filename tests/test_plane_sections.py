@@ -173,26 +173,25 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
         crofton_intrinsic(cube(), 1, 1, n_samples, seed=1, shards=shards)
 
 
-def per_shard_loop(sampler, kernel, chunk: int):
-    """run_shards with each shard's variates transformed on their own, the
-    chunks and reductions otherwise the same."""
+def per_shard_loop(sampler, kernel):
+    """run_shards shard by shard: each shard's variates transformed on their
+    own, and its values, weighted per sample under a weighted law, summed
+    as a whole in blocks of SUM_BLOCK from its start (one reduceat each),
+    the block sums added in order."""
+    sums = []
     sizes = _shard_sizes(sampler.n_samples, sampler.shards)
-    sums, parts, first, count = None, [], 0, 0
-    for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
-        parts.append(sampler.draw(*sampler.variates(rng, sizes[k])))
-        count += sizes[k]
-        if k + 1 < len(sizes) and count + sizes[k + 1] <= chunk:
-            continue
-        draws = [np.concatenate(a) for a in zip(*parts)]
-        starts = np.cumsum([0] + sizes[first:k])
-        parts = []
-        for lo in range(0, count, chunk):
-            vals = kernel(*(d[lo:lo + chunk] for d in draws))
-            if sums is None:
-                sums = np.zeros((sampler.shards,) + vals.shape[1:])
-            sums[first:k + 1] += np.add.reduceat(vals, starts, axis=0)
-        first, count = k + 1, 0
-    means = sampler.weight * (sums / np.array(sizes, dtype=float)[:, None])
+    for size, rng in zip(sizes, _shard_rngs(sampler.seed, sampler.shards)):
+        draws = sampler.draw(*sampler.variates(rng, size))
+        if sampler.weighted:
+            *draws, w = draws
+        vals = kernel(*draws)
+        if sampler.weighted:
+            vals = vals * w[:, None]
+        total = 0.0
+        for lo in range(0, size, integral_geom.SUM_BLOCK):
+            total = total + np.add.reduceat(vals[lo:lo + integral_geom.SUM_BLOCK], [0], axis=0)[0]
+        sums.append(total)
+    means = sampler.weight * (np.array(sums) / np.array(sizes, dtype=float)[:, None])
     return means.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(sampler.shards)
 
 
@@ -205,6 +204,7 @@ SAMPLERS = {
     "lines": lambda n, shards: PlaneSampler(3, 2, 1.3, 22, n, shards),
     "points": lambda n, shards: PlaneSampler(3, 3, 1.3, 23, n, shards),
     "motions": lambda n, shards: MotionSampler(3, 2.5, 24, n, shards),
+    "box": lambda n, shards: MotionSampler.tight(cube(), random_hull(51), 25, n, shards),
 }
 
 
@@ -220,8 +220,22 @@ def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, sh
     sampler = SAMPLERS[kind](n_samples, shards)
     monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
     est, se = run_shards(sampler, every_coordinate, 8)
-    ref_est, ref_se = per_shard_loop(sampler, every_coordinate, chunk)
+    ref_est, ref_se = per_shard_loop(sampler, every_coordinate)
     assert np.array_equal(est, ref_est) and np.array_equal(se, ref_se)
+
+
+@pytest.mark.parametrize("kind", ["planes", "box"])
+@pytest.mark.parametrize("block", [1, 7, 100, 600])
+def test_shard_sums_do_not_depend_on_the_pieces(monkeypatch, kind, block):
+    # shards of 501 and 502 samples in blocks of `block`, run in pieces of
+    # every size from one sample to whole chunks of shards
+    monkeypatch.setattr(integral_geom, "SUM_BLOCK", block)
+    sampler = SAMPLERS[kind](1003, 2)
+    ref = per_shard_loop(sampler, every_coordinate)
+    for chunk in (1, 3, 64, 100, 501, 502, 10 ** 6):
+        monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
+        est, se = run_shards(sampler, every_coordinate, 8)
+        assert np.array_equal(est, ref[0]) and np.array_equal(se, ref[1]), chunk
 
 
 def _peak_bytes(fn) -> int:

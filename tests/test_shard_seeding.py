@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkval.convex import cube
+from minkval.convex import cube, random_hull
 from minkval.integral_geom import (
     SEED_BLOCK,
     MotionSampler,
@@ -95,6 +95,16 @@ def uniform_motions(sampler, rng, m):
     return _rotations_from_quaternions(_unit_rows(q)), t
 
 
+def box_motions(sampler, rng, m):
+    """The box law of MotionSampler drawn with rng.uniform: translations
+    uniform in the coordinate box of P - R L of each rotation."""
+    q = rng.standard_normal((m, 4))
+    R = _rotations_from_quaternions(_unit_rows(q))
+    coords = R @ sampler.moving.T                # (m, 3, V): coordinates of R v
+    lo, hi = sampler.box[0] - coords.max(axis=2), sampler.box[1] - coords.min(axis=2)
+    return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
+
+
 SAMPLERS = [
     (PlaneSampler(3, 1, 1.3, 0, 0), uniform_flats),
     (PlaneSampler(3, 1, 7.0 / 3.0, 0, 0), uniform_flats),
@@ -103,6 +113,9 @@ SAMPLERS = [
     (PlaneSampler(3, 3, 1.3, 0, 0), uniform_flats),
     (MotionSampler(3, 2.5, 0, 0), uniform_motions),
     (MotionSampler(3, 1e3 / 3.0, 0, 0), uniform_motions),
+    (MotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
+    (MotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
+                         0, 0), box_motions),
 ]
 
 
