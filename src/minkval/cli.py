@@ -81,8 +81,17 @@ def load_spec(name: str, kmax: int) -> valuation.MinkowskiValuationSpec:
             return valuation.MinkowskiValuationSpec.from_json(json.load(fh), kmax=kmax)
     try:
         return valuation.builtin_spec(name, kmax=kmax)
-    except KeyError as exc:
-        raise InputError(str(exc)) from None
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"bad valuation spec {name!r}: {exc.args[0]}") from None
+
+
+def load_zonal(name: str, kmax: int) -> zonal.ZonalObject:
+    """A builtin zonal measure on S^2 by name; an unknown or malformed name
+    is an input error."""
+    try:
+        return zonal.builtin_zonal(name, n=3, kmax=kmax)
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"bad zonal measure {name!r}: {exc.args[0]}") from None
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -168,6 +177,9 @@ def _resolve_config(args, keys: list[str]) -> RunConfig:
                 file_vals = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"bad config file: {exc}") from None
+        if not isinstance(file_vals, dict):
+            raise InputError("bad config file: the top level must be a JSON object, "
+                             f"got {type(file_vals).__name__}")
     vals = {}
     for key in keys:
         flag_val = getattr(args, key.replace("-", "_"), None)
@@ -220,9 +232,13 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     i = _int_option(cfg, "i", 0, 2)
     tol = float(cfg.values.get("tol", 1e-9))
     meas = convex.area_measure(body, i)
+    # S_0 is held as the uniform measure; the report lists the vertices'
+    # normal cones instead, whose masses must tile the sphere
+    atom_mass, arc_mass = (m.tolist() for m in meas.piece_masses())
+    cone_mass = convex.normal_cone_masses(body).tolist() if i == 0 else []
     iv = convex.intrinsic_volumes(body)
     target = 3 * kappa(3 - i) * iv[i] / math.comb(3, i)
-    total = meas.total_mass
+    total = sum(atom_mass) + sum(arc_mass) + sum(cone_mass)
     residual = abs(total - target)
     report = {
         "config": cfg.as_json(),
@@ -232,14 +248,13 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
         "residual": residual,
         "atoms": len(meas.atoms),
         "arcs": len(meas.arcs),
-        "patches": len(meas.patches),
+        "patches": len(cone_mass),
         "intrinsic_volumes": list(iv.as_tuple()),
         "pass": residual <= tol,
     }
-    atom_mass, arc_mass, patch_mass = (m.tolist() for m in meas.piece_masses())
     rows = [["atom", m, *map(float, u)] for (u, _), m in zip(meas.atoms, atom_mass)]
     rows += [["arc", m, *map(float, a.a), *map(float, a.b)] for a, m in zip(meas.arcs, arc_mass)]
-    rows += [["patch", m] for m in patch_mass]
+    rows += [["patch", m] for m in cone_mass]
     return (0 if residual <= tol else 1), report, rows, ["piece", "mass", "data"]
 
 
@@ -365,7 +380,7 @@ def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     N, shards = _mc_size(cfg)
     kmax = _spec_kmax(cfg)
     body = load_body(str(cfg.values["body"]))
-    mu = zonal.builtin_zonal(str(cfg.values.get("mu", "dirac_pole")), n=3, kmax=kmax)
+    mu = load_zonal(str(cfg.values.get("mu", "dirac_pole")), kmax)
     degrees = str(cfg.values.get("degrees", "0,2,3,4")).split(",")
     if not all(k.strip().isdecimal() and int(k) <= kmax for k in degrees):
         raise InputError(f"--degrees must be integers in [0, kmax = {kmax}], "

@@ -5,8 +5,8 @@ Lower-dimensional bodies (polygons, segments, points from plane sections)
 are first class: their lattice is built in the ambient space, so the normal
 cones fatten to arcs, lunes and hemispheres and the area measures remain
 exact.  Area measure pieces are point atoms (facet normals), great-circle
-arcs (edge normal cones) and triangulated spherical regions (vertex normal
-cones).
+arcs (edge normal cones) and a uniform part: S_0 is the spherical Lebesgue
+measure for every nonempty body, and is held exactly as such.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .harmonics import legendre_rows
+from .harmonics import jacobi_quadrature, legendre_rows
+from .zonal import BERG_NATIVE_KMAX
 
 __all__ = [
     "Polytope",
     "AreaMeasure",
     "SphericalArc",
-    "SphericalPatch",
     "IntrinsicVolumes",
     "area_measure",
+    "normal_cone_masses",
     "steiner_area_measure",
     "intrinsic_volumes",
     "clip_halfspace",
@@ -162,12 +163,16 @@ class Polytope:
         if pts.shape[0] == 0:
             return P
         # both tolerances are relative to the extent of the centred cloud,
-        # so that a body's lattice does not depend on its size or position
+        # so that a body's lattice does not depend on its size or position;
+        # the dimension test also clears the rounding of the coordinates
+        # (about one ulp of the largest), which a tiny body far from the
+        # origin would otherwise read as extent
         scale = float(np.abs(pts - pts.mean(axis=0)).max())
         pts = _dedupe_points(pts, POINT_TOL * scale)
         centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False) if pts.shape[0] > 1 else np.zeros(3)
-        dim = int(np.sum(sv > 1e-9 * scale * math.sqrt(pts.shape[0])))
+        flat = max(1e-9 * scale, 4.0 * np.finfo(float).eps * float(np.abs(pts).max()))
+        dim = int(np.sum(sv > flat * math.sqrt(pts.shape[0])))
         if dim >= 3:
             P._build_3d(pts)
         elif dim == 2:
@@ -404,14 +409,6 @@ def _slerp(a: np.ndarray, b: np.ndarray, th: np.ndarray, s: np.ndarray) -> np.nd
             / np.sin(th)[:, None, None])
 
 
-@dataclass(frozen=True)
-class SphericalPatch:
-    """Union of spherical triangles with a scalar density per unit area."""
-
-    triangles: np.ndarray  # (m, 3, 3) rows of unit vectors
-    weight: float
-
-
 def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
     """Spherical excess E of triangles stacked on the leading axes of an
     (..., 3, 3) array of unit vectors, by the formula of Van Oosterom and
@@ -439,46 +436,6 @@ def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _collapsed_square(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (alpha, beta) and weights of the order x order Gauss rule on the
-    triangle alpha, beta >= 0, alpha + beta <= 1: the unit square in
-    (alpha, eta) collapsed by beta = eta (1 - alpha)."""
-    xi, wx = _gauss01(order)
-    alpha = np.repeat(xi, order)
-    return (alpha, np.tile(xi, order) * (1.0 - alpha),
-            np.repeat(wx, order) * np.tile(wx, order) * (1.0 - alpha))
-
-
-# The quadrature rule of the area measures: Gauss-Legendre on ARC_NODES
-# points per arc, and the TRI_ORDER x TRI_ORDER collapsed square on each
-# vertex-cone triangle after one uniform split.  The coarse cloud (arcs on
-# COARSE_ARC_NODES points, triangles unsplit) backs the error estimate of
-# AreaMeasure.integrate.
-ARC_NODES = 24
-COARSE_ARC_NODES = 12
-TRI_ORDER = 10
-_ARC_RULE = _gauss01(ARC_NODES)
-_COARSE_ARC_RULE = _gauss01(COARSE_ARC_NODES)
-_TRI_RULE = _collapsed_square(TRI_ORDER)
-
-
-def _triangle_nodes(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes (unit vectors) and weights, (K, TRI_ORDER^2, 3) and
-    (K, TRI_ORDER^2), of the spherical triangles tri (T, 3, 3), via radial
-    projection of the planar triangles; the spherical area element is
-    |det(A, u, v)| / |x|^3 dalpha dbeta.  The K triangles with
-    |det(A, u, v)| >= 1e-16 get nodes; the third array (T,) marks them."""
-    A = tri[:, 0]
-    u, v = tri[:, 1] - A, tri[:, 2] - A
-    triple = np.abs(np.vecdot(A, np.cross(u, v)))
-    keep = triple >= 1e-16
-    A, u, v, triple = A[keep, None], u[keep, None], v[keep, None], triple[keep, None]
-    alpha, beta, w = _TRI_RULE
-    x = A + alpha[:, None] * u + beta[:, None] * v
-    r = np.linalg.norm(x, axis=-1)   # rounds each square, unlike the dot of _norms
-    return x / r[..., None], w * triple / r ** 3, keep
-
-
 def _split_triangle(tri: np.ndarray) -> np.ndarray:
     """Split spherical triangles (..., 3, 3) at their edge midpoints into
     four each: (..., 4, 3, 3)."""
@@ -488,38 +445,47 @@ def _split_triangle(tri: np.ndarray) -> np.ndarray:
                      for t in ((A, ab, ca), (ab, B, bc), (ca, bc, C), (ab, bc, ca))], axis=-3)
 
 
+# The quadrature rules of the area measures: Gauss-Legendre on ARC_NODES
+# points per arc, and for the uniform part the UNIFORM_ORDER-point Gauss rule
+# on each of [-1, 0] and [0, 1] (the kink of abs_half), exact for polynomial
+# profiles up to the degree BERG_NATIVE_KMAX of the Berg expansions.
+ARC_NODES = 24
+UNIFORM_ORDER = BERG_NATIVE_KMAX // 2 + 1
+_ARC_RULE = _gauss01(ARC_NODES)
+
+
 @dataclass
 class AreaMeasure:
-    """Area measure S_i(P, .) on the unit sphere, split into atoms, arcs and
-    triangulated regions; all masses and densities are non-negative.
+    """Area measure S_i(P, .) on the unit sphere: atoms, great-circle arcs
+    and a uniform part `uniform` times sigma, the spherical Lebesgue
+    measure; all masses and densities are non-negative.
+
+    S_0(K, .) is sigma for every nonempty convex body K, so area_measure
+    gives S_0 as the uniform part with coefficient 1, held exactly, and the
+    t^i S_0 term of a parallel body rides along in scaled_mass and merged.
+    The normal cones of the vertices, which tile the sphere, appear only in
+    the `area-measure --i 0` report, through normal_cone_masses.
 
     Masses come from one batched pass over the pieces (piece_masses): one
-    _arc_angles call over all arcs and one _spherical_triangle_area call
-    over all patch triangles, each patch's excesses added in triangle order
-    and each kind of piece summed in piece order, as a loop over the pieces
-    would add them."""
+    _arc_angles call over all arcs, each kind of piece summed in piece
+    order, as a loop over the pieces would add them."""
 
     n: int
     degree: int
     atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
     arcs: list[SphericalArc] = field(default_factory=list)
-    patches: list[SphericalPatch] = field(default_factory=list)
+    uniform: float = 0.0
 
     @property
     def total_mass(self) -> float:
-        """Sum of the atom masses, plus that of the arc masses, plus that of
-        the patch masses, each summed in piece order."""
-        return sum(sum(m.tolist()) for m in self.piece_masses())
+        """Sum of the atom masses, plus that of the arc masses, each summed
+        in piece order, plus 4 pi times the uniform part."""
+        return sum(sum(m.tolist()) for m in self.piece_masses()) + 4.0 * math.pi * self.uniform
 
-    def piece_masses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masses of the atoms, of the arcs (density times angle) and of the
-        patches (weight times the summed spherical excess of its triangles)."""
+    def piece_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masses of the atoms and of the arcs (density times angle)."""
         a, b, density = self._arc_arrays()
-        tris, patch, weight = self._triangle_arrays()
-        excess = np.zeros(len(self.patches))
-        np.add.at(excess, patch, _spherical_triangle_area(tris))   # in triangle order
-        return (np.array([m for _, m in self.atoms], dtype=float),
-                density * _arc_angles(a, b), weight * excess)
+        return np.array([m for _, m in self.atoms], dtype=float), density * _arc_angles(a, b)
 
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ends (R, 3), (R, 3) and densities (R,) of the arcs."""
@@ -527,60 +493,39 @@ class AreaMeasure:
         b = np.array([arc.b for arc in self.arcs], dtype=float).reshape(-1, 3)
         return a, b, np.array([arc.density for arc in self.arcs], dtype=float)
 
-    def _triangle_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triangles of all patches (T, 3, 3), the patch of each (T,),
-        and the patch weights (K,)."""
-        tris = np.concatenate([p.triangles for p in self.patches] + [np.zeros((0, 3, 3))])
-        patch = np.repeat(np.arange(len(self.patches)), [len(p.triangles) for p in self.patches])
-        return tris, patch, np.array([p.weight for p in self.patches], dtype=float)
-
     def node_cloud(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened quadrature nodes and weights: atoms exact, arcs by
-        Gauss-Legendre on ARC_NODES points, patch triangles by the
-        TRI_ORDER x TRI_ORDER collapsed square after one uniform split."""
-        return self._cloud(_ARC_RULE, split=True)
-
-    def _cloud(self, arc_rule: tuple[np.ndarray, np.ndarray],
-               split: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the atoms, the arcs by the Gauss-Legendre
-        rule arc_rule on [0, 1], and the patch triangles, split once if
-        `split`, by the collapsed square."""
+        """Flattened quadrature nodes and weights of the atoms (exact) and
+        the arcs (Gauss-Legendre on ARC_NODES points); the uniform part is
+        integrated exactly and has no nodes."""
         atom_pts = np.array([u for u, _ in self.atoms], dtype=float).reshape(-1, 3)
         atom_wts = np.array([m for _, m in self.atoms], dtype=float)
         a, b, dens = self._arc_arrays()
         th = _arc_angles(a, b)
         live = th >= 1e-14
-        s, w = arc_rule
+        s, w = _ARC_RULE
         arc_pts = _slerp(a[live], b[live], th[live], s).reshape(-1, 3)
         arc_wts = ((dens[live] * th[live])[:, None] * w).ravel()
-        tris, patch, weight = self._triangle_arrays()
-        weight = weight[patch]
-        if split:
-            tris, weight = _split_triangle(tris).reshape(-1, 3, 3), np.repeat(weight, 4)
-        tri_pts, tri_wts, keep = _triangle_nodes(tris)
-        return (np.concatenate([atom_pts, arc_pts, tri_pts.reshape(-1, 3)]),
-                np.concatenate([atom_wts, arc_wts, (weight[keep, None] * tri_wts).ravel()]))
-
-    def integrate(self, fn, with_error: bool = False):
-        """Integral of fn (vectorized on (m, 3) arrays of unit vectors)
-        against the measure, over node_cloud().  With with_error, also the
-        estimate |fine - coarse| of its error, the coarse value coming from
-        arcs on COARSE_ARC_NODES points and unsplit triangles."""
-        pts, wts = self.node_cloud()
-        total = float(wts @ fn(pts))
-        if not with_error:
-            return total
-        pts, wts = self._cloud(_COARSE_ARC_RULE, split=False)
-        return total, abs(total - float(wts @ fn(pts)))
+        return np.concatenate([atom_pts, arc_pts]), np.concatenate([atom_wts, arc_wts])
 
     def zonal_moments(self, dirs: np.ndarray, kmax: int) -> np.ndarray:
         """Moments M_k(w) = int P_k^n(u . w) dS(u) for every direction w in
-        dirs; returns an array of shape (kmax+1, len(dirs))."""
-        return self._zonal_sums(dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
+        dirs; returns an array of shape (kmax+1, len(dirs)).  The uniform
+        part adds 4 pi c to M_0 and, P_k being orthogonal to 1 for k >= 1,
+        nothing to the other rows."""
+        out = self._zonal_sums(dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
+        out[0] += 4.0 * math.pi * self.uniform
+        return out
 
     def integrate_zonal(self, profile, dirs: np.ndarray) -> np.ndarray:
-        """Values of w -> int profile(u . w) dS(u) for each direction."""
-        return self._zonal_sums(dirs, 1, lambda t: [np.asarray(profile(t), dtype=float)])[0]
+        """Values of w -> int profile(u . w) dS(u) for each direction.  The
+        uniform part adds 2 pi c int_{-1}^{1} profile(t) dt at every w."""
+        out = self._zonal_sums(dirs, 1, lambda t: [np.asarray(profile(t), dtype=float)])[0]
+        if self.uniform:
+            q = jacobi_quadrature(3, UNIFORM_ORDER)    # Gauss-Legendre: the weight is 1 at n = 3
+            t = np.concatenate([q.nodes - 1.0, q.nodes + 1.0]) / 2.0
+            w = np.concatenate([q.weights, q.weights]) / 2.0
+            out += 2.0 * math.pi * self.uniform * float(w @ np.asarray(profile(t), dtype=float))
+        return out
 
     def _zonal_sums(self, dirs, nrows: int, rows) -> np.ndarray:
         """sum_u wts_u r(u . w) over node_cloud() for the nrows functions r
@@ -600,13 +545,13 @@ class AreaMeasure:
             self.n, self.degree,
             atoms=[(u, c * m) for u, m in self.atoms],
             arcs=[SphericalArc(a.a, a.b, c * a.density) for a in self.arcs],
-            patches=[SphericalPatch(p.triangles, c * p.weight) for p in self.patches])
+            uniform=c * self.uniform)
 
     def merged(self, other: "AreaMeasure") -> "AreaMeasure":
         return AreaMeasure(self.n, self.degree,
                            atoms=self.atoms + other.atoms,
                            arcs=self.arcs + other.arcs,
-                           patches=self.patches + other.patches)
+                           uniform=self.uniform + other.uniform)
 
 
 def _direction_blocks(nodes: int, ndirs: int) -> list[slice]:
@@ -634,9 +579,9 @@ def _facet_entries(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return cyc, np.repeat(np.arange(len(lens)), lens)
 
 
-def _vertex_cone_triangles(P: Polytope) -> list[np.ndarray]:
-    """The fan triangles of the normal cone of each vertex of a
-    full-dimensional P that has any, vertex by vertex.
+def _vertex_cone_triangles(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The fan triangles (T, 3, 3) of the normal cones of the vertices of a
+    full-dimensional P, vertex by vertex, and the vertex of each (T,).
 
     A vertex's cone is the cycle of the normals of its facets.  The cycle
     starts at the lower facet of the vertex's first edge in P.edges and
@@ -686,9 +631,30 @@ def _vertex_cone_triangles(P: Polytope) -> list[np.ndarray]:
     rank = np.arange(len(cyc)) - offset[owner]
     nxt = pts[offset[owner] + (rank + 1) % deg[owner]]
     keep = _norms(np.cross(pts - c, nxt - c)) > 1e-14
-    tris = np.stack([c, pts, nxt], axis=1)[keep]
-    counts = np.bincount(owner[keep], minlength=nv)
-    return [t for t in np.split(tris, np.cumsum(counts)[:-1]) if len(t)]
+    return np.stack([c, pts, nxt], axis=1)[keep], owner[keep]
+
+
+def normal_cone_masses(P: Polytope) -> np.ndarray:
+    """The solid angle of the normal cone of each vertex of P, in vertex
+    order.  The cones tile the sphere, so the masses add up to 4 pi; they
+    make the pieces of the `area-measure --i 0` report.  A full body adds
+    the spherical excesses of each cone's fan triangles in fan order; a
+    polygon's cones are lunes of twice the angle between the normals of a
+    vertex's two edges; a segment has two hemispheres and a point the
+    whole sphere."""
+    if P.dim == 3:
+        tris, owner = _vertex_cone_triangles(P)
+        masses = np.zeros(P.num_vertices)
+        np.add.at(masses, owner, _spherical_triangle_area(tris))   # in fan order
+        return masses
+    if P.dim == 2:
+        me = P.edge_normals_inplane
+        return 2.0 * _arc_angles(np.roll(me, 1, axis=0), me)
+    if P.dim == 1:
+        return np.array([2.0 * math.pi, 2.0 * math.pi])
+    if P.dim == 0:
+        return np.array([4.0 * math.pi])
+    return np.zeros(0)
 
 
 def area_measure(P: Polytope, i: int) -> AreaMeasure:
@@ -696,26 +662,29 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
 
     S_i = C(2, i)^(-1) * sum over i-faces F of vol_i(F) times the spherical
     Hausdorff measure on the normal cone of F; the binomial normalization
-    makes the total mass equal to n V(P[i]; B[n-i]).  The faces' lengths and
-    cones are computed for all faces at once.
+    makes the total mass equal to n V(P[i]; B[n-i]).  The normal cones of
+    the vertices tile the sphere, so S_0 is the uniform measure sigma for
+    every nonempty P.  The faces' lengths and cones are computed for all
+    faces at once.
     """
     if not 0 <= i <= 2:
         raise ValueError(f"degree must satisfy 0 <= i <= n-1 = 2, got {i}")
     meas = AreaMeasure(3, i)
     if P.is_empty:
         return meas
+    if i == 0:
+        meas.uniform = 1.0
+        return meas
     binom = math.comb(2, i)
     if P.dim == 3:
         if i == 2:
             meas.atoms = list(zip(P.facet_normals, P.facet_areas.tolist()))
-        elif i == 1:
+        else:
             edges = _edge_array(P)
             density = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]]) / binom
             meas.arcs = [SphericalArc(a, b, d) for a, b, d in
                          zip(P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]],
                              density.tolist())]
-        else:
-            meas.patches = [SphericalPatch(t, 1.0) for t in _vertex_cone_triangles(P)]
     elif P.dim == 2:
         w = P.plane_normal
         pts = P.vertices[P.polygon_cycle]
@@ -723,46 +692,16 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
         if i == 2:
             area = _polygon_area3d(pts)
             meas.atoms = [(w.copy(), area), (-w, area)]
-        elif i == 1:
+        else:
             density = (_norms(np.roll(pts, -1, axis=0) - pts) / binom).tolist()
             meas.arcs = [arc for k, d in enumerate(density)
                          for arc in (SphericalArc(w.copy(), me[k], d), SphericalArc(me[k], -w, d))]
-        else:
-            # the lune of each vertex, between its two edge normals, as four
-            # triangles about their normalised sum
-            m_prev, m_next = np.roll(me, 1, axis=0), me
-            c = m_prev + m_next
-            keep = _norms(c) >= 1e-12
-            c, m_prev, m_next = _unit(c[keep]), m_prev[keep], m_next[keep]
-            up, down = np.broadcast_to(w, c.shape), np.broadcast_to(-w, c.shape)
-            tris = np.stack([np.stack(t, axis=1) for t in ((c, up, m_prev), (c, m_prev, down),
-                                                          (c, down, m_next), (c, m_next, up))],
-                            axis=1)
-            meas.patches = [SphericalPatch(t, 1.0) for t in tris]
-    elif P.dim == 1:
+    elif P.dim == 1 and i == 1:
         d = _unit(P.vertices[1] - P.vertices[0])
         length = float(np.linalg.norm(P.vertices[1] - P.vertices[0]))
         p, q = _plane_basis(d)
         ring = [p, q, -p, -q]
-        if i == 1:
-            for k in range(4):
-                meas.arcs.append(SphericalArc(ring[k], ring[(k + 1) % 4], length / binom))
-        elif i == 0:
-            for pole in (d, -d):
-                tris = np.array([(pole, ring[k], ring[(k + 1) % 4]) for k in range(4)])
-                meas.patches.append(SphericalPatch(tris, 1.0))
-    elif P.dim == 0:
-        if i == 0:
-            e = np.eye(3)
-            tris = []
-            for sx in (1, -1):
-                for sy in (1, -1):
-                    for sz in (1, -1):
-                        tri = np.array([sx * e[0], sy * e[1], sz * e[2]])
-                        if np.dot(np.cross(tri[1] - tri[0], tri[2] - tri[0]), tri.sum(axis=0)) < 0:
-                            tri = tri[::-1]
-                        tris.append(tri)
-            meas.patches.append(SphericalPatch(np.array(tris), 1.0))
+        meas.arcs = [SphericalArc(ring[k], ring[(k + 1) % 4], length / binom) for k in range(4)]
     return meas
 
 

@@ -513,6 +513,8 @@ def builtin_zonal(name: str, n: int = 3, kmax: int = DEFAULT_KMAX) -> ZonalObjec
         return tau(n, kmax)
     if name == "const" or name.startswith("const:"):
         c = float(name.split(":", 1)[1]) if ":" in name else 1.0
+        if not math.isfinite(c):
+            raise ValueError(f"constant density must be finite, got {c}")
         return ZonalObject.constant(n, c, kmax)
     if name.startswith("berg:"):
         j = int(name.split(":", 1)[1])

@@ -271,6 +271,38 @@ def test_integer_option_out_of_its_range_is_an_input_error(tmp_path, argv, confi
     assert set(rep) == {"error"} and flag in rep["error"]
 
 
+CROFTON_MV = ["crofton-mv", "--body", "cube", "--N", "100", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (CROFTON_MV + ["--mu", "nosuch"], None),
+    (CROFTON_MV, {"mu": "nosuch"}),
+    (CROFTON_MV + ["--mu", "berg:x"], None),
+    (CROFTON_MV + ["--mu", "const:nan"], None),
+])
+def test_unknown_zonal_builtin_is_an_input_error(tmp_path, argv, config):
+    # the lookup ended in a KeyError or ValueError traceback with exit code
+    # 1, and const:nan in a ValueError of the JSON writer
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert set(rep) == {"error"} and "zonal" in rep["error"]
+
+
+def test_config_file_that_is_not_an_object_is_an_input_error(tmp_path):
+    # a JSON list was silently ignored, and a string made `key in file`
+    # a substring test ("kmax" ended in a TypeError traceback)
+    for top in ([1, 2], "kmax"):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(top))
+        code, rep = run(tmp_path, "multipliers", "--config", str(path))
+        assert code == 2
+        assert set(rep) == {"error"} and "JSON object" in rep["error"]
+
+
 @pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
 def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",

@@ -1,7 +1,7 @@
 """The one-body sums over faces (intrinsic volumes, area-measure pieces and
-masses, the area-measure CSV rows) against the per-face loops they replaced:
-the batched pass adds the same terms in the same order, so every value must
-come out bit-identical."""
+masses, normal-cone masses, the area-measure CSV rows) against the per-face
+loops they replaced: the batched pass adds the same terms in the same order,
+so every value must come out bit-identical."""
 
 import csv
 import io
@@ -22,6 +22,7 @@ from minkval.convex import (
     ball_polytope,
     cube,
     intrinsic_volumes,
+    normal_cone_masses,
     octahedron,
     random_hull,
     simplex,
@@ -83,10 +84,10 @@ def loop_fan(cycle_pts):
 
 
 def loop_pieces(P, i):
-    """The atoms (normal, mass), arcs (a, b, density) and patch triangles of
-    S_i of a polytope of dimension 2 or 3, face by face."""
+    """The atoms (normal, mass) and arcs (a, b, density) of S_i of a
+    polytope of dimension 2 or 3, face by face."""
     binom = math.comb(2, i)
-    atoms, arcs, patches = [], [], []
+    atoms, arcs = [], []
     if P.dim == 3:
         if i == 2:
             atoms = [(P.facet_normals[f], float(P.facet_areas[f]))
@@ -95,15 +96,6 @@ def loop_pieces(P, i):
             for a, b, f1, f2 in P.edges:
                 length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
                 arcs.append((P.facet_normals[f1], P.facet_normals[f2], length / binom))
-        else:
-            incident = [[] for _ in range(P.num_vertices)]
-            for e in P.edges:
-                incident[e[0]].append(e)
-                incident[e[1]].append(e)
-            for v in range(P.num_vertices):
-                tris = loop_fan(loop_vertex_cone(P, incident[v]))
-                if tris.size:
-                    patches.append(tris)
     else:
         w, cyc = P.plane_normal, P.polygon_cycle
         m = len(cyc)
@@ -115,35 +107,50 @@ def loop_pieces(P, i):
                 length = float(np.linalg.norm(P.vertices[cyc[(k + 1) % m]] - P.vertices[cyc[k]]))
                 me = P.edge_normals_inplane[k]
                 arcs += [(w, me, length / binom), (me, -w, length / binom)]
-        else:
-            for k in range(m):
-                m_prev, m_next = P.edge_normals_inplane[(k - 1) % m], P.edge_normals_inplane[k]
-                c = m_prev + m_next
-                if np.linalg.norm(c) < 1e-12:
-                    continue
-                c = _unit(c)
-                patches.append(np.array([(c, w, m_prev), (c, m_prev, -w),
-                                         (c, -w, m_next), (c, m_next, w)]))
-    return atoms, arcs, patches
+    return atoms, arcs
+
+
+def loop_cone_masses(P):
+    """The solid angle of each vertex's normal cone of a polytope of
+    dimension 2 or 3, vertex by vertex: the excesses of its fan triangles
+    added in order, and for a polygon the four triangles of the lune
+    between the normals of the vertex's edges, about their normalised sum."""
+    masses = []
+    if P.dim == 3:
+        incident = [[] for _ in range(P.num_vertices)]
+        for e in P.edges:
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+        for v in range(P.num_vertices):
+            masses.append(sum(_spherical_triangle_area(
+                loop_fan(loop_vertex_cone(P, incident[v]))).tolist()))
+    else:
+        w, m = P.plane_normal, len(P.polygon_cycle)
+        for k in range(m):
+            m_prev, m_next = P.edge_normals_inplane[(k - 1) % m], P.edge_normals_inplane[k]
+            c = _unit(m_prev + m_next)
+            lune = np.array([(c, w, m_prev), (c, m_prev, -w), (c, -w, m_next), (c, m_next, w)])
+            masses.append(sum(_spherical_triangle_area(lune).tolist()))
+    return masses
 
 
 def loop_piece_masses(meas):
-    """Atom masses, arc masses (density times angle, arc by arc) and patch
-    masses (weight times the excesses of its triangles, summed in order)."""
+    """Atom masses and arc masses (density times angle, arc by arc)."""
     return ([m for _, m in meas.atoms],
-            [arc.density * float(_arc_angles(arc.a, arc.b)) for arc in meas.arcs],
-            [p.weight * sum(_spherical_triangle_area(p.triangles).tolist())
-             for p in meas.patches])
+            [arc.density * float(_arc_angles(arc.a, arc.b)) for arc in meas.arcs])
 
 
 def loop_total_mass(meas):
-    atoms, arcs, patches = loop_piece_masses(meas)
-    return sum(atoms) + sum(arcs) + sum(patches)
+    atoms, arcs = loop_piece_masses(meas)
+    return sum(atoms) + sum(arcs) + 4.0 * math.pi * meas.uniform
 
 
-def loop_csv(meas):
-    """The area-measure CSV, header and rows, with the loops' masses."""
-    atoms, arcs, patches = loop_piece_masses(meas)
+def loop_csv(P, i):
+    """The area-measure CSV of S_i of a full-dimensional P, header and rows,
+    with the loops' masses."""
+    meas = area_measure(P, i)
+    atoms, arcs = loop_piece_masses(meas)
+    patches = loop_cone_masses(P) if i == 0 else []
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["piece", "mass", "data"])
@@ -204,7 +211,8 @@ def test_intrinsic_volumes_equal_the_face_loop():
 def test_area_measure_pieces_equal_the_face_loop(i):
     for P in (P for P in BODIES if P.dim >= 2):
         meas = area_measure(P, i)
-        atoms, arcs, patches = loop_pieces(P, i)
+        atoms, arcs = loop_pieces(P, i)
+        assert meas.uniform == (1.0 if i == 0 else 0.0)
         assert len(meas.atoms) == len(atoms)
         for (u, m), (ru, rm) in zip(meas.atoms, atoms):
             assert np.array_equal(u, ru) and m == rm
@@ -212,9 +220,17 @@ def test_area_measure_pieces_equal_the_face_loop(i):
         for arc, (a, b, density) in zip(meas.arcs, arcs):
             assert np.array_equal(arc.a, a) and np.array_equal(arc.b, b)
             assert arc.density == density
-        assert len(meas.patches) == len(patches)
-        for patch, tris in zip(meas.patches, patches):
-            assert np.array_equal(patch.triangles, tris) and patch.weight == 1.0
+
+
+def test_normal_cone_masses_equal_the_vertex_loop():
+    # a full body's cones sum the excesses of the same fan triangles; a
+    # polygon's lunes are twice the angle of their edge normals, in closed form
+    for P in (P for P in BODIES if P.dim >= 2):
+        masses, ref = normal_cone_masses(P).tolist(), loop_cone_masses(P)
+        if P.dim == 3:
+            assert masses == ref
+        else:
+            assert masses == pytest.approx(ref, rel=1e-15)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -232,10 +248,13 @@ def test_total_mass_is_one_batched_pass(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(convex, name, counted)
-    s0, s1 = area_measure(random_hull(42, 200), 0), area_measure(random_hull(42, 200), 1)
-    meas = s0.merged(s1).merged(area_measure(random_hull(42, 200), 2))
-    assert len(meas.arcs) > 100 and len(meas.patches) > 50
+    P = random_hull(42, 200)
+    s0, s1 = area_measure(P, 0), area_measure(P, 1)
+    meas = s0.merged(s1).merged(area_measure(P, 2))
+    assert len(meas.arcs) > 100 and meas.uniform == 1.0
     meas.total_mass
+    assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 0}
+    normal_cone_masses(P)
     assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 1}
 
 
@@ -252,4 +271,4 @@ def test_area_measure_csv_rows_equal_the_loop(tmp_path, body, i):
                      "--out", str(tmp_path / "report.json")])
     assert code == 0
     with open(path, newline="") as fh:
-        assert fh.read() == loop_csv(area_measure(cli.load_body(body), i))
+        assert fh.read() == loop_csv(cli.load_body(body), i)
