@@ -76,13 +76,16 @@ def _resolve_body(name: str) -> convex.Polytope:
 
 
 def load_spec(name: str, kmax: int) -> valuation.MinkowskiValuationSpec:
-    if os.path.exists(name):
-        with open(name) as fh:
-            return valuation.MinkowskiValuationSpec.from_json(json.load(fh), kmax=kmax)
+    """Resolve a valuation spec: a JSON file in the schema of
+    MinkowskiValuationSpec.to_json, or a builtin name.  A file that is not
+    such JSON, or an unknown builtin, is an input error."""
     try:
+        if os.path.exists(name):
+            with open(name) as fh:
+                return valuation.MinkowskiValuationSpec.from_json(json.load(fh), kmax=kmax)
         return valuation.builtin_spec(name, kmax=kmax)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad valuation spec {name!r}: {exc.args[0]}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad valuation spec {name!r}: {exc}") from None
 
 
 def load_zonal(name: str, kmax: int) -> zonal.ZonalObject:
@@ -104,6 +107,19 @@ def _parse_vec(text: str) -> np.ndarray:
     if not all(map(math.isfinite, v)) or not any(v):
         raise InputError(f"need a finite nonzero vector, got {text!r}")
     return np.array(v)
+
+
+def _parse_plane(text: str) -> tuple[np.ndarray, float]:
+    """The plane nx,ny,nz,c of --plane: a finite nonzero normal, as
+    _parse_vec reads it, and a finite offset."""
+    parts = text.split(",")
+    try:
+        if len(parts) == 4 and math.isfinite(offset := float(parts[3])):
+            return _parse_vec(",".join(parts[:3])), offset
+    except (InputError, ValueError):
+        pass
+    raise InputError("--plane expects nx,ny,nz,c with a finite nonzero normal and a "
+                     f"finite offset c, got {text!r}")
 
 
 def _int_option(cfg: RunConfig, key: str, lo: int, hi: float = math.inf,
@@ -296,11 +312,9 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
     kmax = _spec_kmax(cfg)
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
-    plane = str(cfg.values["plane"]).split(",")
-    if len(plane) != 4:
-        raise InputError("--plane expects nx,ny,nz,c")
-    normal = np.array([float(x) for x in plane[:3]])
-    offset = float(plane[3])
+    if cfg.values.get("plane") is None:
+        raise InputError("--plane is mandatory for check-valuation")
+    normal, offset = _parse_plane(str(cfg.values["plane"]))
     m = _int_option(cfg, "num-dirs", 1, default=50)
     tol = float(cfg.values.get("tol", 1e-6))
     rng = np.random.default_rng(seed)
@@ -480,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-valuation", help="finite-additivity residual under a split")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--body", required=True)
-    sp.add_argument("--plane", required=True, help="nx,ny,nz,c")
+    sp.add_argument("--plane", help="nx,ny,nz,c (required, also from --config)")
     sp.add_argument("--num-dirs", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--tol", type=float)

@@ -32,7 +32,6 @@ __all__ = [
     "intrinsic_volumes",
     "clip_halfspace",
     "section_plane",
-    "section_line",
     "intersect",
     "cube",
     "simplex",
@@ -454,6 +453,19 @@ UNIFORM_ORDER = BERG_NATIVE_KMAX // 2 + 1
 _ARC_RULE = _gauss01(ARC_NODES)
 
 
+def _arc_nodes(a: np.ndarray, b: np.ndarray,
+              density: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature rule of arcs from a[r] to b[r] (R, 3) with densities
+    (R,): Gauss-Legendre on ARC_NODES points of each arc of angle at least
+    1e-14 (shorter arcs carry no mass), as nodes (R', ARC_NODES, 3) and
+    weights (R', ARC_NODES), and the mask (R,) of the arcs kept."""
+    th = _arc_angles(a, b)
+    live = th >= 1e-14
+    s, w = _ARC_RULE
+    return (_slerp(a[live], b[live], th[live], s),
+            (density[live] * th[live])[:, None] * w, live)
+
+
 @dataclass
 class AreaMeasure:
     """Area measure S_i(P, .) on the unit sphere: atoms, great-circle arcs
@@ -499,13 +511,9 @@ class AreaMeasure:
         integrated exactly and has no nodes."""
         atom_pts = np.array([u for u, _ in self.atoms], dtype=float).reshape(-1, 3)
         atom_wts = np.array([m for _, m in self.atoms], dtype=float)
-        a, b, dens = self._arc_arrays()
-        th = _arc_angles(a, b)
-        live = th >= 1e-14
-        s, w = _ARC_RULE
-        arc_pts = _slerp(a[live], b[live], th[live], s).reshape(-1, 3)
-        arc_wts = ((dens[live] * th[live])[:, None] * w).ravel()
-        return np.concatenate([atom_pts, arc_pts]), np.concatenate([atom_wts, arc_wts])
+        arc_pts, arc_wts, _ = _arc_nodes(*self._arc_arrays())
+        return (np.concatenate([atom_pts, arc_pts.reshape(-1, 3)]),
+                np.concatenate([atom_wts, arc_wts.ravel()]))
 
     def zonal_moments(self, dirs: np.ndarray, kmax: int) -> np.ndarray:
         """Moments M_k(w) = int P_k^n(u . w) dS(u) for every direction w in
@@ -804,31 +812,6 @@ def section_plane(P: Polytope, point, normal, tol: float = POINT_TOL) -> Polytop
     centre = P.vertices.mean(axis=0)
     d = (P.vertices - centre) @ a - float(np.dot(a, np.asarray(point, dtype=float) - centre))
     return _cut(P, d, np.abs(d) <= tol, tol)
-
-
-def section_line(P: Polytope, point, direction, tol: float = 1e-12) -> Polytope:
-    """Intersection of a full-dimensional P with the line point + t*direction:
-    the tests' reference for the batched chords of integral_geom.LineSections."""
-    if P.is_empty:
-        return Polytope.empty()
-    if P.dim != 3:
-        raise ValueError("line sections are implemented for full-dimensional bodies")
-    p = np.asarray(point, dtype=float)
-    d = _unit(np.asarray(direction, dtype=float))
-    A, b = P.inequalities()
-    den = A @ d
-    num = b - A @ p
-    lo, hi = -math.inf, math.inf
-    for dn, nm in zip(den, num):
-        if dn > tol:
-            hi = min(hi, nm / dn)
-        elif dn < -tol:
-            lo = max(lo, nm / dn)
-        elif nm < -tol:
-            return Polytope.empty()
-    if lo > hi + tol:
-        return Polytope.empty()
-    return Polytope.from_vertices(np.array([p + lo * d, p + hi * d]))
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:

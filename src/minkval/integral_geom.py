@@ -28,9 +28,11 @@ come from batched kernels: plane sections and line chords of a fixed body
 (`PlaneSections`, `LineSections`), the intersections of a body with moved
 copies of another from the edges of the intersection, clipped out of the
 stacked facet inequalities (`MotionIntersections`), and the hit test of the
-kinematic formula from separating axes.  Only the valuation-valued check
-builds a lattice per sample, from the points these kernels give; its motions
-keep the cube window, since a hit costs a lattice there.
+kinematic formula from separating axes.  No sample builds a face lattice:
+the valuation-valued check takes the area measures of the sections and
+intersections of a whole chunk as pieces from the same kernels and
+integrates the valuation's data against them at once
+(`valuation.PieceEvaluator`).  Its motions keep the cube window.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ from .convex import (
     area_measure,
     _distinct_axes,
     _gauss01,
+    _plane_basis,
     intrinsic_volumes,
 )
 from .harmonics import legendre_rows
+from .valuation import MeasurePieces, PieceEvaluator, evaluate
 from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_zonal
 
 __all__ = [
@@ -464,21 +468,6 @@ def _clip_lines(den: np.ndarray, num: np.ndarray, lo,
     return lo, hi, feasible & (hi >= lo)
 
 
-def _hull_kernel(phi, points):
-    """Kernel of phi of the hull of each sample's points, which
-    `points(*draws)` gives as sample index (K,) and point (K, 3); 0 for a
-    sample without points.  One lattice per sample that has points."""
-    def kernel(*draws):
-        rows, pts = points(*draws)
-        order = np.argsort(rows, kind="stable")
-        hit, first = np.unique(rows[order], return_index=True)
-        vals = np.zeros(len(draws[0]))
-        for t, group in zip(hit, np.split(pts[order], first[1:])):
-            vals[t] = phi(Polytope.from_vertices(group))
-        return vals
-    return kernel
-
-
 # -- plane sections of a fixed body -----------------------------------------
 
 class PlaneSections:
@@ -516,6 +505,10 @@ class PlaneSections:
         self.incidence, self.touches = B, np.abs(B)
         # the (m, V), (m, E), (m, 3, E) and (m, 3, F) temporaries of segments()
         self.sample_bytes = 8 * (2 * len(P.vertices) + 12 * len(ij) + 12 * B.shape[1])
+        # and in pieces(), per crossed facet and per section: the facets'
+        # arrays, two arcs, two atoms (the arcs' nodes run in PieceEvaluator's
+        # blocks)
+        self.piece_bytes = 8 * (32 * B.shape[1] + 16)
 
     def _cross(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Crossing signs c_e (m, E) of the edges by the planes {x . a[t] = s[t]}
@@ -548,18 +541,40 @@ class PlaneSections:
         """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
         each section, 0 where the plane misses the body."""
         v, mid = self.segments(a, s)
-        twice_area = np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1))
-        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, 0.5 * np.abs(twice_area)
+        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, _section_area(a, v, mid)
+
+    def _crossed_facets(self, a: np.ndarray,
+                        v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The facets that the planes with normals a cross, from their
+        segments v (m, 3, F): plane index (K,), segment length |v_F| (K,)
+        and the outward normal m_F (K, 3) of the segment in the plane."""
+        length = np.linalg.norm(v, axis=1)   # (m, F)
+        rows, cols = np.nonzero(length > 0.0)
+        nf, ar = self.normals[cols], a[rows]
+        return rows, length[rows, cols], _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+
+    def pieces(self, a: np.ndarray, s: np.ndarray) -> MeasurePieces:
+        """The area measures of the sections by the planes {x . a[t] = s[t]},
+        as area_measure gives them for a polygon: S_2 the atoms a and -a,
+        each with the section's area, and S_1 per crossed facet F the
+        quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
+        v, mid = self.segments(a, s)
+        rows, length, m_f = self._crossed_facets(a, v)
+        hit = np.bincount(rows, minlength=a.shape[0]) > 0
+        ar, t = a[rows], np.flatnonzero(hit)
+        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
+                 np.repeat(_section_area(a[t], v[t], mid[t]), 2))
+        return MeasurePieces(hit, arcs, atoms)
 
     def s1_moments(self, a: np.ndarray, s: np.ndarray, w: np.ndarray,
                    kmax: int) -> np.ndarray:
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
         S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
         crossed facet."""
-        length = np.linalg.norm(self.segments(a, s)[0], axis=1)   # (m, F)
-        rows, cols = np.nonzero(length > 0.0)
-        nf, ar = self.normals[cols], a[rows]
-        m_f = _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+        rows, length, m_f = self._crossed_facets(a, self.segments(a, s)[0])
+        ar = a[rows]
         out = np.zeros((a.shape[0], kmax + 1))
         # per half circle: its cosines, two Legendre rows, temporaries, moments
         per_call = max(1, CHUNK_BYTES // (8 * (6 * self.arc_cos.size + kmax + 1)))
@@ -570,8 +585,14 @@ class PlaneSections:
                     + self.arc_sin[None, :] * (m_f[part] @ w)[:, None])
             arc = np.array([pk @ self.arc_weights
                             for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
-            np.add.at(out, rows[part], (arc * (0.5 * length[rows[part], cols[part]])).T)
+            np.add.at(out, rows[part], (arc * (0.5 * length[part])).T)
         return out
+
+
+def _section_area(a: np.ndarray, v: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Areas of plane sections with normals a (m, 3) from their facet
+    segments v and midpoints mid (m, 3, F), by the divergence theorem."""
+    return 0.5 * np.abs(np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1)))
 
 
 class LineSections:
@@ -581,17 +602,24 @@ class LineSections:
         A, self.b = P.inequalities()
         self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
         self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
+        self.piece_bytes = 8 * 48   # pieces(): the basis, the ring and four arcs per line
 
     def chords(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Clipped [lo, hi] of each line, and whether it meets the body."""
         return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
 
-    def ends(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ends of the chords: line index (K,) and world point (K, 3)."""
+    def pieces(self, u: np.ndarray, p: np.ndarray) -> MeasurePieces:
+        """The area measures of the chords, as area_measure gives them for a
+        segment of length l along u: S_1 the four quarter arcs p1 -> p2 ->
+        -p1 -> -p2 -> p1 of the great circle orthogonal to u, with the basis
+        (p1, p2) of _plane_basis, of density l / 2 each, and no S_2."""
         lo, hi, hit = self.chords(u, p)
         t = np.flatnonzero(hit)
-        return (np.concatenate([t, t]),
-                np.concatenate([p[t] + lo[t, None] * u[t], p[t] + hi[t, None] * u[t]]))
+        p1, p2 = _plane_basis(u[t])
+        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
+        arcs = (np.repeat(t, 4), ring.reshape(-1, 3), np.roll(ring, -1, axis=1).reshape(-1, 3),
+                np.repeat(0.5 * (hi[t] - lo[t]), 4))
+        return MeasurePieces(hit, arcs, (t[:0], np.zeros((0, 3)), np.zeros(0)))
 
 
 # -- intersections with a moving body ---------------------------------------
@@ -668,14 +696,17 @@ class MotionIntersections:
         fp, fl = len(self.P.normals), len(self.L.normals)
         ep, el = len(self.P.length), len(self.L.length)
         d = self.P.neighbours.shape[1] + self.L.neighbours.shape[1]
-        # per motion whose bounding spheres meet, when every facet pair is a
-        # candidate: world copies of L, the (m, E, F) edge clips, the
-        # (m, F, F) pair tests and the (K, D) facet-pair clips
+        # per motion whose bounding spheres meet: world copies of L, the
+        # (m, E, F) edge clips and the (m, F, F) pair tests; the (K, D) clips
+        # of the facet pairs that survive the tests run in pieces of their own
         self.piece = max(1, CHUNK_BYTES // (8 * (7 * fl + 6 * el + 8 * (ep * fl + el * fp)
-                                                 + fp * fl * (9 * d + 28))))
+                                                 + 8 * fp * fl)))
+        self.pair_piece = max(1, CHUNK_BYTES // (8 * (9 * d + 28)))
         # per motion: the draws, the sphere test, and the arrays over the at
         # most 3 (F_P + F_L) edges of P n gL in segments() and volumes()
         self.sample_bytes = 96 + 8 * (16 + 34 * 3 * (fp + fl))
+        # and the two atoms per edge of pieces()
+        self.piece_bytes = 8 * 12 * 3 * (fp + fl)
 
     def segments(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """Edges of P n (R[t] L + x[t]) over the motions t: motion index
@@ -740,6 +771,17 @@ class MotionIntersections:
         near &= (np.abs(np.einsum("fi,mgi->mfg", P.normals, cG) - P.heights[None, :, None])
                  <= L.radii[None, None, :] + self.slack)
         t, F, G = np.nonzero(near)
+        for lo in range(0, t.size, self.pair_piece):
+            part = slice(lo, lo + self.pair_piece)
+            parts.append(self._pair_edges(t[part], F[part], G[part], N, H))
+        return parts
+
+    def _pair_edges(self, t: np.ndarray, F: np.ndarray, G: np.ndarray, N: np.ndarray,
+                    H: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The edges of P n gL on the lines of the facet pairs F of P, G of
+        g L of motions t, clipped by the neighbours of F and of G, given the
+        facets N, H of g L about c as in _edges()."""
+        P, L = self.P, self.L
         n, NG = P.normals[F], N[t, G]
         d = np.cross(n, NG)
         dd = np.einsum("ki,ki->k", d, d)
@@ -755,27 +797,46 @@ class MotionIntersections:
         lo, hi, hit = _clip_lines(np.einsum("kci,ki->kc", cn, u),
                                   ch - np.einsum("kci,ki->kc", cn, y), -math.inf, math.inf)
         ok = hit & (hi > lo)
-        parts.append((t[ok], (hi - lo)[ok], y[ok] + 0.5 * (lo + hi)[ok, None] * u[ok],
-                      u[ok], n[ok], NG[ok]))
-        return parts
+        return t[ok], (hi - lo)[ok], y[ok] + 0.5 * (lo + hi)[ok, None] * u[ok], u[ok], n[ok], NG[ok]
+
+    def _shares(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The edges of P n (R[t] L + x[t]) as in segments(), with the cosine
+        and sine of the angle between n_k and n_l, the edge's shares a_k,
+        a_l of the areas of the facets on planes k and l, and its share of
+        the volume (cones from c over those facets): motion index, length,
+        n_k, n_l, cosine, sine, a_k, a_l, volume share."""
+        rows, length, mid, _, nk, nl = self.segments(R, x)
+        cos = np.einsum("ki,ki->k", nk, nl)
+        sin = np.linalg.norm(np.cross(nk, nl), axis=1)
+        ak = 0.5 * length * np.einsum("ki,ki->k", nl - cos[:, None] * nk, mid) / sin
+        al = 0.5 * length * np.einsum("ki,ki->k", nk - cos[:, None] * nl, mid) / sin
+        hk, hl = np.einsum("ki,ki->k", nk, mid), np.einsum("ki,ki->k", nl, mid)
+        return rows, length, nk, nl, cos, sin, ak, al, (ak * hk + al * hl) / 3.0
 
     def volumes(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Intrinsic volumes V_0..V_3 (m, 4) of P n (R[t] L + x[t]), 0 where
         the bodies miss."""
         m = R.shape[0]
-        rows, length, mid, _, nk, nl = self.segments(R, x)
-        cos = np.einsum("ki,ki->k", nk, nl)
-        sin = np.linalg.norm(np.cross(nk, nl), axis=1)
-        # facet areas: the segment's share of the facets on plane k and on l
-        ak = 0.5 * length * np.einsum("ki,ki->k", nl - cos[:, None] * nk, mid) / sin
-        al = 0.5 * length * np.einsum("ki,ki->k", nk - cos[:, None] * nl, mid) / sin
-        hk, hl = np.einsum("ki,ki->k", nk, mid), np.einsum("ki,ki->k", nl, mid)
+        rows, length, _, _, cos, sin, ak, al, cone = self._shares(R, x)
         out = np.zeros((m, 4))
         out[:, 0] = np.bincount(rows, minlength=m) > 0
         out[:, 1] = np.bincount(rows, length * np.arctan2(sin, cos), m) / (2.0 * math.pi)
         out[:, 2] = np.bincount(rows, 0.5 * (ak + al), m)
-        out[:, 3] = np.bincount(rows, (ak * hk + al * hl) / 3.0, m)
+        out[:, 3] = np.bincount(rows, cone, m)
         return out
+
+    def pieces(self, R: np.ndarray, x: np.ndarray) -> MeasurePieces:
+        """The area measures of P n (R[t] L + x[t]) and their volumes, edge
+        by edge: each edge of length l on planes k and l gives the S_1 arc
+        n_k -> n_l of density l / 2 and the S_2 atoms (n_k, a_k) and
+        (n_l, a_l), its shares of the facet areas; a facet's shares add up
+        to its area."""
+        m = R.shape[0]
+        rows, length, nk, nl, _, _, ak, al, cone = self._shares(R, x)
+        atoms = (np.repeat(rows, 2), np.stack([nk, nl], axis=1).reshape(-1, 3),
+                 np.stack([ak, al], axis=1).ravel())
+        return MeasurePieces(np.bincount(rows, minlength=m) > 0, (rows, nk, nl, 0.5 * length),
+                             atoms, np.bincount(rows, cone, m))
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -1018,36 +1079,36 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     with the i = 0 (whole space) and i = n (points, only the constant piece
     of the valuation survives) terms exact and the plane/line terms
     estimated by Monte Carlo.  Both sides carry standard errors; the report
-    states their 3-sigma consistency.  Each sample that meets P builds one
-    lattice (`_hull_kernel`) from points of a batched kernel: the edge ends
-    of P n gL, the edge crossings of a plane or the ends of a chord
-    (`MotionIntersections.ends`, `PlaneSections.crossings`, `LineSections.ends`)."""
-    from .valuation import evaluate  # deferred: valuation builds on this module's siblings
-
+    states their 3-sigma consistency.  No sample builds a lattice: the
+    batched kernels give the area measures of all the intersections or
+    sections of a chunk as pieces (`MotionIntersections.pieces`,
+    `PlaneSections.pieces`, `LineSections.pieces`), and `PieceEvaluator`
+    integrates the valuation's data against them, with the pointwise or
+    spectral path that `evaluate` would take.  Motions keep the cube window
+    of side 2 (R_P + R_L)."""
     n = 3
     if P.dim != 3 or L.dim != 3:
         raise ValueError("kinematic sampling expects full-dimensional bodies")
-    u = np.asarray(direction, dtype=float)
-    u = (u / np.linalg.norm(u))[None, :]
-
-    def phi(body) -> float:
-        return float(evaluate(spec, body, u).values[0])
+    value = PieceEvaluator(spec, direction)
+    u = value.u[None, :]
 
     t0 = time.perf_counter()
     inter, planes, lines = MotionIntersections(P, L), PlaneSections(P), LineSections(P)
     W = 2.0 * (P.enclosing_radius + L.enclosing_radius)
     sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
-    lhs, lhs_se = run_shards(sampler, _hull_kernel(phi, inter.ends), inter.sample_bytes)
+    lhs, lhs_se = run_shards(sampler, lambda R, x: value(inter.pieces(R, x)),
+                             inter.sample_bytes + inter.piece_bytes)
 
     vl = intrinsic_volumes(L)
-    rhs = vl[n] * phi(P)                       # i = 0
-    rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]  # i = n: points keep c0
+    rhs = vl[n] * float(evaluate(spec, P, u).values[0])   # i = 0
+    rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]      # i = n: points keep c0
     rhs_var = 0.0
     R_enc = P.enclosing_radius * (1.0 + 1e-12)
-    for i, sections, points in ((1, planes, planes.crossings), (2, lines, lines.ends)):
+    for i, sections in ((1, planes), (2, lines)):
         sampler = PlaneSampler(n=n, codim=i, radius=R_enc, seed=seed + i,
                                n_samples=n_samples, shards=shards)
-        est_i, se_i = run_shards(sampler, _hull_kernel(phi, points), sections.sample_bytes)
+        est_i, se_i = run_shards(sampler, lambda *flats: value(sections.pieces(*flats)),
+                                 sections.sample_bytes + sections.piece_bytes)
         coef = vl[n - i] / flag(n, i)
         rhs += coef * float(est_i)
         rhs_var += (coef * float(se_i)) ** 2

@@ -22,8 +22,11 @@ import numpy as np
 
 from .constants import kappa, mean_section_q, omega
 from .convex import (
+    ARC_NODES,
+    CHUNK_BYTES,
     AreaMeasure,
     Polytope,
+    _arc_nodes,
     area_measure,
     clip_halfspace,
     intrinsic_volumes,
@@ -42,6 +45,8 @@ from .zonal import (
 __all__ = [
     "MinkowskiValuationSpec",
     "SupportFunctionResult",
+    "MeasurePieces",
+    "PieceEvaluator",
     "ValuationIdentityReport",
     "evaluate",
     "lambda_derivative",
@@ -54,6 +59,10 @@ __all__ = [
 
 DEFAULT_BAND = 16
 CENTER_TOL = 1e-9
+# PieceEvaluator keeps about sixteen float64 values per arc node alive: the
+# slerp's points and temporaries, the cosines, two Legendre rows, the
+# running series and the weighted values
+_NODE_BYTES = 8 * 16
 
 
 def _require_centered(z: ZonalObject, label: str):
@@ -115,12 +124,19 @@ class MinkowskiValuationSpec:
     def from_json(cls, data, kmax: int = DEFAULT_KMAX) -> "MinkowskiValuationSpec":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"a spec is a JSON object, got {type(data).__name__}")
         n = int(data["n"])
+        entries, f_top = data.get("mu") or [], data.get("f_top")
+        if not (isinstance(entries, list)
+                and all(e is None or isinstance(e, dict) for e in entries)):
+            raise ValueError("mu must be a list of zonal objects or nulls, one per degree")
+        if f_top is not None and not isinstance(f_top, dict):
+            raise ValueError("f_top must be a zonal object or null")
         mu = {}
-        for off, entry in enumerate(data.get("mu") or []):
+        for off, entry in enumerate(entries):
             if entry is not None:
                 mu[off + 1] = ZonalObject.from_json(entry, kmax=kmax)
-        f_top = data.get("f_top")
         return cls(n=n, c0=float(data.get("c0", 0.0)), mu=mu,
                    f_top=None if f_top is None else ZonalObject.from_json(f_top, kmax=kmax),
                    cn=float(data.get("cn", 0.0)))
@@ -153,6 +169,12 @@ def _measures_for(P: Polytope, degrees: list[int], parallel_t: float) -> dict[in
     return {i: steiner_area_measure(P, i, parallel_t) for i in degrees}
 
 
+def _auto_path(data: list[tuple[int, ZonalObject]]) -> str:
+    """The default path: pointwise when every datum is a density without
+    atoms, spectral otherwise."""
+    return "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
+
+
 def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
              band: int | None = None, path: str = "auto",
              parallel_t: float = 0.0) -> SupportFunctionResult:
@@ -175,7 +197,7 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     data = spec.degrees()
     if path == "auto":
-        path = "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
+        path = _auto_path(data)
     base = float(spec.c0)
     if spec.cn != 0.0:
         base += spec.cn * (_steiner_volume(P, parallel_t) if parallel_t > 0.0
@@ -208,6 +230,85 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     values += per_degree.sum(axis=0)
     return SupportFunctionResult(dirs, values, "spectral", band=L,
                                  truncation_tail=tail, per_degree=per_degree)
+
+
+@dataclass
+class MeasurePieces:
+    """The area measures S_1 and S_2 of m bodies at once, as the pieces of
+    `area_measure` tagged with the index of their body: S_1 as great-circle
+    arcs with densities, S_2 as atoms.  A body's pieces need not be merged:
+    several atoms may share a normal, and their masses add up."""
+
+    hit: np.ndarray                   # (m,) whether each body is nonempty
+    arcs: tuple[np.ndarray, ...]      # S_1: body (R,), ends a and b (R, 3), densities (R,)
+    atoms: tuple[np.ndarray, ...]     # S_2: body (T,), normals (T, 3), masses (T,)
+    volume: np.ndarray | None = None  # (m,) V_3, or None where every body is flat
+
+
+class PieceEvaluator:
+    """The support function of the valuation's image at one unit direction
+    u, for many bodies K at once, from the pieces of their area measures:
+
+        h(K)(u) = c0 [K nonempty] + int g_1(v . u) dS_1(K, v)
+                  + int g_2(v . u) dS_2(K, v) + cn V_3(K),
+
+    with g_i the density of the degree-i datum on the pointwise path and its
+    band-limited series sum_k a_k N(n,k) / omega_n P_k, k <= DEFAULT_BAND,
+    on the spectral path; "auto" chooses as `evaluate` does.  The arcs take
+    the Gauss rule of AreaMeasure (`_arc_nodes`), so the values are those of
+    `evaluate` on each body up to rounding, with no face lattice.  A body's
+    value adds its own nodes in order, whatever the other bodies, and the
+    nodes run in blocks of bounded memory."""
+
+    def __init__(self, spec: MinkowskiValuationSpec, direction, path: str = "auto"):
+        if spec.n != 3:
+            raise ValueError("geometric evaluation is implemented for n = 3")
+        u = np.asarray(direction, dtype=float).ravel()
+        self.u = u / np.linalg.norm(u)
+        data = spec.degrees()
+        self.path = _auto_path(data) if path == "auto" else path
+        self.c0, self.cn = float(spec.c0), float(spec.cn)
+        self.profiles = {i: self._profile(i, z) for i, z in data}
+
+    def _profile(self, i: int, z: ZonalObject):
+        if self.path == "pointwise":
+            if not z.has_density or z.atoms:
+                raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
+            return z.density
+        kk = min(DEFAULT_BAND, z.kmax)
+        return ZonalPolynomial(3, legendre_coefficients(3, z.multipliers[:kk + 1]))
+
+    def _cosines(self, v: np.ndarray) -> np.ndarray:
+        """v . u over the last axis, elementwise, so that no value depends
+        on the length of v."""
+        u = self.u
+        return np.clip(v[..., 0] * u[0] + v[..., 1] * u[1] + v[..., 2] * u[2], -1.0, 1.0)
+
+    def __call__(self, pieces: MeasurePieces) -> np.ndarray:
+        """The values (m,) at the bodies of the pieces."""
+        m = len(pieces.hit)
+        values = self.c0 * pieces.hit.astype(float)
+        if self.cn != 0.0 and pieces.volume is not None:
+            values += self.cn * pieces.volume
+        if 1 in self.profiles:
+            values += self._arc_sums(self.profiles[1], m, *pieces.arcs)
+        if 2 in self.profiles:
+            rows, normals, mass = pieces.atoms
+            values += np.bincount(rows, mass * self.profiles[2](self._cosines(normals)), m)
+        return values
+
+    def _arc_sums(self, g, m: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  density: np.ndarray) -> np.ndarray:
+        """sum of w g(v . u) over the arcs' nodes v, weights w, per body:
+        np.add.at adds in node order, block after block."""
+        out = np.zeros(m)
+        step = max(1, CHUNK_BYTES // (ARC_NODES * _NODE_BYTES))
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            pts, wts, live = _arc_nodes(a[part], b[part], density[part])
+            np.add.at(out, np.repeat(rows[part][live], ARC_NODES),
+                      (wts * g(self._cosines(pts))).ravel())
+        return out
 
 
 def lambda_derivative(spec: MinkowskiValuationSpec) -> MinkowskiValuationSpec:

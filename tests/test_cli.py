@@ -237,6 +237,7 @@ def test_integral_float_option_from_config_is_accepted(tmp_path):
 EVALUATE = ["evaluate", "--spec", "projection_body", "--body", "cube"]
 CHECK_VALUATION = ["check-valuation", "--spec", "projection_body", "--body", "cube",
                    "--plane", "0,0,1,0.5", "--seed", "5"]
+NO_PLANE = CHECK_VALUATION[:5] + ["--seed", "5"]
 
 
 @pytest.mark.parametrize("argv,config,flag", [
@@ -290,6 +291,38 @@ def test_unknown_zonal_builtin_is_an_input_error(tmp_path, argv, config):
     code, rep = run(tmp_path, *argv)
     assert code == 2
     assert set(rep) == {"error"} and "zonal" in rep["error"]
+
+
+@pytest.mark.parametrize("plane", ["x,0,1,0.5", "0,0,0,0.5", "nan,0,1,0.5", "0,0,1,inf",
+                                   "0,0,1"])
+def test_bad_plane_is_an_input_error(tmp_path, plane):
+    # "x,..." ended in a ValueError traceback, and a zero or NaN normal
+    # passed silently as "plane misses the body"
+    code, rep = run(tmp_path, *NO_PLANE, f"--plane={plane}")
+    assert code == 2
+    assert set(rep) == {"error"} and "--plane" in rep["error"]
+
+
+def test_plane_from_config_is_accepted(tmp_path):
+    # argparse demanded --plane although the config file gave it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plane": "0,0,1,0.5"}))
+    code, rep = run(tmp_path, *NO_PLANE, "--config", str(path))
+    assert code == 0 and rep["config"]["plane"] == "0,0,1,0.5"
+    assert rep == run(tmp_path, *CHECK_VALUATION)[1]
+    code, rep = run(tmp_path, *NO_PLANE)
+    assert code == 2 and "--plane" in rep["error"]
+
+
+@pytest.mark.parametrize("spec", [[1, 2], {"n": 3, "mu": {"1": {"kind": "nosuch"}}},
+                                  {"n": 3, "mu": [{"kind": "nosuch"}]}, {"n": 3, "f_top": 1}])
+def test_malformed_spec_file_is_an_input_error(tmp_path, spec):
+    # the first two ended in a TypeError and an AttributeError traceback
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, rep = run(tmp_path, "evaluate", "--spec", str(path), "--body", "cube", "--dir=0,0,1")
+    assert code == 2
+    assert set(rep) == {"error"} and "spec" in rep["error"]
 
 
 def test_config_file_that_is_not_an_object_is_an_input_error(tmp_path):

@@ -26,7 +26,6 @@ from minkval.convex import (
     normal_cone_masses,
     octahedron,
     random_hull,
-    section_line,
     section_plane,
     simplex,
     steiner_area_measure,
@@ -589,12 +588,6 @@ def test_slice_halfspace_cases():
     assert section_plane(Q, [0, 0, 2.0], normal=[0, 0, 1.0]).is_empty
     half = clip_halfspace(Q, [0, 0, 1.0], 0.25)
     assert intrinsic_volumes(half).v3 == pytest.approx(0.25, abs=1e-12)
-
-
-def test_section_line():
-    seg = section_line(cube(), [0.5, 0.5, -3.0], [0, 0, 1.0])
-    assert intrinsic_volumes(seg).v1 == pytest.approx(1.0, abs=1e-12)
-    assert section_line(cube(), [2.0, 2.0, 0.0], [0, 0, 1.0]).is_empty
 
 
 def test_intersect_and_sat_agree():

@@ -1,8 +1,10 @@
 """The edge-by-edge kernel of P n gL (MotionIntersections) against the face
-lattice of convex.intersect, and kinematic_check on it: pinned estimates, a
-pair that broke the per-motion lattice, and bounded memory."""
+lattice of convex.intersect and against the lattice of its edge ends (the
+valuation's values), and kinematic_check on it: pinned estimates, a pair
+that broke the per-motion lattice, and bounded memory."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from minkval.integral_geom import (
     _rotations_from_quaternions,
     kinematic_check,
 )
+from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
 BASES = {"cube": cube(), "hull14": random_hull(51), "hull20": random_hull(52, 20)}
 PAIRS = [("cube", "cube"), ("cube", "hull14"), ("hull14", "hull20")]
@@ -46,27 +49,83 @@ def _generic(P: Polytope, L: Polytope, R: np.ndarray) -> bool:
             and np.abs(units[1] @ nl.T).min() > 1e-4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(pair=st.sampled_from(PAIRS), copy=st.sampled_from(sorted(COPIES)),
-       q=quaternions, t=st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array))
-def test_kernel_matches_lattice_intersection(pair, copy, q, t):
+def _motion(pair, q, t) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn motion x -> R x + x0 of the base bodies, with the centre of
+    R L within 0.8 of the sum of their radii from the centre of P; draws
+    that are not generic are rejected."""
     P, L = (BASES[b] for b in pair)
     R = _rotations_from_quaternions(q[None, :])[0] @ TILT
     assume(_generic(P, L, R))
     reach = np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1).max() + np.linalg.norm(
         L.vertices - L.vertices.mean(axis=0), axis=1).max()
-    x = P.vertices.mean(axis=0) - R @ L.vertices.mean(axis=0) + 0.8 * reach * t
-    body = intersect(Polytope.from_vertices(L.vertices @ R.T + x), P)
-    ref = intrinsic_volumes(body)
-    # the same motion relative to the copies lam * P + s, lam * L + s
+    return R, P.vertices.mean(axis=0) - R @ L.vertices.mean(axis=0) + 0.8 * reach * t
+
+
+def _on_copies(copy, R, x) -> tuple[np.ndarray, np.ndarray]:
+    """The same motion relative to the copies lam * P + s, lam * L + s, as
+    a batch of one."""
     lam, shift = COPIES[copy]
     s = shift * SHIFT
-    vols = KERNELS[pair, copy].volumes(R[None], (lam * x + s - R @ s)[None])[0]
+    return R[None], (lam * x + s - R @ s)[None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=st.sampled_from(PAIRS), copy=st.sampled_from(sorted(COPIES)),
+       q=quaternions, t=st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array))
+def test_kernel_matches_lattice_intersection(pair, copy, q, t):
+    P, L = (BASES[b] for b in pair)
+    R, x = _motion(pair, q, t)
+    body = intersect(Polytope.from_vertices(L.vertices @ R.T + x), P)
+    ref = intrinsic_volumes(body)
+    lam = COPIES[copy][0]
+    vols = KERNELS[pair, copy].volumes(*_on_copies(copy, R, x))[0]
     if body.is_empty:
         assert np.all(vols == 0.0)
     size = max(np.linalg.norm(np.ptp(B.vertices, axis=0)) for B in (P, L))
     for i in (1, 2, 3):
         assert abs(vols[i] / lam ** i - ref[i]) <= 1e-9 * size ** i
+
+
+SPECS = ("projection_body", "difference_body", "mean_width_ball",
+         "mean_section:2", "mean_section:3")
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@lru_cache(maxsize=None)
+def _spec(name):
+    return builtin_spec(name)
+
+
+@lru_cache(maxsize=None)
+def _value_scale(name, pair, copy) -> float:
+    """The largest support value of the valuation on the copies of the pair
+    over the coordinate directions, times their distance from the origin in
+    diameters where that exceeds 1: the lattice of the edge ends is built
+    from world points, which lose digits far from the origin."""
+    dirs = np.vstack([np.eye(3), -np.eye(3)])
+    lam, shift = COPIES[copy]
+    scale = 0.0
+    for b in pair:
+        Q = BASES[b].scaled(lam).translated(shift * SHIFT)
+        size = np.linalg.norm(np.ptp(Q.vertices, axis=0))
+        scale = max(scale, float(np.abs(evaluate(_spec(name), Q, dirs).values).max())
+                    * max(1.0, Q.enclosing_radius / size))
+    return scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.sampled_from(PAIRS), copy=st.sampled_from(sorted(COPIES)),
+       name=st.sampled_from(SPECS), path=st.sampled_from(["pointwise", "spectral"]),
+       q=quaternions, t=st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array), u=unit_vectors)
+def test_valuation_values_match_lattice_of_edge_ends(pair, copy, name, path, q, t, u):
+    # the batched values against evaluate on the hull of the edge ends
+    kernel, motion = KERNELS[pair, copy], _on_copies(copy, *_motion(pair, q, t))
+    got = PieceEvaluator(_spec(name), u, path)(kernel.pieces(*motion))[0]
+    rows, ends = kernel.ends(*motion)
+    ref = 0.0 if rows.size == 0 else float(
+        evaluate(_spec(name), Polytope.from_vertices(ends), u[None, :], path=path).values[0])
+    assert abs(got - ref) <= 1e-12 * _value_scale(name, pair, copy)
 
 
 def test_kernel_of_missed_motions_vanishes():
