@@ -3,8 +3,10 @@
 One binary with subcommands; every run emits a JSON report that embeds the
 fully resolved configuration (flags override a --config file, which
 overrides defaults), so reruns are reproducible byte for byte apart from
-the wall_time_s field.  Exit status: 0 when all declared checks pass, 1 on
-a check failure, 2 on input errors (with a machine-readable error JSON).
+the wall_time_s field.  Any option, the mandatory ones included, may come
+from the config file.  Exit status: 0 when all declared checks pass, 1 on
+a check failure, 2 on input errors (with a machine-readable error JSON),
+command-line errors that argparse finds included.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
                   "random_hull_7", "random_hull_42")
 MAX_DIM = 64   # largest ambient dimension n of multipliers and lemma52
+REQUIRED = "(required, also from --config)"   # help of the options a command needs
 
 
 class InputError(Exception):
@@ -138,6 +141,29 @@ def _int_option(cfg: RunConfig, key: str, lo: int, hi: float = math.inf,
     return value
 
 
+def _float_option(cfg: RunConfig, key: str, default: float | None = None,
+                  positive: bool = False) -> float:
+    """Float option --key of the run: a finite number, and a positive one
+    when `positive` (the tolerances).  From a config file a string, a
+    boolean or null is an input error."""
+    value = cfg.values.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise InputError(f"--{key} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise InputError(f"--{key} must be positive, got {value!r}")
+    return float(value)
+
+
+def _dir_option(cfg: RunConfig, default: str) -> list[str]:
+    """The x,y,z texts of --dir: repeated flags, or a JSON list of such
+    strings in a config file."""
+    dirs = cfg.values.get("dir") or [default]
+    if not isinstance(dirs, list) or not all(isinstance(d, str) for d in dirs):
+        raise InputError(f"--dir must be a list of x,y,z strings, got {dirs!r}")
+    return dirs
+
+
 def _seed(cfg: RunConfig) -> int:
     """The --seed of a stochastic command: mandatory, a non-negative integer."""
     if cfg.values.get("seed") is None:
@@ -185,7 +211,9 @@ class RunConfig:
         return {"command": self.command, **self.values}
 
 
-def _resolve_config(args, keys: list[str]) -> RunConfig:
+def _resolve_config(args, keys: list[str], required: tuple[str, ...] = ()) -> RunConfig:
+    """Merge the flags of `keys` over the config file; the `required` keys
+    must be given by one of them."""
     file_vals = {}
     if getattr(args, "config", None):
         try:
@@ -203,9 +231,9 @@ def _resolve_config(args, keys: list[str]) -> RunConfig:
             vals[key] = flag_val
         elif key in file_vals:
             vals[key] = file_vals[key]
-    for tol_key in ("tol", "flux-tol"):
-        if tol_key in vals and float(vals[tol_key]) <= 0:
-            raise InputError(f"tolerance {tol_key} must be positive")
+    missing = [f"--{key}" for key in required if vals.get(key) is None]
+    if missing:
+        raise InputError(f"{args.cmd} needs {', '.join(missing)} (as flags or from --config)")
     # output destinations are not run parameters; keep the embedded config
     # byte-identical across reruns that only redirect their artifacts
     vals.pop("out", None)
@@ -243,10 +271,10 @@ def cmd_multipliers(args) -> tuple[int, dict, list, list]:
 
 
 def cmd_area_measure(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "i", "out", "csv", "tol"])
+    cfg = _resolve_config(args, ["body", "i", "out", "csv", "tol"], required=("body", "i"))
     body = load_body(str(cfg.values["body"]))
     i = _int_option(cfg, "i", 0, 2)
-    tol = float(cfg.values.get("tol", 1e-9))
+    tol = _float_option(cfg, "tol", 1e-9, positive=True)
     meas = convex.area_measure(body, i)
     # S_0 is held as the uniform measure; the report lists the vertices'
     # normal cones instead, whose masses must tile the sphere
@@ -276,13 +304,16 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
 
 def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["spec", "body", "dir", "band", "path", "kmax",
-                                 "crosscheck", "tol", "out", "csv"])
+                                 "crosscheck", "tol", "out", "csv"], required=("spec", "body"))
     kmax = _spec_kmax(cfg)
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
-    dirs = [_parse_vec(d) for d in (cfg.values.get("dir") or ["1,0,0"])]
+    dirs = [_parse_vec(d) for d in _dir_option(cfg, "1,0,0")]
     band = None if cfg.values.get("band") is None else _int_option(cfg, "band", 0, kmax)
-    path = str(cfg.values.get("path", "auto"))
+    path = cfg.values.get("path", "auto")
+    if path not in valuation.PATHS:
+        raise InputError(f"--path must be one of {', '.join(valuation.PATHS)}, got {path!r}")
+    tol = _float_option(cfg, "tol", 1e-6, positive=True)
     res = valuation.evaluate(spec, body, np.array(dirs), band=band, path=path)
     report = {
         "config": cfg.as_json(),
@@ -294,7 +325,6 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     }
     status = 0
     if cfg.values.get("crosscheck"):
-        tol = float(cfg.values.get("tol", 1e-6))
         a = valuation.evaluate(spec, body, np.array(dirs), path="pointwise")
         b = valuation.evaluate(spec, body, np.array(dirs), path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
@@ -307,16 +337,14 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
 
 def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["spec", "body", "plane", "num-dirs", "seed",
-                                 "tol", "kmax", "out", "csv"])
+                                 "tol", "kmax", "out", "csv"], required=("spec", "body", "plane"))
     seed = _seed(cfg)
     kmax = _spec_kmax(cfg)
     spec = load_spec(str(cfg.values["spec"]), kmax)
     body = load_body(str(cfg.values["body"]))
-    if cfg.values.get("plane") is None:
-        raise InputError("--plane is mandatory for check-valuation")
     normal, offset = _parse_plane(str(cfg.values["plane"]))
     m = _int_option(cfg, "num-dirs", 1, default=50)
-    tol = float(cfg.values.get("tol", 1e-6))
+    tol = _float_option(cfg, "tol", 1e-6, positive=True)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((m, 3))
     point = normal / np.dot(normal, normal) * offset
@@ -334,7 +362,7 @@ def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
 
 def cmd_crofton(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "i", "j", "n", "N", "seed",
-                                 "shards", "out", "csv"])
+                                 "shards", "out", "csv"], required=("body", "i", "j"))
     seed = _seed(cfg)
     _int_option(cfg, "n", 3, 3, 3)   # geometric Crofton runs are restricted to n = 3
     N, shards = _mc_size(cfg)
@@ -349,7 +377,7 @@ def cmd_crofton(args) -> tuple[int, dict, list, list]:
 
 def cmd_kinematic(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "other", "j", "N", "seed", "hadwiger",
-                                 "spec", "dir", "kmax", "shards", "out", "csv"])
+                                 "spec", "dir", "kmax", "shards", "out", "csv"], required=("body",))
     seed = _seed(cfg)
     N, shards = _mc_size(cfg)
     body = load_body(str(cfg.values["body"]))
@@ -362,9 +390,8 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
             raise InputError("--j selects V_j runs; it does not apply with --spec")
         # valuation-valued kinematic formula at a fixed direction
         spec = load_spec(str(cfg.values["spec"]), _spec_kmax(cfg))
-        dirs = cfg.values.get("dir") or ["0,0,1"]
         res = integral_geom.kinematic_minkowski_check(
-            spec, body, other, _parse_vec(dirs[0]), N, seed, shards=shards)
+            spec, body, other, _parse_vec(_dir_option(cfg, "0,0,1")[0]), N, seed, shards=shards)
         report = {"config": cfg.as_json(), **res, "pass": res["consistent_3sigma"]}
         return (0 if res["consistent_3sigma"] else 1), report, [], []
     if cfg.values.get("hadwiger"):
@@ -389,7 +416,7 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
 
 def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
     cfg = _resolve_config(args, ["body", "mu", "i", "j", "N", "seed", "degrees",
-                                 "probe", "kmax", "shards", "out", "csv"])
+                                 "probe", "kmax", "shards", "out", "csv"], required=("body",))
     seed = _seed(cfg)
     N, shards = _mc_size(cfg)
     kmax = _spec_kmax(cfg)
@@ -422,15 +449,15 @@ def cmd_lemma52(args) -> tuple[int, dict, list, list]:
     count = _int_option(cfg, "samples", 1, default=50)
     # the flux rule integrates profiles of degree band + 1 exactly
     band = _int_option(cfg, "band", 1, 2 * FLUX_QUAD_ORDER - 2, 8)
-    qval = cfg.values.get("q")
-    flux_tol = float(cfg.values.get("flux-tol", 1e-8))
+    q = None if cfg.values.get("q") is None else _float_option(cfg, "q")
+    flux_tol = _float_option(cfg, "flux-tol", 1e-8, positive=True)
     rng = np.random.default_rng(seed)
     profiles = []
     for _ in range(count):
         coeffs = rng.normal(size=band + 1)
         coeffs[1] = 0.0
         profiles.append(ZonalPolynomial(n, coeffs))
-    rep = regularity_probe(profiles, n, q=None if qval is None else float(qval))
+    rep = regularity_probe(profiles, n, q=q)
     ok = rep["max_flux_residual"] is not None and rep["max_flux_residual"] <= flux_tol
     report = {
         "config": cfg.as_json(),
@@ -457,9 +484,16 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors, reported as the
+    error JSON with exit code 2 instead of a usage message."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="minkval",
-                                description="Minkowski valuation calculus on convex polytopes")
+    p = _Parser(prog="minkval", description="Minkowski valuation calculus on convex polytopes")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
@@ -475,26 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("area-measure", help="area measure summary of a body")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--i", type=int, required=True)
+    sp.add_argument("--body", help=REQUIRED)
+    sp.add_argument("--i", type=int, help=REQUIRED)
     sp.add_argument("--tol", type=float)
     common(sp)
 
     sp = sub.add_parser("evaluate", help="evaluate a valuation on a body")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--body", required=True)
+    sp.add_argument("--spec", help=REQUIRED)
+    sp.add_argument("--body", help=REQUIRED)
     sp.add_argument("--dir", action="append")
     sp.add_argument("--band", type=int)
-    sp.add_argument("--path", choices=["auto", "pointwise", "spectral"])
+    sp.add_argument("--path", choices=valuation.PATHS)
     sp.add_argument("--kmax", type=int)
     sp.add_argument("--crosscheck", action="store_const", const=True)
     sp.add_argument("--tol", type=float)
     common(sp)
 
     sp = sub.add_parser("check-valuation", help="finite-additivity residual under a split")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--plane", help="nx,ny,nz,c (required, also from --config)")
+    sp.add_argument("--spec", help=REQUIRED)
+    sp.add_argument("--body", help=REQUIRED)
+    sp.add_argument("--plane", help=f"nx,ny,nz,c {REQUIRED}")
     sp.add_argument("--num-dirs", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--tol", type=float)
@@ -502,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("crofton", help="Monte-Carlo Crofton formula check")
-    sp.add_argument("--body", required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
+    sp.add_argument("--body", help=REQUIRED)
+    sp.add_argument("--i", type=int, help=REQUIRED)
+    sp.add_argument("--j", type=int, help=REQUIRED)
     sp.add_argument("--n", type=int)
     sp.add_argument("--N", type=int)
     sp.add_argument("--seed", type=int)
@@ -512,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("kinematic", help="Monte-Carlo kinematic formula check")
-    sp.add_argument("--body", required=True)
+    sp.add_argument("--body", help=REQUIRED)
     sp.add_argument("--other")
     sp.add_argument("--j", type=int)
     sp.add_argument("--N", type=int)
@@ -525,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("crofton-mv", help="per-degree Crofton check for a Minkowski valuation")
-    sp.add_argument("--body", required=True)
+    sp.add_argument("--body", help=REQUIRED)
     sp.add_argument("--mu")
     sp.add_argument("--i", type=int)
     sp.add_argument("--j", type=int)
@@ -550,13 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = HANDLERS[args.cmd]
+    args = None
     try:
-        status, report, csv_rows, csv_header = handler(args)
+        args = build_parser().parse_args(argv)
+        status, report, csv_rows, csv_header = HANDLERS[args.cmd](args)
     except InputError as exc:
         payload = {"error": str(exc)}
+        # a command line that argparse rejects has no --out to trust
         out = getattr(args, "out", None)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if out:

@@ -5,6 +5,12 @@ quadrature for the zonal weight (1-t^2)^((n-3)/2), the Laplace-Beltrami
 operator and C^k norms of rotation-invariant functions in cylindrical
 coordinates, and an empirical probe of the elliptic estimate
 ||f||_C2 <= C ||box f||_C0.
+
+One recurrence computes the Legendre polynomials: `legendre_rows` streams
+P_k, and on request P_k' and P_k'', one degree at a time.  Every sum over
+degrees (ZonalPolynomial, the zonal multipliers, the area-measure moments)
+adds its rows elementwise, so a value at t does not depend on the other
+points evaluated with it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .constants import omega
 __all__ = [
     "harmonic_dimension",
     "legendre_coefficients",
-    "LegendreTable",
     "legendre_rows",
     "JacobiQuadrature",
     "jacobi_quadrature",
@@ -70,76 +75,38 @@ def legendre_coefficients(n: int, multipliers) -> np.ndarray:
     return a * dims / omega(n)
 
 
-def legendre_recurrence(n: int, kmax: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values and first two t-derivatives of P_k^n at the points t, for all
-    0 <= k <= kmax, via the three-term recurrence
+def legendre_rows(n: int, kmax: int, t, derivatives: bool = False):
+    """Yield P_0^n(t), ..., P_kmax^n(t) one degree at a time, by the
+    three-term recurrence
 
-        (k + n - 2) P_{k+1} = (2k + n - 2) t P_k - k P_{k-1}.
+        (k + n - 2) P_{k+1} = (2k + n - 2) t P_k - k P_{k-1},
 
-    Returns three arrays of shape (kmax+1, len(t)).
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = t.shape[0]
-    P = np.zeros((kmax + 1, m))
-    dP = np.zeros((kmax + 1, m))
-    d2P = np.zeros((kmax + 1, m))
-    P[0] = 1.0
+    with only two degrees alive: memory is O(t.size), not O(kmax * t.size).
+    With derivatives=True each item is the triple (P_k, P_k', P_k''), the
+    derivatives from the t-derivatives of the recurrence,
+
+        (k + n - 2) P'_{k+1}  = (2k + n - 2) (P_k + t P'_k) - k P'_{k-1},
+        (k + n - 2) P''_{k+1} = (2k + n - 2) (2 P'_k + t P''_k) - k P''_{k-1};
+
+    the values P_k are the same either way.  Every row is elementwise in t,
+    so no value depends on the length of t."""
+    t = np.asarray(t, dtype=float)
+    prev, cur = np.ones_like(t), t
+    if derivatives:
+        zero = np.zeros_like(t)
+        dprev, dcur, d2prev, d2cur = zero, np.ones_like(t), zero, zero
+    yield (prev, dprev, d2prev) if derivatives else prev
     if kmax >= 1:
-        P[1] = t
-        dP[1] = 1.0
+        yield (cur, dcur, d2cur) if derivatives else cur
     for k in range(1, kmax):
         a = 2 * k + n - 2
         c = k + n - 2
         # divide last so that P_k(+-1) = (+-1)^k holds exactly
-        P[k + 1] = (a * t * P[k] - k * P[k - 1]) / c
-        dP[k + 1] = (a * (P[k] + t * dP[k]) - k * dP[k - 1]) / c
-        d2P[k + 1] = (a * (2.0 * dP[k] + t * d2P[k]) - k * d2P[k - 1]) / c
-    return P, dP, d2P
-
-
-def legendre_rows(n: int, kmax: int, t: np.ndarray):
-    """Yield P_0^n(t), ..., P_kmax^n(t) one degree at a time, by the
-    recurrence of legendre_recurrence (same arithmetic, so the same values)
-    with only two rows alive: memory is O(t.size), not O(kmax * t.size)."""
-    t = np.asarray(t, dtype=float)
-    prev, cur = np.ones_like(t), t
-    yield prev
-    if kmax >= 1:
-        yield cur
-    for k in range(1, kmax):
-        a = 2 * k + n - 2
-        c = k + n - 2
+        if derivatives:
+            dprev, dcur, d2prev, d2cur = (dcur, (a * (cur + t * dcur) - k * dprev) / c,
+                                          d2cur, (a * (2.0 * dcur + t * d2cur) - k * d2prev) / c)
         prev, cur = cur, (a * t * cur - k * prev) / c
-        yield cur
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """Evaluator for the Legendre polynomials of dimension n up to kmax."""
-
-    n: int
-    kmax: int
-
-    def __post_init__(self):
-        # n = 2 is admitted so Berg kernels of low dimension can be expanded
-        if self.n < 2:
-            raise ValueError(f"LegendreTable needs n >= 2, got {self.n}")
-        if self.kmax < 0:
-            raise ValueError("kmax must be >= 0")
-
-    def values(self, t, deriv: int = 0) -> np.ndarray:
-        """All degrees at once: array of shape (kmax+1,) + shape(t)."""
-        t = np.asarray(t, dtype=float)
-        tables = legendre_recurrence(self.n, self.kmax, t.ravel())
-        if deriv not in (0, 1, 2):
-            raise ValueError("deriv must be 0, 1 or 2")
-        return tables[deriv].reshape((self.kmax + 1,) + t.shape)
-
-    def eval(self, k: int, t, deriv: int = 0):
-        if not 0 <= k <= self.kmax:
-            raise ValueError(f"degree {k} out of range [0, {self.kmax}]")
-        out = self.values(t, deriv)[k]
-        return float(out) if np.ndim(out) == 0 else out
+        yield (cur, dcur, d2cur) if derivatives else cur
 
 
 @dataclass(frozen=True)
@@ -179,17 +146,20 @@ class ZonalPolynomial:
     f(t) = sum_k coeffs[k] * P_k^n(t)."""
 
     def __init__(self, n: int, coeffs: Sequence[float]):
+        # n = 2 is admitted so Berg kernels of low dimension can be expanded
+        if n < 2:
+            raise ValueError(f"ZonalPolynomial needs n >= 2, got {n}")
         self.n = n
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
         self.degree = self.coeffs.size - 1
-        self._table = LegendreTable(n, self.degree)
 
     def __call__(self, t, deriv: int = 0):
+        if deriv not in (0, 1, 2):
+            raise ValueError("deriv must be 0, 1 or 2")
         if deriv:
-            vals = self._table.values(t, deriv)
-            return np.tensordot(self.coeffs, vals, axes=(0, 0))
+            return self.derivatives(t)[deriv - 1]
         # values: sum c_k P_k degree by degree, in O(t.size) memory
         out = np.zeros(np.shape(t))
         for c, pk in zip(self.coeffs, legendre_rows(self.n, self.degree, t)):
@@ -197,11 +167,14 @@ class ZonalPolynomial:
         return out
 
     def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """self(t, 1) and self(t, 2), both from one Legendre recurrence."""
-        t = np.asarray(t, dtype=float)
-        _, d1, d2 = legendre_recurrence(self.n, self.degree, t.ravel())
-        return tuple(np.tensordot(self.coeffs, d.reshape((self.degree + 1,) + t.shape), axes=(0, 0))
-                     for d in (d1, d2))
+        """self(t, 1) and self(t, 2), summed degree by degree as the values
+        are, from one streamed recurrence."""
+        d1, d2 = np.zeros(np.shape(t)), np.zeros(np.shape(t))
+        for c, (_, p1, p2) in zip(self.coeffs,
+                                  legendre_rows(self.n, self.degree, t, derivatives=True)):
+            d1 += c * p1
+            d2 += c * p2
+        return d1, d2
 
 
 class ZonalProfile:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_BAND = 16
+PATHS = ("auto", "pointwise", "spectral")   # the evaluation paths a caller may ask for
 CENTER_TOL = 1e-9
 # PieceEvaluator keeps about sixteen float64 values per arc node alive: the
 # slerp's points and temporaries, the cosines, two Legendre rows, the
@@ -169,9 +170,14 @@ def _measures_for(P: Polytope, degrees: list[int], parallel_t: float) -> dict[in
     return {i: steiner_area_measure(P, i, parallel_t) for i in degrees}
 
 
-def _auto_path(data: list[tuple[int, ZonalObject]]) -> str:
-    """The default path: pointwise when every datum is a density without
-    atoms, spectral otherwise."""
+def _choose_path(path: str, data: list[tuple[int, ZonalObject]]) -> str:
+    """The evaluation path to take: `path` itself, or for "auto" pointwise
+    when every datum is a density without atoms, spectral otherwise.  A
+    path outside PATHS is an error."""
+    if path not in PATHS:
+        raise ValueError(f"unknown evaluation path {path!r}; expected one of {', '.join(PATHS)}")
+    if path != "auto":
+        return path
     return "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
 
 
@@ -190,14 +196,13 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     """
     if spec.n != 3:
         raise ValueError("geometric evaluation is implemented for n = 3")
+    data = spec.degrees()
+    path = _choose_path(path, data)
     if P.is_empty:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
         return SupportFunctionResult(dirs, np.zeros(dirs.shape[0]), path="empty")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    data = spec.degrees()
-    if path == "auto":
-        path = _auto_path(data)
     base = float(spec.c0)
     if spec.cn != 0.0:
         base += spec.cn * (_steiner_volume(P, parallel_t) if parallel_t > 0.0
@@ -266,7 +271,7 @@ class PieceEvaluator:
         u = np.asarray(direction, dtype=float).ravel()
         self.u = u / np.linalg.norm(u)
         data = spec.degrees()
-        self.path = _auto_path(data) if path == "auto" else path
+        self.path = _choose_path(path, data)
         self.c0, self.cn = float(spec.c0), float(spec.cn)
         self.profiles = {i: self._profile(i, z) for i, z in data}
 

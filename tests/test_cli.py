@@ -3,6 +3,7 @@ reproducibility."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,6 +239,10 @@ EVALUATE = ["evaluate", "--spec", "projection_body", "--body", "cube"]
 CHECK_VALUATION = ["check-valuation", "--spec", "projection_body", "--body", "cube",
                    "--plane", "0,0,1,0.5", "--seed", "5"]
 NO_PLANE = CHECK_VALUATION[:5] + ["--seed", "5"]
+AREA_MEASURE = ["area-measure", "--body", "cube", "--i", "1"]
+LEMMA52 = ["lemma52", "--samples", "2", "--seed", "1"]
+KINEMATIC_SPEC = ["kinematic", "--body", "cube", "--spec", "projection_body",
+                  "--N", "100", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv,config,flag", [
@@ -260,11 +265,29 @@ NO_PLANE = CHECK_VALUATION[:5] + ["--seed", "5"]
     (["kinematic", "--body", "cube", "--spec", "projection_body", "--N", "100",
       "--seed", "1"], {"kmax": 100000}, "--kmax"),
     (["crofton-mv", "--body", "cube", "--N", "100", "--seed", "1"], {"kmax": -3}, "--kmax"),
+    (AREA_MEASURE, {"tol": "abc"}, "--tol"),
+    (AREA_MEASURE, {"tol": None}, "--tol"),
+    (AREA_MEASURE, {"tol": math.nan}, "--tol"),
+    (AREA_MEASURE, {"tol": 0}, "--tol"),
+    (EVALUATE, {"tol": "abc"}, "--tol"),
+    (CHECK_VALUATION, {"tol": True}, "--tol"),
+    (LEMMA52, {"q": "abc"}, "--q"),
+    (LEMMA52, {"q": math.inf}, "--q"),
+    (LEMMA52, {"flux-tol": "x"}, "--flux-tol"),
+    (LEMMA52, {"flux-tol": -1e-8}, "--flux-tol"),
+    (EVALUATE, {"path": "nosuch"}, "--path"),
+    (EVALUATE, {"dir": [1, 2, 3]}, "--dir"),
+    (EVALUATE, {"dir": "0,0,1"}, "--dir"),
+    (KINEMATIC_SPEC, {"dir": [1, 2, 3]}, "--dir"),
+    (KINEMATIC_SPEC, {"dir": "0,0,1"}, "--dir"),
 ])
 def test_integer_option_out_of_its_range_is_an_input_error(tmp_path, argv, config, flag):
     # from a config file, "samples": "abc" and "berg": 99 ended in
     # tracebacks, "kmax": 2.5 ran as kmax 2, "kmax": -3 printed no rows,
-    # "band": -1 was ignored and "kmax": 100000 ran for minutes
+    # "band": -1 was ignored and "kmax": 100000 ran for minutes; the float
+    # options ("tol": "abc", null or NaN, "q": "abc") and "dir": [1, 2, 3]
+    # ended in tracebacks, "path": "nosuch" ran the spectral path, and
+    # "dir": "0,0,1" was read one character at a time
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, rep = run(tmp_path, *argv, "--config", str(path))
@@ -291,6 +314,45 @@ def test_unknown_zonal_builtin_is_an_input_error(tmp_path, argv, config):
     code, rep = run(tmp_path, *argv)
     assert code == 2
     assert set(rep) == {"error"} and "zonal" in rep["error"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["crofton", "--seed", "1", "--N", "100"], {"body": "cube", "i": 1, "j": 1}),
+    (["area-measure"], {"body": "cube", "i": 1}),
+    (["evaluate", "--dir=0,0,1"], {"spec": "projection_body", "body": "cube"}),
+    (["check-valuation", "--seed", "5"],
+     {"spec": "projection_body", "body": "cube", "plane": "0,0,1,0.5"}),
+    (["kinematic", "--j", "0", "--N", "100", "--seed", "1"], {"body": "cube"}),
+    (["crofton-mv", "--N", "100", "--seed", "5"], {"body": "cube"}),
+])
+def test_required_options_may_come_from_the_config(tmp_path, argv, config):
+    # argparse refused the command: "required: --body, --i, --j"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, rep = run(tmp_path, *argv, "--config", str(path))
+    code_flags, rep_flags = run(tmp_path, *argv, *(f"--{k}={v}" for k, v in config.items()))
+    rep.pop("wall_time_s", None), rep_flags.pop("wall_time_s", None)
+    assert code == code_flags == 0 and rep == rep_flags
+    code, rep = run(tmp_path, *argv)
+    assert code == 2
+    assert set(rep) == {"error"} and all(f"--{key}" in rep["error"] for key in config)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["crofton", "--body", "cube", "--i", "x", "--j", "1", "--N", "100", "--seed", "1"], "--i"),
+    (["lemma52", "--seed", "1", "--q", "abc"], "--q"),
+    (["evaluate", "--spec", "projection_body", "--body", "cube", "--path", "nosuch"], "--path"),
+    (["crofton", "--body", "cube", "--nosuch", "1"], "--nosuch"),
+    (["nosuch"], "nosuch"),
+    ([], "cmd"),
+])
+def test_argparse_errors_carry_the_error_json(capsys, argv, flag):
+    # argparse printed a usage message to stderr and no error JSON
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert set(rep) == {"error"} and flag in rep["error"]
+    assert err == ""
 
 
 @pytest.mark.parametrize("plane", ["x,0,1,0.5", "0,0,0,0.5", "nan,0,1,0.5", "0,0,1,inf",

@@ -458,9 +458,12 @@ S0_DIRS = _unit(np.random.default_rng(0).standard_normal((7, 3)))
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(S0_BODIES)), exponent=st.sampled_from([-6.0, 6.0]),
        shift=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
-       coeffs=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=21))
+       coeffs=st.none() | st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                                   min_size=1, max_size=21))
 def test_s0_is_the_uniform_measure_on_any_body(kind, exponent, shift, coeffs):
-    # S_0(K, .) is the spherical Lebesgue measure sigma for every nonempty K
+    # S_0(K, .) is the spherical Lebesgue measure sigma for every nonempty K.
+    # Subnormal coefficients are not drawn: they carry no relative precision,
+    # and the relative bound below underflows to 0 (coeffs = [5e-324]).
     P = Polytope.from_vertices(10.0 ** exponent * S0_BODIES[kind] + np.array(shift))
     s0 = area_measure(P, 0)
     expect = np.zeros((21, len(S0_DIRS)))

@@ -1,4 +1,4 @@
-"""Legendre tables, quadrature, zonal calculus, and the regularity probe."""
+"""Legendre rows, quadrature, zonal calculus, and the regularity probe."""
 
 import math
 
@@ -9,13 +9,14 @@ from scipy.special import eval_gegenbauer
 
 from minkval.constants import omega
 from minkval.harmonics import (
+    CK_GRID,
     InsufficientQuadratureError,
-    LegendreTable,
     ZonalPolynomial,
     ZonalProfile,
     boundary_flux,
     harmonic_dimension,
     jacobi_quadrature,
+    _ck_grid,
     legendre_rows,
     regularity_probe,
     zonal_ck_norm,
@@ -53,28 +54,53 @@ def test_harmonic_dimension_rejects_negative():
         harmonic_dimension(3, -1)
 
 
+def gegenbauer_derivatives_oracle(n, k, t):
+    """P_k^n' and P_k^n'' through d/dt C_k^lam = 2 lam C_{k-1}^(lam+1)."""
+    lam = (n - 2) / 2.0
+    scale = eval_gegenbauer(k, lam, 1.0)
+    d1 = 2 * lam * eval_gegenbauer(k - 1, lam + 1, t) / scale if k >= 1 else 0 * t
+    d2 = 4 * lam * (lam + 1) * eval_gegenbauer(k - 2, lam + 2, t) / scale if k >= 2 else 0 * t
+    return d1, d2
+
+
+def reference_table(n, kmax, t):
+    """P_k, P_k' and P_k'' of all degrees at once as (kmax+1, len(t)) tables,
+    by the recurrence written out row by row: the arithmetic that
+    legendre_rows streams, so its rows must equal these bit for bit."""
+    m = t.shape[0]
+    P, dP, d2P = np.zeros((kmax + 1, m)), np.zeros((kmax + 1, m)), np.zeros((kmax + 1, m))
+    P[0] = 1.0
+    if kmax >= 1:
+        P[1] = t
+        dP[1] = 1.0
+    for k in range(1, kmax):
+        a, c = 2 * k + n - 2, k + n - 2
+        P[k + 1] = (a * t * P[k] - k * P[k - 1]) / c
+        dP[k + 1] = (a * (P[k] + t * dP[k]) - k * dP[k - 1]) / c
+        d2P[k + 1] = (a * (2.0 * dP[k] + t * d2P[k]) - k * d2P[k - 1]) / c
+    return P, dP, d2P
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_legendre_matches_gegenbauer(n):
-    tab = LegendreTable(n, 20)
     t = np.linspace(-1, 1, 41)
+    rows = list(legendre_rows(n, 20, t))
     for k in (0, 1, 2, 5, 11, 20):
-        assert np.max(np.abs(tab.eval(k, t) - gegenbauer_oracle(n, k, t))) < 1e-10
+        assert np.max(np.abs(rows[k] - gegenbauer_oracle(n, k, t))) < 1e-10
 
 
 def test_legendre_point_values():
-    tab = LegendreTable(3, 8)
-    assert tab.eval(2, 0.0) == pytest.approx(-0.5, abs=1e-14)
-    for k in range(9):
-        assert tab.eval(k, 1.0) == 1.0
-    assert tab.eval(1, 0.3, deriv=1) == 1.0
+    assert list(legendre_rows(3, 8, 0.0))[2] == pytest.approx(-0.5, abs=1e-14)
+    assert all(pk == 1.0 for pk in legendre_rows(3, 8, 1.0))
+    _, (p1, d1, d2) = legendre_rows(3, 1, 0.3, derivatives=True)
+    assert (p1, d1, d2) == (0.3, 1.0, 0.0)
 
 
 def test_legendre_recurrence_residual():
     # values plugged back into the three-term recurrence
     n, kmax = 4, 16
-    tab = LegendreTable(n, kmax)
     t = np.linspace(-1, 1, 101)
-    P = tab.values(t)
+    P = list(legendre_rows(n, kmax, t))
     for k in range(1, kmax):
         lhs = (k + n - 2) * P[k + 1]
         rhs = (2 * k + n - 2) * t * P[k] - k * P[k - 1]
@@ -83,39 +109,69 @@ def test_legendre_recurrence_residual():
 
 @pytest.mark.parametrize("n,kmax", [(3, 0), (3, 1), (3, 32), (5, 12)])
 def test_streamed_legendre_rows_match_the_table(n, kmax):
-    t = np.linspace(-1, 1, 257).reshape(1, 257)
+    t = np.linspace(-1, 1, 257)
+    table = reference_table(n, kmax, t)
     rows = list(legendre_rows(n, kmax, t))
-    assert len(rows) == kmax + 1
-    assert np.array_equal(np.array(rows), LegendreTable(n, kmax).values(t))
+    triples = list(legendre_rows(n, kmax, t, derivatives=True))
+    assert len(rows) == len(triples) == kmax + 1
+    assert np.array_equal(np.array(rows), table[0])
+    for d in range(3):
+        assert np.array_equal(np.array([row[d] for row in triples]), table[d])
     coeffs = np.random.default_rng(n + kmax).standard_normal(kmax + 1)
-    table_sum = np.tensordot(coeffs, LegendreTable(n, kmax).values(t), axes=(0, 0))
-    assert np.allclose(ZonalPolynomial(n, coeffs)(t), table_sum, rtol=0, atol=1e-13)
-    assert ZonalPolynomial(n, coeffs)(1.0) == pytest.approx(coeffs.sum(), abs=1e-13)
+    f = ZonalPolynomial(n, coeffs)
+    assert np.allclose(f(t), coeffs @ table[0], rtol=0, atol=1e-13)
+    for d in (1, 2):
+        table_sum = coeffs @ table[d]
+        assert np.allclose(f(t, d), table_sum, rtol=0, atol=1e-13 * np.max(np.abs(table_sum)))
+    assert f(1.0) == pytest.approx(coeffs.sum(), abs=1e-13)
+    assert np.array_equal(f(t.reshape(1, 257), 2), f(t, 2).reshape(1, 257))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_zonal_polynomial_values_do_not_depend_on_the_other_points(n):
+    # the derivatives were a BLAS product over a (degree, len(t)) table,
+    # whose last bits changed with len(t)
+    t = np.concatenate(([-1.0], _ck_grid(CK_GRID), [1.0]))
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        f = ZonalPolynomial(n, rng.normal(size=9))
+        for d in (0, 1, 2):
+            assert np.array_equal(f(t, d)[1:-1], f(t[1:-1], d))
+        assert all(np.array_equal(a[1:-1], b)
+                   for a, b in zip(f.derivatives(t), f.derivatives(t[1:-1])))
+
+
+def test_zonal_polynomial_input_checks():
+    # n = 2 is admitted for the Berg kernels of low dimension
+    assert ZonalPolynomial(2, [0.0, 1.0])(0.25) == 0.25
+    with pytest.raises(ValueError, match="n >= 2"):
+        ZonalPolynomial(1, [1.0])
+    for coeffs in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="non-empty"):
+            ZonalPolynomial(3, coeffs)
+    with pytest.raises(ValueError, match="deriv"):
+        ZonalPolynomial(3, [1.0, 2.0])(0.5, 3)
 
 
 def test_legendre_bounded_on_interval():
     for n in (3, 5):
-        tab = LegendreTable(n, 32)
         t = np.linspace(-1, 1, 501)
-        assert np.max(np.abs(tab.values(t))) <= 1.0 + 1e-12
-
-
-def test_legendre_degree_out_of_range():
-    tab = LegendreTable(3, 4)
-    with pytest.raises(ValueError):
-        tab.eval(5, 0.1)
+        assert np.max(np.abs(list(legendre_rows(n, 32, t)))) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 7), (5, 12)])
 def test_legendre_derivatives_match_finite_differences(n, k):
-    tab = LegendreTable(n, k)
     h = 1e-5
     t = np.linspace(-0.9, 0.9, 25)
-    d1 = tab.eval(k, t, deriv=1)
-    fd1 = (tab.eval(k, t + h) - tab.eval(k, t - h)) / (2 * h)
+    *_, (p, d1, d2) = legendre_rows(n, k, t, derivatives=True)
+    *_, p_plus = legendre_rows(n, k, t + h)
+    *_, p_minus = legendre_rows(n, k, t - h)
+    ref1, ref2 = gegenbauer_derivatives_oracle(n, k, t)
+    assert np.max(np.abs(d1 - ref1)) < 1e-11 * max(1.0, np.max(np.abs(ref1)))
+    assert np.max(np.abs(d2 - ref2)) < 1e-11 * max(1.0, np.max(np.abs(ref2)))
+    fd1 = (p_plus - p_minus) / (2 * h)
     assert np.max(np.abs(d1 - fd1)) < 1e-4 * max(1.0, np.max(np.abs(d1)))
-    d2 = tab.eval(k, t, deriv=2)
-    fd2 = (tab.eval(k, t + h) - 2 * tab.eval(k, t) + tab.eval(k, t - h)) / h ** 2
+    fd2 = (p_plus - 2 * p + p_minus) / h ** 2
     assert np.max(np.abs(d2 - fd2)) < 1e-3 * max(1.0, np.max(np.abs(d2)))
 
 
@@ -152,10 +208,9 @@ def test_zonal_coefficient_against_scipy_quad():
     # non-polynomial profile: independent adaptive quadrature oracle
     quad = jacobi_quadrature(3, 96)
     prof = ZonalProfile(lambda t: np.exp(0.7 * t))
-    tab = LegendreTable(3, 4)
     for k in (0, 1, 3):
         oracle = 2 * math.pi * scipy_quad(
-            lambda t: math.exp(0.7 * t) * tab.eval(k, t), -1, 1)[0]
+            lambda t: math.exp(0.7 * t) * gegenbauer_oracle(3, k, t), -1, 1)[0]
         assert zonal_coefficient(prof, k, quad) == pytest.approx(oracle, rel=1e-9)
 
 

@@ -136,6 +136,17 @@ def test_spectral_path_handles_atoms():
         evaluate(spec, cube(), dirs, path="pointwise")
 
 
+@pytest.mark.parametrize("path", ["nosuch", "empty", "Spectral", None])
+def test_unknown_path_is_rejected(path):
+    # an unknown path silently took the spectral path
+    spec = builtin_spec("projection_body")
+    for body in (cube(), Polytope.empty()):
+        with pytest.raises(ValueError, match="unknown evaluation path"):
+            evaluate(spec, body, np.array([[1.0, 0, 0]]), path=path)
+    with pytest.raises(ValueError, match="unknown evaluation path"):
+        valuation.PieceEvaluator(spec, [0.0, 0.0, 1.0], path)
+
+
 def test_spectral_truncation_reported():
     spec = builtin_spec("projection_body", kmax=32)
     res = evaluate(spec, cube(), np.array([[1.0, 0, 0]]), band=8, path="spectral")
