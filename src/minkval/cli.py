@@ -81,14 +81,19 @@ def _resolve_body(name: str) -> convex.Polytope:
 def load_spec(name: str, kmax: int) -> valuation.MinkowskiValuationSpec:
     """Resolve a valuation spec: a JSON file in the schema of
     MinkowskiValuationSpec.to_json, or a builtin name.  A file that is not
-    such JSON, or an unknown builtin, is an input error."""
+    such JSON, an unknown builtin, or a spec of another dimension than the
+    bodies' n = 3, is an input error."""
     try:
         if os.path.exists(name):
             with open(name) as fh:
-                return valuation.MinkowskiValuationSpec.from_json(json.load(fh), kmax=kmax)
-        return valuation.builtin_spec(name, kmax=kmax)
+                spec = valuation.MinkowskiValuationSpec.from_json(json.load(fh), kmax=kmax)
+        else:
+            spec = valuation.builtin_spec(name, kmax=kmax)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad valuation spec {name!r}: {exc}") from None
+    if spec.n != 3:
+        raise InputError(f"bad valuation spec {name!r}: bodies live in R^3, the spec has n = {spec.n}")
+    return spec
 
 
 def load_zonal(name: str, kmax: int) -> zonal.ZonalObject:
@@ -186,18 +191,25 @@ def _mc_size(cfg: RunConfig) -> tuple[int, int]:
 
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
                    csv_path: str | None = None, csv_header=None) -> None:
+    """Write the report to `out` (stdout without it) and the rows to
+    `csv_path`.  Both files are opened before anything is written, so a
+    path that cannot be opened (OSError) leaves stdout empty."""
     payload = json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if csv_path and csv_rows is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    csv_fh = open(csv_path, "w", newline="") if csv_path and csv_rows is not None else None
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        if csv_fh is not None:
+            writer = csv.writer(csv_fh)
             if csv_header:
                 writer.writerow(csv_header)
             writer.writerows(csv_rows)
+    finally:
+        if csv_fh is not None:
+            csv_fh.close()
 
 
 @dataclass
@@ -314,7 +326,7 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     if path not in valuation.PATHS:
         raise InputError(f"--path must be one of {', '.join(valuation.PATHS)}, got {path!r}")
     tol = _float_option(cfg, "tol", 1e-6, positive=True)
-    res = valuation.evaluate(spec, body, np.array(dirs), band=band, path=path)
+    res = _evaluate(spec, body, dirs, band=band, path=path)
     report = {
         "config": cfg.as_json(),
         "path": res.path,
@@ -325,14 +337,23 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
     }
     status = 0
     if cfg.values.get("crosscheck"):
-        a = valuation.evaluate(spec, body, np.array(dirs), path="pointwise")
-        b = valuation.evaluate(spec, body, np.array(dirs), path="spectral", band=band)
+        a = _evaluate(spec, body, dirs, path="pointwise")
+        b = _evaluate(spec, body, dirs, path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
         report["crosscheck_deviation"] = dev
         report["crosscheck_tolerance"] = tol + b.truncation_tail
         status = 0 if dev <= tol + b.truncation_tail else 1
     rows = [[*map(float, d), float(v)] for d, v in zip(res.directions, res.values)]
     return status, report, rows, ["x", "y", "z", "value"]
+
+
+def _evaluate(spec, body, dirs, **options) -> valuation.SupportFunctionResult:
+    """valuation.evaluate, whose errors are the input's (a datum with atoms
+    on the pointwise path, a band beyond a datum): input errors here."""
+    try:
+        return valuation.evaluate(spec, body, np.array(dirs), **options)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
@@ -589,20 +610,33 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         status, report, csv_rows, csv_header = HANDLERS[args.cmd](args)
     except InputError as exc:
-        payload = {"error": str(exc)}
         # a command line that argparse rejects has no --out to trust
-        out = getattr(args, "out", None)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 2
-    _write_outputs(report, getattr(args, "out", None),
-                   csv_rows=csv_rows, csv_path=getattr(args, "csv", None),
-                   csv_header=csv_header)
+        return _fail(str(exc), getattr(args, "out", None))
+    try:
+        _write_outputs(report, getattr(args, "out", None),
+                       csv_rows=csv_rows, csv_path=getattr(args, "csv", None),
+                       csv_header=csv_header)
+    except OSError as exc:
+        return _fail(f"cannot write the output: {exc}", None)
     return status
+
+
+def _fail(message: str, out: str | None) -> int:
+    """Write the error JSON to `out`, or to stdout when there is no `out`
+    or it cannot be written; the exit code of an input error."""
+    if out:
+        try:
+            with open(out, "w") as fh:
+                fh.write(_error_json(message))
+            return 2
+        except OSError as exc:
+            message = f"{message}; cannot write --out: {exc}"
+    sys.stdout.write(_error_json(message))
+    return 2
+
+
+def _error_json(message: str) -> str:
+    return json.dumps({"error": message}, indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

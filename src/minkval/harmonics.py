@@ -7,10 +7,12 @@ coordinates, and an empirical probe of the elliptic estimate
 ||f||_C2 <= C ||box f||_C0.
 
 One recurrence computes the Legendre polynomials: `legendre_rows` streams
-P_k, and on request P_k' and P_k'', one degree at a time.  Every sum over
-degrees (ZonalPolynomial, the zonal multipliers, the area-measure moments)
-adds its rows elementwise, so a value at t does not depend on the other
-points evaluated with it.
+P_k, and on request P_k' and P_k'', one degree at a time.  On S^2,
+`harmonic_orders` streams the associated Legendre functions of the addition
+theorem, which splits P_k(u . d) into sums of products of functions of u
+and of d.  Every sum over degrees (ZonalPolynomial, the zonal multipliers,
+the area-measure moments) adds its rows elementwise, so a value at t does
+not depend on the other points evaluated with it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "harmonic_dimension",
     "legendre_coefficients",
     "legendre_rows",
+    "harmonic_orders",
     "JacobiQuadrature",
     "jacobi_quadrature",
     "ZonalPolynomial",
@@ -107,6 +110,58 @@ def legendre_rows(n: int, kmax: int, t, derivatives: bool = False):
                                           d2cur, (a * (2.0 * dcur + t * d2cur) - k * d2prev) / c)
         prev, cur = cur, (a * t * cur - k * prev) / c
         yield (cur, dcur, d2cur) if derivatives else cur
+
+
+def harmonic_orders(pts, kmax: int):
+    """The fully normalised associated Legendre functions of the unit
+    vectors pts (N, 3) on S^2, order by order, in the form the addition
+    theorem
+
+        P_k(u . d) = 1/(2k+1) sum_{m=0}^{k} Pbar_km(u_z) Pbar_km(d_z) cos(m (phi_u - phi_d))
+
+    takes them (Pbar_km = sqrt((2 - [m = 0]) (2k+1) (k-m)!/(k+m)!) P_k^m,
+    without the Condon-Shortley phase).  For m = 0..kmax yield
+    (m, (c, s), rows):
+
+    - c + i s = Pbar_mm(z) e^{i m phi} = q_m (x + i y)^m, streamed as
+      (x + i y)^m by one complex product per order, with q_0 = 1,
+      q_1 = sqrt(3), q_m = sqrt((2m+1)/(2m)) q_{m-1}: no trigonometry, and
+      0 at the poles for m >= 1;
+    - rows yields r_km = Pbar_km / Pbar_mm, a polynomial in z, for
+      k = m+1..kmax, by r_{m+1,m} = sqrt(2m+3) z and
+
+        r_km = a_km z r_{k-1,m} - b_km r_{k-2,m},
+        a_km = sqrt((4k^2 - 1) / (k^2 - m^2)),
+        b_km = sqrt((2k+1) (k+m-1) (k-m-1) / ((2k-3) (k^2 - m^2))).
+
+    So Pbar_km(z) e^{i m phi} = r_km(z) (c + i s), with r_mm = 1.  Three
+    buffers of N values carry the rows: a row is overwritten two steps
+    later, so use it before advancing, and exhaust rows before the next
+    order.  Every value is elementwise in the points."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
+    c, s = np.ones_like(z), np.zeros_like(z)
+    for m in range(kmax + 1):
+        if m:
+            q = math.sqrt(3.0) if m == 1 else math.sqrt((2 * m + 1) / (2 * m))
+            c, s = q * (c * x - s * y), q * (c * y + s * x)
+        yield m, (c, s), _order_rows(z, m, kmax)
+
+
+def _order_rows(z: np.ndarray, m: int, kmax: int):
+    """r_km(z) for k = m+1..kmax (see harmonic_orders), in three buffers."""
+    if m == kmax:
+        return
+    prev, cur, nxt = np.ones_like(z), math.sqrt(2 * m + 3) * z, np.empty_like(z)
+    yield cur
+    for k in range(m + 2, kmax + 1):
+        kk, mm = k * k, m * m
+        np.multiply(z, cur, out=nxt)
+        nxt *= math.sqrt((4 * kk - 1) / (kk - mm))
+        prev *= math.sqrt((2 * k + 1) * (k + m - 1) * (k - m - 1) / ((2 * k - 3) * (kk - mm)))
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
 
 
 @dataclass(frozen=True)

@@ -189,10 +189,14 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     directions.
 
     The pointwise path needs every zonal datum to have a continuous density
-    and integrates it against the piecewise area measures.  The spectral
-    path accepts atoms and assembles the band-limited transfer
-    sum_k a_k[mu_i] N(n,k)/omega_n int P_k(u.v) dS_i(v); its truncated
-    multiplier tail is reported.
+    and integrates it against the piecewise area measures; a density that
+    is a pure Legendre series sum_k c_k P_k is sum_k c_k M_k, M_k the
+    measure's moments, where the addition theorem is the cheaper route
+    (AreaMeasure.integrate_zonal).  The spectral path accepts atoms and
+    assembles the band-limited transfer
+    sum_k a_k[mu_i] N(n,k)/omega_n int P_k(u.v) dS_i(v), whose moments
+    come from AreaMeasure.zonal_moments; its truncated multiplier tail is
+    reported.
     """
     if spec.n != 3:
         raise ValueError("geometric evaluation is implemented for n = 3")
@@ -214,7 +218,10 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
         for i, z in data:
             if not z.has_density or z.atoms:
                 raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
-            values += meas[i].integrate_zonal(lambda t, zz=z: zz.density(t), dirs)
+            # a pure Legendre series may take the area measure's moments
+            density = (ZonalPolynomial(spec.n, z.coeffs) if z.profile_fn is None
+                       else (lambda t, zz=z: zz.density(t)))
+            values += meas[i].integrate_zonal(density, dirs)
         return SupportFunctionResult(dirs, values, "pointwise")
     L = DEFAULT_BAND if band is None else int(band)
     w = omega(spec.n)

@@ -14,6 +14,8 @@ import pytest
 import minkval
 from minkval import integral_geom
 from minkval.cli import load_body, load_spec, main
+from minkval.valuation import MinkowskiValuationSpec, builtin_spec
+from minkval.zonal import ZonalObject
 
 
 def run(tmp_path, *argv):
@@ -385,6 +387,53 @@ def test_malformed_spec_file_is_an_input_error(tmp_path, spec):
     code, rep = run(tmp_path, "evaluate", "--spec", str(path), "--body", "cube", "--dir=0,0,1")
     assert code == 2
     assert set(rep) == {"error"} and "spec" in rep["error"]
+
+
+def test_evaluate_errors_of_the_spec_are_input_errors(tmp_path):
+    # a degree-1 datum with atoms on the pointwise path (asked for, or by
+    # --crosscheck) ended in a ValueError traceback with exit code 1
+    spec = tmp_path / "atoms.json"
+    mu = ZonalObject(3, atoms=[(1, 1), (-1, 1)], kmax=16).centered()
+    spec.write_text(json.dumps(MinkowskiValuationSpec(n=3, mu={1: mu}).to_json()))
+    argv = ["evaluate", "--spec", str(spec), "--body", "cube", "--dir=0,0,1"]
+    for extra in (["--path", "pointwise"], ["--crosscheck"]):
+        code, rep = run(tmp_path, *argv, *extra)
+        assert code == 2
+        assert set(rep) == {"error"} and "atoms" in rep["error"]
+    code, rep = run(tmp_path, *argv)
+    assert code == 0 and rep["path"] == "spectral"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--body", "cube", "--dir=0,0,1"],
+    ["check-valuation", "--body", "cube", "--plane=0,0,1,0.5", "--seed", "5"],
+    ["kinematic", "--body", "cube", "--N", "100", "--seed", "1"],
+])
+def test_spec_of_another_dimension_is_an_input_error(tmp_path, argv):
+    # each ended in a ValueError traceback with exit code 1
+    spec = tmp_path / "spec4.json"
+    spec.write_text(json.dumps(builtin_spec("projection_body", n=4).to_json()))
+    code, rep = run(tmp_path, *argv, "--spec", str(spec))
+    assert code == 2
+    assert set(rep) == {"error"} and "n = 4" in rep["error"]
+
+
+@pytest.mark.parametrize("spec,flag,says", [
+    ("projection_body", "--out", ["cannot write the output"]),
+    ("projection_body", "--csv", ["cannot write the output"]),
+    ("nosuch", "--out", ["unknown valuation builtin", "cannot write --out"]),
+])
+def test_output_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, spec, flag, says):
+    # a FileNotFoundError traceback with exit code 1, on the report path
+    # and on the error path; stdout now holds the error JSON alone
+    missing = str(tmp_path / "nonexistent" / "x")
+    argv = ["evaluate", "--spec", spec, "--body", "cube", "--dir=0,0,1", flag, missing]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert set(rep) == {"error"} and "nonexistent" in rep["error"]
+    assert all(s in rep["error"] for s in says)
+    assert err == ""
 
 
 def test_config_file_that_is_not_an_object_is_an_input_error(tmp_path):

@@ -14,6 +14,8 @@ from minkval.convex import (
     AreaMeasure,
     Polytope,
     SphericalArc,
+    _harmonic_is_cheaper,
+    _harmonic_moments,
     _spherical_triangle_area,
     _unit,
     _vertex_cone_triangles,
@@ -25,12 +27,13 @@ from minkval.convex import (
     intrinsic_volumes,
     normal_cone_masses,
     octahedron,
+    _zonal_sums,
     random_hull,
     section_plane,
     simplex,
     steiner_area_measure,
 )
-from minkval.harmonics import ZonalPolynomial
+from minkval.harmonics import ZonalPolynomial, legendre_rows
 from minkval.integral_geom import _SeparatingAxes
 from minkval.zonal import BERG_NATIVE_KMAX, ZonalObject
 
@@ -295,11 +298,86 @@ def test_zonal_moments_against_integrate():
     # S_2 of the parallel body P + B/2 has atoms, arcs and a uniform part
     meas = steiner_area_measure(random_hull(4), 2, 0.5)
     assert meas.atoms and meas.arcs and meas.uniform == 0.25
-    dirs = np.array([[0.0, 0.0, 1.0], [0.6, -0.8, 0.0]])
-    mom = meas.zonal_moments(dirs, 4)
-    for k in range(5):
-        direct = meas.integrate_zonal(ZonalPolynomial(3, np.eye(5)[k]), dirs)
-        assert mom[k] == pytest.approx(direct, abs=1e-9)
+    nodes = len(meas.node_cloud()[1])
+    # two directions take the direct sums, 400 the addition theorem; the
+    # profile given as a plain callable is summed at the nodes either way
+    for dirs in (np.array([[0.0, 0.0, 1.0], [0.6, -0.8, 0.0]]),
+                 _unit(np.random.default_rng(5).standard_normal((400, 3)))):
+        assert _harmonic_is_cheaper(nodes, len(dirs), 4) == (len(dirs) > 2)
+        mom = meas.zonal_moments(dirs, 4)
+        for k in range(5):
+            g = ZonalPolynomial(3, np.eye(5)[k])
+            direct = meas.integrate_zonal(g, dirs)
+            assert mom[k] == pytest.approx(direct, abs=1e-9)
+            assert mom[k] == pytest.approx(meas.integrate_zonal(lambda t: g(t), dirs), abs=1e-9)
+
+
+def moments_by_both_routes(meas, dirs, kmax):
+    """The node sums of meas's moments at dirs by the direct sums and by
+    the addition theorem, whatever the cost model would choose."""
+    pts, wts = meas.node_cloud()
+    direct = _zonal_sums(pts, wts, dirs, kmax + 1, lambda t: legendre_rows(3, kmax, t))
+    harmonic = np.full_like(direct, np.nan)
+    for block, moments in _harmonic_moments(pts, wts, dirs, kmax):
+        harmonic[:, block] = moments
+    return direct, harmonic
+
+
+# atoms at the poles +-e_z (the cube's facet normals), arcs ending there,
+# a larger cloud of arcs, and atoms, arcs and a uniform part together
+ROUTE_MEASURES = {
+    "cube-S2": lambda: area_measure(cube(), 2),
+    "cube-S1": lambda: area_measure(cube(), 1),
+    "hull-S1": lambda: area_measure(random_hull(5, 120), 1),
+    "steiner-S2": lambda: steiner_area_measure(random_hull(4), 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 16, 32])
+@pytest.mark.parametrize("name", sorted(ROUTE_MEASURES))
+def test_addition_theorem_matches_the_direct_sums(name, kmax):
+    meas = ROUTE_MEASURES[name]()
+    nodes = len(meas.node_cloud()[1])
+    rng = np.random.default_rng(kmax)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for ndirs in (3, 300):
+        dirs = np.vstack([poles, _unit(rng.standard_normal((ndirs - 2, 3)))])
+        direct, harmonic = moments_by_both_routes(meas, dirs, kmax)
+        tol = 1e-13 * meas.total_mass
+        assert np.abs(harmonic - direct).max() <= tol
+        # zonal_moments takes one of them, and adds the uniform part to M_0
+        mom = meas.zonal_moments(dirs, kmax)
+        route = harmonic if _harmonic_is_cheaper(nodes, ndirs, kmax) else direct
+        assert np.array_equal(mom[1:], route[1:])
+        assert np.array_equal(mom[0], route[0] + 4 * math.pi * meas.uniform)
+        assert np.abs(mom[0] - direct[0] - 4 * math.pi * meas.uniform).max() <= tol
+
+
+def test_the_cost_model_takes_both_routes():
+    # one direction: the direct sums; hundreds on thousands of nodes: the
+    # addition theorem; a small cloud at 100 directions sits near the
+    # crossover and keeps the direct sums
+    assert not _harmonic_is_cheaper(7056, 1, 32)
+    assert _harmonic_is_cheaper(7056, 200, 32)
+    assert _harmonic_is_cheaper(2016, 100, 32)
+    assert not _harmonic_is_cheaper(720, 100, 32)
+    assert not _harmonic_is_cheaper(0, 1000, 32)
+    # from some number of directions on the addition theorem stays cheaper
+    takes = [_harmonic_is_cheaper(3312, d, 16) for d in range(1, 200)]
+    first = takes.index(True)
+    assert 1 < first and all(takes[first:])
+
+
+def test_addition_theorem_rows_depend_on_nothing_but_the_direction():
+    # a direction's moments are the same bits alone, in any block, among
+    # any other directions
+    meas = area_measure(random_hull(5, 120), 1)
+    pts, wts = meas.node_cloud()
+    dirs = _unit(np.random.default_rng(1).standard_normal((50, 3)))
+    whole = np.concatenate([m for _, m in _harmonic_moments(pts, wts, dirs, 16)], axis=1)
+    for j in (0, 17, 49):
+        alone = next(_harmonic_moments(pts, wts, dirs[j:j + 1], 16))[1][:, 0]
+        assert np.array_equal(alone, whole[:, j])
 
 
 def test_arc_integrals_of_a_linear_function_in_closed_form():

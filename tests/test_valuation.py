@@ -449,15 +449,17 @@ def test_builtin_mean_width_ball():
 
 def test_difference_body_evaluation_memory_is_bounded():
     # the degree-32 Legendre density was summed from three full
-    # (degrees x nodes x directions) tables: about 650 MiB here
+    # (degrees x nodes x directions) tables: about 650 MiB here.  200
+    # directions and 2000 (the addition theorem's blocks)
     spec = builtin_spec("difference_body")
     P = random_hull(42, 200)
-    dirs = random_directions(np.random.default_rng(3), 200)
-    tracemalloc.start()
-    try:
-        res = evaluate(spec, P, dirs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.all(np.isfinite(res.values))
-    assert peak < 16 * 2 ** 20
+    for ndirs in (200, 2000):
+        dirs = random_directions(np.random.default_rng(3), ndirs)
+        tracemalloc.start()
+        try:
+            res = evaluate(spec, P, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(res.values))
+        assert peak < 16 * 2 ** 20
