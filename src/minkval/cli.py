@@ -1,23 +1,30 @@
 """Command-line entry points.
 
-One binary with subcommands; every run emits a JSON report that embeds the
-fully resolved configuration (flags override a --config file, which
-overrides defaults), so reruns are reproducible byte for byte apart from
-the wall_time_s field.  Any option, the mandatory ones included, may come
-from the config file.  Exit status: 0 when all declared checks pass, 1 on
-a check failure, 2 on input errors (with a machine-readable error JSON),
-command-line errors that argparse finds included.
+One binary with subcommands; every run emits a JSON report that embeds its
+configuration as given (flags override a --config file, which overrides
+defaults; the defaults are not embedded), so reruns are reproducible byte
+for byte apart from the wall_time_s field.  Each option of a command is
+declared once, in COMMANDS: its name, type, range, default and whether the
+command needs it.  That table builds the argument parser and its --help
+texts, merges the flags over the config file and checks every value, so
+any option, the mandatory ones included, may come from the config file.
+Exit status: 0 when all declared checks pass, 1 on a check failure, 2 on
+input errors (with a machine-readable error JSON), command-line errors that
+argparse finds included.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -28,22 +35,23 @@ from .harmonics import FLUX_QUAD_ORDER, ZonalPolynomial, regularity_probe
 DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
                   "random_hull_7", "random_hull_42")
-MAX_DIM = 64   # largest ambient dimension n of multipliers and lemma52
-REQUIRED = "(required, also from --config)"   # help of the options a command needs
+MAX_DIM = 64          # largest ambient dimension n of multipliers and lemma52
+MAX_SHARD_N = 10**6   # most samples per shard: a shard's variates are drawn at once
+MAX_SHARDS = 10_000   # largest --shards: the shard reduction holds O(shards) arrays
+MAX_COUNT = 10_000    # largest --num-dirs and --samples
+MAX_BALL_DEPTH = 6    # ball:6 has 16386 vertices; each level has 4x as many
+MAX_POINTS = 100_000  # largest POINTS of random:SEED:POINTS
 
 
 class InputError(Exception):
     pass
 
 
-def _data_dir() -> str | None:
-    return os.environ.get(DATA_ENV)
-
-
 def load_body(name: str) -> convex.Polytope:
     """Resolve a body argument: a JSON path, a corpus name (cube, simplex,
     octahedron -- looked up under $MINKVAL_DATA first, then the packaged
-    data), "ball:depth", or "random:seed[:points]".  A body the lattice
+    data), "ball:DEPTH" (DEPTH in [0, MAX_BALL_DEPTH]), or
+    "random:SEED[:POINTS]" (POINTS in [1, MAX_POINTS]).  A body the lattice
     build rejects (such as one with non-finite coordinates) is an input
     error."""
     try:
@@ -53,29 +61,30 @@ def load_body(name: str) -> convex.Polytope:
 
 
 def _resolve_body(name: str) -> convex.Polytope:
-    if os.path.exists(name):
-        with open(name) as fh:
-            return convex.Polytope.from_json(json.load(fh))
     stem = name[:-5] if name.endswith(".json") else name
-    candidates = []
-    if _data_dir():
-        candidates.append(os.path.join(_data_dir(), stem + ".json"))
-    for cand in candidates:
-        if os.path.exists(cand):
-            with open(cand) as fh:
+    data = os.environ.get(DATA_ENV)
+    for path in (name, os.path.join(data, stem + ".json")) if data else (name,):
+        if os.path.exists(path):
+            with open(path) as fh:
                 return convex.Polytope.from_json(json.load(fh))
     if stem in BUILTIN_BODIES:
         from importlib.resources import files
         text = files("minkval.data").joinpath(stem + ".json").read_text()
         return convex.Polytope.from_json(json.loads(text))
     if stem.startswith("ball:"):
-        return convex.ball_polytope(int(stem.split(":")[1]))
+        return convex.ball_polytope(_bounded(stem[5:], "DEPTH", 0, MAX_BALL_DEPTH))
     if stem.startswith("random:"):
-        parts = stem.split(":")
-        seed = int(parts[1])
-        num = int(parts[2]) if len(parts) > 2 else 14
-        return convex.random_hull(seed, num)
+        seed, _, num = stem[7:].partition(":")
+        return convex.random_hull(int(seed), _bounded(num or "14", "POINTS", 1, MAX_POINTS))
     raise InputError(f"cannot resolve body {name!r}")
+
+
+def _bounded(text: str, what: str, lo: int, hi: int) -> int:
+    """The integer `text` of a body generator, which must lie in [lo, hi]."""
+    value = int(text)
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def load_spec(name: str, kmax: int) -> valuation.MinkowskiValuationSpec:
@@ -105,88 +114,127 @@ def load_zonal(name: str, kmax: int) -> zonal.ZonalObject:
         raise InputError(f"bad zonal measure {name!r}: {exc.args[0]}") from None
 
 
+# -- option types: each reads the JSON value of a config file ---------------
+
+
+def _number(v) -> bool:
+    """A JSON number; a boolean is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _text(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
 def _parse_vec(text: str) -> np.ndarray:
-    try:
-        v = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise InputError(f"cannot parse vector {text!r}") from None
-    if len(v) != 3:
-        raise InputError(f"expected 3 components, got {text!r}")
-    if not all(map(math.isfinite, v)) or not any(v):
-        raise InputError(f"need a finite nonzero vector, got {text!r}")
+    """A vector x,y,z whose squared length is a finite nonzero float, so
+    that it can be normalized."""
+    v = [float(x) for x in text.split(",")]
+    if len(v) != 3 or not 0 < sum(x * x for x in v) < math.inf:
+        raise ValueError(text)
     return np.array(v)
 
 
 def _parse_plane(text: str) -> tuple[np.ndarray, float]:
-    """The plane nx,ny,nz,c of --plane: a finite nonzero normal, as
-    _parse_vec reads it, and a finite offset."""
-    parts = text.split(",")
-    try:
-        if len(parts) == 4 and math.isfinite(offset := float(parts[3])):
-            return _parse_vec(",".join(parts[:3])), offset
-    except (InputError, ValueError):
-        pass
-    raise InputError("--plane expects nx,ny,nz,c with a finite nonzero normal and a "
-                     f"finite offset c, got {text!r}")
+    """The plane nx,ny,nz,c: a normal as _parse_vec reads it, and a finite
+    offset."""
+    *normal, offset = text.split(",")
+    if not math.isfinite(offset := float(offset)):
+        raise ValueError(text)
+    return _parse_vec(",".join(normal)), offset
 
 
-def _int_option(cfg: RunConfig, key: str, lo: int, hi: float = math.inf,
-                default: int | None = None) -> int:
-    """Integer option --key of the run, which must lie in [lo, hi].  A config
-    file may give it as a JSON integer or an integral float; a string, a
-    boolean or a fraction is an input error, not a truncation."""
-    value = cfg.values.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"--{key} must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        bound = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise InputError(f"--{key} must be {bound}, got {value}")
-    return value
+@dataclass(frozen=True)
+class Type:
+    """How an option is read: a JSON value (from a config file, or from the
+    flag, which argparse reads with the keywords `flag`) that passes `test`
+    is `what`, and the handler uses `convert` of it, which may still raise
+    ValueError.  An integral float is an integer, a boolean is not a
+    number, and nothing is truncated."""
+
+    what: str
+    test: Callable[[object], bool]
+    convert: Callable = lambda v: v
+    flag: dict = field(default_factory=dict)
 
 
-def _float_option(cfg: RunConfig, key: str, default: float | None = None,
-                  positive: bool = False) -> float:
-    """Float option --key of the run: a finite number, and a positive one
-    when `positive` (the tolerances).  From a config file a string, a
-    boolean or null is an input error."""
-    value = cfg.values.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise InputError(f"--{key} must be a finite number, got {value!r}")
-    if positive and value <= 0:
-        raise InputError(f"--{key} must be positive, got {value!r}")
-    return float(value)
+INT = Type("an integer", lambda v: _number(v) and v == int(v), int, {"type": int})
+FLOAT = Type("a finite number", lambda v: _number(v) and math.isfinite(v), float,
+             {"type": float})
+POSITIVE = Type("a positive finite number", lambda v: _number(v) and math.isfinite(v) and v > 0,
+                float, {"type": float})
+BOOL = Type("true or false", lambda v: isinstance(v, bool), flag={"action": "store_true"})
+TEXT = Type("a nonempty string", _text)
+VEC = Type("a vector x,y,z of finite nonzero length", _text, _parse_vec)
+PLANE = Type("nx,ny,nz,c with a normal of finite nonzero length and a finite offset c",
+             _text, _parse_plane)
+DIRS = Type("vectors x,y,z of finite nonzero length (repeat the flag; a JSON list of "
+            "such strings in --config)",
+            lambda v: isinstance(v, list) and v and all(map(_text, v)),
+            lambda dirs: [_parse_vec(d) for d in dirs], {"action": "append"})
+DEGREES = Type("comma-separated integers", _text, lambda t: [int(k) for k in t.split(",")])
+PATH = Type(f"one of {', '.join(valuation.PATHS)}", lambda v: v in valuation.PATHS)
 
 
-def _dir_option(cfg: RunConfig, default: str) -> list[str]:
-    """The x,y,z texts of --dir: repeated flags, or a JSON list of such
-    strings in a config file."""
-    dirs = cfg.values.get("dir") or [default]
-    if not isinstance(dirs, list) or not all(isinstance(d, str) for d in dirs):
-        raise InputError(f"--dir must be a list of x,y,z strings, got {dirs!r}")
-    return dirs
+@dataclass(frozen=True)
+class Bound:
+    """A bound that other options set: `text` names it in help and errors,
+    `of` computes it from their values."""
+
+    text: str
+    of: Callable[[dict], int]
 
 
-def _seed(cfg: RunConfig) -> int:
-    """The --seed of a stochastic command: mandatory, a non-negative integer."""
-    if cfg.values.get("seed") is None:
-        raise InputError("--seed is mandatory for stochastic commands")
-    return _int_option(cfg, "seed", 0)
+@dataclass(frozen=True)
+class Option:
+    """An option --name of a command: its type; the range [lo, hi] of an
+    integer, or of each degree (a Bound where other options set it, no hi
+    where it has no upper bound); its default; and whether the command
+    needs it.  A default of None leaves the option unset, and a null in
+    --config means the same."""
 
+    name: str
+    type: Type
+    lo: int | Bound | None = None
+    hi: int | Bound | None = None
+    default: object = None
+    required: bool = False
+    help: str = ""
 
-def _spec_kmax(cfg: RunConfig) -> int:
-    """The --kmax of a valuation spec or zonal measure: its multipliers run
-    up to degree kmax, at most the Berg expansions' BERG_NATIVE_KMAX."""
-    return _int_option(cfg, "kmax", 1, zonal.BERG_NATIVE_KMAX, zonal.DEFAULT_KMAX)
+    def read(self, raw, values: dict):
+        """What the handler uses of `raw`, the option's JSON value, checked
+        against the type and the range; `values` holds those of the options
+        declared before it, which its Bounds read."""
+        if raw is None and self.default is None:
+            return None
+        try:
+            if self.type.test(raw):
+                value = self.type.convert(raw)
+                lo, hi = (b.of(values) if isinstance(b, Bound) else b for b in (self.lo, self.hi))
+                if lo is None or all(lo <= v and (hi is None or v <= hi)
+                                     for v in (value if isinstance(value, list) else [value])):
+                    return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise InputError(f"--{self.name} must be {self.what(values)}, got {raw!r}")
 
+    def what(self, values: dict | None = None) -> str:
+        """The type and range, as help and errors state them; errors show
+        the values of the Bounds too."""
+        if self.lo is None:
+            return self.type.what
+        lo, hi = (b if not isinstance(b, Bound) else b.text if values is None
+                  else f"{b.text} = {b.of(values)}" for b in (self.lo, self.hi))
+        return f"{self.type.what} " + (f"at least {lo}" if hi is None else f"in [{lo}, {hi}]")
 
-def _mc_size(cfg: RunConfig) -> tuple[int, int]:
-    """Sample count N and shard count of a Monte-Carlo command: the standard
-    error needs two shards, and every shard at least two samples."""
-    shards = _int_option(cfg, "shards", 2, default=integral_geom.DEFAULT_SHARDS)
-    return _int_option(cfg, "N", 2 * shards, default=200000), shards
+    def describe(self) -> str:
+        """The --help text: meaning, type, range, and default or need."""
+        text = self.what()
+        if self.required:
+            text += "; required, also from --config"
+        elif self.default is not None:
+            text += f"; default {json.dumps(self.default)}"
+        return f"{self.help}: {text}" if self.help else text
 
 
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
@@ -214,79 +262,73 @@ def _write_outputs(report: dict, out: str | None, csv_rows=None,
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration: merged defaults, config file, and flags."""
+    """The options of a run as given, flags over the config file (the
+    report's "config"), and as read (`cfg[name]`), defaults included."""
 
-    command: str
-    values: dict = field(default_factory=dict)
+    given: dict
+    values: dict
 
-    def as_json(self) -> dict:
-        return {"command": self.command, **self.values}
+    def __getitem__(self, name: str):
+        return self.values[name]
 
 
-def _resolve_config(args, keys: list[str], required: tuple[str, ...] = ()) -> RunConfig:
-    """Merge the flags of `keys` over the config file; the `required` keys
-    must be given by one of them."""
+def _resolve_config(args, options: tuple[Option, ...]) -> RunConfig:
+    """Merge the flags of the command's options over the config file, and
+    read every option in declaration order; the required ones must be
+    given by one of them."""
     file_vals = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_vals = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"bad config file: {exc}") from None
         if not isinstance(file_vals, dict):
             raise InputError("bad config file: the top level must be a JSON object, "
                              f"got {type(file_vals).__name__}")
-    vals = {}
-    for key in keys:
-        flag_val = getattr(args, key.replace("-", "_"), None)
+    given = {}
+    for opt in options:
+        flag_val = getattr(args, opt.name.replace("-", "_"))
         if flag_val is not None:
-            vals[key] = flag_val
-        elif key in file_vals:
-            vals[key] = file_vals[key]
-    missing = [f"--{key}" for key in required if vals.get(key) is None]
+            given[opt.name] = flag_val
+        elif opt.name in file_vals:
+            given[opt.name] = file_vals[opt.name]
+    missing = [f"--{opt.name}" for opt in options if opt.required and given.get(opt.name) is None]
     if missing:
         raise InputError(f"{args.cmd} needs {', '.join(missing)} (as flags or from --config)")
-    # output destinations are not run parameters; keep the embedded config
-    # byte-identical across reruns that only redirect their artifacts
-    vals.pop("out", None)
-    vals.pop("csv", None)
-    return RunConfig(command=args.cmd, values=vals)
+    values = {}
+    for opt in options:
+        values[opt.name] = opt.read(given.get(opt.name, opt.default), values)
+    return RunConfig(given, values)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_multipliers(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["n", "kmax", "berg", "box", "out", "csv"])
-    n = _int_option(cfg, "n", 2, MAX_DIM, 3)
-    kmax = _int_option(cfg, "kmax", 0, zonal.BERG_NATIVE_KMAX, 8)
+def cmd_multipliers(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    n, kmax, j = cfg["n"], cfg["kmax"], cfg["berg"]
     rows = []
     header = ["k"]
-    want_berg = cfg.values.get("berg") is not None
-    want_box = bool(cfg.values.get("box", True))
     table: dict[str, list] = {}
-    if want_berg:
-        j = _int_option(cfg, "berg", 2, n)
+    if j is not None:
         _, ambient = zonal.berg(j, kmax=kmax, n=n)
         table["berg_native"] = [float(berg_multiplier_frac(j, k)) for k in range(kmax + 1)]
         table["berg_ambient"] = [float(v) for v in ambient.values]
         table["berg_bar"] = [0.0] * (kmax + 1) if ambient.error is None else \
             [float(e) for e in ambient.error]
         header += ["berg_native", "berg_ambient", "berg_bar"]
-    if want_box:
+    if cfg["box"]:
         table["box"] = [float(box_multiplier_frac(n, k)) for k in range(kmax + 1)]
         header.append("box")
     for k in range(kmax + 1):
         rows.append([k] + [table[col][k] for col in header[1:]])
-    report = {"config": cfg.as_json(), "columns": header, "rows": rows}
+    report = {"columns": header, "rows": rows}
     return 0, report, rows, header
 
 
-def cmd_area_measure(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "i", "out", "csv", "tol"], required=("body", "i"))
-    body = load_body(str(cfg.values["body"]))
-    i = _int_option(cfg, "i", 0, 2)
-    tol = _float_option(cfg, "tol", 1e-9, positive=True)
+def cmd_area_measure(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    body = load_body(cfg["body"])
+    i, tol = cfg["i"], cfg["tol"]
     meas = convex.area_measure(body, i)
     # S_0 is held as the uniform measure; the report lists the vertices'
     # normal cones instead, whose masses must tile the sphere
@@ -297,7 +339,6 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     total = sum(atom_mass) + sum(arc_mass) + sum(cone_mass)
     residual = abs(total - target)
     report = {
-        "config": cfg.as_json(),
         "degree": i,
         "total_mass": total,
         "steiner_target": target,
@@ -314,21 +355,12 @@ def cmd_area_measure(args) -> tuple[int, dict, list, list]:
     return (0 if residual <= tol else 1), report, rows, ["piece", "mass", "data"]
 
 
-def cmd_evaluate(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["spec", "body", "dir", "band", "path", "kmax",
-                                 "crosscheck", "tol", "out", "csv"], required=("spec", "body"))
-    kmax = _spec_kmax(cfg)
-    spec = load_spec(str(cfg.values["spec"]), kmax)
-    body = load_body(str(cfg.values["body"]))
-    dirs = [_parse_vec(d) for d in _dir_option(cfg, "1,0,0")]
-    band = None if cfg.values.get("band") is None else _int_option(cfg, "band", 0, kmax)
-    path = cfg.values.get("path", "auto")
-    if path not in valuation.PATHS:
-        raise InputError(f"--path must be one of {', '.join(valuation.PATHS)}, got {path!r}")
-    tol = _float_option(cfg, "tol", 1e-6, positive=True)
-    res = _evaluate(spec, body, dirs, band=band, path=path)
+def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    spec = load_spec(cfg["spec"], cfg["kmax"])
+    body = load_body(cfg["body"])
+    dirs, band, tol = cfg["dir"], cfg["band"], cfg["tol"]
+    res = _evaluate(spec, body, dirs, band=band, path=cfg["path"])
     report = {
-        "config": cfg.as_json(),
         "path": res.path,
         "band": res.band,
         "truncation_tail": res.truncation_tail,
@@ -336,7 +368,7 @@ def cmd_evaluate(args) -> tuple[int, dict, list, list]:
         "values": [float(v) for v in res.values],
     }
     status = 0
-    if cfg.values.get("crosscheck"):
+    if cfg["crosscheck"]:
         a = _evaluate(spec, body, dirs, path="pointwise")
         b = _evaluate(spec, body, dirs, path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
@@ -356,74 +388,57 @@ def _evaluate(spec, body, dirs, **options) -> valuation.SupportFunctionResult:
         raise InputError(str(exc)) from None
 
 
-def cmd_check_valuation(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["spec", "body", "plane", "num-dirs", "seed",
-                                 "tol", "kmax", "out", "csv"], required=("spec", "body", "plane"))
-    seed = _seed(cfg)
-    kmax = _spec_kmax(cfg)
-    spec = load_spec(str(cfg.values["spec"]), kmax)
-    body = load_body(str(cfg.values["body"]))
-    normal, offset = _parse_plane(str(cfg.values["plane"]))
-    m = _int_option(cfg, "num-dirs", 1, default=50)
-    tol = _float_option(cfg, "tol", 1e-6, positive=True)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((m, 3))
+def cmd_check_valuation(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    spec = load_spec(cfg["spec"], cfg["kmax"])
+    body = load_body(cfg["body"])
+    normal, offset = cfg["plane"]
+    rng = np.random.default_rng(cfg["seed"])
+    dirs = rng.standard_normal((cfg["num-dirs"], 3))
     point = normal / np.dot(normal, normal) * offset
     rep = valuation.valuation_identity_check(spec, body, point, normal, dirs)
     report = {
-        "config": cfg.as_json(),
         "residual": rep.residual,
         "skipped": rep.skipped,
         "reason": rep.reason,
         "n_directions": rep.n_directions,
-        "pass": rep.skipped or (rep.residual is not None and rep.residual <= tol),
+        "pass": rep.skipped or (rep.residual is not None and rep.residual <= cfg["tol"]),
     }
     return (0 if report["pass"] else 1), report, [], []
 
 
-def cmd_crofton(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "i", "j", "n", "N", "seed",
-                                 "shards", "out", "csv"], required=("body", "i", "j"))
-    seed = _seed(cfg)
-    _int_option(cfg, "n", 3, 3, 3)   # geometric Crofton runs are restricted to n = 3
-    N, shards = _mc_size(cfg)
-    i = _int_option(cfg, "i", 1, 3)
-    j = _int_option(cfg, "j", 0, 3 - i)
-    body = load_body(str(cfg.values["body"]))
-    rep = integral_geom.crofton_intrinsic(body, i, j, N, seed, shards=shards)
+def cmd_crofton(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    body = load_body(cfg["body"])
+    rep = integral_geom.crofton_intrinsic(body, cfg["i"], cfg["j"], cfg["N"], cfg["seed"],
+                                          shards=cfg["shards"])
     ok = rep.within(3.0)
-    report = {"config": cfg.as_json(), **rep.to_json(), "pass": ok}
+    report = {**rep.to_json(), "pass": ok}
     return (0 if ok else 1), report, [], []
 
 
-def cmd_kinematic(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "other", "j", "N", "seed", "hadwiger",
-                                 "spec", "dir", "kmax", "shards", "out", "csv"], required=("body",))
-    seed = _seed(cfg)
-    N, shards = _mc_size(cfg)
-    body = load_body(str(cfg.values["body"]))
-    other = load_body(str(cfg.values.get("other", cfg.values["body"])))
-    j = _int_option(cfg, "j", 0, 3, 0)
-    if cfg.values.get("spec"):
-        if cfg.values.get("hadwiger"):
+def cmd_kinematic(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    N, seed, shards, hadwiger = cfg["N"], cfg["seed"], cfg["shards"], cfg["hadwiger"]
+    body = load_body(cfg["body"])
+    other = load_body(cfg["other"] or cfg["body"])
+    if cfg["spec"] is not None:
+        if hadwiger:
             raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
-        if "j" in cfg.values:
+        if "j" in cfg.given:
             raise InputError("--j selects V_j runs; it does not apply with --spec")
         # valuation-valued kinematic formula at a fixed direction
-        spec = load_spec(str(cfg.values["spec"]), _spec_kmax(cfg))
+        spec = load_spec(cfg["spec"], cfg["kmax"])
         res = integral_geom.kinematic_minkowski_check(
-            spec, body, other, _parse_vec(_dir_option(cfg, "0,0,1")[0]), N, seed, shards=shards)
-        report = {"config": cfg.as_json(), **res, "pass": res["consistent_3sigma"]}
+            spec, body, other, cfg["dir"][0], N, seed, shards=shards)
+        report = {**res, "pass": res["consistent_3sigma"]}
         return (0 if res["consistent_3sigma"] else 1), report, [], []
-    if cfg.values.get("hadwiger"):
+    if hadwiger:
         # the left side of the decomposition is the kinematic estimate itself
-        h = integral_geom.hadwiger_check(body, other, j, N, seed, shards=shards)
+        h = integral_geom.hadwiger_check(body, other, cfg["j"], N, seed, shards=shards)
         rep = h["lhs"]
     else:
-        rep = integral_geom.kinematic_check(body, other, j, N, seed, shards=shards)
+        rep = integral_geom.kinematic_check(body, other, cfg["j"], N, seed, shards=shards)
     ok = rep.within(3.0)
-    report = {"config": cfg.as_json(), **rep.to_json(), "pass": ok}
-    if cfg.values.get("hadwiger"):
+    report = {**rep.to_json(), "pass": ok}
+    if hadwiger:
         report["hadwiger"] = {
             "rhs": h["rhs"], "rhs_stderr": h["rhs_stderr"],
             "difference": h["difference"],
@@ -435,53 +450,31 @@ def cmd_kinematic(args) -> tuple[int, dict, list, list]:
     return (0 if ok else 1), report, [], []
 
 
-def cmd_crofton_mv(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["body", "mu", "i", "j", "N", "seed", "degrees",
-                                 "probe", "kmax", "shards", "out", "csv"], required=("body",))
-    seed = _seed(cfg)
-    N, shards = _mc_size(cfg)
-    kmax = _spec_kmax(cfg)
-    body = load_body(str(cfg.values["body"]))
-    mu = load_zonal(str(cfg.values.get("mu", "dirac_pole")), kmax)
-    degrees = str(cfg.values.get("degrees", "0,2,3,4")).split(",")
-    if not all(k.strip().isdecimal() and int(k) <= kmax for k in degrees):
-        raise InputError(f"--degrees must be integers in [0, kmax = {kmax}], "
-                         f"got {','.join(degrees)}")
-    degrees = [int(k) for k in degrees]
-    probe = _parse_vec(str(cfg.values.get("probe", "0.36,-0.48,0.8")))
-    i, j = _int_option(cfg, "i", 1, 1, 1), _int_option(cfg, "j", 1, 1, 1)
-    res = integral_geom.crofton_minkowski(body, mu, i, j, N, seed,
-                                          degrees=degrees, probe=probe, kmax=kmax,
-                                          shards=shards)
-    report = {"config": cfg.as_json(), **{k: v for k, v in res.items() if k != "rows"},
-              "rows": res["rows"]}
-    report["pass"] = res["all_pass"]
+def cmd_crofton_mv(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    kmax = cfg["kmax"]
+    body = load_body(cfg["body"])
+    mu = load_zonal(cfg["mu"], kmax)
+    res = integral_geom.crofton_minkowski(body, mu, cfg["i"], cfg["j"], cfg["N"], cfg["seed"],
+                                          degrees=cfg["degrees"], probe=cfg["probe"],
+                                          kmax=kmax, shards=cfg["shards"])
+    report = {**res, "pass": res["all_pass"]}
     csv_rows = [[r["k"], r["lhs"], r["rhs"], r["stderr"], r["berg_bar"]]
                 for r in res["rows"]]
     return (0 if res["all_pass"] else 1), report, csv_rows, \
         ["k", "lhs", "rhs", "stderr", "berg_bar"]
 
 
-def cmd_lemma52(args) -> tuple[int, dict, list, list]:
-    cfg = _resolve_config(args, ["n", "samples", "seed", "q", "band",
-                                 "flux-tol", "out", "csv"])
-    seed = _seed(cfg)
-    n = _int_option(cfg, "n", 2, MAX_DIM, 3)
-    count = _int_option(cfg, "samples", 1, default=50)
-    # the flux rule integrates profiles of degree band + 1 exactly
-    band = _int_option(cfg, "band", 1, 2 * FLUX_QUAD_ORDER - 2, 8)
-    q = None if cfg.values.get("q") is None else _float_option(cfg, "q")
-    flux_tol = _float_option(cfg, "flux-tol", 1e-8, positive=True)
-    rng = np.random.default_rng(seed)
+def cmd_lemma52(cfg: RunConfig) -> tuple[int, dict, list, list]:
+    n, band = cfg["n"], cfg["band"]
+    rng = np.random.default_rng(cfg["seed"])
     profiles = []
-    for _ in range(count):
+    for _ in range(cfg["samples"]):
         coeffs = rng.normal(size=band + 1)
         coeffs[1] = 0.0
         profiles.append(ZonalPolynomial(n, coeffs))
-    rep = regularity_probe(profiles, n, q=q)
-    ok = rep["max_flux_residual"] is not None and rep["max_flux_residual"] <= flux_tol
+    rep = regularity_probe(profiles, n, q=cfg["q"])
+    ok = rep["max_flux_residual"] is not None and rep["max_flux_residual"] <= cfg["flux-tol"]
     report = {
-        "config": cfg.as_json(),
         "operator": rep["operator"],
         "sup_ratio": rep["sup_ratio"],
         "max_flux_residual": rep["max_flux_residual"],
@@ -493,15 +486,93 @@ def cmd_lemma52(args) -> tuple[int, dict, list, list]:
     return (0 if ok else 1), report, rows, ["sample", "ratio", "flux_residual"]
 
 
-HANDLERS = {
-    "multipliers": cmd_multipliers,
-    "area-measure": cmd_area_measure,
-    "evaluate": cmd_evaluate,
-    "check-valuation": cmd_check_valuation,
-    "crofton": cmd_crofton,
-    "kinematic": cmd_kinematic,
-    "crofton-mv": cmd_crofton_mv,
-    "lemma52": cmd_lemma52,
+# -- the options of every command ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, its --help line, and its options in the
+    order they are read (an option's Bounds read options before it)."""
+
+    run: Callable[[RunConfig], tuple[int, dict, list, list]]
+    help: str
+    options: tuple[Option, ...]
+
+
+BODY = Option("body", TEXT, required=True,
+              help="JSON path, corpus name, ball:DEPTH or random:SEED[:POINTS]")
+SPEC = Option("spec", TEXT, required=True, help="valuation spec: JSON path or builtin name")
+SPEC_KMAX = Option("kmax", INT, 1, zonal.BERG_NATIVE_KMAX, zonal.DEFAULT_KMAX,
+                   help="highest degree of the multipliers")
+SEED = Option("seed", INT, 0, required=True)
+# the standard error needs two shards, and every shard at least two samples
+MONTE_CARLO = (
+    Option("shards", INT, 2, MAX_SHARDS, integral_geom.DEFAULT_SHARDS),
+    Option("N", INT, Bound("2 * shards", lambda v: 2 * v["shards"]),
+           Bound(f"{MAX_SHARD_N} * shards", lambda v: MAX_SHARD_N * v["shards"]), 200000,
+           help="number of samples"),
+    SEED)
+KMAX_BOUND = Bound("kmax", itemgetter("kmax"))
+
+COMMANDS = {
+    "multipliers": Command(cmd_multipliers, "dump multiplier tables (box, Berg)", (
+        Option("n", INT, 2, MAX_DIM, 3),
+        Option("kmax", INT, 0, zonal.BERG_NATIVE_KMAX, 8),
+        Option("berg", INT, 2, Bound("n", itemgetter("n")), help="Berg kernel dimension j"),
+        Option("box", BOOL, default=True))),
+    "area-measure": Command(cmd_area_measure, "area measure summary of a body", (
+        BODY,
+        Option("i", INT, 0, 2, required=True),
+        Option("tol", POSITIVE, default=1e-9))),
+    "evaluate": Command(cmd_evaluate, "evaluate a valuation on a body", (
+        SPEC, BODY,
+        Option("dir", DIRS, default=["1,0,0"]),
+        SPEC_KMAX,
+        Option("band", INT, 0, KMAX_BOUND, help="band limit of the spectral path"),
+        Option("path", PATH, default="auto"),
+        Option("crosscheck", BOOL, default=False,
+               help="compare the pointwise and spectral paths"),
+        Option("tol", POSITIVE, default=1e-6))),
+    "check-valuation": Command(cmd_check_valuation, "finite-additivity residual under a split", (
+        SPEC, BODY,
+        Option("plane", PLANE, required=True),
+        Option("num-dirs", INT, 1, MAX_COUNT, 50),
+        SEED,
+        Option("tol", POSITIVE, default=1e-6),
+        SPEC_KMAX)),
+    "crofton": Command(cmd_crofton, "Monte-Carlo Crofton formula check", (
+        BODY,
+        Option("i", INT, 1, 3, required=True),
+        Option("j", INT, 0, Bound("3 - i", lambda v: 3 - v["i"]), required=True),
+        # geometric Crofton runs are restricted to n = 3
+        Option("n", INT, 3, 3, 3),
+        *MONTE_CARLO)),
+    "kinematic": Command(cmd_kinematic, "Monte-Carlo kinematic formula check", (
+        BODY,
+        Option("other", TEXT, help="the moving body, --body without it"),
+        Option("j", INT, 0, 3, 0),
+        *MONTE_CARLO,
+        Option("hadwiger", BOOL, default=False),
+        Option("spec", TEXT, help="check the valuation-valued formula instead of V_j"),
+        Option("dir", DIRS, default=["0,0,1"], help="probe direction for --spec"),
+        SPEC_KMAX)),
+    "crofton-mv": Command(cmd_crofton_mv, "per-degree Crofton check for a Minkowski valuation", (
+        BODY,
+        Option("mu", TEXT, default="dirac_pole", help="builtin zonal measure"),
+        Option("i", INT, 1, 1, 1),
+        Option("j", INT, 1, 1, 1),
+        *MONTE_CARLO,
+        SPEC_KMAX,
+        Option("degrees", DEGREES, 0, KMAX_BOUND, default="0,2,3,4"),
+        Option("probe", VEC, default="0.36,-0.48,0.8"))),
+    "lemma52": Command(cmd_lemma52, "regularity probe: flux identity and C2/C0 ratios", (
+        Option("n", INT, 2, MAX_DIM, 3),
+        Option("samples", INT, 1, MAX_COUNT, 50),
+        SEED,
+        Option("q", FLOAT),
+        # the flux rule integrates profiles of degree band + 1 exactly
+        Option("band", INT, 1, 2 * FLUX_QUAD_ORDER - 2, 8),
+        Option("flux-tol", POSITIVE, default=1e-8))),
 }
 
 
@@ -513,94 +584,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from COMMANDS on the first call
+    and shared by the later ones (parse_args leaves it unchanged)."""
     p = _Parser(prog="minkval", description="Minkowski valuation calculus on convex polytopes")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
+        for opt in command.options:
+            sp.add_argument(f"--{opt.name}", default=None, help=opt.describe(),
+                            **opt.type.flag)
         sp.add_argument("--config", help="JSON config file (flags take precedence)")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--csv", help="write tabular output as CSV")
-
-    sp = sub.add_parser("multipliers", help="dump multiplier tables (box, Berg)")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--berg", type=int, help="Berg kernel dimension j")
-    sp.add_argument("--box", action="store_const", const=True)
-    common(sp)
-
-    sp = sub.add_parser("area-measure", help="area measure summary of a body")
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--i", type=int, help=REQUIRED)
-    sp.add_argument("--tol", type=float)
-    common(sp)
-
-    sp = sub.add_parser("evaluate", help="evaluate a valuation on a body")
-    sp.add_argument("--spec", help=REQUIRED)
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--dir", action="append")
-    sp.add_argument("--band", type=int)
-    sp.add_argument("--path", choices=valuation.PATHS)
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--crosscheck", action="store_const", const=True)
-    sp.add_argument("--tol", type=float)
-    common(sp)
-
-    sp = sub.add_parser("check-valuation", help="finite-additivity residual under a split")
-    sp.add_argument("--spec", help=REQUIRED)
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--plane", help=f"nx,ny,nz,c {REQUIRED}")
-    sp.add_argument("--num-dirs", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--kmax", type=int)
-    common(sp)
-
-    sp = sub.add_parser("crofton", help="Monte-Carlo Crofton formula check")
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--i", type=int, help=REQUIRED)
-    sp.add_argument("--j", type=int, help=REQUIRED)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--shards", type=int)
-    common(sp)
-
-    sp = sub.add_parser("kinematic", help="Monte-Carlo kinematic formula check")
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--other")
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--hadwiger", action="store_const", const=True)
-    sp.add_argument("--spec", help="check the valuation-valued formula instead of V_j")
-    sp.add_argument("--dir", action="append", help="probe direction for --spec")
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--shards", type=int)
-    common(sp)
-
-    sp = sub.add_parser("crofton-mv", help="per-degree Crofton check for a Minkowski valuation")
-    sp.add_argument("--body", help=REQUIRED)
-    sp.add_argument("--mu")
-    sp.add_argument("--i", type=int)
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--degrees")
-    sp.add_argument("--probe")
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--shards", type=int)
-    common(sp)
-
-    sp = sub.add_parser("lemma52", help="regularity probe: flux identity and C2/C0 ratios")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--band", type=int)
-    sp.add_argument("--flux-tol", type=float)
-    common(sp)
-
     return p
 
 
@@ -608,14 +605,15 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        status, report, csv_rows, csv_header = HANDLERS[args.cmd](args)
+        command = COMMANDS[args.cmd]
+        cfg = _resolve_config(args, command.options)
+        status, report, csv_rows, csv_header = command.run(cfg)
     except InputError as exc:
         # a command line that argparse rejects has no --out to trust
         return _fail(str(exc), getattr(args, "out", None))
     try:
-        _write_outputs(report, getattr(args, "out", None),
-                       csv_rows=csv_rows, csv_path=getattr(args, "csv", None),
-                       csv_header=csv_header)
+        _write_outputs({"config": {"command": args.cmd, **cfg.given}, **report}, args.out,
+                       csv_rows=csv_rows, csv_path=args.csv, csv_header=csv_header)
     except OSError as exc:
         return _fail(f"cannot write the output: {exc}", None)
     return status
@@ -624,19 +622,11 @@ def main(argv=None) -> int:
 def _fail(message: str, out: str | None) -> int:
     """Write the error JSON to `out`, or to stdout when there is no `out`
     or it cannot be written; the exit code of an input error."""
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(_error_json(message))
-            return 2
-        except OSError as exc:
-            message = f"{message}; cannot write --out: {exc}"
-    sys.stdout.write(_error_json(message))
+    try:
+        _write_outputs({"error": message}, out)
+    except OSError as exc:
+        _write_outputs({"error": f"{message}; cannot write --out: {exc}"}, None)
     return 2
-
-
-def _error_json(message: str) -> str:
-    return json.dumps({"error": message}, indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

@@ -2,14 +2,19 @@
 reproducibility."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import minkval
 from minkval import integral_geom
@@ -245,6 +250,7 @@ AREA_MEASURE = ["area-measure", "--body", "cube", "--i", "1"]
 LEMMA52 = ["lemma52", "--samples", "2", "--seed", "1"]
 KINEMATIC_SPEC = ["kinematic", "--body", "cube", "--spec", "projection_body",
                   "--N", "100", "--seed", "1"]
+KINEMATIC = ["kinematic", "--body", "cube", "--N", "100", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv,config,flag", [
@@ -282,14 +288,29 @@ KINEMATIC_SPEC = ["kinematic", "--body", "cube", "--spec", "projection_body",
     (EVALUATE, {"dir": "0,0,1"}, "--dir"),
     (KINEMATIC_SPEC, {"dir": [1, 2, 3]}, "--dir"),
     (KINEMATIC_SPEC, {"dir": "0,0,1"}, "--dir"),
+    (KINEMATIC, {"hadwiger": "no"}, "--hadwiger"),
+    (EVALUATE, {"crosscheck": "no"}, "--crosscheck"),
+    (["multipliers"], {"box": "false"}, "--box"),
+    (CHECK_VALUATION, {"num-dirs": 1e300}, "--num-dirs"),
+    (CHECK_VALUATION, {"num-dirs": 10001}, "--num-dirs"),
+    (["lemma52", "--seed", "1"], {"samples": 10001}, "--samples"),
+    (CROFTON_11 + ["--seed", "1"], {"shards": 10001}, "--shards"),
+    (CROFTON_11[:-2] + ["--seed", "1"], {"N": 1e300}, "--N"),
+    (CROFTON_11[:-2] + ["--seed", "1", "--shards", "2"], {"N": 2000001}, "--N"),
+    (AREA_MEASURE, {"tol": 10**400}, "--tol"),
 ])
 def test_integer_option_out_of_its_range_is_an_input_error(tmp_path, argv, config, flag):
     # from a config file, "samples": "abc" and "berg": 99 ended in
     # tracebacks, "kmax": 2.5 ran as kmax 2, "kmax": -3 printed no rows,
     # "band": -1 was ignored and "kmax": 100000 ran for minutes; the float
-    # options ("tol": "abc", null or NaN, "q": "abc") and "dir": [1, 2, 3]
-    # ended in tracebacks, "path": "nosuch" ran the spectral path, and
-    # "dir": "0,0,1" was read one character at a time
+    # options ("tol": "abc", null, NaN or an integer too large for a float,
+    # "q": "abc") and "dir": [1, 2, 3] ended in tracebacks, "path": "nosuch"
+    # ran the spectral path, and "dir": "0,0,1" was read one character at a
+    # time; "hadwiger", "crosscheck" and "box" were read by truthiness, so
+    # "no" ran the Hadwiger check and the crosscheck and "false" printed the
+    # box column; "num-dirs": 1e300 and "N": 1e300 ended in tracebacks, and
+    # "samples", "shards" and the samples per shard (whose variates are
+    # drawn at once) had no upper bound
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, rep = run(tmp_path, *argv, "--config", str(path))
@@ -447,8 +468,10 @@ def test_config_file_that_is_not_an_object_is_an_input_error(tmp_path):
         assert set(rep) == {"error"} and "JSON object" in rep["error"]
 
 
-@pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0"])
+@pytest.mark.parametrize("vec", ["0,0,0", "nan,0,1", "1,inf,0", "1e-200,0,0", "1e200,0,0"])
 def test_zero_or_nonfinite_direction_is_an_input_error(tmp_path, vec):
+    # a length that squares to 0 (1e-200) ended in a ValueError of the JSON
+    # writer, inf in the report
     code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
                     "--body", "cube", f"--dir={vec}")
     assert code == 2
@@ -468,10 +491,16 @@ def test_nonfinite_body_coordinate_is_an_input_error(tmp_path, bad):
 
 
 def test_input_error_unknown_body(tmp_path):
-    code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
-                    "--body", "nonexistent_body")
-    assert code == 2
-    assert "error" in rep
+    # ball:99 ran out of memory in a traceback, ball:-1 silently built the
+    # octahedron, and random:1:-5 and random:1:10000000000 ended in numpy
+    # tracebacks
+    for body in ["nonexistent_body", "ball:99", "ball:7", "ball:-1", "ball:x", "ball:1:2",
+                 "random:1:0", "random:1:-5", "random:1:100001", "random:1:10000000000",
+                 "random:x", "random:-1"]:
+        code, rep = run(tmp_path, "evaluate", "--spec", "projection_body",
+                        "--body", body)
+        assert code == 2
+        assert "error" in rep and body in rep["error"]
 
 
 def test_reports_are_reproducible(tmp_path):
@@ -546,3 +575,83 @@ def test_load_spec_from_file(tmp_path):
     path.write_text(json.dumps(spec.to_json()))
     spec2 = load_spec(str(path), kmax=16)
     assert spec2.n == 3 and spec2.f_top is not None
+
+
+def test_help_states_each_range_default_and_need(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crofton", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--j J an integer in [0, 3 - i]; required, also from --config" in text
+    assert ("--N N number of samples: an integer in [2 * shards, 1000000 * shards]; "
+            "default 200000") in text
+
+
+# every key of every command, with values that make a run of that command
+# (small sample counts, so that each call ends in a fraction of a second)
+PLAUSIBLE = {
+    "body": ["cube", "simplex", "ball:1", "random:3:20"],
+    "other": ["cube", "simplex"],
+    "spec": ["projection_body", "difference_body", "mean_section:2"],
+    "mu": ["dirac_pole", "berg:3"],
+    "i": [1], "j": [1], "n": [3], "kmax": [4, 8], "band": [2, 4], "berg": [2, 3],
+    "N": [40], "seed": [1], "shards": [2, 4], "samples": [3], "num-dirs": [5],
+    "dir": [["0,0,1"], ["1,1,0", "0,1,0"]], "probe": ["0,0,1"], "plane": ["0,0,1,0.5"],
+    "degrees": ["0,2"], "path": ["auto", "pointwise", "spectral"], "q": [0.5],
+    "tol": [1e-6], "flux-tol": [1e-8], "box": [True, False], "hadwiger": [True, False],
+    "crosscheck": [True, False],
+}
+COMMAND_KEYS = {
+    "multipliers": ["n", "kmax", "berg", "box"],
+    "area-measure": ["body", "i", "tol"],
+    "evaluate": ["spec", "body", "dir", "band", "path", "kmax", "crosscheck", "tol"],
+    "check-valuation": ["spec", "body", "plane", "num-dirs", "seed", "tol", "kmax"],
+    "crofton": ["body", "i", "j", "n", "N", "seed", "shards"],
+    "kinematic": ["body", "other", "j", "N", "seed", "hadwiger", "spec", "dir", "kmax",
+                  "shards"],
+    "crofton-mv": ["body", "mu", "i", "j", "N", "seed", "degrees", "probe", "kmax", "shards"],
+    "lemma52": ["n", "samples", "seed", "q", "band", "flux-tol"],
+}
+# any JSON value; integral numbers stay small or far out of every range
+ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([1e12, 1e300, 10**400]),
+    st.floats().filter(lambda x: not x.is_integer() or abs(x) <= 40 or abs(x) >= 1e12),
+    st.text(max_size=10),
+    st.lists(st.one_of(st.text(max_size=8), st.integers(-2, 5)), max_size=3))
+
+
+@st.composite
+def cli_configs(draw):
+    """A command, a config over its keys, and whether to write the report
+    to --out.  Four in five keys are given (N always, so that no run takes
+    the default 200000 samples), four in five with a plausible value."""
+    cmd = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    config = {}
+    for key in COMMAND_KEYS[cmd]:
+        if key == "N" or draw(st.integers(0, 4)):
+            plausible = draw(st.integers(0, 4))
+            config[key] = draw(st.sampled_from(PLAUSIBLE[key]) if plausible else ANY_JSON)
+    return cmd, config, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@example(("check-valuation", {"spec": "projection_body", "body": "cube",
+                              "plane": "0,0,1,0.5", "seed": 1, "num-dirs": 1e300}, False))
+@example(("crofton", {"body": "cube", "i": 1, "j": 1, "seed": 1, "N": 1e300}, True))
+@example(("area-measure", {"body": "cube", "i": 1, "tol": 10**400}, True))
+@given(cli_configs())
+def test_any_config_exits_0_1_or_2_with_strict_json(drawn):
+    cmd, config, use_out = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "config.json"), Path(tmp, "report.json")
+        path.write_text(json.dumps(config))
+        argv = [cmd, "--config", str(path), *(["--out", str(out)] if use_out else [])]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)       # an exception here is a traceback
+        text = out.read_text() if use_out else stdout.getvalue()
+    assert code in (0, 1, 2)
+    rep = json.loads(text, parse_constant=_reject_constant)
+    assert (set(rep) == {"error"}) == (code == 2)
+    assert not (use_out and stdout.getvalue())
+    assert "Traceback" not in stderr.getvalue()
