@@ -199,9 +199,9 @@ class Polytope:
 
     def _build_3d(self, pts: np.ndarray):
         """The face lattice from qhull's simplices.  Facets are the simplices
-        joined across ridges where their equations agree within 1e-8 (max
-        norm), numbered and oriented by their first simplex; a facet's cycle
-        is the boundary of its union, walked counterclockwise from outside
+        joined across ridges where their unit normals agree within MERGE_TOL
+        (max norm), numbered and oriented by their first simplex; a facet's
+        cycle is the boundary of its union, walked counterclockwise from outside
         and started at the vertex of least angle about its vertex mean in
         _plane_basis; edges are the boundary ridges."""
         hull = ConvexHull(pts)
@@ -212,9 +212,13 @@ class Polytope:
         flip = np.vecdot(np.cross(p1 - p0, p2 - p0), eqs[:, :3]) < 0
         tri[flip], nbr[flip] = tri[flip][:, [0, 2, 1]], nbr[flip][:, [0, 2, 1]]
         # facets: components of the simplices joined across agreeing ridges, by
-        # hooking roots and compressing paths, labelled by their first simplex
+        # hooking roots and compressing paths, labelled by their first simplex;
+        # two simplices that share a ridge and whose normals differ by d have
+        # their far vertices at most about d times the diameter off each
+        # other's plane, so the test needs no offsets (which carry length
+        # units and grow with the distance from the origin)
         rows, cols = np.repeat(np.arange(len(tri)), 3), nbr.ravel()
-        join = np.abs(eqs[rows] - eqs[cols]).max(axis=1) <= 1e-8
+        join = np.abs(eqs[rows, :3] - eqs[cols, :3]).max(axis=1) <= MERGE_TOL
         rows, cols, label = rows[join], cols[join], np.arange(len(tri))
         while not np.array_equal(label[rows], label[cols]):
             np.minimum.at(label, label[rows], label[cols])
