@@ -163,7 +163,8 @@ FLOAT = Type("a finite number", lambda v: _number(v) and math.isfinite(v), float
              {"type": float})
 POSITIVE = Type("a positive finite number", lambda v: _number(v) and math.isfinite(v) and v > 0,
                 float, {"type": float})
-BOOL = Type("true or false", lambda v: isinstance(v, bool), flag={"action": "store_true"})
+BOOL = Type("true or false", lambda v: isinstance(v, bool),
+            flag={"action": argparse.BooleanOptionalAction})
 TEXT = Type("a nonempty string", _text)
 VEC = Type("a vector x,y,z of finite nonzero length", _text, _parse_vec)
 PLANE = Type("nx,ny,nz,c with a normal of finite nonzero length and a finite offset c",
@@ -424,6 +425,8 @@ def cmd_kinematic(cfg: RunConfig) -> tuple[int, dict, list, list]:
             raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
         if "j" in cfg.given:
             raise InputError("--j selects V_j runs; it does not apply with --spec")
+        if len(cfg["dir"]) > 1:
+            raise InputError(f"--spec checks the formula at one --dir, got {len(cfg['dir'])}")
         # valuation-valued kinematic formula at a fixed direction
         spec = load_spec(cfg["spec"], cfg["kmax"])
         res = integral_geom.kinematic_minkowski_check(

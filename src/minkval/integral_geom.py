@@ -1,12 +1,17 @@
 """Monte-Carlo integral geometry: Crofton and kinematic formulas for
 intrinsic volumes and the Crofton formula for Minkowski valuations.
 
-Affine planes of codimension i are sampled as a rotation-invariant direction
-plus an offset uniform in the i-ball of radius R in the orthogonal
-complement; the estimator weight C(n, n-i) kappa_n / kappa_(n-i) * R^i is
-the invariant measure of the sampling window, normalized so that the planes
-meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the plane
-dimension).  Rigid motions g L = R L + x combine a uniform rotation
+Affine flats of codimension i are sampled as a rotation-invariant direction
+plus an offset in the orthogonal complement.  The invariant measure is
+normalized so that the flats meeting the unit ball have measure
+C(n, d) kappa_n / kappa_d (d the flat dimension).  Planes (i = 1) take
+their offset s uniform in the support interval [min a . v, max a . v] of
+the body over its vertices v, for the normal a drawn, weighted per sample
+by 2 (max - min), the measure of the planes with normal a that meet the
+body: every plane meets it (conditional Monte Carlo).  Lines and points
+take it uniform in the i-ball of radius R, weighted by the measure
+C(n, n-i) kappa_n / kappa_(n-i) * R^i of the flats meeting that ball.
+Rigid motions g L = R L + x combine a uniform rotation
 (probability law) with a translation uniform in the coordinate box of
 P - R L for the rotation drawn, weighted per sample by the box volume
 (conditional Monte Carlo; the box holds every contact position), or, when
@@ -120,19 +125,48 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class PlaneSampler:
-    """Plane sampling law: codimension, enclosing radius, seed, count."""
+    """Law of affine flats of codimension `codim`: a uniform direction (the
+    probability law) and an offset in one of two windows.
+
+    - The ball law (`radius` given): offsets uniform in the codim-ball of
+      that radius about the origin; the weight, the invariant measure of
+      the flats meeting that ball, is the same for every sample.
+    - The body-tight law of planes (`radius` None, `vertices` given; codim
+      1 only): the offset s of the plane {x . a = s} uniform in the
+      support interval [min a . v, max a . v] over the vertices v of the
+      body, weighted per sample by 2 (max - min), the measure of the planes
+      with normal a that meet the body (4R for the ball of radius R).
+      Every plane meets the body, and none that meets it is left out, so
+      the Crofton integral stays unbiased (conditional Monte Carlo, as
+      for the box law of `MotionSampler`)."""
 
     n: int
     codim: int
-    radius: float
+    radius: float | None
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
-    weighted = False    # one weight for all samples
+    vertices: np.ndarray | None = None   # (V, 3): the body of the tight law
+
+    @classmethod
+    def tight(cls, P: Polytope, seed: int, n_samples: int,
+              shards: int = DEFAULT_SHARDS) -> "PlaneSampler":
+        """The body-tight law of planes against P."""
+        return cls(n=3, codim=1, radius=None, seed=seed, n_samples=n_samples,
+                   shards=shards, vertices=P.vertices)
+
+    @property
+    def weighted(self) -> bool:
+        """Whether `draw` ends with per-sample weights (the tight law)."""
+        return self.radius is None
 
     @property
     def weight(self) -> float:
-        """Invariant measure of the sampled window of planes."""
+        """The weight common to all samples: the invariant measure of the
+        flats meeting the ball, or 1 under the tight law, whose weights
+        come per sample from `draw`."""
+        if self.weighted:
+            return 1.0
         return (math.comb(self.n, self.codim)
                 * kappa(self.n) / kappa(self.n - self.codim)
                 * self.radius ** self.codim)
@@ -150,9 +184,14 @@ class PlaneSampler:
 
     def draw(self, g: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
         """Flats from their variates: (normals a, offsets s) of planes
-        {x . a = s}, (directions, points) of lines, or (points,).  Offsets,
-        angles and points overwrite their variates, so that a chunk holds one
-        copy; radii in [0, 1) are the variates themselves."""
+        {x . a = s}, with the weights (m,) under the tight law, (directions,
+        points) of lines, or (points,).  Offsets, angles and points
+        overwrite their variates, so that a chunk holds one copy; radii in
+        [0, 1) are the variates themselves."""
+        if self.weighted:
+            a = _unit_rows(g)
+            lo, hi = _support_interval(a, self.vertices)
+            return a, _uniform(rest[0], lo, hi), 2.0 * (hi - lo)
         R = self.radius
         if self.codim == 3:
             u, = rest
@@ -238,7 +277,25 @@ class MotionSampler:
         return R, t, np.prod(width, axis=1)
 
 
-def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min and max of a . v over the points v (V, 3), per row of a (m, 3).
+    The products are elementwise multiply-adds in a fixed order, not a BLAS
+    product, so that they do not depend on the BLAS threads; rows run in
+    blocks of at most CHUNK_BYTES of projections, because `draw` transforms
+    a large shard at once."""
+    lo, hi = np.empty(len(a)), np.empty(len(a))
+    step = max(1, CHUNK_BYTES // (16 * len(v)))
+    for i in range(0, len(a), step):
+        b = a[i:i + step]
+        proj = b[:, :1] * v[:, 0]
+        proj += b[:, 1:2] * v[:, 1]
+        proj += b[:, 2:] * v[:, 2]
+        proj.min(axis=1, out=lo[i:i + step])
+        proj.max(axis=1, out=hi[i:i + step])
+    return lo, hi
+
+
+def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
     """lo + (hi - lo) * u, in place: of the doubles u of Generator.random,
     the values that Generator.uniform(lo, hi) draws from the same stream."""
     u *= hi - lo
@@ -847,21 +904,24 @@ def crofton_target(P: Polytope, i: int, j: int) -> float:
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
                       shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
-    planes meeting P, against the target [i+j; j] V_(i+j)(P)."""
+    planes meeting P, against the target [i+j; j] V_(i+j)(P).  Planes
+    (i = 1) follow the body-tight law of `PlaneSampler`; lines and points
+    the ball of P's enclosing radius about the origin."""
     n = 3
     if not (0 <= j and 1 <= i and i + j <= n):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")
     if P.dim != 3:
         raise ValueError("crofton sampling expects a full-dimensional body")
-    R = P.enclosing_radius * (1.0 + 1e-12)
-    sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
-                           n_samples=n_samples, shards=shards)
+    if i == 1:
+        sampler = PlaneSampler.tight(P, seed, n_samples, shards)
+    else:
+        sampler = PlaneSampler(n=n, codim=i, radius=P.enclosing_radius * (1.0 + 1e-12),
+                               seed=seed, n_samples=n_samples, shards=shards)
     t0 = time.perf_counter()
     if i == 1 and j == 0:
-        def kernel(dirs, offs):
-            proj = P.vertices @ dirs.T
-            return (proj.min(axis=0) <= offs) & (offs <= proj.max(axis=0))
-        sample_bytes = 8 * (len(P.vertices) + 8)
+        def kernel(dirs, offs):   # every plane of the tight law meets P
+            return np.ones(len(offs))
+        sample_bytes = 80   # the variates, draws and weights of a sample
     elif i == 1:
         sections = PlaneSections(P)
 
@@ -886,7 +946,8 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=crofton_target(P, i, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"i": i, "j": j, "radius": R, "weight": sampler.weight,
+        extra={"i": i, "j": j, "radius": sampler.radius,
+               "weight": None if sampler.weighted else sampler.weight,
                "shards": shards})
 
 
@@ -1085,7 +1146,8 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     `PlaneSections.pieces`, `LineSections.pieces`), and `PieceEvaluator`
     integrates the valuation's data against them, with the pointwise or
     spectral path that `evaluate` would take.  Motions keep the cube window
-    of side 2 (R_P + R_L)."""
+    of side 2 (R_P + R_L); planes follow the body-tight law of
+    `PlaneSampler`, and lines the ball of P's enclosing radius."""
     n = 3
     if P.dim != 3 or L.dim != 3:
         raise ValueError("kinematic sampling expects full-dimensional bodies")
@@ -1103,10 +1165,10 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     rhs = vl[n] * float(evaluate(spec, P, u).values[0])   # i = 0
     rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]      # i = n: points keep c0
     rhs_var = 0.0
-    R_enc = P.enclosing_radius * (1.0 + 1e-12)
-    for i, sections in ((1, planes), (2, lines)):
-        sampler = PlaneSampler(n=n, codim=i, radius=R_enc, seed=seed + i,
-                               n_samples=n_samples, shards=shards)
+    line_law = PlaneSampler(n=n, codim=2, radius=P.enclosing_radius * (1.0 + 1e-12),
+                            seed=seed + 2, n_samples=n_samples, shards=shards)
+    for i, sections, sampler in ((1, planes, PlaneSampler.tight(P, seed + 1, n_samples, shards)),
+                                 (2, lines, line_law)):
         est_i, se_i = run_shards(sampler, lambda *flats: value(sections.pieces(*flats)),
                                  sections.sample_bytes + sections.piece_bytes)
         coef = vl[n - i] / flag(n, i)
@@ -1178,9 +1240,7 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         raise ValueError(f"degrees must lie in [0, {min(kmax, mu.kmax)}], got {degrees}")
     w = np.asarray(probe, dtype=float)
     w = w / np.linalg.norm(w)
-    R = P.enclosing_radius * (1.0 + 1e-12)
-    sampler = PlaneSampler(n=n, codim=i, radius=R, seed=seed,
-                           n_samples=n_samples, shards=shards)
+    sampler = PlaneSampler.tight(P, seed, n_samples, shards)
     t0 = time.perf_counter()
     sections = PlaneSections(P)
     est, se = run_shards(sampler, lambda a, s: sections.s1_moments(a, s, w, kk),
@@ -1211,7 +1271,7 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         "probe": list(map(float, w)),
         "N": n_samples,
         "seed": seed,
-        "weight": sampler.weight,
+        "weight": None,   # per sample, from the tight law of planes
         "wall_time_s": time.perf_counter() - t0,
         "all_pass": all(r["pass"] for r in rows),
     }

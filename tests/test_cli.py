@@ -199,12 +199,30 @@ def test_fewer_than_two_samples_per_shard_is_an_input_error(tmp_path, argv):
       "--N", "100", "--seed", "1"], "--hadwiger"),
     (["kinematic", "--body", "cube", "--spec", "projection_body", "--j", "2",
       "--N", "100", "--seed", "1"], "--j"),
+    (["kinematic", "--body", "cube", "--spec", "projection_body", "--dir", "0,0,1",
+      "--dir", "1,0,0", "--N", "100", "--seed", "1"], "--dir"),
 ])
 def test_out_of_range_argument_is_an_input_error(tmp_path, argv, flag):
-    # each ended in a traceback, or --hadwiger or --j was silently ignored
+    # each ended in a traceback, or --hadwiger, --j or every --dir after the
+    # first with --spec was silently ignored
     code, rep = run(tmp_path, *argv)
     assert code == 2
     assert set(rep) == {"error"} and flag in rep["error"]
+
+
+def test_switches_turn_off_with_their_no_flags(tmp_path):
+    # the box column is on by default, and --box could only set it on
+    code, rep = run(tmp_path, "multipliers", "--no-box")
+    assert code == 0 and rep["columns"] == ["k"] and rep["config"]["box"] is False
+    # the flags still override the config file, either way
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"box": False}))
+    code, rep = run(tmp_path, "multipliers", "--box", "--config", str(path))
+    assert code == 0 and rep["columns"] == ["k", "box"]
+    path.write_text(json.dumps({"hadwiger": True}))
+    code, rep = run(tmp_path, "kinematic", "--body", "cube", "--N", "100", "--seed", "1",
+                    "--no-hadwiger", "--config", str(path))
+    assert code in (0, 1) and "hadwiger" not in rep and rep["config"]["hadwiger"] is False
 
 
 CROFTON_11 = ["crofton", "--body", "cube", "--i", "1", "--j", "1", "--N", "100"]

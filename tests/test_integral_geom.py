@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkval import integral_geom
 from minkval.constants import (crofton_c, crofton_q, flag, geometric_constants, kappa,
@@ -15,6 +17,7 @@ from minkval.integral_geom import (
     CHUNK_BYTES,
     EstimateReport,
     PlaneSampler,
+    PlaneSections,
     _rotations_from_quaternions,
     _SeparatingAxes,
     crofton_intrinsic,
@@ -25,6 +28,7 @@ from minkval.integral_geom import (
     kinematic_check,
     kinematic_minkowski_check,
     kinematic_target,
+    run_shards,
 )
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
@@ -108,6 +112,42 @@ def test_crofton_random_hull():
     P = random_hull(77)
     rep = crofton_intrinsic(P, 1, 1, 30000, seed=7)
     assert rep.within(3.5)
+
+
+TIGHT_BODIES = {"cube": cube(), "hull": random_hull(77)}
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-3, 1e3),
+       direction=unit_vectors, reach=st.floats(0.0, 1e3), j=st.integers(0, 2))
+def test_tight_planes_scale_and_ignore_translation(body, lam, direction, reach, j):
+    # the tight law draws the same directions and the same offsets relative
+    # to the support interval for lam P + t, whose plane integrals of V_j
+    # are lam^(1 + j) those of P
+    P = TIGHT_BODIES[body]
+    Q = P.scaled(lam).translated(reach * lam * direction)
+    base, moved = (crofton_intrinsic(B, 1, j, 2000, seed=17) for B in (P, Q))
+    scale = lam ** (1 + j)
+    assert moved.estimate == pytest.approx(scale * base.estimate, rel=1e-9)
+    assert moved.stderr == pytest.approx(scale * base.stderr, rel=1e-9)
+    if j == 1:
+        mu = ZonalObject.dirac_pole(3, kmax=8)
+        base, moved = (crofton_minkowski(B, mu, 1, 1, 2000, seed=17, degrees=(0,))["rows"][0]
+                       for B in (P, Q))
+        assert moved["lhs"] == pytest.approx(lam ** 2 * base["lhs"], rel=1e-9)
+        assert moved["stderr"] == pytest.approx(lam ** 2 * base["stderr"], rel=1e-9)
+
+
+def test_tight_planes_cut_the_stderr():
+    # the planes of the ball about the origin that miss [0,1]^3 add only
+    # variance: the tight law has a 3.5x smaller stderr here
+    P = cube()
+    sections = PlaneSections(P)
+    ball = PlaneSampler(3, 1, P.enclosing_radius * (1.0 + 1e-12), 311, 20000)
+    _, ball_se = run_shards(ball, lambda a, s: sections.volumes(a, s)[0], sections.sample_bytes)
+    assert 2.5 * crofton_intrinsic(P, 1, 1, 20000, seed=311).stderr <= ball_se
 
 
 def test_stderr_scales_like_inverse_sqrt():

@@ -145,26 +145,40 @@ def test_sections_of_missed_planes_vanish():
     assert np.all(sections.s1_moments(a, np.array([5.0, -5.0]), PROBE, KMAX) == 0.0)
 
 
-# estimates of the per-sample section loop that PlaneSections replaced
+def ball_law(P, seed, n_samples):
+    """The planes of crofton_intrinsic and crofton_minkowski before their
+    body-tight law: offsets uniform in [-R, R], R the enclosing radius."""
+    return PlaneSampler(3, 1, P.enclosing_radius * (1.0 + 1e-12), seed, n_samples)
+
+
+# estimates of the per-sample section loop that PlaneSections replaced,
+# under the ball law of planes that loop drew
 @pytest.mark.parametrize("j,estimate,stderr", [
     (1, 4.762343084617497, 0.06693660774724093),
     (2, 2.0322276667655634, 0.03630133202249817),
 ])
 def test_crofton_section_estimates_pinned(j, estimate, stderr):
-    rep = crofton_intrinsic(cube(), 1, j, 5000, seed=99)
-    assert rep.estimate == pytest.approx(estimate, rel=1e-12)
-    assert rep.stderr == pytest.approx(stderr, rel=1e-12)
+    sections = PlaneSections(cube())
+    est, se = run_shards(ball_law(cube(), 99, 5000),
+                         lambda a, s: sections.volumes(a, s)[j - 1], sections.sample_bytes)
+    assert est == pytest.approx(estimate, rel=1e-12)
+    assert se == pytest.approx(stderr, rel=1e-12)
 
 
 def test_crofton_minkowski_estimates_pinned():
-    res = crofton_minkowski(cube(), ZonalObject.dirac_pole(3, kmax=8), 1, 1, 4000, seed=8)
+    # the lhs rows k = 0, 2, 3, 4 of crofton_minkowski, under the ball law
+    sections = PlaneSections(cube())
+    a_mu = ZonalObject.dirac_pole(3, kmax=8).multipliers[:KMAX + 1]
+    est, se = run_shards(ball_law(cube(), 8, 4000),
+                         lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX),
+                         sections.sample_bytes + 8 * (KMAX + 1))
     pinned = [(14.621091948926448, 0.22325336625730796),
               (0.00039370874769912857, 0.04104177519206521),
               (-0.040802731405611525, 0.02632972550279611),
               (-0.32686802756669003, 0.016371667558405814)]
-    for row, (lhs, stderr) in zip(res["rows"], pinned):
-        assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
-        assert row["stderr"] == pytest.approx(stderr, rel=1e-12)
+    for k, (lhs, stderr) in zip((0, 2, 3, 4), pinned):
+        assert est[k] * a_mu[k] == pytest.approx(lhs, rel=1e-12)
+        assert se[k] * abs(a_mu[k]) == pytest.approx(stderr, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_samples,shards", [(100, 1), (10, 20), (39, 20)])
@@ -201,6 +215,7 @@ def every_coordinate(*draws):
 
 SAMPLERS = {
     "planes": lambda n, shards: PlaneSampler(3, 1, 1.3, 21, n, shards),
+    "tight": lambda n, shards: PlaneSampler.tight(random_hull(5, 30), 26, n, shards),
     "lines": lambda n, shards: PlaneSampler(3, 2, 1.3, 22, n, shards),
     "points": lambda n, shards: PlaneSampler(3, 3, 1.3, 23, n, shards),
     "motions": lambda n, shards: MotionSampler(3, 2.5, 24, n, shards),
@@ -224,7 +239,7 @@ def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, sh
     assert np.array_equal(est, ref_est) and np.array_equal(se, ref_se)
 
 
-@pytest.mark.parametrize("kind", ["planes", "box"])
+@pytest.mark.parametrize("kind", ["planes", "tight", "box"])
 @pytest.mark.parametrize("block", [1, 7, 100, 600])
 def test_shard_sums_do_not_depend_on_the_pieces(monkeypatch, kind, block):
     # shards of 501 and 502 samples in blocks of `block`, run in pieces of

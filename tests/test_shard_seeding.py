@@ -88,6 +88,17 @@ def uniform_flats(sampler, rng, m):
     return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
 
 
+def tight_flats(sampler, rng, m):
+    """The tight law of planes drawn with rng.uniform: offsets uniform in
+    the support interval of the body's vertices, weighted by twice its
+    width."""
+    a = _unit_rows(rng.standard_normal((m, 3)))
+    v = sampler.vertices
+    proj = a[:, :1] * v[:, 0] + a[:, 1:2] * v[:, 1] + a[:, 2:] * v[:, 2]
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    return a, rng.uniform(lo, hi), 2.0 * (hi - lo)
+
+
 def uniform_motions(sampler, rng, m):
     """MotionSampler.variates and .draw before they drew Generator.random."""
     q = rng.standard_normal((m, 4))
@@ -116,6 +127,8 @@ SAMPLERS = [
     (MotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
     (MotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
                          0, 0), box_motions),
+    (PlaneSampler.tight(cube(), 0, 0), tight_flats),
+    (PlaneSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), 0, 0), tight_flats),
 ]
 
 
