@@ -439,7 +439,8 @@ def berg(j: int, kmax: int = DEFAULT_KMAX,
     half_native, half_profile, _ = _berg_native(j, max(BERG_NATIVE_KMAX // 2, kmax + 2))
     ambient_half = _ambient_berg_multipliers(half_profile, n, kmax)
     err = np.abs(ambient - ambient_half) + 1e-15
-    ambient[1] = 0.0  # centered by construction
+    if kmax >= 1:
+        ambient[1] = 0.0  # centered by construction
     return bf, MultiplierSequence(n, ambient, err)
 
 

@@ -657,6 +657,7 @@ def cli_configs(draw):
                               "plane": "0,0,1,0.5", "seed": 1, "num-dirs": 1e300}, False))
 @example(("crofton", {"body": "cube", "i": 1, "j": 1, "seed": 1, "N": 1e300}, True))
 @example(("area-measure", {"body": "cube", "i": 1, "tol": 10**400}, True))
+@example(("multipliers", {"kmax": 0, "berg": 2}, False))
 @given(cli_configs())
 def test_any_config_exits_0_1_or_2_with_strict_json(drawn):
     cmd, config, use_out = drawn
