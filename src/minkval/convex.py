@@ -614,7 +614,8 @@ def _zonal_sums(pts: np.ndarray, wts: np.ndarray, dirs: np.ndarray, nrows: int,
     for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
         dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
         for k, row in enumerate(rows(dots)):
-            out[k, block] = wts @ row
+            # einsum, not a BLAS gemv: its sums do not depend on the threads
+            out[k, block] = np.einsum("n,nd->d", wts, row)
     return out
 
 

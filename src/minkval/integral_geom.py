@@ -14,8 +14,8 @@ C(n, n-i) kappa_n / kappa_(n-i) * R^i of the flats meeting that ball.
 Rigid motions g L = R L + x combine a uniform rotation
 (probability law) with a translation uniform in the coordinate box of
 P - R L for the rotation drawn, weighted per sample by the box volume
-(conditional Monte Carlo; the box holds every contact position), or, when
-a window is given, uniform in a centred cube of that side.
+(conditional Monte Carlo; the box holds every contact position, wherever
+the bodies lie).
 
 Every estimator runs through one shard loop, `run_shards`: shard k draws its
 random numbers (`variates`) from the k-th spawned seed sequence, in chunks
@@ -37,15 +37,16 @@ kinematic formula from separating axes.  No sample builds a face lattice:
 the valuation-valued check takes the area measures of the sections and
 intersections of a whole chunk as pieces from the same kernels and
 integrates the valuation's data against them at once
-(`valuation.PieceEvaluator`).  Its motions keep the cube window.
+(`valuation.PieceEvaluator`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -83,7 +84,7 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 20
-HALF_CIRCLE_NODES = 20  # Gauss-Legendre nodes per half circle of PlaneSections
+HALF_CIRCLE_NODES = 20  # least Gauss-Legendre nodes per half circle of PlaneSections
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
 SAT_TOL = 1e-12         # slack of the separating-axis test, per unit axis length
 
@@ -126,7 +127,7 @@ class EstimateReport:
 @dataclass(frozen=True)
 class PlaneSampler:
     """Law of affine flats of codimension `codim`: a uniform direction (the
-    probability law) and an offset in one of two windows.
+    probability law) and an offset under one of two laws.
 
     - The ball law (`radius` given): offsets uniform in the codim-ball of
       that radius about the origin; the weight, the invariant measure of
@@ -215,46 +216,36 @@ class PlaneSampler:
 
 @dataclass(frozen=True)
 class MotionSampler:
-    """Rigid-motion law of g L = R L + x against a fixed body P: uniform
-    rotations R (the probability law), and translations x in one of two
-    windows.
+    """Rigid-motion law of g L = R L + x against a fixed body P, the box
+    law: uniform rotations R (the probability law), and x uniform in the
+    coordinate box of P - R L for the rotation drawn,
+    [lo_P - max_v R v, hi_P - min_v R v] over the vertices v of L, with
+    [lo_P, hi_P] = `box` the coordinate box of P.  Every x at which R L + x
+    meets P lies in it, so the box volume as a per-sample weight keeps the
+    motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
+    Stochastic Simulation, 2007, ch. V), wherever P and L lie, and far
+    fewer motions miss than in a cube about the origin."""
 
-    - The cube law (`window` given): x uniform in the centred cube of side
-      `window`; the weight window^n is the same for every sample.
-    - The box law (`window` None, `box` and `moving` given): x uniform in
-      the coordinate box of P - R L for the rotation drawn,
-      [lo_P - max_v R v, hi_P - min_v R v] over the vertices v of L, with
-      [lo_P, hi_P] = `box` the coordinate box of P.  Every x at which R L + x
-      meets P lies in it, so the box volume as a per-sample weight keeps the
-      motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
-      Stochastic Simulation, 2007, ch. V), and far fewer motions miss."""
+    # what run_shards reads: `draw` ends with per-sample weights, the box
+    # volumes, and no weight is common to all samples
+    weighted = True
+    weight = 1.0
 
     n: int
-    window: float | None
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
-    box: np.ndarray | None = None      # (2, 3): [lo_P, hi_P] of the box law
-    moving: np.ndarray | None = None   # (V, 3): the vertices of L, for the box law
+    _: KW_ONLY
+    box: np.ndarray      # (2, 3): [lo_P, hi_P]
+    moving: np.ndarray   # (V, 3): the vertices of L
 
     @classmethod
     def tight(cls, P: Polytope, L: Polytope, seed: int, n_samples: int,
               shards: int = DEFAULT_SHARDS) -> "MotionSampler":
         """The box law of motions of L against P."""
-        return cls(n=3, window=None, seed=seed, n_samples=n_samples, shards=shards,
+        return cls(n=3, seed=seed, n_samples=n_samples, shards=shards,
                    box=np.array([P.vertices.min(axis=0), P.vertices.max(axis=0)]),
                    moving=L.vertices)
-
-    @property
-    def weighted(self) -> bool:
-        """Whether `draw` ends with per-sample weights (the box law)."""
-        return self.window is None
-
-    @property
-    def weight(self) -> float:
-        """The weight common to all samples: window^n, or 1 under the box
-        law, whose weights come per sample from `draw`."""
-        return 1.0 if self.weighted else self.window ** self.n
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The random numbers of m motions: normal quaternions (m, 4), then
@@ -262,12 +253,10 @@ class MotionSampler:
         return rng.standard_normal((m, 4)), rng.random((m, 3))
 
     def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Motions x -> R x + t from their variates: rotations (m, 3, 3) and
-        translations (m, 3), which overwrite their variates; under the box
-        law also the box volumes (m,)."""
+        """Motions x -> R x + t from their variates: rotations (m, 3, 3),
+        translations (m, 3), which overwrite their variates, and the box
+        volumes (m,)."""
         R = _rotations_from_quaternions(_unit_rows(q))
-        if not self.weighted:
-            return R, _uniform(t, -self.window / 2.0, self.window / 2.0)
         proj = R @ self.moving.T                     # (m, 3, V): coordinates of R v
         lo = self.box[0] - proj.max(axis=2)
         width = self.box[1] - proj.min(axis=2)
@@ -539,13 +528,10 @@ class PlaneSections:
     perimeter, area and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).
     The crossing points p_e themselves span the section (`crossings`).
     Points are taken about the vertex centroid; S_1 moments integrate each
-    half circle by Gauss-Legendre on HALF_CIRCLE_NODES points."""
+    half circle by Gauss-Legendre (`_half_circle_rule`)."""
 
     def __init__(self, P: Polytope):
         self.vertices, self.normals = P.vertices, P.facet_normals
-        s, wts = _gauss01(HALF_CIRCLE_NODES)
-        self.arc_cos, self.arc_sin = np.cos(math.pi * s), np.sin(math.pi * s)
-        self.arc_weights = math.pi * wts
         ij = np.array([(i, j) for i, j, _, _ in P.edges])
         self.vi, self.vj = ij[:, 0], ij[:, 1]
         self.centre = P.vertices.mean(axis=0)
@@ -632,18 +618,30 @@ class PlaneSections:
         crossed facet."""
         rows, length, m_f = self._crossed_facets(a, self.segments(a, s)[0])
         ar = a[rows]
+        arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
         out = np.zeros((a.shape[0], kmax + 1))
         # per half circle: its cosines, two Legendre rows, temporaries, moments
-        per_call = max(1, CHUNK_BYTES // (8 * (6 * self.arc_cos.size + kmax + 1)))
+        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + kmax + 1)))
         for lo in range(0, rows.size, per_call):
             part = slice(lo, lo + per_call)
             # points u(theta) = cos(theta) a + sin(theta) m_F
-            dots = (self.arc_cos[None, :] * (ar[part] @ w)[:, None]
-                    + self.arc_sin[None, :] * (m_f[part] @ w)[:, None])
-            arc = np.array([pk @ self.arc_weights
+            dots = (arc_cos[None, :] * (ar[part] @ w)[:, None]
+                    + arc_sin[None, :] * (m_f[part] @ w)[:, None])
+            arc = np.array([pk @ arc_weights
                             for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
             np.add.at(out, rows[part], (arc * (0.5 * length[part])).T)
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def _half_circle_rule(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosines, sines and weights of the Gauss-Legendre rule in theta on
+    [0, pi] for the moments of degree <= kmax over a half circle: on
+    HALF_CIRCLE_NODES points, or on kmax + 12 where that is more.  On the
+    sections of a 30-point hull, k + 12 points reach 1e-15 of M_0 at
+    degree k <= 32, while 20 points err by 3e-4 at k = 20 and 1e-2 at 24."""
+    s, wts = _gauss01(max(HALF_CIRCLE_NODES, kmax + 12))
+    return np.cos(math.pi * s), np.sin(math.pi * s), math.pi * wts
 
 
 def _section_area(a: np.ndarray, v: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -1031,64 +1029,40 @@ def _vertex_major(v: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
-                    shards: int = DEFAULT_SHARDS,
-                    window: float | None = None) -> EstimateReport:
+                    shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo check of the principal kinematic formula: average of
     V_j(P n gL) over rigid motions g against the bilinear target.
 
-    Translations follow the box law of `MotionSampler` (the coordinate box
-    of P - R L per rotation, weighted by its volume); an explicit `window`
-    draws them in the centred cube of that side instead, and raises if hits
-    reach its boundary when it is smaller than the provably safe side.
-    j = 0 runs a vectorized exact separating-axis test; j >= 1 reads V_j of
-    the intersection from its edges (`MotionIntersections`), with no hull
-    per motion."""
+    Motions follow the box law of `MotionSampler` (translations in the
+    coordinate box of P - R L per rotation, weighted by its volume).  j = 0
+    runs a vectorized exact separating-axis test; j >= 1 reads V_j of the
+    intersection from its edges (`MotionIntersections`), with no hull per
+    motion."""
     n = 3
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= {n}")
     if P.dim != 3 or L.dim != 3:
         raise ValueError("kinematic sampling expects full-dimensional bodies")
     t0 = time.perf_counter()
-    boundary_hits = 0
     if j == 0:
         test = _SeparatingAxes(P, L)
         sample_bytes = test.sample_bytes
+
+        def kernel(R, x):
+            return test.hits(R, x).astype(float)
     else:
         inter = MotionIntersections(P, L)
         sample_bytes = inter.sample_bytes
-    if window is None:
-        sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
-        sample_bytes += 24 * len(L.vertices)   # the (m, 3, V) coordinates of R L in draw
-    else:
-        sampler = MotionSampler(n=n, window=window, seed=seed, n_samples=n_samples,
-                                shards=shards)
 
-    def kernel(R, x):
-        nonlocal boundary_hits
-        if j == 0:
-            hits = test.hits(R, x)
-            vals = hits.astype(float)
-        else:
-            vols = inter.volumes(R, x)
-            hits, vals = vols[:, 0] > 0, vols[:, j]
-        if window is not None:
-            shell = np.max(np.abs(x), axis=1) >= 0.98 * (window / 2.0)
-            boundary_hits += int(np.count_nonzero(hits & shell))
-        return vals
-
+        def kernel(R, x):
+            return inter.volumes(R, x)[:, j]
+    sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
+    sample_bytes += 24 * len(L.vertices)   # the (m, 3, V) coordinates of R L in draw
     est, se = run_shards(sampler, kernel, sample_bytes)
-    extra = {"j": j, "window": window, "shards": shards}
-    if window is not None:
-        safe = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-        if window < safe * (1.0 - 1e-12) and boundary_hits > 0:
-            raise ValueError(
-                f"translation window {window:.4g} too small for the contact set "
-                f"(needs {safe:.4g}): {boundary_hits} boundary hits")
-        extra.update(weight=sampler.weight, boundary_hits=boundary_hits)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=kinematic_target(P, L, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra=extra)
+        extra={"j": j, "shards": shards})
 
 
 def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
@@ -1145,9 +1119,9 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     sections of a chunk as pieces (`MotionIntersections.pieces`,
     `PlaneSections.pieces`, `LineSections.pieces`), and `PieceEvaluator`
     integrates the valuation's data against them, with the pointwise or
-    spectral path that `evaluate` would take.  Motions keep the cube window
-    of side 2 (R_P + R_L); planes follow the body-tight law of
-    `PlaneSampler`, and lines the ball of P's enclosing radius."""
+    spectral path that `evaluate` would take.  Motions follow the box law
+    of `MotionSampler` and planes the body-tight law of `PlaneSampler`;
+    lines take the ball of P's enclosing radius about the origin."""
     n = 3
     if P.dim != 3 or L.dim != 3:
         raise ValueError("kinematic sampling expects full-dimensional bodies")
@@ -1156,10 +1130,9 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
 
     t0 = time.perf_counter()
     inter, planes, lines = MotionIntersections(P, L), PlaneSections(P), LineSections(P)
-    W = 2.0 * (P.enclosing_radius + L.enclosing_radius)
-    sampler = MotionSampler(n=n, window=W, seed=seed, n_samples=n_samples, shards=shards)
-    lhs, lhs_se = run_shards(sampler, lambda R, x: value(inter.pieces(R, x)),
-                             inter.sample_bytes + inter.piece_bytes)
+    lhs, lhs_se = run_shards(MotionSampler.tight(P, L, seed, n_samples, shards),
+                             lambda R, x: value(inter.pieces(R, x)),
+                             inter.sample_bytes + inter.piece_bytes + 24 * len(L.vertices))
 
     vl = intrinsic_volumes(L)
     rhs = vl[n] * float(evaluate(spec, P, u).values[0])   # i = 0
@@ -1186,7 +1159,6 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
         "consistent_3sigma": bool(abs(float(lhs) - rhs) <= 3.0 * combined),
         "N": n_samples,
         "seed": seed,
-        "window": W,
         "wall_time_s": time.perf_counter() - t0,
     }
 

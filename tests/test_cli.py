@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minkval
-from minkval import integral_geom
+from minkval import convex, integral_geom
 from minkval.cli import load_body, load_spec, main
 from minkval.valuation import MinkowskiValuationSpec, builtin_spec
 from minkval.zonal import ZonalObject
@@ -105,6 +105,7 @@ def test_kinematic_command(tmp_path):
                     "--j", "0", "--N", "20000", "--seed", "11")
     assert code == 0
     assert rep["target"] == pytest.approx(11.0)
+    assert "window" not in rep   # the box law of motions has no window to report
 
 
 def test_kinematic_hadwiger_command_estimates_the_motions_once(tmp_path, monkeypatch):
@@ -131,6 +132,16 @@ def test_kinematic_valuation_command(tmp_path):
     assert code == 0
     assert rep["consistent_3sigma"] is True
     assert rep["lhs_stderr"] > 0
+
+
+def test_kinematic_valuation_command_on_a_far_body(tmp_path):
+    # the motions follow the box law wherever the body lies; the cube about
+    # the origin they were drawn from missed this body, and the check failed
+    body = tmp_path / "far_cube.json"
+    body.write_text(json.dumps(convex.cube().translated([100.0, 0.0, 0.0]).to_json()))
+    code, rep = run(tmp_path, "kinematic", "--body", str(body), "--spec", "projection_body",
+                    "--N", "600", "--seed", "17")
+    assert code == 0 and rep["lhs"] > 0.0
 
 
 def test_crofton_mv_command(tmp_path):

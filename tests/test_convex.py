@@ -1,6 +1,10 @@
 """Polytope lattices, area measures, intrinsic volumes, slicing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from minkval import convex
 from minkval.constants import kappa, omega
 from minkval.convex import (
     AreaMeasure,
@@ -366,6 +371,32 @@ def test_addition_theorem_matches_the_direct_sums(name, kmax):
         assert np.array_equal(mom[1:], route[1:])
         assert np.array_equal(mom[0], route[0] + 4 * math.pi * meas.uniform)
         assert np.abs(mom[0] - direct[0] - 4 * math.pi * meas.uniform).max() <= tol
+
+
+# the direct route's moments of a large cloud at a few directions, hashed
+THREADS_SCRIPT = """
+import hashlib, numpy as np
+from minkval.convex import area_measure, random_hull
+meas = area_measure(random_hull(42, 2000), 1)
+dirs = np.random.default_rng(3).standard_normal((4, 3))
+dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+print([hashlib.sha256(meas.zonal_moments(dirs[:d], 32).tobytes()).hexdigest()
+       for d in (1, 2, 4)])
+"""
+
+
+def test_direct_moments_do_not_depend_on_the_blas_threads():
+    # a BLAS gemv over the 16992 nodes split its sum between two threads
+    src = str(Path(convex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 def test_the_cost_model_takes_both_routes():

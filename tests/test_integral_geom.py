@@ -225,7 +225,7 @@ def test_box_law_is_unbiased_on_slab_and_needle(j, n_samples, seed):
     assert rep.within(3.5), f"j={j}: z = {rep.z:.2f}"
 
 
-@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("j", [0, 1, 2])
 @pytest.mark.parametrize("shift,shift_other", [
     ((1e3, -1e3, 1e3), (0.0, 0.0, 0.0)),
     ((0.0, 0.0, 0.0), (-1e3, 0.0, 1e3)),
@@ -275,17 +275,6 @@ def test_separating_axes_memory_is_bounded_by_the_chunk():
     assert hits.all() and peak < 2 * CHUNK_BYTES
 
 
-def test_kinematic_window_too_small_detected():
-    with pytest.raises(ValueError, match="boundary hits"):
-        kinematic_check(cube(), cube(), 0, 4000, seed=3, window=1.5)
-    # the provably safe window: no error, hits recorded
-    rep = kinematic_check(cube(), cube(), 0, 4000, seed=3, window=4.0 * cube().enclosing_radius)
-    assert "boundary_hits" in rep.extra
-    # the default box law contains every contact position: no window to check
-    rep = kinematic_check(cube(), cube(), 0, 4000, seed=3)
-    assert rep.extra["window"] is None and "boundary_hits" not in rep.extra
-
-
 def test_hadwiger_consistency():
     h = hadwiger_check(cube(), cube(), 0, 20000, seed=41)
     assert h["consistent_3sigma"]
@@ -304,6 +293,21 @@ def test_kinematic_minkowski_valuation():
     # and the i = 0 term is the exact shadow area of the cube itself
     assert res["rhs"] > 1.0
     assert res["lhs_stderr"] > 0 and res["rhs_stderr"] > 0
+
+
+def test_kinematic_minkowski_check_is_translation_invariant():
+    # its motions follow the box law, which moves with the bodies; the cube
+    # about the origin that it drew from before missed a body 100 away
+    # (lhs 0 +- 0).  The projection body's line term is 0, so the lines'
+    # ball about the origin does not enter.
+    P, L = random_hull(51), cube()
+    far = P.translated([100.0, -100.0, 100.0])
+    spec = builtin_spec("projection_body")
+    near_res, far_res = (kinematic_minkowski_check(spec, Q, L, [0.0, 0.6, 0.8], 600, seed=5)
+                         for Q in (P, far))
+    assert far_res["lhs"] == pytest.approx(near_res["lhs"], rel=1e-9, abs=0.0)
+    assert far_res["lhs_stderr"] == pytest.approx(near_res["lhs_stderr"], rel=1e-9, abs=0.0)
+    assert far_res["consistent_3sigma"]
 
 
 # -- Crofton formula for Minkowski valuations ----------------------------------------

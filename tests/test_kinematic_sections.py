@@ -17,6 +17,7 @@ from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, secti
 from minkval.integral_geom import (
     LineSections,
     MotionIntersections,
+    MotionSampler,
     PlaneSampler,
     PlaneSections,
     _rotations_from_quaternions,
@@ -223,9 +224,18 @@ def ball_law(cls, P, seed, n_samples, shards):
     return cls(3, 1, P.enclosing_radius * (1.0 + 1e-12), seed, n_samples, shards)
 
 
+def cube_law(cls, P, L, seed, n_samples, shards):
+    """The motions of the check before their box law: translations uniform
+    in the centred cube of side 2 (R_P + R_L), the box law of a point in
+    that cube."""
+    h = P.enclosing_radius + L.enclosing_radius
+    return cls(3, seed, n_samples, shards, box=np.array([[-h] * 3, [h] * 3]),
+               moving=np.zeros((1, 3)))
+
+
 # lhs, lhs_stderr, rhs, rhs_stderr of the check that sliced a lattice per
-# plane and per line (section_plane, section_line), under the ball law of
-# planes that check drew
+# plane and per line (section_plane, section_line), under the laws of
+# planes and motions that check drew
 @pytest.mark.parametrize("name,pinned", [
     ("projection_body",
      (2.442316768617, 0.38825336057210846, 2.514367894722867, 0.04854790236821971)),
@@ -234,6 +244,7 @@ def ball_law(cls, P, seed, n_samples, shards):
 ])
 def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
     monkeypatch.setattr(PlaneSampler, "tight", classmethod(ball_law))
+    monkeypatch.setattr(MotionSampler, "tight", classmethod(cube_law))
     res = kinematic_minkowski_check(builtin_spec(name), cube(), cube(), [0.0, 0.0, 1.0],
                                     2500, seed=17)
     for key, want in zip(("lhs", "lhs_stderr", "rhs", "rhs_stderr"), pinned):

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from minkval.convex import Polytope, cube, intersect, intrinsic_volumes, random_hull
 from minkval.integral_geom import (
     MotionIntersections,
+    MotionSampler,
     _rotations_from_quaternions,
     kinematic_check,
+    run_shards,
 )
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
@@ -135,16 +137,22 @@ def test_kernel_of_missed_motions_vanishes():
 
 
 # estimates of the per-motion loop (hull of the moved body, then intersect)
-# that MotionIntersections replaced, under the cube law of translations
+# that MotionIntersections replaced, under the law of translations it drew:
+# uniform in the centred cube of side 4 R, R the cube's enclosing radius,
+# which is the box law of a point in that cube
 @pytest.mark.parametrize("j,estimate,stderr", [
     (1, 16.397872239130802, 3.646578132759551),
     (2, 6.732316316378385, 2.034482768869439),
     (3, 0.9058473200956854, 0.37614675219453886),
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
-    rep = kinematic_check(cube(), cube(), j, 400, seed=33, window=4.0 * cube().enclosing_radius)
-    assert rep.estimate == pytest.approx(estimate, rel=1e-12)
-    assert rep.stderr == pytest.approx(stderr, rel=1e-12)
+    h = 2.0 * cube().enclosing_radius
+    cube_law = MotionSampler(3, 33, 400, box=np.array([[-h] * 3, [h] * 3]),
+                             moving=np.zeros((1, 3)))
+    inter = MotionIntersections(cube(), cube())
+    est, se = run_shards(cube_law, inter.volumes, inter.sample_bytes)
+    assert est[j] == pytest.approx(estimate, rel=1e-12)
+    assert se[j] == pytest.approx(stderr, rel=1e-12)
 
 
 def _cube_and_ellipsoid_hull() -> tuple[Polytope, Polytope]:

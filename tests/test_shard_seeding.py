@@ -99,11 +99,21 @@ def tight_flats(sampler, rng, m):
     return a, rng.uniform(lo, hi), 2.0 * (hi - lo)
 
 
+def cube_law(side):
+    """The box law of a point in the centred cube of that side."""
+    h = side / 2.0
+    return MotionSampler(3, 0, 0, box=np.array([[-h] * 3, [h] * 3]), moving=np.zeros((1, 3)))
+
+
 def uniform_motions(sampler, rng, m):
-    """MotionSampler.variates and .draw before they drew Generator.random."""
+    """The cube law of translations, as MotionSampler drew it with
+    rng.uniform before the box law replaced it: uniform in the centred cube
+    [-h, h]^3 of the box of a point, weighted by the cube's volume."""
+    h = sampler.box[1, 0]
     q = rng.standard_normal((m, 4))
-    t = rng.uniform(-sampler.window / 2.0, sampler.window / 2.0, (m, 3))
-    return _rotations_from_quaternions(_unit_rows(q)), t
+    t = rng.uniform(-h, h, (m, 3))
+    side = 2.0 * h
+    return _rotations_from_quaternions(_unit_rows(q)), t, np.full(m, side * side * side)
 
 
 def box_motions(sampler, rng, m):
@@ -122,8 +132,8 @@ SAMPLERS = [
     (PlaneSampler(3, 2, 1.3, 0, 0), uniform_flats),
     (PlaneSampler(3, 2, 1e-3, 0, 0), uniform_flats),
     (PlaneSampler(3, 3, 1.3, 0, 0), uniform_flats),
-    (MotionSampler(3, 2.5, 0, 0), uniform_motions),
-    (MotionSampler(3, 1e3 / 3.0, 0, 0), uniform_motions),
+    (cube_law(2.5), uniform_motions),
+    (cube_law(1e3 / 3.0), uniform_motions),
     (MotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
     (MotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
                          0, 0), box_motions),
