@@ -29,13 +29,15 @@ streams are numpy's SeedSequence children; only their seeding is batched
 (`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
 the variates are Generator.random doubles that `draw` scales to the
 uniform ranges as Generator.uniform would.  Sections
-come from batched kernels: plane sections and line chords of a fixed body
-(`PlaneSections`, `LineSections`), the intersections of a body with moved
-copies of another from the edges of the intersection, clipped out of the
-stacked facet inequalities (`MotionIntersections`), and the hit test of the
-kinematic formula from separating axes.  No sample builds a face lattice:
-the valuation-valued check takes the area measures of the sections and
-intersections of a whole chunk as pieces from the same kernels and
+come from batched kernels: plane sections of a fixed body from the edges
+each plane crosses, scattered onto their facets, at a cost that grows with
+the crossed edges rather than with edges times facets (`PlaneSections`),
+line chords of a fixed body (`LineSections`), the intersections of a body
+with moved copies of another from the edges of the intersection, clipped
+out of the stacked facet inequalities (`MotionIntersections`), and the hit
+test of the kinematic formula from separating axes.  No sample builds a face
+lattice: the valuation-valued check takes the area measures of the sections
+and intersections of a whole chunk as pieces from the same kernels and
 integrates the valuation's data against them at once
 (`valuation.PieceEvaluator`).
 """
@@ -518,97 +520,119 @@ def _clip_lines(den: np.ndarray, num: np.ndarray, lo,
 
 class PlaneSections:
     """Sections of a full-dimensional polytope by planes {x . a = s}, facet
-    by facet, with no ordering of the section polygon.  A plane cuts facet F
-    in at most one segment between crossing points p_e of its edges.  With
-    the signed incidence B (+1 where the ccw cycle of F runs along edge
-    e = (i, j) from i to j, else -1) and crossing signs c_e in {-1, 0, +1},
-    the segment is v_F = sum_e B_eF c_e p_e, its midpoint
-    1/2 sum_e |B_eF c_e| p_e and its outward normal in the plane
-    m_F = unit(n_F - (n_F . a) a); the divergence theorem in the plane gives
-    perimeter, area and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).
-    The crossing points p_e themselves span the section (`crossings`).
-    Points are taken about the vertex centroid; S_1 moments integrate each
-    half circle by Gauss-Legendre (`_half_circle_rule`)."""
+    by facet, with no ordering of the section polygon, from the edges that
+    each plane crosses.  The signed distances of the vertices to the plane
+    flag the edges whose ends lie on opposite sides, and only those get a
+    crossing point p_e (`_crossings`).  A plane cuts facet F in at most one
+    segment, between the crossing points of its crossed edges: with
+    B_eF = +1 where the ccw cycle of F runs along edge e = (i, j) from i to
+    j, else -1, and the crossing sign c_e = +1 where i lies above the plane,
+    else -1, the segment is v_F = sum_e B_eF c_e p_e and its midpoint
+    1/2 sum_e p_e, over the crossed edges e of F.  So each crossing adds
+    +p_e to one facet of its edge and -p_e to the other, a scatter by plane
+    and facet (`_facets`).  The facets with v_F != 0 are the crossed ones;
+    with the outward normal m_F = unit(n_F - (n_F . a) a) of the segment in
+    the plane, the divergence theorem in the plane gives perimeter, area
+    and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are
+    taken about the vertex centroid; S_1 moments integrate each half circle
+    by Gauss-Legendre (`_half_circle_rule`)."""
 
     def __init__(self, P: Polytope):
         self.vertices, self.normals = P.vertices, P.facet_normals
-        ij = np.array([(i, j) for i, j, _, _ in P.edges])
-        self.vi, self.vj = ij[:, 0], ij[:, 1]
+        edges = np.array(P.edges).reshape(-1, 4)
+        self.vi, self.vj = edges[:, 0], edges[:, 1]
         self.centre = P.vertices.mean(axis=0)
         self.local = local = P.vertices - self.centre
-        self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
-        index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
-        B = np.zeros((len(ij), len(P.facet_cycles)))
-        for f, cyc in enumerate(P.facet_cycles):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if (a, b) in index:
-                    B[index[a, b], f] = 1.0
-                else:
-                    B[index[b, a], f] = -1.0
-        self.incidence, self.touches = B, np.abs(B)
-        # the (m, V), (m, E), (m, 3, E) and (m, 3, F) temporaries of segments()
-        self.sample_bytes = 8 * (2 * len(P.vertices) + 12 * len(ij) + 12 * B.shape[1])
+        self.start = np.ascontiguousarray(local[self.vi].T)                 # (3, E)
+        self.step = np.ascontiguousarray((local[self.vj] - local[self.vi]).T)
+        # per edge, the facet whose ccw cycle runs along it from i to j, then
+        # the other one, flat: entry 2 e + (i below) takes +p_e
+        runs = {(i, j): f for f, cyc in enumerate(P.facet_cycles)
+                for i, j in zip(cyc, cyc[1:] + cyc[:1])}
+        self.facets = np.array([(f, g) if runs[i, j] == f else (g, f)
+                                for i, j, f, g in P.edges], dtype=int).ravel()
+        V, E, F = len(P.vertices), len(edges), len(P.facet_cycles)
+        # the temporaries of _facets() per plane: the (m, V) distances, the
+        # (m, E) distances of the ends and their flags, the (m, F) sums of the
+        # scatter and the arrays of the at most F crossings and crossed facets
+        # (peaks of 3.5 kB for random_hull(5, 30), 8.4 kB for a 40-gon prism
+        # whose planes cross all 40 side edges, tracemalloc)
+        self.sample_bytes = 8 * (V + 3 * E + 20 * F)
         # and in pieces(), per crossed facet and per section: the facets'
         # arrays, two arcs, two atoms (the arcs' nodes run in PieceEvaluator's
         # blocks)
-        self.piece_bytes = 8 * (32 * B.shape[1] + 16)
+        self.piece_bytes = 8 * (32 * F + 16)
 
-    def _cross(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Crossing signs c_e (m, E) of the edges by the planes {x . a[t] = s[t]}
-        and crossing points p_e (m, 3, E), used where c_e != 0, all about the centroid."""
+    def _crossings(self, a: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The edges that the planes {x . a[t] = s[t]} cross, by plane, then
+        edge: plane index t (K,), edge e (K,), whether its end i lies above
+        the plane (K,), and the crossing point about the centroid (3, K)."""
         d = a @ self.local.T - (s - a @ self.centre)[:, None]   # (m, V)
-        above = d > 1e-12
-        c = above[:, self.vi].astype(float) - above[:, self.vj]
-        di, dj = d[:, self.vi], d[:, self.vj]
-        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
-        return c, self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step
+        di, dj = d[:, self.vi], d[:, self.vj]                     # (m, E)
+        above = di > 1e-12
+        flat = np.flatnonzero(above != (dj > 1e-12))
+        rows, e = np.divmod(flat, len(self.vi))
+        di, dj = di.ravel()[flat], dj.ravel()[flat]
+        lam = np.clip(di / (di - dj), 0.0, 1.0)
+        p = np.take(self.start, e, axis=1) + lam * np.take(self.step, e, axis=1)
+        return rows, e, above.ravel()[flat], p
 
     def crossings(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The points where the planes {x . a[t] = s[t]} cross the edges:
         plane index t (K,) and world point (K, 3), grouped by plane."""
-        c, p = self._cross(a, s)
-        rows, e = np.nonzero(c)
-        return rows, p[rows, :, e] + self.centre
+        rows, _, _, p = self._crossings(a, s)
+        return rows, p.T + self.centre
 
-    def segments(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Facet segments v_F and their midpoints, (m, 3, F) each, of the
-        sections by the planes {x . a[t] = s[t]}."""
-        m = a.shape[0]
-        c, p = self._cross(a, s)
-        c = c[:, None, :]
-        v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
-        mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
-        return v, mid
+    def _facets(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The facets that the planes {x . a[t] = s[t]} cross, by plane, then
+        facet: plane index (K,), facet (K,) and segment length |v_F| (K,);
+        and V_1 (half the perimeter) and V_2 (the area) of each section
+        (m,), 0 where the plane misses the body."""
+        m, nf = a.shape[0], len(self.normals)
+        rows, e, above, p = self._crossings(a, s)
+        # plane * F + facet of the facets that take +p_e, then of those that take -p_e
+        at = np.concatenate([self.facets[2 * e + ~above], self.facets[2 * e + above]])
+        at += np.tile(rows * nf, 2)
+        v = [np.bincount(at, np.concatenate([x, -x]), m * nf) for x in p]
+        length = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])   # as np.linalg.norm sums
+        crossed = np.flatnonzero(length > 0.0)
+        rows, facet = np.divmod(crossed, nf)
+        vx, vy, vz = (x[crossed] for x in v)
+        mx, my, mz = (0.5 * np.bincount(at, np.tile(x, 2), m * nf)[crossed] for x in p)
+        moment = np.empty((crossed.size, 3))   # mid_F x v_F, as np.cross forms it
+        moment[:, 0] = my * vz - mz * vy
+        moment[:, 1] = mz * vx - mx * vz
+        moment[:, 2] = mx * vy - my * vx
+        area = np.bincount(rows, np.einsum("ki,ki->k", np.take(a, rows, axis=0), moment), m)
+        return (rows, facet, length[crossed], length.reshape(m, nf).sum(axis=1) / 2.0,
+                0.5 * np.abs(area))
 
     def volumes(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
         each section, 0 where the plane misses the body."""
-        v, mid = self.segments(a, s)
-        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, _section_area(a, v, mid)
+        return self._facets(a, s)[3:]
 
-    def _crossed_facets(self, a: np.ndarray,
-                        v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The facets that the planes with normals a cross, from their
-        segments v (m, 3, F): plane index (K,), segment length |v_F| (K,)
-        and the outward normal m_F (K, 3) of the segment in the plane."""
-        length = np.linalg.norm(v, axis=1)   # (m, F)
-        rows, cols = np.nonzero(length > 0.0)
-        nf, ar = self.normals[cols], a[rows]
-        return rows, length[rows, cols], _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+    def _segment_normals(self, a: np.ndarray, rows: np.ndarray,
+                         facet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The plane normals a[rows] (K, 3) of crossed facets and the
+        outward normals m_F (K, 3) of their segments in the plane."""
+        nf, ar = self.normals[facet], np.take(a, rows, axis=0)
+        return ar, _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
 
     def pieces(self, a: np.ndarray, s: np.ndarray) -> MeasurePieces:
         """The area measures of the sections by the planes {x . a[t] = s[t]},
         as area_measure gives them for a polygon: S_2 the atoms a and -a,
         each with the section's area, and S_1 per crossed facet F the
         quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
-        v, mid = self.segments(a, s)
-        rows, length, m_f = self._crossed_facets(a, v)
-        hit = np.bincount(rows, minlength=a.shape[0]) > 0
-        ar, t = a[rows], np.flatnonzero(hit)
+        rows, facet, length, v1, area = self._facets(a, s)
+        hit = v1 > 0.0
+        ar, m_f = self._segment_normals(a, rows, facet)
+        t = np.flatnonzero(hit)
         arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
                 np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
         atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
-                 np.repeat(_section_area(a[t], v[t], mid[t]), 2))
+                 np.repeat(area[t], 2))
         return MeasurePieces(hit, arcs, atoms)
 
     def s1_moments(self, a: np.ndarray, s: np.ndarray, w: np.ndarray,
@@ -616,21 +640,25 @@ class PlaneSections:
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
         S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
         crossed facet."""
-        rows, length, m_f = self._crossed_facets(a, self.segments(a, s)[0])
-        ar = a[rows]
+        rows, facet, length, _, _ = self._facets(a, s)
+        ar, m_f = self._segment_normals(a, rows, facet)
         arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
-        out = np.zeros((a.shape[0], kmax + 1))
-        # per half circle: its cosines, two Legendre rows, temporaries, moments
-        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + kmax + 1)))
-        for lo in range(0, rows.size, per_call):
-            part = slice(lo, lo + per_call)
+        m, width = a.shape[0], kmax + 1
+        out = np.zeros(m * width)
+        # per half circle: its cosines, two Legendre rows, temporaries, moments;
+        # parts of whole planes, so that each plane's moments are one sum over
+        # its facets in order, as np.add.at added them
+        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + width)))
+        cuts = np.unique(np.append(np.searchsorted(rows, rows[::per_call]), rows.size))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             # points u(theta) = cos(theta) a + sin(theta) m_F
-            dots = (arc_cos[None, :] * (ar[part] @ w)[:, None]
-                    + arc_sin[None, :] * (m_f[part] @ w)[:, None])
+            dots = (arc_cos[None, :] * (ar[lo:hi] @ w)[:, None]
+                    + arc_sin[None, :] * (m_f[lo:hi] @ w)[:, None])
             arc = np.array([pk @ arc_weights
                             for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
-            np.add.at(out, rows[part], (arc * (0.5 * length[part])).T)
-        return out
+            at = (rows[lo:hi, None] * width + np.arange(width)).ravel()
+            out += np.bincount(at, (arc * (0.5 * length[lo:hi])).T.ravel(), out.size)
+        return out.reshape(m, width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,12 +670,6 @@ def _half_circle_rule(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     degree k <= 32, while 20 points err by 3e-4 at k = 20 and 1e-2 at 24."""
     s, wts = _gauss01(max(HALF_CIRCLE_NODES, kmax + 12))
     return np.cos(math.pi * s), np.sin(math.pi * s), math.pi * wts
-
-
-def _section_area(a: np.ndarray, v: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """Areas of plane sections with normals a (m, 3) from their facet
-    segments v and midpoints mid (m, 3, F), by the divergence theorem."""
-    return 0.5 * np.abs(np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1)))
 
 
 class LineSections:

@@ -421,8 +421,9 @@ def berg(j: int, kmax: int = DEFAULT_KMAX,
     For j = n the ambient multipliers are the native ones, exact.  For j < n
     they are obtained by quadrature of the native expansion, truncated at
     BERG_NATIVE_KMAX, against the ambient Legendre polynomials; the error
-    bars report the observed change when the truncation order is halved (the
-    kernel is only L^1, so the re-expansion carries no a-priori guarantee).
+    bars report the observed change when the series is cut at half that
+    degree (at least kmax + 2), on the same quadrature rule (the kernel is
+    only L^1, so the re-expansion carries no a-priori guarantee).
     """
     if j < 2:
         raise ValueError(f"Berg kernel needs dimension j >= 2, got {j}")
@@ -435,21 +436,33 @@ def berg(j: int, kmax: int = DEFAULT_KMAX,
     if j == n:
         vals = np.array([berg_native_multiplier(j, k) for k in range(kmax + 1)])
         return bf, MultiplierSequence(n, vals, np.zeros(kmax + 1))
-    ambient = _ambient_berg_multipliers(profile, n, kmax)
-    half_native, half_profile, _ = _berg_native(j, max(BERG_NATIVE_KMAX // 2, kmax + 2))
-    ambient_half = _ambient_berg_multipliers(half_profile, n, kmax)
+    # the bar: the truncation at half the degree (at least kmax + 2, below
+    # the full one), a prefix of the native series
+    half = min(max(BERG_NATIVE_KMAX // 2, kmax + 2), profile.degree - 1)
+    ambient, ambient_half = _ambient_berg_multipliers(profile, n, kmax, half)
     err = np.abs(ambient - ambient_half) + 1e-15
     if kmax >= 1:
         ambient[1] = 0.0  # centered by construction
     return bf, MultiplierSequence(n, ambient, err)
 
 
-def _ambient_berg_multipliers(profile: ZonalPolynomial, n: int, kmax: int) -> np.ndarray:
+def _ambient_berg_multipliers(profile: ZonalPolynomial, n: int, kmax: int,
+                              half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient multipliers of degree <= kmax of the profile and of its
+    truncation at degree `half`, by the Gauss-Jacobi rule that is exact for
+    the full profile (and so for the truncation): both partial sums come
+    from one pass of the recurrence, summed as ZonalPolynomial sums them."""
     order = (profile.degree + kmax) // 2 + 4
     quad = jacobi_quadrature(n, order)
+    vals = np.zeros(quad.nodes.shape)
+    for k, (c, pk) in enumerate(zip(profile.coeffs,
+                                    legendre_rows(profile.n, profile.degree, quad.nodes))):
+        vals += c * pk
+        if k == half:
+            half_vals = vals.copy()
     P = np.array(list(legendre_rows(n, kmax, quad.nodes)))
-    vals = np.asarray(profile(quad.nodes), dtype=float)
-    return omega(n - 1) * (P @ (quad.weights * vals))
+    return (omega(n - 1) * (P @ (quad.weights * vals)),
+            omega(n - 1) * (P @ (quad.weights * half_vals)))
 
 
 def box_j_apply(x: ZonalObject, j: int, rel_tol: float = 1e-12) -> ZonalObject:

@@ -1,7 +1,8 @@
 """The ordering-free plane-section kernel against the section polygons of
-convex.section_plane, and the sharded Monte-Carlo loop run_shards: pinned
-estimates, the per-chunk transform of the variates against a per-shard
-one, input checks and bounded memory."""
+convex.section_plane and against the dense-incidence kernel it replaced,
+and the sharded Monte-Carlo loop run_shards: pinned estimates, the
+per-chunk transform of the variates against a per-shard one, input checks
+and bounded memory."""
 
 import tracemalloc
 
@@ -19,16 +20,20 @@ from minkval.convex import (
     section_plane,
 )
 from minkval import integral_geom
+from minkval.harmonics import legendre_rows
 from minkval.integral_geom import (
     MotionSampler,
     PlaneSampler,
     PlaneSections,
+    _half_circle_rule,
     _shard_rngs,
     _shard_sizes,
+    _unit_rows,
     crofton_intrinsic,
     crofton_minkowski,
     run_shards,
 )
+from minkval.valuation import MeasurePieces
 from minkval.zonal import ZonalObject
 
 KMAX = 4
@@ -39,8 +44,9 @@ BASES = {"cube": cube(), "hull14": random_hull(77), "hull30": random_hull(5, 30)
 # body, whose absolute tolerances suit bodies of unit size
 COPIES = {"unit": (1.0, 0.0), "small": (1e-3, 0.0), "large": (1e3, 0.0), "far": (1.0, 1e3)}
 SHIFT = np.array([1.0, -1.0, 1.0])
-SECTIONS = {(b, c): PlaneSections(P.scaled(lam).translated(shift * SHIFT))
-            for b, P in BASES.items() for c, (lam, shift) in COPIES.items()}
+BODIES = {(b, c): P.scaled(lam).translated(shift * SHIFT)
+          for b, P in BASES.items() for c, (lam, shift) in COPIES.items()}
+SECTIONS = {key: PlaneSections(P) for key, P in BODIES.items()}
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
@@ -136,6 +142,142 @@ def test_section_plane_of_far_body_matches_section_about_its_centre():
         ref = intrinsic_volumes(section_plane(near, tk * ak, ak))
         got = intrinsic_volumes(section_plane(far, centre + tk * ak, ak))
         assert abs(got.v1 - ref.v1) <= 1e-12 and abs(got.v2 - ref.v2) <= 1e-12
+
+
+# -- the dense-incidence kernel that PlaneSections replaced ---------------------
+
+class DenseSections:
+    """The plane kernel before it scattered the crossed edges: a crossing
+    point for every edge, (m, 3, E), and the facet segments of every plane
+    and facet, (m, 3, F), from two dense products with the signed incidence
+    B (E, F) (+1 where the ccw cycle of F runs along e = (i, j) from i to j,
+    else -1) and with |B|; the moments scatter with np.add.at."""
+
+    def __init__(self, P):
+        self.normals = P.facet_normals
+        ij = np.array([(i, j) for i, j, _, _ in P.edges])
+        self.vi, self.vj = ij[:, 0], ij[:, 1]
+        self.centre = P.vertices.mean(axis=0)
+        self.local = local = P.vertices - self.centre
+        self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
+        index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
+        B = np.zeros((len(ij), len(P.facet_cycles)))
+        for f, cyc in enumerate(P.facet_cycles):
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if (a, b) in index:
+                    B[index[a, b], f] = 1.0
+                else:
+                    B[index[b, a], f] = -1.0
+        self.incidence, self.touches = B, np.abs(B)
+
+    def segments(self, a, s):
+        d = a @ self.local.T - (s - a @ self.centre)[:, None]
+        above = d > 1e-12
+        c = above[:, self.vi].astype(float) - above[:, self.vj]
+        di, dj = d[:, self.vi], d[:, self.vj]
+        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
+        p = self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step
+        m, c = a.shape[0], c[:, None, :]
+        v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
+        mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
+        return v, mid
+
+    def volumes(self, a, s):
+        v, mid = self.segments(a, s)
+        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, self.area(a, v, mid)
+
+    @staticmethod
+    def area(a, v, mid):
+        return 0.5 * np.abs(np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1)))
+
+    def crossed_facets(self, a, v):
+        length = np.linalg.norm(v, axis=1)
+        rows, cols = np.nonzero(length > 0.0)
+        nf, ar = self.normals[cols], a[rows]
+        return rows, length[rows, cols], _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+
+    def pieces(self, a, s):
+        v, mid = self.segments(a, s)
+        rows, length, m_f = self.crossed_facets(a, v)
+        hit = np.bincount(rows, minlength=a.shape[0]) > 0
+        ar, t = a[rows], np.flatnonzero(hit)
+        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
+                 np.repeat(self.area(a[t], v[t], mid[t]), 2))
+        return MeasurePieces(hit, arcs, atoms)
+
+    def s1_moments(self, a, s, w, kmax):
+        rows, length, m_f = self.crossed_facets(a, self.segments(a, s)[0])
+        arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
+        dots = (arc_cos[None, :] * (a[rows] @ w)[:, None]
+                + arc_sin[None, :] * (m_f @ w)[:, None])
+        arc = np.array([pk @ arc_weights for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
+        out = np.zeros((a.shape[0], kmax + 1))
+        np.add.at(out, rows, (arc * (0.5 * length)).T)
+        return out
+
+
+REFERENCE = {key: DenseSections(P) for key, P in BODIES.items()}
+
+
+def special_planes(P, a, t, vertex, edge, facet, delta):
+    """Planes {x . a = s} of P: one at the fraction t of the support interval
+    along a, one through a vertex, one through an edge (its normal the part
+    of a orthogonal to the edge) and one through a facet, the last three
+    moved off by delta, inside the kernel's 1e-12 cut tolerance."""
+    v = P.vertices
+    i, j = P.edges[edge % len(P.edges)][:2]
+    along = _unit_rows((v[j] - v[i])[None, :])[0]
+    normals = np.array([a, a, _unit_rows((a - (a @ along) * along)[None, :])[0],
+                        P.facet_normals[facet % len(P.facet_normals)]])
+    proj = v @ a
+    s = np.array([proj.min() + t * np.ptp(proj), v[vertex % len(v)] @ a,
+                  v[i] @ normals[2], P.facet_offsets[facet % len(P.facet_normals)]])
+    s[1:] += delta
+    return normals, s
+
+
+def same_bits(got, ref):
+    # NaN where both have it: the segment normal m_F of a facet that lies in
+    # the plane up to rounding
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(sorted(BASES)), copy=st.sampled_from(sorted(COPIES)),
+       a=unit_vectors.filter(lambda v: np.min(np.abs(v)) > 1e-3), t=st.floats(0.0, 1.0),
+       vertex=st.integers(0, 100), edge=st.integers(0, 200), facet=st.integers(0, 100),
+       delta=st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, -9e-13]))
+def test_sections_match_dense_incidence_kernel(base, copy, a, t, vertex, edge, facet, delta):
+    # the scatter over the crossed edges adds each facet's terms as the dense
+    # products did, so V_1, V_2, the pieces and the moments agree bit for
+    # bit, also for planes through a vertex, an edge or a facet
+    planes = special_planes(BODIES[base, copy], a, t, vertex, edge, facet, delta)
+    new, ref = SECTIONS[base, copy], REFERENCE[base, copy]
+    assert same_bits(new.volumes(*planes), ref.volumes(*planes))
+    got, want = new.pieces(*planes), ref.pieces(*planes)
+    assert same_bits([got.hit, *got.arcs, *got.atoms], [want.hit, *want.arcs, *want.atoms])
+    moments = new.s1_moments(*planes, PROBE, KMAX), ref.s1_moments(*planes, PROBE, KMAX)
+    assert same_bits(moments[:1], moments[1:])
+
+
+def test_sections_match_dense_incidence_kernel_on_tight_planes():
+    # a batch of 2000 planes of the body-tight law per body, a few chunks'
+    # worth in one call
+    w = PROBE / np.linalg.norm(PROBE)
+    for key, P in BODIES.items():
+        sampler = PlaneSampler.tight(P, 41, 2000)
+        a, s, _ = sampler.draw(*sampler.variates(np.random.default_rng(41), 2000))
+        new, ref = SECTIONS[key], REFERENCE[key]
+        assert same_bits(new.volumes(a, s), ref.volumes(a, s)), key
+        got, want = new.pieces(a, s), ref.pieces(a, s)
+        assert same_bits([got.hit, *got.arcs, *got.atoms],
+                         [want.hit, *want.arcs, *want.atoms]), key
+        # the BLAS products of the half circles' nodes round by their row's
+        # place in the batch, which the scatter's parts move
+        moments, expect = new.s1_moments(a, s, w, KMAX), ref.s1_moments(a, s, w, KMAX)
+        assert np.all(np.abs(moments - expect) <= 1e-15 * expect[:, :1]), key
 
 
 def test_sections_of_missed_planes_vanish():
@@ -271,6 +413,14 @@ def test_crofton_minkowski_memory_is_bounded():
     # would take about 2 GB
     peak = _peak_bytes(lambda: crofton_minkowski(
         cube(), ZonalObject.dirac_pole(3, kmax=16), 1, 1, 200_000, seed=5))
+    assert peak < 16 * 2 ** 20
+
+
+def test_plane_section_memory_is_bounded():
+    # chunks sized by PlaneSections.sample_bytes (a peak of about 2 MB):
+    # the 200000 planes of this 38-facet hull in one chunk would take about
+    # 0.7 GB of temporaries
+    peak = _peak_bytes(lambda: crofton_intrinsic(random_hull(5, 30), 1, 2, 200_000, seed=13))
     assert peak < 16 * 2 ** 20
 
 

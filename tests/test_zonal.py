@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from minkval.constants import berg_multiplier_frac, box_multiplier_frac, omega
-from minkval.harmonics import harmonic_dimension, jacobi_quadrature, zonal_coefficient
+from minkval.harmonics import (
+    ZonalPolynomial,
+    harmonic_dimension,
+    jacobi_quadrature,
+    legendre_coefficients,
+    legendre_rows,
+    zonal_coefficient,
+)
 from minkval.zonal import (
+    BERG_NATIVE_KMAX,
     ZonalObject,
     approximate_identity,
     berg,
@@ -168,6 +176,34 @@ def test_berg_native_expansion_l1_and_ambient_bars():
     assert ambient.error is not None
     assert np.all(ambient.error < 1e-6)
     assert ambient[1] == 0.0
+
+
+def separate_rule_multipliers(j, n, kmax, degree):
+    """Ambient multipliers of the Berg series of dimension j cut at degree,
+    on a Gauss-Jacobi rule of its own: how berg formed each of its two
+    series before it summed both in one pass."""
+    native = [berg_native_multiplier(j, k) for k in range(degree + 1)]
+    profile = ZonalPolynomial(j, legendre_coefficients(j, native))
+    quad = jacobi_quadrature(n, (degree + kmax) // 2 + 4)
+    P = np.array(list(legendre_rows(n, kmax, quad.nodes)))
+    return omega(n - 1) * (P @ (quad.weights * profile(quad.nodes)))
+
+
+@pytest.mark.parametrize("j,kmax,n", [(2, 32, 3), (2, 0, 3), (3, 8, 5), (2, 300, 3)])
+def test_berg_bar_is_the_change_of_the_half_series(j, kmax, n):
+    _, ambient = berg(j, kmax=kmax, n=n)
+    full = separate_rule_multipliers(j, n, kmax, BERG_NATIVE_KMAX)
+    half = separate_rule_multipliers(j, n, kmax, max(BERG_NATIVE_KMAX // 2, kmax + 2))
+    expect = full.copy()
+    if kmax >= 1:
+        expect[1] = 0.0
+    # the full series as before, bit for bit
+    assert np.array_equal(ambient.values, expect)
+    # the half series now shares the full rule, which integrates it exactly
+    # too: the bar moves by rounding only (about 1e-6 of it where the
+    # truncation shows, by 1e-14 absolute where it is at rounding level)
+    bar = np.abs(full - half) + 1e-15
+    assert np.all(np.abs(ambient.error - bar) <= 1e-5 * bar + 1e-14)
 
 
 def test_berg_ambient_equals_native_when_j_is_n():
