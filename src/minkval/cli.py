@@ -47,15 +47,19 @@ class InputError(Exception):
     pass
 
 
-def load_body(name: str) -> convex.Polytope:
+def load_body(name: str, full_dimensional: bool = False) -> convex.Polytope:
     """Resolve a body argument: a JSON path, a corpus name (cube, simplex,
     octahedron -- looked up under $MINKVAL_DATA first, then the packaged
     data), "ball:DEPTH" (DEPTH in [0, MAX_BALL_DEPTH]), or
     "random:SEED[:POINTS]" (POINTS in [1, MAX_POINTS]).  A body the lattice
     build rejects (such as one with non-finite coordinates) is an input
-    error."""
+    error, and so is a lower-dimensional one where the command samples it
+    by Monte Carlo (`full_dimensional`)."""
     try:
-        return _resolve_body(name)
+        body = _resolve_body(name)
+        if full_dimensional:
+            integral_geom.check_full_dimensional(body)
+        return body
     except ValueError as exc:
         raise InputError(f"bad body {name!r}: {exc}") from None
 
@@ -408,7 +412,7 @@ def cmd_check_valuation(cfg: RunConfig) -> tuple[int, dict, list, list]:
 
 
 def cmd_crofton(cfg: RunConfig) -> tuple[int, dict, list, list]:
-    body = load_body(cfg["body"])
+    body = load_body(cfg["body"], full_dimensional=True)
     rep = integral_geom.crofton_intrinsic(body, cfg["i"], cfg["j"], cfg["N"], cfg["seed"],
                                           shards=cfg["shards"])
     ok = rep.within(3.0)
@@ -418,8 +422,8 @@ def cmd_crofton(cfg: RunConfig) -> tuple[int, dict, list, list]:
 
 def cmd_kinematic(cfg: RunConfig) -> tuple[int, dict, list, list]:
     N, seed, shards, hadwiger = cfg["N"], cfg["seed"], cfg["shards"], cfg["hadwiger"]
-    body = load_body(cfg["body"])
-    other = load_body(cfg["other"] or cfg["body"])
+    body = load_body(cfg["body"], full_dimensional=True)
+    other = load_body(cfg["other"] or cfg["body"], full_dimensional=True)
     if cfg["spec"] is not None:
         if hadwiger:
             raise InputError("--hadwiger checks V_j runs; it does not apply with --spec")
@@ -455,7 +459,7 @@ def cmd_kinematic(cfg: RunConfig) -> tuple[int, dict, list, list]:
 
 def cmd_crofton_mv(cfg: RunConfig) -> tuple[int, dict, list, list]:
     kmax = cfg["kmax"]
-    body = load_body(cfg["body"])
+    body = load_body(cfg["body"], full_dimensional=True)
     mu = load_zonal(cfg["mu"], kmax)
     res = integral_geom.crofton_minkowski(body, mu, cfg["i"], cfg["j"], cfg["N"], cfg["seed"],
                                           degrees=cfg["degrees"], probe=cfg["probe"],

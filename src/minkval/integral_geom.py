@@ -15,7 +15,10 @@ Rigid motions g L = R L + x combine a uniform rotation
 (probability law) with a translation uniform in the coordinate box of
 P - R L for the rotation drawn, weighted per sample by the box volume
 (conditional Monte Carlo; the box holds every contact position, wherever
-the bodies lie).
+the bodies lie).  Both kinematic checks compare the motion integral with
+one Hadwiger decomposition into Crofton integrals (`_hadwiger`): the whole
+space (i = 0) and the points (i = n) give exact terms, and only the plane
+and line terms on which the integrand can be nonzero run by Monte Carlo.
 
 Every estimator runs through one shard loop, `run_shards`: shard k draws its
 random numbers (`variates`) from the k-th spawned seed sequence, in chunks
@@ -75,6 +78,7 @@ __all__ = [
     "LineSections",
     "MotionIntersections",
     "run_shards",
+    "check_full_dimensional",
     "crofton_intrinsic",
     "crofton_target",
     "kinematic_check",
@@ -389,12 +393,6 @@ def _shard_sizes(n_samples: int, shards: int) -> list[int]:
     return sizes
 
 
-def _reduce_shards(shard_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    est = shard_means.mean(axis=0)
-    se = shard_means.std(axis=0, ddof=1) / math.sqrt(shard_means.shape[0])
-    return est, se
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -499,7 +497,8 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
         count = 0
     sums = totals.sums
     sizes = np.array(sizes, dtype=float).reshape((-1,) + (1,) * (sums.ndim - 1))
-    return _reduce_shards(sampler.weight * (sums / sizes))
+    means = sampler.weight * (sums / sizes)
+    return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
 
 def _clip_lines(den: np.ndarray, num: np.ndarray, lo,
@@ -921,6 +920,45 @@ def crofton_target(P: Polytope, i: int, j: int) -> float:
     return flag(i + j, j) * intrinsic_volumes(P)[i + j]
 
 
+def check_full_dimensional(*bodies: Polytope) -> None:
+    """Monte-Carlo sampling reads the bodies' facets: each must be full-dimensional."""
+    for B in bodies:
+        if B.dim != 3:
+            raise ValueError("Monte-Carlo sampling needs full-dimensional bodies, "
+                             f"got dimension {B.dim}")
+
+
+def _flats(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> PlaneSampler:
+    """The law of the codimension-i flats against P: the body-tight law of
+    planes for i = 1, and for lines and points the ball of P's enclosing
+    radius about the origin."""
+    if i == 1:
+        return PlaneSampler.tight(P, seed, n_samples, shards)
+    return PlaneSampler(n=3, codim=i, radius=P.enclosing_radius * (1.0 + 1e-12),
+                        seed=seed, n_samples=n_samples, shards=shards)
+
+
+def _intrinsic_kernel(P: Polytope, j: int, i: int):
+    """The term of V_j at codimension i: the kernel that maps flats of
+    `_flats(P, i, ...)` to V_j of their sections with P, and its temporary
+    bytes per sample."""
+    if i == 1 and j == 0:   # every plane of the tight law meets P
+        return (lambda dirs, offs: np.ones(len(offs))), 80   # variates, draws, weights
+    if i == 1:
+        sections = PlaneSections(P)
+        return (lambda dirs, offs: sections.volumes(dirs, offs)[j - 1]), sections.sample_bytes
+    if i == 2:
+        lines = LineSections(P)
+
+        def kernel(dirs, p):
+            lo, hi, hit = lines.chords(dirs, p)
+            return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+        return kernel, lines.sample_bytes
+    A, b = P.inequalities()   # i == 3: points
+    AT, bound = np.ascontiguousarray(A.T), b + 1e-12
+    return (lambda x: np.all(x @ AT <= bound, axis=1)), 9 * len(b) + 80
+
+
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
                       shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
@@ -930,39 +968,10 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
     n = 3
     if not (0 <= j and 1 <= i and i + j <= n):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")
-    if P.dim != 3:
-        raise ValueError("crofton sampling expects a full-dimensional body")
-    if i == 1:
-        sampler = PlaneSampler.tight(P, seed, n_samples, shards)
-    else:
-        sampler = PlaneSampler(n=n, codim=i, radius=P.enclosing_radius * (1.0 + 1e-12),
-                               seed=seed, n_samples=n_samples, shards=shards)
+    check_full_dimensional(P)
+    sampler = _flats(P, i, seed, n_samples, shards)
     t0 = time.perf_counter()
-    if i == 1 and j == 0:
-        def kernel(dirs, offs):   # every plane of the tight law meets P
-            return np.ones(len(offs))
-        sample_bytes = 80   # the variates, draws and weights of a sample
-    elif i == 1:
-        sections = PlaneSections(P)
-
-        def kernel(dirs, offs):
-            return sections.volumes(dirs, offs)[j - 1]
-        sample_bytes = sections.sample_bytes
-    elif i == 2:
-        lines = LineSections(P)
-
-        def kernel(dirs, p):
-            lo, hi, hit = lines.chords(dirs, p)
-            return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
-        sample_bytes = lines.sample_bytes
-    else:  # i == 3: points
-        A, b = P.inequalities()
-        AT, bound = np.ascontiguousarray(A.T), b + 1e-12
-
-        def kernel(x):
-            return np.all(x @ AT <= bound, axis=1)
-        sample_bytes = 9 * len(b) + 80
-    est, se = run_shards(sampler, kernel, sample_bytes)
+    est, se = run_shards(sampler, *_intrinsic_kernel(P, j, i))
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=crofton_target(P, i, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
@@ -1050,6 +1059,14 @@ def _vertex_major(v: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _motions(P: Polytope, L: Polytope, kernel, sample_bytes: int, seed: int, n_samples: int,
+             shards: int) -> tuple[np.ndarray, np.ndarray]:
+    """run_shards of the kernel over the box law of motions of L against P,
+    whose draw adds the (m, 3, V) coordinates of R L to sample_bytes."""
+    sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
+    return run_shards(sampler, kernel, sample_bytes + 24 * len(L.vertices))
+
+
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                     shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo check of the principal kinematic formula: average of
@@ -1063,64 +1080,73 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     n = 3
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= {n}")
-    if P.dim != 3 or L.dim != 3:
-        raise ValueError("kinematic sampling expects full-dimensional bodies")
+    check_full_dimensional(P, L)
     t0 = time.perf_counter()
     if j == 0:
         test = _SeparatingAxes(P, L)
-        sample_bytes = test.sample_bytes
-
-        def kernel(R, x):
-            return test.hits(R, x).astype(float)
+        kernel, sample_bytes = (lambda R, x: test.hits(R, x).astype(float)), test.sample_bytes
     else:
         inter = MotionIntersections(P, L)
-        sample_bytes = inter.sample_bytes
-
-        def kernel(R, x):
-            return inter.volumes(R, x)[:, j]
-    sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
-    sample_bytes += 24 * len(L.vertices)   # the (m, 3, V) coordinates of R L in draw
-    est, se = run_shards(sampler, kernel, sample_bytes)
+        kernel, sample_bytes = (lambda R, x: inter.volumes(R, x)[:, j]), inter.sample_bytes
+    est, se = _motions(P, L, kernel, sample_bytes, seed, n_samples, shards)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=kinematic_target(P, L, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
         extra={"j": j, "shards": shards})
 
 
+def _hadwiger(P: Polytope, L: Polytope, lhs: float, lhs_se: float, degree: int, on_P: float,
+              on_point: float, kernel_of, seed: int, n_samples: int, shards: int) -> dict:
+    """The Crofton side of the Hadwiger decomposition (see hadwiger_check)
+    of an integrand f that vanishes on bodies of dimension below `degree`,
+    against the motion integral lhs +- lhs_se.  The terms run for
+    i = 0..n - degree: i = 0 is f(P) = on_P and i = n is on_point V_n(P),
+    both exact; the planes and lines between run at seed + i under the law
+    `_flats`, with the kernel and bytes per sample of kernel_of(i)."""
+    n = 3
+    vl = intrinsic_volumes(L)
+    rhs, rhs_var, terms = 0.0, 0.0, []
+    for i in range(n - degree + 1):
+        if i == 0:
+            est, se = on_P, 0.0
+        elif i == n:
+            est, se = on_point * intrinsic_volumes(P)[n], 0.0
+        else:
+            est, se = map(float, run_shards(_flats(P, i, seed + i, n_samples, shards),
+                                            *kernel_of(i)))
+        coef = vl[n - i] / flag(n, i)
+        rhs += coef * est
+        rhs_var += (coef * se) ** 2
+        terms.append({"i": i, "estimate": est, "stderr": se, "coef": coef})
+    combined = math.sqrt(lhs_se ** 2 + rhs_var)
+    return {"rhs": rhs, "rhs_stderr": math.sqrt(rhs_var), "combined_stderr": combined,
+            "difference": lhs - rhs,
+            "consistent_3sigma": bool(abs(lhs - rhs) <= 3.0 * combined), "terms": terms}
+
+
 def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                    shards: int = DEFAULT_SHARDS) -> dict:
-    """Consistency of the kinematic integral with its Hadwiger decomposition
-    into Crofton integrals:
+    """Consistency of the kinematic integral (`kinematic_check`) with its
+    Hadwiger decomposition into Crofton integrals:
 
         int V_j(P n gL) dg = sum_i V_(n-i)(L) [n; i]^(-1)
-                             int V_j(P n E) dsigma_(n-i)(E).
+                             int V_j(P n E) dsigma_(n-i)(E),   i = 0..n-j.
 
-    Both sides are estimated by Monte Carlo (the i = 0 term is exact); the
-    report carries the combined standard error."""
-    n = 3
+    The i = 0 term V_j(P) and, for j = 0, the i = n term V_n(P) are exact;
+    the plane and line terms are estimated as by `crofton_intrinsic`.  The
+    report carries the terms and the combined standard error."""
     lhs = kinematic_check(P, L, j, n_samples, seed, shards=shards)
-    vp, vl = intrinsic_volumes(P), intrinsic_volumes(L)
-    rhs = vl[n] * vp[j]  # i = 0: the whole space
-    rhs_var = 0.0
-    terms = [{"i": 0, "estimate": vp[j], "stderr": 0.0, "coef": vl[n]}]
-    for i in range(1, n - j + 1):
-        rep = crofton_intrinsic(P, i, j, n_samples, seed + i, shards=shards)
-        coef = vl[n - i] / flag(n, i)
-        rhs += coef * rep.estimate
-        rhs_var += (coef * rep.stderr) ** 2
-        terms.append({"i": i, "estimate": rep.estimate, "stderr": rep.stderr,
-                      "coef": coef})
-    combined = math.sqrt(lhs.stderr ** 2 + rhs_var)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "rhs_stderr": math.sqrt(rhs_var),
-        "combined_stderr": combined,
-        "difference": lhs.estimate - rhs,
-        "consistent_3sigma": abs(lhs.estimate - rhs) <= 3.0 * combined,
-        "terms": terms,
-        "target": lhs.target,
-    }
+    side = _hadwiger(P, L, lhs.estimate, lhs.stderr, j, intrinsic_volumes(P)[j], float(j == 0),
+                     functools.partial(_intrinsic_kernel, P, j), seed, n_samples, shards)
+    return {"lhs": lhs, **side, "target": lhs.target}
+
+
+def _valuation_kernel(P: Polytope, value: PieceEvaluator, i: int):
+    """The kernel that maps planes (i = 1) or lines (i = 2) to the
+    valuation's value on their sections with P, and its bytes per sample."""
+    sections = PlaneSections(P) if i == 1 else LineSections(P)
+    return (lambda *flats: value(sections.pieces(*flats)),
+            sections.sample_bytes + sections.piece_bytes)
 
 
 def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
@@ -1128,61 +1154,35 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
                               shards: int = DEFAULT_SHARDS) -> dict:
     """Kinematic formula for a Minkowski valuation at a fixed direction u:
     the motion average of h(Phi(P n gL))(u) against its Hadwiger
-    decomposition into Crofton integrals,
-
-        int h(P n gL) dg = sum_i V_(n-i)(L) [n; i]^(-1)
-                           int h(P n E) dsigma_(n-i)(E),
-
-    with the i = 0 (whole space) and i = n (points, only the constant piece
-    of the valuation survives) terms exact and the plane/line terms
-    estimated by Monte Carlo.  Both sides carry standard errors; the report
-    states their 3-sigma consistency.  No sample builds a lattice: the
-    batched kernels give the area measures of all the intersections or
-    sections of a chunk as pieces (`MotionIntersections.pieces`,
-    `PlaneSections.pieces`, `LineSections.pieces`), and `PieceEvaluator`
-    integrates the valuation's data against them, with the pointwise or
-    spectral path that `evaluate` would take.  Motions follow the box law
-    of `MotionSampler` and planes the body-tight law of `PlaneSampler`;
-    lines take the ball of P's enclosing radius about the origin."""
+    decomposition into Crofton integrals, as in `hadwiger_check` with h in
+    place of V_j.  The i = 0 term (`evaluate` on P) and the i = n term
+    (points, where only the constant c0 survives) are exact; the plane and
+    line terms are estimated by Monte Carlo where the valuation can be
+    nonzero on flats of dimension n - i: c0 != 0 or a datum of degree
+    <= n - i.  Both sides carry standard errors; the report states their
+    3-sigma consistency.  No sample builds a lattice: the batched kernels
+    give the area measures of all the intersections or sections of a chunk
+    as pieces (`MotionIntersections.pieces`, `PlaneSections.pieces`,
+    `LineSections.pieces`), and `PieceEvaluator` integrates the valuation's
+    data against them, with the pointwise or spectral path that `evaluate`
+    would take.  Motions and flats follow the laws of `kinematic_check` and
+    `crofton_intrinsic`."""
     n = 3
-    if P.dim != 3 or L.dim != 3:
-        raise ValueError("kinematic sampling expects full-dimensional bodies")
+    check_full_dimensional(P, L)
     value = PieceEvaluator(spec, direction)
     u = value.u[None, :]
 
     t0 = time.perf_counter()
-    inter, planes, lines = MotionIntersections(P, L), PlaneSections(P), LineSections(P)
-    lhs, lhs_se = run_shards(MotionSampler.tight(P, L, seed, n_samples, shards),
-                             lambda R, x: value(inter.pieces(R, x)),
-                             inter.sample_bytes + inter.piece_bytes + 24 * len(L.vertices))
-
-    vl = intrinsic_volumes(L)
-    rhs = vl[n] * float(evaluate(spec, P, u).values[0])   # i = 0
-    rhs += vl[0] * spec.c0 * intrinsic_volumes(P)[n]      # i = n: points keep c0
-    rhs_var = 0.0
-    line_law = PlaneSampler(n=n, codim=2, radius=P.enclosing_radius * (1.0 + 1e-12),
-                            seed=seed + 2, n_samples=n_samples, shards=shards)
-    for i, sections, sampler in ((1, planes, PlaneSampler.tight(P, seed + 1, n_samples, shards)),
-                                 (2, lines, line_law)):
-        est_i, se_i = run_shards(sampler, lambda *flats: value(sections.pieces(*flats)),
-                                 sections.sample_bytes + sections.piece_bytes)
-        coef = vl[n - i] / flag(n, i)
-        rhs += coef * float(est_i)
-        rhs_var += (coef * float(se_i)) ** 2
-    combined = math.sqrt(lhs_se ** 2 + rhs_var)
-    return {
-        "direction": list(map(float, u[0])),
-        "lhs": float(lhs),
-        "lhs_stderr": float(lhs_se),
-        "rhs": float(rhs),
-        "rhs_stderr": math.sqrt(rhs_var),
-        "combined_stderr": combined,
-        "difference": float(lhs) - rhs,
-        "consistent_3sigma": bool(abs(float(lhs) - rhs) <= 3.0 * combined),
-        "N": n_samples,
-        "seed": seed,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    inter = MotionIntersections(P, L)
+    lhs, lhs_se = _motions(P, L, lambda R, x: value(inter.pieces(R, x)),
+                           inter.sample_bytes + inter.piece_bytes, seed, n_samples, shards)
+    degree = 0 if spec.c0 != 0.0 else min((i for i, _ in spec.degrees()), default=n)
+    side = _hadwiger(P, L, float(lhs), float(lhs_se), degree,
+                     float(evaluate(spec, P, u).values[0]), spec.c0,
+                     functools.partial(_valuation_kernel, P, value), seed, n_samples, shards)
+    del side["terms"]
+    return {"direction": list(map(float, u[0])), "lhs": float(lhs), "lhs_stderr": float(lhs_se),
+            **side, "N": n_samples, "seed": seed, "wall_time_s": time.perf_counter() - t0}
 
 
 # -- Crofton formula for Minkowski valuations ---------------------------------
@@ -1226,15 +1226,14 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         raise ValueError("the geometric Monte-Carlo path is implemented for "
                          "i = j = 1 (use crofton_minkowski_rhs for the "
                          "multiplier-level right side)")
-    if P.dim != 3:
-        raise ValueError("need a full-dimensional body")
+    check_full_dimensional(P)
     degrees = list(degrees)
     kk = max(degrees)
     if min(degrees) < 0 or kk > min(kmax, mu.kmax):
         raise ValueError(f"degrees must lie in [0, {min(kmax, mu.kmax)}], got {degrees}")
     w = np.asarray(probe, dtype=float)
     w = w / np.linalg.norm(w)
-    sampler = PlaneSampler.tight(P, seed, n_samples, shards)
+    sampler = _flats(P, 1, seed, n_samples, shards)
     t0 = time.perf_counter()
     sections = PlaneSections(P)
     est, se = run_shards(sampler, lambda a, s: sections.s1_moments(a, s, w, kk),

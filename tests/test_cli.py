@@ -221,6 +221,27 @@ def test_out_of_range_argument_is_an_input_error(tmp_path, argv, flag):
     assert set(rep) == {"error"} and flag in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["crofton", "--body", "random:1:3", "--i", "1", "--j", "1"],
+    ["kinematic", "--body", "random:1:3", "--j", "1"],
+    ["kinematic", "--body", "random:1:3", "--hadwiger"],
+    ["kinematic", "--body", "random:1:3", "--spec", "projection_body"],
+    ["kinematic", "--body", "cube", "--other", "square.json"],
+    ["crofton-mv", "--body", "random:1:3"],
+])
+def test_lower_dimensional_body_is_an_input_error(tmp_path, argv, monkeypatch):
+    # the Monte-Carlo kernels read the bodies' facets: a triangle (three
+    # random points) or a square ended in a traceback with exit code 1
+    monkeypatch.chdir(tmp_path)
+    Path("square.json").write_text(json.dumps(
+        {"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}))
+    code, rep = run(tmp_path, *argv, "--N", "100", "--seed", "1")
+    bad = "square.json" if "--other" in argv else "random:1:3"
+    assert code == 2
+    assert set(rep) == {"error"}
+    assert rep["error"].startswith(f"bad body {bad!r}") and "full-dimensional" in rep["error"]
+
+
 def test_switches_turn_off_with_their_no_flags(tmp_path):
     # the box column is on by default, and --box could only set it on
     code, rep = run(tmp_path, "multipliers", "--no-box")
@@ -669,6 +690,7 @@ def cli_configs(draw):
 @example(("crofton", {"body": "cube", "i": 1, "j": 1, "seed": 1, "N": 1e300}, True))
 @example(("area-measure", {"body": "cube", "i": 1, "tol": 10**400}, True))
 @example(("multipliers", {"kmax": 0, "berg": 2}, False))
+@example(("crofton", {"body": "random:1:3", "i": 1, "j": 1, "seed": 1, "N": 40}, False))
 @given(cli_configs())
 def test_any_config_exits_0_1_or_2_with_strict_json(drawn):
     cmd, config, use_out = drawn

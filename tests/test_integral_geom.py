@@ -282,6 +282,39 @@ def test_hadwiger_consistency():
     assert len(h["terms"]) == 4
 
 
+def test_hadwiger_point_term_is_exact():
+    # every point of P has V_0 = 1, so the points' Crofton integral is V_3(P)
+    P = cube()
+    h = hadwiger_check(P, cube(), 0, 400, seed=3)
+    assert h["terms"][3] == {"i": 3, "estimate": intrinsic_volumes(P)[3], "stderr": 0.0,
+                             "coef": 1.0}
+
+
+@pytest.mark.parametrize("P,L", [(cube(), cube()), (random_hull(51), random_hull(52, 20))],
+                         ids=["cubes", "hulls"])
+def test_valuation_decomposition_is_half_the_v1_one(P, L):
+    # h(mean_width_ball(K))(u) = V_1(K) / 2: both checks draw the same motions,
+    # planes and lines, so both sides agree with half those of V_1 to rounding
+    res = kinematic_minkowski_check(builtin_spec("mean_width_ball"), P, L, [0.0, 0.0, 1.0],
+                                    3000, 17)
+    h = hadwiger_check(P, L, 1, 3000, 17)
+    for key, want in (("lhs", h["lhs"].estimate), ("lhs_stderr", h["lhs"].stderr),
+                      ("rhs", h["rhs"]), ("rhs_stderr", h["rhs_stderr"])):
+        assert math.isclose(res[key], want / 2, rel_tol=1e-13, abs_tol=0.0), key
+
+
+def test_monte_carlo_checks_reject_a_lower_dimensional_body():
+    flat, spec = random_hull(1, 3), builtin_spec("projection_body")
+    for run in (lambda: crofton_intrinsic(flat, 1, 1, 100, seed=1),
+                lambda: kinematic_check(cube(), flat, 0, 100, seed=1),
+                lambda: hadwiger_check(flat, cube(), 0, 100, seed=1),
+                lambda: kinematic_minkowski_check(spec, flat, cube(), [0, 0, 1], 100, seed=1),
+                lambda: crofton_minkowski(flat, builtin_zonal("dirac_pole", 3), 1, 1, 100,
+                                          seed=1)):
+        with pytest.raises(ValueError, match="full-dimensional bodies, got dimension 2"):
+            run()
+
+
 def test_kinematic_minkowski_valuation():
     # motion average of the projection-body support value at a fixed
     # direction against its Crofton decomposition, both by Monte Carlo
