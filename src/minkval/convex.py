@@ -32,7 +32,6 @@ __all__ = [
     "intrinsic_volumes",
     "clip_halfspace",
     "section_plane",
-    "intersect",
     "cube",
     "simplex",
     "octahedron",
@@ -103,19 +102,6 @@ def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
         if not drop[early]:
             drop[late] = True
     return pts[~drop]
-
-
-def _distinct_axes(vectors) -> np.ndarray:
-    """The unit vectors of `vectors` that are distinct up to sign, in order:
-    each is kept unless | |a . b| - 1 | < 1e-9 for an earlier kept b."""
-    vecs = np.asarray(vectors, dtype=float).reshape(-1, 3)
-    kept = np.empty_like(vecs)
-    k = 0
-    for a in vecs:
-        if not np.any(np.abs(np.abs(np.vecdot(kept[:k], a)) - 1.0) < 1e-9):
-            kept[k] = a
-            k += 1
-    return kept[:k]
 
 
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +189,10 @@ class Polytope:
         (max norm), numbered and oriented by their first simplex; a facet's
         cycle is the boundary of its union, walked counterclockwise from outside
         and started at the vertex of least angle about its vertex mean in
-        _plane_basis; edges are the boundary ridges."""
-        hull = ConvexHull(pts)
+        _plane_basis; edges are the boundary ridges.  qhull takes the cloud
+        about its mean: on the coordinates of a small body far from the
+        origin it dropped vertices."""
+        hull = ConvexHull(pts - pts.mean(axis=0))
         tri, nbr, eqs = hull.simplices, hull.neighbors, hull.equations
         # counterclockwise from outside: ridge k runs from tri[k+1] to
         # tri[k+2], and nbr[s, k] lies across it
@@ -350,11 +338,6 @@ class Polytope:
         if self.dim != 3:
             raise ValueError("facet inequalities require a full-dimensional body")
         return self.facet_normals, self.facet_offsets
-
-    def edge_directions(self) -> np.ndarray:
-        """Distinct unit edge directions (up to sign)."""
-        return _distinct_axes([_unit(self.vertices[b] - self.vertices[a])
-                              for a, b in self.edge_index_pairs()])
 
     # -- transforms ---------------------------------------------------------
 
@@ -938,21 +921,6 @@ def section_plane(P: Polytope, point, normal, tol: float = POINT_TOL) -> Polytop
     centre = P.vertices.mean(axis=0)
     d = (P.vertices - centre) @ a - float(np.dot(a, np.asarray(point, dtype=float) - centre))
     return _cut(P, d, np.abs(d) <= tol, tol)
-
-
-def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Intersection of P with a full-dimensional Q by successive clipping."""
-    if P.is_empty or Q.is_empty:
-        return Polytope.empty()
-    if Q.dim != 3:
-        raise ValueError("intersect requires the second body to be full-dimensional")
-    out = P
-    A, b = Q.inequalities()
-    for k in range(A.shape[0]):
-        out = clip_halfspace(out, A[k], float(b[k]))
-        if out.is_empty:
-            return out
-    return out
 
 
 # -- canonical bodies ---------------------------------------------------------

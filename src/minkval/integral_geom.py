@@ -11,14 +11,17 @@ by 2 (max - min), the measure of the planes with normal a that meet the
 body: every plane meets it (conditional Monte Carlo).  Lines and points
 take it uniform in the i-ball of radius R, weighted by the measure
 C(n, n-i) kappa_n / kappa_(n-i) * R^i of the flats meeting that ball.
-Rigid motions g L = R L + x combine a uniform rotation
-(probability law) with a translation uniform in the coordinate box of
-P - R L for the rotation drawn, weighted per sample by the box volume
-(conditional Monte Carlo; the box holds every contact position, wherever
-the bodies lie).  Both kinematic checks compare the motion integral with
-one Hadwiger decomposition into Crofton integrals (`_hadwiger`): the whole
-space (i = 0) and the points (i = n) give exact terms, and only the plane
-and line terms on which the integrand can be nonzero run by Monte Carlo.
+Rigid motions g L = R L + x draw only their rotation R, uniform (the
+probability law): the integral over the translations x has a closed form
+for each rotation, the translative integral formulas
+(`TranslativeIntegrals`).  It is vol(P - R L) for the Euler
+characteristic and a sum over the facet pairs of P and R L for V_1; for
+j = 2, 3 it is V_j(P) V_3(L) + V_3(P) V_j(L), which does not depend on R,
+so those checks are exact and draw nothing.  Both kinematic checks compare
+the motion integral with one Hadwiger decomposition into Crofton integrals
+(`_hadwiger`): the whole space (i = 0) and the points (i = n) give exact
+terms, and only the plane and line terms on which the integrand can be
+nonzero run by Monte Carlo.
 
 Every estimator runs through one shard loop, `run_shards`: shard k draws its
 random numbers (`variates`) from the k-th spawned seed sequence, in chunks
@@ -35,14 +38,12 @@ uniform ranges as Generator.uniform would.  Sections
 come from batched kernels: plane sections of a fixed body from the edges
 each plane crosses, scattered onto their facets, at a cost that grows with
 the crossed edges rather than with edges times facets (`PlaneSections`),
-line chords of a fixed body (`LineSections`), the intersections of a body
-with moved copies of another from the edges of the intersection, clipped
-out of the stacked facet inequalities (`MotionIntersections`), and the hit
-test of the kinematic formula from separating axes.  No sample builds a face
-lattice: the valuation-valued check takes the area measures of the sections
-and intersections of a whole chunk as pieces from the same kernels and
-integrates the valuation's data against them at once
-(`valuation.PieceEvaluator`).
+line chords of a fixed body (`LineSections`), and the translative
+integrals of a body and rotated copies of another (`TranslativeIntegrals`).
+No sample builds a face lattice: the valuation-valued check takes the area
+measures of the sections, and their integrals over the translations, of a
+whole chunk as pieces from the same kernels and integrates the valuation's
+data against them at once (`valuation.PieceEvaluator`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -61,7 +62,6 @@ from .convex import (
     CHUNK_BYTES,
     Polytope,
     area_measure,
-    _distinct_axes,
     _gauss01,
     _plane_basis,
     intrinsic_volumes,
@@ -76,7 +76,7 @@ __all__ = [
     "MotionSampler",
     "PlaneSections",
     "LineSections",
-    "MotionIntersections",
+    "TranslativeIntegrals",
     "run_shards",
     "check_full_dimensional",
     "crofton_intrinsic",
@@ -92,7 +92,6 @@ __all__ = [
 DEFAULT_SHARDS = 20
 HALF_CIRCLE_NODES = 20  # least Gauss-Legendre nodes per half circle of PlaneSections
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
-SAT_TOL = 1e-12         # slack of the separating-axis test, per unit axis length
 
 
 @dataclass
@@ -144,8 +143,8 @@ class PlaneSampler:
       body, weighted per sample by 2 (max - min), the measure of the planes
       with normal a that meet the body (4R for the ball of radius R).
       Every plane meets the body, and none that meets it is left out, so
-      the Crofton integral stays unbiased (conditional Monte Carlo, as
-      for the box law of `MotionSampler`)."""
+      the Crofton integral stays unbiased (conditional Monte Carlo:
+      Asmussen & Glynn, Stochastic Simulation, 2007, ch. V)."""
 
     n: int
     codim: int
@@ -222,54 +221,28 @@ class PlaneSampler:
 
 @dataclass(frozen=True)
 class MotionSampler:
-    """Rigid-motion law of g L = R L + x against a fixed body P, the box
-    law: uniform rotations R (the probability law), and x uniform in the
-    coordinate box of P - R L for the rotation drawn,
-    [lo_P - max_v R v, hi_P - min_v R v] over the vertices v of L, with
-    [lo_P, hi_P] = `box` the coordinate box of P.  Every x at which R L + x
-    meets P lies in it, so the box volume as a per-sample weight keeps the
-    motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
-    Stochastic Simulation, 2007, ch. V), wherever P and L lie, and far
-    fewer motions miss than in a cube about the origin."""
+    """Law of the rotations R of the moved copies g L = R L + x of a body:
+    uniform (the probability law), from normal quaternions.  The
+    translations x are not drawn: the kernels integrate over them in closed
+    form for each rotation (`TranslativeIntegrals`)."""
 
-    # what run_shards reads: `draw` ends with per-sample weights, the box
-    # volumes, and no weight is common to all samples
-    weighted = True
+    # what run_shards reads: no per-sample weights, and the rotations'
+    # probability law needs no common weight
+    weighted = False
     weight = 1.0
 
     n: int
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
-    _: KW_ONLY
-    box: np.ndarray      # (2, 3): [lo_P, hi_P]
-    moving: np.ndarray   # (V, 3): the vertices of L
 
-    @classmethod
-    def tight(cls, P: Polytope, L: Polytope, seed: int, n_samples: int,
-              shards: int = DEFAULT_SHARDS) -> "MotionSampler":
-        """The box law of motions of L against P."""
-        return cls(n=3, seed=seed, n_samples=n_samples, shards=shards,
-                   box=np.array([P.vertices.min(axis=0), P.vertices.max(axis=0)]),
-                   moving=L.vertices)
+    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray]:
+        """The random numbers of m rotations: normal quaternions (m, 4)."""
+        return (rng.standard_normal((m, 4)),)
 
-    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The random numbers of m motions: normal quaternions (m, 4), then
-        doubles in [0, 1) for the translations (m, 3)."""
-        return rng.standard_normal((m, 4)), rng.random((m, 3))
-
-    def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Motions x -> R x + t from their variates: rotations (m, 3, 3),
-        translations (m, 3), which overwrite their variates, and the box
-        volumes (m,)."""
-        R = _rotations_from_quaternions(_unit_rows(q))
-        proj = R @ self.moving.T                     # (m, 3, V): coordinates of R v
-        lo = self.box[0] - proj.max(axis=2)
-        width = self.box[1] - proj.min(axis=2)
-        width -= lo
-        t *= width
-        t += lo
-        return R, t, np.prod(width, axis=1)
+    def draw(self, q: np.ndarray) -> tuple[np.ndarray]:
+        """Rotations (m, 3, 3) from their variates."""
+        return (_rotations_from_quaternions(_unit_rows(q)),)
 
 
 def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +428,13 @@ class _ShardSums:
             np.add.at(self.sums, self.shard[i0:i1], block)
 
 
+def _check_shards(n_samples: int, shards: int) -> None:
+    """Every shard needs two samples, and the spread two shards."""
+    if shards < 2 or n_samples < 2 * shards:
+        raise ValueError(f"need shards >= 2 and n_samples >= 2 * shards; got "
+                         f"n_samples={n_samples}, shards={shards}")
+
+
 def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of sampler.weight * E[kernel(sample)] (times the per-sample
     weight of a `weighted` sampler): the mean of the per-shard means, with
@@ -467,9 +447,7 @@ def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarr
     (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes
     samples, sample_bytes being the kernel's temporary memory per sample;
     the sums do not depend on the chunking (`_ShardSums`)."""
-    if sampler.shards < 2 or sampler.n_samples < 2 * sampler.shards:
-        raise ValueError(f"need shards >= 2 and n_samples >= 2 * shards; got "
-                         f"n_samples={sampler.n_samples}, shards={sampler.shards}")
+    _check_shards(sampler.n_samples, sampler.shards)
     sizes = _shard_sizes(sampler.n_samples, sampler.shards)
     chunk = max(1, CHUNK_BYTES // sample_bytes)
     totals, parts, count = _ShardSums(sizes), [], 0
@@ -698,221 +676,162 @@ class LineSections:
         return MeasurePieces(hit, arcs, (t[:0], np.zeros((0, 3)), np.zeros(0)))
 
 
-# -- intersections with a moving body ---------------------------------------
+# -- integrals over the translations of a moving body ------------------------
 
-@dataclass(frozen=True)
-class _Lattice:
-    """Facet and edge arrays of a full-dimensional polytope, points taken
-    about a given centre."""
-
-    normals: np.ndarray      # (F, 3) outward unit normals
-    heights: np.ndarray      # (F,) offsets of the facet planes about the centre
-    start: np.ndarray        # (E, 3) first vertex of each edge
-    unit: np.ndarray         # (E, 3) unit edge directions
-    length: np.ndarray       # (E,)
-    facets: np.ndarray       # (E, 2) the two facets of each edge
-    centres: np.ndarray      # (F, 3) vertex means of the facets
-    radii: np.ndarray        # (F,) distance from a facet's centre to its farthest vertex
-    neighbours: np.ndarray   # (F, D) facets across the edges of each facet, padded with F
-    radius: float            # distance from the centre to the farthest vertex
-
-    @classmethod
-    def of(cls, P: Polytope, centre: np.ndarray) -> "_Lattice":
-        v = P.vertices - centre
-        ij = np.array([(i, j) for i, j, _, _ in P.edges])
-        facets = np.array([(f, g) for _, _, f, g in P.edges])
-        step = v[ij[:, 1]] - v[ij[:, 0]]
-        length = np.linalg.norm(step, axis=1)
-        centres = np.array([v[cyc].mean(axis=0) for cyc in P.facet_cycles])
-        radii = np.array([np.linalg.norm(v[cyc] - c, axis=1).max()
-                          for cyc, c in zip(P.facet_cycles, centres)])
-        nf = len(P.facet_cycles)
-        adjacent = [[] for _ in range(nf)]
-        for f, g in facets.tolist():
-            adjacent[f].append(g)
-            adjacent[g].append(f)
-        neighbours = np.full((nf, max(map(len, adjacent))), nf)
-        for f, fs in enumerate(adjacent):
-            neighbours[f, :len(fs)] = fs
-        return cls(normals=P.facet_normals, heights=P.facet_offsets - P.facet_normals @ centre,
-                   start=v[ij[:, 0]], unit=step / length[:, None], length=length,
-                   facets=facets, centres=centres, radii=radii, neighbours=neighbours,
-                   radius=float(np.linalg.norm(v, axis=1).max()))
+def _turn(R: np.ndarray, v: np.ndarray, inverse: bool = False) -> list[np.ndarray]:
+    """The coordinates (three (K, m) arrays) of the rows of v (K, 3) turned
+    by each rotation R (m, 3, 3), or by its inverse, as elementwise
+    multiply-adds in a fixed order (no BLAS product), so that no value
+    depends on the batch or on the BLAS threads.  Rotations run along the
+    last axis, here and in the arrays built from these."""
+    entries = np.ascontiguousarray((R.transpose(0, 2, 1) if inverse else R).reshape(-1, 9).T)
+    out = []
+    for i in range(3):
+        c = np.multiply.outer(v[:, 0], entries[3 * i])
+        c += np.multiply.outer(v[:, 1], entries[3 * i + 1])
+        c += np.multiply.outer(v[:, 2], entries[3 * i + 2])
+        out.append(c)
+    return out
 
 
-class MotionIntersections:
-    """Intersections of a full-dimensional polytope P with moved copies
-    g L = R L + x of another, edge by edge, with no hull per motion.  Stack
-    the facet inequalities of P and of g L: in general position every edge
-    of P n gL lies on exactly two constraint planes k, l and is the segment
-    of their common line cut out by the other constraints.  Only three kinds
-    of lines can carry one: an edge of P clipped by the facets of g L, an
-    edge of g L clipped by the facets of P, and the line of a facet F of P
-    and a facet G of g L clipped by the neighbours of F and of G.  From the
-    segments (length l, midpoint t about the centre c of P) and the in-plane
-    outward normals m_kl = unit(n_l - (n_l . n_k) n_k), the divergence
-    theorem gives the facet areas A_k = 1/2 sum l m_kl . t, and
+def _lowest(c: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """min over the points v (V, 3) of a . v, for the vectors a with
+    coordinates c (three (K, m) arrays): (K, m), from the (V, K, m)
+    projections."""
+    d = np.multiply.outer(v[:, 0], c[0])
+    d += np.multiply.outer(v[:, 1], c[1])
+    d += np.multiply.outer(v[:, 2], c[2])
+    return d.min(axis=0)
 
-        V_1 = sum l angle(n_k, n_l) / 2 pi,   V_2 = 1/2 sum_k A_k,
-        V_3 = 1/3 sum_k A_k (n_k . t)
 
-    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Motions whose
-    bounding spheres miss, and facet pairs whose polygons' bounding spheres
-    miss each other or the other facet's plane, are skipped."""
+def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] terms[k, t] per rotation t, for terms (K, m): the
+    products of each rotation are laid out as one contiguous row and summed
+    along it, whatever the number of rotations (reduced along the rotations'
+    axis, numpy sums a batch of one pairwise and larger ones row by row)."""
+    return np.multiply(terms.T, weights, order="C").sum(axis=1)
+
+
+def _edge_arcs(B: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The S_1 arcs of a full-dimensional body, one per edge: the facets
+    (2, E) whose normals end it, and its density, half the edge's length."""
+    e = np.array(B.edges).reshape(-1, 4)
+    return e[:, 2:].T, 0.5 * np.linalg.norm(B.vertices[e[:, 1]] - B.vertices[e[:, 0]], axis=1)
+
+
+class TranslativeIntegrals:
+    """For rotations R, the integrals over all translations x of functionals
+    of P n (R L + x), in closed form: the translative integral formulas
+    (Schneider & Weil, Stochastic and Integral Geometry, 2008, ch. 6;
+    Schneider, Convex Bodies, 2nd ed. 2014, ch. 5).  With A_F the facet
+    areas and n_F the outward facet normals of P, A_G and n_G those of L,
+    and theta_FG the angle between n_F and R n_G,
+
+        int V_0 dx = vol(P - R L) = V_3(P) + V_3(L) + sum_F A_F h_(-RL)(n_F)
+                                    + sum_G A_G h_P(-R n_G),
+        int V_1 dx = V_1(P) V_3(L) + V_3(P) V_1(L)
+                     + 1/(2 pi) sum_(F,G) A_F A_G sin(theta_FG) theta_FG,
+
+    where the facet pair F, R G + x meets in a segment whose length
+    integrates to A_F A_G sin(theta_FG) over x, on an edge of exterior angle
+    theta_FG.  The area measures integrate alike (`pieces`).  Support
+    functions are taken about each body's vertex centroid, so that every
+    term is non-negative and no large offsets cancel; each rotation's terms
+    are products summed along its own row, never by a BLAS product, so that
+    the values depend neither on the batch nor on the BLAS threads."""
 
     def __init__(self, P: Polytope, L: Polytope):
-        self.centre = P.vertices.mean(axis=0)
-        self.L_centre = L.vertices.mean(axis=0)
-        self.P, self.L = _Lattice.of(P, self.centre), _Lattice.of(L, self.L_centre)
-        # P's facets with the padding row of `neighbours`: no constraint
-        self.pad_normals = np.vstack([self.P.normals, np.zeros(3)])
-        self.pad_heights = np.append(self.P.heights, math.inf)
-        # slack of the pruning tests, relative to the bodies
-        self.slack = 1e-9 * (self.P.radius + self.L.radius)
-        fp, fl = len(self.P.normals), len(self.L.normals)
-        ep, el = len(self.P.length), len(self.L.length)
-        d = self.P.neighbours.shape[1] + self.L.neighbours.shape[1]
-        # per motion whose bounding spheres meet: world copies of L, the
-        # (m, E, F) edge clips and the (m, F, F) pair tests; the (K, D) clips
-        # of the facet pairs that survive the tests run in pieces of their own
-        self.piece = max(1, CHUNK_BYTES // (8 * (7 * fl + 6 * el + 8 * (ep * fl + el * fp)
-                                                 + 8 * fp * fl)))
-        self.pair_piece = max(1, CHUNK_BYTES // (8 * (9 * d + 28)))
-        # per motion: the draws, the sphere test, and the arrays over the at
-        # most 3 (F_P + F_L) edges of P n gL in segments() and volumes()
-        self.sample_bytes = 96 + 8 * (16 + 34 * 3 * (fp + fl))
-        # and the two atoms per edge of pieces()
-        self.piece_bytes = 8 * 12 * 3 * (fp + fl)
+        ivp, ivl = intrinsic_volumes(P), intrinsic_volumes(L)
+        self.volume_p, self.volume_l = ivp[3], ivl[3]
+        self.volume_sum = ivp[3] + ivl[3]
+        self.v1_sum = ivp[1] * ivl[3] + ivp[3] * ivl[1]
+        self.v_p = P.vertices - P.vertices.mean(axis=0)
+        self.v_l = L.vertices - L.vertices.mean(axis=0)
+        self.n_p, self.n_l = P.facet_normals, L.facet_normals
+        self.a_p, self.a_l = P.facet_areas, L.facet_areas
+        self.pair_areas = np.multiply.outer(self.a_p, self.a_l)         # (F_P, F_L)
+        self.edges = [_edge_arcs(B) for B in (P, L)]
+        fp, fl, vp, vl = len(self.a_p), len(self.a_l), len(self.v_p), len(self.v_l)
+        ep, el = (len(d) for _, d in self.edges)
+        # temporaries per rotation: the turned normals of both bodies, the
+        # (V_L, F_P) and (V_P, F_L) projections, and the (F_P, F_L) arrays
+        # of the facet pairs
+        self.sample_bytes = 8 * (6 * (fp + fl) + 2 * (fp * vl + fl * vp) + 6 * fp * fl)
+        # and in pieces(), per rotation: the arcs of the edges and of the
+        # facet pairs, and the atoms of the facets
+        self.piece_bytes = 8 * (16 * (ep + el + fp * fl) + 10 * (fp + fl))
 
-    def segments(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Edges of P n (R[t] L + x[t]) over the motions t: motion index
-        (K,), length (K,), midpoint about `centre` (K, 3), unit direction
-        (K, 3), and the outward normals n_k, n_l (K, 3) of its two planes.
-        The motions whose bounding spheres meet run in pieces of bounded
-        memory."""
-        g = R @ self.L_centre + x - self.centre              # centres of g L about c
-        live = np.flatnonzero(np.linalg.norm(g, axis=1)
-                              <= self.P.radius + self.L.radius + self.slack)
-        parts = []
-        for lo in range(0, max(live.size, 1), self.piece):  # one empty piece if none
-            idx = live[lo:lo + self.piece]
-            parts += [(idx[t], *rest) for t, *rest in self._edges(R[idx], g[idx])]
-        rows, length, mid, unit, nk, nl = (np.concatenate(a) for a in zip(*parts))
-        return rows, length, mid, unit, nk, nl
+    def _volumes(self, R: np.ndarray, g: list[np.ndarray]) -> np.ndarray:
+        """vol(P - R L) (m,), given the coordinates g of the turned normals
+        R n_G of L: h_(-RL)(n_F) = -min_w (R^T n_F) . w over the vertices w
+        of L, and h_P(-R n_G) = -min_v (R n_G) . v over those of P."""
+        low_l = _lowest(_turn(R, self.n_p, inverse=True), self.v_l)   # (F_P, m)
+        low_p = _lowest(g, self.v_p)                                  # (F_L, m)
+        return self.volume_sum - _row_sums(low_l, self.a_p) - _row_sums(low_p, self.a_l)
 
-    def ends(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ends of the edges of P n (R[t] L + x[t]): motion index (K,)
-        and world point (K, 3)."""
-        rows, length, mid, unit, _, _ = self.segments(R, x)
-        half = 0.5 * length[:, None] * unit
-        return np.concatenate([rows, rows]), self.centre + np.concatenate([mid - half, mid + half])
+    def volumes(self, R: np.ndarray) -> np.ndarray:
+        """int V_0(P n (R L + x)) dx = vol(P - R L), per rotation (m,)."""
+        return self._volumes(R, _turn(R, self.n_l))
 
-    def _edges(self, R: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """The edges of P n gL, as in segments(), in three parts by the kind
-        of their line, for motions R and centres g of g L about c."""
-        P, L = self.P, self.L
-        fl = len(L.normals)
-        m = R.shape[0]
-        # facets of g L about c, with the padding row of `neighbours`
-        N = np.zeros((m, fl + 1, 3))
-        N[:, :fl] = np.einsum("mij,fj->mfi", R, L.normals)
-        H = np.full((m, fl + 1), math.inf)
-        H[:, :fl] = L.heights + np.einsum("mfi,mi->mf", N[:, :fl], g)
-        NL, HL = N[:, :fl], H[:, :fl]
-        parts = []
-        # edges of P clipped by the facets of g L
-        lo, hi, hit = _clip_lines(np.einsum("ei,mfi->mef", P.unit, NL),
-                                  HL[:, None, :] - np.einsum("ei,mfi->mef", P.start, NL),
-                                  0.0, P.length)
-        t, e = np.nonzero(hit & (hi > lo))
-        parts.append((t, (hi - lo)[t, e], P.start[e] + 0.5 * (lo + hi)[t, e, None] * P.unit[e],
-                      P.unit[e], P.normals[P.facets[e, 0]], P.normals[P.facets[e, 1]]))
-        # edges of g L clipped by the facets of P
-        start = np.einsum("mij,ej->mei", R, L.start) + g[:, None, :]
-        unit = np.einsum("mij,ej->mei", R, L.unit)
-        lo, hi, hit = _clip_lines(unit @ P.normals.T, P.heights - start @ P.normals.T,
-                                  0.0, L.length)
-        t, e = np.nonzero(hit & (hi > lo))
-        parts.append((t, (hi - lo)[t, e], start[t, e] + 0.5 * (lo + hi)[t, e, None] * unit[t, e],
-                      unit[t, e], N[t, L.facets[e, 0]], N[t, L.facets[e, 1]]))
-        # lines of facet pairs F of P, G of g L whose polygons' bounding
-        # spheres meet each other and the other facet's plane
-        cG = np.einsum("mij,fj->mfi", R, L.centres) + g[:, None, :]
-        gap = (np.sum(P.centres ** 2, axis=1)[None, :, None] + np.sum(cG ** 2, axis=2)[:, None, :]
-               - 2.0 * np.einsum("fi,mgi->mfg", P.centres, cG))
-        reach = P.radii[None, :, None] + L.radii[None, None, :] + self.slack
-        near = gap <= reach ** 2
-        near &= (np.abs(np.einsum("fi,mgi->mfg", P.centres, NL) - HL[:, None, :])
-                 <= P.radii[None, :, None] + self.slack)
-        near &= (np.abs(np.einsum("fi,mgi->mfg", P.normals, cG) - P.heights[None, :, None])
-                 <= L.radii[None, None, :] + self.slack)
-        t, F, G = np.nonzero(near)
-        for lo in range(0, t.size, self.pair_piece):
-            part = slice(lo, lo + self.pair_piece)
-            parts.append(self._pair_edges(t[part], F[part], G[part], N, H))
-        return parts
+    def _pair_sines(self, g: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """sin and cos of theta_FG (F_P, F_L, m), |n_F x R n_G| and
+        n_F . R n_G, given the coordinates g of R n_G."""
+        a = [self.n_p[:, i, None, None] for i in range(3)]
+        cos = a[0] * g[0]
+        cos += a[1] * g[1]
+        cos += a[2] * g[2]
+        sin = np.zeros_like(cos)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            c = a[j] * g[k]
+            c -= a[k] * g[j]
+            c *= c
+            sin += c
+        return np.sqrt(sin, out=sin), cos
 
-    def _pair_edges(self, t: np.ndarray, F: np.ndarray, G: np.ndarray, N: np.ndarray,
-                    H: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The edges of P n gL on the lines of the facet pairs F of P, G of
-        g L of motions t, clipped by the neighbours of F and of G, given the
-        facets N, H of g L about c as in _edges()."""
-        P, L = self.P, self.L
-        n, NG = P.normals[F], N[t, G]
-        d = np.cross(n, NG)
-        dd = np.einsum("ki,ki->k", d, d)
-        keep = dd > 1e-24                                   # parallel planes share no line
-        t, F, G, n, NG, d, dd = t[keep], F[keep], G[keep], n[keep], NG[keep], d[keep], dd[keep]
-        # the point of the line nearest to c, and the neighbours of F and G
-        y = (P.heights[F, None] * np.cross(NG, d) + H[t, G, None] * np.cross(d, n)) / dd[:, None]
-        u = d / np.sqrt(dd)[:, None]
-        cn = np.concatenate([self.pad_normals[P.neighbours[F]], N[t[:, None], L.neighbours[G]]],
-                            axis=1)
-        ch = np.concatenate([self.pad_heights[P.neighbours[F]], H[t[:, None], L.neighbours[G]]],
-                            axis=1)
-        lo, hi, hit = _clip_lines(np.einsum("kci,ki->kc", cn, u),
-                                  ch - np.einsum("kci,ki->kc", cn, y), -math.inf, math.inf)
-        ok = hit & (hi > lo)
-        return t[ok], (hi - lo)[ok], y[ok] + 0.5 * (lo + hi)[ok, None] * u[ok], u[ok], n[ok], NG[ok]
+    def mean_widths(self, R: np.ndarray) -> np.ndarray:
+        """int V_1(P n (R L + x)) dx, per rotation (m,)."""
+        sin, cos = self._pair_sines(_turn(R, self.n_l))
+        term = np.arctan2(sin, cos)
+        term *= sin
+        return (self.v1_sum
+                + _row_sums(term.reshape(-1, len(R)), self.pair_areas.ravel()) / (2.0 * math.pi))
 
-    def _shares(self, R: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The edges of P n (R[t] L + x[t]) as in segments(), with the cosine
-        and sine of the angle between n_k and n_l, the edge's shares a_k,
-        a_l of the areas of the facets on planes k and l, and its share of
-        the volume (cones from c over those facets): motion index, length,
-        n_k, n_l, cosine, sine, a_k, a_l, volume share."""
-        rows, length, mid, _, nk, nl = self.segments(R, x)
-        cos = np.einsum("ki,ki->k", nk, nl)
-        sin = np.linalg.norm(np.cross(nk, nl), axis=1)
-        ak = 0.5 * length * np.einsum("ki,ki->k", nl - cos[:, None] * nk, mid) / sin
-        al = 0.5 * length * np.einsum("ki,ki->k", nk - cos[:, None] * nl, mid) / sin
-        hk, hl = np.einsum("ki,ki->k", nk, mid), np.einsum("ki,ki->k", nl, mid)
-        return rows, length, nk, nl, cos, sin, ak, al, (ak * hk + al * hl) / 3.0
+    def pieces(self, R: np.ndarray) -> MeasurePieces:
+        """The integrals over x of the area measures of P n (R L + x), per
+        rotation, as pieces: S_2 the atoms A_F V_3(L) at n_F and
+        A_G V_3(P) at R n_G; S_1 the arcs of the edges of P (density l / 2)
+        scaled by V_3(L), those of R L scaled by V_3(P), and per facet pair
+        the arc n_F -> R n_G of density A_F A_G sin(theta_FG) / 2.  `hit`
+        carries int V_0 dx = vol(P - R L), and `volume`
+        int V_3 dx = V_3(P) V_3(L).  Each rotation's pieces run in that
+        order, whatever the batch."""
+        m = len(R)
+        g = _turn(R, self.n_l)
+        sin, _ = self._pair_sines(g)
+        sin *= 0.5 * self.pair_areas[:, :, None]
+        turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
+        (p_from, p_to), p_half = self.edges[0]
+        (l_from, l_to), l_half = self.edges[1]
+        fp, fl = len(self.a_p), len(self.a_l)
 
-    def volumes(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Intrinsic volumes V_0..V_3 (m, 4) of P n (R[t] L + x[t]), 0 where
-        the bodies miss."""
-        m = R.shape[0]
-        rows, length, _, _, cos, sin, ak, al, cone = self._shares(R, x)
-        out = np.zeros((m, 4))
-        out[:, 0] = np.bincount(rows, minlength=m) > 0
-        out[:, 1] = np.bincount(rows, length * np.arctan2(sin, cos), m) / (2.0 * math.pi)
-        out[:, 2] = np.bincount(rows, 0.5 * (ak + al), m)
-        out[:, 3] = np.bincount(rows, cone, m)
-        return out
+        def each(x: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(x, (m,) + x.shape)
 
-    def pieces(self, R: np.ndarray, x: np.ndarray) -> MeasurePieces:
-        """The area measures of P n (R[t] L + x[t]) and their volumes, edge
-        by edge: each edge of length l on planes k and l gives the S_1 arc
-        n_k -> n_l of density l / 2 and the S_2 atoms (n_k, a_k) and
-        (n_l, a_l), its shares of the facet areas; a facet's shares add up
-        to its area."""
-        m = R.shape[0]
-        rows, length, nk, nl, _, _, ak, al, cone = self._shares(R, x)
-        atoms = (np.repeat(rows, 2), np.stack([nk, nl], axis=1).reshape(-1, 3),
-                 np.stack([ak, al], axis=1).ravel())
-        return MeasurePieces(np.bincount(rows, minlength=m) > 0, (rows, nk, nl, 0.5 * length),
-                             atoms, np.bincount(rows, cone, m))
+        a = np.concatenate([each(self.n_p[p_from]), turned[:, l_from],
+                            each(np.repeat(self.n_p, fl, axis=0))], axis=1)
+        b = np.concatenate([each(self.n_p[p_to]), turned[:, l_to],
+                            np.broadcast_to(turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)],
+                           axis=1)
+        density = np.concatenate([each(self.volume_l * p_half), each(self.volume_p * l_half),
+                                  sin.reshape(-1, m).T], axis=1)
+        arcs = (np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
+                density.ravel())
+        normals = np.concatenate([each(self.n_p), turned], axis=1)
+        masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
+        atoms = (np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m))
+        return MeasurePieces(self._volumes(R, g), arcs, atoms,
+                             np.full(m, self.volume_p * self.volume_l))
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -991,80 +910,12 @@ def kinematic_target(P: Polytope, L: Polytope, j: int) -> float:
                      for i in range(0, n - j + 1)))
 
 
-class _SeparatingAxes:
-    """Exact separating-axis test of P against moved copies R L + x.  The
-    axes are tried in three stages, each only on the motions that no earlier
-    stage separated: the facet normals of P, the rotated facet normals of L,
-    and the cross products of edge directions.  Axes are stored as columns,
-    (3, A) for all motions or (m, 3, A) per motion, so that each projection
-    is one matmul to (m, vertices, A), reduced over the vertex axis
-    (`_vertex_major`)."""
-
-    def __init__(self, P: Polytope, L: Polytope):
-        self.vp, self.vl = P.vertices, L.vertices
-        self.axesP = _distinct_axes(P.facet_normals).T              # (3, A)
-        self.axesL = _distinct_axes(L.facet_normals).T              # (3, AL)
-        self.dirsP, self.dirsL = P.edge_directions(), L.edge_directions()
-        self.cross_axes = len(self.dirsP) * len(self.dirsL)
-        # the (m, vertices, axes) projections dominate: per motion of the
-        # first two stages, and per motion that reaches the cross products,
-        # which run on those motions in pieces
-        per_axis = 8 * (len(self.vp) + len(self.vl) + 12)
-        self.sample_bytes = per_axis * (self.axesP.shape[1] + self.axesL.shape[1])
-        self.piece = max(1, CHUNK_BYTES // (per_axis * max(1, self.cross_axes)))
-
-    def hits(self, R: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Does P meet R[t] L + x[t], per motion t."""
-        vlw = self.vl @ R.transpose(0, 2, 1)                        # (m, VL, 3)
-        vlw += x[:, None, :]
-        hit = ~self._separated(self.axesP, vlw)
-        live = np.flatnonzero(hit)
-        hit[live] = ~self._separated(R[live] @ self.axesL, vlw[live])
-        live = live[hit[live]]
-        for lo in range(0, live.size, self.piece):
-            idx = live[lo:lo + self.piece]
-            hit[idx] = ~self._separated(self._cross(R[idx]), vlw[idx])
-        return hit
-
-    def _cross(self, R: np.ndarray) -> np.ndarray:
-        """The axes d_P x R d_L (m, 3, EP * EL) of every pair of edge
-        directions."""
-        a, b = self.dirsP.T, self.dirsL @ R.transpose(0, 2, 1)       # (3, EP), (m, EL, 3)
-        out = np.empty((len(R), 3, a.shape[1], b.shape[1]))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            np.subtract(a[j, None, :, None] * b[:, None, :, k],
-                        a[k, None, :, None] * b[:, None, :, j], out=out[:, i])
-        return out.reshape(len(R), 3, -1)
-
-    def _separated(self, axes: np.ndarray, vlw: np.ndarray) -> np.ndarray:
-        """Does one of the axes, (3, AA) or (m, 3, AA), separate P from the
-        moved vertices vlw (m, VL, 3)."""
-        pp = _vertex_major(self.vp, axes)                            # (VP, [m,] AA)
-        qq = _vertex_major(vlw, axes)                                # (VL, m, AA)
-        nrm = np.sqrt(np.sum(axes * axes, axis=-2))
-        slack = SAT_TOL * nrm
-        sep = ((qq.min(axis=0) > pp.max(axis=0) + slack)
-               | (qq.max(axis=0) < pp.min(axis=0) - slack)) & (nrm > 1e-12)
-        return np.any(sep, axis=-1)
-
-
-def _vertex_major(v: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """The projections v @ axes, (m, V, A) for v (m, V, 3) or (V, 3), stored
-    vertex-major as (V, m, A), so that the extremes over the vertices run
-    over whole (m, A) rows rather than A values at a time."""
-    lead = np.broadcast_shapes(v.shape[:-2], axes.shape[:-2])
-    out = np.empty((v.shape[-2],) + lead + (axes.shape[-1],))
-    np.matmul(v, axes, out=np.moveaxis(out, 0, -2))
-    return out
-
-
-def _motions(P: Polytope, L: Polytope, kernel, sample_bytes: int, seed: int, n_samples: int,
+def _motions(kernel, sample_bytes: int, seed: int, n_samples: int,
              shards: int) -> tuple[np.ndarray, np.ndarray]:
-    """run_shards of the kernel over the box law of motions of L against P,
-    whose draw adds the (m, 3, V) coordinates of R L to sample_bytes."""
-    sampler = MotionSampler.tight(P, L, seed, n_samples, shards)
-    return run_shards(sampler, kernel, sample_bytes + 24 * len(L.vertices))
+    """run_shards of a kernel of rotations over the uniform law of
+    `MotionSampler`, whose variates and rotations add 13 doubles to
+    sample_bytes."""
+    return run_shards(MotionSampler(3, seed, n_samples, shards), kernel, sample_bytes + 8 * 13)
 
 
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
@@ -1072,25 +923,26 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
     """Monte-Carlo check of the principal kinematic formula: average of
     V_j(P n gL) over rigid motions g against the bilinear target.
 
-    Motions follow the box law of `MotionSampler` (translations in the
-    coordinate box of P - R L per rotation, weighted by its volume).  j = 0
-    runs a vectorized exact separating-axis test; j >= 1 reads V_j of the
-    intersection from its edges (`MotionIntersections`), with no hull per
-    motion."""
+    Only the rotations are drawn (`MotionSampler`); the integral over the
+    translations is taken in closed form for each (`TranslativeIntegrals`):
+    vol(P - R L) for j = 0 and the facet pairs' angles for j = 1.  For
+    j = 2, 3 that integral, V_j(P) V_3(L) + V_3(P) V_j(L), does not depend
+    on the rotation: the estimate is the target, with stderr 0."""
     n = 3
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= {n}")
     check_full_dimensional(P, L)
+    _check_shards(n_samples, shards)
     t0 = time.perf_counter()
-    if j == 0:
-        test = _SeparatingAxes(P, L)
-        kernel, sample_bytes = (lambda R, x: test.hits(R, x).astype(float)), test.sample_bytes
+    target = kinematic_target(P, L, j)
+    if j >= 2:
+        est, se = target, 0.0
     else:
-        inter = MotionIntersections(P, L)
-        kernel, sample_bytes = (lambda R, x: inter.volumes(R, x)[:, j]), inter.sample_bytes
-    est, se = _motions(P, L, kernel, sample_bytes, seed, n_samples, shards)
+        integrals = TranslativeIntegrals(P, L)
+        est, se = _motions(integrals.volumes if j == 0 else integrals.mean_widths,
+                           integrals.sample_bytes, seed, n_samples, shards)
     return EstimateReport(
-        estimate=float(est), stderr=float(se), target=kinematic_target(P, L, j),
+        estimate=float(est), stderr=float(se), target=target,
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
         extra={"j": j, "shards": shards})
 
@@ -1161,21 +1013,22 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     nonzero on flats of dimension n - i: c0 != 0 or a datum of degree
     <= n - i.  Both sides carry standard errors; the report states their
     3-sigma consistency.  No sample builds a lattice: the batched kernels
-    give the area measures of all the intersections or sections of a chunk
-    as pieces (`MotionIntersections.pieces`, `PlaneSections.pieces`,
-    `LineSections.pieces`), and `PieceEvaluator` integrates the valuation's
-    data against them, with the pointwise or spectral path that `evaluate`
-    would take.  Motions and flats follow the laws of `kinematic_check` and
-    `crofton_intrinsic`."""
+    give the area measures of all the sections of a chunk as pieces
+    (`PlaneSections.pieces`, `LineSections.pieces`), and for the motions
+    their integrals over the translations, one rotation at a time
+    (`TranslativeIntegrals.pieces`); `PieceEvaluator` integrates the
+    valuation's data against them, with the pointwise or spectral path that
+    `evaluate` would take.  Rotations and flats follow the laws of
+    `kinematic_check` and `crofton_intrinsic`."""
     n = 3
     check_full_dimensional(P, L)
     value = PieceEvaluator(spec, direction)
     u = value.u[None, :]
 
     t0 = time.perf_counter()
-    inter = MotionIntersections(P, L)
-    lhs, lhs_se = _motions(P, L, lambda R, x: value(inter.pieces(R, x)),
-                           inter.sample_bytes + inter.piece_bytes, seed, n_samples, shards)
+    integrals = TranslativeIntegrals(P, L)
+    lhs, lhs_se = _motions(lambda R: value(integrals.pieces(R)),
+                           integrals.sample_bytes + integrals.piece_bytes, seed, n_samples, shards)
     degree = 0 if spec.c0 != 0.0 else min((i for i, _ in spec.degrees()), default=n)
     side = _hadwiger(P, L, float(lhs), float(lhs_se), degree,
                      float(evaluate(spec, P, u).values[0]), spec.c0,

@@ -249,9 +249,13 @@ class MeasurePieces:
     """The area measures S_1 and S_2 of m bodies at once, as the pieces of
     `area_measure` tagged with the index of their body: S_1 as great-circle
     arcs with densities, S_2 as atoms.  A body's pieces need not be merged:
-    several atoms may share a normal, and their masses add up."""
+    several atoms may share a normal, and their masses add up.  The
+    integrals of the area measures over translations
+    (`integral_geom.TranslativeIntegrals.pieces`) take the same form, with
+    V_0 and V_3 integrated alike."""
 
-    hit: np.ndarray                   # (m,) whether each body is nonempty
+    hit: np.ndarray                   # (m,) V_0: whether each body is nonempty, or its
+                                      # integral over translations (vol(P - R L))
     arcs: tuple[np.ndarray, ...]      # S_1: body (R,), ends a and b (R, 3), densities (R,)
     atoms: tuple[np.ndarray, ...]     # S_2: body (T,), normals (T, 3), masses (T,)
     volume: np.ndarray | None = None  # (m,) V_3, or None where every body is flat

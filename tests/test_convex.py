@@ -28,7 +28,6 @@ from minkval.convex import (
     ball_polytope,
     clip_halfspace,
     cube,
-    intersect,
     intrinsic_volumes,
     normal_cone_masses,
     octahedron,
@@ -39,8 +38,9 @@ from minkval.convex import (
     steiner_area_measure,
 )
 from minkval.harmonics import ZonalPolynomial, legendre_rows
-from minkval.integral_geom import _SeparatingAxes
 from minkval.zonal import BERG_NATIVE_KMAX, ZonalObject
+
+from motion_reference import SeparatingAxes, intersect
 
 
 def ones(t):
@@ -644,6 +644,8 @@ def test_intrinsic_volume_homogeneity():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), exponent=st.floats(-6.0, 6.0),
        shift=st.tuples(*[st.floats(-1e6, 1e6)] * 3))
+# qhull on the uncentred cloud dropped a vertex of this body (10 of 11)
+@example(seed=2013, exponent=-5.0, shift=(0.0, 0.0, 198794.0))
 def test_intrinsic_volumes_scale_as_lambda_i_and_ignore_translation(seed, exponent, shift):
     # V_i(lam P + x) = lam^i V_i(P), up to the rounding of the moved
     # coordinates: eps |x| is a relative eps |x| / lam of the body
@@ -720,7 +722,7 @@ def test_slice_halfspace_cases():
 def test_intersect_and_sat_agree():
     rng = np.random.default_rng(31)
     Q = cube()
-    sat = _SeparatingAxes(Q, Q)
+    sat = SeparatingAxes(Q, Q)
     for _ in range(25):
         R = random_rotation(rng)
         shift = rng.uniform(-2, 2, 3)

@@ -19,7 +19,6 @@ from minkval.integral_geom import (
     PlaneSampler,
     PlaneSections,
     _rotations_from_quaternions,
-    _SeparatingAxes,
     crofton_intrinsic,
     crofton_minkowski,
     crofton_minkowski_rhs,
@@ -32,6 +31,8 @@ from minkval.integral_geom import (
 )
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
+
+from motion_reference import SeparatingAxes
 
 
 # -- constants ------------------------------------------------------------------
@@ -265,7 +266,7 @@ def test_separating_axes_memory_is_bounded_by_the_chunk():
     P, L = jittered_icosahedra(1)
     q = np.random.default_rng(2).standard_normal((100, 4))
     R = _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
-    test = _SeparatingAxes(P, L)
+    test = SeparatingAxes(P, L)
     tracemalloc.start()
     try:
         hits = test.hits(R, np.zeros((100, 3)))

@@ -16,12 +16,11 @@ from minkval import convex, integral_geom, valuation
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
     LineSections,
-    MotionIntersections,
-    MotionSampler,
     PlaneSampler,
     PlaneSections,
     _rotations_from_quaternions,
     kinematic_minkowski_check,
+    run_shards,
 )
 from minkval.valuation import (
     MeasurePieces,
@@ -30,6 +29,8 @@ from minkval.valuation import (
     builtin_spec,
     evaluate,
 )
+
+from motion_reference import BoxMotionSampler, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
          "mean_section:2", "mean_section:3")
@@ -235,7 +236,10 @@ def cube_law(cls, P, L, seed, n_samples, shards):
 
 # lhs, lhs_stderr, rhs, rhs_stderr of the check that sliced a lattice per
 # plane and per line (section_plane, section_line), under the laws of
-# planes and motions that check drew
+# planes and motions that check drew.  The check now integrates the
+# translations in closed form: its lhs is pinned on the reference kernel of
+# whole motions (MotionIntersections) under the cube law, its rhs on the
+# check itself.
 @pytest.mark.parametrize("name,pinned", [
     ("projection_body",
      (2.442316768617, 0.38825336057210846, 2.514367894722867, 0.04854790236821971)),
@@ -244,9 +248,13 @@ def cube_law(cls, P, L, seed, n_samples, shards):
 ])
 def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
     monkeypatch.setattr(PlaneSampler, "tight", classmethod(ball_law))
-    monkeypatch.setattr(MotionSampler, "tight", classmethod(cube_law))
     res = kinematic_minkowski_check(builtin_spec(name), cube(), cube(), [0.0, 0.0, 1.0],
                                     2500, seed=17)
+    value = PieceEvaluator(builtin_spec(name), [0.0, 0.0, 1.0])
+    inter = MotionIntersections(cube(), cube())
+    res["lhs"], res["lhs_stderr"] = map(float, run_shards(
+        cube_law(BoxMotionSampler, cube(), cube(), 17, 2500, 20),
+        lambda R, x: value(inter.pieces(R, x)), inter.sample_bytes + inter.piece_bytes))
     for key, want in zip(("lhs", "lhs_stderr", "rhs", "rhs_stderr"), pinned):
         assert math.isclose(res[key], want, rel_tol=1e-15, abs_tol=0.0), (key, res[key])
 
@@ -282,10 +290,11 @@ def test_kinematic_minkowski_check_memory_is_bounded():
 def test_integral_geom_binds_no_lattice_slicer():
     # Monte-Carlo sections come from the batched kernels only, and neither
     # convex nor integral_geom keeps a per-sample slicer
-    slicers = ("section_plane", "clip_halfspace", "intersect")
+    slicers = ("section_plane", "clip_halfspace")
     bound = vars(integral_geom)
     assert not set(slicers) & set(bound)
     for name in slicers:
         fn = getattr(convex, name)
         assert not any(value is fn for value in bound.values()), name
     assert not hasattr(convex, "section_line") and not hasattr(integral_geom, "_hull_kernel")
+    assert not hasattr(convex, "intersect")   # the lattice intersection lives in the tests

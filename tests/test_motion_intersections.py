@@ -1,7 +1,8 @@
-"""The edge-by-edge kernel of P n gL (MotionIntersections) against the face
-lattice of convex.intersect and against the lattice of its edge ends (the
-valuation's values), and kinematic_check on it: pinned estimates, a pair
-that broke the per-motion lattice, and bounded memory."""
+"""The reference kernel of P n gL edge by edge (motion_reference.
+MotionIntersections) against the face lattice of the lattice intersection
+and against the lattice of its edge ends (the valuation's values), with its
+pinned estimates; and kinematic_check on a pair that broke the per-motion
+lattice, with bounded memory."""
 
 import tracemalloc
 from functools import lru_cache
@@ -11,15 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minkval.convex import Polytope, cube, intersect, intrinsic_volumes, random_hull
-from minkval.integral_geom import (
-    MotionIntersections,
-    MotionSampler,
-    _rotations_from_quaternions,
-    kinematic_check,
-    run_shards,
-)
+from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull
+from minkval.integral_geom import _rotations_from_quaternions, kinematic_check, run_shards
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
+
+from motion_reference import BoxMotionSampler, MotionIntersections, intersect
 
 BASES = {"cube": cube(), "hull14": random_hull(51), "hull20": random_hull(52, 20)}
 PAIRS = [("cube", "cube"), ("cube", "hull14"), ("hull14", "hull20")]
@@ -147,8 +144,8 @@ def test_kernel_of_missed_motions_vanishes():
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
     h = 2.0 * cube().enclosing_radius
-    cube_law = MotionSampler(3, 33, 400, box=np.array([[-h] * 3, [h] * 3]),
-                             moving=np.zeros((1, 3)))
+    cube_law = BoxMotionSampler(3, 33, 400, box=np.array([[-h] * 3, [h] * 3]),
+                                moving=np.zeros((1, 3)))
     inter = MotionIntersections(cube(), cube())
     est, se = run_shards(cube_law, inter.volumes, inter.sample_bytes)
     assert est[j] == pytest.approx(estimate, rel=1e-12)

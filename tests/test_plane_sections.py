@@ -36,6 +36,8 @@ from minkval.integral_geom import (
 from minkval.valuation import MeasurePieces
 from minkval.zonal import ZonalObject
 
+from motion_reference import BoxMotionSampler
+
 KMAX = 4
 PROBE = np.array([0.36, -0.48, 0.8])
 
@@ -362,10 +364,11 @@ SAMPLERS = {
     "lines": lambda n, shards: PlaneSampler(3, 2, 1.3, 22, n, shards),
     "points": lambda n, shards: PlaneSampler(3, 3, 1.3, 23, n, shards),
     # the box law of a point: translations uniform in the centred cube of side 2.5
-    "motions": lambda n, shards: MotionSampler(3, 24, n, shards,
-                                               box=np.array([[-1.25] * 3, [1.25] * 3]),
-                                               moving=np.zeros((1, 3))),
-    "box": lambda n, shards: MotionSampler.tight(cube(), random_hull(51), 25, n, shards),
+    "motions": lambda n, shards: BoxMotionSampler(3, 24, n, shards,
+                                                  box=np.array([[-1.25] * 3, [1.25] * 3]),
+                                                  moving=np.zeros((1, 3))),
+    "box": lambda n, shards: BoxMotionSampler.tight(cube(), random_hull(51), 25, n, shards),
+    "rotations": lambda n, shards: MotionSampler(3, 27, n, shards),
 }
 
 

@@ -1,5 +1,5 @@
-"""The matmul separating-axis test of kinematic_check (_SeparatingAxes)
-against the einsum test it replaced, kept here as the exact reference: the
+"""The matmul separating-axis test of the reference kernels
+(motion_reference.SeparatingAxes) against the einsum test it replaced: the
 same hit decisions on drawn motions, on motions whose translation lies on
 the boundary of the box law's window, and on motions near contact."""
 
@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkval.convex import CHUNK_BYTES, Polytope, _distinct_axes, cube, random_hull
-from minkval.integral_geom import SAT_TOL, MotionSampler, _SeparatingAxes
+from minkval.convex import CHUNK_BYTES, Polytope, cube, random_hull
 
+from motion_reference import (
+    SAT_TOL,
+    BoxMotionSampler,
+    SeparatingAxes,
+    distinct_axes,
+    edge_directions,
+)
 from test_integral_geom import jittered_icosahedra
 
 
@@ -22,8 +28,8 @@ class EinsumSeparatingAxes:
 
     def __init__(self, P: Polytope, L: Polytope):
         self.vp, self.vl = P.vertices, L.vertices
-        self.axesP, self.axesL = _distinct_axes(P.facet_normals), _distinct_axes(L.facet_normals)
-        self.dirsP, self.dirsL = P.edge_directions(), L.edge_directions()
+        self.axesP, self.axesL = distinct_axes(P.facet_normals), distinct_axes(L.facet_normals)
+        self.dirsP, self.dirsL = edge_directions(P), edge_directions(L)
         pp = self.vp @ self.axesP.T                            # (VP, A)
         self.plo, self.phi = pp.min(axis=0), pp.max(axis=0)
         self.cross_axes = len(self.dirsP) * len(self.dirsL)
@@ -60,7 +66,7 @@ PAIRS = {
     "icosahedra": tuple(jittered_icosahedra(1)),
     "hulls": (random_hull(51), random_hull(52)),
 }
-TESTS = {name: (_SeparatingAxes(P, L), EinsumSeparatingAxes(P, L))
+TESTS = {name: (SeparatingAxes(P, L), EinsumSeparatingAxes(P, L))
          for name, (P, L) in PAIRS.items()}
 # gaps along the contact direction: touching, overlapping and apart
 CONTACT_GAPS = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3])
@@ -70,7 +76,7 @@ def box_motions(pair: str, rng: np.random.Generator, m: int):
     """m motions of the box law: rotations, translations, and the lower
     corners and widths of their windows."""
     P, L = PAIRS[pair]
-    sampler = MotionSampler.tight(P, L, 0, m)
+    sampler = BoxMotionSampler.tight(P, L, 0, m)
     R, x, _ = sampler.draw(rng.standard_normal((m, 4)), rng.random((m, 3)))
     coords = R @ L.vertices.T
     lo = sampler.box[0] - coords.max(axis=2)

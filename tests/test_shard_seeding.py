@@ -20,6 +20,8 @@ from minkval.integral_geom import (
     crofton_intrinsic,
 )
 
+from motion_reference import BoxMotionSampler
+
 
 def reference_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
@@ -102,11 +104,11 @@ def tight_flats(sampler, rng, m):
 def cube_law(side):
     """The box law of a point in the centred cube of that side."""
     h = side / 2.0
-    return MotionSampler(3, 0, 0, box=np.array([[-h] * 3, [h] * 3]), moving=np.zeros((1, 3)))
+    return BoxMotionSampler(3, 0, 0, box=np.array([[-h] * 3, [h] * 3]), moving=np.zeros((1, 3)))
 
 
 def uniform_motions(sampler, rng, m):
-    """The cube law of translations, as MotionSampler drew it with
+    """The cube law of translations, as the motion sampler drew it with
     rng.uniform before the box law replaced it: uniform in the centred cube
     [-h, h]^3 of the box of a point, weighted by the cube's volume."""
     h = sampler.box[1, 0]
@@ -117,13 +119,19 @@ def uniform_motions(sampler, rng, m):
 
 
 def box_motions(sampler, rng, m):
-    """The box law of MotionSampler drawn with rng.uniform: translations
+    """The box law of BoxMotionSampler drawn with rng.uniform: translations
     uniform in the coordinate box of P - R L of each rotation."""
     q = rng.standard_normal((m, 4))
     R = _rotations_from_quaternions(_unit_rows(q))
     coords = R @ sampler.moving.T                # (m, 3, V): coordinates of R v
     lo, hi = sampler.box[0] - coords.max(axis=2), sampler.box[1] - coords.min(axis=2)
     return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
+
+
+def uniform_rotations(sampler, rng, m):
+    """Uniform rotations from normal quaternions, the only draws of the
+    rotation law: the translations are integrated in closed form."""
+    return (_rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4)))),)
 
 
 SAMPLERS = [
@@ -134,11 +142,12 @@ SAMPLERS = [
     (PlaneSampler(3, 3, 1.3, 0, 0), uniform_flats),
     (cube_law(2.5), uniform_motions),
     (cube_law(1e3 / 3.0), uniform_motions),
-    (MotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
-    (MotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
-                         0, 0), box_motions),
+    (BoxMotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
+    (BoxMotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
+                            0, 0), box_motions),
     (PlaneSampler.tight(cube(), 0, 0), tight_flats),
     (PlaneSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), 0, 0), tight_flats),
+    (MotionSampler(3, 0, 0), uniform_rotations),
 ]
 
 
