@@ -331,6 +331,11 @@ def cmd_multipliers(cfg: RunConfig) -> tuple[int, dict, list, list]:
     return 0, report, rows, header
 
 
+def _rows(kind: str, *columns) -> list[list]:
+    """CSV rows: `kind`, then the Python floats of the columns."""
+    return np.column_stack([np.full(len(columns[0]), kind, dtype=object), *columns]).tolist()
+
+
 def cmd_area_measure(cfg: RunConfig) -> tuple[int, dict, list, list]:
     body = load_body(cfg["body"])
     i, tol = cfg["i"], cfg["tol"]
@@ -348,15 +353,14 @@ def cmd_area_measure(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "total_mass": total,
         "steiner_target": target,
         "residual": residual,
-        "atoms": len(meas.atoms),
-        "arcs": len(meas.arcs),
+        "atoms": len(atom_mass),
+        "arcs": len(arc_mass),
         "patches": len(cone_mass),
         "intrinsic_volumes": list(iv.as_tuple()),
         "pass": residual <= tol,
     }
-    rows = [["atom", m, *map(float, u)] for (u, _), m in zip(meas.atoms, atom_mass)]
-    rows += [["arc", m, *map(float, a.a), *map(float, a.b)] for a, m in zip(meas.arcs, arc_mass)]
-    rows += [["patch", m] for m in cone_mass]
+    rows = [*_rows("atom", atom_mass, meas.atoms.normal),
+            *_rows("arc", arc_mass, meas.arcs.a, meas.arcs.b), *_rows("patch", cone_mass)]
     return (0 if residual <= tol else 1), report, rows, ["piece", "mass", "data"]
 
 

@@ -6,14 +6,16 @@ are first class: their lattice is built in the ambient space, so the normal
 cones fatten to arcs, lunes and hemispheres and the area measures remain
 exact.  Area measure pieces are point atoms (facet normals), great-circle
 arcs (edge normal cones) and a uniform part: S_0 is the spherical Lebesgue
-measure for every nonempty body, and is held exactly as such.
+measure for every nonempty body, and is held exactly as such.  One
+AreaMeasure may hold the measures of many bodies, its pieces tagged by body.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -24,7 +26,8 @@ from .zonal import BERG_NATIVE_KMAX
 __all__ = [
     "Polytope",
     "AreaMeasure",
-    "SphericalArc",
+    "Atoms",
+    "Arcs",
     "IntrinsicVolumes",
     "area_measure",
     "normal_cone_masses",
@@ -42,10 +45,12 @@ __all__ = [
 MERGE_TOL = 1e-10
 POINT_TOL = 1e-9
 # Bytes of temporaries per chunk of work: Monte-Carlo samples (see
-# integral_geom.run_shards) or node-direction pairs of the zonal sums.
+# integral_geom.run_shards), or nodes and node-direction pairs of the zonal
+# sums.
 CHUNK_BYTES = 1 << 20
-# The zonal sums keep about eight float64 arrays of shape (nodes, directions)
-# alive: cosines, two Legendre rows, the running sum and their temporaries.
+# The zonal sums keep about eight 8-byte arrays of shape (nodes, directions)
+# alive: cosines, bins, two Legendre rows, the weighted row and their
+# temporaries; building a node of an arc takes about twice that.
 _PAIR_BYTES = 8 * 8
 # The addition theorem keeps about a dozen float64 values per node or
 # direction alive: coordinates, c and s of the order, three rows, weighted
@@ -376,26 +381,6 @@ def _polygon_area3d(pts: np.ndarray) -> float:
 
 # -- area measure pieces ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SphericalArc:
-    """Great-circle arc from a to b (angle < pi) carrying a linear density."""
-
-    a: np.ndarray
-    b: np.ndarray
-    density: float
-
-    @property
-    def angle(self) -> float:
-        return float(_arc_angles(self.a, self.b))
-
-    def points(self, s: np.ndarray) -> np.ndarray:
-        """Arc points at parameters s in [0, 1] (slerp)."""
-        th = self.angle
-        if th < 1e-14:
-            return np.tile(self.a, (len(s), 1))
-        return _slerp(self.a[None], self.b[None], np.array([th]), s)[0]
-
-
 def _arc_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angles between the rows of a and b."""
     return np.arctan2(_norms(np.cross(a, b)), np.vecdot(a, b))
@@ -459,111 +444,153 @@ def _arc_nodes(a: np.ndarray, b: np.ndarray,
     """The quadrature rule of arcs from a[r] to b[r] (R, 3) with densities
     (R,): Gauss-Legendre on ARC_NODES points of each arc of angle at least
     1e-14 (shorter arcs carry no mass), as nodes (R', ARC_NODES, 3) and
-    weights (R', ARC_NODES), and the mask (R,) of the arcs kept."""
+    weights (R', ARC_NODES), and the mask (R,) of the arcs kept.  An arc
+    with a NaN end is kept, so that the NaN shows in every sum over it."""
     th = _arc_angles(a, b)
-    live = th >= 1e-14
+    live = ~(th < 1e-14)
     s, w = _ARC_RULE
     return (_slerp(a[live], b[live], th[live], s),
             (density[live] * th[live])[:, None] * w, live)
+
+
+class Atoms(NamedTuple):
+    """Point masses: body (T,), unit normal (T, 3) and mass (T,) of each."""
+    body: np.ndarray
+    normal: np.ndarray
+    mass: np.ndarray
+
+
+class Arcs(NamedTuple):
+    """Great-circle arcs (angle < pi): body (R,), ends a, b (R, 3), density (R,)."""
+    body: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    density: np.ndarray
 
 
 @dataclass
 class AreaMeasure:
     """Area measure S_i(P, .) on the unit sphere: atoms, great-circle arcs
     and a uniform part `uniform` times sigma, the spherical Lebesgue
-    measure; all masses and densities are non-negative.
+    measure; all masses and densities are non-negative.  Atoms and arcs are
+    tagged by body: `bodies` is None for one body (every tag 0), whose
+    integrals carry no body axis, or the number m of bodies held at once,
+    each with the uniform part.  Several atoms may share a normal.
 
-    S_0(K, .) is sigma for every nonempty convex body K, so area_measure
-    gives S_0 as the uniform part with coefficient 1, held exactly, and the
+    area_measure gives S_0 as the uniform part with coefficient 1, and the
     t^i S_0 term of a parallel body rides along in scaled_mass and merged.
     The normal cones of the vertices, which tile the sphere, appear only in
-    the `area-measure --i 0` report, through normal_cone_masses.
-
-    Masses come from one batched pass over the pieces (piece_masses): one
-    _arc_angles call over all arcs, each kind of piece summed in piece
-    order, as a loop over the pieces would add them."""
+    the `area-measure --i 0` report, through normal_cone_masses."""
 
     n: int
     degree: int
-    atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    arcs: list[SphericalArc] = field(default_factory=list)
+    atoms: Atoms = field(default_factory=lambda: Atoms(
+        np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0)))
+    arcs: Arcs = field(default_factory=lambda: Arcs(
+        np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)))
     uniform: float = 0.0
+    bodies: int | None = None
 
     @property
-    def total_mass(self) -> float:
-        """Sum of the atom masses, plus that of the arc masses, each summed
-        in piece order, plus 4 pi times the uniform part."""
-        return sum(sum(m.tolist()) for m in self.piece_masses()) + 4.0 * math.pi * self.uniform
+    def total_mass(self):
+        """The atom masses, plus the arc masses, each summed in piece order,
+        plus 4 pi times the uniform part: a float, or (m,) over m bodies."""
+        m = self.bodies or 1
+        atom, arc = self.piece_masses()
+        total = (np.bincount(self.atoms.body, atom, m) + np.bincount(self.arcs.body, arc, m)
+                 + 4.0 * math.pi * self.uniform)
+        return float(total[0]) if self.bodies is None else total
 
     def piece_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Masses of the atoms and of the arcs (density times angle)."""
-        a, b, density = self._arc_arrays()
-        return np.array([m for _, m in self.atoms], dtype=float), density * _arc_angles(a, b)
+        return self.atoms.mass, self.arcs.density * _arc_angles(self.arcs.a, self.arcs.b)
 
-    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ends (R, 3), (R, 3) and densities (R,) of the arcs."""
-        a = np.array([arc.a for arc in self.arcs], dtype=float).reshape(-1, 3)
-        b = np.array([arc.b for arc in self.arcs], dtype=float).reshape(-1, 3)
-        return a, b, np.array([arc.density for arc in self.arcs], dtype=float)
+    def node_cloud(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Quadrature nodes (N, 3), weights (N,) and bodies (N,): the atoms
+        (exact), then the arcs (Gauss-Legendre on ARC_NODES points); the
+        uniform part is integrated exactly and has no nodes."""
+        arc_pts, arc_wts, live = _arc_nodes(*self.arcs[1:])
+        return (np.concatenate([self.atoms.normal, arc_pts.reshape(-1, 3)]),
+                np.concatenate([self.atoms.mass, arc_wts.ravel()]),
+                np.concatenate([self.atoms.body, np.repeat(self.arcs.body[live], ARC_NODES)]))
 
-    def node_cloud(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened quadrature nodes and weights of the atoms (exact) and
-        the arcs (Gauss-Legendre on ARC_NODES points); the uniform part is
-        integrated exactly and has no nodes."""
-        atom_pts = np.array([u for u, _ in self.atoms], dtype=float).reshape(-1, 3)
-        atom_wts = np.array([m for _, m in self.atoms], dtype=float)
-        arc_pts, arc_wts, _ = _arc_nodes(*self._arc_arrays())
-        return (np.concatenate([atom_pts, arc_pts.reshape(-1, 3)]),
-                np.concatenate([atom_wts, arc_wts.ravel()]))
+    def _parts(self) -> list["AreaMeasure"]:
+        """The measure cut into runs of consecutive pieces, atoms first, of
+        about CHUNK_BYTES / (2 _PAIR_BYTES) nodes each."""
+        ta, ra = len(self.atoms.mass), len(self.arcs.density)
+        count = np.cumsum(np.concatenate([np.ones(ta, dtype=int), np.full(ra, ARC_NODES)]))
+        part = max(1, CHUNK_BYTES // (2 * _PAIR_BYTES))
+        cuts = np.flatnonzero(np.diff((count - 1) // part)) + 1
+        return [replace(self, atoms=Atoms(*(x[min(lo, ta):min(hi, ta)] for x in self.atoms)),
+                        arcs=Arcs(*(x[max(lo - ta, 0):max(hi - ta, 0)] for x in self.arcs)))
+                for lo, hi in zip([0, *cuts], [*cuts, len(count)])]
+
+    def _node_sums(self, dirs: np.ndarray, nrows: int, rows) -> np.ndarray:
+        """The direct route: sum_u wts_u r(u . w) over each body's nodes u,
+        for the nrows functions r that rows(cosines) yields, at every
+        direction w: (nrows, D), or (nrows, m, D) over m bodies.  Nodes come
+        in parts (_parts), directions in blocks; the cosines are elementwise
+        products, and one np.bincount over the (node, direction) pairs adds
+        to each (body, direction) bin its sum so far, then the part's nodes
+        in order.  So a value depends on its body and its direction alone:
+        not on the others, the parts, the blocks or the BLAS threads."""
+        m = self.bodies or 1
+        out = np.zeros((nrows, m, len(dirs)))
+        for part in self._parts():
+            pts, wts, body = part.node_cloud()
+            for block in _direction_blocks(len(wts), len(dirs)):
+                d, nb = dirs[block], len(dirs[block])
+                cos = np.clip(np.multiply.outer(pts[:, 0], d[:, 0])
+                              + np.multiply.outer(pts[:, 1], d[:, 1])
+                              + np.multiply.outer(pts[:, 2], d[:, 2]), -1.0, 1.0)
+                at = (body[:, None] * nb + np.arange(nb)).ravel()
+                at = np.concatenate([np.arange(m * nb), at])   # the sums so far come first
+                for k, r in enumerate(rows(cos)):
+                    sums = np.concatenate([out[k, :, block].ravel(), (wts[:, None] * r).ravel()])
+                    out[k, :, block] = np.bincount(at, sums, m * nb).reshape(m, nb)
+        return out[:, 0] if self.bodies is None else out
+
+    def _addition_theorem(self, dirs: np.ndarray, kmax: int) -> np.ndarray | None:
+        """The moments of degree <= kmax (kmax+1, D) by the addition theorem
+        where that is the cheaper route for one body in R^3, else None."""
+        nodes = len(self.atoms.mass) + ARC_NODES * len(self.arcs.density)
+        if self.bodies is None and self.n == 3 and _harmonic_is_cheaper(nodes, len(dirs), kmax):
+            return _harmonic_moments(*self.node_cloud()[:2], dirs, kmax)
+        return None
 
     def zonal_moments(self, dirs: np.ndarray, kmax: int) -> np.ndarray:
         """Moments M_k(w) = int P_k^n(u . w) dS(u) for every direction w in
-        dirs; returns an array of shape (kmax+1, len(dirs)).  The uniform
+        dirs: (kmax+1, D), or (kmax+1, m, D) over m bodies.  The uniform
         part adds 4 pi c to M_0 and, P_k being orthogonal to 1 for k >= 1,
         nothing to the other rows.
 
-        The node sums take the cheaper of two routes by a cost model in the
-        number N of nodes, the number D of directions and the degree
-        K = kmax, with constants measured on one core (_harmonic_is_cheaper):
-        the direct sums (_zonal_sums) cost about (K+1) N D 3.1 ns, the
-        addition theorem (_harmonic_moments) about
-        (K+1)(K+2)/2 (1.8 ns N + 3.8 ns D + 29 us).  The direct route wins
-        at few directions (at D = 1 by 6-40x).  At degree 32 the model
-        switches to the addition theorem from 28 directions on 6336 nodes,
-        73 on 2016 and 192 on 720, and it is 5-35x faster at hundreds of
-        directions on thousands of nodes.  A direction's moments
-        may differ between the two routes by rounding (by about 1e-15 of
-        the total mass), so asking for it alone or among many directions
-        may move its last bits; each route is deterministic, and reruns are
-        bit-identical."""
+        One body takes the direct sums (_node_sums) or the addition theorem
+        (_harmonic_moments), whichever _harmonic_is_cheaper finds cheaper:
+        the direct sums at few directions (at D = 1 by 6-40x), the addition
+        theorem at hundreds of directions on thousands of nodes (5-35x).
+        The two routes may differ by about 1e-15 of the total mass, so a
+        direction alone or among many may move its last bits; each route is
+        deterministic.  Several bodies always take the direct sums."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        pts, wts = self.node_cloud()
-        if self.n == 3 and _harmonic_is_cheaper(len(wts), len(dirs), kmax):
-            out = np.zeros((kmax + 1, len(dirs)))
-            for block, moments in _harmonic_moments(pts, wts, dirs, kmax):
-                out[:, block] = moments
-        else:
-            out = _zonal_sums(pts, wts, dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
+        out = self._addition_theorem(dirs, kmax)
+        if out is None:
+            out = self._node_sums(dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
         out[0] += 4.0 * math.pi * self.uniform
         return out
 
     def integrate_zonal(self, profile, dirs: np.ndarray) -> np.ndarray:
-        """Values of w -> int profile(u . w) dS(u) for each direction.  The
-        uniform part adds 2 pi c int_{-1}^{1} profile(t) dt at every w.  A
-        profile that is a Legendre series (a ZonalPolynomial) is the series
-        of the moments, sum_k coeffs[k] M_k(w), whenever the addition
-        theorem is the cheaper route (see zonal_moments); any other profile,
-        and a series on the direct route, is summed at the nodes."""
+        """Values of w -> int profile(u . w) dS(u) at each direction: (D,), or
+        (m, D) over m bodies; the uniform part adds 2 pi c int profile(t) dt.
+        A Legendre series (a ZonalPolynomial) is the series of the moments,
+        sum_k coeffs[k] M_k(w), where the addition theorem is the cheaper
+        route (see zonal_moments); any other profile is summed at the nodes."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        pts, wts = self.node_cloud()
-        if (isinstance(profile, ZonalPolynomial) and self.n == profile.n == 3
-                and _harmonic_is_cheaper(len(wts), len(dirs), profile.degree)):
-            out = np.zeros(len(dirs))
-            for block, moments in _harmonic_moments(pts, wts, dirs, profile.degree):
-                for c, row in zip(profile.coeffs, moments):
-                    out[block] += c * row
+        moments = (self._addition_theorem(dirs, profile.degree)
+                   if isinstance(profile, ZonalPolynomial) and profile.n == 3 else None)
+        if moments is not None:
+            out = sum(c * row for c, row in zip(profile.coeffs, moments))
         else:
-            out = _zonal_sums(pts, wts, dirs, 1, lambda t: [np.asarray(profile(t), dtype=float)])[0]
+            out = self._node_sums(dirs, 1, lambda t: [np.asarray(profile(t), dtype=float)])[0]
         if self.uniform:
             q = jacobi_quadrature(3, UNIFORM_ORDER)    # Gauss-Legendre: the weight is 1 at n = 3
             t = np.concatenate([q.nodes - 1.0, q.nodes + 1.0]) / 2.0
@@ -572,34 +599,14 @@ class AreaMeasure:
         return out
 
     def scaled_mass(self, c: float) -> "AreaMeasure":
-        return AreaMeasure(
-            self.n, self.degree,
-            atoms=[(u, c * m) for u, m in self.atoms],
-            arcs=[SphericalArc(a.a, a.b, c * a.density) for a in self.arcs],
-            uniform=c * self.uniform)
+        return replace(self, atoms=self.atoms._replace(mass=c * self.atoms.mass),
+                       arcs=self.arcs._replace(density=c * self.arcs.density),
+                       uniform=c * self.uniform)
 
     def merged(self, other: "AreaMeasure") -> "AreaMeasure":
-        return AreaMeasure(self.n, self.degree,
-                           atoms=self.atoms + other.atoms,
-                           arcs=self.arcs + other.arcs,
-                           uniform=self.uniform + other.uniform)
-
-
-def _zonal_sums(pts: np.ndarray, wts: np.ndarray, dirs: np.ndarray, nrows: int,
-                rows) -> np.ndarray:
-    """The direct route: sum_u wts_u r(u . w) over the nodes pts for the
-    nrows functions r that rows(cosines) yields, at every direction w:
-    (nrows, len(dirs)).  Directions run in blocks of bounded memory.  Its
-    cost grows as nrows N D in N nodes and D directions, against
-    (K+1)(K+2)/2 (N + D) for the addition theorem at degree K: cheaper for
-    a few directions or one profile row (see AreaMeasure.zonal_moments)."""
-    out = np.zeros((nrows, dirs.shape[0]))
-    for block in _direction_blocks(pts.shape[0], dirs.shape[0]):
-        dots = np.clip(pts @ dirs[block].T, -1.0, 1.0)
-        for k, row in enumerate(rows(dots)):
-            # einsum, not a BLAS gemv: its sums do not depend on the threads
-            out[k, block] = np.einsum("n,nd->d", wts, row)
-    return out
+        return replace(self, atoms=Atoms(*map(np.concatenate, zip(self.atoms, other.atoms))),
+                       arcs=Arcs(*map(np.concatenate, zip(self.arcs, other.arcs))),
+                       uniform=self.uniform + other.uniform)
 
 
 def _direction_blocks(nodes: int, ndirs: int) -> list[slice]:
@@ -627,7 +634,9 @@ def _harmonic_is_cheaper(nodes: int, ndirs: int, kmax: int) -> bool:
                                  + B_N _HARMONIC_NODE_BLOCK_S + B_D _HARMONIC_DIR_BLOCK_S),
 
     with K = kmax and B, B_N, B_D the direction blocks of the direct route
-    and the node and direction blocks of the addition theorem."""
+    and the node and direction blocks of the addition theorem.  At degree 32
+    it takes the addition theorem from 28 directions on 6336 nodes, 73 on
+    2016 and 192 on 720."""
     if nodes == 0:
         return False
     rows, pairs = kmax + 1, (kmax + 1) * (kmax + 2) // 2
@@ -648,8 +657,8 @@ def _harmonic_blocks(nodes: int, ndirs: int, kmax: int) -> tuple[list[slice], li
 
 
 def _harmonic_moments(pts: np.ndarray, wts: np.ndarray, dirs: np.ndarray, kmax: int):
-    """The route of the addition theorem: yield (block, M) for blocks of
-    directions, M (kmax+1, len(block)) the moments sum_u wts_u P_k(u . w).
+    """The route of the addition theorem: the moments sum_u wts_u P_k(u . w)
+    (kmax+1, len(dirs)).
 
     With (c_m + i s_m, r_km) from harmonic_orders, the coefficients
 
@@ -672,13 +681,13 @@ def _harmonic_moments(pts: np.ndarray, wts: np.ndarray, dirs: np.ndarray, kmax: 
             coef[:, m:, m] += np.array([wcs.sum(axis=1)]
                                        + [np.einsum("jn,n->j", wcs, r) for r in rows]).T
     coef /= (2 * np.arange(kmax + 1) + 1.0)[:, None]
+    out = np.zeros((kmax + 1, len(dirs)))
     for block in dir_blocks:
-        out = np.zeros((kmax + 1, len(dirs[block])))
         for m, (c, s), rows in harmonic_orders(dirs[block], kmax):
-            out[m] += coef[0, m, m] * c + coef[1, m, m] * s
+            out[m, block] += coef[0, m, m] * c + coef[1, m, m] * s
             for k, r in enumerate(rows, m + 1):
-                out[k] += r * (coef[0, k, m] * c + coef[1, k, m] * s)
-        yield block, out
+                out[k, block] += r * (coef[0, k, m] * c + coef[1, k, m] * s)
+    return out
 
 
 # -- area measures of polytopes ---------------------------------------------
@@ -795,30 +804,34 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
     binom = math.comb(2, i)
     if P.dim == 3:
         if i == 2:
-            meas.atoms = list(zip(P.facet_normals, P.facet_areas.tolist()))
+            normals, masses = P.facet_normals, P.facet_areas
         else:
             edges = _edge_array(P)
+            a, b = P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]]
             density = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]]) / binom
-            meas.arcs = [SphericalArc(a, b, d) for a, b, d in
-                         zip(P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]],
-                             density.tolist())]
     elif P.dim == 2:
         w = P.plane_normal
         pts = P.vertices[P.polygon_cycle]
-        me = P.edge_normals_inplane
         if i == 2:
-            area = _polygon_area3d(pts)
-            meas.atoms = [(w.copy(), area), (-w, area)]
+            normals, masses = np.array([w, -w]), np.full(2, _polygon_area3d(pts))
         else:
-            density = (_norms(np.roll(pts, -1, axis=0) - pts) / binom).tolist()
-            meas.arcs = [arc for k, d in enumerate(density)
-                         for arc in (SphericalArc(w.copy(), me[k], d), SphericalArc(me[k], -w, d))]
+            # per edge the quarter arcs w -> m_e -> -w of its in-plane normal m_e
+            me = P.edge_normals_inplane
+            a = np.stack([np.broadcast_to(w, me.shape), me], axis=1).reshape(-1, 3)
+            b = np.stack([me, np.broadcast_to(-w, me.shape)], axis=1).reshape(-1, 3)
+            density = np.repeat(_norms(np.roll(pts, -1, axis=0) - pts) / binom, 2)
     elif P.dim == 1 and i == 1:
         d = _unit(P.vertices[1] - P.vertices[0])
         length = float(np.linalg.norm(P.vertices[1] - P.vertices[0]))
         p, q = _plane_basis(d)
-        ring = [p, q, -p, -q]
-        meas.arcs = [SphericalArc(ring[k], ring[(k + 1) % 4], length / binom) for k in range(4)]
+        a = np.array([p, q, -p, -q])
+        b, density = np.roll(a, -1, axis=0), np.full(4, length / binom)
+    else:
+        return meas
+    if i == 2:
+        meas.atoms = Atoms(np.zeros(len(masses), dtype=int), normals, masses)
+    else:
+        meas.arcs = Arcs(np.zeros(len(density), dtype=int), a, b, density)
     return meas
 
 

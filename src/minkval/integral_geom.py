@@ -42,8 +42,8 @@ line chords of a fixed body (`LineSections`), and the translative
 integrals of a body and rotated copies of another (`TranslativeIntegrals`).
 No sample builds a face lattice: the valuation-valued check takes the area
 measures of the sections, and their integrals over the translations, of a
-whole chunk as pieces from the same kernels and integrates the valuation's
-data against them at once (`valuation.PieceEvaluator`).
+whole chunk as AreaMeasures from the same kernels and integrates the
+valuation's data against them as `evaluate` does (`valuation.PieceEvaluator`).
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ from numpy.random.bit_generator import ISeedSequence
 from .constants import crofton_q, flag, kappa
 from .convex import (
     CHUNK_BYTES,
+    AreaMeasure,
+    Arcs,
+    Atoms,
     Polytope,
     area_measure,
     _gauss01,
@@ -92,6 +95,7 @@ __all__ = [
 DEFAULT_SHARDS = 20
 HALF_CIRCLE_NODES = 20  # least Gauss-Legendre nodes per half circle of PlaneSections
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
+FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
 
 
 @dataclass
@@ -509,8 +513,9 @@ class PlaneSections:
     +p_e to one facet of its edge and -p_e to the other, a scatter by plane
     and facet (`_facets`).  The facets with v_F != 0 are the crossed ones;
     with the outward normal m_F = unit(n_F - (n_F . a) a) of the segment in
-    the plane, the divergence theorem in the plane gives perimeter, area
-    and S_1 (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are
+    the plane (unit(a x v_F) where n_F is parallel to a up to rounding), the
+    divergence theorem in the plane gives perimeter, area and S_1
+    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are
     taken about the vertex centroid; S_1 moments integrate each half circle
     by Gauss-Legendre (`_half_circle_rule`)."""
 
@@ -536,8 +541,8 @@ class PlaneSections:
         # whose planes cross all 40 side edges, tracemalloc)
         self.sample_bytes = 8 * (V + 3 * E + 20 * F)
         # and in pieces(), per crossed facet and per section: the facets'
-        # arrays, two arcs, two atoms (the arcs' nodes run in PieceEvaluator's
-        # blocks)
+        # arrays, two arcs, two atoms (the arcs' nodes run in the bounded
+        # parts of AreaMeasure's node sums)
         self.piece_bytes = 8 * (32 * F + 16)
 
     def _crossings(self, a: np.ndarray,
@@ -563,7 +568,8 @@ class PlaneSections:
 
     def _facets(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
         """The facets that the planes {x . a[t] = s[t]} cross, by plane, then
-        facet: plane index (K,), facet (K,) and segment length |v_F| (K,);
+        facet: plane index (K,), facet (K,), segment v_F (three (K,) arrays
+        of coordinates) and length |v_F| (K,);
         and V_1 (half the perimeter) and V_2 (the area) of each section
         (m,), 0 where the plane misses the body."""
         m, nf = a.shape[0], len(self.normals)
@@ -575,50 +581,55 @@ class PlaneSections:
         length = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])   # as np.linalg.norm sums
         crossed = np.flatnonzero(length > 0.0)
         rows, facet = np.divmod(crossed, nf)
-        vx, vy, vz = (x[crossed] for x in v)
+        vx, vy, vz = segment = tuple(x[crossed] for x in v)
         mx, my, mz = (0.5 * np.bincount(at, np.tile(x, 2), m * nf)[crossed] for x in p)
         moment = np.empty((crossed.size, 3))   # mid_F x v_F, as np.cross forms it
         moment[:, 0] = my * vz - mz * vy
         moment[:, 1] = mz * vx - mx * vz
         moment[:, 2] = mx * vy - my * vx
         area = np.bincount(rows, np.einsum("ki,ki->k", np.take(a, rows, axis=0), moment), m)
-        return (rows, facet, length[crossed], length.reshape(m, nf).sum(axis=1) / 2.0,
+        return (rows, facet, segment, length[crossed], length.reshape(m, nf).sum(axis=1) / 2.0,
                 0.5 * np.abs(area))
 
     def volumes(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
         each section, 0 where the plane misses the body."""
-        return self._facets(a, s)[3:]
+        return self._facets(a, s)[4:]
 
-    def _segment_normals(self, a: np.ndarray, rows: np.ndarray,
-                         facet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _segment_normals(self, a: np.ndarray, rows: np.ndarray, facet: np.ndarray,
+                         segment: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The plane normals a[rows] (K, 3) of crossed facets and the
-        outward normals m_F (K, 3) of their segments in the plane."""
+        outward normals m_F (K, 3) of their segments v_F in the plane, from
+        n_F, or from a x v_F where n_F is parallel to a up to rounding."""
         nf, ar = self.normals[facet], np.take(a, rows, axis=0)
-        return ar, _unit_rows(nf - np.sum(nf * ar, axis=1)[:, None] * ar)
+        m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
+        flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
+        m_f[flat] = np.cross(ar[flat], np.stack([x[flat] for x in segment], axis=1))
+        return ar, _unit_rows(m_f)
 
     def pieces(self, a: np.ndarray, s: np.ndarray) -> MeasurePieces:
         """The area measures of the sections by the planes {x . a[t] = s[t]},
         as area_measure gives them for a polygon: S_2 the atoms a and -a,
         each with the section's area, and S_1 per crossed facet F the
         quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
-        rows, facet, length, v1, area = self._facets(a, s)
+        rows, facet, segment, length, v1, area = self._facets(a, s)
         hit = v1 > 0.0
-        ar, m_f = self._segment_normals(a, rows, facet)
+        ar, m_f = self._segment_normals(a, rows, facet, segment)
         t = np.flatnonzero(hit)
-        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
-        atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
-                 np.repeat(area[t], 2))
-        return MeasurePieces(hit, arcs, atoms)
+        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                    np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        atoms = Atoms(np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
+                      np.repeat(area[t], 2))
+        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
+                             AreaMeasure(3, 2, atoms=atoms, bodies=len(hit)))
 
     def s1_moments(self, a: np.ndarray, s: np.ndarray, w: np.ndarray,
                    kmax: int) -> np.ndarray:
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
         S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
         crossed facet."""
-        rows, facet, length, _, _ = self._facets(a, s)
-        ar, m_f = self._segment_normals(a, rows, facet)
+        rows, facet, segment, length, _, _ = self._facets(a, s)
+        ar, m_f = self._segment_normals(a, rows, facet, segment)
         arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
         m, width = a.shape[0], kmax + 1
         out = np.zeros(m * width)
@@ -671,9 +682,10 @@ class LineSections:
         t = np.flatnonzero(hit)
         p1, p2 = _plane_basis(u[t])
         ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
-        arcs = (np.repeat(t, 4), ring.reshape(-1, 3), np.roll(ring, -1, axis=1).reshape(-1, 3),
-                np.repeat(0.5 * (hi[t] - lo[t]), 4))
-        return MeasurePieces(hit, arcs, (t[:0], np.zeros((0, 3)), np.zeros(0)))
+        arcs = Arcs(np.repeat(t, 4), ring.reshape(-1, 3),
+                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.repeat(0.5 * (hi[t] - lo[t]), 4))
+        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
+                             AreaMeasure(3, 2, bodies=len(hit)))
 
 
 # -- integrals over the translations of a moving body ------------------------
@@ -825,12 +837,13 @@ class TranslativeIntegrals:
                            axis=1)
         density = np.concatenate([each(self.volume_l * p_half), each(self.volume_p * l_half),
                                   sin.reshape(-1, m).T], axis=1)
-        arcs = (np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
-                density.ravel())
+        arcs = Arcs(np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3),
+                    b.reshape(-1, 3), density.ravel())
         normals = np.concatenate([each(self.n_p), turned], axis=1)
         masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
-        atoms = (np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m))
-        return MeasurePieces(self._volumes(R, g), arcs, atoms,
+        atoms = Atoms(np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m))
+        return MeasurePieces(self._volumes(R, g), AreaMeasure(3, 1, arcs=arcs, bodies=m),
+                             AreaMeasure(3, 2, atoms=atoms, bodies=m),
                              np.full(m, self.volume_p * self.volume_l))
 
 

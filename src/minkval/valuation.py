@@ -9,7 +9,9 @@ the support function of the image body is
 with centered zonal data.  Evaluation runs either pointwise (zonal densities
 integrated against the exact piecewise area measures) or spectrally
 (band-limited transfer of Funk-Hecke multipliers against the body's
-area-measure moments); the two agree wherever both apply.
+area-measure moments); the two agree wherever both apply.  Both integrate
+with AreaMeasure: `evaluate` one body's measures at many directions,
+`PieceEvaluator` those of many bodies at once at one direction.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ import numpy as np
 
 from .constants import kappa, mean_section_q, omega
 from .convex import (
-    ARC_NODES,
-    CHUNK_BYTES,
     AreaMeasure,
     Polytope,
-    _arc_nodes,
     area_measure,
     clip_halfspace,
     intrinsic_volumes,
@@ -60,10 +59,6 @@ __all__ = [
 DEFAULT_BAND = 16
 PATHS = ("auto", "pointwise", "spectral")   # the evaluation paths a caller may ask for
 CENTER_TOL = 1e-9
-# PieceEvaluator keeps about sixteen float64 values per arc node alive: the
-# slerp's points and temporaries, the cosines, two Legendre rows, the
-# running series and the weighted values
-_NODE_BYTES = 8 * 16
 
 
 def _require_centered(z: ZonalObject, label: str):
@@ -181,6 +176,14 @@ def _choose_path(path: str, data: list[tuple[int, ZonalObject]]) -> str:
     return "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
 
 
+def _pointwise_profile(i: int, z: ZonalObject):
+    """The density of the degree-i datum on the pointwise path, a pure
+    Legendre series as a ZonalPolynomial (which may take the moments)."""
+    if not z.has_density or z.atoms:
+        raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
+    return ZonalPolynomial(3, z.coeffs) if z.profile_fn is None else z.density
+
+
 def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
              band: int | None = None, path: str = "auto",
              parallel_t: float = 0.0) -> SupportFunctionResult:
@@ -216,12 +219,7 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
     tail = 0.0
     if path == "pointwise":
         for i, z in data:
-            if not z.has_density or z.atoms:
-                raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
-            # a pure Legendre series may take the area measure's moments
-            density = (ZonalPolynomial(spec.n, z.coeffs) if z.profile_fn is None
-                       else (lambda t, zz=z: zz.density(t)))
-            values += meas[i].integrate_zonal(density, dirs)
+            values += meas[i].integrate_zonal(_pointwise_profile(i, z), dirs)
         return SupportFunctionResult(dirs, values, "pointwise")
     L = DEFAULT_BAND if band is None else int(band)
     w = omega(spec.n)
@@ -246,18 +244,15 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
 
 @dataclass
 class MeasurePieces:
-    """The area measures S_1 and S_2 of m bodies at once, as the pieces of
-    `area_measure` tagged with the index of their body: S_1 as great-circle
-    arcs with densities, S_2 as atoms.  A body's pieces need not be merged:
-    several atoms may share a normal, and their masses add up.  The
-    integrals of the area measures over translations
-    (`integral_geom.TranslativeIntegrals.pieces`) take the same form, with
-    V_0 and V_3 integrated alike."""
+    """The area measures of m bodies at once, S_1 as arcs and S_2 as atoms,
+    each an AreaMeasure over the m bodies.  The integrals of the area
+    measures over translations (`integral_geom.TranslativeIntegrals.pieces`)
+    take the same form, with V_0 and V_3 integrated alike."""
 
     hit: np.ndarray                   # (m,) V_0: whether each body is nonempty, or its
                                       # integral over translations (vol(P - R L))
-    arcs: tuple[np.ndarray, ...]      # S_1: body (R,), ends a and b (R, 3), densities (R,)
-    atoms: tuple[np.ndarray, ...]     # S_2: body (T,), normals (T, 3), masses (T,)
+    s1: AreaMeasure
+    s2: AreaMeasure
     volume: np.ndarray | None = None  # (m,) V_3, or None where every body is flat
 
 
@@ -270,11 +265,9 @@ class PieceEvaluator:
 
     with g_i the density of the degree-i datum on the pointwise path and its
     band-limited series sum_k a_k N(n,k) / omega_n P_k, k <= DEFAULT_BAND,
-    on the spectral path; "auto" chooses as `evaluate` does.  The arcs take
-    the Gauss rule of AreaMeasure (`_arc_nodes`), so the values are those of
-    `evaluate` on each body up to rounding, with no face lattice.  A body's
-    value adds its own nodes in order, whatever the other bodies, and the
-    nodes run in blocks of bounded memory."""
+    on the spectral path; "auto" chooses as `evaluate` does.  Each integral
+    is one AreaMeasure.integrate_zonal over the m bodies: the values are
+    those of `evaluate` on each body up to rounding, with no face lattice."""
 
     def __init__(self, spec: MinkowskiValuationSpec, direction, path: str = "auto"):
         if spec.n != 3:
@@ -284,47 +277,19 @@ class PieceEvaluator:
         data = spec.degrees()
         self.path = _choose_path(path, data)
         self.c0, self.cn = float(spec.c0), float(spec.cn)
-        self.profiles = {i: self._profile(i, z) for i, z in data}
-
-    def _profile(self, i: int, z: ZonalObject):
-        if self.path == "pointwise":
-            if not z.has_density or z.atoms:
-                raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
-            return z.density
-        kk = min(DEFAULT_BAND, z.kmax)
-        return ZonalPolynomial(3, legendre_coefficients(3, z.multipliers[:kk + 1]))
-
-    def _cosines(self, v: np.ndarray) -> np.ndarray:
-        """v . u over the last axis, elementwise, so that no value depends
-        on the length of v."""
-        u = self.u
-        return np.clip(v[..., 0] * u[0] + v[..., 1] * u[1] + v[..., 2] * u[2], -1.0, 1.0)
+        self.profiles = {
+            i: _pointwise_profile(i, z) if self.path == "pointwise" else ZonalPolynomial(
+                3, legendre_coefficients(3, z.multipliers[:min(DEFAULT_BAND, z.kmax) + 1]))
+            for i, z in data}
 
     def __call__(self, pieces: MeasurePieces) -> np.ndarray:
         """The values (m,) at the bodies of the pieces."""
-        m = len(pieces.hit)
         values = self.c0 * pieces.hit.astype(float)
         if self.cn != 0.0 and pieces.volume is not None:
             values += self.cn * pieces.volume
-        if 1 in self.profiles:
-            values += self._arc_sums(self.profiles[1], m, *pieces.arcs)
-        if 2 in self.profiles:
-            rows, normals, mass = pieces.atoms
-            values += np.bincount(rows, mass * self.profiles[2](self._cosines(normals)), m)
+        for i, g in self.profiles.items():
+            values += (pieces.s1, pieces.s2)[i - 1].integrate_zonal(g, self.u[None])[:, 0]
         return values
-
-    def _arc_sums(self, g, m: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  density: np.ndarray) -> np.ndarray:
-        """sum of w g(v . u) over the arcs' nodes v, weights w, per body:
-        np.add.at adds in node order, block after block."""
-        out = np.zeros(m)
-        step = max(1, CHUNK_BYTES // (ARC_NODES * _NODE_BYTES))
-        for lo in range(0, len(rows), step):
-            part = slice(lo, lo + step)
-            pts, wts, live = _arc_nodes(a[part], b[part], density[part])
-            np.add.at(out, np.repeat(rows[part][live], ARC_NODES),
-                      (wts * g(self._cosines(pts))).ravel())
-        return out
 
 
 def lambda_derivative(spec: MinkowskiValuationSpec) -> MinkowskiValuationSpec:

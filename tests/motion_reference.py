@@ -16,7 +16,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from minkval.convex import CHUNK_BYTES, Polytope, _unit, clip_halfspace
+from minkval.convex import CHUNK_BYTES, AreaMeasure, Arcs, Atoms, Polytope, _unit, clip_halfspace
 from minkval.integral_geom import (
     DEFAULT_SHARDS,
     _clip_lines,
@@ -292,8 +292,10 @@ class MotionIntersections:
         rows, length, nk, nl, _, _, ak, al, cone = self._shares(R, x)
         atoms = (np.repeat(rows, 2), np.stack([nk, nl], axis=1).reshape(-1, 3),
                  np.stack([ak, al], axis=1).ravel())
-        return MeasurePieces(np.bincount(rows, minlength=m) > 0, (rows, nk, nl, 0.5 * length),
-                             atoms, np.bincount(rows, cone, m))
+        return MeasurePieces(np.bincount(rows, minlength=m) > 0,
+                             AreaMeasure(3, 1, arcs=Arcs(rows, nk, nl, 0.5 * length), bodies=m),
+                             AreaMeasure(3, 2, atoms=Atoms(*atoms), bodies=m),
+                             np.bincount(rows, cone, m))
 
 
 # -- the separating-axis test -------------------------------------------------

@@ -17,10 +17,13 @@ from minkval import convex
 from minkval.constants import kappa, omega
 from minkval.convex import (
     AreaMeasure,
+    Arcs,
+    Atoms,
     Polytope,
-    SphericalArc,
+    _arc_angles,
     _harmonic_is_cheaper,
     _harmonic_moments,
+    _slerp,
     _spherical_triangle_area,
     _unit,
     _vertex_cone_triangles,
@@ -31,7 +34,6 @@ from minkval.convex import (
     intrinsic_volumes,
     normal_cone_masses,
     octahedron,
-    _zonal_sums,
     random_hull,
     section_plane,
     simplex,
@@ -210,15 +212,15 @@ def test_support_of_empty_raises():
 def test_cube_area_measures():
     Q = cube()
     s2 = area_measure(Q, 2)
-    assert len(s2.atoms) == 6
-    normals = np.array(sorted(tuple(np.round(u, 9)) for u, _ in s2.atoms))
+    assert len(s2.atoms.mass) == 6
+    normals = np.array(sorted(map(tuple, np.round(s2.atoms.normal, 9))))
     expect = np.array(sorted(map(tuple, np.vstack([np.eye(3), -np.eye(3)]))))
     assert np.allclose(normals, expect)
-    assert all(m == pytest.approx(1.0) for _, m in s2.atoms)
+    assert s2.atoms.mass == pytest.approx(np.ones(6))
     s1 = area_measure(Q, 1)
-    assert len(s1.arcs) == 12
-    assert all(a.angle == pytest.approx(math.pi / 2) for a in s1.arcs)
-    assert all(a.density == pytest.approx(0.5) for a in s1.arcs)
+    assert len(s1.arcs.density) == 12
+    assert _arc_angles(s1.arcs.a, s1.arcs.b) == pytest.approx(np.full(12, math.pi / 2))
+    assert s1.arcs.density == pytest.approx(np.full(12, 0.5))
     assert s1.total_mass == pytest.approx(3 * math.pi, abs=1e-12)
     assert sum(normal_cone_masses(Q).tolist()) == pytest.approx(omega(3), abs=1e-9)
     assert area_measure(Q, 0).total_mass == 4 * math.pi
@@ -317,7 +319,7 @@ def test_octant_excess_is_half_pi():
 def test_zonal_moments_against_integrate():
     # S_2 of the parallel body P + B/2 has atoms, arcs and a uniform part
     meas = steiner_area_measure(random_hull(4), 2, 0.5)
-    assert meas.atoms and meas.arcs and meas.uniform == 0.25
+    assert len(meas.atoms.mass) and len(meas.arcs.density) and meas.uniform == 0.25
     nodes = len(meas.node_cloud()[1])
     # two directions take the direct sums, 400 the addition theorem; the
     # profile given as a plain callable is summed at the nodes either way
@@ -335,12 +337,9 @@ def test_zonal_moments_against_integrate():
 def moments_by_both_routes(meas, dirs, kmax):
     """The node sums of meas's moments at dirs by the direct sums and by
     the addition theorem, whatever the cost model would choose."""
-    pts, wts = meas.node_cloud()
-    direct = _zonal_sums(pts, wts, dirs, kmax + 1, lambda t: legendre_rows(3, kmax, t))
-    harmonic = np.full_like(direct, np.nan)
-    for block, moments in _harmonic_moments(pts, wts, dirs, kmax):
-        harmonic[:, block] = moments
-    return direct, harmonic
+    pts, wts, _ = meas.node_cloud()
+    direct = meas._node_sums(dirs, kmax + 1, lambda t: legendre_rows(3, kmax, t))
+    return direct, _harmonic_moments(pts, wts, dirs, kmax)
 
 
 # atoms at the poles +-e_z (the cube's facet normals), arcs ending there,
@@ -414,16 +413,41 @@ def test_the_cost_model_takes_both_routes():
     assert 1 < first and all(takes[first:])
 
 
-def test_addition_theorem_rows_depend_on_nothing_but_the_direction():
+def stacked(measures):
+    """The measures of several bodies as one measure over them, body b
+    tagged b."""
+    arcs = [Arcs(np.full(len(m.arcs.body), b), *m.arcs[1:]) for b, m in enumerate(measures)]
+    atoms = [Atoms(np.full(len(m.atoms.body), b), *m.atoms[1:]) for b, m in enumerate(measures)]
+    return AreaMeasure(3, measures[0].degree, atoms=Atoms(*map(np.concatenate, zip(*atoms))),
+                       arcs=Arcs(*map(np.concatenate, zip(*arcs))), bodies=len(measures))
+
+
+def test_addition_theorem_rows_depend_on_nothing_but_the_direction(monkeypatch):
     # a direction's moments are the same bits alone, in any block, among
     # any other directions
     meas = area_measure(random_hull(5, 120), 1)
-    pts, wts = meas.node_cloud()
+    pts, wts, _ = meas.node_cloud()
     dirs = _unit(np.random.default_rng(1).standard_normal((50, 3)))
-    whole = np.concatenate([m for _, m in _harmonic_moments(pts, wts, dirs, 16)], axis=1)
+    whole = _harmonic_moments(pts, wts, dirs, 16)
     for j in (0, 17, 49):
-        alone = next(_harmonic_moments(pts, wts, dirs[j:j + 1], 16))[1][:, 0]
+        alone = _harmonic_moments(pts, wts, dirs[j:j + 1], 16)[:, 0]
         assert np.array_equal(alone, whole[:, j])
+    # so are the values of the direct route, and a body's values among
+    # other bodies, also when the nodes and the directions run in many
+    # parts and blocks; a BLAS product of the nodes and the directions gave
+    # 120 of these 140 values other bits than the direction asked alone
+    g = ZonalPolynomial(3, [0.3, -0.2, 0.5, 0.1, -0.4, 0.25])
+    dirs = _unit(np.random.default_rng(2).standard_normal((7, 3)))
+    measures = [area_measure(random_hull(seed, 60), 1) for seed in range(20)]
+    for chunk in (convex.CHUNK_BYTES, 1 << 15):
+        monkeypatch.setattr(convex, "CHUNK_BYTES", chunk)
+        together = stacked(measures).integrate_zonal(g, dirs)
+        assert together.shape == (20, 7)
+        for b, meas in enumerate(measures):
+            assert not _harmonic_is_cheaper(len(meas.node_cloud()[1]), len(dirs), g.degree)
+            many = meas.integrate_zonal(g, dirs)
+            alone = [meas.integrate_zonal(g, dirs[j:j + 1])[0] for j in range(len(dirs))]
+            assert many.tolist() == alone == together[b].tolist()
 
 
 def test_arc_integrals_of_a_linear_function_in_closed_form():
@@ -431,13 +455,11 @@ def test_arc_integrals_of_a_linear_function_in_closed_form():
     # t the unit tangent at a: int u . w ds = sin(theta) a.w + (1 - cos(theta)) t.w
     w = np.array([0.36, -0.48, 0.8])
     s1 = area_measure(random_hull(4), 1)
-    expect = 0.0
-    for arc in s1.arcs:
-        th = arc.angle
-        t = arc.b - np.dot(arc.a, arc.b) * arc.a
-        t /= np.linalg.norm(t)
-        expect += arc.density * (math.sin(th) * np.dot(arc.a, w)
-                                 + (1.0 - math.cos(th)) * np.dot(t, w))
+    a, b, density = s1.arcs.a, s1.arcs.b, s1.arcs.density
+    th = _arc_angles(a, b)
+    t = b - np.sum(a * b, axis=1)[:, None] * a
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    expect = np.sum(density * (np.sin(th) * (a @ w) + (1.0 - np.cos(th)) * (t @ w)))
     assert zonal_integral(s1, lambda t: t, w) == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
@@ -447,16 +469,16 @@ def loop_node_cloud(meas):
     x, wx = np.polynomial.legendre.leggauss(24)
     s, ws = 0.5 * (x + 1.0), 0.5 * wx
     pts, wts = [], []
-    for u, m in meas.atoms:
+    for u, m in zip(meas.atoms.normal, meas.atoms.mass):
         pts.append(np.asarray(u, dtype=float)[None, :])
         wts.append(np.array([m]))
-    for arc in meas.arcs:
-        th = float(np.arctan2(np.linalg.norm(np.cross(arc.a, arc.b)), np.dot(arc.a, arc.b)))
+    for a, b, density in zip(meas.arcs.a, meas.arcs.b, meas.arcs.density):
+        th = float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
         if th < 1e-14:
             continue
-        pts.append((np.sin((1.0 - s)[:, None] * th) * arc.a
-                    + np.sin(s[:, None] * th) * arc.b) / math.sin(th))
-        wts.append(arc.density * th * ws)
+        pts.append((np.sin((1.0 - s)[:, None] * th) * a
+                    + np.sin(s[:, None] * th) * b) / math.sin(th))
+        wts.append(density * th * ws)
     if not pts:
         return np.zeros((0, 3)), np.zeros(0)
     return np.vstack(pts), np.concatenate(wts)
@@ -465,7 +487,7 @@ def loop_node_cloud(meas):
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_node_cloud_is_bit_identical_to_loop_build(i):
     meas = area_measure(random_hull(42, 200), i)
-    pts, wts = meas.node_cloud()
+    pts, wts, _ = meas.node_cloud()
     ref_pts, ref_wts = loop_node_cloud(meas)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(wts, ref_wts)
@@ -732,10 +754,12 @@ def test_intersect_and_sat_agree():
 
 
 def test_arc_geometry():
-    arc = SphericalArc(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2.0)
-    assert arc.angle == pytest.approx(math.pi / 2)
-    assert AreaMeasure(3, 1, arcs=[arc]).total_mass == pytest.approx(math.pi)
-    pts = arc.points(np.array([0.0, 0.5, 1.0]))
+    arc = Arcs(np.zeros(1, dtype=int), np.array([[1.0, 0, 0]]), np.array([[0, 1.0, 0]]),
+               np.array([2.0]))
+    angle = _arc_angles(arc.a, arc.b)
+    assert angle[0] == pytest.approx(math.pi / 2)
+    assert AreaMeasure(3, 1, arcs=arc).total_mass == pytest.approx(math.pi)
+    pts = _slerp(arc.a, arc.b, angle, np.array([0.0, 0.5, 1.0]))[0]
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert np.allclose(pts[1], [math.sqrt(0.5), math.sqrt(0.5), 0.0])
 

@@ -136,8 +136,9 @@ def loop_cone_masses(P):
 
 def loop_piece_masses(meas):
     """Atom masses and arc masses (density times angle, arc by arc)."""
-    return ([m for _, m in meas.atoms],
-            [arc.density * float(_arc_angles(arc.a, arc.b)) for arc in meas.arcs])
+    return (meas.atoms.mass.tolist(),
+            [float(density) * float(_arc_angles(a, b))
+             for a, b, density in zip(meas.arcs.a, meas.arcs.b, meas.arcs.density)])
 
 
 def loop_total_mass(meas):
@@ -154,9 +155,9 @@ def loop_csv(P, i):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["piece", "mass", "data"])
-    writer.writerows([["atom", float(m), *map(float, u)] for (u, _), m in zip(meas.atoms, atoms)])
-    writer.writerows([["arc", m, *map(float, a.a), *map(float, a.b)]
-                      for a, m in zip(meas.arcs, arcs)])
+    writer.writerows([["atom", float(m), *map(float, u)] for u, m in zip(meas.atoms.normal, atoms)])
+    writer.writerows([["arc", m, *map(float, a), *map(float, b)]
+                      for a, b, m in zip(meas.arcs.a, meas.arcs.b, arcs)])
     writer.writerows([["patch", m] for m in patches])
     return buf.getvalue()
 
@@ -213,13 +214,13 @@ def test_area_measure_pieces_equal_the_face_loop(i):
         meas = area_measure(P, i)
         atoms, arcs = loop_pieces(P, i)
         assert meas.uniform == (1.0 if i == 0 else 0.0)
-        assert len(meas.atoms) == len(atoms)
-        for (u, m), (ru, rm) in zip(meas.atoms, atoms):
+        assert len(meas.atoms.mass) == len(atoms)
+        for u, m, (ru, rm) in zip(meas.atoms.normal, meas.atoms.mass, atoms):
             assert np.array_equal(u, ru) and m == rm
-        assert len(meas.arcs) == len(arcs)
-        for arc, (a, b, density) in zip(meas.arcs, arcs):
-            assert np.array_equal(arc.a, a) and np.array_equal(arc.b, b)
-            assert arc.density == density
+        assert len(meas.arcs.density) == len(arcs)
+        for a, b, density, (ra, rb, rdensity) in zip(*meas.arcs[1:], arcs):
+            assert np.array_equal(a, ra) and np.array_equal(b, rb)
+            assert density == rdensity
 
 
 def test_normal_cone_masses_equal_the_vertex_loop():
@@ -251,7 +252,7 @@ def test_total_mass_is_one_batched_pass(monkeypatch):
     P = random_hull(42, 200)
     s0, s1 = area_measure(P, 0), area_measure(P, 1)
     meas = s0.merged(s1).merged(area_measure(P, 2))
-    assert len(meas.arcs) > 100 and meas.uniform == 1.0
+    assert len(meas.arcs.density) > 100 and meas.uniform == 1.0
     meas.total_mass
     assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 0}
     normal_cone_masses(P)

@@ -5,6 +5,7 @@ the batch, no lattice per sample and bounded memory."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minkval import convex, integral_geom, valuation
+from minkval import convex, integral_geom
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
     LineSections,
@@ -187,9 +188,11 @@ def _one(pieces: MeasurePieces, t: int) -> MeasurePieces:
     def take(group):
         rows, *rest = group
         keep = rows == t
-        return (rows[keep] - t, *(r[keep] for r in rest))
+        return type(group)(rows[keep] - t, *(r[keep] for r in rest))
     volume = None if pieces.volume is None else pieces.volume[t:t + 1]
-    return MeasurePieces(pieces.hit[t:t + 1], take(pieces.arcs), take(pieces.atoms), volume)
+    return MeasurePieces(pieces.hit[t:t + 1],
+                         replace(pieces.s1, arcs=take(pieces.s1.arcs), bodies=1),
+                         replace(pieces.s2, atoms=take(pieces.s2.atoms), bodies=1), volume)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -215,7 +218,7 @@ def test_piece_values_do_not_depend_on_the_batch(path, monkeypatch):
             whole = value(pieces)
             assert whole.tolist() == [value(_one(pieces, t))[0] for t in range(m)], name
             with monkeypatch.context() as patch:
-                patch.setattr(valuation, "CHUNK_BYTES", 1)
+                patch.setattr(convex, "CHUNK_BYTES", 1)
                 assert value(pieces).tolist() == whole.tolist(), name
 
 
