@@ -1,16 +1,18 @@
 """Monte-Carlo integral geometry: Crofton and kinematic formulas for
 intrinsic volumes and the Crofton formula for Minkowski valuations.
 
-Affine flats of codimension i are sampled as a rotation-invariant direction
-plus an offset in the orthogonal complement.  The invariant measure is
-normalized so that the flats meeting the unit ball have measure
-C(n, d) kappa_n / kappa_d (d the flat dimension).  Planes (i = 1) take
-their offset s uniform in the support interval [min a . v, max a . v] of
-the body over its vertices v, for the normal a drawn, weighted per sample
-by 2 (max - min), the measure of the planes with normal a that meet the
-body: every plane meets it (conditional Monte Carlo).  Lines and points
-take it uniform in the i-ball of radius R, weighted by the measure
-C(n, n-i) kappa_n / kappa_(n-i) * R^i of the flats meeting that ball.
+Affine flats of codimension i are drawn about the body's vertices v, in a
+set of flats that holds every flat meeting the body (conditional Monte
+Carlo, `PlaneSampler`).  The invariant measure is normalized so that the
+flats meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the
+flat dimension).  Planes (i = 1) take a uniform normal a and their offset
+s uniform in the support interval [min a . v, max a . v], weighted per
+sample by 2 (max - min), the measure of the planes with normal a that meet
+the body.  Lines (i = 2) take a uniform direction and a point uniform in
+the orthogonal disc of radius R = max |v - c| about the centre c of the
+body's coordinate box [lo, hi], weighted by 2 pi R^2, the measure of the
+lines meeting the ball of radius R.  Points (i = 3) are uniform in that
+box, weighted by its volume.
 Rigid motions g L = R L + x draw only their rotation R, uniform (the
 probability law): the integral over the translations x has a closed form
 for each rotation, the translative integral formulas
@@ -65,7 +67,6 @@ from .convex import (
     Atoms,
     Polytope,
     area_measure,
-    _gauss01,
     _plane_basis,
     intrinsic_volumes,
 )
@@ -93,9 +94,23 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 20
-HALF_CIRCLE_NODES = 20  # least Gauss-Legendre nodes per half circle of PlaneSections
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
+# How far an estimate may lie from its target by rounding alone, relative
+# to |target|.  A kernel that is constant under the law (every point of a
+# box-shaped body hits; the kinematic integrals of j >= 2 do not depend on
+# the rotation) gives S equal shard means, whose spread reads 0, or a few
+# units u = 2^-53 of the estimate where numpy's pairwise mean of the S
+# copies rounds off them.  Estimate and target are then two closed forms of
+# one quantity, evaluated in other orders, and differ by their rounding, in
+# units u relative: the estimate by one for each of its few products and
+# quotients (the box volume), plus at most ceil(log2 S) for the mean; the
+# target, a sum of F non-negative facet terms (the cones from the vertex
+# centroid of intrinsic_volumes), by at most F - 1 for the sum (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2) plus a
+# few for each term.  1e-12, about 4500 u, covers bodies of a few thousand
+# facets, and is far below the stderr of any estimate that varies.
+ROUNDING_RTOL = 1e-12
 
 
 @dataclass
@@ -112,13 +127,25 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
     @property
+    def rounding(self) -> float:
+        """How far the estimate may lie from its target by rounding alone
+        (ROUNDING_RTOL |target|): the whole gap of a kernel that is
+        constant under the law, whose stderr reads 0 or a few units in the
+        last place."""
+        return ROUNDING_RTOL * abs(self.target)
+
+    @property
     def z(self) -> float:
+        """(estimate - target) / stderr, and 0 within rounding of the target."""
+        if abs(self.estimate - self.target) <= self.rounding:
+            return 0.0
         if self.stderr == 0.0:
-            return 0.0 if self.estimate == self.target else math.inf
+            return math.inf
         return (self.estimate - self.target) / self.stderr
 
     def within(self, sigmas: float = 3.0, slack: float = 0.0) -> bool:
-        return bool(abs(self.estimate - self.target) <= sigmas * self.stderr + slack)
+        return bool(abs(self.estimate - self.target)
+                    <= sigmas * self.stderr + slack + self.rounding)
 
     def to_json(self) -> dict:
         return {
@@ -135,92 +162,112 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class PlaneSampler:
-    """Law of affine flats of codimension `codim`: a uniform direction (the
-    probability law) and an offset under one of two laws.
+    """Law of the affine flats of codimension `codim` that meet a body,
+    drawn about the body's vertices, one law per codimension.  Each
+    restricts the invariant measure of flats to a set of flats that holds
+    every flat meeting the body, so the Crofton integral stays unbiased
+    (conditional Monte Carlo: Asmussen & Glynn, Stochastic Simulation,
+    2007, ch. V; Schneider & Weil, Stochastic and Integral Geometry, 2008).
 
-    - The ball law (`radius` given): offsets uniform in the codim-ball of
-      that radius about the origin; the weight, the invariant measure of
-      the flats meeting that ball, is the same for every sample.
-    - The body-tight law of planes (`radius` None, `vertices` given; codim
-      1 only): the offset s of the plane {x . a = s} uniform in the
-      support interval [min a . v, max a . v] over the vertices v of the
-      body, weighted per sample by 2 (max - min), the measure of the planes
-      with normal a that meet the body (4R for the ball of radius R).
-      Every plane meets the body, and none that meets it is left out, so
-      the Crofton integral stays unbiased (conditional Monte Carlo:
-      Asmussen & Glynn, Stochastic Simulation, 2007, ch. V)."""
+    - Planes (codim 1): a uniform normal a (the probability law) and the
+      offset s of the plane {x . a = s} uniform in the support interval
+      [min a . v, max a . v] over the vertices v, weighted per sample by
+      2 (max - min), the measure of the planes with normal a that meet the
+      body (4R for the ball of radius R).  Every plane meets the body.
+    - Lines (codim 2): a uniform direction u and a point uniform in the
+      disc orthogonal to u about the centre c = (lo + hi) / 2 of the body's
+      coordinate box [lo, hi], of the radius R = max |v - c| (times
+      1 + 1e-12) of the ball about c that holds the body.  Their common
+      weight is 2 pi R^2, the measure of the lines meeting that ball.
+    - Points (codim 3): uniform in the coordinate box [lo, hi], whose volume
+      is their common weight, so that no weight is multiplied per sample."""
 
     n: int
     codim: int
-    radius: float | None
+    vertices: np.ndarray   # (V, 3): the body the flats are drawn about
     seed: int
     n_samples: int
     shards: int = DEFAULT_SHARDS
-    vertices: np.ndarray | None = None   # (V, 3): the body of the tight law
-
-    @classmethod
-    def tight(cls, P: Polytope, seed: int, n_samples: int,
-              shards: int = DEFAULT_SHARDS) -> "PlaneSampler":
-        """The body-tight law of planes against P."""
-        return cls(n=3, codim=1, radius=None, seed=seed, n_samples=n_samples,
-                   shards=shards, vertices=P.vertices)
 
     @property
     def weighted(self) -> bool:
-        """Whether `draw` ends with per-sample weights (the tight law)."""
-        return self.radius is None
+        """Whether `draw` ends with per-sample weights (planes)."""
+        return self.codim == 1
+
+    @functools.cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The body's coordinate box: the least and the greatest coordinates
+        (3,) of its vertices."""
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    @functools.cached_property
+    def centre(self) -> np.ndarray:
+        """The centre of the coordinate box, about which lines are drawn."""
+        lo, hi = self.box
+        return (lo + hi) / 2.0
+
+    @functools.cached_property
+    def radius(self) -> float | None:
+        """The radius of the lines' disc, max |v - c| over the vertices v
+        with a margin of 1e-12 relative; None for planes and points, whose
+        laws have no radius."""
+        if self.codim != 2:
+            return None
+        reach = np.linalg.norm(self.vertices - self.centre, axis=1)
+        return float(np.max(reach)) * (1.0 + 1e-12)
 
     @property
     def weight(self) -> float:
-        """The weight common to all samples: the invariant measure of the
-        flats meeting the ball, or 1 under the tight law, whose weights
-        come per sample from `draw`."""
-        if self.weighted:
+        """The weight common to all samples: 1 for planes, whose weights
+        come per sample from `draw`, the measure C(n, n-2) kappa_n /
+        kappa_(n-2) R^2 of the lines meeting the ball of radius R, and the
+        volume of the box for points."""
+        if self.codim == 1:
             return 1.0
-        return (math.comb(self.n, self.codim)
-                * kappa(self.n) / kappa(self.n - self.codim)
-                * self.radius ** self.codim)
+        if self.codim == 2:
+            return (math.comb(self.n, self.codim)
+                    * kappa(self.n) / kappa(self.n - self.codim)
+                    * self.radius ** self.codim)
+        lo, hi = self.box
+        return float(np.prod(hi - lo))
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
         """The random numbers of m flats, in the generator's call order:
-        normal directions (m, 3), then doubles in [0, 1) for the offsets
-        (codim 1), radii (codim 2, 3) and angles (codim 2).  The stream is
-        that of rng.uniform for each of them; `draw` scales them."""
+        doubles in [0, 1) for the points (m, 3) (codim 3); else normal
+        directions (m, 3), then doubles in [0, 1) for the offsets (codim 1)
+        or for the radii and the angles (codim 2).  The stream is that of
+        rng.uniform for each of them; `draw` scales them."""
+        if self.codim == 3:
+            return (rng.random((m, 3)),)
         g = rng.standard_normal((m, 3))
         if self.codim == 2:
             u = rng.random((2, m))   # the radii's doubles, then the angles'
             return g, u[0], u[1]
         return g, rng.random(m)
 
-    def draw(self, g: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Flats from their variates: (normals a, offsets s) of planes
-        {x . a = s}, with the weights (m,) under the tight law, (directions,
-        points) of lines, or (points,).  Offsets, angles and points
-        overwrite their variates, so that a chunk holds one copy; radii in
-        [0, 1) are the variates themselves."""
-        if self.weighted:
-            a = _unit_rows(g)
-            lo, hi = _support_interval(a, self.vertices)
-            return a, _uniform(rest[0], lo, hi), 2.0 * (hi - lo)
-        R = self.radius
+    def draw(self, *variates: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Flats from their variates: (normals a, offsets s, weights) of
+        planes {x . a = s}, (directions, points) of lines, or (points,).
+        Offsets, angles and points overwrite their variates, so that a
+        chunk holds one copy; radii in [0, 1) are the variates themselves."""
         if self.codim == 3:
-            u, = rest
-            g /= np.linalg.norm(g, axis=-1, keepdims=True)
-            np.power(u, 1.0 / 3.0, out=u)
-            u *= R
-            g *= u[:, None]
-            return (g,)
+            x, = variates
+            return (_uniform(x, *self.box),)
+        g, *rest = variates
         dirs = _unit_rows(g)
         if self.codim == 1:
-            return dirs, _uniform(rest[0], -R, R)
-        # uniform offsets in the disc of radius R orthogonal to the line
+            lo, hi = _support_interval(dirs, self.vertices)
+            return dirs, _uniform(rest[0], lo, hi), 2.0 * (hi - lo)
+        # uniform points in the disc of radius R about c orthogonal to the line
         u, ang = rest
         _uniform(ang, 0.0, 2.0 * math.pi)
         aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
         e1 = _unit_rows(np.cross(dirs, aux))
         e2 = np.cross(dirs, e1)
-        rad = R * np.sqrt(u)
-        return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+        rad = self.radius * np.sqrt(u)
+        p = rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+        p += self.centre
+        return dirs, p
 
 
 @dataclass(frozen=True)
@@ -251,20 +298,27 @@ class MotionSampler:
 
 def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min and max of a . v over the points v (V, 3), per row of a (m, 3).
-    The products are elementwise multiply-adds in a fixed order, not a BLAS
-    product, so that they do not depend on the BLAS threads; rows run in
+    The products are elementwise multiply-adds in a fixed order (`_dots`),
+    so that they depend neither on the batch nor on the BLAS threads; rows run in
     blocks of at most CHUNK_BYTES of projections, because `draw` transforms
     a large shard at once."""
     lo, hi = np.empty(len(a)), np.empty(len(a))
     step = max(1, CHUNK_BYTES // (16 * len(v)))
     for i in range(0, len(a), step):
-        b = a[i:i + step]
-        proj = b[:, :1] * v[:, 0]
-        proj += b[:, 1:2] * v[:, 1]
-        proj += b[:, 2:] * v[:, 2]
+        proj = _dots(a[i:i + step], v.T)
         proj.min(axis=1, out=lo[i:i + step])
         proj.max(axis=1, out=hi[i:i + step])
     return lo, hi
+
+
+def _dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a . v for the rows of a (m, 3) and the columns of v (3, V), (m, V):
+    elementwise multiply-adds in a fixed order, not a BLAS product, whose
+    rounding depends on the number of rows."""
+    d = a[:, :1] * v[0]
+    d += a[:, 1:2] * v[1]
+    d += a[:, 2:] * v[2]
+    return d
 
 
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
@@ -517,7 +571,7 @@ class PlaneSections:
     divergence theorem in the plane gives perimeter, area and S_1
     (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are
     taken about the vertex centroid; S_1 moments integrate each half circle
-    by Gauss-Legendre (`_half_circle_rule`)."""
+    by a rule exact for their degrees (`_half_circle_rule`)."""
 
     def __init__(self, P: Polytope):
         self.vertices, self.normals = P.vertices, P.facet_normals
@@ -525,6 +579,7 @@ class PlaneSections:
         self.vi, self.vj = edges[:, 0], edges[:, 1]
         self.centre = P.vertices.mean(axis=0)
         self.local = local = P.vertices - self.centre
+        self.local_t = np.ascontiguousarray(local.T)                       # (3, V)
         self.start = np.ascontiguousarray(local[self.vi].T)                 # (3, E)
         self.step = np.ascontiguousarray((local[self.vj] - local[self.vi]).T)
         # per edge, the facet whose ccw cycle runs along it from i to j, then
@@ -549,8 +604,11 @@ class PlaneSections:
                    s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The edges that the planes {x . a[t] = s[t]} cross, by plane, then
         edge: plane index t (K,), edge e (K,), whether its end i lies above
-        the plane (K,), and the crossing point about the centroid (3, K)."""
-        d = a @ self.local.T - (s - a @ self.centre)[:, None]   # (m, V)
+        the plane (K,), and the crossing point about the centroid (3, K).
+        The distances are elementwise multiply-adds in a fixed order, as in
+        `_support_interval`, so that no plane's value depends on the batch."""
+        d = _dots(a, self.local_t)                              # (m, V)
+        d -= (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
         di, dj = d[:, self.vi], d[:, self.vj]                     # (m, E)
         above = di > 1e-12
         flat = np.flatnonzero(above != (dj > 1e-12))
@@ -638,12 +696,14 @@ class PlaneSections:
         # its facets in order, as np.add.at added them
         per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + width)))
         cuts = np.unique(np.append(np.searchsorted(rows, rows[::per_call]), rows.size))
+        w = w[:, None]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            # points u(theta) = cos(theta) a + sin(theta) m_F
-            dots = (arc_cos[None, :] * (ar[lo:hi] @ w)[:, None]
-                    + arc_sin[None, :] * (m_f[lo:hi] @ w)[:, None])
-            arc = np.array([pk @ arc_weights
-                            for pk in legendre_rows(3, kmax, np.clip(dots, -1, 1))])
+            # points u(theta) = cos(theta) a + sin(theta) m_F; each row
+            # reduced on its own, so that no value depends on the batch
+            dots = (arc_cos[None, :] * _dots(ar[lo:hi], w)
+                    + arc_sin[None, :] * _dots(m_f[lo:hi], w))
+            arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
+                            enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
             at = (rows[lo:hi, None] * width + np.arange(width)).ravel()
             out += np.bincount(at, (arc * (0.5 * length[lo:hi])).T.ravel(), out.size)
         return out.reshape(m, width)
@@ -651,13 +711,26 @@ class PlaneSections:
 
 @functools.lru_cache(maxsize=None)
 def _half_circle_rule(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cosines, sines and weights of the Gauss-Legendre rule in theta on
-    [0, pi] for the moments of degree <= kmax over a half circle: on
-    HALF_CIRCLE_NODES points, or on kmax + 12 where that is more.  On the
-    sections of a 30-point hull, k + 12 points reach 1e-15 of M_0 at
-    degree k <= 32, while 20 points err by 3e-4 at k = 20 and 1e-2 at 24."""
-    s, wts = _gauss01(max(HALF_CIRCLE_NODES, kmax + 12))
-    return np.cos(math.pi * s), np.sin(math.pi * s), math.pi * wts
+    """Cosines, sines and weights (2, M) of the rule in theta on [0, pi]
+    that is exact for the moments of degree <= kmax over a half circle.
+    On u(theta) = cos(theta) a + sin(theta) m, P_k(u . w) is a trigonometric
+    polynomial of degree k in theta, with even frequencies only for even k
+    and odd ones only for odd k (u(theta + pi) = -u(theta)).  Over [0, pi],
+    cos(m theta) integrates to pi for m = 0 and to 0 else, sin(m theta) to
+    2/m for odd m and to 0 for even m.  On the M = kmax + 1 nodes
+    theta_j = j pi / M, the weights pi / M (row 0, even k) integrate the
+    even frequencies below 2M exactly, and the weights
+    (4/M) sum_(odd m <= kmax) sin(m theta_j) / m (row 1, odd k) the odd
+    frequencies up to kmax: sum_j sin(m theta_j) sin(m' theta_j) = M/2
+    for m = m' and 0 else, and sum_j cos(m theta_j) sin(m' theta_j) = 0,
+    for odd m, m' <= kmax < M."""
+    M = kmax + 1
+    theta = np.arange(M) * (math.pi / M)
+    odd = np.arange(1, kmax + 1, 2)
+    weights = np.empty((2, M))
+    weights[0] = math.pi / M
+    weights[1] = 4.0 / M * (np.sin(np.multiply.outer(theta, odd)) / odd).sum(axis=1)
+    return np.cos(theta), np.sin(theta), weights
 
 
 class LineSections:
@@ -861,13 +934,10 @@ def check_full_dimensional(*bodies: Polytope) -> None:
 
 
 def _flats(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> PlaneSampler:
-    """The law of the codimension-i flats against P: the body-tight law of
-    planes for i = 1, and for lines and points the ball of P's enclosing
-    radius about the origin."""
-    if i == 1:
-        return PlaneSampler.tight(P, seed, n_samples, shards)
-    return PlaneSampler(n=3, codim=i, radius=P.enclosing_radius * (1.0 + 1e-12),
-                        seed=seed, n_samples=n_samples, shards=shards)
+    """The law of the codimension-i flats against P, drawn about its
+    vertices (`PlaneSampler`): planes in its support intervals, lines in a
+    disc about the centre of its coordinate box, points in that box."""
+    return PlaneSampler(3, i, P.vertices, seed, n_samples, shards)
 
 
 def _intrinsic_kernel(P: Polytope, j: int, i: int):
@@ -886,17 +956,25 @@ def _intrinsic_kernel(P: Polytope, j: int, i: int):
             lo, hi, hit = lines.chords(dirs, p)
             return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
         return kernel, lines.sample_bytes
-    A, b = P.inequalities()   # i == 3: points
-    AT, bound = np.ascontiguousarray(A.T), b + 1e-12
+    # i == 3: points.  The cut is relative to the body's size, the diameter
+    # 2 max |v - m| of the ball about the vertex centroid m that holds the
+    # vertices v (at least the body's diameter and at most twice it; the
+    # exact one takes all pairs of vertices)
+    A, b = P.inequalities()
+    size = 2.0 * float(np.max(np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1)))
+    AT, bound = np.ascontiguousarray(A.T), b + 1e-12 * size
     return (lambda x: np.all(x @ AT <= bound, axis=1)), 9 * len(b) + 80
 
 
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
                       shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
-    planes meeting P, against the target [i+j; j] V_(i+j)(P).  Planes
-    (i = 1) follow the body-tight law of `PlaneSampler`; lines and points
-    the ball of P's enclosing radius about the origin."""
+    planes meeting P, against the target [i+j; j] V_(i+j)(P).  The flats
+    follow the laws of `PlaneSampler` about P's vertices: planes in its
+    support intervals, lines in a disc about the centre of its coordinate
+    box, points in that box.  The report carries the lines' disc radius
+    (`radius`, null for planes and points) and the weight common to all
+    samples (`weight`, null for planes, which are weighted per sample)."""
     n = 3
     if not (0 <= j and 1 <= i and i + j <= n):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")

@@ -85,19 +85,35 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the report")
 
 
-def test_missed_target_with_zero_stderr_writes_null_z(tmp_path):
-    # points sampled in the ball about the origin never hit a unit cube
-    # 1000 away: estimate 0 with stderr 0 against target 1, so z is infinite
-    body = tmp_path / "far_cube.json"
-    body.write_text(json.dumps({"dimension": 3, "vertices": [
-        [x + 1000.0, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}))
+def test_missed_target_with_zero_stderr_writes_null_z(tmp_path, monkeypatch):
+    # an estimate 0 with stderr 0 against target 1 (as points drawn about the
+    # origin gave for a cube far from it): z is infinite, the report writes
+    # null and the run fails
+    missed = integral_geom.EstimateReport(estimate=0.0, stderr=0.0, target=1.0, n_samples=2000, seed=1)
+    assert missed.to_json()["z"] is None and not missed.within(3.0)
+    monkeypatch.setattr(integral_geom, "crofton_intrinsic", lambda *args, **kwargs: missed)
     out = tmp_path / "report.json"
-    code = main(["crofton", "--body", str(body), "--i", "3", "--j", "0",
+    code = main(["crofton", "--body", "cube", "--i", "3", "--j", "0",
                  "--N", "2000", "--seed", "1", "--out", str(out)])
     rep = json.loads(out.read_text(), parse_constant=_reject_constant)
-    assert code == 1
+    assert code == 1 and rep["pass"] is False
     assert rep["stderr"] == 0.0 and rep["estimate"] != rep["target"]
     assert rep["z"] is None
+
+
+def test_zero_stderr_estimate_passes_within_rounding_of_its_target():
+    # points uniform in the coordinate box of the cube all hit it: 1.0 +- 0
+    # against V_3 = 0.9999999999999999 from the facet sums, a miss by
+    # rounding alone
+    rep = integral_geom.crofton_intrinsic(convex.cube(), 3, 0, 20000, 330)
+    assert rep.stderr == 0.0 and rep.estimate == 1.0 and rep.estimate != rep.target
+    assert rep.within(3.0) and rep.z == 0.0
+    assert main(["crofton", "--i", "3", "--j", "0", "--body", "cube", "--N", "20000",
+                 "--seed", "330"]) == 0
+    # a zero-stderr miss beyond rounding still fails
+    for target in (1.0 - 2e-12, 1.0 + 2e-12):
+        off = integral_geom.EstimateReport(1.0, 0.0, target, n_samples=2, seed=1)
+        assert not off.within(3.0) and off.z == math.inf
 
 
 def test_kinematic_command(tmp_path):

@@ -32,6 +32,7 @@ from minkval.integral_geom import (
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
 
+from flat_reference import BallSampler
 from motion_reference import SeparatingAxes
 
 
@@ -76,9 +77,19 @@ def test_geometric_constants_entries():
 
 def test_plane_sampler_weight_is_hitting_measure():
     # planes meeting B_R: C(3,2) kappa_3/kappa_2 R = 4R; lines: 2 pi R^2
-    assert PlaneSampler(3, 1, 2.0, 0, 10).weight == pytest.approx(8.0, rel=1e-12)
-    assert PlaneSampler(3, 2, 1.0, 0, 10).weight == pytest.approx(2 * math.pi, rel=1e-12)
-    assert PlaneSampler(3, 3, 1.0, 0, 10).weight == pytest.approx(kappa(3), rel=1e-12)
+    assert BallSampler(3, 1, 2.0, 0, 10).weight == pytest.approx(8.0, rel=1e-12)
+    assert BallSampler(3, 2, 1.0, 0, 10).weight == pytest.approx(2 * math.pi, rel=1e-12)
+    assert BallSampler(3, 3, 1.0, 0, 10).weight == pytest.approx(kappa(3), rel=1e-12)
+    # the laws about a body: lines in the disc of radius max |v - c| about
+    # the centre c of its coordinate box, points in that box
+    box = cube().scaled(2.0).translated([10.0, -3.0, 5.0])
+    lines, points = (PlaneSampler(3, i, box.vertices, 0, 10) for i in (2, 3))
+    assert np.array_equal(lines.centre, [11.0, -2.0, 6.0])
+    assert lines.radius == pytest.approx(math.sqrt(3.0), rel=1e-11)
+    assert lines.weight == pytest.approx(6 * math.pi, rel=1e-11)
+    assert points.radius is None and points.weight == 8.0
+    assert PlaneSampler(3, 1, box.vertices, 0, 10).weighted
+    assert not lines.weighted and not points.weighted
 
 
 # -- sampler calibration -----------------------------------------------------------
@@ -141,12 +152,60 @@ def test_tight_planes_scale_and_ignore_translation(body, lam, direction, reach, 
         assert moved["stderr"] == pytest.approx(lam ** 2 * base["stderr"], rel=1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-3, 1e3),
+       direction=unit_vectors, reach=st.floats(0.0, 1e3),
+       flat=st.sampled_from([(2, 0), (2, 1), (3, 0)]))
+def test_lines_and_points_scale_and_ignore_translation(body, lam, direction, reach, flat):
+    # lines are drawn in a disc about the centre of the body's coordinate
+    # box and points in that box: the same flats relative to lam P + t,
+    # whose integrals of V_j over the codimension-i flats are lam^(i + j)
+    # those of P
+    i, j = flat
+    P = TIGHT_BODIES[body]
+    Q = P.scaled(lam).translated(reach * lam * direction)
+    base, moved = (crofton_intrinsic(B, i, j, 2000, seed=23) for B in (P, Q))
+    scale = lam ** (i + j)
+    assert moved.estimate == pytest.approx(scale * base.estimate, rel=1e-9)
+    # (every point hits the cube: its stderr is the rounding of equal shard means)
+    assert moved.stderr == pytest.approx(scale * base.stderr, rel=1e-9,
+                                         abs=1e-15 * moved.estimate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=st.sampled_from(sorted(TIGHT_BODIES)), exponent=st.floats(-6.0, 6.0))
+def test_points_scale_as_lambda_cubed(body, exponent):
+    # the box law scales the points with the body, and the points kernel's
+    # cut scales with the body's size, so the same points hit lam P
+    lam = 10.0 ** exponent
+    P = TIGHT_BODIES[body]
+    base, scaled = (crofton_intrinsic(B, 3, 0, 2000, seed=29) for B in (P, P.scaled(lam)))
+    assert scaled.estimate == pytest.approx(lam ** 3 * base.estimate, rel=1e-12)
+    # every point hits the cube: its stderr is the rounding of equal shard means
+    assert scaled.stderr == pytest.approx(lam ** 3 * base.stderr, rel=1e-12,
+                                          abs=1e-15 * scaled.estimate)
+    assert scaled.within(3.0)
+
+
+def test_lines_reach_a_body_far_from_the_origin():
+    # the lines of the ball about the origin met the cube shifted by 100 in
+    # one of 20000 draws (0.494 +- 0.49 against 2), and the difference
+    # body's line term read 0 +- 0, so the check came out inconsistent
+    # (difference 1.46 against a combined stderr of 0.099)
+    far = cube().translated([100.0, 100.0, 100.0])
+    rep = crofton_intrinsic(far, 2, 1, 20000, seed=7)
+    assert rep.within(3.0), rep.z
+    res = kinematic_minkowski_check(builtin_spec("difference_body"), far, cube(),
+                                    [0.0, 0.0, 1.0], 3000, 17)
+    assert res["consistent_3sigma"], res["difference"]
+
+
 def test_tight_planes_cut_the_stderr():
     # the planes of the ball about the origin that miss [0,1]^3 add only
     # variance: the tight law has a 3.5x smaller stderr here
     P = cube()
     sections = PlaneSections(P)
-    ball = PlaneSampler(3, 1, P.enclosing_radius * (1.0 + 1e-12), 311, 20000)
+    ball = BallSampler.about_origin(P, 1, 311, 20000)
     _, ball_se = run_shards(ball, lambda a, s: sections.volumes(a, s)[0], sections.sample_bytes)
     assert 2.5 * crofton_intrinsic(P, 1, 1, 20000, seed=311).stderr <= ball_se
 
@@ -330,18 +389,19 @@ def test_kinematic_minkowski_valuation():
 
 
 def test_kinematic_minkowski_check_is_translation_invariant():
-    # its motions follow the box law, which moves with the bodies; the cube
-    # about the origin that it drew from before missed a body 100 away
-    # (lhs 0 +- 0).  The projection body's line term is 0, so the lines'
-    # ball about the origin does not enter.
+    # its rotations do not see the translation, and its planes and lines are
+    # drawn about the body; the cube about the origin that the motions drew
+    # from before missed a body 100 away (lhs 0 +- 0), and so did the lines
+    # of the difference body's line term (0 +- 0) in the ball about the origin
     P, L = random_hull(51), cube()
     far = P.translated([100.0, -100.0, 100.0])
-    spec = builtin_spec("projection_body")
-    near_res, far_res = (kinematic_minkowski_check(spec, Q, L, [0.0, 0.6, 0.8], 600, seed=5)
-                         for Q in (P, far))
-    assert far_res["lhs"] == pytest.approx(near_res["lhs"], rel=1e-9, abs=0.0)
-    assert far_res["lhs_stderr"] == pytest.approx(near_res["lhs_stderr"], rel=1e-9, abs=0.0)
-    assert far_res["consistent_3sigma"]
+    for name in ("projection_body", "difference_body"):
+        spec = builtin_spec(name)
+        near_res, far_res = (kinematic_minkowski_check(spec, Q, L, [0.0, 0.6, 0.8], 600, seed=5)
+                             for Q in (P, far))
+        for key in ("lhs", "lhs_stderr", "rhs", "rhs_stderr"):
+            assert far_res[key] == pytest.approx(near_res[key], rel=1e-9, abs=0.0), (name, key)
+        assert far_res["consistent_3sigma"], name
 
 
 # -- Crofton formula for Minkowski valuations ----------------------------------------

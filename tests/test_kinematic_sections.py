@@ -17,7 +17,6 @@ from minkval import convex, integral_geom
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
     LineSections,
-    PlaneSampler,
     PlaneSections,
     _rotations_from_quaternions,
     kinematic_minkowski_check,
@@ -31,6 +30,7 @@ from minkval.valuation import (
     evaluate,
 )
 
+from flat_reference import ball_flats
 from motion_reference import BoxMotionSampler, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
@@ -222,12 +222,6 @@ def test_piece_values_do_not_depend_on_the_batch(path, monkeypatch):
                 assert value(pieces).tolist() == whole.tolist(), name
 
 
-def ball_law(cls, P, seed, n_samples, shards):
-    """The planes of the check before their body-tight law: offsets uniform
-    in [-R, R], R the enclosing radius."""
-    return cls(3, 1, P.enclosing_radius * (1.0 + 1e-12), seed, n_samples, shards)
-
-
 def cube_law(cls, P, L, seed, n_samples, shards):
     """The motions of the check before their box law: translations uniform
     in the centred cube of side 2 (R_P + R_L), the box law of a point in
@@ -250,7 +244,8 @@ def cube_law(cls, P, L, seed, n_samples, shards):
      (6.137247810697508, 0.6749762635780991, 5.475937745436739, 0.1252487810789606)),
 ])
 def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
-    monkeypatch.setattr(PlaneSampler, "tight", classmethod(ball_law))
+    # planes and lines in the ball of the enclosing radius about the origin
+    monkeypatch.setattr(integral_geom, "_flats", ball_flats)
     res = kinematic_minkowski_check(builtin_spec(name), cube(), cube(), [0.0, 0.0, 1.0],
                                     2500, seed=17)
     value = PieceEvaluator(builtin_spec(name), [0.0, 0.0, 1.0])

@@ -13,7 +13,7 @@ from minkval.convex import cube, random_hull
 from minkval.integral_geom import (
     SEED_BLOCK,
     MotionSampler,
-    PlaneSampler,
+    _flats,
     _rotations_from_quaternions,
     _shard_rngs,
     _unit_rows,
@@ -73,21 +73,24 @@ def test_run_shards_builds_no_seed_sequence(monkeypatch):
 # -- the samplers as they drew with rng.uniform ---------------------------------
 
 def uniform_flats(sampler, rng, m):
-    """PlaneSampler.variates and .draw before they drew Generator.random."""
-    g = rng.standard_normal((m, 3))
-    R = sampler.radius
-    if sampler.codim == 1:
-        return _unit_rows(g), rng.uniform(-R, R, m)
+    """The laws of lines and points drawn with rng.uniform: points uniform in
+    the body's coordinate box [lo, hi]; lines through a point uniform in the
+    disc orthogonal to a uniform direction, about the box's centre c, of
+    radius max |v - c| over the vertices v (with a margin of 1e-12)."""
+    v = sampler.vertices
+    lo, hi = v.min(axis=0), v.max(axis=0)
     if sampler.codim == 3:
-        u = rng.uniform(0.0, 1.0, m)
-        return (_unit_rows(g) * (R * u ** (1.0 / 3.0))[:, None],)
+        return (rng.uniform(lo, hi, (m, 3)),)
+    g = rng.standard_normal((m, 3))
     u, ang = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+    c = (lo + hi) / 2.0
+    R = float(np.max(np.linalg.norm(v - c, axis=1))) * (1.0 + 1e-12)
     dirs = _unit_rows(g)
     aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
     e1 = _unit_rows(np.cross(dirs, aux))
     e2 = np.cross(dirs, e1)
     rad = R * np.sqrt(u)
-    return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+    return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + c
 
 
 def tight_flats(sampler, rng, m):
@@ -134,19 +137,20 @@ def uniform_rotations(sampler, rng, m):
     return (_rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4)))),)
 
 
+FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])
 SAMPLERS = [
-    (PlaneSampler(3, 1, 1.3, 0, 0), uniform_flats),
-    (PlaneSampler(3, 1, 7.0 / 3.0, 0, 0), uniform_flats),
-    (PlaneSampler(3, 2, 1.3, 0, 0), uniform_flats),
-    (PlaneSampler(3, 2, 1e-3, 0, 0), uniform_flats),
-    (PlaneSampler(3, 3, 1.3, 0, 0), uniform_flats),
+    (_flats(cube(), 2, 0, 0, 20), uniform_flats),
+    (_flats(cube().scaled(1e-3), 2, 0, 0, 20), uniform_flats),
+    (_flats(FAR_HULL, 2, 0, 0, 20), uniform_flats),
+    (_flats(cube(), 3, 0, 0, 20), uniform_flats),
+    (_flats(FAR_HULL, 3, 0, 0, 20), uniform_flats),
     (cube_law(2.5), uniform_motions),
     (cube_law(1e3 / 3.0), uniform_motions),
     (BoxMotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
     (BoxMotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
                             0, 0), box_motions),
-    (PlaneSampler.tight(cube(), 0, 0), tight_flats),
-    (PlaneSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), 0, 0), tight_flats),
+    (_flats(cube(), 1, 0, 0, 20), tight_flats),
+    (_flats(FAR_HULL, 1, 0, 0, 20), tight_flats),
     (MotionSampler(3, 0, 0), uniform_rotations),
 ]
 
