@@ -484,6 +484,10 @@ def cmd_lemma52(cfg: RunConfig) -> tuple[int, dict, list, list]:
         coeffs[1] = 0.0
         profiles.append(ZonalPolynomial(n, coeffs))
     rep = regularity_probe(profiles, n, q=cfg["q"])
+    if not rep["ratios"]:
+        reasons = sorted({r["reason"] for r in rep["rejected"]})
+        raise InputError(f"lemma52 has no ratio: the probe rejected every profile "
+                         f"({', '.join(reasons)}; --band {band}, --q {rep['q']})")
     ok = rep["max_flux_residual"] is not None and rep["max_flux_residual"] <= cfg["flux-tol"]
     report = {
         "operator": rep["operator"],

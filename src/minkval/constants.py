@@ -23,6 +23,11 @@ __all__ = [
     "geometric_constants",
 ]
 
+# Bytes of temporaries per chunk of work: Monte-Carlo samples (see
+# integral_geom.run_shards), nodes and node-direction pairs of the zonal
+# sums, or the profile values of a block of the regularity probe.
+CHUNK_BYTES = 1 << 20
+
 
 @lru_cache(maxsize=None)
 def kappa(p: float) -> float:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from .constants import CHUNK_BYTES
 from .harmonics import ZonalPolynomial, harmonic_orders, jacobi_quadrature, legendre_rows
 from .zonal import BERG_NATIVE_KMAX
 
@@ -44,10 +45,6 @@ __all__ = [
 
 MERGE_TOL = 1e-10
 POINT_TOL = 1e-9
-# Bytes of temporaries per chunk of work: Monte-Carlo samples (see
-# integral_geom.run_shards), or nodes and node-direction pairs of the zonal
-# sums.
-CHUNK_BYTES = 1 << 20
 # The zonal sums keep about eight 8-byte arrays of shape (nodes, directions)
 # alive: cosines, bins, two Legendre rows, the weighted row and their
 # temporaries; building a node of an arc takes about twice that.

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .constants import omega
+from .constants import CHUNK_BYTES, omega
 
 __all__ = [
     "harmonic_dimension",
@@ -46,6 +46,9 @@ __all__ = [
 MIN_AMBIENT_DIM = 3
 CK_GRID = 4096          # points of the grid of zonal_ck_norm and regularity_probe
 FLUX_QUAD_ORDER = 96    # Gauss order of boundary_flux and regularity_probe
+# arrays of (B, CK_GRID) values that a block of B profiles of regularity_probe
+# keeps alive: f, f', f'' and the temporaries of the norms
+_BLOCK_ARRAYS = 6
 
 
 class InsufficientQuadratureError(ValueError):
@@ -273,22 +276,30 @@ def zonal_coefficient(f, k: int, quad: JacobiQuadrature, n: int | None = None) -
     if hasattr(f, "multipliers"):
         return float(f.multipliers[k])
     n = quad.n if n is None else n
-    deg = getattr(f, "degree", None)
-    if deg is not None and k + deg > quad.exact_degree:
-        raise InsufficientQuadratureError(
-            f"order-{quad.order} rule is exact to degree {quad.exact_degree}, "
-            f"integrand has degree {k + deg}"
-        )
+    _check_exact(quad, k, getattr(f, "degree", None))
     *_, pk = legendre_rows(n, k, quad.nodes)
     vals = np.asarray(f(quad.nodes), dtype=float)
     return omega(n - 1) * quad.integrate(vals * pk)
+
+
+def _check_exact(quad: JacobiQuadrature, k: int, degree: int | None) -> None:
+    if degree is not None and k + degree > quad.exact_degree:
+        raise InsufficientQuadratureError(
+            f"order-{quad.order} rule is exact to degree {quad.exact_degree}, "
+            f"integrand has degree {k + degree}"
+        )
 
 
 def zonal_laplacian(f, t, n: int):
     """Laplace-Beltrami operator on a zonal profile:
     (1-t^2) f''(t) - (n-1) t f'(t)."""
     t = np.asarray(t, dtype=float)
-    f1, f2 = _derivatives(f, t)
+    return _laplacian(t, *_derivatives(f, t), n)
+
+
+def _laplacian(t: np.ndarray, f1: np.ndarray, f2: np.ndarray, n: int) -> np.ndarray:
+    """(1-t^2) f'' - (n-1) t f' from f' and f'' at t, of one profile (T,)
+    or of a block of profiles (B, T)."""
     return (1.0 - t * t) * f2 - (n - 1) * t * f1
 
 
@@ -299,43 +310,78 @@ def _derivatives(f, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f(t, 1), f(t, 2)
 
 
+def _profile_values(profiles: Sequence, t: np.ndarray) -> np.ndarray:
+    """f, f' and f'' of each profile at the points t, (3, B, T).
+
+    Zonal polynomials of one dimension share one streamed recurrence: row b
+    adds C[b, k] P_k, P_k' and P_k'' degree by degree, the multiply-adds of
+    ZonalPolynomial and its derivatives (a missing degree adds a zero), so
+    each row has the bits of its profile evaluated alone.  Other profiles
+    are called one at a time."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((3, len(profiles), t.size))
+    if all(isinstance(f, ZonalPolynomial) for f in profiles) \
+            and len({f.n for f in profiles}) == 1:
+        coeffs = np.zeros((len(profiles), max(f.degree for f in profiles) + 1))
+        for row, f in zip(coeffs, profiles):
+            row[:f.coeffs.size] = f.coeffs
+        rows = legendre_rows(profiles[0].n, coeffs.shape[1] - 1, t, derivatives=True)
+        for c, pk in zip(coeffs.T, rows):
+            for acc, p in zip(out, pk):
+                acc += c[:, None] * p
+        return out
+    for b, f in enumerate(profiles):
+        out[0, b] = f(t, 0)
+        out[1, b], out[2, b] = _derivatives(f, t)
+    return out
+
+
 def _ck_grid(resolution: int) -> np.ndarray:
     # cosine-spaced interior points; endpoints handled by their limits
     theta = np.linspace(0.0, math.pi, resolution)[1:-1]
     return np.cos(theta)
 
 
-def zonal_ck_norm(f, k: int, n: int, resolution: int = CK_GRID) -> float:
-    """C^k norm (k = 0, 1, 2) of the zonal function with profile f, using the
-    closed-form covariant-derivative norms
+def _closed_grid(resolution: int) -> np.ndarray:
+    """The grid of the sup norms: -1, the cosine-spaced interior points, 1."""
+    return np.concatenate(([-1.0], _ck_grid(resolution), [1.0]))
+
+
+def _ck_norms(t: np.ndarray, values: np.ndarray, n: int, k: int = 2) -> np.ndarray:
+    """C^k norms (k = 0, 1, 2) of zonal functions from their profile values
+    (f, f', f'') at the closed grid t = [-1, interior, 1], each (T,) or
+    (B, T): one norm per profile.  The closed-form covariant-derivative
+    norms
 
         |grad f|^2   = (1-t^2) f'^2
         |grad^2 f|^2 = (n-2) (t f')^2 + ((1-t^2) f'' - t f')^2
 
-    maximized over a cosine-spaced grid, with the t = +-1 values obtained
-    from the analytic limits (the tensor norms stay finite there even though
-    the raw t-derivatives may not).
-    """
+    are maximized over the interior points; at t = +-1 |grad f| tends to 0
+    and |grad^2 f| to sqrt(n-1) |f'| (the tensor norms stay finite there even
+    though the raw t-derivatives may not)."""
+    f0, f1, f2 = values
+    norm = np.max(np.abs(f0), axis=-1)
+    if k == 0:
+        return norm
+    ti, d1, d2 = t[1:-1], f1[..., 1:-1], f2[..., 1:-1]
+    norm = norm + np.max(np.sqrt(1.0 - ti * ti) * np.abs(d1), axis=-1)
+    if k == 1:
+        return norm
+    hess_sq = (n - 2) * (ti * d1) ** 2 + ((1.0 - ti * ti) * d2 - ti * d1) ** 2
+    hess_end = math.sqrt(n - 1) * np.max(np.abs(f1[..., [0, -1]]), axis=-1)
+    return norm + np.maximum(np.sqrt(np.max(hess_sq, axis=-1)), hess_end)
+
+
+def zonal_ck_norm(f, k: int, n: int, resolution: int = CK_GRID) -> float:
+    """C^k norm (k = 0, 1, 2) of the zonal function with profile f,
+    maximized over a cosine-spaced grid of `resolution` points with its
+    ends t = +-1 (see _ck_norms)."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     if resolution < 1000:
         raise ValueError("grid resolution must be >= 1000")
-    t = _ck_grid(resolution)
-    ends = np.array([-1.0, 1.0])
-    f0 = np.asarray(f(t, 0), dtype=float)
-    norm = max(np.max(np.abs(f0)), np.max(np.abs(np.asarray(f(ends, 0), dtype=float))))
-    if k == 0:
-        return float(norm)
-    f1, f2 = (np.asarray(d, dtype=float) for d in _derivatives(f, t))
-    grad1 = np.sqrt(1.0 - t * t) * np.abs(f1)
-    norm += np.max(grad1)  # endpoint limit of |grad f| is 0
-    if k == 1:
-        return float(norm)
-    hess_sq = (n - 2) * (t * f1) ** 2 + ((1.0 - t * t) * f2 - t * f1) ** 2
-    end_d1 = np.abs(np.asarray(f(ends, 1), dtype=float))
-    hess_end = math.sqrt(n - 1) * np.max(end_d1)
-    norm += max(float(np.sqrt(np.max(hess_sq))), hess_end)
-    return float(norm)
+    t = _closed_grid(resolution)
+    return float(_ck_norms(t, _profile_values([f], t)[:, 0], n, k))
 
 
 def boundary_flux(f, n: int, quad: JacobiQuadrature | None = None) -> float:
@@ -354,8 +400,16 @@ def regularity_probe(profiles: Sequence, n: int, q: float | None = None) -> dict
     For q = n - 1 (the default) the ratio reported is
     ||f||_C2 / ||box f||_C0 with box f = f + Lap f / (n-1); members whose
     degree-1 component does not vanish are rejected in that case.  For other
-    q the denominator is ||Lap f + q f||_C0.  Each sample also gets the
-    boundary-flux residual, which must vanish identically.
+    q the denominator is ||Lap f + q f||_C0.  Members whose image vanishes
+    (D_0 annihilates the constants) are rejected too; each rejection lists
+    the member's index and reason.  Each sample also gets the boundary-flux
+    residual, which must vanish identically.
+
+    The profiles run in blocks of B that hold about CHUNK_BYTES of values,
+    whatever the number of profiles or their degree: one recurrence over
+    the closed grid and one over the flux nodes serve a whole block
+    (_profile_values), and every value, norm and residual has the bits of
+    its profile probed alone.
 
     The constant in the estimate is not pinned anywhere; the probe only
     reports the empirical supremum of the ratios.
@@ -364,22 +418,38 @@ def regularity_probe(profiles: Sequence, n: int, q: float | None = None) -> dict
     box_case = q is None or q == n - 1
     # sup norms include the poles (the cylindrical expression of the
     # Laplacian extends continuously to t = +-1 for smooth profiles)
-    t = np.concatenate(([-1.0], _ck_grid(CK_GRID), [1.0]))
+    t = _closed_grid(CK_GRID)
+    profiles = list(profiles)
+    step = max(1, CHUNK_BYTES // (_BLOCK_ARRAYS * 8 * t.size))
     ratios, fluxes, rejected = [], [], []
-    for idx, f in enumerate(profiles):
+    for start in range(0, len(profiles), step):
+        block = profiles[start:start + step]
         if box_case:
-            a1 = zonal_coefficient(f, 1, quad, n)
-            if abs(a1) > 1e-8 * omega(n):
-                rejected.append({"index": idx, "a1": a1})
+            for f in block:
+                _check_exact(quad, 1, getattr(f, "degree", None))
+        values = _profile_values(block, t)
+        f0, f1, f2 = values
+        lap = _laplacian(t, f1, f2, n)
+        image = f0 + lap / (n - 1) if box_case else lap + q * f0
+        denoms = np.max(np.abs(image), axis=1)
+        # free the (B, T) arrays before the norms' temporaries and the next
+        # block's values are allocated: a third off the peak
+        del lap, image
+        c2 = _ck_norms(t, values, n)
+        del values, f0, f1, f2
+        g0, g1, g2 = _profile_values(block, quad.nodes)
+        flux = _laplacian(quad.nodes, g1, g2, n)
+        for b in range(len(block)):
+            if box_case:
+                a1 = omega(n - 1) * quad.integrate(g0[b] * quad.nodes)
+                if abs(a1) > 1e-8 * omega(n):
+                    rejected.append({"index": start + b, "reason": "uncentred", "a1": a1})
+                    continue
+            if not denoms[b] > 0:
+                rejected.append({"index": start + b, "reason": "annihilated"})
                 continue
-            denom_vals = np.asarray(f(t, 0), dtype=float) \
-                + zonal_laplacian(f, t, n) / (n - 1)
-        else:
-            denom_vals = zonal_laplacian(f, t, n) + q * np.asarray(f(t, 0), dtype=float)
-        denom = float(np.max(np.abs(denom_vals)))
-        c2 = zonal_ck_norm(f, 2, n)
-        ratios.append(c2 / denom if denom > 0 else math.inf)
-        fluxes.append(boundary_flux(f, n, quad))
+            ratios.append(float(c2[b] / denoms[b]))
+            fluxes.append(quad.integrate(flux[b]))
     return {
         "n": n,
         "q": (n - 1 if q is None else q),

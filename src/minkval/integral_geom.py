@@ -261,9 +261,7 @@ class PlaneSampler:
         # uniform points in the disc of radius R about c orthogonal to the line
         u, ang = rest
         _uniform(ang, 0.0, 2.0 * math.pi)
-        aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
-        e1 = _unit_rows(np.cross(dirs, aux))
-        e2 = np.cross(dirs, e1)
+        e1, e2 = _line_frame(dirs)
         rad = self.radius * np.sqrt(u)
         p = rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
         p += self.centre
@@ -294,6 +292,29 @@ class MotionSampler:
     def draw(self, q: np.ndarray) -> tuple[np.ndarray]:
         """Rotations (m, 3, 3) from their variates."""
         return (_rotations_from_quaternions(_unit_rows(q)),)
+
+
+def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal frame (e1, e2) of the planes orthogonal to the unit
+    rows u (m, 3): e1 = u x e_x normalised where |u_x| < 0.9, else
+    u x e_y, and e2 = u x e1.  The cross products are np.cross's
+    multiply-subtracts written out, u x e_x = (0, z, -y) and
+    u x e_y = (-z, 0, x), without the broadcast of the axis vectors.  They
+    give np.cross's values; only the zero of e1 may differ in sign, and it
+    enters the points p = r (cos e1 + sin e2) added to a nonzero term."""
+    x, y, z = u.T
+    near = np.abs(x) < 0.9
+    e1 = np.empty_like(u)
+    e1[:, 0] = np.where(near, 0.0, -z)
+    e1[:, 1] = np.where(near, z, 0.0)
+    e1[:, 2] = np.where(near, -y, x)
+    e1 = _unit_rows(e1)
+    a, b, c = e1.T
+    e2 = np.empty_like(u)
+    e2[:, 0] = y * c - z * b
+    e2[:, 1] = z * a - x * c
+    e2[:, 2] = x * b - y * a
+    return e1, e2
 
 
 def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

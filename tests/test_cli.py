@@ -181,6 +181,54 @@ def test_lemma52_command(tmp_path):
     assert all(r > 0 for r in rep["ratios"])
 
 
+# ratios, sup_ratio and max_flux_residual of two lemma52 runs, written when
+# the probe ran one profile at a time; the blocks of profiles give the same bits
+LEMMA52_PINS = [
+    (["--n", "3", "--samples", "50", "--seed", "3"], [
+        1.6515178089824913, 1.727515545367327, 1.7100610998621484, 1.6709701744893248,
+        2.06876204119232, 1.771412513314533, 1.7361736396241203, 1.7322899605910056,
+        1.735613453341247, 1.6174497132194907, 2.4224210837955376, 1.7711218188043591,
+        1.6690212928808472, 1.6977820707771436, 1.74147145454119, 1.6600535545157202,
+        1.6708239758771923, 1.7694546036589502, 2.572250833610119, 1.6506018126945803,
+        1.650760833607235, 2.7527079382017665, 1.6160280338221704, 1.7350729858809115,
+        2.643744624272897, 1.8492913140771103, 1.6118334905713416, 1.7892182305034268,
+        1.892349794558669, 1.7345761160170394, 1.7916723821421443, 1.7052523881748065,
+        1.6892520919590084, 1.6958090481420733, 1.7238755723297918, 1.622107678753988,
+        1.7103450078842946, 1.6885077408084515, 1.6302837675002826, 1.6510126572243102,
+        1.7971038671127577, 1.6599078652973915, 1.6622626454379035, 2.4680716393836533,
+        2.694013731769298, 1.7302054302377348, 1.6432119315275628, 1.667070595055648,
+        1.7035132457152584, 1.823837160096645,
+    ], 2.7527079382017665, 3.348432642269472e-13),
+    (["--n", "5", "--q", "-1", "--band", "12", "--samples", "30", "--seed", "4"], [
+        0.541652434823077, 0.5364829974451809, 0.5770881866060774, 0.5438776051291647,
+        0.5422808921723175, 0.5371288026882775, 0.5388813670061342, 0.5351408855850278,
+        0.544997018012922, 0.5395176369921597, 0.5738693475371264, 0.5421322889397021,
+        0.5351188954086261, 0.553931886539708, 0.541542848456597, 0.5399826328356009,
+        0.5342491955778942, 0.5642710280632204, 0.5441387319624316, 0.5384997119871461,
+        0.5598523794002493, 0.5391890093230296, 0.556601400441722, 0.5345470710394107,
+        0.6016241066195562, 0.5451679561036818, 0.5447535822969791, 0.5376774614057991,
+        0.5363590120410328, 0.5335038045073256,
+    ], 0.6016241066195562, 1.34781075189494e-13),
+]
+
+
+@pytest.mark.parametrize("argv,ratios,sup_ratio,max_flux", LEMMA52_PINS)
+def test_lemma52_report_pinned(tmp_path, argv, ratios, sup_ratio, max_flux):
+    code, rep = run(tmp_path, "lemma52", *argv)
+    assert code == 0
+    assert rep["ratios"] == ratios
+    assert rep["sup_ratio"] == sup_ratio
+    assert rep["max_flux_residual"] == max_flux
+
+
+def test_lemma52_with_every_profile_annihilated_is_an_input_error(tmp_path):
+    # with --band 1 every profile is a constant, which D_0 maps to 0
+    code, rep = run(tmp_path, "lemma52", "--band", "1", "--q", "0", "--samples", "2",
+                    "--seed", "1")
+    assert code == 2
+    assert set(rep) == {"error"} and "annihilated" in rep["error"]
+
+
 def test_seed_mandatory_for_stochastic(tmp_path):
     code, rep = run(tmp_path, "crofton", "--body", "cube", "--i", "1", "--j", "1",
                     "--N", "100")
@@ -707,6 +755,7 @@ def cli_configs(draw):
 @example(("area-measure", {"body": "cube", "i": 1, "tol": 10**400}, True))
 @example(("multipliers", {"kmax": 0, "berg": 2}, False))
 @example(("crofton", {"body": "random:1:3", "i": 1, "j": 1, "seed": 1, "N": 40}, False))
+@example(("lemma52", {"band": 1, "q": 0, "samples": 2, "seed": 1}, False))
 @given(cli_configs())
 def test_any_config_exits_0_1_or_2_with_strict_json(drawn):
     cmd, config, use_out = drawn

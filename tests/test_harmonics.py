@@ -1,15 +1,18 @@
 """Legendre rows, quadrature, zonal calculus, and the regularity probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import eval_gegenbauer
 
-from minkval.constants import omega
+from minkval import harmonics
+from minkval.constants import CHUNK_BYTES, omega
 from minkval.harmonics import (
     CK_GRID,
+    FLUX_QUAD_ORDER,
     InsufficientQuadratureError,
     ZonalPolynomial,
     ZonalProfile,
@@ -291,6 +294,7 @@ def test_regularity_probe_rejects_uncentered():
     bad = ZonalPolynomial(3, [0.0, 1.0, 0.5])
     rep = regularity_probe([bad], 3)
     assert len(rep["rejected"]) == 1
+    assert rep["rejected"][0]["index"] == 0 and rep["rejected"][0]["reason"] == "uncentred"
     assert rep["ratios"] == []
 
 
@@ -301,6 +305,77 @@ def test_regularity_probe_general_q():
     c2 = zonal_ck_norm(p3, 2, 3)
     assert rep["operator"] == "D_q"
     assert rep["ratios"][0] == pytest.approx(c2 / 13.0, rel=1e-9)
+
+
+def test_regularity_probe_rejects_annihilated_profiles():
+    # D_0 = Lap maps the constants to 0: no ratio, an entry in rejected
+    const = ZonalPolynomial(3, [0.7])
+    rep = regularity_probe([const, ZonalPolynomial(3, [0, 0, 1.0]), const], 3, q=0)
+    assert rep["rejected"] == [{"index": 0, "reason": "annihilated"},
+                               {"index": 2, "reason": "annihilated"}]
+    assert len(rep["ratios"]) == len(rep["flux_residuals"]) == 1
+    rep = regularity_probe([const, const], 3, q=0.0)
+    assert rep["ratios"] == [] and rep["sup_ratio"] is None
+    assert [r["index"] for r in rep["rejected"]] == [0, 1]
+
+
+def probe_one_at_a_time(profiles, n, q):
+    """regularity_probe's ratios, flux residuals and rejected indices from
+    the single-profile functions."""
+    quad = jacobi_quadrature(n, FLUX_QUAD_ORDER)
+    t = np.concatenate(([-1.0], _ck_grid(CK_GRID), [1.0]))
+    ratios, fluxes, rejected = [], [], []
+    for idx, f in enumerate(profiles):
+        lap = zonal_laplacian(f, t, n)
+        if q is None:
+            if abs(zonal_coefficient(f, 1, quad, n)) > 1e-8 * omega(n):
+                rejected.append(idx)
+                continue
+            image = f(t) + lap / (n - 1)
+        else:
+            image = lap + q * f(t)
+        ratios.append(zonal_ck_norm(f, 2, n) / float(np.max(np.abs(image))))
+        fluxes.append(boundary_flux(f, n, quad))
+    return ratios, fluxes, rejected
+
+
+@pytest.mark.parametrize("q", [None, -1.0])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_regularity_probe_blocks_give_the_bits_of_single_profiles(monkeypatch, q, rows):
+    # mixed degrees in a block, block boundaries inside the list (blocks of
+    # 5 at the shipped CHUNK_BYTES, or of `rows`), an uncentred profile in
+    # the middle; equality, no tolerance
+    if rows is not None:
+        monkeypatch.setattr(harmonics, "CHUNK_BYTES",
+                            rows * harmonics._BLOCK_ARRAYS * 8 * CK_GRID)
+    rng = np.random.default_rng(17)
+    profiles = []
+    for idx in range(13):
+        c = rng.normal(size=2 + idx % 7)
+        c[1] = 0.0 if idx != 6 else 0.5
+        profiles.append(ZonalPolynomial(4, c))
+    ratios, fluxes, rejected = probe_one_at_a_time(profiles, 4, q)
+    rep = regularity_probe(profiles, 4, q=q)
+    assert rep["ratios"] == ratios
+    assert rep["flux_residuals"] == fluxes
+    assert [r["index"] for r in rep["rejected"]] == rejected
+    assert rejected == ([6] if q is None else [])
+
+
+def test_regularity_probe_memory_is_bounded():
+    # blocks of about CHUNK_BYTES of values, whatever the count or the degree
+    def peak(samples, band):
+        rng = np.random.default_rng(5)
+        profiles = [ZonalPolynomial(3, np.r_[rng.normal(), 0.0, rng.normal(size=band - 1)])
+                    for _ in range(samples)]
+        tracemalloc.start()
+        try:
+            regularity_probe(profiles, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(500, 8) <= 1.1 * peak(50, 8)
+    assert peak(12, 190) < 3 * CHUNK_BYTES
 
 
 def test_boundary_flux_vanishes_for_higher_dim():

@@ -200,6 +200,23 @@ def test_lines_reach_a_body_far_from_the_origin():
     assert res["consistent_3sigma"], res["difference"]
 
 
+def test_line_frame_is_the_cross_product_frame():
+    # _line_frame writes out np.cross(u, e_x or e_y) and np.cross(u, e1);
+    # the points p = r (cos e1 + sin e2) must keep np.cross's bits
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        u = integral_geom._unit_rows(rng.standard_normal((250, 3)))
+        aux = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
+        ref1 = integral_geom._unit_rows(np.cross(u, aux))
+        ref2 = np.cross(u, ref1)
+        e1, e2 = integral_geom._line_frame(u)
+        assert np.array_equal(e1, ref1)     # values; a zero may differ in sign
+        assert e2.tobytes() == ref2.tobytes()
+        ang, rad = 2.0 * math.pi * rng.random((250, 1)), rng.random((250, 1))
+        assert (rad * (np.cos(ang) * e1 + np.sin(ang) * e2)).tobytes() \
+            == (rad * (np.cos(ang) * ref1 + np.sin(ang) * ref2)).tobytes()
+
+
 def test_tight_planes_cut_the_stderr():
     # the planes of the ball about the origin that miss [0,1]^3 add only
     # variance: the tight law has a 3.5x smaller stderr here
