@@ -378,8 +378,10 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
     }
     status = 0
     if cfg["crosscheck"]:
-        a = _evaluate(spec, body, dirs, path="pointwise")
-        b = _evaluate(spec, body, dirs, path="spectral", band=band)
+        if res.path == "spectral":
+            a, b = _evaluate(spec, body, dirs, path="pointwise"), res
+        else:
+            a, b = res, _evaluate(spec, body, dirs, path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
         report["crosscheck_deviation"] = dev
         report["crosscheck_tolerance"] = tol + b.truncation_tail
@@ -410,7 +412,8 @@ def cmd_check_valuation(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "skipped": rep.skipped,
         "reason": rep.reason,
         "n_directions": rep.n_directions,
-        "pass": rep.skipped or (rep.residual is not None and rep.residual <= cfg["tol"]),
+        "scale": rep.scale,
+        "pass": rep.passes(cfg["tol"]),
     }
     return (0 if report["pass"] else 1), report, [], []
 
@@ -553,7 +556,8 @@ COMMANDS = {
         Option("plane", PLANE, required=True),
         Option("num-dirs", INT, 1, MAX_COUNT, 50),
         SEED,
-        Option("tol", POSITIVE, default=1e-6),
+        Option("tol", POSITIVE, default=1e-6,
+               help="largest residual relative to the reported scale of the values"),
         SPEC_KMAX)),
     "crofton": Command(cmd_crofton, "Monte-Carlo Crofton formula check", (
         BODY,

@@ -77,6 +77,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def _dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a . v for the rows of a (m, 3) and the columns of v (3, V), (m, V):
+    elementwise multiply-adds in a fixed order, not a BLAS product, whose
+    rounding depends on the number of rows."""
+    d = a[:, :1] * v[0]
+    d += a[:, 1:2] * v[1]
+    d += a[:, 2:] * v[2]
+    return d
+
+
 # A generic direction: points within tol of each other lie within tol along
 # it, and on it even the points of symmetric bodies rarely tie.
 _DEDUPE_AXIS = np.array([0.5772733045463205, 0.588818770637247, 0.5657278384553941])
@@ -537,9 +547,7 @@ class AreaMeasure:
             pts, wts, body = part.node_cloud()
             for block in _direction_blocks(len(wts), len(dirs)):
                 d, nb = dirs[block], len(dirs[block])
-                cos = np.clip(np.multiply.outer(pts[:, 0], d[:, 0])
-                              + np.multiply.outer(pts[:, 1], d[:, 1])
-                              + np.multiply.outer(pts[:, 2], d[:, 2]), -1.0, 1.0)
+                cos = np.clip(_dots(pts, d.T), -1.0, 1.0)
                 at = (body[:, None] * nb + np.arange(nb)).ravel()
                 at = np.concatenate([np.arange(m * nb), at])   # the sums so far come first
                 for k, r in enumerate(rows(cos)):

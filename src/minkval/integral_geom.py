@@ -44,8 +44,9 @@ line chords of a fixed body (`LineSections`), and the translative
 integrals of a body and rotated copies of another (`TranslativeIntegrals`).
 No sample builds a face lattice: the valuation-valued check takes the area
 measures of the sections, and their integrals over the translations, of a
-whole chunk as AreaMeasures from the same kernels and integrates the
-valuation's data against them as `evaluate` does (`valuation.PieceEvaluator`).
+whole chunk as AreaMeasures from the same kernels and integrates against
+them the profiles that `evaluate` integrates, built in the same place
+(`valuation.PieceEvaluator`).
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .convex import (
     Atoms,
     Polytope,
     area_measure,
+    _dots,
     _plane_basis,
     intrinsic_volumes,
 )
@@ -330,16 +332,6 @@ def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
         proj.min(axis=1, out=lo[i:i + step])
         proj.max(axis=1, out=hi[i:i + step])
     return lo, hi
-
-
-def _dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a . v for the rows of a (m, 3) and the columns of v (3, V), (m, V):
-    elementwise multiply-adds in a fixed order, not a BLAS product, whose
-    rounding depends on the number of rows."""
-    d = a[:, :1] * v[0]
-    d += a[:, 1:2] * v[1]
-    d += a[:, 2:] * v[2]
-    return d
 
 
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:

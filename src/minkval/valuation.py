@@ -6,12 +6,13 @@ the support function of the image body is
 
     h(K) = c0 + sum_i S_i(K,.) * mu_i + S_{n-1}(K,.) * f_{n-1} + c_n V_n(K)
 
-with centered zonal data.  Evaluation runs either pointwise (zonal densities
-integrated against the exact piecewise area measures) or spectrally
-(band-limited transfer of Funk-Hecke multipliers against the body's
-area-measure moments); the two agree wherever both apply.  Both integrate
-with AreaMeasure: `evaluate` one body's measures at many directions,
-`PieceEvaluator` those of many bodies at once at one direction.
+with centered zonal data.  Each S_i integrates a zonal profile g_i, built
+in one place (_profiles): on the pointwise path the density of the datum,
+on the spectral path the band-limited series of its Funk-Hecke
+multipliers, which accepts atoms; the two agree wherever both apply.  Both
+callers integrate the profiles with AreaMeasure.integrate_zonal:
+`evaluate` one body's measures at many directions, `PieceEvaluator` those
+of many bodies at once at one direction.
 """
 
 from __future__ import annotations
@@ -140,18 +141,13 @@ class MinkowskiValuationSpec:
 
 @dataclass
 class SupportFunctionResult:
-    """Support-function samples of the image body, with provenance.
-
-    Spectral results also carry the per-degree zonal transfer against the
-    body's area-measure moments: per_degree[k] is the degree-k contribution
-    at each direction (values = constant terms + per_degree.sum(axis=0))."""
+    """Support-function samples of the image body, with provenance."""
 
     directions: np.ndarray
     values: np.ndarray
     path: str                 # "pointwise", "spectral", or "empty"
     band: int | None = None
     truncation_tail: float = 0.0
-    per_degree: np.ndarray | None = None
 
 
 def _steiner_volume(P: Polytope, t: float) -> float:
@@ -165,23 +161,44 @@ def _measures_for(P: Polytope, degrees: list[int], parallel_t: float) -> dict[in
     return {i: steiner_area_measure(P, i, parallel_t) for i in degrees}
 
 
-def _choose_path(path: str, data: list[tuple[int, ZonalObject]]) -> str:
-    """The evaluation path to take: `path` itself, or for "auto" pointwise
-    when every datum is a density without atoms, spectral otherwise.  A
-    path outside PATHS is an error."""
+def _profiles(spec: MinkowskiValuationSpec, path: str, band: int | None = None):
+    """The evaluation path `path` names, its band, and for each degree i
+    with a datum the pair (g_i, tail_i): the profile that S_i integrates and
+    the bound of what the band drops per unit mass of S_i.
+
+    "auto" is pointwise when every datum is a density without atoms,
+    spectral otherwise; a path outside PATHS is an error.  On the pointwise
+    path g_i is the datum's density (a ZonalPolynomial where it is a pure
+    Legendre series, which may take the moments), the band None and every
+    tail 0.  On the spectral path g_i is the band-limited series
+    sum_{k <= kk} a_k N(n,k)/omega_n P_k, kk = min(band, kmax) with band
+    DEFAULT_BAND unless given (a band beyond a datum's kmax is an error),
+    and tail_i = sum_{k > kk} |a_k| N(n,k)/omega_n: with |M_k(u)| <= the
+    total mass, a rigorous bound on the dropped terms."""
+    if spec.n != 3:
+        raise ValueError("geometric evaluation is implemented for n = 3")
     if path not in PATHS:
         raise ValueError(f"unknown evaluation path {path!r}; expected one of {', '.join(PATHS)}")
-    if path != "auto":
-        return path
-    return "pointwise" if all(z.has_density and not z.atoms for _, z in data) else "spectral"
-
-
-def _pointwise_profile(i: int, z: ZonalObject):
-    """The density of the degree-i datum on the pointwise path, a pure
-    Legendre series as a ZonalPolynomial (which may take the moments)."""
-    if not z.has_density or z.atoms:
-        raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
-    return ZonalPolynomial(3, z.coeffs) if z.profile_fn is None else z.density
+    data = spec.degrees()
+    if path == "pointwise" or (
+            path == "auto" and all(z.has_density and not z.atoms for _, z in data)):
+        for i, z in data:
+            if not z.has_density or z.atoms:
+                raise ValueError(f"degree-{i} datum has atoms; use the spectral path")
+        return "pointwise", None, {
+            i: (ZonalPolynomial(3, z.coeffs) if z.profile_fn is None else z.density, 0.0)
+            for i, z in data}
+    L = DEFAULT_BAND if band is None else int(band)
+    profiles = {}
+    for i, z in data:
+        if band is not None and band > z.kmax:
+            raise ValueError(f"band {band} overflows the degree-{i} datum (kmax = {z.kmax})")
+        kk = min(L, z.kmax)
+        dropped = sum(abs(z.multipliers[k]) * harmonic_dimension(3, k)
+                      for k in range(kk + 1, z.kmax + 1))
+        profiles[i] = (ZonalPolynomial(3, legendre_coefficients(3, z.multipliers[:kk + 1])),
+                       float(dropped) / omega(3))
+    return "spectral", L, profiles
 
 
 def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
@@ -189,57 +206,35 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
              parallel_t: float = 0.0) -> SupportFunctionResult:
     """Support function of the valuation applied to P (or to the outer
     parallel body P + tB when parallel_t > 0), sampled at the given unit
-    directions.
+    directions: c0 + sum_i int g_i(u . w) dS_i(u) + cn V_3, with the
+    profiles g_i of the path (_profiles) and one
+    AreaMeasure.integrate_zonal per degree.
 
     The pointwise path needs every zonal datum to have a continuous density
-    and integrates it against the piecewise area measures; a density that
-    is a pure Legendre series sum_k c_k P_k is sum_k c_k M_k, M_k the
-    measure's moments, where the addition theorem is the cheaper route
-    (AreaMeasure.integrate_zonal).  The spectral path accepts atoms and
-    assembles the band-limited transfer
-    sum_k a_k[mu_i] N(n,k)/omega_n int P_k(u.v) dS_i(v), whose moments
-    come from AreaMeasure.zonal_moments; its truncated multiplier tail is
-    reported.
+    and integrates it against the piecewise area measures.  The spectral
+    path accepts atoms and integrates the band-limited series of the
+    Funk-Hecke multipliers; it reports the sum of its tails times the
+    total masses as truncation_tail.  A Legendre series on either path is
+    sum_k c_k M_k, M_k the measure's moments, where the addition theorem
+    is the cheaper route.
     """
-    if spec.n != 3:
-        raise ValueError("geometric evaluation is implemented for n = 3")
-    data = spec.degrees()
-    path = _choose_path(path, data)
-    if P.is_empty:
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        return SupportFunctionResult(dirs, np.zeros(dirs.shape[0]), path="empty")
+    path, band, profiles = _profiles(spec, path, band)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if P.is_empty:
+        return SupportFunctionResult(dirs, np.zeros(dirs.shape[0]), path="empty")
     dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     base = float(spec.c0)
     if spec.cn != 0.0:
         base += spec.cn * (_steiner_volume(P, parallel_t) if parallel_t > 0.0
                            else intrinsic_volumes(P).v3)
     values = np.full(dirs.shape[0], base)
-    meas = _measures_for(P, [i for i, _ in data], parallel_t)
+    meas = _measures_for(P, list(profiles), parallel_t)
     tail = 0.0
-    if path == "pointwise":
-        for i, z in data:
-            values += meas[i].integrate_zonal(_pointwise_profile(i, z), dirs)
-        return SupportFunctionResult(dirs, values, "pointwise")
-    L = DEFAULT_BAND if band is None else int(band)
-    w = omega(spec.n)
-    per_degree = np.zeros((L + 1, dirs.shape[0]))
-    for i, z in data:
-        if band is not None and band > z.kmax:
-            raise ValueError(
-                f"band {band} overflows the degree-{i} datum (kmax = {z.kmax})")
-        kk = min(L, z.kmax)
-        moments = meas[i].zonal_moments(dirs, kk)
-        coef = legendre_coefficients(spec.n, z.multipliers[:kk + 1])
-        per_degree[:kk + 1] += coef[:, None] * moments
-        if z.kmax > kk:
-            # rigorous bound on the dropped terms: |M_k(u)| <= total mass
-            mass = meas[i].total_mass
-            tail += float(sum(abs(z.multipliers[k]) * harmonic_dimension(spec.n, k)
-                              for k in range(kk + 1, z.kmax + 1))) / w * mass
-    values += per_degree.sum(axis=0)
-    return SupportFunctionResult(dirs, values, "spectral", band=L,
-                                 truncation_tail=tail, per_degree=per_degree)
+    for i, (g, dropped) in profiles.items():
+        values += meas[i].integrate_zonal(g, dirs)
+        if dropped:
+            tail += dropped * meas[i].total_mass
+    return SupportFunctionResult(dirs, values, path, band=band, truncation_tail=tail)
 
 
 @dataclass
@@ -263,24 +258,17 @@ class PieceEvaluator:
         h(K)(u) = c0 [K nonempty] + int g_1(v . u) dS_1(K, v)
                   + int g_2(v . u) dS_2(K, v) + cn V_3(K),
 
-    with g_i the density of the degree-i datum on the pointwise path and its
-    band-limited series sum_k a_k N(n,k) / omega_n P_k, k <= DEFAULT_BAND,
-    on the spectral path; "auto" chooses as `evaluate` does.  Each integral
-    is one AreaMeasure.integrate_zonal over the m bodies: the values are
-    those of `evaluate` on each body up to rounding, with no face lattice."""
+    with the profiles g_i that `evaluate` integrates on the same path at
+    its default band (_profiles).  Each integral is one
+    AreaMeasure.integrate_zonal over the m bodies: the values are those of
+    `evaluate` on each body up to rounding, with no face lattice."""
 
     def __init__(self, spec: MinkowskiValuationSpec, direction, path: str = "auto"):
-        if spec.n != 3:
-            raise ValueError("geometric evaluation is implemented for n = 3")
+        self.path, _, profiles = _profiles(spec, path)
         u = np.asarray(direction, dtype=float).ravel()
         self.u = u / np.linalg.norm(u)
-        data = spec.degrees()
-        self.path = _choose_path(path, data)
         self.c0, self.cn = float(spec.c0), float(spec.cn)
-        self.profiles = {
-            i: _pointwise_profile(i, z) if self.path == "pointwise" else ZonalPolynomial(
-                3, legendre_coefficients(3, z.multipliers[:min(DEFAULT_BAND, z.kmax) + 1]))
-            for i, z in data}
+        self.profiles = {i: g for i, (g, _) in profiles.items()}
 
     def __call__(self, pieces: MeasurePieces) -> np.ndarray:
         """The values (m,) at the bodies of the pieces."""
@@ -384,6 +372,11 @@ class ValuationIdentityReport:
     skipped: bool = False
     reason: str = ""
     n_directions: int = 0
+    scale: float | None = None    # max |h(K)| + |h(L)| + |h(P)| + |h(K n L)|; 0 unevaluated
+
+    def passes(self, tol: float) -> bool:
+        """Skipped, or a residual of at most tol relative to the values."""
+        return self.skipped or self.residual <= tol * self.scale
 
 
 def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
@@ -394,9 +387,11 @@ def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
 
         |h(K) + h(L) - h(P) - h(K n L)|
 
-    with K, L the two closed halves.  A plane missing the body gives residual
-    0 exactly (the empty body contributes nothing); a split producing a
-    lower-dimensional half is reported as degenerate and skipped."""
+    with K, L the two closed halves, and its scale: the sup of
+    |h(K)| + |h(L)| + |h(P)| + |h(K n L)|, the size of the rounding of the
+    sum.  A plane missing the body gives residual and scale 0 exactly (the
+    empty body contributes nothing); a split producing a lower-dimensional
+    half is reported as degenerate and skipped."""
     a = np.asarray(plane_normal, dtype=float)
     a = a / np.linalg.norm(a)
     c = float(np.dot(a, np.asarray(plane_point, dtype=float)))
@@ -406,18 +401,16 @@ def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
     if K.is_empty or L.is_empty:
         return ValuationIdentityReport(residual=0.0, skipped=False,
                                        reason="plane misses the body",
-                                       n_directions=dirs.shape[0])
+                                       n_directions=dirs.shape[0], scale=0.0)
     if K.dim < 3 or L.dim < 3:
         return ValuationIdentityReport(residual=None, skipped=True,
                                        reason="degenerate split (tangent plane)",
                                        n_directions=dirs.shape[0])
     M = section_plane(P, plane_point, normal=a)
-    vals = []
-    for body in (K, L, P, M):
-        vals.append(evaluate(spec, body, dirs, band=band).values)
+    vals = [evaluate(spec, body, dirs, band=band).values for body in (K, L, P, M)]
     res = np.abs(vals[0] + vals[1] - vals[2] - vals[3])
-    return ValuationIdentityReport(residual=float(np.max(res)),
-                                   n_directions=dirs.shape[0])
+    return ValuationIdentityReport(residual=float(np.max(res)), n_directions=dirs.shape[0],
+                                   scale=float(np.max(sum(np.abs(v) for v in vals))))
 
 
 def builtin_spec(name: str, n: int = 3, kmax: int = DEFAULT_KMAX) -> MinkowskiValuationSpec:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minkval
-from minkval import convex, integral_geom
+from minkval import convex, integral_geom, valuation
 from minkval.cli import load_body, load_spec, main
 from minkval.valuation import MinkowskiValuationSpec, builtin_spec
 from minkval.zonal import ZonalObject
@@ -66,11 +66,49 @@ def test_evaluate_crosscheck(tmp_path):
     assert rep["crosscheck_deviation"] < 1e-6
 
 
+@pytest.mark.parametrize("path", ["auto", "pointwise", "spectral"])
+def test_crosscheck_evaluates_each_path_once(tmp_path, monkeypatch, path):
+    # the path already run is reused for its side of the comparison, and
+    # the report is the one of both paths evaluated afresh
+    calls = []
+    evaluate = valuation.evaluate
+    monkeypatch.setattr(valuation, "evaluate",
+                        lambda *args, **kw: calls.append(kw["path"]) or evaluate(*args, **kw))
+    dirs = [[0.0, 0.6, 0.8], [0.36, -0.48, 0.8]]
+    code, rep = run(tmp_path, "evaluate", "--spec", "projection_body", "--body", "cube",
+                    "--dir=0,0.6,0.8", "--dir=0.36,-0.48,0.8", "--path", path, "--crosscheck")
+    assert code == 0 and len(calls) == 2
+    spec, body = builtin_spec("projection_body"), convex.cube()
+    a = evaluate(spec, body, dirs, path="pointwise")
+    b = evaluate(spec, body, dirs, path="spectral")
+    assert rep["values"] == (b if path == "spectral" else a).values.tolist()
+    assert rep["crosscheck_deviation"] == float(max(abs(a.values - b.values)))
+    assert rep["crosscheck_tolerance"] == 1e-6 + b.truncation_tail
+
+
 def test_check_valuation_command(tmp_path):
     code, rep = run(tmp_path, "check-valuation", "--spec", "projection_body",
                     "--body", "cube", "--plane", "0,0,1,0.5", "--seed", "5")
     assert code == 0
     assert rep["residual"] < 1e-7
+
+
+@pytest.mark.parametrize("spec", ["projection_body", "mean_section:2"])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_check_valuation_gate_is_relative_to_the_body(tmp_path, spec, scale):
+    # the residual is the rounding of values of size scale^2: an absolute
+    # --tol failed the split at 1e6 (residual 1.5e-3) and passed any
+    # residual below 1e-6 at 1e-6
+    body = tmp_path / "hull.json"
+    body.write_text(json.dumps(convex.random_hull(42, 14, scale=scale).to_json()))
+    code, rep = run(tmp_path, "check-valuation", "--spec", spec, "--body", str(body),
+                    f"--plane=0.3,-0.5,0.81,{0.1 * scale!r}", "--seed", "1")
+    assert code == 0 and rep["pass"] is True and rep["reason"] == ""
+    assert 0.0 < rep["residual"] <= 1e-12 * rep["scale"]
+    code, rep = run(tmp_path, "check-valuation", "--spec", spec, "--body", str(body),
+                    f"--plane=0.3,-0.5,0.81,{0.1 * scale!r}", "--seed", "1",
+                    "--tol", repr(0.5 * rep["residual"] / rep["scale"]))
+    assert code == 1 and rep["pass"] is False
 
 
 def test_crofton_command(tmp_path):

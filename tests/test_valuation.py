@@ -3,10 +3,11 @@ mean sections, pairing, additivity."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkval import valuation
@@ -14,6 +15,8 @@ from minkval.constants import omega
 from minkval.convex import Polytope, area_measure, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import TranslativeIntegrals, _rotations_from_quaternions
 from minkval.valuation import (
+    PATHS,
+    MeasurePieces,
     MinkowskiValuationSpec,
     PieceEvaluator,
     builtin_spec,
@@ -123,11 +126,6 @@ def test_two_paths_agree_band_limited():
     b = evaluate(spec, P, dirs, path="spectral", band=16)
     assert np.max(np.abs(a.values - b.values)) < 1e-9
     assert a.path == "pointwise" and b.path == "spectral"
-    # per-degree transfer sums to the sampled values minus the constants
-    from minkval.convex import intrinsic_volumes
-    assert b.per_degree is not None and b.per_degree.shape == (17, 7)
-    recon = spec.c0 + spec.cn * intrinsic_volumes(P).v3 + b.per_degree.sum(axis=0)
-    assert np.max(np.abs(recon - b.values)) < 1e-10
 
 
 def test_spectral_path_handles_atoms():
@@ -275,6 +273,62 @@ def test_rotation_equivariance_of_the_translative_pieces(name, seed, exponent, q
     size = _size(value, pieces.hit, {1: pieces.s1.total_mass, 2: pieces.s2.total_mass},
                  pieces.volume)
     assert np.all(np.abs(got - want) <= ROTATION_RTOL * size)
+
+
+@st.composite
+def zonal_data(draw, degree):
+    """None, a Legendre density, centered atoms (with the density that
+    centres them), or the datum of a builtin valuation at `degree`."""
+    kind = draw(st.sampled_from(["none", "density", "atoms", "builtin"]))
+    if kind == "density":
+        c = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9))
+        return ZonalObject.from_coeffs(3, [c[0], 0.0, *c[2:]][:len(c)], kmax=16)
+    if kind == "atoms":
+        atoms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0)),
+                              min_size=1, max_size=3))
+        return ZonalObject(3, atoms=atoms, kmax=16).centered()
+    if kind == "builtin":
+        return builtin_spec("mean_section:3").mu[1] if degree == 1 else \
+            builtin_spec("projection_body").f_top
+    return None
+
+
+ATOMS = ZonalObject(3, atoms=[(1.0, 1.0), (-0.5, 0.7)], kmax=16).centered()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 4]), c0=st.floats(-1.0, 1.0), cn=st.floats(-1.0, 1.0),
+       mu1=zonal_data(1), f_top=zonal_data(2), path=st.sampled_from([*PATHS, "nosuch"]),
+       seed=st.integers(0, 2 ** 16), u=unit_vectors)
+@example(n=3, c0=0.5, cn=0.3, mu1=ATOMS, f_top=builtin_spec("projection_body").f_top,
+         path="auto", seed=7, u=np.array([0.36, -0.48, 0.8]))
+@example(n=3, c0=0.5, cn=0.3, mu1=ATOMS, f_top=None, path="pointwise", seed=7,
+         u=np.array([0.36, -0.48, 0.8]))
+def test_piece_evaluator_is_evaluate_on_the_body_own_pieces(n, c0, cn, mu1, f_top, path,
+                                                             seed, u):
+    # one profile builder: the same errors, and on a body's own area
+    # measures as pieces the value of evaluate, on either path
+    spec = (MinkowskiValuationSpec(n=3, c0=c0, mu={} if mu1 is None else {1: mu1},
+                                   f_top=f_top, cn=cn)
+            if n == 3 else MinkowskiValuationSpec(n=4, c0=c0, cn=cn))
+    P = random_hull(seed)
+
+    def outcome(make):
+        try:
+            return make()
+        except ValueError as exc:
+            return str(exc)
+    value = outcome(lambda: PieceEvaluator(spec, u, path))
+    want = outcome(lambda: evaluate(spec, P, u[None], path=path))
+    if isinstance(value, str) or isinstance(want, str):
+        assert value == want
+        return
+    assert value.path == want.path
+    s1, s2 = (replace(area_measure(P, i), bodies=1) for i in (1, 2))
+    v3 = intrinsic_volumes(P).v3
+    got = value(MeasurePieces(np.array([True]), s1, s2, np.array([v3])))
+    size = _size(value, 1.0, {1: s1.total_mass, 2: s2.total_mass}, v3)
+    assert abs(got[0] - want.values[0]) <= 1e-12 * np.max(size)
 
 
 def test_subadditivity_of_generated_support_functions():
@@ -474,6 +528,22 @@ def test_identity_random_specs_and_bodies():
         point = P.vertices.mean(axis=0)
         rep = valuation_identity_check(spec, P, point, a, random_directions(rng, 20))
         assert rep.skipped or rep.residual <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["projection_body", "mean_section:2"]),
+       exponent=st.floats(-6.0, 6.0))
+def test_identity_residual_is_relative_to_the_scale(name, exponent):
+    # the residual is the rounding of values of size lambda^2: about 1e-16
+    # of the scale at every lambda, 1.5e-3 absolute at 1e6
+    lam = 10.0 ** exponent
+    a = np.array([0.3, -0.5, 0.81])
+    dirs = random_directions(np.random.default_rng(1), 50)
+    reps = [valuation_identity_check(builtin_spec(name), random_hull(42, 14, scale=s),
+                                     a / (a @ a) * 0.1 * s, a, dirs) for s in (lam, 1.0)]
+    assert not reps[0].skipped and not reps[0].reason
+    assert reps[0].passes(1e-12) and not reps[0].passes(0.1 * reps[0].residual / reps[0].scale)
+    assert reps[0].scale == pytest.approx(lam ** 2 * reps[1].scale, rel=1e-12)
 
 
 def test_identity_degenerate_split_reported():
