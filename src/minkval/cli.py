@@ -31,6 +31,7 @@ import numpy as np
 from . import convex, integral_geom, valuation, zonal
 from .constants import berg_multiplier_frac, box_multiplier_frac, kappa
 from .harmonics import FLUX_QUAD_ORDER, ZonalPolynomial, regularity_probe
+from .integral_geom import agrees
 
 DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
@@ -357,11 +358,11 @@ def cmd_area_measure(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "arcs": len(arc_mass),
         "patches": len(cone_mass),
         "intrinsic_volumes": list(iv.as_tuple()),
-        "pass": residual <= tol,
+        "pass": agrees(residual, 0.0, abs(total) + abs(target), tol),
     }
     rows = [*_rows("atom", atom_mass, meas.atoms.normal),
             *_rows("arc", arc_mass, meas.arcs.a, meas.arcs.b), *_rows("patch", cone_mass)]
-    return (0 if residual <= tol else 1), report, rows, ["piece", "mass", "data"]
+    return (0 if report["pass"] else 1), report, rows, ["piece", "mass", "data"]
 
 
 def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
@@ -383,9 +384,10 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
         else:
             a, b = res, _evaluate(spec, body, dirs, path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
+        scale = float(np.max(np.abs(a.values) + np.abs(b.values)))
         report["crosscheck_deviation"] = dev
-        report["crosscheck_tolerance"] = tol + b.truncation_tail
-        status = 0 if dev <= tol + b.truncation_tail else 1
+        report["crosscheck_tolerance"] = b.truncation_tail + tol * scale
+        status = 0 if agrees(dev, b.truncation_tail, scale, tol) else 1
     rows = [[*map(float, d), float(v)] for d, v in zip(res.directions, res.values)]
     return status, report, rows, ["x", "y", "z", "value"]
 
@@ -413,7 +415,7 @@ def cmd_check_valuation(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "reason": rep.reason,
         "n_directions": rep.n_directions,
         "scale": rep.scale,
-        "pass": rep.passes(cfg["tol"]),
+        "pass": rep.skipped or agrees(rep.residual, 0.0, rep.scale, cfg["tol"]),
     }
     return (0 if report["pass"] else 1), report, [], []
 
@@ -453,14 +455,9 @@ def cmd_kinematic(cfg: RunConfig) -> tuple[int, dict, list, list]:
     ok = rep.within(3.0)
     report = {**rep.to_json(), "pass": ok}
     if hadwiger:
-        report["hadwiger"] = {
-            "rhs": h["rhs"], "rhs_stderr": h["rhs_stderr"],
-            "difference": h["difference"],
-            "combined_stderr": h["combined_stderr"],
-            "consistent_3sigma": h["consistent_3sigma"],
-        }
-        ok = ok and h["consistent_3sigma"]
-        report["pass"] = ok
+        report["hadwiger"] = {key: h[key] for key in ("rhs", "rhs_stderr", "difference",
+                                                      "combined_stderr", "consistent_3sigma")}
+        report["pass"] = ok = ok and h["consistent_3sigma"]
     return (0 if ok else 1), report, [], []
 
 
@@ -491,7 +488,8 @@ def cmd_lemma52(cfg: RunConfig) -> tuple[int, dict, list, list]:
         reasons = sorted({r["reason"] for r in rep["rejected"]})
         raise InputError(f"lemma52 has no ratio: the probe rejected every profile "
                          f"({', '.join(reasons)}; --band {band}, --q {rep['q']})")
-    ok = rep["max_flux_residual"] is not None and rep["max_flux_residual"] <= cfg["flux-tol"]
+    flux = rep["max_flux_residual"]
+    ok = flux is not None and agrees(flux, cfg["flux-tol"], 0.0)
     report = {
         "operator": rep["operator"],
         "sup_ratio": rep["sup_ratio"],
@@ -541,7 +539,8 @@ COMMANDS = {
     "area-measure": Command(cmd_area_measure, "area measure summary of a body", (
         BODY,
         Option("i", INT, 0, 2, required=True),
-        Option("tol", POSITIVE, default=1e-9))),
+        Option("tol", POSITIVE, default=1e-9,
+               help="largest residual relative to |total_mass| + |steiner_target|"))),
     "evaluate": Command(cmd_evaluate, "evaluate a valuation on a body", (
         SPEC, BODY,
         Option("dir", DIRS, default=["1,0,0"]),
@@ -550,7 +549,9 @@ COMMANDS = {
         Option("path", PATH, default="auto"),
         Option("crosscheck", BOOL, default=False,
                help="compare the pointwise and spectral paths"),
-        Option("tol", POSITIVE, default=1e-6))),
+        Option("tol", POSITIVE, default=1e-6,
+               help="largest deviation beyond the truncation tail, relative to the "
+                    "largest |pointwise| + |spectral| value"))),
     "check-valuation": Command(cmd_check_valuation, "finite-additivity residual under a split", (
         SPEC, BODY,
         Option("plane", PLANE, required=True),

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-10
-POINT_TOL = 1e-9
+POINT_TOL = 1e-9    # lengths below POINT_TOL times the body's _extent are 0
 # The zonal sums keep about eight 8-byte arrays of shape (nodes, directions)
 # alive: cosines, bins, two Legendre rows, the weighted row and their
 # temporaries; building a node of an arc takes about twice that.
@@ -116,6 +116,11 @@ def _dedupe_points(pts: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
     return pts[~drop]
 
 
+def _extent(pts: np.ndarray) -> float:
+    """The largest coordinate about the centroid: the size of a body wherever it lies."""
+    return float(np.abs(pts - pts.mean(axis=0)).max())
+
+
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors b1, b2 with (b1, b2, normal) right-handed, for one unit
     normal or a stack of them along the last axis."""
@@ -173,12 +178,11 @@ class Polytope:
         P = cls()
         if pts.shape[0] == 0:
             return P
-        # both tolerances are relative to the extent of the centred cloud,
-        # so that a body's lattice does not depend on its size or position;
-        # the dimension test also clears the rounding of the coordinates
-        # (about one ulp of the largest), which a tiny body far from the
-        # origin would otherwise read as extent
-        scale = float(np.abs(pts - pts.mean(axis=0)).max())
+        # both tolerances are relative to _extent, so that a body's lattice
+        # does not depend on its size or position; the dimension test also
+        # clears the rounding of the coordinates (about one ulp of the
+        # largest), which a tiny body far from the origin would read as extent
+        scale = _extent(pts)
         pts = _dedupe_points(pts, POINT_TOL * scale)
         centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False) if pts.shape[0] > 1 else np.zeros(3)
@@ -322,12 +326,6 @@ class Polytope:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def enclosing_radius(self) -> float:
-        if self.is_empty:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def support(self, u) -> float:
         if self.is_empty:
@@ -912,9 +910,13 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
 
 # -- slicing ------------------------------------------------------------------
 
-def _cut(P: Polytope, d: np.ndarray, keep: np.ndarray, tol: float) -> Polytope:
-    """Hull of the vertices of P where `keep` and of the edge crossings of a
-    plane, d being the signed distances of the vertices to the plane."""
+def _cut(P: Polytope, d: np.ndarray, halfspace: bool) -> Polytope:
+    """Hull of the vertices of P on a plane, or below it for the halfspace,
+    and of the edge crossings of the plane, d being the signed distances of
+    the vertices to it.  Vertices closer than POINT_TOL times the body's
+    _extent lie on the plane."""
+    tol = POINT_TOL * _extent(P.vertices)
+    keep = (d if halfspace else np.abs(d)) <= tol
     ij = np.array(P.edge_index_pairs(), dtype=int).reshape(-1, 2)
     di, dj = d[ij[:, 0]], d[ij[:, 1]]
     cross = ((di > tol) & (dj < -tol)) | ((di < -tol) & (dj > tol))
@@ -923,13 +925,15 @@ def _cut(P: Polytope, d: np.ndarray, keep: np.ndarray, tol: float) -> Polytope:
     return Polytope.from_vertices(np.vstack([P.vertices[keep], vi + lam[:, None] * (vj - vi)]))
 
 
-def clip_halfspace(P: Polytope, normal, offset: float, tol: float = POINT_TOL) -> Polytope:
-    """Intersection of P with the halfspace {x : normal . x <= offset}."""
-    d = P.vertices @ np.asarray(normal, dtype=float) - offset
-    return _cut(P, d, d <= tol, tol)
+def clip_halfspace(P: Polytope, normal, offset: float) -> Polytope:
+    """Intersection of P with the halfspace {x : normal . x <= offset}, for
+    a unit normal."""
+    if P.is_empty:
+        return P
+    return _cut(P, P.vertices @ np.asarray(normal, dtype=float) - offset, halfspace=True)
 
 
-def section_plane(P: Polytope, point, normal, tol: float = POINT_TOL) -> Polytope:
+def section_plane(P: Polytope, point, normal) -> Polytope:
     """Intersection of P with the plane through `point` normal to `normal`.
     Signed distances are taken about the vertex centroid, so that a body far
     from the origin loses no digits to its position."""
@@ -938,7 +942,7 @@ def section_plane(P: Polytope, point, normal, tol: float = POINT_TOL) -> Polytop
     a = _unit(np.asarray(normal, dtype=float))
     centre = P.vertices.mean(axis=0)
     d = (P.vertices - centre) @ a - float(np.dot(a, np.asarray(point, dtype=float) - centre))
-    return _cut(P, d, np.abs(d) <= tol, tol)
+    return _cut(P, d, halfspace=False)
 
 
 # -- canonical bodies ---------------------------------------------------------

@@ -78,6 +78,7 @@ from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_
 
 __all__ = [
     "EstimateReport",
+    "agrees",
     "PlaneSampler",
     "MotionSampler",
     "PlaneSections",
@@ -98,13 +99,13 @@ __all__ = [
 DEFAULT_SHARDS = 20
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
-# How far an estimate may lie from its target by rounding alone, relative
-# to |target|.  A kernel that is constant under the law (every point of a
+# How far two sides of a check may lie apart by rounding alone, relative
+# to their size.  A kernel that is constant under the law (every point of a
 # box-shaped body hits; the kinematic integrals of j >= 2 do not depend on
 # the rotation) gives S equal shard means, whose spread reads 0, or a few
 # units u = 2^-53 of the estimate where numpy's pairwise mean of the S
-# copies rounds off them.  Estimate and target are then two closed forms of
-# one quantity, evaluated in other orders, and differ by their rounding, in
+# copies rounds off them.  The two sides are then two closed forms of one
+# quantity, evaluated in other orders, and differ by their rounding, in
 # units u relative: the estimate by one for each of its few products and
 # quotients (the box volume), plus at most ceil(log2 S) for the mean; the
 # target, a sum of F non-negative facet terms (the cones from the vertex
@@ -113,6 +114,13 @@ FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in t
 # few for each term.  1e-12, about 4500 u, covers bodies of a few thousand
 # facets, and is far below the stderr of any estimate that varies.
 ROUNDING_RTOL = 1e-12
+
+
+def agrees(gap: float, bound: float, scale: float, rtol: float = ROUNDING_RTOL) -> bool:
+    """The pass rule of every check: |gap| <= bound + rtol * scale, with the
+    bound the error the check allows for (3 sigma, a truncation tail, 0) and
+    scale the size of the values compared, whatever the size of the body."""
+    return bool(abs(gap) <= bound + rtol * scale)
 
 
 @dataclass
@@ -129,25 +137,16 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
     @property
-    def rounding(self) -> float:
-        """How far the estimate may lie from its target by rounding alone
-        (ROUNDING_RTOL |target|): the whole gap of a kernel that is
-        constant under the law, whose stderr reads 0 or a few units in the
-        last place."""
-        return ROUNDING_RTOL * abs(self.target)
-
-    @property
     def z(self) -> float:
         """(estimate - target) / stderr, and 0 within rounding of the target."""
-        if abs(self.estimate - self.target) <= self.rounding:
+        if agrees(self.estimate - self.target, 0.0, abs(self.target)):
             return 0.0
         if self.stderr == 0.0:
             return math.inf
         return (self.estimate - self.target) / self.stderr
 
-    def within(self, sigmas: float = 3.0, slack: float = 0.0) -> bool:
-        return bool(abs(self.estimate - self.target)
-                    <= sigmas * self.stderr + slack + self.rounding)
+    def within(self, sigmas: float = 3.0) -> bool:
+        return agrees(self.estimate - self.target, sigmas * self.stderr, abs(self.target))
 
     def to_json(self) -> dict:
         return {
@@ -1075,9 +1074,9 @@ def _hadwiger(P: Polytope, L: Polytope, lhs: float, lhs_se: float, degree: int, 
         rhs_var += (coef * se) ** 2
         terms.append({"i": i, "estimate": est, "stderr": se, "coef": coef})
     combined = math.sqrt(lhs_se ** 2 + rhs_var)
+    ok = agrees(lhs - rhs, 3.0 * combined, abs(lhs) + abs(rhs))
     return {"rhs": rhs, "rhs_stderr": math.sqrt(rhs_var), "combined_stderr": combined,
-            "difference": lhs - rhs,
-            "consistent_3sigma": bool(abs(lhs - rhs) <= 3.0 * combined), "terms": terms}
+            "difference": lhs - rhs, "consistent_3sigma": ok, "terms": terms}
 
 
 def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
@@ -1214,7 +1213,7 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
             "stderr": float(se[k]),
             "rhs": float(rhs),
             "berg_bar": float(bar),
-            "pass": bool(abs(est[k] - rhs) <= 3.0 * se[k] + bar),
+            "pass": agrees(est[k] - rhs, 3.0 * se[k] + bar, abs(est[k]) + abs(rhs)),
         })
     return {
         "rows": rows,

@@ -374,10 +374,6 @@ class ValuationIdentityReport:
     n_directions: int = 0
     scale: float | None = None    # max |h(K)| + |h(L)| + |h(P)| + |h(K n L)|; 0 unevaluated
 
-    def passes(self, tol: float) -> bool:
-        """Skipped, or a residual of at most tol relative to the values."""
-        return self.skipped or self.residual <= tol * self.scale
-
 
 def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
                              plane_point, plane_normal, directions,

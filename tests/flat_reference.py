@@ -15,6 +15,12 @@ from minkval.constants import kappa
 from minkval.integral_geom import DEFAULT_SHARDS, _uniform, _unit_rows
 
 
+def origin_radius(P) -> float:
+    """The largest |v| over P's vertices: the radius of the ball about the
+    origin that holds P."""
+    return float(np.linalg.norm(P.vertices, axis=1).max())
+
+
 @dataclass(frozen=True)
 class BallSampler:
     """Flats of codimension `codim` uniform among those meeting the ball of
@@ -37,7 +43,7 @@ class BallSampler:
                      shards: int = DEFAULT_SHARDS) -> "BallSampler":
         """The ball of P's enclosing radius about the origin, with a margin
         of 1e-12 relative, as the Crofton checks drew it."""
-        return cls(3, codim, P.enclosing_radius * (1.0 + 1e-12), seed, n_samples, shards)
+        return cls(3, codim, origin_radius(P) * (1.0 + 1e-12), seed, n_samples, shards)
 
     @property
     def weight(self) -> float:

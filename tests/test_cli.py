@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -83,7 +85,8 @@ def test_crosscheck_evaluates_each_path_once(tmp_path, monkeypatch, path):
     b = evaluate(spec, body, dirs, path="spectral")
     assert rep["values"] == (b if path == "spectral" else a).values.tolist()
     assert rep["crosscheck_deviation"] == float(max(abs(a.values - b.values)))
-    assert rep["crosscheck_tolerance"] == 1e-6 + b.truncation_tail
+    scale = float(max(abs(a.values) + abs(b.values)))
+    assert rep["crosscheck_tolerance"] == b.truncation_tail + 1e-6 * scale
 
 
 def test_check_valuation_command(tmp_path):
@@ -810,3 +813,20 @@ def test_any_config_exits_0_1_or_2_with_strict_json(drawn):
     assert (set(rep) == {"error"}) == (code == 2)
     assert not (use_out and stdout.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's command block exits 0 with strict JSON;
+    # its --csv files land in tmp_path
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("minkval ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 0 and "error" not in rep, line

@@ -30,7 +30,7 @@ from minkval.valuation import (
     evaluate,
 )
 
-from flat_reference import ball_flats
+from flat_reference import ball_flats, origin_radius
 from motion_reference import BoxMotionSampler, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
@@ -99,7 +99,7 @@ def _tolerance(name, key) -> float:
     Q = BODIES[key]
     dirs = np.vstack([np.eye(3), -np.eye(3)])
     scale = float(np.abs(evaluate(_spec(name), Q, dirs).values).max())
-    return 1e-12 * scale * max(1.0, Q.enclosing_radius / _size(Q))
+    return 1e-12 * scale * max(1.0, origin_radius(Q) / _size(Q))
 
 
 def test_section_line():
@@ -115,8 +115,8 @@ def test_plane_values_match_section_plane(key, name, path, a, u, t):
     Q = BODIES[key]
     proj = Q.vertices @ a
     s = proj.min() + t * np.ptp(proj)
-    # section_plane snaps vertices within an absolute 1e-9 of the plane;
-    # keep away from vertices so both cut the same polygon
+    # section_plane snaps vertices within 1e-9 of the body's extent of the
+    # plane; keep away from vertices so both cut the same polygon
     assume(np.min(np.abs(proj - s)) > 1e-4 * _size(Q))
     rows, pts = PLANES[key].crossings(a[None, :], np.array([s]))
     assert np.all(rows == 0)
@@ -226,7 +226,7 @@ def cube_law(cls, P, L, seed, n_samples, shards):
     """The motions of the check before their box law: translations uniform
     in the centred cube of side 2 (R_P + R_L), the box law of a point in
     that cube."""
-    h = P.enclosing_radius + L.enclosing_radius
+    h = origin_radius(P) + origin_radius(L)
     return cls(3, seed, n_samples, shards, box=np.array([[-h] * 3, [h] * 3]),
                moving=np.zeros((1, 3)))
 

@@ -16,6 +16,7 @@ from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import _rotations_from_quaternions, kinematic_check, run_shards
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
+from flat_reference import origin_radius
 from motion_reference import BoxMotionSampler, MotionIntersections, intersect
 
 BASES = {"cube": cube(), "hull14": random_hull(51), "hull20": random_hull(52, 20)}
@@ -109,7 +110,7 @@ def _value_scale(name, pair, copy) -> float:
         Q = BASES[b].scaled(lam).translated(shift * SHIFT)
         size = np.linalg.norm(np.ptp(Q.vertices, axis=0))
         scale = max(scale, float(np.abs(evaluate(_spec(name), Q, dirs).values).max())
-                    * max(1.0, Q.enclosing_radius / size))
+                    * max(1.0, origin_radius(Q) / size))
     return scale
 
 
@@ -143,7 +144,7 @@ def test_kernel_of_missed_motions_vanishes():
     (3, 0.9058473200956854, 0.37614675219453886),
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
-    h = 2.0 * cube().enclosing_radius
+    h = 2.0 * origin_radius(cube())
     cube_law = BoxMotionSampler(3, 33, 400, box=np.array([[-h] * 3, [h] * 3]),
                                 moving=np.zeros((1, 3)))
     inter = MotionIntersections(cube(), cube())

@@ -49,7 +49,7 @@ PROBE = np.array([0.36, -0.48, 0.8])
 
 BASES = {"cube": cube(), "hull14": random_hull(77), "hull30": random_hull(5, 30)}
 # (scale, shift) of the copies the kernel runs on; section_plane cuts the base
-# body, whose absolute tolerances suit bodies of unit size
+# body
 COPIES = {"unit": (1.0, 0.0), "small": (1e-3, 0.0), "large": (1e3, 0.0), "far": (1.0, 1e3)}
 SHIFT = np.array([1.0, -1.0, 1.0])
 BODIES = {(b, c): P.scaled(lam).translated(shift * SHIFT)
@@ -69,8 +69,8 @@ def test_sections_match_section_polygon(base, copy, a, t):
     size = float(np.linalg.norm(np.ptp(P.vertices, axis=0)))
     proj = P.vertices @ a
     s = proj.min() + t * (proj.max() - proj.min())
-    # section_plane snaps vertices within an absolute 1e-9 of the plane; keep
-    # away from vertices so both sides cut the same polygon
+    # section_plane snaps vertices within 1e-9 of the body's extent of the
+    # plane; keep away from vertices so both sides cut the same polygon
     assume(np.min(np.abs(proj - s)) > 1e-6 * size)
     Q = section_plane(P, s * a, normal=a)
     assert Q.dim == 2
@@ -96,7 +96,7 @@ def test_sections_of_small_body_match_its_section_polygon(base, a, t):
     size = float(np.linalg.norm(np.ptp(P.vertices, axis=0)))
     proj = P.vertices @ a
     s = proj.min() + t * (proj.max() - proj.min())
-    # section_plane snaps vertices within an absolute 1e-9 of the plane
+    # section_plane snaps vertices within 1e-9 of the body's extent of the plane
     assume(np.min(np.abs(proj - s)) > 1e-5 * size)
     Q = section_plane(P, s * a, normal=a)
     assert Q.dim == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from minkval import valuation
 from minkval.constants import omega
 from minkval.convex import Polytope, area_measure, cube, intrinsic_volumes, random_hull
-from minkval.integral_geom import TranslativeIntegrals, _rotations_from_quaternions
+from minkval.integral_geom import TranslativeIntegrals, _rotations_from_quaternions, agrees
 from minkval.valuation import (
     PATHS,
     MeasurePieces,
@@ -542,7 +542,9 @@ def test_identity_residual_is_relative_to_the_scale(name, exponent):
     reps = [valuation_identity_check(builtin_spec(name), random_hull(42, 14, scale=s),
                                      a / (a @ a) * 0.1 * s, a, dirs) for s in (lam, 1.0)]
     assert not reps[0].skipped and not reps[0].reason
-    assert reps[0].passes(1e-12) and not reps[0].passes(0.1 * reps[0].residual / reps[0].scale)
+    residual, scale = reps[0].residual, reps[0].scale
+    assert agrees(residual, 0.0, scale, 1e-12)
+    assert not agrees(residual, 0.0, scale, 0.1 * residual / scale)
     assert reps[0].scale == pytest.approx(lam ** 2 * reps[1].scale, rel=1e-12)
 
 
