@@ -1,18 +1,13 @@
 """Monte-Carlo integral geometry: Crofton and kinematic formulas for
 intrinsic volumes and the Crofton formula for Minkowski valuations.
 
-Affine flats of codimension i are drawn about the body's vertices v, in a
-set of flats that holds every flat meeting the body (conditional Monte
-Carlo, `PlaneSampler`).  The invariant measure is normalized so that the
-flats meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the
-flat dimension).  Planes (i = 1) take a uniform normal a and their offset
-s uniform in the support interval [min a . v, max a . v], weighted per
-sample by 2 (max - min), the measure of the planes with normal a that meet
-the body.  Lines (i = 2) take a uniform direction and a point uniform in
-the orthogonal disc of radius R = max |v - c| about the centre c of the
-body's coordinate box [lo, hi], weighted by 2 pi R^2, the measure of the
-lines meeting the ball of radius R.  Points (i = 3) are uniform in that
-box, weighted by its volume.
+The invariant measure of affine flats is normalized so that the flats
+meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the flat
+dimension).  A Crofton term of V_j at codimension i with i + j < n draws
+only a uniform direction (`DirectionSampler`) and integrates over the
+offsets in closed form (`FlatIntegrals`); one with i + j = n, whose closed
+form V_n of the body would read as an estimate with stderr 0, draws its
+offsets about the body's vertices too (`PlaneSampler`).
 Rigid motions g L = R L + x draw only their rotation R, uniform (the
 probability law): the integral over the translations x has a closed form
 for each rotation, the translative integral formulas
@@ -36,17 +31,11 @@ per-shard spread.  Results are deterministic in (seed, shards).  The
 streams are numpy's SeedSequence children; only their seeding is batched
 (`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
 the variates are Generator.random doubles that `draw` scales to the
-uniform ranges as Generator.uniform would.  Sections
-come from batched kernels: plane sections of a fixed body from the edges
-each plane crosses, scattered onto their facets, at a cost that grows with
-the crossed edges rather than with edges times facets (`PlaneSections`),
-line chords of a fixed body (`LineSections`), and the translative
-integrals of a body and rotated copies of another (`TranslativeIntegrals`).
-No sample builds a face lattice: the valuation-valued check takes the area
-measures of the sections, and their integrals over the translations, of a
-whole chunk as AreaMeasures from the same kernels and integrates against
-them the profiles that `evaluate` integrates, built in the same place
-(`valuation.PieceEvaluator`).
+uniform ranges as Generator.uniform would.  The kernels are batched and
+elementwise, so that no sample's value depends on the batch, and build no
+face lattice: the valuation-valued check integrates the profiles of
+`evaluate` (`valuation.PieceEvaluator`) against the area measures of a
+whole chunk, integrated over the offsets or the translations.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ from .convex import (
     Arcs,
     Atoms,
     Polytope,
-    area_measure,
     _dots,
     _plane_basis,
     intrinsic_volumes,
@@ -80,9 +68,10 @@ __all__ = [
     "EstimateReport",
     "agrees",
     "PlaneSampler",
+    "DirectionSampler",
     "MotionSampler",
+    "FlatIntegrals",
     "PlaneSections",
-    "LineSections",
     "TranslativeIntegrals",
     "run_shards",
     "check_full_dimensional",
@@ -98,7 +87,6 @@ __all__ = [
 
 DEFAULT_SHARDS = 20
 PARALLEL_TOL = 1e-12    # |u . n| up to which _clip_lines takes a line as parallel
-FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
 # How far two sides of a check may lie apart by rounding alone, relative
 # to their size.  A kernel that is constant under the law (every point of a
 # box-shaped body hits; the kinematic integrals of j >= 2 do not depend on
@@ -163,8 +151,8 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class PlaneSampler:
-    """Law of the affine flats of codimension `codim` that meet a body,
-    drawn about the body's vertices, one law per codimension.  Each
+    """Law of the affine flats of codimension `codim` that meet a body, for
+    the Crofton terms with i + j = n, drawn about the body's vertices.  Each
     restricts the invariant measure of flats to a set of flats that holds
     every flat meeting the body, so the Crofton integral stays unbiased
     (conditional Monte Carlo: Asmussen & Glynn, Stochastic Simulation,
@@ -293,6 +281,17 @@ class MotionSampler:
     def draw(self, q: np.ndarray) -> tuple[np.ndarray]:
         """Rotations (m, 3, 3) from their variates."""
         return (_rotations_from_quaternions(_unit_rows(q)),)
+
+
+class DirectionSampler(MotionSampler):
+    """Uniform normals of planes and directions of lines (the probability
+    law), from the normal vectors that `PlaneSampler` draws first."""
+
+    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray]:
+        return (rng.standard_normal((m, self.n)),)
+
+    def draw(self, g: np.ndarray) -> tuple[np.ndarray]:
+        return (_unit_rows(g),)
 
 
 def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -577,13 +576,10 @@ class PlaneSections:
     else -1, the segment is v_F = sum_e B_eF c_e p_e and its midpoint
     1/2 sum_e p_e, over the crossed edges e of F.  So each crossing adds
     +p_e to one facet of its edge and -p_e to the other, a scatter by plane
-    and facet (`_facets`).  The facets with v_F != 0 are the crossed ones;
-    with the outward normal m_F = unit(n_F - (n_F . a) a) of the segment in
-    the plane (unit(a x v_F) where n_F is parallel to a up to rounding), the
-    divergence theorem in the plane gives perimeter, area and S_1
-    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are
-    taken about the vertex centroid; S_1 moments integrate each half circle
-    by a rule exact for their degrees (`_half_circle_rule`)."""
+    and facet (`_facets`).  The facets with v_F != 0 are the crossed ones,
+    and the divergence theorem in the plane gives perimeter and area
+    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are taken about
+    the vertex centroid."""
 
     def __init__(self, P: Polytope):
         self.vertices, self.normals = P.vertices, P.facet_normals
@@ -607,10 +603,6 @@ class PlaneSections:
         # (peaks of 3.5 kB for random_hull(5, 30), 8.4 kB for a 40-gon prism
         # whose planes cross all 40 side edges, tracemalloc)
         self.sample_bytes = 8 * (V + 3 * E + 20 * F)
-        # and in pieces(), per crossed facet and per section: the facets'
-        # arrays, two arcs, two atoms (the arcs' nodes run in the bounded
-        # parts of AreaMeasure's node sums)
-        self.piece_bytes = 8 * (32 * F + 16)
 
     def _crossings(self, a: np.ndarray,
                    s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -629,12 +621,6 @@ class PlaneSections:
         lam = np.clip(di / (di - dj), 0.0, 1.0)
         p = np.take(self.start, e, axis=1) + lam * np.take(self.step, e, axis=1)
         return rows, e, above.ravel()[flat], p
-
-    def crossings(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points where the planes {x . a[t] = s[t]} cross the edges:
-        plane index t (K,) and world point (K, 3), grouped by plane."""
-        rows, _, _, p = self._crossings(a, s)
-        return rows, p.T + self.centre
 
     def _facets(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
         """The facets that the planes {x . a[t] = s[t]} cross, by plane, then
@@ -666,111 +652,111 @@ class PlaneSections:
         each section, 0 where the plane misses the body."""
         return self._facets(a, s)[4:]
 
-    def _segment_normals(self, a: np.ndarray, rows: np.ndarray, facet: np.ndarray,
-                         segment: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The plane normals a[rows] (K, 3) of crossed facets and the
-        outward normals m_F (K, 3) of their segments v_F in the plane, from
-        n_F, or from a x v_F where n_F is parallel to a up to rounding."""
-        nf, ar = self.normals[facet], np.take(a, rows, axis=0)
-        m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
-        flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
-        m_f[flat] = np.cross(ar[flat], np.stack([x[flat] for x in segment], axis=1))
-        return ar, _unit_rows(m_f)
 
-    def pieces(self, a: np.ndarray, s: np.ndarray) -> MeasurePieces:
-        """The area measures of the sections by the planes {x . a[t] = s[t]},
-        as area_measure gives them for a polygon: S_2 the atoms a and -a,
-        each with the section's area, and S_1 per crossed facet F the
-        quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
-        rows, facet, segment, length, v1, area = self._facets(a, s)
-        hit = v1 > 0.0
-        ar, m_f = self._segment_normals(a, rows, facet, segment)
-        t = np.flatnonzero(hit)
-        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                    np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
-        atoms = Atoms(np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
-                      np.repeat(area[t], 2))
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
-                             AreaMeasure(3, 2, atoms=atoms, bodies=len(hit)))
+# -- integrals over the offsets of parallel planes and lines ----------------
 
-    def s1_moments(self, a: np.ndarray, s: np.ndarray, w: np.ndarray,
-                   kmax: int) -> np.ndarray:
-        """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
-        S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
-        crossed facet."""
-        rows, facet, segment, length, _, _ = self._facets(a, s)
-        ar, m_f = self._segment_normals(a, rows, facet, segment)
-        arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
-        m, width = a.shape[0], kmax + 1
-        out = np.zeros(m * width)
-        # per half circle: its cosines, two Legendre rows, temporaries, moments;
-        # parts of whole planes, so that each plane's moments are one sum over
-        # its facets in order, as np.add.at added them
-        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + width)))
-        cuts = np.unique(np.append(np.searchsorted(rows, rows[::per_call]), rows.size))
-        w = w[:, None]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            # points u(theta) = cos(theta) a + sin(theta) m_F; each row
-            # reduced on its own, so that no value depends on the batch
-            dots = (arc_cos[None, :] * _dots(ar[lo:hi], w)
-                    + arc_sin[None, :] * _dots(m_f[lo:hi], w))
-            arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
-                            enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
-            at = (rows[lo:hi, None] * width + np.arange(width)).ravel()
-            out += np.bincount(at, (arc * (0.5 * length[lo:hi])).T.ravel(), out.size)
-        return out.reshape(m, width)
-
-
-@functools.lru_cache(maxsize=None)
-def _half_circle_rule(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cosines, sines and weights (2, M) of the rule in theta on [0, pi]
-    that is exact for the moments of degree <= kmax over a half circle.
-    On u(theta) = cos(theta) a + sin(theta) m, P_k(u . w) is a trigonometric
-    polynomial of degree k in theta, with even frequencies only for even k
-    and odd ones only for odd k (u(theta + pi) = -u(theta)).  Over [0, pi],
-    cos(m theta) integrates to pi for m = 0 and to 0 else, sin(m theta) to
-    2/m for odd m and to 0 for even m.  On the M = kmax + 1 nodes
-    theta_j = j pi / M, the weights pi / M (row 0, even k) integrate the
-    even frequencies below 2M exactly, and the weights
-    (4/M) sum_(odd m <= kmax) sin(m theta_j) / m (row 1, odd k) the odd
-    frequencies up to kmax: sum_j sin(m theta_j) sin(m' theta_j) = M/2
-    for m = m' and 0 else, and sum_j cos(m theta_j) sin(m' theta_j) = 0,
-    for odd m, m' <= kmax < M."""
-    M = kmax + 1
-    theta = np.arange(M) * (math.pi / M)
-    odd = np.arange(1, kmax + 1, 2)
-    weights = np.empty((2, M))
-    weights[0] = math.pi / M
-    weights[1] = 4.0 / M * (np.sin(np.multiply.outer(theta, odd)) / odd).sum(axis=1)
-    return np.cos(theta), np.sin(theta), weights
-
-
-class LineSections:
-    """Chords of a full-dimensional polytope by lines p + s u, from its facets."""
+class FlatIntegrals:
+    """For directions, the integrals over the offsets of functionals of the
+    sections of P by the planes {x . a = s} or lines p + R u, under twice
+    Lebesgue measure (the invariant measure), in closed form.  By the coarea
+    formula (Federer, Geometric Measure Theory, 1969, 3.2) the plane's
+    segment in a facet F, of area A_F and normal n_F, integrates over s to
+    A_F |n_F x a|: 2 int V_1 ds = sum_F A_F |n_F x a|; 2 int V_0 ds is twice
+    the width, and 2 int V_0 dp = sum_F A_F |n_F . u| twice the projection's
+    area.  The area measures integrate alike.  Values are elementwise in
+    the directions, each one's facet terms summed along its own row."""
 
     def __init__(self, P: Polytope):
-        A, self.b = P.inequalities()
-        self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
-        self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
-        self.piece_bytes = 8 * 48   # pieces(): the basis, the ring and four arcs per line
+        self.vertices, self.areas, self.volume = P.vertices, P.facet_areas, intrinsic_volumes(P)[3]
+        self.normals = np.ascontiguousarray(P.facet_normals.T)            # (3, F)
+        # per direction: the vertices' projections, the (F, m) arrays; the arcs
+        self.sample_bytes = 8 * (2 * len(P.vertices) + 16 * len(self.areas) + 16)
+        self.piece_bytes = self.sample_bytes + 8 * (24 * len(self.areas) + 16)
 
-    def chords(self, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Clipped [lo, hi] of each line, and whether it meets the body."""
-        return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
+    def widths(self, a: np.ndarray) -> np.ndarray:
+        """2 int V_0 ds = 2 (h(a) + h(-a)) per normal a (m,)."""
+        lo, hi = _support_interval(a, self.vertices)
+        return 2.0 * (hi - lo)
 
-    def pieces(self, u: np.ndarray, p: np.ndarray) -> MeasurePieces:
-        """The area measures of the chords, as area_measure gives them for a
-        segment of length l along u: S_1 the four quarter arcs p1 -> p2 ->
-        -p1 -> -p2 -> p1 of the great circle orthogonal to u, with the basis
-        (p1, p2) of _plane_basis, of density l / 2 each, and no S_2."""
-        lo, hi, hit = self.chords(u, p)
-        t = np.flatnonzero(hit)
-        p1, p2 = _plane_basis(u[t])
-        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
-        arcs = Arcs(np.repeat(t, 4), ring.reshape(-1, 3),
-                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.repeat(0.5 * (hi[t] - lo[t]), 4))
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
-                             AreaMeasure(3, 2, bodies=len(hit)))
+    def _cross(self, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """n_F x a (three (F, m) coordinate arrays) and its length."""
+        c = []
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            x = np.multiply.outer(self.normals[j], a[:, k])
+            x -= np.multiply.outer(self.normals[k], a[:, j])
+            c.append(x)
+        return c, np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+
+    def mean_widths(self, a: np.ndarray) -> np.ndarray:
+        """2 int V_1 ds = sum_F A_F |n_F x a| per normal a (m,)."""
+        return _row_sums(self._cross(a)[1], self.areas)
+
+    def hits(self, u: np.ndarray) -> np.ndarray:
+        """2 int V_0 dp = sum_F A_F |n_F . u| per direction u (m,)."""
+        return _row_sums(np.abs(_dots(u, self.normals)).T, self.areas)
+
+    def plane_pieces(self, a: np.ndarray) -> MeasurePieces:
+        """The area measures of the sections by the planes of normal a,
+        integrated: S_1 the quarter arcs a -> m_F -> -a of density
+        A_F |n_F x a| per facet with n_F x a != 0, m_F = unit(a x (n_F x a))
+        the outward normal of its segments; S_2 the atoms +-a of mass
+        2 V_3(P) (Cavalieri); and twice the width in place of the hit."""
+        m = len(a)
+        c, sin = self._cross(a)
+        rows, facet = np.nonzero(sin.T > 0.0)
+        ar = np.take(a, rows, axis=0)
+        m_f = _unit_rows(np.cross(ar, np.stack([x[facet, rows] for x in c], axis=1)))
+        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                    np.stack([m_f, -ar], axis=1).reshape(-1, 3),
+                    np.repeat(self.areas[facet] * sin[facet, rows], 2))
+        atoms = Atoms(np.repeat(np.arange(m), 2), np.stack([a, -a], axis=1).reshape(-1, 3),
+                      np.full(2 * m, 2.0 * self.volume))
+        return MeasurePieces(self.widths(a), AreaMeasure(3, 1, arcs=arcs, bodies=m),
+                             AreaMeasure(3, 2, atoms=atoms, bodies=m))
+
+    def line_pieces(self, u: np.ndarray) -> MeasurePieces:
+        """The area measures of the chords along u, integrated: S_1 the
+        quarter arcs p1 -> p2 -> -p1 -> -p2 -> p1 orthogonal to u, (p1, p2)
+        of _plane_basis, of density V_3(P) (Fubini); and the hits' integral."""
+        m = len(u)
+        p1, p2 = _plane_basis(u)
+        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (m, 4, 3)
+        arcs = Arcs(np.repeat(np.arange(m), 4), ring.reshape(-1, 3),
+                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.full(4 * m, self.volume))
+        return MeasurePieces(self.hits(u), AreaMeasure(3, 1, arcs=arcs, bodies=m),
+                             AreaMeasure(3, 2, bodies=m))
+
+    def moments(self, a: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
+        """The moments int P_k(v . w) dS_1(v), k <= kmax, of the sections by
+        the planes of normal a, integrated as above (m, kmax + 1):
+        sum_F A_F |n_F x a| H_k(a . w, m_F . w), with
+        H_k(x, y) = int_0^pi P_k(x cos t + y sin t) dt the moment of the half
+        circle a -> m_F -> -a.  With w = x a + y m_F + z e, e = a x m_F,
+        an even moment is half the circle's, H_k = pi P_k(0) P_k(z) (the
+        addition theorem), and an odd one is H_k = y G_k: integrating the
+        Legendre recurrence by parts along the half circle gives, for even k,
+
+            (k + 1) T_k = 2 P_k(x) - z^2 D_k + k G_(k-1),
+            (k + 1) G_(k+1) = (2k + 1) T_k - k G_(k-1),
+
+        G_1 = 2, D_k = sum_(odd l < k) (2l + 1) G_l: stable up to degree 512."""
+        c, sin = self._cross(a)
+        wa = np.cross(w, a).T
+        ys = c[0] * wa[0] + c[1] * wa[1] + c[2] * wa[2]               # |n_F x a| y
+        z = np.divide(c[0] * w[0] + c[1] * w[1] + c[2] * w[2], sin,   # -z
+                      out=np.zeros_like(sin), where=sin > 0.0)
+        z2, out, g_prev, d = z * z, np.empty((len(a), kmax + 1)), 0.0, 0.0
+        for k, (p0, px, pz) in enumerate(zip(legendre_rows(3, kmax, 0.0),
+                                              legendre_rows(3, kmax, _dots(a, w[:, None])[:, 0]),
+                                              legendre_rows(3, kmax, z))):
+            if k % 2:
+                out[:, k] = _row_sums(ys * g, self.areas)
+                g_prev, d = g, d + (2 * k + 1) * g
+            else:
+                out[:, k] = _row_sums(sin * (math.pi * p0 * pz), self.areas)
+                g = ((2 * k + 1) * (2.0 * px - z2 * d + k * g_prev) / (k + 1) - k * g_prev) / (k + 1)
+        return out
 
 
 # -- integrals over the translations of a moving body ------------------------
@@ -802,9 +788,9 @@ def _lowest(c: list[np.ndarray], v: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] terms[k, t] per rotation t, for terms (K, m): the
-    products of each rotation are laid out as one contiguous row and summed
-    along it, whatever the number of rotations (reduced along the rotations'
+    """sum_k weights[k] terms[k, t] per sample t, for terms (K, m): the
+    products of each sample are laid out as one contiguous row and summed
+    along it, whatever the number of samples (reduced along the samples'
     axis, numpy sums a batch of one pairwise and larger ones row by row)."""
     return np.multiply(terms.T, weights, order="C").sum(axis=1)
 
@@ -946,59 +932,65 @@ def check_full_dimensional(*bodies: Polytope) -> None:
 
 
 def _flats(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> PlaneSampler:
-    """The law of the codimension-i flats against P, drawn about its
-    vertices (`PlaneSampler`): planes in its support intervals, lines in a
-    disc about the centre of its coordinate box, points in that box."""
+    """The law of the codimension-i flats against P, offsets included, drawn
+    about its vertices (`PlaneSampler`)."""
     return PlaneSampler(3, i, P.vertices, seed, n_samples, shards)
 
 
-def _intrinsic_kernel(P: Polytope, j: int, i: int):
-    """The term of V_j at codimension i: the kernel that maps flats of
-    `_flats(P, i, ...)` to V_j of their sections with P, and its temporary
-    bytes per sample."""
-    if i == 1 and j == 0:   # every plane of the tight law meets P
-        return (lambda dirs, offs: np.ones(len(offs))), 80   # variates, draws, weights
-    if i == 1:
-        sections = PlaneSections(P)
-        return (lambda dirs, offs: sections.volumes(dirs, offs)[j - 1]), sections.sample_bytes
-    if i == 2:
-        lines = LineSections(P)
+def _directions(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> DirectionSampler:
+    """The law of the codimension-i flats' directions, as `_flats` takes it."""
+    return DirectionSampler(3, seed, n_samples, shards)
 
-        def kernel(dirs, p):
-            lo, hi, hit = lines.chords(dirs, p)
-            return hit if j == 0 else np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
-        return kernel, lines.sample_bytes
-    # i == 3: points.  The cut is relative to the body's size, the diameter
-    # 2 max |v - m| of the ball about the vertex centroid m that holds the
-    # vertices v (at least the body's diameter and at most twice it; the
-    # exact one takes all pairs of vertices)
+
+def _intrinsic_kernel(P: Polytope, j: int, i: int):
+    """The term of V_j at codimension i: its law (`_directions` where
+    i + j < n, else `_flats`), the kernel that maps its samples to V_j of
+    their sections with P (integrated over the offsets in closed form where
+    only directions are drawn), and its temporary bytes per sample."""
+    if i + j < 3:
+        flats = FlatIntegrals(P)
+        kernel = {(1, 0): flats.widths, (1, 1): flats.mean_widths, (2, 0): flats.hits}[i, j]
+        return _directions, kernel, flats.sample_bytes
+    if i == 1:   # V_2 of the planes' sections
+        sections = PlaneSections(P)
+        return _flats, (lambda dirs, offs: sections.volumes(dirs, offs)[1]), sections.sample_bytes
     A, b = P.inequalities()
+    AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
+    if i == 2:   # the lines' chords, from the (m, F) arrays of _clip_lines
+        def kernel(dirs, p):
+            lo, hi, hit = _clip_lines(dirs @ AT, b[None, :] - p @ AT, -math.inf, math.inf)
+            return np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+        return _flats, kernel, 8 * (8 * len(b) + 16)
+    # i == 3: points.  The cut is relative to the diameter 2 max |v - m| of
+    # the ball about the vertex centroid m that holds the vertices v
     size = 2.0 * float(np.max(np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1)))
-    AT, bound = np.ascontiguousarray(A.T), b + 1e-12 * size
-    return (lambda x: np.all(x @ AT <= bound, axis=1)), 9 * len(b) + 80
+    bound = b + 1e-12 * size
+    return _flats, (lambda x: np.all(x @ AT <= bound, axis=1)), 9 * len(b) + 80
 
 
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
                       shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
-    planes meeting P, against the target [i+j; j] V_(i+j)(P).  The flats
-    follow the laws of `PlaneSampler` about P's vertices: planes in its
-    support intervals, lines in a disc about the centre of its coordinate
-    box, points in that box.  The report carries the lines' disc radius
-    (`radius`, null for planes and points) and the weight common to all
-    samples (`weight`, null for planes, which are weighted per sample)."""
+    planes meeting P, against the target [i+j; j] V_(i+j)(P), over their
+    directions only where i + j < n (`FlatIntegrals`), else with their
+    offsets (`PlaneSampler`).  The report carries the lines' disc radius
+    (`radius`) and the weight common to all samples (`weight`) of a law with
+    offsets: null for planes, which are weighted per sample, and where only
+    directions are drawn."""
     n = 3
     if not (0 <= j and 1 <= i and i + j <= n):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")
     check_full_dimensional(P)
-    sampler = _flats(P, i, seed, n_samples, shards)
     t0 = time.perf_counter()
-    est, se = run_shards(sampler, *_intrinsic_kernel(P, j, i))
+    law, kernel, sample_bytes = _intrinsic_kernel(P, j, i)
+    sampler = law(P, i, seed, n_samples, shards)
+    est, se = run_shards(sampler, kernel, sample_bytes)
+    offsets = isinstance(sampler, PlaneSampler)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=crofton_target(P, i, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"i": i, "j": j, "radius": sampler.radius,
-               "weight": None if sampler.weighted else sampler.weight,
+        extra={"i": i, "j": j, "radius": sampler.radius if offsets else None,
+               "weight": sampler.weight if offsets and not sampler.weighted else None,
                "shards": shards})
 
 
@@ -1056,8 +1048,8 @@ def _hadwiger(P: Polytope, L: Polytope, lhs: float, lhs_se: float, degree: int, 
     of an integrand f that vanishes on bodies of dimension below `degree`,
     against the motion integral lhs +- lhs_se.  The terms run for
     i = 0..n - degree: i = 0 is f(P) = on_P and i = n is on_point V_n(P),
-    both exact; the planes and lines between run at seed + i under the law
-    `_flats`, with the kernel and bytes per sample of kernel_of(i)."""
+    both exact; the planes and lines between run at seed + i under the law,
+    with the kernel and bytes per sample, of kernel_of(i)."""
     n = 3
     vl = intrinsic_volumes(L)
     rhs, rhs_var, terms = 0.0, 0.0, []
@@ -1067,8 +1059,9 @@ def _hadwiger(P: Polytope, L: Polytope, lhs: float, lhs_se: float, degree: int, 
         elif i == n:
             est, se = on_point * intrinsic_volumes(P)[n], 0.0
         else:
-            est, se = map(float, run_shards(_flats(P, i, seed + i, n_samples, shards),
-                                            *kernel_of(i)))
+            law, kernel, sample_bytes = kernel_of(i)
+            est, se = map(float, run_shards(law(P, i, seed + i, n_samples, shards),
+                                            kernel, sample_bytes))
         coef = vl[n - i] / flag(n, i)
         rhs += coef * est
         rhs_var += (coef * se) ** 2
@@ -1088,7 +1081,8 @@ def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                              int V_j(P n E) dsigma_(n-i)(E),   i = 0..n-j.
 
     The i = 0 term V_j(P) and, for j = 0, the i = n term V_n(P) are exact;
-    the plane and line terms are estimated as by `crofton_intrinsic`.  The
+    the plane and line terms are estimated as by `crofton_intrinsic`, over
+    directions only where i + j < n.  The
     report carries the terms and the combined standard error."""
     lhs = kinematic_check(P, L, j, n_samples, seed, shards=shards)
     side = _hadwiger(P, L, lhs.estimate, lhs.stderr, j, intrinsic_volumes(P)[j], float(j == 0),
@@ -1097,11 +1091,13 @@ def hadwiger_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
 
 
 def _valuation_kernel(P: Polytope, value: PieceEvaluator, i: int):
-    """The kernel that maps planes (i = 1) or lines (i = 2) to the
-    valuation's value on their sections with P, and its bytes per sample."""
-    sections = PlaneSections(P) if i == 1 else LineSections(P)
-    return (lambda *flats: value(sections.pieces(*flats)),
-            sections.sample_bytes + sections.piece_bytes)
+    """The law of the directions of planes (i = 1) or lines (i = 2), the
+    kernel that maps them to the valuation's value on the area measures of
+    their sections with P integrated over the offsets (`FlatIntegrals`),
+    and its bytes per sample."""
+    flats = FlatIntegrals(P)
+    pieces = flats.plane_pieces if i == 1 else flats.line_pieces
+    return _directions, (lambda dirs: value(pieces(dirs))), flats.piece_bytes
 
 
 def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
@@ -1115,14 +1111,11 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     line terms are estimated by Monte Carlo where the valuation can be
     nonzero on flats of dimension n - i: c0 != 0 or a datum of degree
     <= n - i.  Both sides carry standard errors; the report states their
-    3-sigma consistency.  No sample builds a lattice: the batched kernels
-    give the area measures of all the sections of a chunk as pieces
-    (`PlaneSections.pieces`, `LineSections.pieces`), and for the motions
-    their integrals over the translations, one rotation at a time
-    (`TranslativeIntegrals.pieces`); `PieceEvaluator` integrates the
-    valuation's data against them, with the pointwise or spectral path that
-    `evaluate` would take.  Rotations and flats follow the laws of
-    `kinematic_check` and `crofton_intrinsic`."""
+    3-sigma consistency.  Only rotations and directions are drawn: the
+    integrals of the area measures over the offsets of each direction's
+    flats (`FlatIntegrals`) and the translations of each rotation
+    (`TranslativeIntegrals`) come as pieces, against which `PieceEvaluator`
+    integrates the valuation's data on the path `evaluate` would take."""
     n = 3
     check_full_dimensional(P, L)
     value = PieceEvaluator(spec, direction)
@@ -1164,6 +1157,13 @@ def crofton_minkowski_rhs(n: int, i: int, j: int, mu: ZonalObject,
     return ZonalObject(n, kmax=kmax, multipliers=mult, mult_error=err)
 
 
+def moment_row(k: int, lhs: float, stderr: float, rhs: float, bar: float, mass: float) -> dict:
+    """A row of `crofton_minkowski`: it passes within 3 stderr plus the Berg
+    bar and rounding of the moments' mass (a row that vanishes is rounding)."""
+    return {"k": k, "lhs": float(lhs), "stderr": float(stderr), "rhs": float(rhs),
+            "berg_bar": float(bar), "pass": agrees(lhs - rhs, 3.0 * stderr + bar, mass)}
+
+
 def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
                       n_samples: int, seed: int, degrees=(0, 2, 3, 4),
                       probe=(0.36, -0.48, 0.8),
@@ -1174,8 +1174,9 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
 
     Both sides are compared through their zonal transfer coefficients
     M_k(w) = int P_k(u . w) d(.)(u) at the probe direction w: the left side
-    averages the moments of S_(j+i wedge ...)(P n E) * mu over planes E, the
-    right side is q_(n,i,j) a_k[mu] a_k[box berg] M_k[S_(i+j)(P)](w).  Rows
+    averages the moments of S_(j+i wedge ...)(P n E) * mu over planes E,
+    drawing their normals only (`FlatIntegrals.moments`); the right side is
+    q_(n,i,j) a_k[mu] a_k[box berg] M_k[S_(i+j)(P)](w).  Rows
     report lhs, stderr, rhs, and the Berg truncation bar."""
     n = 3
     if (i, j) != (1, 1):
@@ -1189,38 +1190,33 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         raise ValueError(f"degrees must lie in [0, {min(kmax, mu.kmax)}], got {degrees}")
     w = np.asarray(probe, dtype=float)
     w = w / np.linalg.norm(w)
-    sampler = _flats(P, 1, seed, n_samples, shards)
     t0 = time.perf_counter()
-    sections = PlaneSections(P)
-    est, se = run_shards(sampler, lambda a, s: sections.s1_moments(a, s, w, kk),
-                         sections.sample_bytes + 8 * (kk + 1))
+    flats = FlatIntegrals(P)
+    moments, se = run_shards(DirectionSampler(3, seed, n_samples, shards),
+                             lambda a: flats.moments(a, w, kk), flats.sample_bytes + 8 * (kk + 1))
     # moments of S_1(Q) * mu pick up the Funk-Hecke factor of mu per degree
     a_mu = mu.multipliers[:kk + 1]
-    est = est * a_mu
+    est = moments * a_mu
     se = se * np.abs(a_mu)
-    # right side: multipliers against the moments of S_(i+j)(P)
+    # right side: multipliers against the moments of S_2(P), each an exactly
+    # rounded sum over the facets, 0 where it vanishes by symmetry
     rhs_obj = crofton_minkowski_rhs(n, i, j, mu, kmax=kmax)
-    target_meas = area_measure(P, i + j)
-    Mk = target_meas.zonal_moments(w[None, :], kk)[:, 0]
+    Mk = [math.fsum(P.facet_areas * pk)
+          for pk in legendre_rows(3, kk, _dots(P.facet_normals, w[:, None])[:, 0])]
     rows = []
     for k in degrees:
         rhs = rhs_obj.multipliers[k] * Mk[k]
         bar = (rhs_obj.mult_error[k] * abs(Mk[k])
                if rhs_obj.mult_error is not None else 0.0)
-        rows.append({
-            "k": k,
-            "lhs": float(est[k]),
-            "stderr": float(se[k]),
-            "rhs": float(rhs),
-            "berg_bar": float(bar),
-            "pass": agrees(est[k] - rhs, 3.0 * se[k] + bar, abs(est[k]) + abs(rhs)),
-        })
+        # |P_k| <= 1: a side's k = 0 moment bounds its degree-k moment
+        mass = abs(a_mu[k]) * abs(moments[0]) + abs(rhs_obj.multipliers[k]) * abs(Mk[0])
+        rows.append(moment_row(k, est[k], se[k], rhs, bar, mass))
     return {
         "rows": rows,
         "probe": list(map(float, w)),
         "N": n_samples,
         "seed": seed,
-        "weight": None,   # per sample, from the tight law of planes
+        "weight": None,   # no common weight: each direction's offsets are integrated
         "wall_time_s": time.perf_counter() - t0,
         "all_pass": all(r["pass"] for r in rows),
     }

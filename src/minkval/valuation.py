@@ -240,12 +240,12 @@ def evaluate(spec: MinkowskiValuationSpec, P: Polytope, directions,
 @dataclass
 class MeasurePieces:
     """The area measures of m bodies at once, S_1 as arcs and S_2 as atoms,
-    each an AreaMeasure over the m bodies.  The integrals of the area
-    measures over translations (`integral_geom.TranslativeIntegrals.pieces`)
-    take the same form, with V_0 and V_3 integrated alike."""
+    each an AreaMeasure over the m bodies.  Their integrals over the
+    translations or the offsets of flats (`integral_geom.TranslativeIntegrals`,
+    `FlatIntegrals`) take the same form, with V_0 and V_3 integrated alike."""
 
     hit: np.ndarray                   # (m,) V_0: whether each body is nonempty, or its
-                                      # integral over translations (vol(P - R L))
+                                      # integral (vol(P - R L), a width, ...)
     s1: AreaMeasure
     s2: AreaMeasure
     volume: np.ndarray | None = None  # (m,) V_3, or None where every body is flat
@@ -387,11 +387,14 @@ def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
     |h(K)| + |h(L)| + |h(P)| + |h(K n L)|, the size of the rounding of the
     sum.  A plane missing the body gives residual and scale 0 exactly (the
     empty body contributes nothing); a split producing a lower-dimensional
-    half is reported as degenerate and skipped."""
+    half is reported as degenerate and skipped.  P is split about its vertex
+    centroid m, by one plane {x . a = c} for the halves and the section."""
     a = np.asarray(plane_normal, dtype=float)
     a = a / np.linalg.norm(a)
-    c = float(np.dot(a, np.asarray(plane_point, dtype=float)))
+    m = P.vertices.mean(axis=0)
+    c = float(np.dot(a, np.asarray(plane_point, dtype=float) - m))
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    P = P.translated(-m)
     K = clip_halfspace(P, a, c)
     L = clip_halfspace(P, -a, -c)
     if K.is_empty or L.is_empty:
@@ -402,7 +405,7 @@ def valuation_identity_check(spec: MinkowskiValuationSpec, P: Polytope,
         return ValuationIdentityReport(residual=None, skipped=True,
                                        reason="degenerate split (tangent plane)",
                                        n_directions=dirs.shape[0])
-    M = section_plane(P, plane_point, normal=a)
+    M = section_plane(P, c * a, normal=a)
     vals = [evaluate(spec, body, dirs, band=band).values for body in (K, L, P, M)]
     res = np.abs(vals[0] + vals[1] - vals[2] - vals[3])
     return ValuationIdentityReport(residual=float(np.max(res)), n_directions=dirs.shape[0],

@@ -1,18 +1,28 @@
-"""The law of flats in the ball about the origin, which the Crofton checks
-drew before their flats were drawn about the body (`PlaneSampler`): the
-reference of the tests that pin estimates taken under it, as
-motion_reference.py keeps the motion law and the kernels that the closed
-forms replaced."""
+"""References of the Crofton checks, as motion_reference.py keeps the motion
+law and the kernels that the closed forms replaced: the law of flats in the
+ball about the origin, which the checks drew before their flats were drawn
+about the body (`PlaneSampler`), and the section kernels of the terms that
+now integrate over the offsets in closed form (`FlatIntegrals`): the area
+measures of plane and line sections as pieces, and the S_1 moments of
+plane sections.  Tests that pin estimates taken under the old laws and
+kernels run on these."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from minkval.constants import kappa
-from minkval.integral_geom import DEFAULT_SHARDS, _uniform, _unit_rows
+from minkval import integral_geom
+from minkval.constants import CHUNK_BYTES, kappa
+from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _plane_basis
+from minkval.harmonics import legendre_rows
+from minkval.integral_geom import DEFAULT_SHARDS, _clip_lines, _uniform, _unit_rows
+from minkval.valuation import MeasurePieces
+
+FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
 
 
 def origin_radius(P) -> float:
@@ -87,3 +97,141 @@ def ball_flats(P, i: int, seed: int, n_samples: int, shards: int) -> BallSampler
     """A stand-in for integral_geom._flats: every codimension in the ball of
     P's enclosing radius about the origin."""
     return BallSampler.about_origin(P, i, seed, n_samples, shards)
+
+
+class PlaneSections(integral_geom.PlaneSections):
+    """The plane kernel with the crossing points of the planes (`crossings`),
+    the area measures of each section (`pieces`) and their S_1 moments
+    (`s1_moments`), as the checks took them per plane and offset before they
+    integrated over the offsets in closed form.  A crossed facet F has the
+    outward normal m_F = unit(n_F - (n_F . a) a) of its segment in the
+    plane, or unit(a x v_F) where n_F is parallel to a up to rounding."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        # in pieces(), per crossed facet and per section: the facets'
+        # arrays, two arcs, two atoms (the arcs' nodes run in the bounded
+        # parts of AreaMeasure's node sums)
+        self.piece_bytes = 8 * (32 * len(P.facet_cycles) + 16)
+
+    def crossings(self, a, s):
+        """The points where the planes {x . a[t] = s[t]} cross the edges:
+        plane index t (K,) and world point (K, 3), grouped by plane."""
+        rows, _, _, p = self._crossings(a, s)
+        return rows, p.T + self.centre
+
+    def _segment_normals(self, a, rows, facet, segment):
+        """The plane normals a[rows] (K, 3) of crossed facets and the
+        outward normals m_F (K, 3) of their segments v_F in the plane."""
+        nf, ar = self.normals[facet], np.take(a, rows, axis=0)
+        m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
+        flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
+        m_f[flat] = np.cross(ar[flat], np.stack([x[flat] for x in segment], axis=1))
+        return ar, _unit_rows(m_f)
+
+    def pieces(self, a, s) -> MeasurePieces:
+        """The area measures of the sections by the planes {x . a[t] = s[t]},
+        as area_measure gives them for a polygon: S_2 the atoms a and -a,
+        each with the section's area, and S_1 per crossed facet F the
+        quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
+        rows, facet, segment, length, v1, area = self._facets(a, s)
+        hit = v1 > 0.0
+        ar, m_f = self._segment_normals(a, rows, facet, segment)
+        t = np.flatnonzero(hit)
+        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                    np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        atoms = Atoms(np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
+                      np.repeat(area[t], 2))
+        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
+                             AreaMeasure(3, 2, atoms=atoms, bodies=len(hit)))
+
+    def s1_moments(self, a, s, w, kmax: int) -> np.ndarray:
+        """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
+        S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
+        crossed facet."""
+        rows, facet, segment, length, _, _ = self._facets(a, s)
+        ar, m_f = self._segment_normals(a, rows, facet, segment)
+        arc_cos, arc_sin, arc_weights = half_circle_rule(kmax)
+        m, width = a.shape[0], kmax + 1
+        out = np.zeros(m * width)
+        # per half circle: its cosines, two Legendre rows, temporaries, moments;
+        # parts of whole planes, so that each plane's moments are one sum over
+        # its facets in order, as np.add.at added them
+        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + width)))
+        cuts = np.unique(np.append(np.searchsorted(rows, rows[::per_call]), rows.size))
+        w = w[:, None]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            # points u(theta) = cos(theta) a + sin(theta) m_F; each row
+            # reduced on its own, so that no value depends on the batch
+            dots = (arc_cos[None, :] * _dots(ar[lo:hi], w)
+                    + arc_sin[None, :] * _dots(m_f[lo:hi], w))
+            arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
+                            enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
+            at = (rows[lo:hi, None] * width + np.arange(width)).ravel()
+            out += np.bincount(at, (arc * (0.5 * length[lo:hi])).T.ravel(), out.size)
+        return out.reshape(m, width)
+
+
+@functools.lru_cache(maxsize=None)
+def half_circle_rule(kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosines, sines and weights (2, M) of the rule in theta on [0, pi]
+    that is exact for the moments of degree <= kmax over a half circle.
+    On u(theta) = cos(theta) a + sin(theta) m, P_k(u . w) is a trigonometric
+    polynomial of degree k in theta, with even frequencies only for even k
+    and odd ones only for odd k (u(theta + pi) = -u(theta)).  Over [0, pi],
+    cos(m theta) integrates to pi for m = 0 and to 0 else, sin(m theta) to
+    2/m for odd m and to 0 for even m.  On the M = kmax + 1 nodes
+    theta_j = j pi / M, the weights pi / M (row 0, even k) integrate the
+    even frequencies below 2M exactly, and the weights
+    (4/M) sum_(odd m <= kmax) sin(m theta_j) / m (row 1, odd k) the odd
+    frequencies up to kmax: sum_j sin(m theta_j) sin(m' theta_j) = M/2
+    for m = m' and 0 else, and sum_j cos(m theta_j) sin(m' theta_j) = 0,
+    for odd m, m' <= kmax < M."""
+    M = kmax + 1
+    theta = np.arange(M) * (math.pi / M)
+    odd = np.arange(1, kmax + 1, 2)
+    weights = np.empty((2, M))
+    weights[0] = math.pi / M
+    weights[1] = 4.0 / M * (np.sin(np.multiply.outer(theta, odd)) / odd).sum(axis=1)
+    return np.cos(theta), np.sin(theta), weights
+
+
+class LineSections:
+    """Chords of a full-dimensional polytope by lines p + s u, from its
+    facets, and the area measures of each chord (`pieces`), as the checks
+    took them per line before they integrated over the lines' offsets in
+    closed form."""
+
+    def __init__(self, P):
+        A, self.b = P.inequalities()
+        self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
+        self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
+        self.piece_bytes = 8 * 48   # pieces(): the basis, the ring and four arcs per line
+
+    def chords(self, u, p):
+        """Clipped [lo, hi] of each line, and whether it meets the body."""
+        return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
+
+    def pieces(self, u, p) -> MeasurePieces:
+        """The area measures of the chords, as area_measure gives them for a
+        segment of length l along u: S_1 the four quarter arcs p1 -> p2 ->
+        -p1 -> -p2 -> p1 of the great circle orthogonal to u, with the basis
+        (p1, p2) of _plane_basis, of density l / 2 each, and no S_2."""
+        lo, hi, hit = self.chords(u, p)
+        t = np.flatnonzero(hit)
+        p1, p2 = _plane_basis(u[t])
+        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
+        arcs = Arcs(np.repeat(t, 4), ring.reshape(-1, 3),
+                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.repeat(0.5 * (hi[t] - lo[t]), 4))
+        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
+                             AreaMeasure(3, 2, bodies=len(hit)))
+
+
+def offset_sum(kernel, a, lo, hi, offsets: int):
+    """2 int kernel(a, s) ds over s in [lo, hi] for one direction a (3,),
+    by the midpoint rule on `offsets` offsets: the integral under the
+    invariant measure of the planes of normal a."""
+    h = (hi - lo) / offsets
+    s = lo + h * (np.arange(offsets) + 0.5)
+    vals = np.asarray(kernel(np.repeat(a[None, :], offsets, axis=0), s), dtype=float)
+    return 2.0 * h * vals.sum(axis=0)

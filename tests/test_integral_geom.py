@@ -370,13 +370,19 @@ def test_hadwiger_point_term_is_exact():
 @pytest.mark.parametrize("P,L", [(cube(), cube()), (random_hull(51), random_hull(52, 20))],
                          ids=["cubes", "hulls"])
 def test_valuation_decomposition_is_half_the_v1_one(P, L):
-    # h(mean_width_ball(K))(u) = V_1(K) / 2: both checks draw the same motions,
-    # planes and lines, so both sides agree with half those of V_1 to rounding
+    # h(mean_width_ball(K))(u) = V_1(K) / 2: both checks draw the same
+    # rotations and plane normals, so their motion integrals and plane terms
+    # agree with half those of V_1 to rounding.  The chords of V_1 (i + j = n)
+    # keep their offsets, while the valuation's lines integrate over theirs
+    # in closed form: V_1 / 2 of the chords integrates to [3; 1] V_3(P) / 2
+    # along every direction, so that term is exact
     res = kinematic_minkowski_check(builtin_spec("mean_width_ball"), P, L, [0.0, 0.0, 1.0],
                                     3000, 17)
     h = hadwiger_check(P, L, 1, 3000, 17)
+    plane, line = h["terms"][1], h["terms"][2]
+    exact = h["rhs"] + line["coef"] * (crofton_target(P, 2, 1) - line["estimate"])
     for key, want in (("lhs", h["lhs"].estimate), ("lhs_stderr", h["lhs"].stderr),
-                      ("rhs", h["rhs"]), ("rhs_stderr", h["rhs_stderr"])):
+                      ("rhs", exact), ("rhs_stderr", plane["coef"] * plane["stderr"])):
         assert math.isclose(res[key], want / 2, rel_tol=1e-13, abs_tol=0.0), key
 
 

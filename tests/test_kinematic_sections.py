@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from minkval import convex, integral_geom
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
-    LineSections,
-    PlaneSections,
     _rotations_from_quaternions,
     kinematic_minkowski_check,
     run_shards,
@@ -30,7 +28,7 @@ from minkval.valuation import (
     evaluate,
 )
 
-from flat_reference import ball_flats, origin_radius
+from flat_reference import LineSections, PlaneSections, ball_flats, origin_radius
 from motion_reference import BoxMotionSampler, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
@@ -231,12 +229,22 @@ def cube_law(cls, P, L, seed, n_samples, shards):
                moving=np.zeros((1, 3)))
 
 
+def ball_valuation_kernel(P, value, i):
+    """The plane (i = 1) and line (i = 2) terms of the check as it took them
+    before it integrated over the offsets: the pieces of each section
+    (tests/flat_reference.py) under the law of flats in the ball about the
+    origin."""
+    sections = (PlaneSections if i == 1 else LineSections)(P)
+    return (ball_flats, lambda *flats: value(sections.pieces(*flats)),
+            sections.sample_bytes + sections.piece_bytes)
+
+
 # lhs, lhs_stderr, rhs, rhs_stderr of the check that sliced a lattice per
 # plane and per line (section_plane, section_line), under the laws of
 # planes and motions that check drew.  The check now integrates the
-# translations in closed form: its lhs is pinned on the reference kernel of
-# whole motions (MotionIntersections) under the cube law, its rhs on the
-# check itself.
+# translations and the flats' offsets in closed form: its lhs is pinned on
+# the reference kernel of whole motions (MotionIntersections) under the
+# cube law, its rhs on the check with the reference kernels of sections.
 @pytest.mark.parametrize("name,pinned", [
     ("projection_body",
      (2.442316768617, 0.38825336057210846, 2.514367894722867, 0.04854790236821971)),
@@ -245,7 +253,7 @@ def cube_law(cls, P, L, seed, n_samples, shards):
 ])
 def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
     # planes and lines in the ball of the enclosing radius about the origin
-    monkeypatch.setattr(integral_geom, "_flats", ball_flats)
+    monkeypatch.setattr(integral_geom, "_valuation_kernel", ball_valuation_kernel)
     res = kinematic_minkowski_check(builtin_spec(name), cube(), cube(), [0.0, 0.0, 1.0],
                                     2500, seed=17)
     value = PieceEvaluator(builtin_spec(name), [0.0, 0.0, 1.0])

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from minkval.cli import load_body, main
 from minkval.convex import Polytope, cube, random_hull
-from minkval.integral_geom import ROUNDING_RTOL, agrees
+from minkval.integral_geom import (ROUNDING_RTOL, agrees, crofton_minkowski,
+                                   crofton_minkowski_rhs, moment_row)
+from minkval.zonal import ZonalObject
 
 # a volume-only valuation, 1.7 V_3: a kinematic check whose both sides are
 # closed forms, with a stderr of rounding size
@@ -28,6 +30,26 @@ def test_gate_is_relative_to_the_scale(scale):
     assert agrees(gap, 0.0, scale, 1e-9) and agrees(gap, gap, 0.0, 0.0)
     value = 0.1 * scale
     assert agrees(value - value, 0.0, 2.0 * value, 0.0)
+
+
+def test_crofton_mv_rows_pass_within_rounding_of_the_moments_mass():
+    # the cube's odd rows vanish by central symmetry, so both sides are
+    # rounding: lhs 8.4e-20 +- 1.1e-19 against rhs -6.2e-18 on the k = 3 row
+    # at seed 5 and N 200000 missed 3 stderr plus rounding relative to the
+    # row's own values; the floor is relative to the moments' mass, the
+    # multiplier times the k = 0 moment of each side (|P_k| <= 1)
+    mu = ZonalObject.dirac_pole(3, kmax=16)
+    res = crofton_minkowski(cube(), mu, 1, 1, 4000, seed=5, degrees=(0, 1, 3, 5))
+    lhs0 = res["rows"][0]["lhs"]
+    mult = crofton_minkowski_rhs(3, 1, 1, mu).multipliers
+    assert res["all_pass"]
+    for row in res["rows"][1:]:
+        assert abs(row["lhs"]) <= 1e-15 * lhs0 and abs(row["rhs"]) <= 1e-15 * lhs0, row
+    mass = abs(mu.multipliers[3]) * lhs0 + abs(mult[3]) * 6.0   # S_2 of the cube: mass 6
+    assert not agrees(8.4e-20 + 6.2e-18, 3.0 * 1.1e-19, 8.4e-20 + 6.2e-18)
+    assert moment_row(3, 8.4e-20, 1.1e-19, -6.2e-18, 0.0, mass)["pass"]
+    for gap in (1e-10 * mass, -1e-10 * mass):
+        assert not moment_row(3, gap, 1.1e-19, 0.0, 0.0, mass)["pass"]
 
 
 def _report(argv: list[str], tmp: str) -> tuple[int, dict]:
@@ -76,15 +98,18 @@ def test_checks_pass_on_bodies_of_any_size_and_place(body, other):
             assert code == 0, (argv[0], rep)
 
 
-# A body far from the origin compared with its size holds its vertices,
-# and those of its halves, only to ulp(|shift|): the split of
-# random_hull(3) scaled by 1e-6 and shifted by 1e6 leaves residuals of
-# up to 5e-5 of the scale, and its plane at 2e-4 of the support interval lies two
-# ulps from a vertex.  So the halves are checked at up to 1e6 body sizes
-# from the origin, where the residual stays below 4e-11 of the scale.
+# The split runs about the body's vertex centroid, with one plane for the
+# halves and the section: split in world coordinates, random_hull(3)
+# scaled by 1e-6 and shifted by (1e6, -3e5, 7e5) kept only ulp(1e6) of its
+# vertices and of its halves' (residuals of 3.3e-5 and 4.6e-5 of the scale
+# at 0.3 of the support interval along unit(0.3, -0.5, 0.81)), and its
+# plane at 2e-4 of the interval lay two ulps from a vertex, a split skipped
+# as tangent.  Centred, with the section through a point of the plane far
+# from the body, the residuals were 2.8e-6 and 1.9e-6.
 @settings(max_examples=25, deadline=None)
 @example(body=cube().scaled(1e-6), normal=(0.0, 0.0, 1.0))
-@given(body=hulls(lambda lam: 1e6 * min(1.0, lam)),
+@example(body=random_hull(3).scaled(1e-6).translated((1e6, -3e5, 7e5)), normal=(0.3, -0.5, 0.81))
+@given(body=hulls(lambda lam: 1e6),
        normal=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1))
 def test_split_checks_pass_on_bodies_of_any_size(body, normal):
     # the plane at 2e-4 of the cube of size 1e-6 lies 2e-10 from its facet,

@@ -1,8 +1,9 @@
 """The ordering-free plane-section kernel against the section polygons of
-convex.section_plane and against the dense-incidence kernel it replaced,
-and the sharded Monte-Carlo loop run_shards: pinned estimates, the
-per-chunk transform of the variates against a per-shard one, input checks
-and bounded memory."""
+convex.section_plane and against the dense-incidence kernel it replaced
+(its pieces and S_1 moments as tests/flat_reference.py keeps them), and the
+sharded Monte-Carlo loop run_shards: pinned estimates, the per-chunk
+transform of the variates against a per-shard one, input checks and
+bounded memory."""
 
 import tracemalloc
 
@@ -25,12 +26,9 @@ from minkval.convex import (
 from minkval import integral_geom
 from minkval.harmonics import legendre_rows
 from minkval.integral_geom import (
-    FACET_PARALLEL_TOL,
     MotionSampler,
-    PlaneSections,
     _dots,
     _flats,
-    _half_circle_rule,
     _shard_rngs,
     _shard_sizes,
     _unit_rows,
@@ -41,7 +39,7 @@ from minkval.integral_geom import (
 from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
 from minkval.zonal import ZonalObject
 
-from flat_reference import BallSampler
+from flat_reference import FACET_PARALLEL_TOL, BallSampler, PlaneSections, half_circle_rule
 from motion_reference import BoxMotionSampler
 
 KMAX = 4
@@ -225,7 +223,7 @@ class DenseSections:
 
     def s1_moments(self, a, s, w, kmax):
         rows, length, m_f = self.crossed_facets(a, self.segments(a, s)[0])
-        arc_cos, arc_sin, arc_weights = _half_circle_rule(kmax)
+        arc_cos, arc_sin, arc_weights = half_circle_rule(kmax)
         w = w[:, None]
         dots = arc_cos[None, :] * _dots(a[rows], w) + arc_sin[None, :] * _dots(m_f, w)
         arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
