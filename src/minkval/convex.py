@@ -46,12 +46,12 @@ __all__ = [
 MERGE_TOL = 1e-10
 POINT_TOL = 1e-9    # lengths below POINT_TOL times the body's _extent are 0
 # The zonal sums keep about eight 8-byte arrays of shape (nodes, directions)
-# alive: cosines, bins, two Legendre rows, the weighted row and their
+# alive: cosines, bins, two Legendre rows, the row times the weights and their
 # temporaries; building a node of an arc takes about twice that.
 _PAIR_BYTES = 8 * 8
 # The addition theorem keeps about a dozen float64 values per node or
-# direction alive: coordinates, c and s of the order, three rows, weighted
-# c and s, temporaries; a direction also holds its kmax + 1 moments.
+# direction alive: coordinates, c and s of the order, three rows, c and s
+# times the weights, temporaries; a direction also holds its kmax + 1 moments.
 _POINT_BYTES = 8 * 12
 # The cost model that chooses between the direct zonal sums and the addition
 # theorem, in seconds, fitted to both routes' times on one core (2-vCPU VM,

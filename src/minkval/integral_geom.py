@@ -4,12 +4,17 @@ intrinsic volumes and the Crofton formula for Minkowski valuations.
 The invariant measure of affine flats is normalized so that the flats
 meeting the unit ball have measure C(n, d) kappa_n / kappa_d (d the flat
 dimension).  A Crofton term of V_j at codimension i with i + j < n draws
-only a uniform direction (`DirectionSampler`) and integrates over the
-offsets in closed form (`FlatIntegrals`); one with i + j = n, whose closed
-form V_n of the body would read as an estimate with stderr 0, draws its
-offsets about the body's vertices too (`PlaneSampler`).
-Rigid motions g L = R L + x draw only their rotation R, uniform (the
-probability law): the integral over the translations x has a closed form
+only a uniform direction (`DIRECTIONS`) and integrates over the offsets in
+closed form (`FlatIntegrals`).  A term with i + j = n, whose closed form
+V_n of the body would read as an estimate with stderr 0, draws its offsets
+too, and its kernel owns the window they fall in and its weight, the
+measure of the flats through that window: planes (`PlaneSections.areas`)
+take an offset in the support interval [lo, hi] of their normal, of weight
+2 (hi - lo); lines (`_LineChords`) a point in the disc of radius R about
+the centre of the body's coordinate box, of weight 2 pi R^2; points
+(`_BoxPoints`) lie in that box, whose volume is their weight.
+Rigid motions g L = R L + x draw only their rotation R, uniform
+(`ROTATIONS`): the integral over the translations x has a closed form
 for each rotation, the translative integral formulas
 (`TranslativeIntegrals`).  It is vol(P - R L) for the Euler
 characteristic and a sum over the facet pairs of P and R L for V_1; for
@@ -20,18 +25,19 @@ the motion integral with one Hadwiger decomposition into Crofton integrals
 terms, and only the plane and line terms on which the integrand can be
 nonzero run by Monte Carlo.
 
-Every estimator runs through one shard loop, `run_shards`: shard k draws its
-random numbers (`variates`) from the k-th spawned seed sequence, in chunks
-of bounded memory that may span several shards; each chunk's variates are
-transformed into flats or motions at once (`draw`, elementwise, so the
-samples do not depend on the chunking), a kernel evaluates them, and each
-shard's values are summed in fixed blocks from its start, so that the sums
-do not depend on the chunking either; the standard error comes from the
-per-shard spread.  Results are deterministic in (seed, shards).  The
+Every estimator runs through one shard loop, `run_shards`, which averages
+a kernel's values under a `Law` and knows no weight: shard k draws its
+random numbers (`Law.variates`) from the k-th spawned seed sequence, in
+chunks of bounded memory that may span several shards; each chunk's normals
+are made unit directions or rotations at once (`Law.draw`, elementwise, so
+the samples do not depend on the chunking), a kernel evaluates them, and
+each shard's values are summed in fixed blocks from its start, so that the
+sums do not depend on the chunking either; the standard error comes from
+the per-shard spread.  Results are deterministic in (seed, shards).  The
 streams are numpy's SeedSequence children; only their seeding is batched
 (`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
-the variates are Generator.random doubles that `draw` scales to the
-uniform ranges as Generator.uniform would.  The kernels are batched and
+the uniform variates are Generator.random doubles that the kernels scale to
+their windows as Generator.uniform would.  The kernels are batched and
 elementwise, so that no sample's value depends on the batch, and build no
 face lattice: the valuation-valued check integrates the profiles of
 `evaluate` (`valuation.PieceEvaluator`) against the area measures of a
@@ -57,6 +63,7 @@ from .convex import (
     Atoms,
     Polytope,
     _dots,
+    _extent,
     _plane_basis,
     intrinsic_volumes,
 )
@@ -67,9 +74,7 @@ from .zonal import DEFAULT_KMAX, ZonalObject, box_j_apply, box_n_apply, builtin_
 __all__ = [
     "EstimateReport",
     "agrees",
-    "PlaneSampler",
-    "DirectionSampler",
-    "MotionSampler",
+    "Law",
     "FlatIntegrals",
     "PlaneSections",
     "TranslativeIntegrals",
@@ -150,148 +155,40 @@ class EstimateReport:
 
 
 @dataclass(frozen=True)
-class PlaneSampler:
-    """Law of the affine flats of codimension `codim` that meet a body, for
-    the Crofton terms with i + j = n, drawn about the body's vertices.  Each
-    restricts the invariant measure of flats to a set of flats that holds
-    every flat meeting the body, so the Crofton integral stays unbiased
-    (conditional Monte Carlo: Asmussen & Glynn, Stochastic Simulation,
-    2007, ch. V; Schneider & Weil, Stochastic and Integral Geometry, 2008).
+class Law:
+    """The random numbers of one sample, in its shard's order: `normals`
+    standard normals, then `uniforms` doubles in [0, 1), for m samples one
+    (m, normals) and one (m, uniforms) array, or, where `split`, `uniforms`
+    arrays (m,) drawn one after the other.  `draw` makes unit directions of
+    3 normals (plane normals, line directions) and uniform rotations of 4
+    (unit quaternions); the doubles go to the kernel as they are.  A law
+    knows no body: a kernel scales the doubles to its window about the
+    body, as Generator.uniform would (`_uniform`), and weights its values
+    by the window's measure."""
 
-    - Planes (codim 1): a uniform normal a (the probability law) and the
-      offset s of the plane {x . a = s} uniform in the support interval
-      [min a . v, max a . v] over the vertices v, weighted per sample by
-      2 (max - min), the measure of the planes with normal a that meet the
-      body (4R for the ball of radius R).  Every plane meets the body.
-    - Lines (codim 2): a uniform direction u and a point uniform in the
-      disc orthogonal to u about the centre c = (lo + hi) / 2 of the body's
-      coordinate box [lo, hi], of the radius R = max |v - c| (times
-      1 + 1e-12) of the ball about c that holds the body.  Their common
-      weight is 2 pi R^2, the measure of the lines meeting that ball.
-    - Points (codim 3): uniform in the coordinate box [lo, hi], whose volume
-      is their common weight, so that no weight is multiplied per sample."""
-
-    n: int
-    codim: int
-    vertices: np.ndarray   # (V, 3): the body the flats are drawn about
-    seed: int
-    n_samples: int
-    shards: int = DEFAULT_SHARDS
-
-    @property
-    def weighted(self) -> bool:
-        """Whether `draw` ends with per-sample weights (planes)."""
-        return self.codim == 1
-
-    @functools.cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """The body's coordinate box: the least and the greatest coordinates
-        (3,) of its vertices."""
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    @functools.cached_property
-    def centre(self) -> np.ndarray:
-        """The centre of the coordinate box, about which lines are drawn."""
-        lo, hi = self.box
-        return (lo + hi) / 2.0
-
-    @functools.cached_property
-    def radius(self) -> float | None:
-        """The radius of the lines' disc, max |v - c| over the vertices v
-        with a margin of 1e-12 relative; None for planes and points, whose
-        laws have no radius."""
-        if self.codim != 2:
-            return None
-        reach = np.linalg.norm(self.vertices - self.centre, axis=1)
-        return float(np.max(reach)) * (1.0 + 1e-12)
-
-    @property
-    def weight(self) -> float:
-        """The weight common to all samples: 1 for planes, whose weights
-        come per sample from `draw`, the measure C(n, n-2) kappa_n /
-        kappa_(n-2) R^2 of the lines meeting the ball of radius R, and the
-        volume of the box for points."""
-        if self.codim == 1:
-            return 1.0
-        if self.codim == 2:
-            return (math.comb(self.n, self.codim)
-                    * kappa(self.n) / kappa(self.n - self.codim)
-                    * self.radius ** self.codim)
-        lo, hi = self.box
-        return float(np.prod(hi - lo))
+    normals: int
+    uniforms: int = 0
+    split: bool = False
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
-        """The random numbers of m flats, in the generator's call order:
-        doubles in [0, 1) for the points (m, 3) (codim 3); else normal
-        directions (m, 3), then doubles in [0, 1) for the offsets (codim 1)
-        or for the radii and the angles (codim 2).  The stream is that of
-        rng.uniform for each of them; `draw` scales them."""
-        if self.codim == 3:
-            return (rng.random((m, 3)),)
-        g = rng.standard_normal((m, 3))
-        if self.codim == 2:
-            u = rng.random((2, m))   # the radii's doubles, then the angles'
-            return g, u[0], u[1]
-        return g, rng.random(m)
+        out = (rng.standard_normal((m, self.normals)),) if self.normals else ()
+        if self.split:
+            return out + tuple(rng.random((self.uniforms, m)))
+        return out + ((rng.random((m, self.uniforms)),) if self.uniforms else ())
 
     def draw(self, *variates: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Flats from their variates: (normals a, offsets s, weights) of
-        planes {x . a = s}, (directions, points) of lines, or (points,).
-        Offsets, angles and points overwrite their variates, so that a
-        chunk holds one copy; radii in [0, 1) are the variates themselves."""
-        if self.codim == 3:
-            x, = variates
-            return (_uniform(x, *self.box),)
+        if not self.normals:
+            return variates
         g, *rest = variates
-        dirs = _unit_rows(g)
-        if self.codim == 1:
-            lo, hi = _support_interval(dirs, self.vertices)
-            return dirs, _uniform(rest[0], lo, hi), 2.0 * (hi - lo)
-        # uniform points in the disc of radius R about c orthogonal to the line
-        u, ang = rest
-        _uniform(ang, 0.0, 2.0 * math.pi)
-        e1, e2 = _line_frame(dirs)
-        rad = self.radius * np.sqrt(u)
-        p = rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
-        p += self.centre
-        return dirs, p
+        unit = _unit_rows(g)
+        return (unit if self.normals == 3 else _rotations_from_quaternions(unit), *rest)
 
 
-@dataclass(frozen=True)
-class MotionSampler:
-    """Law of the rotations R of the moved copies g L = R L + x of a body:
-    uniform (the probability law), from normal quaternions.  The
-    translations x are not drawn: the kernels integrate over them in closed
-    form for each rotation (`TranslativeIntegrals`)."""
-
-    # what run_shards reads: no per-sample weights, and the rotations'
-    # probability law needs no common weight
-    weighted = False
-    weight = 1.0
-
-    n: int
-    seed: int
-    n_samples: int
-    shards: int = DEFAULT_SHARDS
-
-    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray]:
-        """The random numbers of m rotations: normal quaternions (m, 4)."""
-        return (rng.standard_normal((m, 4)),)
-
-    def draw(self, q: np.ndarray) -> tuple[np.ndarray]:
-        """Rotations (m, 3, 3) from their variates."""
-        return (_rotations_from_quaternions(_unit_rows(q)),)
-
-
-class DirectionSampler(MotionSampler):
-    """Uniform normals of planes and directions of lines (the probability
-    law), from the normal vectors that `PlaneSampler` draws first."""
-
-    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray]:
-        return (rng.standard_normal((m, self.n)),)
-
-    def draw(self, g: np.ndarray) -> tuple[np.ndarray]:
-        return (_unit_rows(g),)
+DIRECTIONS = Law(3)               # plane normals and line directions
+ROTATIONS = Law(4)
+PLANES = Law(3, 1, split=True)    # a normal, then the double of its offset
+LINES = Law(3, 2, split=True)     # a direction, then the doubles of its point's radius and angle
+POINTS = Law(0, 3)                # the doubles of a point's coordinates
 
 
 def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,21 +212,6 @@ def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e2[:, 1] = z * a - x * c
     e2[:, 2] = x * b - y * a
     return e1, e2
-
-
-def _support_interval(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """min and max of a . v over the points v (V, 3), per row of a (m, 3).
-    The products are elementwise multiply-adds in a fixed order (`_dots`),
-    so that they depend neither on the batch nor on the BLAS threads; rows run in
-    blocks of at most CHUNK_BYTES of projections, because `draw` transforms
-    a large shard at once."""
-    lo, hi = np.empty(len(a)), np.empty(len(a))
-    step = max(1, CHUNK_BYTES // (16 * len(v)))
-    for i in range(0, len(a), step):
-        proj = _dots(a[i:i + step], v.T)
-        proj.min(axis=1, out=lo[i:i + step])
-        proj.max(axis=1, out=hi[i:i + step])
-    return lo, hi
 
 
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
@@ -504,47 +386,40 @@ def _check_shards(n_samples: int, shards: int) -> None:
                          f"n_samples={n_samples}, shards={shards}")
 
 
-def run_shards(sampler, kernel, sample_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate of sampler.weight * E[kernel(sample)] (times the per-sample
-    weight of a `weighted` sampler): the mean of the per-shard means, with
-    its standard error.  Shard k takes its variates (`sampler.variates`) from
-    the k-th spawned seed sequence, the stream of
-    SeedSequence(seed, spawn_key=(k,)), whose seeding `_shard_rngs` batches;
-    a chunk of whole shards (or of one large shard) is transformed into
-    samples at once (`sampler.draw`, whose last array is the per-sample
-    weight of a weighted sampler), and `kernel(*draws)` maps it to values
+def run_shards(law: Law, kernel, sample_bytes: int, seed: int, n_samples: int,
+               shards: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate of E[kernel(sample)] over n_samples samples of the law: the
+    mean of the per-shard means, with its standard error.  Shard k takes its
+    variates (`law.variates`) from the k-th spawned seed sequence, the
+    stream of SeedSequence(seed, spawn_key=(k,)), whose seeding
+    `_shard_rngs` batches; a chunk of whole shards (or of one large shard)
+    is drawn at once (`law.draw`), and `kernel(*draws)` maps it to values
     (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes
     samples, sample_bytes being the kernel's temporary memory per sample;
     the sums do not depend on the chunking (`_ShardSums`)."""
-    _check_shards(sampler.n_samples, sampler.shards)
-    sizes = _shard_sizes(sampler.n_samples, sampler.shards)
+    _check_shards(n_samples, shards)
+    sizes = _shard_sizes(n_samples, shards)
     chunk = max(1, CHUNK_BYTES // sample_bytes)
     totals, parts, count = _ShardSums(sizes), [], 0
-    for k, rng in enumerate(_shard_rngs(sampler.seed, sampler.shards)):
-        parts.append(sampler.variates(rng, sizes[k]))
+    for k, rng in enumerate(_shard_rngs(seed, shards)):
+        parts.append(law.variates(rng, sizes[k]))
         count += sizes[k]
         if k + 1 < len(sizes) and count + sizes[k + 1] <= chunk:
             continue
         # each array goes as soon as it is used, to bound the peak memory:
-        # the per-shard variates before the transform, the chunk's variates
+        # the per-shard variates before the draw, the chunk's variates
         # before the kernel, and its samples before the next chunk
         variates = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
         parts = []
-        draws = sampler.draw(*variates)
+        draws = law.draw(*variates)
         del variates
-        if sampler.weighted:
-            *draws, weights = draws
         for lo in range(0, count, chunk):  # several pieces only for one large shard
-            vals = np.asarray(kernel(*(d[lo:lo + chunk] for d in draws)), dtype=float)
-            if sampler.weighted:
-                w = weights[lo:lo + chunk]
-                vals = vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
-            totals.add(vals)
-        del draws, vals
+            totals.add(np.asarray(kernel(*(d[lo:lo + chunk] for d in draws)), dtype=float))
+        del draws
         count = 0
     sums = totals.sums
     sizes = np.array(sizes, dtype=float).reshape((-1,) + (1,) * (sums.ndim - 1))
-    means = sampler.weight * (sums / sizes)
+    means = sums / sizes
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
 
@@ -588,6 +463,7 @@ class PlaneSections:
         self.centre = P.vertices.mean(axis=0)
         self.local = local = P.vertices - self.centre
         self.local_t = np.ascontiguousarray(local.T)                       # (3, V)
+        self.cut = 1e-12 * _extent(P.vertices)
         self.start = np.ascontiguousarray(local[self.vi].T)                 # (3, E)
         self.step = np.ascontiguousarray((local[self.vj] - local[self.vi]).T)
         # per edge, the facet whose ccw cycle runs along it from i to j, then
@@ -604,32 +480,52 @@ class PlaneSections:
         # whose planes cross all 40 side edges, tracemalloc)
         self.sample_bytes = 8 * (V + 3 * E + 20 * F)
 
-    def _crossings(self, a: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The edges that the planes {x . a[t] = s[t]} cross, by plane, then
-        edge: plane index t (K,), edge e (K,), whether its end i lies above
-        the plane (K,), and the crossing point about the centroid (3, K).
-        The distances are elementwise multiply-adds in a fixed order, as in
-        `_support_interval`, so that no plane's value depends on the batch."""
-        d = _dots(a, self.local_t)                              # (m, V)
-        d -= (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
+    def _crossings(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The edges that planes cross, by plane, then edge, from the signed
+        distances d (m, V) of the vertices to the planes: plane index t
+        (K,), edge e (K,), whether its end i lies above the plane (K,), and
+        the crossing point about the centroid (3, K).  A vertex lies above a
+        plane where its distance exceeds `cut`, 1e-12 of the body's extent
+        (convex._extent), so that the same planes cross the same edges of
+        lam P + t."""
         di, dj = d[:, self.vi], d[:, self.vj]                     # (m, E)
-        above = di > 1e-12
-        flat = np.flatnonzero(above != (dj > 1e-12))
+        above = di > self.cut
+        flat = np.flatnonzero(above != (dj > self.cut))
         rows, e = np.divmod(flat, len(self.vi))
         di, dj = di.ravel()[flat], dj.ravel()[flat]
         lam = np.clip(di / (di - dj), 0.0, 1.0)
         p = np.take(self.start, e, axis=1) + lam * np.take(self.step, e, axis=1)
         return rows, e, above.ravel()[flat], p
 
-    def _facets(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The facets that the planes {x . a[t] = s[t]} cross, by plane, then
-        facet: plane index (K,), facet (K,), segment v_F (three (K,) arrays
-        of coordinates) and length |v_F| (K,);
+    def distances(self, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The signed distances (m, V) of the vertices to the planes
+        {x . a[t] = s[t]}, as elementwise multiply-adds in a fixed order
+        (`_dots`), so that no plane's value depends on the batch."""
+        d = _dots(a, self.local_t)
+        d -= (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
+        return d
+
+    def tight(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The planes of normals a whose offsets about the centroid are
+        uniform in the support interval [lo, hi] of a . (v - centroid) over
+        the vertices v, from the doubles u of Generator.random (scaled in
+        place): the signed distances (m, V) of the vertices to them, from
+        the one projection that gives the interval, and their weights
+        2 (hi - lo), the measure of the planes of normal a that meet the
+        body.  Every plane meets it."""
+        d = _dots(a, self.local_t)
+        lo, hi = d.min(axis=1), d.max(axis=1)
+        d -= _uniform(u, lo, hi)[:, None]
+        return d, 2.0 * (hi - lo)
+
+    def _facets(self, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The facets that the planes of normals a and vertex distances d
+        cross, by plane, then facet: plane index (K,), facet (K,), segment
+        v_F (three (K,) arrays of coordinates) and length |v_F| (K,);
         and V_1 (half the perimeter) and V_2 (the area) of each section
         (m,), 0 where the plane misses the body."""
         m, nf = a.shape[0], len(self.normals)
-        rows, e, above, p = self._crossings(a, s)
+        rows, e, above, p = self._crossings(d)
         # plane * F + facet of the facets that take +p_e, then of those that take -p_e
         at = np.concatenate([self.facets[2 * e + ~above], self.facets[2 * e + above]])
         at += np.tile(rows * nf, 2)
@@ -650,7 +546,70 @@ class PlaneSections:
     def volumes(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
         each section, 0 where the plane misses the body."""
-        return self._facets(a, s)[4:]
+        return self._facets(a, self.distances(a, s))[4:]
+
+    def areas(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The kernel of the term of V_2 at codimension 1 (i + j = n), under
+        PLANES: the areas of the `tight` planes' sections times their
+        weights."""
+        d, weight = self.tight(a, u)
+        return weight * self._facets(a, d)[5]
+
+
+class _LineChords:
+    """The kernel of the term of V_1 at codimension 2 (i + j = n), under
+    LINES: the lines along the unit rows u through points uniform in the
+    disc orthogonal to u about the centre c = (lo + hi) / 2 of the body's
+    coordinate box [lo, hi], of the radius R = max |v - c| over the
+    vertices v (times 1 + 1e-12) of the ball about c that holds the body.
+    Each chord's length is multiplied by 2 pi R^2, the measure of the lines
+    meeting that ball."""
+
+    def __init__(self, P: Polytope):
+        A, self.b = P.inequalities()
+        self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
+        lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+        self.centre = (lo + hi) / 2.0
+        reach = np.linalg.norm(P.vertices - self.centre, axis=1)
+        self.radius = float(np.max(reach)) * (1.0 + 1e-12)
+        self.weight = math.comb(3, 2) * kappa(3) / kappa(1) * self.radius ** 2
+        self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
+
+    def points(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
+        """The lines' points (m, 3) from the doubles r of their radii and ang
+        of their angles, which it scales in place."""
+        _uniform(ang, 0.0, 2.0 * math.pi)
+        e1, e2 = _line_frame(u)
+        rad = self.radius * np.sqrt(r)
+        return rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + self.centre
+
+    def __call__(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
+        p = self.points(u, r, ang)
+        lo, hi, hit = _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
+        return self.weight * np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+
+
+class _BoxPoints:
+    """The kernel of the term of V_0 at codimension 3, under POINTS: points
+    uniform in the body's coordinate box [lo, hi]; a hit counts the box's
+    volume.  The cut is relative to the diameter 2 max |v - m| of the
+    ball about the vertex centroid m that holds the vertices v."""
+
+    def __init__(self, P: Polytope):
+        A, b = P.inequalities()
+        self.AT = np.ascontiguousarray(A.T)
+        size = 2.0 * float(np.max(np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1)))
+        self.bound = b + 1e-12 * size
+        self.lo, self.hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+        self.volume = float(np.prod(self.hi - self.lo))
+        self.sample_bytes = 9 * len(b) + 80
+
+    def points(self, x: np.ndarray) -> np.ndarray:
+        """The points (m, 3) from their doubles x, scaled in place."""
+        return _uniform(x, self.lo, self.hi)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.volume * np.all(self.points(x) @ self.AT <= self.bound, axis=1)
 
 
 # -- integrals over the offsets of parallel planes and lines ----------------
@@ -674,9 +633,10 @@ class FlatIntegrals:
         self.piece_bytes = self.sample_bytes + 8 * (24 * len(self.areas) + 16)
 
     def widths(self, a: np.ndarray) -> np.ndarray:
-        """2 int V_0 ds = 2 (h(a) + h(-a)) per normal a (m,)."""
-        lo, hi = _support_interval(a, self.vertices)
-        return 2.0 * (hi - lo)
+        """2 int V_0 ds = 2 (h(a) + h(-a)) per normal a (m,), from the
+        elementwise projections of the vertices (`_dots`)."""
+        proj = _dots(a, self.vertices.T)
+        return 2.0 * (proj.max(axis=1) - proj.min(axis=1))
 
     def _cross(self, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """n_F x a (three (F, m) coordinate arrays) and its length."""
@@ -696,36 +656,45 @@ class FlatIntegrals:
         """2 int V_0 dp = sum_F A_F |n_F . u| per direction u (m,)."""
         return _row_sums(np.abs(_dots(u, self.normals)).T, self.areas)
 
-    def plane_pieces(self, a: np.ndarray) -> MeasurePieces:
+    def plane_pieces(self, a: np.ndarray, degrees) -> MeasurePieces:
         """The area measures of the sections by the planes of normal a,
         integrated: S_1 the quarter arcs a -> m_F -> -a of density
         A_F |n_F x a| per facet with n_F x a != 0, m_F = unit(a x (n_F x a))
         the outward normal of its segments; S_2 the atoms +-a of mass
-        2 V_3(P) (Cavalieri); and twice the width in place of the hit."""
+        2 V_3(P) (Cavalieri); and twice the width in place of the hit.
+        Only the measures of the given degrees are built, the others left
+        empty."""
         m = len(a)
-        c, sin = self._cross(a)
-        rows, facet = np.nonzero(sin.T > 0.0)
-        ar = np.take(a, rows, axis=0)
-        m_f = _unit_rows(np.cross(ar, np.stack([x[facet, rows] for x in c], axis=1)))
-        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                    np.stack([m_f, -ar], axis=1).reshape(-1, 3),
-                    np.repeat(self.areas[facet] * sin[facet, rows], 2))
-        atoms = Atoms(np.repeat(np.arange(m), 2), np.stack([a, -a], axis=1).reshape(-1, 3),
-                      np.full(2 * m, 2.0 * self.volume))
-        return MeasurePieces(self.widths(a), AreaMeasure(3, 1, arcs=arcs, bodies=m),
-                             AreaMeasure(3, 2, atoms=atoms, bodies=m))
+        s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
+        if 1 in degrees:
+            c, sin = self._cross(a)
+            rows, facet = np.nonzero(sin.T > 0.0)
+            ar = np.take(a, rows, axis=0)
+            m_f = _unit_rows(np.cross(ar, np.stack([x[facet, rows] for x in c], axis=1)))
+            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+                np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                np.stack([m_f, -ar], axis=1).reshape(-1, 3),
+                np.repeat(self.areas[facet] * sin[facet, rows], 2)))
+        if 2 in degrees:
+            s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
+                np.repeat(np.arange(m), 2), np.stack([a, -a], axis=1).reshape(-1, 3),
+                np.full(2 * m, 2.0 * self.volume)))
+        return MeasurePieces(self.widths(a), s1, s2)
 
-    def line_pieces(self, u: np.ndarray) -> MeasurePieces:
+    def line_pieces(self, u: np.ndarray, degrees) -> MeasurePieces:
         """The area measures of the chords along u, integrated: S_1 the
         quarter arcs p1 -> p2 -> -p1 -> -p2 -> p1 orthogonal to u, (p1, p2)
-        of _plane_basis, of density V_3(P) (Fubini); and the hits' integral."""
+        of _plane_basis, of density V_3(P) (Fubini), built where degree 1
+        is asked for; and the hits' integral."""
         m = len(u)
-        p1, p2 = _plane_basis(u)
-        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (m, 4, 3)
-        arcs = Arcs(np.repeat(np.arange(m), 4), ring.reshape(-1, 3),
-                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.full(4 * m, self.volume))
-        return MeasurePieces(self.hits(u), AreaMeasure(3, 1, arcs=arcs, bodies=m),
-                             AreaMeasure(3, 2, bodies=m))
+        s1 = AreaMeasure(3, 1, bodies=m)
+        if 1 in degrees:
+            p1, p2 = _plane_basis(u)
+            ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (m, 4, 3)
+            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+                np.repeat(np.arange(m), 4), ring.reshape(-1, 3),
+                np.roll(ring, -1, axis=1).reshape(-1, 3), np.full(4 * m, self.volume)))
+        return MeasurePieces(self.hits(u), s1, AreaMeasure(3, 2, bodies=m))
 
     def moments(self, a: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
         """The moments int P_k(v . w) dS_1(v), k <= kmax, of the sections by
@@ -836,10 +805,10 @@ class TranslativeIntegrals:
         self.edges = [_edge_arcs(B) for B in (P, L)]
         fp, fl, vp, vl = len(self.a_p), len(self.a_l), len(self.v_p), len(self.v_l)
         ep, el = (len(d) for _, d in self.edges)
-        # temporaries per rotation: the turned normals of both bodies, the
-        # (V_L, F_P) and (V_P, F_L) projections, and the (F_P, F_L) arrays
-        # of the facet pairs
-        self.sample_bytes = 8 * (6 * (fp + fl) + 2 * (fp * vl + fl * vp) + 6 * fp * fl)
+        # temporaries per rotation: its quaternion and matrix, the turned
+        # normals of both bodies, the (V_L, F_P) and (V_P, F_L) projections,
+        # and the (F_P, F_L) arrays of the facet pairs
+        self.sample_bytes = 8 * (13 + 6 * (fp + fl) + 2 * (fp * vl + fl * vp) + 6 * fp * fl)
         # and in pieces(), per rotation: the arcs of the edges and of the
         # facet pairs, and the atoms of the facets
         self.piece_bytes = 8 * (16 * (ep + el + fp * fl) + 10 * (fp + fl))
@@ -880,42 +849,46 @@ class TranslativeIntegrals:
         return (self.v1_sum
                 + _row_sums(term.reshape(-1, len(R)), self.pair_areas.ravel()) / (2.0 * math.pi))
 
-    def pieces(self, R: np.ndarray) -> MeasurePieces:
+    def pieces(self, R: np.ndarray, degrees) -> MeasurePieces:
         """The integrals over x of the area measures of P n (R L + x), per
         rotation, as pieces: S_2 the atoms A_F V_3(L) at n_F and
         A_G V_3(P) at R n_G; S_1 the arcs of the edges of P (density l / 2)
         scaled by V_3(L), those of R L scaled by V_3(P), and per facet pair
-        the arc n_F -> R n_G of density A_F A_G sin(theta_FG) / 2.  `hit`
-        carries int V_0 dx = vol(P - R L), and `volume`
+        the arc n_F -> R n_G of density A_F A_G sin(theta_FG) / 2; only the
+        measures of the given degrees are built, the others left empty.
+        `hit` carries int V_0 dx = vol(P - R L), and `volume`
         int V_3 dx = V_3(P) V_3(L).  Each rotation's pieces run in that
         order, whatever the batch."""
         m = len(R)
         g = _turn(R, self.n_l)
-        sin, _ = self._pair_sines(g)
-        sin *= 0.5 * self.pair_areas[:, :, None]
         turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
-        (p_from, p_to), p_half = self.edges[0]
-        (l_from, l_to), l_half = self.edges[1]
         fp, fl = len(self.a_p), len(self.a_l)
+        s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
 
         def each(x: np.ndarray) -> np.ndarray:
             return np.broadcast_to(x, (m,) + x.shape)
 
-        a = np.concatenate([each(self.n_p[p_from]), turned[:, l_from],
-                            each(np.repeat(self.n_p, fl, axis=0))], axis=1)
-        b = np.concatenate([each(self.n_p[p_to]), turned[:, l_to],
-                            np.broadcast_to(turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)],
-                           axis=1)
-        density = np.concatenate([each(self.volume_l * p_half), each(self.volume_p * l_half),
-                                  sin.reshape(-1, m).T], axis=1)
-        arcs = Arcs(np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3),
-                    b.reshape(-1, 3), density.ravel())
-        normals = np.concatenate([each(self.n_p), turned], axis=1)
-        masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
-        atoms = Atoms(np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m))
-        return MeasurePieces(self._volumes(R, g), AreaMeasure(3, 1, arcs=arcs, bodies=m),
-                             AreaMeasure(3, 2, atoms=atoms, bodies=m),
-                             np.full(m, self.volume_p * self.volume_l))
+        if 1 in degrees:
+            sin, _ = self._pair_sines(g)
+            sin *= 0.5 * self.pair_areas[:, :, None]
+            (p_from, p_to), p_half = self.edges[0]
+            (l_from, l_to), l_half = self.edges[1]
+            a = np.concatenate([each(self.n_p[p_from]), turned[:, l_from],
+                                each(np.repeat(self.n_p, fl, axis=0))], axis=1)
+            b = np.concatenate([each(self.n_p[p_to]), turned[:, l_to],
+                                np.broadcast_to(turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)],
+                               axis=1)
+            density = np.concatenate([each(self.volume_l * p_half), each(self.volume_p * l_half),
+                                      sin.reshape(-1, m).T], axis=1)
+            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+                np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
+                density.ravel()))
+        if 2 in degrees:
+            normals = np.concatenate([each(self.n_p), turned], axis=1)
+            masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
+            s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
+                np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m)))
+        return MeasurePieces(self._volumes(R, g), s1, s2, np.full(m, self.volume_p * self.volume_l))
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -931,41 +904,22 @@ def check_full_dimensional(*bodies: Polytope) -> None:
                              f"got dimension {B.dim}")
 
 
-def _flats(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> PlaneSampler:
-    """The law of the codimension-i flats against P, offsets included, drawn
-    about its vertices (`PlaneSampler`)."""
-    return PlaneSampler(3, i, P.vertices, seed, n_samples, shards)
-
-
-def _directions(P: Polytope, i: int, seed: int, n_samples: int, shards: int) -> DirectionSampler:
-    """The law of the codimension-i flats' directions, as `_flats` takes it."""
-    return DirectionSampler(3, seed, n_samples, shards)
-
-
 def _intrinsic_kernel(P: Polytope, j: int, i: int):
-    """The term of V_j at codimension i: its law (`_directions` where
-    i + j < n, else `_flats`), the kernel that maps its samples to V_j of
-    their sections with P (integrated over the offsets in closed form where
-    only directions are drawn), and its temporary bytes per sample."""
+    """The term of V_j at codimension i: its law, the kernel that maps the
+    law's samples to V_j of their sections with P, and its temporary bytes
+    per sample.  Where i + j < n the law draws directions only, and the
+    kernel integrates over the offsets in closed form (`FlatIntegrals`);
+    else the kernel draws its flats' offsets in a window about P and
+    weights each value by the window's measure."""
     if i + j < 3:
         flats = FlatIntegrals(P)
         kernel = {(1, 0): flats.widths, (1, 1): flats.mean_widths, (2, 0): flats.hits}[i, j]
-        return _directions, kernel, flats.sample_bytes
-    if i == 1:   # V_2 of the planes' sections
+        return DIRECTIONS, kernel, flats.sample_bytes
+    if i == 1:
         sections = PlaneSections(P)
-        return _flats, (lambda dirs, offs: sections.volumes(dirs, offs)[1]), sections.sample_bytes
-    A, b = P.inequalities()
-    AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
-    if i == 2:   # the lines' chords, from the (m, F) arrays of _clip_lines
-        def kernel(dirs, p):
-            lo, hi, hit = _clip_lines(dirs @ AT, b[None, :] - p @ AT, -math.inf, math.inf)
-            return np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
-        return _flats, kernel, 8 * (8 * len(b) + 16)
-    # i == 3: points.  The cut is relative to the diameter 2 max |v - m| of
-    # the ball about the vertex centroid m that holds the vertices v
-    size = 2.0 * float(np.max(np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1)))
-    bound = b + 1e-12 * size
-    return _flats, (lambda x: np.all(x @ AT <= bound, axis=1)), 9 * len(b) + 80
+        return PLANES, sections.areas, sections.sample_bytes
+    kernel = _LineChords(P) if i == 2 else _BoxPoints(P)
+    return LINES if i == 2 else POINTS, kernel, kernel.sample_bytes
 
 
 def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
@@ -973,25 +927,18 @@ def crofton_intrinsic(P: Polytope, i: int, j: int, n_samples: int, seed: int,
     """Monte-Carlo estimate of the integral of V_j over the codimension-i
     planes meeting P, against the target [i+j; j] V_(i+j)(P), over their
     directions only where i + j < n (`FlatIntegrals`), else with their
-    offsets (`PlaneSampler`).  The report carries the lines' disc radius
-    (`radius`) and the weight common to all samples (`weight`) of a law with
-    offsets: null for planes, which are weighted per sample, and where only
-    directions are drawn."""
+    offsets drawn about P (`_intrinsic_kernel`)."""
     n = 3
     if not (0 <= j and 1 <= i and i + j <= n):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= {n}; got i={i}, j={j}")
     check_full_dimensional(P)
     t0 = time.perf_counter()
     law, kernel, sample_bytes = _intrinsic_kernel(P, j, i)
-    sampler = law(P, i, seed, n_samples, shards)
-    est, se = run_shards(sampler, kernel, sample_bytes)
-    offsets = isinstance(sampler, PlaneSampler)
+    est, se = run_shards(law, kernel, sample_bytes, seed, n_samples, shards)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=crofton_target(P, i, j),
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
-        extra={"i": i, "j": j, "radius": sampler.radius if offsets else None,
-               "weight": sampler.weight if offsets and not sampler.weighted else None,
-               "shards": shards})
+        extra={"i": i, "j": j, "shards": shards})
 
 
 # -- kinematic formula --------------------------------------------------------
@@ -1005,20 +952,12 @@ def kinematic_target(P: Polytope, L: Polytope, j: int) -> float:
                      for i in range(0, n - j + 1)))
 
 
-def _motions(kernel, sample_bytes: int, seed: int, n_samples: int,
-             shards: int) -> tuple[np.ndarray, np.ndarray]:
-    """run_shards of a kernel of rotations over the uniform law of
-    `MotionSampler`, whose variates and rotations add 13 doubles to
-    sample_bytes."""
-    return run_shards(MotionSampler(3, seed, n_samples, shards), kernel, sample_bytes + 8 * 13)
-
-
 def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
                     shards: int = DEFAULT_SHARDS) -> EstimateReport:
     """Monte-Carlo check of the principal kinematic formula: average of
     V_j(P n gL) over rigid motions g against the bilinear target.
 
-    Only the rotations are drawn (`MotionSampler`); the integral over the
+    Only the rotations are drawn (`ROTATIONS`); the integral over the
     translations is taken in closed form for each (`TranslativeIntegrals`):
     vol(P - R L) for j = 0 and the facet pairs' angles for j = 1.  For
     j = 2, 3 that integral, V_j(P) V_3(L) + V_3(P) V_j(L), does not depend
@@ -1034,8 +973,8 @@ def kinematic_check(P: Polytope, L: Polytope, j: int, n_samples: int, seed: int,
         est, se = target, 0.0
     else:
         integrals = TranslativeIntegrals(P, L)
-        est, se = _motions(integrals.volumes if j == 0 else integrals.mean_widths,
-                           integrals.sample_bytes, seed, n_samples, shards)
+        est, se = run_shards(ROTATIONS, integrals.volumes if j == 0 else integrals.mean_widths,
+                             integrals.sample_bytes, seed, n_samples, shards)
     return EstimateReport(
         estimate=float(est), stderr=float(se), target=target,
         n_samples=n_samples, seed=seed, wall_time_s=time.perf_counter() - t0,
@@ -1059,9 +998,7 @@ def _hadwiger(P: Polytope, L: Polytope, lhs: float, lhs_se: float, degree: int, 
         elif i == n:
             est, se = on_point * intrinsic_volumes(P)[n], 0.0
         else:
-            law, kernel, sample_bytes = kernel_of(i)
-            est, se = map(float, run_shards(law(P, i, seed + i, n_samples, shards),
-                                            kernel, sample_bytes))
+            est, se = map(float, run_shards(*kernel_of(i), seed + i, n_samples, shards))
         coef = vl[n - i] / flag(n, i)
         rhs += coef * est
         rhs_var += (coef * se) ** 2
@@ -1097,7 +1034,7 @@ def _valuation_kernel(P: Polytope, value: PieceEvaluator, i: int):
     and its bytes per sample."""
     flats = FlatIntegrals(P)
     pieces = flats.plane_pieces if i == 1 else flats.line_pieces
-    return _directions, (lambda dirs: value(pieces(dirs))), flats.piece_bytes
+    return DIRECTIONS, (lambda dirs: value(pieces(dirs, value.degrees))), flats.piece_bytes
 
 
 def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
@@ -1123,8 +1060,9 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
 
     t0 = time.perf_counter()
     integrals = TranslativeIntegrals(P, L)
-    lhs, lhs_se = _motions(lambda R: value(integrals.pieces(R)),
-                           integrals.sample_bytes + integrals.piece_bytes, seed, n_samples, shards)
+    lhs, lhs_se = run_shards(ROTATIONS, lambda R: value(integrals.pieces(R, value.degrees)),
+                             integrals.sample_bytes + integrals.piece_bytes, seed, n_samples,
+                             shards)
     degree = 0 if spec.c0 != 0.0 else min((i for i, _ in spec.degrees()), default=n)
     side = _hadwiger(P, L, float(lhs), float(lhs_se), degree,
                      float(evaluate(spec, P, u).values[0]), spec.c0,
@@ -1192,8 +1130,8 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
     w = w / np.linalg.norm(w)
     t0 = time.perf_counter()
     flats = FlatIntegrals(P)
-    moments, se = run_shards(DirectionSampler(3, seed, n_samples, shards),
-                             lambda a: flats.moments(a, w, kk), flats.sample_bytes + 8 * (kk + 1))
+    moments, se = run_shards(DIRECTIONS, lambda a: flats.moments(a, w, kk),
+                             flats.sample_bytes + 8 * (kk + 1), seed, n_samples, shards)
     # moments of S_1(Q) * mu pick up the Funk-Hecke factor of mu per degree
     a_mu = mu.multipliers[:kk + 1]
     est = moments * a_mu
@@ -1216,7 +1154,6 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
         "probe": list(map(float, w)),
         "N": n_samples,
         "seed": seed,
-        "weight": None,   # no common weight: each direction's offsets are integrated
         "wall_time_s": time.perf_counter() - t0,
         "all_pass": all(r["pass"] for r in rows),
     }

@@ -261,7 +261,9 @@ class PieceEvaluator:
     with the profiles g_i that `evaluate` integrates on the same path at
     its default band (_profiles).  Each integral is one
     AreaMeasure.integrate_zonal over the m bodies: the values are those of
-    `evaluate` on each body up to rounding, with no face lattice."""
+    `evaluate` on each body up to rounding, with no face lattice.  Only the
+    area measures of `degrees`, those with a profile, are read, so the
+    pieces of the others need not be built."""
 
     def __init__(self, spec: MinkowskiValuationSpec, direction, path: str = "auto"):
         self.path, _, profiles = _profiles(spec, path)
@@ -269,6 +271,7 @@ class PieceEvaluator:
         self.u = u / np.linalg.norm(u)
         self.c0, self.cn = float(spec.c0), float(spec.cn)
         self.profiles = {i: g for i, (g, _) in profiles.items()}
+        self.degrees = tuple(self.profiles)
 
     def __call__(self, pieces: MeasurePieces) -> np.ndarray:
         """The values (m,) at the bodies of the pieces."""

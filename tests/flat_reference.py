@@ -1,7 +1,7 @@
 """References of the Crofton checks, as motion_reference.py keeps the motion
 law and the kernels that the closed forms replaced: the law of flats in the
 ball about the origin, which the checks drew before their flats were drawn
-about the body (`PlaneSampler`), and the section kernels of the terms that
+about the body, and the section kernels of the terms that
 now integrate over the offsets in closed form (`FlatIntegrals`): the area
 measures of plane and line sections as pieces, and the S_1 moments of
 plane sections.  Tests that pin estimates taken under the old laws and
@@ -19,7 +19,7 @@ from minkval import integral_geom
 from minkval.constants import CHUNK_BYTES, kappa
 from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _plane_basis
 from minkval.harmonics import legendre_rows
-from minkval.integral_geom import DEFAULT_SHARDS, _clip_lines, _uniform, _unit_rows
+from minkval.integral_geom import Law, _clip_lines, _uniform, _unit_rows
 from minkval.valuation import MeasurePieces
 
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
@@ -32,71 +32,57 @@ def origin_radius(P) -> float:
 
 
 @dataclass(frozen=True)
-class BallSampler:
+class BallFlats:
     """Flats of codimension `codim` uniform among those meeting the ball of
     `radius` about the origin: a uniform direction and an offset uniform in
-    the codim-ball of that radius.  The weight, the invariant measure
+    the codim-ball of that radius, from the doubles that `law` draws after
+    the direction.  The weight, the invariant measure
     C(n, n - codim) kappa_n / kappa_(n - codim) R^codim of the flats meeting
-    the ball, is the same for every sample."""
+    the ball, is the same for every sample; `kernel` applies it to each."""
 
-    weighted = False   # what run_shards reads: no per-sample weights
-
-    n: int
     codim: int
     radius: float
-    seed: int
-    n_samples: int
-    shards: int = DEFAULT_SHARDS
 
     @classmethod
-    def about_origin(cls, P, codim: int, seed: int, n_samples: int,
-                     shards: int = DEFAULT_SHARDS) -> "BallSampler":
+    def about_origin(cls, P, codim: int) -> "BallFlats":
         """The ball of P's enclosing radius about the origin, with a margin
         of 1e-12 relative, as the Crofton checks drew it."""
-        return cls(3, codim, origin_radius(P) * (1.0 + 1e-12), seed, n_samples, shards)
+        return cls(codim, origin_radius(P) * (1.0 + 1e-12))
+
+    @property
+    def law(self) -> Law:
+        """A normal direction, then the doubles of the offset (codim 1), the
+        radius (codim 2, 3) and the angle (codim 2)."""
+        return Law(3, 2 if self.codim == 2 else 1, split=True)
 
     @property
     def weight(self) -> float:
-        return (math.comb(self.n, self.codim)
-                * kappa(self.n) / kappa(self.n - self.codim)
+        return (math.comb(3, self.codim) * kappa(3) / kappa(3 - self.codim)
                 * self.radius ** self.codim)
 
-    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
-        """Normal directions (m, 3), then doubles in [0, 1) for the offsets
-        (codim 1), the radii (codim 2, 3) and the angles (codim 2)."""
-        g = rng.standard_normal((m, 3))
-        if self.codim == 2:
-            u = rng.random((2, m))
-            return g, u[0], u[1]
-        return g, rng.random(m)
-
-    def draw(self, g: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
+    def flats(self, dirs: np.ndarray, *u: np.ndarray) -> tuple[np.ndarray, ...]:
         """(normals, offsets) of planes, (directions, points) of lines, or
-        (points,)."""
+        (points,), from the law's draws; the doubles are overwritten."""
         R = self.radius
         if self.codim == 3:
-            u, = rest
-            g /= np.linalg.norm(g, axis=-1, keepdims=True)
-            np.power(u, 1.0 / 3.0, out=u)
-            u *= R
-            g *= u[:, None]
-            return (g,)
-        dirs = _unit_rows(g)
+            r, = u
+            np.power(r, 1.0 / 3.0, out=r)
+            r *= R
+            return (dirs * r[:, None],)
         if self.codim == 1:
-            return dirs, _uniform(rest[0], -R, R)
-        u, ang = rest
+            return dirs, _uniform(u[0], -R, R)
+        r, ang = u
         _uniform(ang, 0.0, 2.0 * math.pi)
         aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
         e1 = _unit_rows(np.cross(dirs, aux))
         e2 = np.cross(dirs, e1)
-        rad = R * np.sqrt(u)
+        rad = R * np.sqrt(r)
         return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
 
-
-def ball_flats(P, i: int, seed: int, n_samples: int, shards: int) -> BallSampler:
-    """A stand-in for integral_geom._flats: every codimension in the ball of
-    P's enclosing radius about the origin."""
-    return BallSampler.about_origin(P, i, seed, n_samples, shards)
+    def kernel(self, f):
+        """The kernel of f(*flats) under `law`: each value times `weight`."""
+        weight = self.weight
+        return lambda *draws: weight * np.asarray(f(*self.flats(*draws)), dtype=float)
 
 
 class PlaneSections(integral_geom.PlaneSections):
@@ -117,7 +103,7 @@ class PlaneSections(integral_geom.PlaneSections):
     def crossings(self, a, s):
         """The points where the planes {x . a[t] = s[t]} cross the edges:
         plane index t (K,) and world point (K, 3), grouped by plane."""
-        rows, _, _, p = self._crossings(a, s)
+        rows, _, _, p = self._crossings(self.distances(a, s))
         return rows, p.T + self.centre
 
     def _segment_normals(self, a, rows, facet, segment):
@@ -134,7 +120,7 @@ class PlaneSections(integral_geom.PlaneSections):
         as area_measure gives them for a polygon: S_2 the atoms a and -a,
         each with the section's area, and S_1 per crossed facet F the
         quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
-        rows, facet, segment, length, v1, area = self._facets(a, s)
+        rows, facet, segment, length, v1, area = self._facets(a, self.distances(a, s))
         hit = v1 > 0.0
         ar, m_f = self._segment_normals(a, rows, facet, segment)
         t = np.flatnonzero(hit)
@@ -149,7 +135,7 @@ class PlaneSections(integral_geom.PlaneSections):
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
         S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
         crossed facet."""
-        rows, facet, segment, length, _, _ = self._facets(a, s)
+        rows, facet, segment, length, _, _ = self._facets(a, self.distances(a, s))
         ar, m_f = self._segment_normals(a, rows, facet, segment)
         arc_cos, arc_sin, arc_weights = half_circle_rule(kmax)
         m, width = a.shape[0], kmax + 1

@@ -12,24 +12,20 @@ under the laws they were taken with.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from minkval.convex import CHUNK_BYTES, AreaMeasure, Arcs, Atoms, Polytope, _unit, clip_halfspace
-from minkval.integral_geom import (
-    DEFAULT_SHARDS,
-    _clip_lines,
-    _rotations_from_quaternions,
-    _unit_rows,
-)
+from minkval.integral_geom import Law, _clip_lines
 from minkval.valuation import MeasurePieces
 
 SAT_TOL = 1e-12   # slack of the separating-axis test, per unit axis length
 
 
 @dataclass(frozen=True)
-class BoxMotionSampler:
+class BoxMotions:
     """Rigid-motion law of g L = R L + x against a fixed body P, the box
     law: uniform rotations R (the probability law), and x uniform in the
     coordinate box of P - R L for the rotation drawn,
@@ -37,46 +33,39 @@ class BoxMotionSampler:
     [lo_P, hi_P] = `box` the coordinate box of P.  Every x at which R L + x
     meets P lies in it, so the box volume as a per-sample weight keeps the
     motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
-    Stochastic Simulation, 2007, ch. V), wherever P and L lie."""
+    Stochastic Simulation, 2007, ch. V), wherever P and L lie.  The law
+    draws normal quaternions, then the translations' doubles (m, 3); the
+    window and the weight are the kernel's (`kernel`)."""
 
-    # what run_shards reads: `draw` ends with per-sample weights, the box
-    # volumes, and no weight is common to all samples
-    weighted = True
-    weight = 1.0
+    law: ClassVar[Law] = Law(4, 3)
 
-    n: int
-    seed: int
-    n_samples: int
-    shards: int = DEFAULT_SHARDS
-    _: KW_ONLY
     box: np.ndarray      # (2, 3): [lo_P, hi_P]
     moving: np.ndarray   # (V, 3): the vertices of L
 
     @classmethod
-    def tight(cls, P: Polytope, L: Polytope, seed: int, n_samples: int,
-              shards: int = DEFAULT_SHARDS) -> "BoxMotionSampler":
+    def tight(cls, P: Polytope, L: Polytope) -> "BoxMotions":
         """The box law of motions of L against P."""
-        return cls(n=3, seed=seed, n_samples=n_samples, shards=shards,
-                   box=np.array([P.vertices.min(axis=0), P.vertices.max(axis=0)]),
-                   moving=L.vertices)
+        return cls(np.array([P.vertices.min(axis=0), P.vertices.max(axis=0)]), L.vertices)
 
-    def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The random numbers of m motions: normal quaternions (m, 4), then
-        doubles in [0, 1) for the translations (m, 3)."""
-        return rng.standard_normal((m, 4)), rng.random((m, 3))
-
-    def draw(self, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Motions x -> R x + t from their variates: rotations (m, 3, 3),
-        translations (m, 3), which overwrite their variates, and the box
-        volumes (m,)."""
-        R = _rotations_from_quaternions(_unit_rows(q))
+    def motions(self, R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The translations (m, 3) of the rotations R, from their doubles t,
+        which they overwrite, and the box volumes (m,)."""
         proj = R @ self.moving.T                     # (m, 3, V): coordinates of R v
         lo = self.box[0] - proj.max(axis=2)
         width = self.box[1] - proj.min(axis=2)
         width -= lo
         t *= width
         t += lo
-        return R, t, np.prod(width, axis=1)
+        return t, np.prod(width, axis=1)
+
+    def kernel(self, f):
+        """The kernel of f(R, x) under `law`: each value times its box
+        volume."""
+        def kernel(R, t):
+            x, volume = self.motions(R, t)
+            vals = np.asarray(f(R, x), dtype=float)
+            return vals * volume.reshape(volume.shape + (1,) * (vals.ndim - 1))
+        return kernel
 
 
 # -- intersections with a moving body ---------------------------------------

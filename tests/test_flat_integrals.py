@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 
 from minkval.convex import _plane_basis, cube, random_hull
 from minkval.harmonics import legendre_rows
-from minkval.integral_geom import FlatIntegrals, _support_interval
+from minkval.integral_geom import FlatIntegrals
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
 from flat_reference import LineSections, PlaneSections, offset_sum
@@ -36,7 +36,8 @@ def test_plane_closed_forms_match_offset_sums(body):
     P = BODIES[body]
     flats, sections = FlatIntegrals(P), PlaneSections(P)
     for a in directions(11, 3):
-        (lo,), (hi,) = _support_interval(a[None, :], P.vertices)
+        proj = P.vertices @ a
+        lo, hi = proj.min(), proj.max()
         ref = offset_sum(lambda a_, s: np.stack(sections.volumes(a_, s), axis=1),
                          a, lo, hi, 20001)
         hits = offset_sum(lambda a_, s: sections.volumes(a_, s)[0] > 0.0, a, lo, hi, 20001)
@@ -51,7 +52,8 @@ def test_plane_closed_forms_match_offset_sums(body):
             want = offset_sum(lambda a_, s: value(sections.pieces(a_, s)), a, lo, hi, 4000)
             # the pieces' values are smooth in s but for difference_body's
             # degree-32 density, whose midpoint sum errs by up to 2e-7
-            assert value(flats.plane_pieces(a[None, :]))[0] == pytest.approx(want, rel=1e-6), name
+            got = value(flats.plane_pieces(a[None, :], value.degrees))[0]
+            assert got == pytest.approx(want, rel=1e-6), name
 
 
 def line_sum(kernel, P, u, n: int):
@@ -87,7 +89,8 @@ def test_line_closed_forms_match_offset_sums(body):
     for name in ("difference_body", "mean_width_ball"):
         value = PieceEvaluator(builtin_spec(name), PROBE)
         want = line_sum(lambda u_, p: value(lines.pieces(u_, p)), P, u, 200)
-        assert value(flats.line_pieces(u[None, :]))[0] == pytest.approx(want, rel=2e-4), name
+        got = value(flats.line_pieces(u[None, :], value.degrees))[0]
+        assert got == pytest.approx(want, rel=2e-4), name
 
 
 @pytest.mark.parametrize("body", ["cube", "hull30"])
@@ -135,9 +138,9 @@ def test_closed_forms_scale_and_ignore_translation(body, exponent, direction, re
                "mean_widths": (lambda F: F.mean_widths(a), 2),
                "hits": (lambda F: F.hits(a), 2),
                "moments": (lambda F: F.moments(a, PROBE, 4), 2),
-               "plane S_1": (lambda F: degree1(F.plane_pieces(a)), 2),
-               "plane S_2": (lambda F: degree2(F.plane_pieces(a)), 3),
-               "line S_1": (lambda F: degree1(F.line_pieces(a)), 3)}
+               "plane S_1": (lambda F: degree1(F.plane_pieces(a, (1,))), 2),
+               "plane S_2": (lambda F: degree2(F.plane_pieces(a, (2,))), 3),
+               "line S_1": (lambda F: degree1(F.line_pieces(a, (1,))), 3)}
     for name, (kernel, power) in kernels.items():
         want = lam ** power * kernel(base)
         assert np.allclose(kernel(moved), want, rtol=0.0, atol=1e-9 * np.abs(want).max()), name
@@ -151,7 +154,8 @@ def test_closed_forms_do_not_depend_on_the_batch(body):
     value = PieceEvaluator(builtin_spec("difference_body"), PROBE)
     kernels = (flats.widths, flats.mean_widths, flats.hits,
                lambda a: flats.moments(a, PROBE, 6),
-               lambda a: value(flats.plane_pieces(a)), lambda a: value(flats.line_pieces(a)))
+               lambda a: value(flats.plane_pieces(a, value.degrees)),
+               lambda a: value(flats.line_pieces(a, value.degrees)))
     for kernel in kernels:
         whole = kernel(a)
         for size in (1, 7):

@@ -16,8 +16,9 @@ from minkval.convex import Polytope, ball_polytope, cube, intrinsic_volumes, ran
 from minkval.integral_geom import (
     CHUNK_BYTES,
     EstimateReport,
-    PlaneSampler,
     PlaneSections,
+    _BoxPoints,
+    _LineChords,
     _rotations_from_quaternions,
     crofton_intrinsic,
     crofton_minkowski,
@@ -32,7 +33,7 @@ from minkval.integral_geom import (
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
 
-from flat_reference import BallSampler
+from flat_reference import BallFlats
 from motion_reference import SeparatingAxes
 
 
@@ -77,19 +78,21 @@ def test_geometric_constants_entries():
 
 def test_plane_sampler_weight_is_hitting_measure():
     # planes meeting B_R: C(3,2) kappa_3/kappa_2 R = 4R; lines: 2 pi R^2
-    assert BallSampler(3, 1, 2.0, 0, 10).weight == pytest.approx(8.0, rel=1e-12)
-    assert BallSampler(3, 2, 1.0, 0, 10).weight == pytest.approx(2 * math.pi, rel=1e-12)
-    assert BallSampler(3, 3, 1.0, 0, 10).weight == pytest.approx(kappa(3), rel=1e-12)
-    # the laws about a body: lines in the disc of radius max |v - c| about
-    # the centre c of its coordinate box, points in that box
+    assert BallFlats(1, 2.0).weight == pytest.approx(8.0, rel=1e-12)
+    assert BallFlats(2, 1.0).weight == pytest.approx(2 * math.pi, rel=1e-12)
+    assert BallFlats(3, 1.0).weight == pytest.approx(kappa(3), rel=1e-12)
+    # the kernels' windows about a body: lines in the disc of radius
+    # max |v - c| about the centre c of its coordinate box, points in that
+    # box, and planes in the support interval of their normal
     box = cube().scaled(2.0).translated([10.0, -3.0, 5.0])
-    lines, points = (PlaneSampler(3, i, box.vertices, 0, 10) for i in (2, 3))
+    lines, points = _LineChords(box), _BoxPoints(box)
     assert np.array_equal(lines.centre, [11.0, -2.0, 6.0])
     assert lines.radius == pytest.approx(math.sqrt(3.0), rel=1e-11)
     assert lines.weight == pytest.approx(6 * math.pi, rel=1e-11)
-    assert points.radius is None and points.weight == 8.0
-    assert PlaneSampler(3, 1, box.vertices, 0, 10).weighted
-    assert not lines.weighted and not points.weighted
+    assert points.volume == 8.0
+    a = np.array([[0.0, 0.6, 0.8]])
+    _, weight = PlaneSections(box).tight(a, np.array([0.5]))
+    assert weight == pytest.approx(2 * 2.0 * 1.4, rel=1e-12)
 
 
 # -- sampler calibration -----------------------------------------------------------
@@ -132,7 +135,7 @@ unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
 
 
 @settings(max_examples=30, deadline=None)
-@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-3, 1e3),
+@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-6, 1e6),
        direction=unit_vectors, reach=st.floats(0.0, 1e3), j=st.integers(0, 2))
 def test_tight_planes_scale_and_ignore_translation(body, lam, direction, reach, j):
     # the tight law draws the same directions and the same offsets relative
@@ -153,7 +156,7 @@ def test_tight_planes_scale_and_ignore_translation(body, lam, direction, reach, 
 
 
 @settings(max_examples=30, deadline=None)
-@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-3, 1e3),
+@given(body=st.sampled_from(sorted(TIGHT_BODIES)), lam=st.floats(1e-6, 1e6),
        direction=unit_vectors, reach=st.floats(0.0, 1e3),
        flat=st.sampled_from([(2, 0), (2, 1), (3, 0)]))
 def test_lines_and_points_scale_and_ignore_translation(body, lam, direction, reach, flat):
@@ -185,6 +188,19 @@ def test_points_scale_as_lambda_cubed(body, exponent):
     assert scaled.stderr == pytest.approx(lam ** 3 * base.stderr, rel=1e-12,
                                           abs=1e-15 * scaled.estimate)
     assert scaled.within(3.0)
+
+
+@pytest.mark.parametrize("body", sorted(TIGHT_BODIES))
+@pytest.mark.parametrize("lam", [1e-9, 1e9])
+def test_plane_sections_scale_as_lambda_cubed(body, lam):
+    # the plane kernel's crossing cut scales with the body's extent, so the
+    # same planes cross the same edges of lam P; with a cut of 1e-12 whatever
+    # the body, the estimate on the cube scaled by 1e-9 was off lam^3 times
+    # the unit one by 1.7e-6 relative, and on the hull by 4.8e-7
+    P = TIGHT_BODIES[body]
+    base, scaled = (crofton_intrinsic(B, 1, 2, 2000, seed=17) for B in (P, P.scaled(lam)))
+    assert scaled.estimate == pytest.approx(lam ** 3 * base.estimate, rel=1e-14)
+    assert scaled.stderr == pytest.approx(lam ** 3 * base.stderr, rel=1e-14)
 
 
 def test_lines_reach_a_body_far_from_the_origin():
@@ -222,8 +238,9 @@ def test_tight_planes_cut_the_stderr():
     # variance: the tight law has a 3.5x smaller stderr here
     P = cube()
     sections = PlaneSections(P)
-    ball = BallSampler.about_origin(P, 1, 311, 20000)
-    _, ball_se = run_shards(ball, lambda a, s: sections.volumes(a, s)[0], sections.sample_bytes)
+    ball = BallFlats.about_origin(P, 1)
+    _, ball_se = run_shards(ball.law, ball.kernel(lambda a, s: sections.volumes(a, s)[0]),
+                            sections.sample_bytes, 311, 20000, 20)
     assert 2.5 * crofton_intrinsic(P, 1, 1, 20000, seed=311).stderr <= ball_se
 
 

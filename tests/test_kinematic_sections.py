@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from minkval import convex, integral_geom
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
+    FlatIntegrals,
+    TranslativeIntegrals,
     _rotations_from_quaternions,
+    _unit_rows,
     kinematic_minkowski_check,
     run_shards,
 )
@@ -28,8 +31,8 @@ from minkval.valuation import (
     evaluate,
 )
 
-from flat_reference import LineSections, PlaneSections, ball_flats, origin_radius
-from motion_reference import BoxMotionSampler, MotionIntersections
+from flat_reference import BallFlats, LineSections, PlaneSections, origin_radius
+from motion_reference import BoxMotions, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
          "mean_section:2", "mean_section:3")
@@ -220,13 +223,30 @@ def test_piece_values_do_not_depend_on_the_batch(path, monkeypatch):
                 assert value(pieces).tolist() == whole.tolist(), name
 
 
-def cube_law(cls, P, L, seed, n_samples, shards):
+@pytest.mark.parametrize("path", PATHS)
+def test_pieces_of_the_evaluated_degrees_give_the_values_of_all_pieces(path):
+    # the check builds only the area measures that the valuation integrates
+    # (PieceEvaluator.degrees): S_2 atoms for projection_body, S_1 arcs for
+    # difference_body, both for a spec with data of both degrees
+    rng = np.random.default_rng(5)
+    a = _unit_rows(rng.standard_normal((40, 3)))
+    R = _rotations_from_quaternions(_unit_rows(rng.standard_normal((40, 4))))
+    P, L = random_hull(51), random_hull(52, 20)
+    flats, motions = FlatIntegrals(P), TranslativeIntegrals(P, L)
+    both = MinkowskiValuationSpec(c0=0.7, mu=dict(_spec("difference_body").mu),
+                                  f_top=_spec("projection_body").f_top, cn=1.3)
+    for name, spec in [(name, _spec(name)) for name in SPECS] + [("both", both)]:
+        value = PieceEvaluator(spec, [0.36, -0.48, 0.8], path)
+        for pieces, x in ((flats.plane_pieces, a), (flats.line_pieces, a), (motions.pieces, R)):
+            assert np.array_equal(value(pieces(x, value.degrees)), value(pieces(x, (1, 2)))), name
+
+
+def cube_law(P, L):
     """The motions of the check before their box law: translations uniform
     in the centred cube of side 2 (R_P + R_L), the box law of a point in
     that cube."""
     h = origin_radius(P) + origin_radius(L)
-    return cls(3, seed, n_samples, shards, box=np.array([[-h] * 3, [h] * 3]),
-               moving=np.zeros((1, 3)))
+    return BoxMotions(np.array([[-h] * 3, [h] * 3]), np.zeros((1, 3)))
 
 
 def ball_valuation_kernel(P, value, i):
@@ -235,7 +255,8 @@ def ball_valuation_kernel(P, value, i):
     (tests/flat_reference.py) under the law of flats in the ball about the
     origin."""
     sections = (PlaneSections if i == 1 else LineSections)(P)
-    return (ball_flats, lambda *flats: value(sections.pieces(*flats)),
+    ball = BallFlats.about_origin(P, i)
+    return (ball.law, ball.kernel(lambda *flats: value(sections.pieces(*flats))),
             sections.sample_bytes + sections.piece_bytes)
 
 
@@ -258,9 +279,10 @@ def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
                                     2500, seed=17)
     value = PieceEvaluator(builtin_spec(name), [0.0, 0.0, 1.0])
     inter = MotionIntersections(cube(), cube())
+    box = cube_law(cube(), cube())
     res["lhs"], res["lhs_stderr"] = map(float, run_shards(
-        cube_law(BoxMotionSampler, cube(), cube(), 17, 2500, 20),
-        lambda R, x: value(inter.pieces(R, x)), inter.sample_bytes + inter.piece_bytes))
+        box.law, box.kernel(lambda R, x: value(inter.pieces(R, x))),
+        inter.sample_bytes + inter.piece_bytes, 17, 2500, 20))
     for key, want in zip(("lhs", "lhs_stderr", "rhs", "rhs_stderr"), pinned):
         assert math.isclose(res[key], want, rel_tol=1e-15, abs_tol=0.0), (key, res[key])
 

@@ -17,7 +17,7 @@ from minkval.integral_geom import _rotations_from_quaternions, kinematic_check, 
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
 from flat_reference import origin_radius
-from motion_reference import BoxMotionSampler, MotionIntersections, intersect
+from motion_reference import BoxMotions, MotionIntersections, intersect
 
 BASES = {"cube": cube(), "hull14": random_hull(51), "hull20": random_hull(52, 20)}
 PAIRS = [("cube", "cube"), ("cube", "hull14"), ("hull14", "hull20")]
@@ -145,10 +145,10 @@ def test_kernel_of_missed_motions_vanishes():
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
     h = 2.0 * origin_radius(cube())
-    cube_law = BoxMotionSampler(3, 33, 400, box=np.array([[-h] * 3, [h] * 3]),
-                                moving=np.zeros((1, 3)))
+    cube_law = BoxMotions(np.array([[-h] * 3, [h] * 3]), np.zeros((1, 3)))
     inter = MotionIntersections(cube(), cube())
-    est, se = run_shards(cube_law, inter.volumes, inter.sample_bytes)
+    est, se = run_shards(cube_law.law, cube_law.kernel(inter.volumes), inter.sample_bytes, 33, 400,
+                         20)
     assert est[j] == pytest.approx(estimate, rel=1e-12)
     assert se[j] == pytest.approx(stderr, rel=1e-12)
 

@@ -25,10 +25,15 @@ from minkval.convex import (
 )
 from minkval import integral_geom
 from minkval.harmonics import legendre_rows
+from minkval.convex import _extent
 from minkval.integral_geom import (
-    MotionSampler,
+    LINES,
+    PLANES,
+    POINTS,
+    ROTATIONS,
+    _BoxPoints,
     _dots,
-    _flats,
+    _LineChords,
     _shard_rngs,
     _shard_sizes,
     _unit_rows,
@@ -39,8 +44,8 @@ from minkval.integral_geom import (
 from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
 from minkval.zonal import ZonalObject
 
-from flat_reference import FACET_PARALLEL_TOL, BallSampler, PlaneSections, half_circle_rule
-from motion_reference import BoxMotionSampler
+from flat_reference import FACET_PARALLEL_TOL, BallFlats, PlaneSections, half_circle_rule
+from motion_reference import BoxMotions
 
 KMAX = 4
 PROBE = np.array([0.36, -0.48, 0.8])
@@ -167,6 +172,7 @@ class DenseSections:
         self.centre = P.vertices.mean(axis=0)
         self.local = local = P.vertices - self.centre
         self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
+        self.cut = 1e-12 * _extent(P.vertices)
         index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
         B = np.zeros((len(ij), len(P.facet_cycles)))
         for f, cyc in enumerate(P.facet_cycles):
@@ -180,7 +186,7 @@ class DenseSections:
     def segments(self, a, s):
         # the distances as the kernel takes them, row by row
         d = _dots(a, self.local.T) - (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
-        above = d > 1e-12
+        above = d > self.cut
         c = above[:, self.vi].astype(float) - above[:, self.vj]
         di, dj = d[:, self.vi], d[:, self.vj]
         lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
@@ -240,7 +246,8 @@ def special_planes(P, a, t, vertex, edge, facet, delta):
     """Planes {x . a = s} of P: one at the fraction t of the support interval
     along a, one through a vertex, one through an edge (its normal the part
     of a orthogonal to the edge) and one through a facet, the last three
-    moved off by delta, inside the kernel's 1e-12 cut tolerance."""
+    moved off by delta times the body's extent, inside the kernel's cut
+    tolerance of 1e-12 of the extent."""
     v = P.vertices
     i, j = P.edges[edge % len(P.edges)][:2]
     along = _unit_rows((v[j] - v[i])[None, :])[0]
@@ -249,7 +256,7 @@ def special_planes(P, a, t, vertex, edge, facet, delta):
     proj = v @ a
     s = np.array([proj.min() + t * np.ptp(proj), v[vertex % len(v)] @ a,
                   v[i] @ normals[2], P.facet_offsets[facet % len(P.facet_normals)]])
-    s[1:] += delta
+    s[1:] += delta * _extent(v)
     return normals, s
 
 
@@ -281,13 +288,20 @@ def test_sections_match_dense_incidence_kernel(base, copy, a, t, vertex, edge, f
     assert same_bits(moments[:1], moments[1:])
 
 
+def tight_planes(P, rng, m):
+    """m planes {x . a = s} of normals a uniform and offsets s uniform in
+    the support interval of P's vertices along a."""
+    a = _unit_rows(rng.standard_normal((m, 3)))
+    proj = _dots(a, P.vertices.T)
+    return a, rng.uniform(proj.min(axis=1), proj.max(axis=1))
+
+
 def test_sections_match_dense_incidence_kernel_on_tight_planes():
     # a batch of 2000 planes of the body-tight law per body, a few chunks'
     # worth in one call
     w = PROBE / np.linalg.norm(PROBE)
     for key, P in BODIES.items():
-        sampler = _flats(P, 1, 41, 2000, 20)
-        a, s, _ = sampler.draw(*sampler.variates(np.random.default_rng(41), 2000))
+        a, s = tight_planes(P, np.random.default_rng(41), 2000)
         new, ref = SECTIONS[key], REFERENCE[key]
         assert same_bits(new.volumes(a, s), ref.volumes(a, s)), key
         got, want = new.pieces(a, s), ref.pieces(a, s)
@@ -295,23 +309,26 @@ def test_sections_match_dense_incidence_kernel_on_tight_planes():
         assert same_bits([new.s1_moments(a, s, w, KMAX)], [ref.s1_moments(a, s, w, KMAX)]), key
 
 
-# planes of random_hull(77) scaled by 1e3 within the cut tolerance of a facet
-# F, {x . n_F = h_F + delta}, which cross F itself: its normal is a, and its
-# segment normal was unit(0), NaN in the moments and in the pieces, whose arcs
-# then vanished from the values (455.98 for 912.93 on facet 4).  Which
-# planes cross F depends on the last bits of the distances: facets 4 and 20
-# at -9e-13 crossed under distances from a BLAS product, facets 3 and 5
-# cross under the elementwise ones.
-@pytest.mark.parametrize("facet,delta", [(3, -1e-12), (10, -1e-12), (13, -9e-13), (5, -9e-13)])
-def test_planes_in_a_facet_plane_match_the_plane_inside(facet, delta):
-    P = BODIES["hull14", "large"]
-    sections = SECTIONS["hull14", "large"]
+# planes of random_hull(77) at the cut tolerance of a facet F,
+# {x . n_F = h_F - cut} with cut 1e-12 of the body's extent, which cross F
+# itself: its normal is a, and its segment normal was unit(0), NaN in the
+# moments and in the pieces, whose arcs then vanished from the values
+# (455.98 for 912.93 on facet 4 of the copy scaled by 1e3).  Which planes
+# cross F depends on the last bits of the distances: at the cut, facets 13,
+# 15 and 18 of the unit copy do, 6 of the copy scaled by 1e-3 and 5, 7, 11,
+# 12 and 13 of the copy scaled by 1e3.  With a cut of 1e-12 whatever the
+# body, facets 13 and 5 of the large copy crossed at 0.9 of it.
+@pytest.mark.parametrize("copy,facet", [("unit", 13), ("small", 6), ("large", 13), ("large", 5)])
+def test_planes_in_a_facet_plane_match_the_plane_inside(copy, facet):
+    P = BODIES["hull14", copy]
+    sections = SECTIONS["hull14", copy]
     a = P.facet_normals[facet][None, :]
     value = PieceEvaluator(builtin_spec("difference_body"), PROBE)
     w = PROBE / np.linalg.norm(PROBE)
+    offsets = [np.array([P.facet_offsets[facet] - d * _extent(P.vertices)]) for d in (1e-12, 1e-9)]
     got, inside = ([value(sections.pieces(a, s)), sections.s1_moments(a, s, w, KMAX)]
-                   for s in (np.array([P.facet_offsets[facet] + d]) for d in (delta, delta - 1e-6)))
-    rows, facets = sections._facets(a, np.array([P.facet_offsets[facet] + delta]))[:2]
+                   for s in offsets)
+    rows, facets = sections._facets(a, sections.distances(a, offsets[0]))[:2]
     assert facet in facets[rows == 0]
     for x, ref in zip(got, inside):
         assert np.all(np.isfinite(x))
@@ -341,8 +358,7 @@ def test_kernel_values_do_not_depend_on_the_batch(body):
     # its own; with BLAS products the same planes differed by up to 1.8e-9
     # in V_2 and by 1.1e-13 in the moments on the large hull far away
     P = cube() if body == "cube" else random_hull(5, 30).scaled(1e3).translated(1e3 * SHIFT)
-    sampler = _flats(P, 1, 43, 400, 20)
-    a, s, _ = sampler.draw(*sampler.variates(np.random.default_rng(43), 400))
+    a, s = tight_planes(P, np.random.default_rng(43), 400)
     sections = PlaneSections(P)
     w = PROBE / np.linalg.norm(PROBE)
     for kernel in (sections.volumes, sections.pieces,
@@ -360,10 +376,9 @@ def test_sections_of_missed_planes_vanish():
     assert np.all(sections.s1_moments(a, np.array([5.0, -5.0]), PROBE, KMAX) == 0.0)
 
 
-def ball_law(P, seed, n_samples):
-    """The planes of crofton_intrinsic and crofton_minkowski before their
-    body-tight law: offsets uniform in [-R, R], R the enclosing radius."""
-    return BallSampler.about_origin(P, 1, seed, n_samples)
+# the planes of crofton_intrinsic and crofton_minkowski before their
+# body-tight law: offsets uniform in [-R, R], R the enclosing radius
+BALL = BallFlats.about_origin(cube(), 1)
 
 
 # estimates of the per-sample section loop that PlaneSections replaced,
@@ -374,8 +389,8 @@ def ball_law(P, seed, n_samples):
 ])
 def test_crofton_section_estimates_pinned(j, estimate, stderr):
     sections = PlaneSections(cube())
-    est, se = run_shards(ball_law(cube(), 99, 5000),
-                         lambda a, s: sections.volumes(a, s)[j - 1], sections.sample_bytes)
+    est, se = run_shards(BALL.law, BALL.kernel(lambda a, s: sections.volumes(a, s)[j - 1]),
+                         sections.sample_bytes, 99, 5000, 20)
     assert est == pytest.approx(estimate, rel=1e-12)
     assert se == pytest.approx(stderr, rel=1e-12)
 
@@ -384,9 +399,9 @@ def test_crofton_minkowski_estimates_pinned():
     # the lhs rows k = 0, 2, 3, 4 of crofton_minkowski, under the ball law
     sections = PlaneSections(cube())
     a_mu = ZonalObject.dirac_pole(3, kmax=8).multipliers[:KMAX + 1]
-    est, se = run_shards(ball_law(cube(), 8, 4000),
-                         lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX),
-                         sections.sample_bytes + 8 * (KMAX + 1))
+    est, se = run_shards(BALL.law, BALL.kernel(
+        lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX)),
+        sections.sample_bytes + 8 * (KMAX + 1), 8, 4000, 20)
     pinned = [(14.621091948926448, 0.22325336625730796),
               (0.00039370874769912857, 0.04104177519206521),
               (-0.040802731405611525, 0.02632972550279611),
@@ -402,26 +417,20 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
         crofton_intrinsic(cube(), 1, 1, n_samples, seed=1, shards=shards)
 
 
-def per_shard_loop(sampler, kernel):
-    """run_shards shard by shard: each shard's variates transformed on their
-    own, and its values, weighted per sample under a weighted law, summed
-    as a whole in blocks of SUM_BLOCK from its start (one reduceat each),
-    the block sums added in order."""
+def per_shard_loop(law, kernel, seed, n_samples, shards):
+    """run_shards shard by shard: each shard's variates drawn on their own,
+    and its values summed as a whole in blocks of SUM_BLOCK from its start
+    (one reduceat each), the block sums added in order."""
     sums = []
-    sizes = _shard_sizes(sampler.n_samples, sampler.shards)
-    for size, rng in zip(sizes, _shard_rngs(sampler.seed, sampler.shards)):
-        draws = sampler.draw(*sampler.variates(rng, size))
-        if sampler.weighted:
-            *draws, w = draws
-        vals = kernel(*draws)
-        if sampler.weighted:
-            vals = vals * w[:, None]
+    sizes = _shard_sizes(n_samples, shards)
+    for size, rng in zip(sizes, _shard_rngs(seed, shards)):
+        vals = kernel(*law.draw(*law.variates(rng, size)))
         total = 0.0
         for lo in range(0, size, integral_geom.SUM_BLOCK):
             total = total + np.add.reduceat(vals[lo:lo + integral_geom.SUM_BLOCK], [0], axis=0)[0]
         sums.append(total)
-    means = sampler.weight * (np.array(sums) / np.array(sizes, dtype=float)[:, None])
-    return means.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(sampler.shards)
+    means = np.array(sums) / np.array(sizes, dtype=float)[:, None]
+    return means.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(shards)
 
 
 def every_coordinate(*draws):
@@ -429,18 +438,22 @@ def every_coordinate(*draws):
 
 
 FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])
+TIGHT, CHORDS, HITS = PlaneSections(random_hull(5, 30)), _LineChords(FAR_HULL), _BoxPoints(FAR_HULL)
+# (law, kernel, seed) of each kind: every coordinate of the flats or
+# motions in the kernel's window, with the window's weight
 SAMPLERS = {
-    # the ball law of planes, which has no per-sample weights
-    "planes": lambda n, shards: BallSampler(3, 1, 1.3, 21, n, shards),
-    "tight": lambda n, shards: _flats(random_hull(5, 30), 1, 26, n, shards),
-    "lines": lambda n, shards: _flats(FAR_HULL, 2, 22, n, shards),
-    "points": lambda n, shards: _flats(FAR_HULL, 3, 23, n, shards),
+    # the ball law of planes, with a weight common to all samples
+    "planes": (BallFlats(1, 1.3).law, BallFlats(1, 1.3).kernel(every_coordinate), 21),
+    "tight": (PLANES, lambda a, u: every_coordinate(a, *TIGHT.tight(a, u)), 26),
+    "lines": (LINES,
+              lambda u, r, ang: CHORDS.weight * every_coordinate(u, CHORDS.points(u, r, ang)), 22),
+    "points": (POINTS, lambda x: HITS.volume * every_coordinate(HITS.points(x)), 23),
     # the box law of a point: translations uniform in the centred cube of side 2.5
-    "motions": lambda n, shards: BoxMotionSampler(3, 24, n, shards,
-                                                  box=np.array([[-1.25] * 3, [1.25] * 3]),
-                                                  moving=np.zeros((1, 3))),
-    "box": lambda n, shards: BoxMotionSampler.tight(cube(), random_hull(51), 25, n, shards),
-    "rotations": lambda n, shards: MotionSampler(3, 27, n, shards),
+    "motions": (BoxMotions.law, BoxMotions(np.array([[-1.25] * 3, [1.25] * 3]),
+                                           np.zeros((1, 3))).kernel(every_coordinate), 24),
+    "box": (BoxMotions.law, BoxMotions.tight(cube(), random_hull(51)).kernel(every_coordinate),
+            25),
+    "rotations": (ROTATIONS, every_coordinate, 27),
 }
 
 
@@ -453,10 +466,10 @@ SAMPLERS = {
     (1003, 501, 40),       # shards of 2 and 3 samples, many per chunk
 ])
 def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, shards, chunk):
-    sampler = SAMPLERS[kind](n_samples, shards)
+    law, kernel, seed = SAMPLERS[kind]
     monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
-    est, se = run_shards(sampler, every_coordinate, 8)
-    ref_est, ref_se = per_shard_loop(sampler, every_coordinate)
+    est, se = run_shards(law, kernel, 8, seed, n_samples, shards)
+    ref_est, ref_se = per_shard_loop(law, kernel, seed, n_samples, shards)
     assert np.array_equal(est, ref_est) and np.array_equal(se, ref_se)
 
 
@@ -466,11 +479,11 @@ def test_shard_sums_do_not_depend_on_the_pieces(monkeypatch, kind, block):
     # shards of 501 and 502 samples in blocks of `block`, run in pieces of
     # every size from one sample to whole chunks of shards
     monkeypatch.setattr(integral_geom, "SUM_BLOCK", block)
-    sampler = SAMPLERS[kind](1003, 2)
-    ref = per_shard_loop(sampler, every_coordinate)
+    law, kernel, seed = SAMPLERS[kind]
+    ref = per_shard_loop(law, kernel, seed, 1003, 2)
     for chunk in (1, 3, 64, 100, 501, 502, 10 ** 6):
         monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
-        est, se = run_shards(sampler, every_coordinate, 8)
+        est, se = run_shards(law, kernel, 8, seed, 1003, 2)
         assert np.array_equal(est, ref[0]) and np.array_equal(se, ref[1]), chunk
 
 

@@ -12,7 +12,7 @@ from minkval.convex import CHUNK_BYTES, Polytope, cube, random_hull
 
 from motion_reference import (
     SAT_TOL,
-    BoxMotionSampler,
+    BoxMotions,
     SeparatingAxes,
     distinct_axes,
     edge_directions,
@@ -76,11 +76,12 @@ def box_motions(pair: str, rng: np.random.Generator, m: int):
     """m motions of the box law: rotations, translations, and the lower
     corners and widths of their windows."""
     P, L = PAIRS[pair]
-    sampler = BoxMotionSampler.tight(P, L, 0, m)
-    R, x, _ = sampler.draw(rng.standard_normal((m, 4)), rng.random((m, 3)))
+    box = BoxMotions.tight(P, L)
+    R, t = box.law.draw(rng.standard_normal((m, 4)), rng.random((m, 3)))
+    x, _ = box.motions(R, t)
     coords = R @ L.vertices.T
-    lo = sampler.box[0] - coords.max(axis=2)
-    return R, x, lo, sampler.box[1] - coords.min(axis=2) - lo
+    lo = box.box[0] - coords.max(axis=2)
+    return R, x, lo, box.box[1] - coords.min(axis=2) - lo
 
 
 def contact_translations(pair: str, R: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """The batched shard seeding of run_shards against numpy's SeedSequence, and
-the samplers' draws from Generator.random against the rng.uniform draws
-they replaced: the streams, and with them every estimate, are unchanged."""
+the laws' draws from Generator.random, taken to the kernels' windows,
+against the rng.uniform draws they replaced: the streams, and with them
+every estimate, are unchanged."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -11,16 +14,22 @@ from hypothesis import strategies as st
 
 from minkval.convex import cube, random_hull
 from minkval.integral_geom import (
+    LINES,
+    PLANES,
+    POINTS,
+    ROTATIONS,
     SEED_BLOCK,
-    MotionSampler,
-    _flats,
+    Law,
+    PlaneSections,
+    _BoxPoints,
+    _LineChords,
     _rotations_from_quaternions,
     _shard_rngs,
     _unit_rows,
     crofton_intrinsic,
 )
 
-from motion_reference import BoxMotionSampler
+from motion_reference import BoxMotions
 
 
 def reference_rng(seed, k):
@@ -70,16 +79,43 @@ def test_run_shards_builds_no_seed_sequence(monkeypatch):
     assert built == []
 
 
-# -- the samplers as they drew with rng.uniform ---------------------------------
+# -- the laws and windows as they drew with rng.uniform ---------------------------
 
-def uniform_flats(sampler, rng, m):
+@dataclass(frozen=True)
+class Window:
+    """A law and the map `samples` of its draws to the flats or motions of a
+    kernel's window, which the reference draws with rng.uniform in one
+    step; `of` is the body or the box law that the window is taken from."""
+
+    law: Law
+    samples: Callable
+    of: object
+
+
+def lines(P):
+    return Window(LINES, lambda u, r, ang: (u, _LineChords(P).points(u, r, ang)), P)
+
+
+def points(P):
+    return Window(POINTS, lambda x: (_BoxPoints(P).points(x),), P)
+
+
+def tight_planes(P):
+    return Window(PLANES, lambda a, u: (a, *PlaneSections(P).tight(a, u)), P)
+
+
+def box_law(box):
+    return Window(box.law, lambda R, t: (R, *box.motions(R, t)), box)
+
+
+def uniform_flats(window, rng, m):
     """The laws of lines and points drawn with rng.uniform: points uniform in
     the body's coordinate box [lo, hi]; lines through a point uniform in the
     disc orthogonal to a uniform direction, about the box's centre c, of
     radius max |v - c| over the vertices v (with a margin of 1e-12)."""
-    v = sampler.vertices
+    v = window.of.vertices
     lo, hi = v.min(axis=0), v.max(axis=0)
-    if sampler.codim == 3:
+    if window.law is POINTS:
         return (rng.uniform(lo, hi, (m, 3)),)
     g = rng.standard_normal((m, 3))
     u, ang = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
@@ -93,45 +129,46 @@ def uniform_flats(sampler, rng, m):
     return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + c
 
 
-def tight_flats(sampler, rng, m):
+def tight_flats(window, rng, m):
     """The tight law of planes drawn with rng.uniform: offsets uniform in
-    the support interval of the body's vertices, weighted by twice its
-    width."""
+    the support interval of the body's vertices about their centroid, given
+    as the vertices' signed distances to the planes, and the planes' weights,
+    twice the interval's width."""
     a = _unit_rows(rng.standard_normal((m, 3)))
-    v = sampler.vertices
+    v = window.of.vertices - window.of.vertices.mean(axis=0)
     proj = a[:, :1] * v[:, 0] + a[:, 1:2] * v[:, 1] + a[:, 2:] * v[:, 2]
     lo, hi = proj.min(axis=1), proj.max(axis=1)
-    return a, rng.uniform(lo, hi), 2.0 * (hi - lo)
+    return a, proj - rng.uniform(lo, hi)[:, None], 2.0 * (hi - lo)
 
 
 def cube_law(side):
     """The box law of a point in the centred cube of that side."""
     h = side / 2.0
-    return BoxMotionSampler(3, 0, 0, box=np.array([[-h] * 3, [h] * 3]), moving=np.zeros((1, 3)))
+    return box_law(BoxMotions(np.array([[-h] * 3, [h] * 3]), np.zeros((1, 3))))
 
 
-def uniform_motions(sampler, rng, m):
+def uniform_motions(window, rng, m):
     """The cube law of translations, as the motion sampler drew it with
     rng.uniform before the box law replaced it: uniform in the centred cube
-    [-h, h]^3 of the box of a point, weighted by the cube's volume."""
-    h = sampler.box[1, 0]
+    [-h, h]^3 of the box of a point, with the cube's volume as weight."""
+    h = window.of.box[1, 0]
     q = rng.standard_normal((m, 4))
     t = rng.uniform(-h, h, (m, 3))
     side = 2.0 * h
     return _rotations_from_quaternions(_unit_rows(q)), t, np.full(m, side * side * side)
 
 
-def box_motions(sampler, rng, m):
-    """The box law of BoxMotionSampler drawn with rng.uniform: translations
+def box_motions(window, rng, m):
+    """The box law of BoxMotions drawn with rng.uniform: translations
     uniform in the coordinate box of P - R L of each rotation."""
     q = rng.standard_normal((m, 4))
     R = _rotations_from_quaternions(_unit_rows(q))
-    coords = R @ sampler.moving.T                # (m, 3, V): coordinates of R v
-    lo, hi = sampler.box[0] - coords.max(axis=2), sampler.box[1] - coords.min(axis=2)
+    coords = R @ window.of.moving.T              # (m, 3, V): coordinates of R v
+    lo, hi = window.of.box[0] - coords.max(axis=2), window.of.box[1] - coords.min(axis=2)
     return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
 
 
-def uniform_rotations(sampler, rng, m):
+def uniform_rotations(window, rng, m):
     """Uniform rotations from normal quaternions, the only draws of the
     rotation law: the translations are integrated in closed form."""
     return (_rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4)))),)
@@ -139,19 +176,19 @@ def uniform_rotations(sampler, rng, m):
 
 FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])
 SAMPLERS = [
-    (_flats(cube(), 2, 0, 0, 20), uniform_flats),
-    (_flats(cube().scaled(1e-3), 2, 0, 0, 20), uniform_flats),
-    (_flats(FAR_HULL, 2, 0, 0, 20), uniform_flats),
-    (_flats(cube(), 3, 0, 0, 20), uniform_flats),
-    (_flats(FAR_HULL, 3, 0, 0, 20), uniform_flats),
+    (lines(cube()), uniform_flats),
+    (lines(cube().scaled(1e-3)), uniform_flats),
+    (lines(FAR_HULL), uniform_flats),
+    (points(cube()), uniform_flats),
+    (points(FAR_HULL), uniform_flats),
     (cube_law(2.5), uniform_motions),
     (cube_law(1e3 / 3.0), uniform_motions),
-    (BoxMotionSampler.tight(cube(), random_hull(51), 0, 0), box_motions),
-    (BoxMotionSampler.tight(random_hull(52).translated([1e3, -1e3, 1e3]), cube().scaled(1e-3),
-                            0, 0), box_motions),
-    (_flats(cube(), 1, 0, 0, 20), tight_flats),
-    (_flats(FAR_HULL, 1, 0, 0, 20), tight_flats),
-    (MotionSampler(3, 0, 0), uniform_rotations),
+    (box_law(BoxMotions.tight(cube(), random_hull(51))), box_motions),
+    (box_law(BoxMotions.tight(random_hull(52).translated([1e3, -1e3, 1e3]),
+                              cube().scaled(1e-3))), box_motions),
+    (tight_planes(cube()), tight_flats),
+    (tight_planes(FAR_HULL), tight_flats),
+    (Window(ROTATIONS, lambda R: (R,), None), uniform_rotations),
 ]
 
 
@@ -159,8 +196,11 @@ SAMPLERS = [
 @pytest.mark.parametrize("seed", [0, 7, 20151021])
 @pytest.mark.parametrize("m", [1, 5, 1000])
 def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
+    # the law's draws, taken to the kernel's window, equal the draws of
+    # rng.uniform in the window
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sampler.draw(*sampler.variates(rng, m))
+    law = sampler.law
+    got = sampler.samples(*law.draw(*law.variates(rng, m)))
     want = reference(sampler, ref, m)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -78,7 +78,7 @@ def test_closed_form_matches_box_law_monte_carlo(pair, seed):
     for R in _rotations(seed, 2):
         x, box = _box_law(P, L, R, rng, m)
         Rs = np.repeat(R[None], m, axis=0)
-        pieces = exact.pieces(R[None])
+        pieces = exact.pieces(R[None], (1, 2))
         checks = list(zip(reference.volumes(Rs, x).T,
                           [exact.volumes(R[None])[0], exact.mean_widths(R[None])[0],
                            vp[2] * vl[3] + vp[3] * vl[2], vp[3] * vl[3]]))
@@ -136,7 +136,7 @@ def test_values_do_not_depend_on_the_batch(pair):
     exact = TranslativeIntegrals(*PAIRS[pair])
     R = _rotations(11, 30)
     kernels = [exact.volumes, exact.mean_widths] + [
-        (lambda rot, value=value: value(exact.pieces(rot))) for value in _values()]
+        (lambda rot, value=value: value(exact.pieces(rot, value.degrees))) for value in _values()]
     for kernel in kernels:
         whole = kernel(R)
         for size in (1, 7):

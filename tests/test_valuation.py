@@ -265,8 +265,8 @@ def test_rotation_equivariance_of_the_translative_pieces(name, seed, exponent, q
     Q = _rotations_from_quaternions(q[None])[0]
     turns = np.random.default_rng(seed).standard_normal((5, 4))
     R = _rotations_from_quaternions(turns / np.linalg.norm(turns, axis=1)[:, None])
-    pieces = TranslativeIntegrals(P, L).pieces(R)
-    turned = TranslativeIntegrals(P.rotated(Q), L.rotated(Q)).pieces(Q @ R @ Q.T)
+    pieces = TranslativeIntegrals(P, L).pieces(R, (1, 2))
+    turned = TranslativeIntegrals(P.rotated(Q), L.rotated(Q)).pieces(Q @ R @ Q.T, (1, 2))
     value = PieceEvaluator(spec, u)
     got = PieceEvaluator(spec, Q @ value.u)(turned)
     want = value(pieces)
