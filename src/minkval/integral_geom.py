@@ -12,7 +12,11 @@ measure of the flats through that window: planes (`PlaneSections.areas`)
 take an offset in the support interval [lo, hi] of their normal, of weight
 2 (hi - lo); lines (`_LineChords`) a point in the disc of radius R about
 the centre of the body's coordinate box, of weight 2 pi R^2; points
-(`_BoxPoints`) lie in that box, whose volume is their weight.
+(`_BoxPoints`) lie in that box, whose volume is their weight.  For every
+direction these integrands integrate over the offset to V_n of the body,
+so their variance is the offset's: each shard stratifies its samples'
+first offset double (the plane's offset, the line's squared radius in the
+disc, the point's x), one sample per stratum (`Law`).
 Rigid motions g L = R L + x draw only their rotation R, uniform
 (`ROTATIONS`): the integral over the translations x has a closed form
 for each rotation, the translative integral formulas
@@ -28,20 +32,22 @@ nonzero run by Monte Carlo.
 Every estimator runs through one shard loop, `run_shards`, which averages
 a kernel's values under a `Law` and knows no weight: shard k draws its
 random numbers (`Law.variates`) from the k-th spawned seed sequence, in
-chunks of bounded memory that may span several shards; each chunk's normals
-are made unit directions or rotations at once (`Law.draw`, elementwise, so
-the samples do not depend on the chunking), a kernel evaluates them, and
+chunks of bounded memory that may span several shards; each chunk's first
+doubles are stratified per shard where the law is (`Law.stratify`) and its
+normals made unit directions or rotations at once (`Law.draw`, elementwise,
+so the samples do not depend on the chunking), a kernel evaluates them, and
 each shard's values are summed in fixed blocks from its start, so that the
 sums do not depend on the chunking either; the standard error comes from
 the per-shard spread.  Results are deterministic in (seed, shards).  The
 streams are numpy's SeedSequence children; only their seeding is batched
 (`_shard_rngs` hashes the seeds of SEED_BLOCK shards in one numpy pass), and
-the uniform variates are Generator.random doubles that the kernels scale to
-their windows as Generator.uniform would.  The kernels are batched and
-elementwise, so that no sample's value depends on the batch, and build no
-face lattice: the valuation-valued check integrates the profiles of
-`evaluate` (`valuation.PieceEvaluator`) against the area measures of a
-whole chunk, integrated over the offsets or the translations.
+the uniform variates are Generator.random doubles, stratified or not, that
+the kernels scale to their windows as Generator.uniform would.  The
+kernels are batched and elementwise, so that no sample's value depends on
+the batch, and build no face lattice: the valuation-valued check
+integrates the profiles of `evaluate` (`valuation.PieceEvaluator`) against
+the area measures of a whole chunk, integrated over the offsets or the
+translations.
 """
 
 from __future__ import annotations
@@ -161,20 +167,39 @@ class Law:
     (m, normals) and one (m, uniforms) array, or, where `split`, `uniforms`
     arrays (m,) drawn one after the other.  `draw` makes unit directions of
     3 normals (plane normals, line directions) and uniform rotations of 4
-    (unit quaternions); the doubles go to the kernel as they are.  A law
-    knows no body: a kernel scales the doubles to its window about the
-    body, as Generator.uniform would (`_uniform`), and weights its values
-    by the window's measure."""
+    (unit quaternions); the doubles go to the kernel as they are.  Where
+    `stratified`, run_shards makes the first double of sample j of a
+    shard's m samples (j + U_j) / m (`stratify`), with U_j that sample's
+    double of the stream: one sample in each stratum [j / m, (j + 1) / m),
+    in stream order, every other variate iid (Owen, Monte Carlo theory,
+    methods and examples, 2013, ch. 8).  The shard mean stays unbiased, the
+    shards stay independent replicates, and the per-shard standard error
+    stays valid.  A law knows no body: a kernel scales the doubles to its
+    window about the body, as Generator.uniform would (`_uniform`), and
+    weights its values by the window's measure."""
 
     normals: int
     uniforms: int = 0
     split: bool = False
+    stratified: bool = False
 
     def variates(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
         out = (rng.standard_normal((m, self.normals)),) if self.normals else ()
         if self.split:
             return out + tuple(rng.random((self.uniforms, m)))
         return out + ((rng.random((m, self.uniforms)),) if self.uniforms else ())
+
+    def stratify(self, variates: tuple[np.ndarray, ...], j: np.ndarray, m: np.ndarray) -> None:
+        """Make the first doubles u of a stratified law's variates
+        (j + u) / m in place, with j the index of each sample in its shard
+        and m its shard's size (`_strata`).  The last stratum's
+        (m - 1 + u) / m rounds to 1 for u near 1 and m >= 2, as
+        Generator.uniform may round to its upper end; the kernels take it."""
+        u = variates[1 if self.normals else 0]
+        if not self.split:
+            u = u[:, 0]
+        u += j
+        u /= m
 
     def draw(self, *variates: np.ndarray) -> tuple[np.ndarray, ...]:
         if not self.normals:
@@ -186,9 +211,21 @@ class Law:
 
 DIRECTIONS = Law(3)               # plane normals and line directions
 ROTATIONS = Law(4)
-PLANES = Law(3, 1, split=True)    # a normal, then the double of its offset
-LINES = Law(3, 2, split=True)     # a direction, then the doubles of its point's radius and angle
-POINTS = Law(0, 3)                # the doubles of a point's coordinates
+# a normal, then the stratified double of its offset
+PLANES = Law(3, 1, split=True, stratified=True)
+# a direction, then the doubles of its point's squared radius (stratified) and angle
+LINES = Law(3, 2, split=True, stratified=True)
+# the doubles of a point's coordinates, x stratified
+POINTS = Law(0, 3, stratified=True)
+
+
+def _strata(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The index j of each sample in its shard and its shard's size m, as
+    doubles, for consecutive shards of `sizes` samples (`Law.stratify`)."""
+    sizes = np.asarray(sizes)
+    j = np.arange(sizes.sum(), dtype=float)
+    j -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return j, np.repeat(sizes.astype(float), sizes)
 
 
 def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +253,9 @@ def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
     """lo + (hi - lo) * u, in place: of the doubles u of Generator.random,
-    the values that Generator.uniform(lo, hi) draws from the same stream."""
+    the values that Generator.uniform(lo, hi) draws from the same stream,
+    and of a stratified double (j + u) / m (`Law.stratify`) the same map of
+    it, a value in the j-th of m equal parts of [lo, hi]."""
     u *= hi - lo
     u += lo
     return u
@@ -393,14 +432,16 @@ def run_shards(law: Law, kernel, sample_bytes: int, seed: int, n_samples: int,
     variates (`law.variates`) from the k-th spawned seed sequence, the
     stream of SeedSequence(seed, spawn_key=(k,)), whose seeding
     `_shard_rngs` batches; a chunk of whole shards (or of one large shard)
-    is drawn at once (`law.draw`), and `kernel(*draws)` maps it to values
-    (m,) or (m, width).  A chunk holds at most CHUNK_BYTES / sample_bytes
-    samples, sample_bytes being the kernel's temporary memory per sample;
-    the sums do not depend on the chunking (`_ShardSums`)."""
+    is stratified (`law.stratify`) and drawn at once (`law.draw`), and
+    `kernel(*draws)` maps it to values (m,) or (m, width).  A chunk holds
+    at most CHUNK_BYTES / sample_bytes samples, sample_bytes being the
+    kernel's temporary memory per sample; the sums do not depend on the
+    chunking (`_ShardSums`), nor do the strata, taken per shard."""
     _check_shards(n_samples, shards)
     sizes = _shard_sizes(n_samples, shards)
     chunk = max(1, CHUNK_BYTES // sample_bytes)
     totals, parts, count = _ShardSums(sizes), [], 0
+    strata = functools.cache(_strata)   # the chunks of a run take a few tuples of sizes
     for k, rng in enumerate(_shard_rngs(seed, shards)):
         parts.append(law.variates(rng, sizes[k]))
         count += sizes[k]
@@ -410,6 +451,8 @@ def run_shards(law: Law, kernel, sample_bytes: int, seed: int, n_samples: int,
         # the per-shard variates before the draw, the chunk's variates
         # before the kernel, and its samples before the next chunk
         variates = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
+        if law.stratified:
+            law.stratify(variates, *strata(tuple(sizes[k + 1 - len(parts):k + 1])))
         parts = []
         draws = law.draw(*variates)
         del variates
@@ -423,17 +466,18 @@ def run_shards(law: Law, kernel, sample_bytes: int, seed: int, n_samples: int,
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(len(means))
 
 
-def _clip_lines(den: np.ndarray, num: np.ndarray, lo,
-                hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _clip_lines(den: np.ndarray, num: np.ndarray, lo, hi,
+                cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clip lines p + s u, s in [lo, hi], by constraints n . x <= b given
     along the last axis as den = u . n and num = b - p . n.  Returns the
     clipped [lo, hi] and whether it is non-empty; a constraint parallel to
-    the line (|den| <= PARALLEL_TOL) empties it when p violates it."""
+    the line (|den| <= PARALLEL_TOL, a cosine) empties it when p violates
+    it by more than cut, a length the caller takes relative to its body."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / den
     hi = np.minimum(hi, np.where(den > PARALLEL_TOL, ratio, math.inf).min(axis=-1))
     lo = np.maximum(lo, np.where(den < -PARALLEL_TOL, ratio, -math.inf).max(axis=-1))
-    feasible = ~np.any((np.abs(den) <= PARALLEL_TOL) & (num < -PARALLEL_TOL), axis=-1)
+    feasible = ~np.any((np.abs(den) <= PARALLEL_TOL) & (num < -cut), axis=-1)
     return lo, hi, feasible & (hi >= lo)
 
 
@@ -508,11 +552,11 @@ class PlaneSections:
     def tight(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The planes of normals a whose offsets about the centroid are
         uniform in the support interval [lo, hi] of a . (v - centroid) over
-        the vertices v, from the doubles u of Generator.random (scaled in
-        place): the signed distances (m, V) of the vertices to them, from
-        the one projection that gives the interval, and their weights
-        2 (hi - lo), the measure of the planes of normal a that meet the
-        body.  Every plane meets it."""
+        the vertices v, from the doubles u of Generator.random, stratified
+        under PLANES (scaled in place): the signed distances (m, V) of the
+        vertices to them, from the one projection that gives the interval,
+        and their weights 2 (hi - lo), the measure of the planes of normal a
+        that meet the body.  Every plane meets it."""
         d = _dots(a, self.local_t)
         lo, hi = d.min(axis=1), d.max(axis=1)
         d -= _uniform(u, lo, hi)[:, None]
@@ -559,11 +603,12 @@ class PlaneSections:
 class _LineChords:
     """The kernel of the term of V_1 at codimension 2 (i + j = n), under
     LINES: the lines along the unit rows u through points uniform in the
-    disc orthogonal to u about the centre c = (lo + hi) / 2 of the body's
-    coordinate box [lo, hi], of the radius R = max |v - c| over the
-    vertices v (times 1 + 1e-12) of the ball about c that holds the body.
-    Each chord's length is multiplied by 2 pi R^2, the measure of the lines
-    meeting that ball."""
+    disc orthogonal to u, their squared radius in units of R^2 stratified
+    by the law, about the centre c = (lo + hi) / 2 of the body's coordinate
+    box [lo, hi], of the radius R = max |v - c| over the vertices v (times
+    1 + 1e-12) of the ball about c that holds the body.  Each chord's
+    length is multiplied by 2 pi R^2, the measure of the lines meeting that
+    ball."""
 
     def __init__(self, P: Polytope):
         A, self.b = P.inequalities()
@@ -573,6 +618,7 @@ class _LineChords:
         reach = np.linalg.norm(P.vertices - self.centre, axis=1)
         self.radius = float(np.max(reach)) * (1.0 + 1e-12)
         self.weight = math.comb(3, 2) * kappa(3) / kappa(1) * self.radius ** 2
+        self.cut = 1e-12 * _extent(P.vertices)
         self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
 
     def points(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
@@ -583,17 +629,24 @@ class _LineChords:
         rad = self.radius * np.sqrt(r)
         return rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + self.centre
 
+    def chords(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The chords' lengths of the lines p + s u, 0 where a line misses
+        the body; a line parallel to a facet misses it when it lies outside
+        by more than 1e-12 of the body's extent (convex._extent)."""
+        lo, hi, hit = _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf,
+                                  self.cut)
+        return np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+
     def __call__(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        p = self.points(u, r, ang)
-        lo, hi, hit = _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
-        return self.weight * np.where(hit, np.clip(hi - lo, 0.0, None), 0.0)
+        return self.weight * self.chords(u, self.points(u, r, ang))
 
 
 class _BoxPoints:
     """The kernel of the term of V_0 at codimension 3, under POINTS: points
-    uniform in the body's coordinate box [lo, hi]; a hit counts the box's
-    volume.  The cut is relative to the diameter 2 max |v - m| of the
-    ball about the vertex centroid m that holds the vertices v."""
+    uniform in the body's coordinate box [lo, hi], their x stratified by
+    the law; a hit counts the box's volume.  The cut is relative to the
+    diameter 2 max |v - m| of the ball about the vertex centroid m that
+    holds the vertices v."""
 
     def __init__(self, P: Polytope):
         A, b = P.inequalities()

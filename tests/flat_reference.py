@@ -17,7 +17,7 @@ import numpy as np
 
 from minkval import integral_geom
 from minkval.constants import CHUNK_BYTES, kappa
-from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _plane_basis
+from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _extent, _plane_basis
 from minkval.harmonics import legendre_rows
 from minkval.integral_geom import Law, _clip_lines, _uniform, _unit_rows
 from minkval.valuation import MeasurePieces
@@ -52,8 +52,9 @@ class BallFlats:
     @property
     def law(self) -> Law:
         """A normal direction, then the doubles of the offset (codim 1), the
-        radius (codim 2, 3) and the angle (codim 2)."""
-        return Law(3, 2 if self.codim == 2 else 1, split=True)
+        radius (codim 2, 3) and the angle (codim 2), all iid: the pins taken
+        under this law keep running on it."""
+        return Law(3, 2 if self.codim == 2 else 1, split=True, stratified=False)
 
     @property
     def weight(self) -> float:
@@ -191,12 +192,14 @@ class LineSections:
     def __init__(self, P):
         A, self.b = P.inequalities()
         self.AT = np.ascontiguousarray(A.T)   # (3, F): faster products than the view
+        self.cut = 1e-12 * _extent(P.vertices)
         self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
         self.piece_bytes = 8 * 48   # pieces(): the basis, the ring and four arcs per line
 
     def chords(self, u, p):
         """Clipped [lo, hi] of each line, and whether it meets the body."""
-        return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf)
+        return _clip_lines(u @ self.AT, self.b[None, :] - p @ self.AT, -math.inf, math.inf,
+                           self.cut)
 
     def pieces(self, u, p) -> MeasurePieces:
         """The area measures of the chords, as area_measure gives them for a

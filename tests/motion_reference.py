@@ -34,10 +34,11 @@ class BoxMotions:
     meets P lies in it, so the box volume as a per-sample weight keeps the
     motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
     Stochastic Simulation, 2007, ch. V), wherever P and L lie.  The law
-    draws normal quaternions, then the translations' doubles (m, 3); the
-    window and the weight are the kernel's (`kernel`)."""
+    draws normal quaternions, then the translations' doubles (m, 3), all
+    iid, as the pins taken under it drew them; the window and the weight
+    are the kernel's (`kernel`)."""
 
-    law: ClassVar[Law] = Law(4, 3)
+    law: ClassVar[Law] = Law(4, 3, stratified=False)
 
     box: np.ndarray      # (2, 3): [lo_P, hi_P]
     moving: np.ndarray   # (V, 3): the vertices of L
@@ -139,6 +140,7 @@ class MotionIntersections:
         self.pad_heights = np.append(self.P.heights, math.inf)
         # slack of the pruning tests, relative to the bodies
         self.slack = 1e-9 * (self.P.radius + self.L.radius)
+        self.cut = 1e-12 * (self.P.radius + self.L.radius)   # the parallel cut of _clip_lines
         fp, fl = len(self.P.normals), len(self.L.normals)
         ep, el = len(self.P.length), len(self.L.length)
         d = self.P.neighbours.shape[1] + self.L.neighbours.shape[1]
@@ -193,7 +195,7 @@ class MotionIntersections:
         # edges of P clipped by the facets of g L
         lo, hi, hit = _clip_lines(np.einsum("ei,mfi->mef", P.unit, NL),
                                   HL[:, None, :] - np.einsum("ei,mfi->mef", P.start, NL),
-                                  0.0, P.length)
+                                  0.0, P.length, self.cut)
         t, e = np.nonzero(hit & (hi > lo))
         parts.append((t, (hi - lo)[t, e], P.start[e] + 0.5 * (lo + hi)[t, e, None] * P.unit[e],
                       P.unit[e], P.normals[P.facets[e, 0]], P.normals[P.facets[e, 1]]))
@@ -201,7 +203,7 @@ class MotionIntersections:
         start = np.einsum("mij,ej->mei", R, L.start) + g[:, None, :]
         unit = np.einsum("mij,ej->mei", R, L.unit)
         lo, hi, hit = _clip_lines(unit @ P.normals.T, P.heights - start @ P.normals.T,
-                                  0.0, L.length)
+                                  0.0, L.length, self.cut)
         t, e = np.nonzero(hit & (hi > lo))
         parts.append((t, (hi - lo)[t, e], start[t, e] + 0.5 * (lo + hi)[t, e, None] * unit[t, e],
                       unit[t, e], N[t, L.facets[e, 0]], N[t, L.facets[e, 1]]))
@@ -241,7 +243,8 @@ class MotionIntersections:
         ch = np.concatenate([self.pad_heights[P.neighbours[F]], H[t[:, None], L.neighbours[G]]],
                             axis=1)
         lo, hi, hit = _clip_lines(np.einsum("kci,ki->kc", cn, u),
-                                  ch - np.einsum("kci,ki->kc", cn, y), -math.inf, math.inf)
+                                  ch - np.einsum("kci,ki->kc", cn, y), -math.inf, math.inf,
+                                  self.cut)
         ok = hit & (hi > lo)
         return t[ok], (hi - lo)[ok], y[ok] + 0.5 * (lo + hi)[ok, None] * u[ok], u[ok], n[ok], NG[ok]
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from minkval import integral_geom
 from minkval.constants import (crofton_c, crofton_q, flag, geometric_constants, kappa,
                                mean_section_q, omega)
-from minkval.convex import Polytope, ball_polytope, cube, intrinsic_volumes, random_hull
+from minkval.convex import (Polytope, _extent, _plane_basis, ball_polytope, cube,
+                            intrinsic_volumes, random_hull)
 from minkval.integral_geom import (
     CHUNK_BYTES,
     EstimateReport,
@@ -201,6 +202,22 @@ def test_plane_sections_scale_as_lambda_cubed(body, lam):
     base, scaled = (crofton_intrinsic(B, 1, 2, 2000, seed=17) for B in (P, P.scaled(lam)))
     assert scaled.estimate == pytest.approx(lam ** 3 * base.estimate, rel=1e-14)
     assert scaled.stderr == pytest.approx(lam ** 3 * base.stderr, rel=1e-14)
+
+
+@pytest.mark.parametrize("body", sorted(TIGHT_BODIES))
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+def test_lines_parallel_to_a_facet_cut_relative_to_the_body(body, lam):
+    # a line parallel to a facet, 1e-9 of the body's extent outside it,
+    # misses, and one 1e-3 of the extent inside hits; with a cut of 1e-12
+    # whatever the body, every line outside the cube scaled by 1e-6 hit
+    P = TIGHT_BODIES[body].scaled(lam)
+    chords, extent = _LineChords(P), _extent(P.vertices)
+    for n, cycle in zip(P.facet_normals, P.facet_cycles):
+        mid = P.vertices[cycle].mean(axis=0)
+        u = _plane_basis(n)[0]
+        got = chords.chords(np.array([u, u]),
+                            np.array([mid + 1e-9 * extent * n, mid - 1e-3 * extent * n]))
+        assert got[0] == 0.0 and got[1] > 0.0, (n, got)
 
 
 def test_lines_reach_a_body_far_from_the_origin():

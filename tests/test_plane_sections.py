@@ -419,12 +419,18 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
 
 def per_shard_loop(law, kernel, seed, n_samples, shards):
     """run_shards shard by shard: each shard's variates drawn on their own,
-    and its values summed as a whole in blocks of SUM_BLOCK from its start
-    (one reduceat each), the block sums added in order."""
+    the first double u_j of its m samples made (j + u_j) / m where the law
+    is stratified, and its values summed as a whole in blocks of SUM_BLOCK
+    from its start (one reduceat each), the block sums added in order."""
     sums = []
     sizes = _shard_sizes(n_samples, shards)
     for size, rng in zip(sizes, _shard_rngs(seed, shards)):
-        vals = kernel(*law.draw(*law.variates(rng, size)))
+        variates = law.variates(rng, size)
+        if law.stratified:
+            doubles = variates[1 if law.normals else 0]
+            first = doubles if law.split else doubles[:, 0]
+            first[:] = (np.arange(size) + first) / size
+        vals = kernel(*law.draw(*variates))
         total = 0.0
         for lo in range(0, size, integral_geom.SUM_BLOCK):
             total = total + np.add.reduceat(vals[lo:lo + integral_geom.SUM_BLOCK], [0], axis=0)[0]

@@ -1,7 +1,8 @@
 """The batched shard seeding of run_shards against numpy's SeedSequence, and
 the laws' draws from Generator.random, taken to the kernels' windows,
-against the rng.uniform draws they replaced: the streams, and with them
-every estimate, are unchanged."""
+against rng.uniform draws: the streams are numpy's, the iid laws draw what
+rng.uniform drew, and the stratified laws of offsets draw each shard's
+first doubles as rng.uniform's u scaled to the strata, (j + u) / m."""
 
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from minkval.integral_geom import (
     _LineChords,
     _rotations_from_quaternions,
     _shard_rngs,
+    _strata,
     _unit_rows,
     crofton_intrinsic,
 )
@@ -108,17 +110,25 @@ def box_law(box):
     return Window(box.law, lambda R, t: (R, *box.motions(R, t)), box)
 
 
+def strata(u):
+    """The doubles u of m samples of one shard, one per stratum: (j + u_j) / m."""
+    return (np.arange(len(u)) + u) / len(u)
+
+
 def uniform_flats(window, rng, m):
     """The laws of lines and points drawn with rng.uniform: points uniform in
-    the body's coordinate box [lo, hi]; lines through a point uniform in the
-    disc orthogonal to a uniform direction, about the box's centre c, of
-    radius max |v - c| over the vertices v (with a margin of 1e-12)."""
+    the body's coordinate box [lo, hi], their x stratified; lines through a
+    point uniform in the disc orthogonal to a uniform direction, about the
+    box's centre c, of radius max |v - c| over the vertices v (with a margin
+    of 1e-12), their squared radius stratified."""
     v = window.of.vertices
     lo, hi = v.min(axis=0), v.max(axis=0)
     if window.law is POINTS:
-        return (rng.uniform(lo, hi, (m, 3)),)
+        x = rng.uniform(0.0, 1.0, (m, 3))
+        x[:, 0] = strata(x[:, 0])
+        return (lo + (hi - lo) * x,)
     g = rng.standard_normal((m, 3))
-    u, ang = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 2.0 * math.pi, m)
+    u, ang = strata(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 2.0 * math.pi, m)
     c = (lo + hi) / 2.0
     R = float(np.max(np.linalg.norm(v - c, axis=1))) * (1.0 + 1e-12)
     dirs = _unit_rows(g)
@@ -131,14 +141,15 @@ def uniform_flats(window, rng, m):
 
 def tight_flats(window, rng, m):
     """The tight law of planes drawn with rng.uniform: offsets uniform in
-    the support interval of the body's vertices about their centroid, given
-    as the vertices' signed distances to the planes, and the planes' weights,
-    twice the interval's width."""
+    the support interval of the body's vertices about their centroid,
+    stratified, given as the vertices' signed distances to the planes, and
+    the planes' weights, twice the interval's width."""
     a = _unit_rows(rng.standard_normal((m, 3)))
     v = window.of.vertices - window.of.vertices.mean(axis=0)
     proj = a[:, :1] * v[:, 0] + a[:, 1:2] * v[:, 1] + a[:, 2:] * v[:, 2]
     lo, hi = proj.min(axis=1), proj.max(axis=1)
-    return a, proj - rng.uniform(lo, hi)[:, None], 2.0 * (hi - lo)
+    s = lo + (hi - lo) * strata(rng.uniform(0.0, 1.0, m))
+    return a, proj - s[:, None], 2.0 * (hi - lo)
 
 
 def cube_law(side):
@@ -196,11 +207,14 @@ SAMPLERS = [
 @pytest.mark.parametrize("seed", [0, 7, 20151021])
 @pytest.mark.parametrize("m", [1, 5, 1000])
 def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
-    # the law's draws, taken to the kernel's window, equal the draws of
-    # rng.uniform in the window
+    # the law's draws of one shard, taken to the kernel's window, equal the
+    # draws of rng.uniform in the window
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     law = sampler.law
-    got = sampler.samples(*law.draw(*law.variates(rng, m)))
+    variates = law.variates(rng, m)
+    if law.stratified:
+        law.stratify(variates, *_strata((m,)))
+    got = sampler.samples(*law.draw(*variates))
     want = reference(sampler, ref, m)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
