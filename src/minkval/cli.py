@@ -37,7 +37,7 @@ DATA_ENV = "MINKVAL_DATA"
 BUILTIN_BODIES = ("cube", "simplex", "octahedron",
                   "random_hull_7", "random_hull_42")
 MAX_DIM = 64          # largest ambient dimension n of multipliers and lemma52
-MAX_SHARD_N = 10**6   # most samples per shard: a shard's variates are drawn at once
+MAX_SHARD_N = 10**6   # most samples per shard
 MAX_SHARDS = 10_000   # largest --shards: the shard reduction holds O(shards) arrays
 MAX_COUNT = 10_000    # largest --num-dirs and --samples
 MAX_BALL_DEPTH = 6    # ball:6 has 16386 vertices; each level has 4x as many

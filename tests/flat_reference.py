@@ -54,7 +54,7 @@ class BallFlats:
         """A normal direction, then the doubles of the offset (codim 1), the
         radius (codim 2, 3) and the angle (codim 2), all iid: the pins taken
         under this law keep running on it."""
-        return Law(3, 2 if self.codim == 2 else 1, split=True, stratified=False)
+        return Law(3, 2 if self.codim == 2 else 1)
 
     @property
     def weight(self) -> float:

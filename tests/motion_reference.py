@@ -34,11 +34,11 @@ class BoxMotions:
     meets P lies in it, so the box volume as a per-sample weight keeps the
     motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
     Stochastic Simulation, 2007, ch. V), wherever P and L lie.  The law
-    draws normal quaternions, then the translations' doubles (m, 3), all
-    iid, as the pins taken under it drew them; the window and the weight
-    are the kernel's (`kernel`)."""
+    draws normal quaternions, then the translations' doubles, all iid, as
+    the pins taken under it drew them; the window and the weight are the
+    kernel's (`kernel`)."""
 
-    law: ClassVar[Law] = Law(4, 3, stratified=False)
+    law: ClassVar[Law] = Law(4, 3)
 
     box: np.ndarray      # (2, 3): [lo_P, hi_P]
     moving: np.ndarray   # (V, 3): the vertices of L
@@ -60,10 +60,10 @@ class BoxMotions:
         return t, np.prod(width, axis=1)
 
     def kernel(self, f):
-        """The kernel of f(R, x) under `law`: each value times its box
-        volume."""
-        def kernel(R, t):
-            x, volume = self.motions(R, t)
+        """The kernel of f(R, x) under `law`, which hands it the columns of
+        the translations' doubles: each value times its box volume."""
+        def kernel(R, *t):
+            x, volume = self.motions(R, np.stack(t, axis=1))
             vals = np.asarray(f(R, x), dtype=float)
             return vals * volume.reshape(volume.shape + (1,) * (vals.ndim - 1))
         return kernel

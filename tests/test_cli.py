@@ -464,8 +464,7 @@ def test_integer_option_out_of_its_range_is_an_input_error(tmp_path, argv, confi
     # time; "hadwiger", "crosscheck" and "box" were read by truthiness, so
     # "no" ran the Hadwiger check and the crosscheck and "false" printed the
     # box column; "num-dirs": 1e300 and "N": 1e300 ended in tracebacks, and
-    # "samples", "shards" and the samples per shard (whose variates are
-    # drawn at once) had no upper bound
+    # "samples", "shards" and the samples per shard had no upper bound
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, rep = run(tmp_path, *argv, "--config", str(path))

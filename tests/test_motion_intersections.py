@@ -139,9 +139,9 @@ def test_kernel_of_missed_motions_vanishes():
 # uniform in the centred cube of side 4 R, R the cube's enclosing radius,
 # which is the box law of a point in that cube
 @pytest.mark.parametrize("j,estimate,stderr", [
-    (1, 16.397872239130802, 3.646578132759551),
-    (2, 6.732316316378385, 2.034482768869439),
-    (3, 0.9058473200956854, 0.37614675219453886),
+    (1, 13.627753489191164, 5.029105939861276),
+    (2, 5.705744565348389, 2.2953089608021364),
+    (3, 0.8144450105358298, 0.3565125981032247),
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
     h = 2.0 * origin_radius(cube())

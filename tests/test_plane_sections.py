@@ -1,8 +1,8 @@
 """The ordering-free plane-section kernel against the section polygons of
 convex.section_plane and against the dense-incidence kernel it replaced
 (its pieces and S_1 moments as tests/flat_reference.py keeps them), and the
-sharded Monte-Carlo loop run_shards: pinned estimates, the per-chunk
-transform of the variates against a per-shard one, input checks and
+sharded Monte-Carlo loop run_shards: pinned estimates, the chunked run
+against the whole run drawn and evaluated in one step, input checks and
 bounded memory."""
 
 import tracemalloc
@@ -27,18 +27,23 @@ from minkval import integral_geom
 from minkval.harmonics import legendre_rows
 from minkval.convex import _extent
 from minkval.integral_geom import (
+    DIRECTIONS,
     LINES,
     PLANES,
     POINTS,
     ROTATIONS,
+    FlatIntegrals,
+    TranslativeIntegrals,
     _BoxPoints,
     _dots,
+    _intrinsic_kernel,
     _LineChords,
-    _shard_rngs,
     _shard_sizes,
     _unit_rows,
+    _valuation_kernel,
     crofton_intrinsic,
     crofton_minkowski,
+    kinematic_check,
     run_shards,
 )
 from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
@@ -368,6 +373,33 @@ def test_kernel_values_do_not_depend_on_the_batch(body):
             assert same_bits(in_batches(kernel, a, s, size), whole), size
 
 
+@pytest.mark.parametrize("body", ["cube", "hull30-far-large"])
+def test_line_and_point_values_do_not_depend_on_the_batch(body):
+    # 400 lines and points of the laws, and points on the bounds of the hit
+    # test (the facets pushed out by the cut), all at once and one at a
+    # time: the products with the facet normals are elementwise, or read off
+    # a BLAS product only where its rounding cannot flip a hit.  With BLAS
+    # products 106 of these chords on the large hull far away differed, by
+    # up to 1.1e-12
+    P = cube() if body == "cube" else random_hull(5, 30).scaled(1e3).translated(1e3 * SHIFT)
+    rng = np.random.default_rng(44)
+    lines, points = _LineChords(P), _BoxPoints(P)
+    A, b = P.inequalities()
+    centres = np.array([P.vertices[cycle].mean(axis=0) for cycle in P.facet_cycles])
+    on_bound = centres + (points.bound - b)[:, None] * A
+    doubles = np.vstack([rng.random((400, 3)), (on_bound - points.lo) / (points.hi - points.lo)])
+    for kernel, draws in ((lines, LINES.draw(*LINES.variates((rng, rng), 400))),
+                          (points, tuple(doubles.T))):
+        whole = kernel(*(d.copy() for d in draws))   # the kernels scale the doubles in place
+        one = [kernel(*(d[t:t + 1].copy() for d in draws)) for t in range(len(draws[0]))]
+        assert np.array_equal(np.concatenate(one), whole), kernel
+    # the hits are those of the elementwise products, also on the bounds,
+    # which lie within the band
+    p = points.points(*(d.copy() for d in doubles.T))[:3].T
+    assert np.all(np.abs((p[400:] @ A.T - points.bound).max(axis=1)) <= points.band)
+    assert np.array_equal(whole, points.volume * np.all(_dots(p, A.T) <= points.bound, axis=1))
+
+
 def test_sections_of_missed_planes_vanish():
     sections = SECTIONS["hull30", "unit"]
     a = np.array([[0.0, 0.6, 0.8]] * 2)
@@ -384,8 +416,8 @@ BALL = BallFlats.about_origin(cube(), 1)
 # estimates of the per-sample section loop that PlaneSections replaced,
 # under the ball law of planes that loop drew
 @pytest.mark.parametrize("j,estimate,stderr", [
-    (1, 4.762343084617497, 0.06693660774724093),
-    (2, 2.0322276667655634, 0.03630133202249817),
+    (1, 4.7589175358470905, 0.09609528623654183),
+    (2, 2.004437493393808, 0.0474768236541027),
 ])
 def test_crofton_section_estimates_pinned(j, estimate, stderr):
     sections = PlaneSections(cube())
@@ -402,10 +434,10 @@ def test_crofton_minkowski_estimates_pinned():
     est, se = run_shards(BALL.law, BALL.kernel(
         lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX)),
         sections.sample_bytes + 8 * (KMAX + 1), 8, 4000, 20)
-    pinned = [(14.621091948926448, 0.22325336625730796),
-              (0.00039370874769912857, 0.04104177519206521),
-              (-0.040802731405611525, 0.02632972550279611),
-              (-0.32686802756669003, 0.016371667558405814)]
+    pinned = [(14.891303139699971, 0.2618284893477261),
+              (0.015945357629520977, 0.044847198220193174),
+              (-0.03567029823942484, 0.02298100097900334),
+              (-0.36352729272169676, 0.02565459261106721)]
     for k, (lhs, stderr) in zip((0, 2, 3, 4), pinned):
         assert est[k] * a_mu[k] == pytest.approx(lhs, rel=1e-12)
         assert se[k] * abs(a_mu[k]) == pytest.approx(stderr, rel=1e-12)
@@ -418,22 +450,32 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
 
 
 def per_shard_loop(law, kernel, seed, n_samples, shards):
-    """run_shards shard by shard: each shard's variates drawn on their own,
-    the first double u_j of its m samples made (j + u_j) / m where the law
-    is stratified, and its values summed as a whole in blocks of SUM_BLOCK
-    from its start (one reduceat each), the block sums added in order."""
-    sums = []
+    """run_shards in one step: the run's normals and doubles drawn at once,
+    each from its own child of SeedSequence(seed), sample by sample; the
+    first double u_j of the j-th of a shard's m samples made (j + u_j) / m
+    where the law is stratified; the kernel run on all samples; and each
+    shard's values summed as a whole in blocks of SUM_BLOCK from its start
+    (one reduceat each), the block sums added in order."""
+    normals, doubles = (np.random.default_rng(child)
+                        for child in np.random.SeedSequence(seed).spawn(2))
+    variates = []
+    if law.normals:
+        variates.append(normals.standard_normal((n_samples, law.normals)))
+    if law.uniforms:
+        variates.append(doubles.random((n_samples, law.uniforms)))
     sizes = _shard_sizes(n_samples, shards)
-    for size, rng in zip(sizes, _shard_rngs(seed, shards)):
-        variates = law.variates(rng, size)
-        if law.stratified:
-            doubles = variates[1 if law.normals else 0]
-            first = doubles if law.split else doubles[:, 0]
-            first[:] = (np.arange(size) + first) / size
-        vals = kernel(*law.draw(*variates))
+    starts = np.cumsum([0] + sizes[:-1])
+    if law.stratified:
+        first = variates[-1][:, 0]
+        for start, size in zip(starts, sizes):
+            first[start:start + size] = (np.arange(size) + first[start:start + size]) / size
+    vals = kernel(*law.draw(*variates))
+    sums = []
+    for start, size in zip(starts, sizes):
         total = 0.0
-        for lo in range(0, size, integral_geom.SUM_BLOCK):
-            total = total + np.add.reduceat(vals[lo:lo + integral_geom.SUM_BLOCK], [0], axis=0)[0]
+        for lo in range(start, start + size, integral_geom.SUM_BLOCK):
+            block = vals[lo:min(lo + integral_geom.SUM_BLOCK, start + size)]
+            total = total + np.add.reduceat(block, [0], axis=0)[0]
         sums.append(total)
     means = np.array(sums) / np.array(sizes, dtype=float)[:, None]
     return means.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(shards)
@@ -453,7 +495,7 @@ SAMPLERS = {
     "tight": (PLANES, lambda a, u: every_coordinate(a, *TIGHT.tight(a, u)), 26),
     "lines": (LINES,
               lambda u, r, ang: CHORDS.weight * every_coordinate(u, CHORDS.points(u, r, ang)), 22),
-    "points": (POINTS, lambda x: HITS.volume * every_coordinate(HITS.points(x)), 23),
+    "points": (POINTS, lambda *x: HITS.volume * every_coordinate(HITS.points(*x)[:3].T), 23),
     # the box law of a point: translations uniform in the centred cube of side 2.5
     "motions": (BoxMotions.law, BoxMotions(np.array([[-1.25] * 3, [1.25] * 3]),
                                            np.zeros((1, 3))).kernel(every_coordinate), 24),
@@ -463,17 +505,23 @@ SAMPLERS = {
 }
 
 
+def chunks_of(monkeypatch, law, chunk):
+    """Make run_shards cut its runs in chunks of `chunk` samples, for
+    kernels of 8 bytes per sample."""
+    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", (8 + law.bytes) * chunk)
+
+
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
 @pytest.mark.parametrize("n_samples,shards,chunk", [
     (1003, 20, 10 ** 6),   # uneven shards, all in one chunk
-    (1003, 20, 130),       # chunks of two shards
+    (1003, 20, 130),       # chunks of two and a half shards
     (1003, 20, 17),        # every shard in pieces
-    (1003, 2, 100),        # two large shards of six pieces each
+    (1003, 2, 100),        # two large shards, the chunk [500, 600) across both
     (1003, 501, 40),       # shards of 2 and 3 samples, many per chunk
 ])
 def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, shards, chunk):
     law, kernel, seed = SAMPLERS[kind]
-    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
+    chunks_of(monkeypatch, law, chunk)
     est, se = run_shards(law, kernel, 8, seed, n_samples, shards)
     ref_est, ref_se = per_shard_loop(law, kernel, seed, n_samples, shards)
     assert np.array_equal(est, ref_est) and np.array_equal(se, ref_se)
@@ -482,14 +530,53 @@ def test_run_shards_matches_per_shard_transform(monkeypatch, kind, n_samples, sh
 @pytest.mark.parametrize("kind", ["planes", "tight", "box"])
 @pytest.mark.parametrize("block", [1, 7, 100, 600])
 def test_shard_sums_do_not_depend_on_the_pieces(monkeypatch, kind, block):
-    # shards of 501 and 502 samples in blocks of `block`, run in pieces of
-    # every size from one sample to whole chunks of shards
+    # shards of 502 and 501 samples in blocks of `block`, run in chunks of
+    # every size from one sample to the whole run, most of them cutting a
+    # shard, a block or both mid-way
     monkeypatch.setattr(integral_geom, "SUM_BLOCK", block)
     law, kernel, seed = SAMPLERS[kind]
     ref = per_shard_loop(law, kernel, seed, 1003, 2)
-    for chunk in (1, 3, 64, 100, 501, 502, 10 ** 6):
-        monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 8 * chunk)
+    for chunk in (1, 3, 64, 100, 333, 501, 502, 503, 700, 10 ** 6):
+        chunks_of(monkeypatch, law, chunk)
         est, se = run_shards(law, kernel, 8, seed, 1003, 2)
+        assert np.array_equal(est, ref[0]) and np.array_equal(se, ref[1]), chunk
+
+
+def estimator(kind: str):
+    """The law, kernel and bytes per sample of one of the library's
+    Monte-Carlo estimators on a hull, or on the hull and the cube."""
+    P, L = random_hull(5, 30), cube()
+    if kind.startswith("crofton-i"):
+        i, j = int(kind[9]), int(kind[-1])
+        return _intrinsic_kernel(P, j, i)
+    flats, integrals = FlatIntegrals(P), TranslativeIntegrals(P, L)
+    value = PieceEvaluator(builtin_spec("projection_body"), PROBE)
+    return {
+        "crofton-mv": (DIRECTIONS, lambda a: flats.moments(a, PROBE / np.linalg.norm(PROBE), 4),
+                       flats.sample_bytes + 40),
+        "kinematic-j0": (ROTATIONS, integrals.volumes, integrals.sample_bytes),
+        "kinematic-j1": (ROTATIONS, integrals.mean_widths, integrals.sample_bytes),
+        "kinematic-spec-lhs": (ROTATIONS, lambda R: value(integrals.pieces(R, value.degrees)),
+                               integrals.sample_bytes + integrals.piece_bytes),
+        "kinematic-spec-planes": _valuation_kernel(P, value, 1),
+        "kinematic-spec-lines": _valuation_kernel(P, value, 2),
+    }[kind]
+
+
+# every law: directions, planes, lines, points and rotations
+@pytest.mark.parametrize("kind", ["crofton-i1-j0", "crofton-i1-j1", "crofton-i2-j0",
+                                  "crofton-i1-j2", "crofton-i2-j1", "crofton-i3-j0",
+                                  "crofton-mv", "kinematic-j0", "kinematic-j1",
+                                  "kinematic-spec-lhs", "kinematic-spec-planes",
+                                  "kinematic-spec-lines"])
+def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, kind):
+    # 300 samples in 7 shards, in chunks of 1, 7 and the default (the whole
+    # run): the draws, kernels and sums are elementwise or per shard
+    law, kernel, sample_bytes = estimator(kind)
+    ref = run_shards(law, kernel, sample_bytes, 31, 300, 7)
+    for chunk in (1, 7):
+        monkeypatch.setattr(integral_geom, "CHUNK_BYTES", chunk * (sample_bytes + law.bytes))
+        est, se = run_shards(law, kernel, sample_bytes, 31, 300, 7)
         assert np.array_equal(est, ref[0]) and np.array_equal(se, ref[1]), chunk
 
 
@@ -519,7 +606,16 @@ def test_plane_section_memory_is_bounded():
 
 
 def test_point_sampling_memory_not_above_per_shard_loop():
-    # the per-shard loop that run_shards replaced peaked at 0.93-0.98 MB on
-    # this call (numpy 2.4): it held the generators of all 1000 shards
-    peak = _peak_bytes(lambda: crofton_intrinsic(cube(), 3, 0, 300_000, seed=3, shards=1000))
-    assert peak < 900_000
+    runs = {
+        # the per-shard loop that run_shards replaced peaked at 0.93-0.98 MB
+        # on this call (numpy 2.4): it held the generators of all 1000 shards
+        "points, 1000 shards": lambda: crofton_intrinsic(cube(), 3, 0, 300_000, seed=3,
+                                                         shards=1000),
+        # two shards of 200000 samples, whose variates took 8.7 MB and 30 MB
+        # where each shard drew them at once
+        "points, 2 shards": lambda: crofton_intrinsic(cube(), 3, 0, 400_000, seed=3, shards=2),
+        "rotations, 2 shards": lambda: kinematic_check(cube(), cube(), 0, 400_000, seed=3,
+                                                       shards=2),
+    }
+    for name, run in runs.items():
+        assert _peak_bytes(run) < 900_000, name

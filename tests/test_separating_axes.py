@@ -77,8 +77,8 @@ def box_motions(pair: str, rng: np.random.Generator, m: int):
     corners and widths of their windows."""
     P, L = PAIRS[pair]
     box = BoxMotions.tight(P, L)
-    R, t = box.law.draw(rng.standard_normal((m, 4)), rng.random((m, 3)))
-    x, _ = box.motions(R, t)
+    R, *t = box.law.draw(rng.standard_normal((m, 4)), rng.random((m, 3)))
+    x, _ = box.motions(R, np.stack(t, axis=1))
     coords = R @ L.vertices.T
     lo = box.box[0] - coords.max(axis=2)
     return R, x, lo, box.box[1] - coords.min(axis=2) - lo

@@ -1,8 +1,10 @@
-"""The batched shard seeding of run_shards against numpy's SeedSequence, and
-the laws' draws from Generator.random, taken to the kernels' windows,
-against rng.uniform draws: the streams are numpy's, the iid laws draw what
-rng.uniform drew, and the stratified laws of offsets draw each shard's
-first doubles as rng.uniform's u scaled to the strata, (j + u) / m."""
+"""The seeding of run_shards' streams against numpy's SeedSequence, and the
+laws' draws from Generator.random, taken to the kernels' windows, against
+rng.uniform draws: a run draws from two streams, of normals and of doubles,
+the children of SeedSequence(seed), however many shards it has; the iid
+laws draw what rng.uniform drew, and the stratified laws of offsets draw
+each shard's first doubles as rng.uniform's u scaled to the strata,
+(j + u) / m."""
 
 import math
 from dataclasses import dataclass
@@ -19,14 +21,12 @@ from minkval.integral_geom import (
     PLANES,
     POINTS,
     ROTATIONS,
-    SEED_BLOCK,
     Law,
     PlaneSections,
     _BoxPoints,
     _LineChords,
     _rotations_from_quaternions,
-    _shard_rngs,
-    _strata,
+    _streams,
     _unit_rows,
     crofton_intrinsic,
 )
@@ -34,51 +34,51 @@ from minkval.integral_geom import (
 from motion_reference import BoxMotions
 
 
-def reference_rng(seed, k):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+def assert_streams_match(seed):
+    # the run's streams of normals and of doubles are default_rng of the two
+    # children of SeedSequence(seed)
+    children = np.random.SeedSequence(seed).spawn(2)
+    for rng, child in zip(_streams(seed), children):
+        ref = np.random.default_rng(child)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.random(3), ref.random(3))
 
 
-def assert_streams_match(seed, shards):
-    for k, rng in enumerate(_shard_rngs(seed, shards)):
-        ref = np.random.SeedSequence(seed, spawn_key=(k,))
-        row = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
-        assert np.array_equal(row, ref.generate_state(4, np.uint64)), (seed, k)
-        assert rng.bit_generator.state == reference_rng(seed, k).bit_generator.state
-        assert np.array_equal(rng.random(3), reference_rng(seed, k).random(3))
-    assert k == shards - 1
-
-
-# 2^128 + 7 has five 32-bit words, one more than the pool
+# 2^128 + 7 has five 32-bit words, one more than SeedSequence's pool
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 7,
                                   20151021])
 def test_shard_streams_match_spawned_seed_sequences(seed):
-    assert_streams_match(seed, 2 * SEED_BLOCK + 3)   # k across two block boundaries
+    assert_streams_match(seed)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 160 - 1), st.integers(1, SEED_BLOCK + 2))
-def test_shard_streams_match_for_any_seed(seed, shards):
-    assert_streams_match(seed, shards)
+@given(st.integers(0, 2 ** 160 - 1))
+def test_shard_streams_match_for_any_seed(seed):
+    assert_streams_match(seed)
 
 
 def test_negative_seed_is_rejected_like_seed_sequence():
     with pytest.raises(ValueError):
         np.random.SeedSequence(-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        _shard_rngs(-1, 4)
+    with pytest.raises(ValueError):
+        crofton_intrinsic(cube(), 1, 1, 40, seed=-1, shards=4)
 
 
-def test_run_shards_builds_no_seed_sequence(monkeypatch):
+def test_run_shards_builds_two_generators_whatever_the_shards(monkeypatch):
     built = []
 
-    class Counting(np.random.SeedSequence):
+    class Counting(np.random.PCG64):
         def __init__(self, *args, **kwargs):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    crofton_intrinsic(cube(), 1, 1, 2000, seed=4, shards=1000)
-    assert built == []
+    monkeypatch.setattr(np.random, "PCG64", Counting)
+    counts = []
+    for shards in (2, 20, 1000):
+        built.clear()
+        crofton_intrinsic(cube(), 1, 1, 2000, seed=4, shards=shards)
+        counts.append(len(built))
+    assert counts == [2, 2, 2]
 
 
 # -- the laws and windows as they drew with rng.uniform ---------------------------
@@ -99,7 +99,7 @@ def lines(P):
 
 
 def points(P):
-    return Window(POINTS, lambda x: (_BoxPoints(P).points(x),), P)
+    return Window(POINTS, lambda *x: (_BoxPoints(P).points(*x)[:3].T,), P)
 
 
 def tight_planes(P):
@@ -107,7 +107,7 @@ def tight_planes(P):
 
 
 def box_law(box):
-    return Window(box.law, lambda R, t: (R, *box.motions(R, t)), box)
+    return Window(box.law, lambda R, *t: (R, *box.motions(R, np.stack(t, axis=1))), box)
 
 
 def strata(u):
@@ -128,7 +128,8 @@ def uniform_flats(window, rng, m):
         x[:, 0] = strata(x[:, 0])
         return (lo + (hi - lo) * x,)
     g = rng.standard_normal((m, 3))
-    u, ang = strata(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 2.0 * math.pi, m)
+    u, ang = rng.uniform([0.0, 0.0], [1.0, 2.0 * math.pi], (m, 2)).T
+    u = strata(u)
     c = (lo + hi) / 2.0
     R = float(np.max(np.linalg.norm(v - c, axis=1))) * (1.0 + 1e-12)
     dirs = _unit_rows(g)
@@ -208,12 +209,13 @@ SAMPLERS = [
 @pytest.mark.parametrize("m", [1, 5, 1000])
 def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
     # the law's draws of one shard, taken to the kernel's window, equal the
-    # draws of rng.uniform in the window
+    # draws of rng.uniform in the window, from one stream of normals and
+    # doubles
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     law = sampler.law
-    variates = law.variates(rng, m)
+    variates = law.variates((rng, rng), m)
     if law.stratified:
-        law.stratify(variates, *_strata((m,)))
+        law.stratify(variates, np.arange(m), m)
     got = sampler.samples(*law.draw(*variates))
     want = reference(sampler, ref, m)
     assert len(got) == len(want)

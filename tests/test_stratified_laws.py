@@ -1,8 +1,8 @@
 """The stratified laws of offsets (PLANES, LINES, POINTS): their last
 stratum's end, which the kernels take, and the calibration of the
-estimates of the Crofton terms with i + j = 3 over many seeds: unbiased,
-with a per-shard standard error that is neither understated nor
-overstated."""
+estimates of the Crofton terms with i + j = 3 over many seeds, and of
+estimates under the iid laws of directions and rotations: unbiased, with a
+per-shard standard error that is neither understated nor overstated."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,15 @@ import pytest
 from minkval.convex import cube, random_hull
 from minkval.integral_geom import (
     PLANES,
+    ROTATIONS,
     PlaneSections,
+    TranslativeIntegrals,
     _BoxPoints,
     _intrinsic_kernel,
     _LineChords,
-    _strata,
     _unit_rows,
     crofton_target,
+    kinematic_target,
     run_shards,
 )
 
@@ -28,8 +30,9 @@ BODIES = {"cube": cube(), "hull": random_hull(5, 30)}
 def test_last_stratum_ends_at_1(m):
     # (m - 1 + u) / m rounds to 1 at the largest u for every m >= 2, and
     # never above; every other stratum keeps its double below its end
-    u = np.full(m, TOP)
-    PLANES.stratify((np.zeros((m, 3)), u), *_strata((m,)))
+    u = np.full((m, 1), TOP)
+    PLANES.stratify((np.zeros((m, 3)), u), np.arange(m), m)
+    u = u[:, 0]
     assert u[-1] == (TOP if m == 1 else 1.0)
     assert np.all(u <= (np.arange(m) + 1.0) / m)
 
@@ -48,10 +51,24 @@ def test_kernels_take_the_end_of_the_last_stratum(body):
     x = rng.random((200, 3))
     x[:, 0] = 1.0
     points = _BoxPoints(P)
-    hits = points(x)
+    hits = points(*x.T)
     assert np.all(np.isin(hits, [0.0, points.volume]))
     if body == "cube":   # its box is the body
         assert np.all(hits == points.volume)
+
+
+def calibration_runs(law, kernel, sample_bytes, target):
+    """Seeds 0-199 at N 200 in 20 shards: the estimates, stderrs and their
+    z = (estimate - target) / stderr."""
+    runs = np.array([run_shards(law, kernel, sample_bytes, seed, 200, 20) for seed in range(200)])
+    est, se = runs[:, 0], runs[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return est, se, (est - target) / se
+
+
+def assert_calibrated(z):
+    assert abs(z.mean()) <= 0.3, z.mean()
+    assert 0.8 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
 
 
 # the terms V_2 of planes, V_1 of lines and V_0 of points, at small N
@@ -59,14 +76,27 @@ def test_kernels_take_the_end_of_the_last_stratum(body):
 @pytest.mark.parametrize("i,j", [(1, 2), (2, 1), (3, 0)])
 def test_stratified_estimates_are_calibrated(body, i, j):
     P = BODIES[body]
-    law, kernel, sample_bytes = _intrinsic_kernel(P, j, i)
     target = crofton_target(P, i, j)
-    runs = np.array([run_shards(law, kernel, sample_bytes, seed, 200, 20) for seed in range(200)])
-    est, se = runs[:, 0], runs[:, 1]
+    est, se, z = calibration_runs(*_intrinsic_kernel(P, j, i), target)
     if body == "cube" and i == 3:
         # every point of the cube's box hits: the estimate is exact
         assert np.all(se == 0.0) and np.allclose(est, target, rtol=1e-15, atol=0.0)
         return
-    z = (est - target) / se
-    assert abs(z.mean()) <= 0.3, z.mean()
-    assert 0.8 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
+    assert_calibrated(z)
+
+
+def crofton_cube_i1_j1():
+    return (*_intrinsic_kernel(BODIES["cube"], 1, 1), crofton_target(BODIES["cube"], 1, 1))
+
+
+def kinematic_cube_cube_j0():
+    integrals = TranslativeIntegrals(BODIES["cube"], BODIES["cube"])
+    return (ROTATIONS, integrals.volumes, integrals.sample_bytes,
+            kinematic_target(BODIES["cube"], BODIES["cube"], 0))
+
+
+# the iid laws: plane normals (DIRECTIONS) and rotations
+@pytest.mark.parametrize("estimator", [crofton_cube_i1_j1, kinematic_cube_cube_j0],
+                         ids=["crofton-cube-i1-j1", "kinematic-cube-cube-j0"])
+def test_iid_estimates_are_calibrated(estimator):
+    assert_calibrated(calibration_runs(*estimator())[2])
