@@ -77,14 +77,31 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a . v for the rows of a (m, 3) and the columns of v (3, V), (m, V):
-    elementwise multiply-adds in a fixed order, not a BLAS product, whose
-    rounding depends on the number of rows."""
-    d = a[:, :1] * v[0]
-    d += a[:, 1:2] * v[1]
-    d += a[:, 2:] * v[2]
+def _dots(a: np.ndarray, v) -> np.ndarray:
+    """a . v for the rows of a (m, 3) and the vectors of v, an array (3, ...)
+    or three coordinate arrays of one shape: (m, ...).  Elementwise
+    multiply-adds in a fixed order, the last two products through one
+    temporary, not a BLAS product, whose rounding depends on the number of
+    rows."""
+    a = a.reshape(a.shape + (1,) * v[0].ndim)
+    d = a[:, 0] * v[0]
+    t = a[:, 1] * v[1]
+    d += t
+    d += np.multiply(a[:, 2], v[2], out=t)
     return d
+
+
+def _cross(a, b) -> list[np.ndarray]:
+    """a x b for the vectors of the three coordinate arrays (or scalars) a
+    and b, broadcast against each other: three coordinate arrays, each
+    a_j b_k - a_k b_j as np.cross forms it, so with its bits."""
+    out = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        c = a[j] * b[k]
+        c -= a[k] * b[j]
+        out.append(c)
+    return out
 
 
 # A generic direction: points within tol of each other lie within tol along
@@ -123,10 +140,14 @@ def _extent(pts: np.ndarray) -> float:
 
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors b1, b2 with (b1, b2, normal) right-handed, for one unit
-    normal or a stack of them along the last axis."""
-    a = np.where(np.abs(normal[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    b1 = _unit(np.cross(normal, a))
-    return b1, np.cross(normal, b1)
+    normal (3,) or the rows of normal (m, 3): b1 = normal x e_x normalised
+    where |normal_x| < 0.9, else normal x e_y, and b2 = normal x b1, with
+    np.cross's bits (`_cross`).  The axis enters as its coordinates per
+    normal, not as a broadcast array of vectors."""
+    n = normal.T
+    e_x = (np.abs(n[0]) < 0.9).astype(float)
+    b1 = _unit(np.stack(_cross(n, (e_x, 1.0 - e_x, 0.0)), axis=-1))
+    return b1, np.stack(_cross(n, b1.T), axis=-1)
 
 
 def _prune_collinear(cycle: np.ndarray, pts: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:

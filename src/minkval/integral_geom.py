@@ -66,9 +66,12 @@ from .convex import (
     Arcs,
     Atoms,
     Polytope,
+    _cross,
     _dots,
     _extent,
+    _norms,
     _plane_basis,
+    _unit,
     intrinsic_volumes,
 )
 from .harmonics import legendre_rows
@@ -210,7 +213,7 @@ class Law:
     def draw(self, *variates: np.ndarray) -> tuple[np.ndarray, ...]:
         out = ()
         if self.normals:
-            unit = _unit_rows(variates[0])
+            unit = _unit(variates[0])
             out = (unit if self.normals == 3 else _rotations_from_quaternions(unit),)
         return out + (tuple(variates[-1].T) if self.uniforms else ())
 
@@ -232,29 +235,6 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
                  for child in np.random.SeedSequence(seed).spawn(2))
 
 
-def _line_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal frame (e1, e2) of the planes orthogonal to the unit
-    rows u (m, 3): e1 = u x e_x normalised where |u_x| < 0.9, else
-    u x e_y, and e2 = u x e1.  The cross products are np.cross's
-    multiply-subtracts written out, u x e_x = (0, z, -y) and
-    u x e_y = (-z, 0, x), without the broadcast of the axis vectors.  They
-    give np.cross's values; only the zero of e1 may differ in sign, and it
-    enters the points p = r (cos e1 + sin e2) added to a nonzero term."""
-    x, y, z = u.T
-    near = np.abs(x) < 0.9
-    e1 = np.empty_like(u)
-    e1[:, 0] = np.where(near, 0.0, -z)
-    e1[:, 1] = np.where(near, z, 0.0)
-    e1[:, 2] = np.where(near, -y, x)
-    e1 = _unit_rows(e1)
-    a, b, c = e1.T
-    e2 = np.empty_like(u)
-    e2[:, 0] = y * c - z * b
-    e2[:, 1] = z * a - x * c
-    e2[:, 2] = x * b - y * a
-    return e1, e2
-
-
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
     """lo + (hi - lo) * u, in place: of the doubles u of Generator.random,
     the values that Generator.uniform(lo, hi) draws from the same stream,
@@ -274,10 +254,6 @@ def _shard_sizes(n_samples: int, shards: int) -> list[int]:
     for k in range(n_samples - base * shards):
         sizes[k] += 1
     return sizes
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
@@ -505,12 +481,9 @@ class PlaneSections:
         length = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])   # as np.linalg.norm sums
         crossed = np.flatnonzero(length > 0.0)
         rows, facet = np.divmod(crossed, nf)
-        vx, vy, vz = segment = tuple(x[crossed] for x in v)
-        mx, my, mz = (0.5 * np.bincount(at, np.tile(x, 2), m * nf)[crossed] for x in p)
-        moment = np.empty((crossed.size, 3))   # mid_F x v_F, as np.cross forms it
-        moment[:, 0] = my * vz - mz * vy
-        moment[:, 1] = mz * vx - mx * vz
-        moment[:, 2] = mx * vy - my * vx
+        segment = tuple(x[crossed] for x in v)
+        mid = [0.5 * np.bincount(at, np.tile(x, 2), m * nf)[crossed] for x in p]
+        moment = np.stack(_cross(mid, segment), axis=1)               # mid_F x v_F
         area = np.bincount(rows, np.einsum("ki,ki->k", np.take(a, rows, axis=0), moment), m)
         return (rows, facet, segment, length[crossed], length.reshape(m, nf).sum(axis=1) / 2.0,
                 0.5 * np.abs(area))
@@ -543,7 +516,7 @@ class _LineChords:
         self.AT = np.ascontiguousarray(A.T)   # (3, F): contiguous rows for _dots
         lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
         self.centre = (lo + hi) / 2.0
-        reach = np.linalg.norm(P.vertices - self.centre, axis=1)
+        reach = _norms(P.vertices - self.centre)
         self.radius = float(np.max(reach)) * (1.0 + 1e-12)
         self.weight = math.comb(3, 2) * kappa(3) / kappa(1) * self.radius ** 2
         self.cut = 1e-12 * _extent(P.vertices)
@@ -553,7 +526,7 @@ class _LineChords:
         """The lines' points (m, 3) from the doubles r of their radii and ang
         of their angles, which it scales in place."""
         _uniform(ang, 0.0, 2.0 * math.pi)
-        e1, e2 = _line_frame(u)
+        e1, e2 = _plane_basis(u)
         rad = self.radius * np.sqrt(r)
         return rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + self.centre
 
@@ -580,7 +553,7 @@ class _BoxPoints:
 
     def __init__(self, P: Polytope):
         self.A, b = P.inequalities()
-        size = 2.0 * float(np.max(np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1)))
+        size = 2.0 * float(np.max(_norms(P.vertices - P.vertices.mean(axis=0))))
         self.bound = b + 1e-12 * size
         # the gaps a . p - bound of the facets as one product with the
         # points' rows (x, y, z, -1)
@@ -642,19 +615,15 @@ class FlatIntegrals:
         proj = _dots(a, self.vertices.T)
         return 2.0 * (proj.max(axis=1) - proj.min(axis=1))
 
-    def _cross(self, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """n_F x a (three (F, m) coordinate arrays) and its length."""
-        c = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            x = np.multiply.outer(self.normals[j], a[:, k])
-            x -= np.multiply.outer(self.normals[k], a[:, j])
-            c.append(x)
+    def _sines(self, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """n_F x a (three (F, m) coordinate arrays) and its length, the sine
+        of the angle of n_F and a."""
+        c = _cross(self.normals[:, :, None], a.T)
         return c, np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
 
     def mean_widths(self, a: np.ndarray) -> np.ndarray:
         """2 int V_1 ds = sum_F A_F |n_F x a| per normal a (m,)."""
-        return _row_sums(self._cross(a)[1], self.areas)
+        return _row_sums(self._sines(a)[1], self.areas)
 
     def hits(self, u: np.ndarray) -> np.ndarray:
         """2 int V_0 dp = sum_F A_F |n_F . u| per direction u (m,)."""
@@ -671,10 +640,10 @@ class FlatIntegrals:
         m = len(a)
         s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
         if 1 in degrees:
-            c, sin = self._cross(a)
+            c, sin = self._sines(a)
             rows, facet = np.nonzero(sin.T > 0.0)
             ar = np.take(a, rows, axis=0)
-            m_f = _unit_rows(np.cross(ar, np.stack([x[facet, rows] for x in c], axis=1)))
+            m_f = _unit(np.stack(_cross(ar.T, [x[facet, rows] for x in c]), axis=1))
             s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
                 np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
                 np.stack([m_f, -ar], axis=1).reshape(-1, 3),
@@ -714,8 +683,8 @@ class FlatIntegrals:
             (k + 1) G_(k+1) = (2k + 1) T_k - k G_(k-1),
 
         G_1 = 2, D_k = sum_(odd l < k) (2l + 1) G_l: stable up to degree 512."""
-        c, sin = self._cross(a)
-        wa = np.cross(w, a).T
+        c, sin = self._sines(a)
+        wa = _cross(w, a.T)
         ys = c[0] * wa[0] + c[1] * wa[1] + c[2] * wa[2]               # |n_F x a| y
         z = np.divide(c[0] * w[0] + c[1] * w[1] + c[2] * w[2], sin,   # -z
                       out=np.zeros_like(sin), where=sin > 0.0)
@@ -734,32 +703,6 @@ class FlatIntegrals:
 
 # -- integrals over the translations of a moving body ------------------------
 
-def _turn(R: np.ndarray, v: np.ndarray, inverse: bool = False) -> list[np.ndarray]:
-    """The coordinates (three (K, m) arrays) of the rows of v (K, 3) turned
-    by each rotation R (m, 3, 3), or by its inverse, as elementwise
-    multiply-adds in a fixed order (no BLAS product), so that no value
-    depends on the batch or on the BLAS threads.  Rotations run along the
-    last axis, here and in the arrays built from these."""
-    entries = np.ascontiguousarray((R.transpose(0, 2, 1) if inverse else R).reshape(-1, 9).T)
-    out = []
-    for i in range(3):
-        c = np.multiply.outer(v[:, 0], entries[3 * i])
-        c += np.multiply.outer(v[:, 1], entries[3 * i + 1])
-        c += np.multiply.outer(v[:, 2], entries[3 * i + 2])
-        out.append(c)
-    return out
-
-
-def _lowest(c: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """min over the points v (V, 3) of a . v, for the vectors a with
-    coordinates c (three (K, m) arrays): (K, m), from the (V, K, m)
-    projections."""
-    d = np.multiply.outer(v[:, 0], c[0])
-    d += np.multiply.outer(v[:, 1], c[1])
-    d += np.multiply.outer(v[:, 2], c[2])
-    return d.min(axis=0)
-
-
 def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k weights[k] terms[k, t] per sample t, for terms (K, m): the
     products of each sample are laid out as one contiguous row and summed
@@ -772,7 +715,7 @@ def _edge_arcs(B: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """The S_1 arcs of a full-dimensional body, one per edge: the facets
     (2, E) whose normals end it, and its density, half the edge's length."""
     e = np.array(B.edges).reshape(-1, 4)
-    return e[:, 2:].T, 0.5 * np.linalg.norm(B.vertices[e[:, 1]] - B.vertices[e[:, 0]], axis=1)
+    return e[:, 2:].T, 0.5 * _norms(B.vertices[e[:, 1]] - B.vertices[e[:, 0]])
 
 
 class TranslativeIntegrals:
@@ -817,37 +760,41 @@ class TranslativeIntegrals:
         # facet pairs, and the atoms of the facets
         self.piece_bytes = 8 * (16 * (ep + el + fp * fl) + 10 * (fp + fl))
 
-    def _volumes(self, R: np.ndarray, g: list[np.ndarray]) -> np.ndarray:
-        """vol(P - R L) (m,), given the coordinates g of the turned normals
-        R n_G of L: h_(-RL)(n_F) = -min_w (R^T n_F) . w over the vertices w
-        of L, and h_P(-R n_G) = -min_v (R n_G) . v over those of P."""
-        low_l = _lowest(_turn(R, self.n_p, inverse=True), self.v_l)   # (F_P, m)
-        low_p = _lowest(g, self.v_p)                                  # (F_L, m)
+    def _turned(self, R: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The entries (3, 3, m) of the rotations R (m, 3, 3), each entry's
+        row contiguous, and the coordinates g of the turned normals R n_G of
+        L (three (F_L, m) arrays), by `_dots`.  Rotations run along the last
+        axis, here and in the arrays built from these."""
+        entries = np.ascontiguousarray(R.transpose(1, 2, 0))
+        return entries, [_dots(self.n_l, row) for row in entries]
+
+    def _volumes(self, entries: np.ndarray, g: list[np.ndarray]) -> np.ndarray:
+        """vol(P - R L) (m,), given the rotations' entries and the turned
+        normals g (`_turned`): h_(-RL)(n_F) = -min_w (R^T n_F) . w over the
+        vertices w of L, and h_P(-R n_G) = -min_v (R n_G) . v over those of
+        P, from the (V, F, m) projections."""
+        turned_p = [_dots(self.n_p, entries[:, i]) for i in range(3)]    # R^T n_F
+        low_l = _dots(self.v_l, turned_p).min(axis=0)                   # (F_P, m)
+        low_p = _dots(self.v_p, g).min(axis=0)                          # (F_L, m)
         return self.volume_sum - _row_sums(low_l, self.a_p) - _row_sums(low_p, self.a_l)
 
     def volumes(self, R: np.ndarray) -> np.ndarray:
         """int V_0(P n (R L + x)) dx = vol(P - R L), per rotation (m,)."""
-        return self._volumes(R, _turn(R, self.n_l))
+        return self._volumes(*self._turned(R))
 
     def _pair_sines(self, g: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """sin and cos of theta_FG (F_P, F_L, m), |n_F x R n_G| and
         n_F . R n_G, given the coordinates g of R n_G."""
-        a = [self.n_p[:, i, None, None] for i in range(3)]
-        cos = a[0] * g[0]
-        cos += a[1] * g[1]
-        cos += a[2] * g[2]
-        sin = np.zeros_like(cos)
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            c = a[j] * g[k]
-            c -= a[k] * g[j]
-            c *= c
-            sin += c
-        return np.sqrt(sin, out=sin), cos
+        sin, y, z = _cross([x[:, None, None] for x in self.n_p.T], g)
+        sin *= sin
+        sin += np.square(y, out=y)
+        sin += np.square(z, out=z)
+        del y, z
+        return np.sqrt(sin, out=sin), _dots(self.n_p, g)
 
     def mean_widths(self, R: np.ndarray) -> np.ndarray:
         """int V_1(P n (R L + x)) dx, per rotation (m,)."""
-        sin, cos = self._pair_sines(_turn(R, self.n_l))
+        sin, cos = self._pair_sines(self._turned(R)[1])
         term = np.arctan2(sin, cos)
         term *= sin
         return (self.v1_sum
@@ -864,7 +811,7 @@ class TranslativeIntegrals:
         int V_3 dx = V_3(P) V_3(L).  Each rotation's pieces run in that
         order, whatever the batch."""
         m = len(R)
-        g = _turn(R, self.n_l)
+        entries, g = self._turned(R)
         turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
         fp, fl = len(self.a_p), len(self.a_l)
         s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
@@ -892,7 +839,8 @@ class TranslativeIntegrals:
             masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
             s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
                 np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m)))
-        return MeasurePieces(self._volumes(R, g), s1, s2, np.full(m, self.volume_p * self.volume_l))
+        return MeasurePieces(self._volumes(entries, g), s1, s2,
+                             np.full(m, self.volume_p * self.volume_l))
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -1130,8 +1078,7 @@ def crofton_minkowski(P: Polytope, mu: ZonalObject, i: int, j: int,
     kk = max(degrees)
     if min(degrees) < 0 or kk > min(kmax, mu.kmax):
         raise ValueError(f"degrees must lie in [0, {min(kmax, mu.kmax)}], got {degrees}")
-    w = np.asarray(probe, dtype=float)
-    w = w / np.linalg.norm(w)
+    w = _unit(np.asarray(probe, dtype=float))
     t0 = time.perf_counter()
     flats = FlatIntegrals(P)
     moments, se = run_shards(DIRECTIONS, lambda a: flats.moments(a, w, kk),

@@ -17,9 +17,9 @@ import numpy as np
 
 from minkval import integral_geom
 from minkval.constants import CHUNK_BYTES, kappa
-from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _extent, _plane_basis
+from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _extent, _plane_basis, _unit
 from minkval.harmonics import legendre_rows
-from minkval.integral_geom import Law, _clip_lines, _uniform, _unit_rows
+from minkval.integral_geom import Law, _clip_lines, _uniform
 from minkval.valuation import MeasurePieces
 
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
@@ -75,7 +75,7 @@ class BallFlats:
         r, ang = u
         _uniform(ang, 0.0, 2.0 * math.pi)
         aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
-        e1 = _unit_rows(np.cross(dirs, aux))
+        e1 = _unit(np.cross(dirs, aux))
         e2 = np.cross(dirs, e1)
         rad = R * np.sqrt(r)
         return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
@@ -114,7 +114,7 @@ class PlaneSections(integral_geom.PlaneSections):
         m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
         flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
         m_f[flat] = np.cross(ar[flat], np.stack([x[flat] for x in segment], axis=1))
-        return ar, _unit_rows(m_f)
+        return ar, _unit(m_f)
 
     def pieces(self, a, s) -> MeasurePieces:
         """The area measures of the sections by the planes {x . a[t] = s[t]},

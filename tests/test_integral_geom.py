@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from minkval import integral_geom
 from minkval.constants import (crofton_c, crofton_q, flag, geometric_constants, kappa,
                                mean_section_q, omega)
-from minkval.convex import (Polytope, _extent, _plane_basis, ball_polytope, cube,
-                            intrinsic_volumes, random_hull)
+from minkval.convex import (Polytope, _cross, _extent, _plane_basis, _unit, ball_polytope,
+                            cube, intrinsic_volumes, random_hull)
 from minkval.integral_geom import (
     CHUNK_BYTES,
     EstimateReport,
@@ -235,20 +235,39 @@ def test_lines_reach_a_body_far_from_the_origin():
 
 
 def test_line_frame_is_the_cross_product_frame():
-    # _line_frame writes out np.cross(u, e_x or e_y) and np.cross(u, e1);
-    # the points p = r (cos e1 + sin e2) must keep np.cross's bits
+    # the lines' frame is _plane_basis: np.cross(u, e_x or e_y) normalised
+    # and np.cross(u, e1), through convex._cross with np.cross's bits,
+    # signed zeros included, on random rows, on the axes and at |u_x| of
+    # 0.9 and just below, and for one row alone as in the whole batch
     rng = np.random.default_rng(2)
+    below = np.nextafter(0.9, 0.0)
+    edge = [(x, math.sqrt(1.0 - x * x), 0.0) for x in (0.9, -0.9, below, -below)]
+    edge += [(x, 0.0, -math.sqrt(1.0 - x * x)) for x in (0.9, -0.9, below, -below)]
+    axes = np.concatenate([np.eye(3), -np.eye(3), edge])
     for _ in range(50):
-        u = integral_geom._unit_rows(rng.standard_normal((250, 3)))
+        u = np.concatenate([axes, _unit(rng.standard_normal((250, 3)))])
         aux = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
-        ref1 = integral_geom._unit_rows(np.cross(u, aux))
+        ref1 = _unit(np.cross(u, aux))
         ref2 = np.cross(u, ref1)
-        e1, e2 = integral_geom._line_frame(u)
-        assert np.array_equal(e1, ref1)     # values; a zero may differ in sign
-        assert e2.tobytes() == ref2.tobytes()
-        ang, rad = 2.0 * math.pi * rng.random((250, 1)), rng.random((250, 1))
-        assert (rad * (np.cos(ang) * e1 + np.sin(ang) * e2)).tobytes() \
-            == (rad * (np.cos(ang) * ref1 + np.sin(ang) * ref2)).tobytes()
+        e1, e2 = _plane_basis(u)
+        assert e1.tobytes() == ref1.tobytes() and e2.tobytes() == ref2.tobytes()
+        for k in rng.choice(len(u), 20, replace=False).tolist() + list(range(len(axes))):
+            for row in (u[k], u[k:k + 1]):
+                one1, one2 = _plane_basis(row)
+                assert one1.tobytes() == e1[k].tobytes() and one2.tobytes() == e2[k].tobytes()
+    # _cross against np.cross on stacked rows, with signed zeros, and under
+    # the kernels' broadcasts: facet normals (F, 1) against directions (m,),
+    # P's normals (F_P, 1, 1) against turned ones (F_L, m), one vector
+    # against rows
+    a, b = rng.standard_normal((2, 40, 3))
+    a[:6], b[:6] = np.concatenate([np.eye(3), -np.eye(3)]), [[-0.0, 0.0, 1.0]] * 6
+    assert np.stack(_cross(a.T, b.T), axis=-1).tobytes() == np.cross(a, b).tobytes()
+    assert (np.stack(_cross(a.T[:, :, None], b.T), axis=-1).tobytes()
+            == np.cross(a[:, None], b[None]).tobytes())
+    g = rng.standard_normal((3, 7, 40))
+    assert (np.stack(_cross([x[:, None, None] for x in a[:9].T], g), axis=-1).tobytes()
+            == np.cross(a[:9, None, None], np.moveaxis(g, 0, -1)[None]).tobytes())
+    assert np.stack(_cross(a[7], b.T), axis=-1).tobytes() == np.cross(a[7], b).tobytes()
 
 
 def test_tight_planes_cut_the_stderr():

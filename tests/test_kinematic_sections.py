@@ -14,12 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkval import convex, integral_geom
-from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull, section_plane
+from minkval.convex import Polytope, _unit, cube, intrinsic_volumes, random_hull, section_plane
 from minkval.integral_geom import (
     FlatIntegrals,
     TranslativeIntegrals,
     _rotations_from_quaternions,
-    _unit_rows,
     kinematic_minkowski_check,
     run_shards,
 )
@@ -229,8 +228,8 @@ def test_pieces_of_the_evaluated_degrees_give_the_values_of_all_pieces(path):
     # (PieceEvaluator.degrees): S_2 atoms for projection_body, S_1 arcs for
     # difference_body, both for a spec with data of both degrees
     rng = np.random.default_rng(5)
-    a = _unit_rows(rng.standard_normal((40, 3)))
-    R = _rotations_from_quaternions(_unit_rows(rng.standard_normal((40, 4))))
+    a = _unit(rng.standard_normal((40, 3)))
+    R = _rotations_from_quaternions(_unit(rng.standard_normal((40, 4))))
     P, L = random_hull(51), random_hull(52, 20)
     flats, motions = FlatIntegrals(P), TranslativeIntegrals(P, L)
     both = MinkowskiValuationSpec(c0=0.7, mu=dict(_spec("difference_body").mu),

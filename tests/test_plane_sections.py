@@ -25,7 +25,7 @@ from minkval.convex import (
 )
 from minkval import integral_geom
 from minkval.harmonics import legendre_rows
-from minkval.convex import _extent
+from minkval.convex import _dots, _extent, _unit
 from minkval.integral_geom import (
     DIRECTIONS,
     LINES,
@@ -35,11 +35,9 @@ from minkval.integral_geom import (
     FlatIntegrals,
     TranslativeIntegrals,
     _BoxPoints,
-    _dots,
     _intrinsic_kernel,
     _LineChords,
     _shard_sizes,
-    _unit_rows,
     _valuation_kernel,
     crofton_intrinsic,
     crofton_minkowski,
@@ -217,7 +215,7 @@ class DenseSections:
         # a facet in the plane up to rounding: the normal a x v_F of its segment
         flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
         m_f[flat] = np.cross(ar[flat], v[rows[flat], :, cols[flat]])
-        return rows, length[rows, cols], _unit_rows(m_f)
+        return rows, length[rows, cols], _unit(m_f)
 
     def pieces(self, a, s):
         v, mid = self.segments(a, s)
@@ -255,8 +253,8 @@ def special_planes(P, a, t, vertex, edge, facet, delta):
     tolerance of 1e-12 of the extent."""
     v = P.vertices
     i, j = P.edges[edge % len(P.edges)][:2]
-    along = _unit_rows((v[j] - v[i])[None, :])[0]
-    normals = np.array([a, a, _unit_rows((a - (a @ along) * along)[None, :])[0],
+    along = _unit((v[j] - v[i])[None, :])[0]
+    normals = np.array([a, a, _unit((a - (a @ along) * along)[None, :])[0],
                         P.facet_normals[facet % len(P.facet_normals)]])
     proj = v @ a
     s = np.array([proj.min() + t * np.ptp(proj), v[vertex % len(v)] @ a,
@@ -296,7 +294,7 @@ def test_sections_match_dense_incidence_kernel(base, copy, a, t, vertex, edge, f
 def tight_planes(P, rng, m):
     """m planes {x . a = s} of normals a uniform and offsets s uniform in
     the support interval of P's vertices along a."""
-    a = _unit_rows(rng.standard_normal((m, 3)))
+    a = _unit(rng.standard_normal((m, 3)))
     proj = _dots(a, P.vertices.T)
     return a, rng.uniform(proj.min(axis=1), proj.max(axis=1))
 

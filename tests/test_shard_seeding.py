@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkval.convex import cube, random_hull
+from minkval.convex import _unit, cube, random_hull
 from minkval.integral_geom import (
     LINES,
     PLANES,
@@ -27,7 +27,6 @@ from minkval.integral_geom import (
     _LineChords,
     _rotations_from_quaternions,
     _streams,
-    _unit_rows,
     crofton_intrinsic,
 )
 
@@ -132,9 +131,9 @@ def uniform_flats(window, rng, m):
     u = strata(u)
     c = (lo + hi) / 2.0
     R = float(np.max(np.linalg.norm(v - c, axis=1))) * (1.0 + 1e-12)
-    dirs = _unit_rows(g)
+    dirs = _unit(g)
     aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
-    e1 = _unit_rows(np.cross(dirs, aux))
+    e1 = _unit(np.cross(dirs, aux))
     e2 = np.cross(dirs, e1)
     rad = R * np.sqrt(u)
     return dirs, rad[:, None] * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2) + c
@@ -145,7 +144,7 @@ def tight_flats(window, rng, m):
     the support interval of the body's vertices about their centroid,
     stratified, given as the vertices' signed distances to the planes, and
     the planes' weights, twice the interval's width."""
-    a = _unit_rows(rng.standard_normal((m, 3)))
+    a = _unit(rng.standard_normal((m, 3)))
     v = window.of.vertices - window.of.vertices.mean(axis=0)
     proj = a[:, :1] * v[:, 0] + a[:, 1:2] * v[:, 1] + a[:, 2:] * v[:, 2]
     lo, hi = proj.min(axis=1), proj.max(axis=1)
@@ -167,14 +166,14 @@ def uniform_motions(window, rng, m):
     q = rng.standard_normal((m, 4))
     t = rng.uniform(-h, h, (m, 3))
     side = 2.0 * h
-    return _rotations_from_quaternions(_unit_rows(q)), t, np.full(m, side * side * side)
+    return _rotations_from_quaternions(_unit(q)), t, np.full(m, side * side * side)
 
 
 def box_motions(window, rng, m):
     """The box law of BoxMotions drawn with rng.uniform: translations
     uniform in the coordinate box of P - R L of each rotation."""
     q = rng.standard_normal((m, 4))
-    R = _rotations_from_quaternions(_unit_rows(q))
+    R = _rotations_from_quaternions(_unit(q))
     coords = R @ window.of.moving.T              # (m, 3, V): coordinates of R v
     lo, hi = window.of.box[0] - coords.max(axis=2), window.of.box[1] - coords.min(axis=2)
     return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
@@ -183,7 +182,7 @@ def box_motions(window, rng, m):
 def uniform_rotations(window, rng, m):
     """Uniform rotations from normal quaternions, the only draws of the
     rotation law: the translations are integrated in closed form."""
-    return (_rotations_from_quaternions(_unit_rows(rng.standard_normal((m, 4)))),)
+    return (_rotations_from_quaternions(_unit(rng.standard_normal((m, 4)))),)
 
 
 FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])

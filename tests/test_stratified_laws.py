@@ -1,13 +1,14 @@
 """The stratified laws of offsets (PLANES, LINES, POINTS): their last
-stratum's end, which the kernels take, and the calibration of the
-estimates of the Crofton terms with i + j = 3 over many seeds, and of
-estimates under the iid laws of directions and rotations: unbiased, with a
+stratum's end, which the kernels take; and, over many seeds, the
+calibration of the Crofton terms' estimates, those with i + j = 3 under
+the stratified laws and the others under the iid law of directions, and of
+the kinematic integrals' under the iid law of rotations: unbiased, with a
 per-shard standard error that is neither understated nor overstated."""
 
 import numpy as np
 import pytest
 
-from minkval.convex import cube, random_hull
+from minkval.convex import _unit, cube, random_hull
 from minkval.integral_geom import (
     PLANES,
     ROTATIONS,
@@ -16,7 +17,6 @@ from minkval.integral_geom import (
     _BoxPoints,
     _intrinsic_kernel,
     _LineChords,
-    _unit_rows,
     crofton_target,
     kinematic_target,
     run_shards,
@@ -44,7 +44,7 @@ def test_kernels_take_the_end_of_the_last_stratum(body):
     # planes and lines miss
     P = BODIES[body]
     rng = np.random.default_rng(3)
-    dirs = _unit_rows(rng.standard_normal((200, 3)))
+    dirs = _unit(rng.standard_normal((200, 3)))
     ones = np.ones(200)
     assert np.all(PlaneSections(P).areas(dirs, ones.copy()) == 0.0)
     assert np.all(_LineChords(P)(dirs, ones.copy(), rng.random(200)) == 0.0)
@@ -67,17 +67,34 @@ def calibration_runs(law, kernel, sample_bytes, target):
 
 
 def assert_calibrated(z):
+    # with 20 shards z follows Student's t with 19 degrees of freedom, of
+    # spread about 1.06
     assert abs(z.mean()) <= 0.3, z.mean()
     assert 0.8 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
+
+
+def crofton(body, i, j):
+    """The Crofton term of V_j at codimension i on the body: the law, the
+    kernel and its bytes per sample (`_intrinsic_kernel`), and the target."""
+    P = BODIES[body]
+    return (*_intrinsic_kernel(P, j, i), crofton_target(P, i, j))
+
+
+def kinematic(body, j):
+    """The motion integral of V_j of the body and the cube under the
+    rotations (`kinematic_check`), as `crofton` gives its term."""
+    P, L = BODIES[body], BODIES["cube"]
+    integrals = TranslativeIntegrals(P, L)
+    return (ROTATIONS, (integrals.volumes, integrals.mean_widths)[j], integrals.sample_bytes,
+            kinematic_target(P, L, j))
 
 
 # the terms V_2 of planes, V_1 of lines and V_0 of points, at small N
 @pytest.mark.parametrize("body", sorted(BODIES))
 @pytest.mark.parametrize("i,j", [(1, 2), (2, 1), (3, 0)])
 def test_stratified_estimates_are_calibrated(body, i, j):
-    P = BODIES[body]
-    target = crofton_target(P, i, j)
-    est, se, z = calibration_runs(*_intrinsic_kernel(P, j, i), target)
+    *estimator, target = crofton(body, i, j)
+    est, se, z = calibration_runs(*estimator, target)
     if body == "cube" and i == 3:
         # every point of the cube's box hits: the estimate is exact
         assert np.all(se == 0.0) and np.allclose(est, target, rtol=1e-15, atol=0.0)
@@ -85,18 +102,14 @@ def test_stratified_estimates_are_calibrated(body, i, j):
     assert_calibrated(z)
 
 
-def crofton_cube_i1_j1():
-    return (*_intrinsic_kernel(BODIES["cube"], 1, 1), crofton_target(BODIES["cube"], 1, 1))
+# the iid laws: the directions of the Crofton terms with i + j < n
+# (DIRECTIONS) and the rotations of the kinematic integrals of V_0 and V_1
+IID = {**{f"crofton-{body}-i{i}-j{j}": (crofton, body, i, j)
+          for body in BODIES for i, j in [(1, 0), (1, 1), (2, 0)]},
+       **{f"kinematic-{body}-cube-j{j}": (kinematic, body, j) for body in BODIES for j in (0, 1)}}
 
 
-def kinematic_cube_cube_j0():
-    integrals = TranslativeIntegrals(BODIES["cube"], BODIES["cube"])
-    return (ROTATIONS, integrals.volumes, integrals.sample_bytes,
-            kinematic_target(BODIES["cube"], BODIES["cube"], 0))
-
-
-# the iid laws: plane normals (DIRECTIONS) and rotations
-@pytest.mark.parametrize("estimator", [crofton_cube_i1_j1, kinematic_cube_cube_j0],
-                         ids=["crofton-cube-i1-j1", "kinematic-cube-cube-j0"])
+@pytest.mark.parametrize("estimator", sorted(IID))
 def test_iid_estimates_are_calibrated(estimator):
-    assert_calibrated(calibration_runs(*estimator())[2])
+    make, *args = IID[estimator]
+    assert_calibrated(calibration_runs(*make(*args))[2])
