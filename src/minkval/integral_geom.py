@@ -68,6 +68,7 @@ from .convex import (
     Polytope,
     _cross,
     _dots,
+    _edge_array,
     _extent,
     _norms,
     _plane_basis,
@@ -388,28 +389,26 @@ def _clip_lines(den: np.ndarray, num: np.ndarray, lo, hi,
 # -- plane sections of a fixed body -----------------------------------------
 
 class PlaneSections:
-    """Sections of a full-dimensional polytope by planes {x . a = s}, facet
-    by facet, with no ordering of the section polygon, from the edges that
-    each plane crosses.  The signed distances of the vertices to the plane
-    flag the edges whose ends lie on opposite sides, and only those get a
-    crossing point p_e (`_crossings`).  A plane cuts facet F in at most one
-    segment, between the crossing points of its crossed edges: with
-    B_eF = +1 where the ccw cycle of F runs along edge e = (i, j) from i to
-    j, else -1, and the crossing sign c_e = +1 where i lies above the plane,
-    else -1, the segment is v_F = sum_e B_eF c_e p_e and its midpoint
-    1/2 sum_e p_e, over the crossed edges e of F.  So each crossing adds
-    +p_e to one facet of its edge and -p_e to the other, a scatter by plane
-    and facet (`_facets`).  The facets with v_F != 0 are the crossed ones,
-    and the divergence theorem in the plane gives perimeter and area
-    (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are taken about
-    the vertex centroid."""
+    """The areas of the sections of a full-dimensional polytope by planes
+    {x . a = s}, facet by facet, with no ordering of the section polygon,
+    from the edges that each plane crosses.  The signed distances of the
+    vertices to the plane flag the edges whose ends lie on opposite sides,
+    and only those get a crossing point p_e (`_crossings`).  A plane cuts
+    facet F in at most one segment, between the crossing points of its
+    crossed edges: with B_eF = +1 where the ccw cycle of F runs along edge
+    e = (i, j) from i to j, else -1, and the crossing sign c_e = +1 where i
+    lies above the plane, else -1, the segment is v_F = sum_e B_eF c_e p_e
+    and its midpoint 1/2 sum_e p_e, over the crossed edges e of F.  So each
+    crossing adds +p_e to one facet of its edge and -p_e to the other, a
+    scatter by plane and facet (`_areas`).  The facets with v_F != 0 are
+    the crossed ones, and the divergence theorem in the plane gives the
+    area (Schneider, Convex Bodies, 2nd ed. 2014, ch. 4).  Points are taken
+    about the vertex centroid."""
 
     def __init__(self, P: Polytope):
-        self.vertices, self.normals = P.vertices, P.facet_normals
-        edges = np.array(P.edges).reshape(-1, 4)
+        edges = _edge_array(P)
         self.vi, self.vj = edges[:, 0], edges[:, 1]
-        self.centre = P.vertices.mean(axis=0)
-        self.local = local = P.vertices - self.centre
+        local = P.vertices - P.vertices.mean(axis=0)
         self.local_t = np.ascontiguousarray(local.T)                       # (3, V)
         self.cut = 1e-12 * _extent(P.vertices)
         self.start = np.ascontiguousarray(local[self.vi].T)                 # (3, E)
@@ -420,13 +419,14 @@ class PlaneSections:
                 for i, j in zip(cyc, cyc[1:] + cyc[:1])}
         self.facets = np.array([(f, g) if runs[i, j] == f else (g, f)
                                 for i, j, f, g in P.edges], dtype=int).ravel()
-        V, E, F = len(P.vertices), len(edges), len(P.facet_cycles)
-        # the temporaries of _facets() per plane: the (m, V) distances, the
-        # (m, E) distances of the ends and their flags, the (m, F) sums of the
-        # scatter and the arrays of the at most F crossings and crossed facets
-        # (peaks of 3.5 kB for random_hull(5, 30), 8.4 kB for a 40-gon prism
-        # whose planes cross all 40 side edges, tracemalloc)
-        self.sample_bytes = 8 * (V + 3 * E + 20 * F)
+        V, E, self.nf = len(P.vertices), len(edges), len(P.facet_cycles)
+        # the temporaries of areas() per plane: the (m, V) distances, the
+        # (m, E) distances of the ends and their flags, then the (m, F) sums
+        # of the scatter and their flags, with the arrays of the at most F
+        # crossings and F crossed facets (peaks of 3.9 kB for a 30-point
+        # ellipsoid hull, 7.0 kB for a 40-gon prism whose planes cross all 40
+        # side edges, tracemalloc)
+        self.sample_bytes = 8 * (V + 3 * E + 12 * self.nf)
 
     def _crossings(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The edges that planes cross, by plane, then edge, from the signed
@@ -445,14 +445,6 @@ class PlaneSections:
         p = np.take(self.start, e, axis=1) + lam * np.take(self.step, e, axis=1)
         return rows, e, above.ravel()[flat], p
 
-    def distances(self, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The signed distances (m, V) of the vertices to the planes
-        {x . a[t] = s[t]}, as elementwise multiply-adds in a fixed order
-        (`_dots`), so that no plane's value depends on the batch."""
-        d = _dots(a, self.local_t)
-        d -= (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
-        return d
-
     def tight(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The planes of normals a whose offsets about the centroid are
         uniform in the support interval [lo, hi] of a . (v - centroid) over
@@ -466,39 +458,30 @@ class PlaneSections:
         d -= _uniform(u, lo, hi)[:, None]
         return d, 2.0 * (hi - lo)
 
-    def _facets(self, a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The facets that the planes of normals a and vertex distances d
-        cross, by plane, then facet: plane index (K,), facet (K,), segment
-        v_F (three (K,) arrays of coordinates) and length |v_F| (K,);
-        and V_1 (half the perimeter) and V_2 (the area) of each section
-        (m,), 0 where the plane misses the body."""
-        m, nf = a.shape[0], len(self.normals)
+    def _areas(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The areas (m,) of the sections by the planes of normals a and
+        vertex distances d, 0 where a plane misses the body: the moments
+        mid_F x v_F of the crossed facets, dotted with a and summed by
+        plane, facet after facet."""
+        m, nf = len(a), self.nf
         rows, e, above, p = self._crossings(d)
         # plane * F + facet of the facets that take +p_e, then of those that take -p_e
         at = np.concatenate([self.facets[2 * e + ~above], self.facets[2 * e + above]])
         at += np.tile(rows * nf, 2)
         v = [np.bincount(at, np.concatenate([x, -x]), m * nf) for x in p]
-        length = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])   # as np.linalg.norm sums
-        crossed = np.flatnonzero(length > 0.0)
-        rows, facet = np.divmod(crossed, nf)
-        segment = tuple(x[crossed] for x in v)
+        crossed = np.flatnonzero((v[0] != 0.0) | (v[1] != 0.0) | (v[2] != 0.0))
         mid = [0.5 * np.bincount(at, np.tile(x, 2), m * nf)[crossed] for x in p]
-        moment = np.stack(_cross(mid, segment), axis=1)               # mid_F x v_F
+        moment = np.stack(_cross(mid, [x[crossed] for x in v]), axis=1)
+        rows = crossed // nf
         area = np.bincount(rows, np.einsum("ki,ki->k", np.take(a, rows, axis=0), moment), m)
-        return (rows, facet, segment, length[crossed], length.reshape(m, nf).sum(axis=1) / 2.0,
-                0.5 * np.abs(area))
-
-    def volumes(self, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Intrinsic volumes V_1 (half the perimeter) and V_2 (the area) of
-        each section, 0 where the plane misses the body."""
-        return self._facets(a, self.distances(a, s))[4:]
+        return 0.5 * np.abs(area)
 
     def areas(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The kernel of the term of V_2 at codimension 1 (i + j = n), under
         PLANES: the areas of the `tight` planes' sections times their
         weights."""
         d, weight = self.tight(a, u)
-        return weight * self._facets(a, d)[5]
+        return weight * self._areas(a, d)
 
 
 class _LineChords:
@@ -714,7 +697,7 @@ def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _edge_arcs(B: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """The S_1 arcs of a full-dimensional body, one per edge: the facets
     (2, E) whose normals end it, and its density, half the edge's length."""
-    e = np.array(B.edges).reshape(-1, 4)
+    e = _edge_array(B)
     return e[:, 2:].T, 0.5 * _norms(B.vertices[e[:, 1]] - B.vertices[e[:, 0]])
 
 

@@ -59,12 +59,10 @@ __all__ = [
 
 DEFAULT_BAND = 16
 PATHS = ("auto", "pointwise", "spectral")   # the evaluation paths a caller may ask for
-CENTER_TOL = 1e-9
 
 
 def _require_centered(z: ZonalObject, label: str):
-    scale = max(1.0, float(np.max(np.abs(z.multipliers))))
-    if abs(z.multipliers[1]) > CENTER_TOL * scale:
+    if not z.is_centered:
         raise ValueError(f"{label} must be centered (a_1 = 0), got a_1 = {z.multipliers[1]}")
 
 

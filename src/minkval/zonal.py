@@ -47,6 +47,7 @@ __all__ = [
 
 DEFAULT_KMAX = 32
 BERG_NATIVE_KMAX = 512  # truncation of the Berg expansions berg re-expands
+CENTER_TOL = 1e-9       # |a_1| up to which, relative to max(1, max |a_k|), a datum is centred
 
 
 def box_multiplier(n: int, k: int) -> float:
@@ -193,7 +194,7 @@ class ZonalObject:
     @property
     def is_centered(self) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.multipliers))))
-        return abs(self.multipliers[1]) <= 1e-9 * scale
+        return abs(self.multipliers[1]) <= CENTER_TOL * scale
 
     @property
     def has_density(self) -> bool:

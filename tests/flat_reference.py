@@ -1,11 +1,13 @@
 """References of the Crofton checks, as motion_reference.py keeps the motion
 law and the kernels that the closed forms replaced: the law of flats in the
 ball about the origin, which the checks drew before their flats were drawn
-about the body, and the section kernels of the terms that
-now integrate over the offsets in closed form (`FlatIntegrals`): the area
-measures of plane and line sections as pieces, and the S_1 moments of
-plane sections.  Tests that pin estimates taken under the old laws and
-kernels run on these."""
+about the body, and the section kernels of the terms that now integrate
+over the offsets in closed form (`FlatIntegrals`): the one plane-section
+reference (`DenseSections`, the dense kernel that the scatter of
+`integral_geom.PlaneSections` replaced), with the perimeters, areas, area
+measures as pieces and S_1 moments of plane sections, and the chords and
+area measures of line sections.  Tests that pin estimates taken under the
+old laws and kernels run on these."""
 
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from minkval import integral_geom
-from minkval.constants import CHUNK_BYTES, kappa
+from minkval.constants import kappa
 from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _extent, _plane_basis, _unit
 from minkval.harmonics import legendre_rows
 from minkval.integral_geom import Law, _clip_lines, _uniform
@@ -86,77 +87,133 @@ class BallFlats:
         return lambda *draws: weight * np.asarray(f(*self.flats(*draws)), dtype=float)
 
 
-class PlaneSections(integral_geom.PlaneSections):
-    """The plane kernel with the crossing points of the planes (`crossings`),
-    the area measures of each section (`pieces`) and their S_1 moments
-    (`s1_moments`), as the checks took them per plane and offset before they
-    integrated over the offsets in closed form.  A crossed facet F has the
-    outward normal m_F = unit(n_F - (n_F . a) a) of its segment in the
+class DenseSections:
+    """The plane kernel before `integral_geom.PlaneSections` scattered the
+    crossed edges, for sections by planes {x . a = s}: a crossing point for
+    every edge, (m, 3, E), and the facet segments v_F and their midpoints
+    for every plane and facet, (m, 3, F), from two dense products with the
+    signed incidence B (E, F) (+1 where the ccw cycle of F runs along
+    e = (i, j) from i to j, else -1) and with |B|.  Each v_F sums at most
+    two nonzero terms, so the products round as the scatter does.  It gives
+    the crossing points of the planes (`crossings`), V_1 and V_2 of each
+    section (`volumes`), its area measures (`pieces`) and their S_1 moments
+    (`s1_moments`), as the checks took them per plane and offset before
+    they integrated over the offsets in closed form.  A crossed facet F has
+    the outward normal m_F = unit(n_F - (n_F . a) a) of its segment in the
     plane, or unit(a x v_F) where n_F is parallel to a up to rounding."""
 
     def __init__(self, P):
-        super().__init__(P)
+        self.normals = P.facet_normals
+        ij = np.array([(i, j) for i, j, _, _ in P.edges])
+        self.vi, self.vj = ij[:, 0], ij[:, 1]
+        self.centre = P.vertices.mean(axis=0)
+        self.local = local = P.vertices - self.centre
+        self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
+        self.cut = 1e-12 * _extent(P.vertices)
+        index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
+        B = np.zeros((len(ij), len(P.facet_cycles)))
+        for f, cyc in enumerate(P.facet_cycles):
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if (a, b) in index:
+                    B[index[a, b], f] = 1.0
+                else:
+                    B[index[b, a], f] = -1.0
+        self.incidence, self.touches = B, np.abs(B)
+        V, E, F = len(P.vertices), len(ij), len(P.facet_cycles)
+        # per plane: the distances, the (E,) arrays and the (3, E) points and
+        # products of segments(), the (3, F) segments, midpoints and moments
+        self.sample_bytes = 8 * (2 * V + 24 * E + 12 * F)
         # in pieces(), per crossed facet and per section: the facets'
         # arrays, two arcs, two atoms (the arcs' nodes run in the bounded
         # parts of AreaMeasure's node sums)
-        self.piece_bytes = 8 * (32 * len(P.facet_cycles) + 16)
+        self.piece_bytes = 8 * (32 * F + 16)
+
+    def distances(self, a, s):
+        """The signed distances (m, V) of the vertices to the planes
+        {x . a[t] = s[t]}, about the centroid, row by row."""
+        return _dots(a, self.local.T) - (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
+
+    def _edge_points(self, a, s):
+        """The crossing sign c (m, E) of each edge, +1 where its end i lies
+        above the plane and j not, -1 the other way round, 0 where the plane
+        does not cross it, and its crossing point p (m, 3, E) about the
+        centroid."""
+        d = self.distances(a, s)
+        above = d > self.cut
+        c = above[:, self.vi].astype(float) - above[:, self.vj]
+        di, dj = d[:, self.vi], d[:, self.vj]
+        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
+        return c, self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step
 
     def crossings(self, a, s):
-        """The points where the planes {x . a[t] = s[t]} cross the edges:
-        plane index t (K,) and world point (K, 3), grouped by plane."""
-        rows, _, _, p = self._crossings(self.distances(a, s))
-        return rows, p.T + self.centre
+        """The points where the planes cross the edges: plane index t (K,)
+        and world point (K, 3), grouped by plane."""
+        c, p = self._edge_points(a, s)
+        rows, e = np.nonzero(c)
+        return rows, p[rows, :, e] + self.centre
 
-    def _segment_normals(self, a, rows, facet, segment):
-        """The plane normals a[rows] (K, 3) of crossed facets and the
-        outward normals m_F (K, 3) of their segments v_F in the plane."""
-        nf, ar = self.normals[facet], np.take(a, rows, axis=0)
+    def segments(self, a, s):
+        """The segments v_F and midpoints (m, 3, F) of every plane and facet."""
+        c, p = self._edge_points(a, s)
+        m, c = a.shape[0], c[:, None, :]
+        v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
+        mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
+        return v, mid
+
+    def volumes(self, a, s):
+        """V_1 (half the perimeter) and V_2 (the area) of each section, 0
+        where the plane misses the body."""
+        v, mid = self.segments(a, s)
+        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, self.area(a, v, mid)
+
+    @staticmethod
+    def area(a, v, mid):
+        return 0.5 * np.abs(np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1)))
+
+    def crossed_facets(self, a, v):
+        """The crossed facets' planes (K,), segment lengths |v_F| (K,) and
+        segment normals m_F (K, 3), by plane, then facet."""
+        length = np.linalg.norm(v, axis=1)
+        rows, cols = np.nonzero(length > 0.0)
+        nf, ar = self.normals[cols], a[rows]
         m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
+        # a facet in the plane up to rounding: the normal a x v_F of its segment
         flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
-        m_f[flat] = np.cross(ar[flat], np.stack([x[flat] for x in segment], axis=1))
-        return ar, _unit(m_f)
+        m_f[flat] = np.cross(ar[flat], v[rows[flat], :, cols[flat]])
+        return rows, length[rows, cols], _unit(m_f)
 
     def pieces(self, a, s) -> MeasurePieces:
-        """The area measures of the sections by the planes {x . a[t] = s[t]},
-        as area_measure gives them for a polygon: S_2 the atoms a and -a,
-        each with the section's area, and S_1 per crossed facet F the
-        quarter arcs a -> m_F and m_F -> -a, of density |v_F| / 2 each."""
-        rows, facet, segment, length, v1, area = self._facets(a, self.distances(a, s))
-        hit = v1 > 0.0
-        ar, m_f = self._segment_normals(a, rows, facet, segment)
-        t = np.flatnonzero(hit)
-        arcs = Arcs(np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                    np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
-        atoms = Atoms(np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
-                      np.repeat(area[t], 2))
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
-                             AreaMeasure(3, 2, atoms=atoms, bodies=len(hit)))
+        """The area measures of the sections, as area_measure gives them for
+        a polygon: S_2 the atoms a and -a, each with the section's area, and
+        S_1 per crossed facet F the quarter arcs a -> m_F and m_F -> -a, of
+        density |v_F| / 2 each."""
+        v, mid = self.segments(a, s)
+        rows, length, m_f = self.crossed_facets(a, v)
+        hit = np.bincount(rows, minlength=a.shape[0]) > 0
+        ar, t = a[rows], np.flatnonzero(hit)
+        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
+                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
+                 np.repeat(self.area(a[t], v[t], mid[t]), 2))
+        m = a.shape[0]
+        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=Arcs(*arcs), bodies=m),
+                             AreaMeasure(3, 2, atoms=Atoms(*atoms), bodies=m))
 
     def s1_moments(self, a, s, w, kmax: int) -> np.ndarray:
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
         S_1 has one half circle a -> m_F -> -a of density |v_F| / 2 per
-        crossed facet."""
-        rows, facet, segment, length, _, _ = self._facets(a, self.distances(a, s))
-        ar, m_f = self._segment_normals(a, rows, facet, segment)
+        crossed facet.  The points u(theta) = cos(theta) a + sin(theta) m_F
+        of each half circle are reduced on their own, so that no value
+        depends on the batch."""
+        rows, length, m_f = self.crossed_facets(a, self.segments(a, s)[0])
         arc_cos, arc_sin, arc_weights = half_circle_rule(kmax)
-        m, width = a.shape[0], kmax + 1
-        out = np.zeros(m * width)
-        # per half circle: its cosines, two Legendre rows, temporaries, moments;
-        # parts of whole planes, so that each plane's moments are one sum over
-        # its facets in order, as np.add.at added them
-        per_call = max(1, CHUNK_BYTES // (8 * (6 * arc_cos.size + width)))
-        cuts = np.unique(np.append(np.searchsorted(rows, rows[::per_call]), rows.size))
         w = w[:, None]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            # points u(theta) = cos(theta) a + sin(theta) m_F; each row
-            # reduced on its own, so that no value depends on the batch
-            dots = (arc_cos[None, :] * _dots(ar[lo:hi], w)
-                    + arc_sin[None, :] * _dots(m_f[lo:hi], w))
-            arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
-                            enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
-            at = (rows[lo:hi, None] * width + np.arange(width)).ravel()
-            out += np.bincount(at, (arc * (0.5 * length[lo:hi])).T.ravel(), out.size)
-        return out.reshape(m, width)
+        dots = arc_cos[None, :] * _dots(a[rows], w) + arc_sin[None, :] * _dots(m_f, w)
+        arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
+                        enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
+        out = np.zeros((a.shape[0], kmax + 1))
+        np.add.at(out, rows, (arc * (0.5 * length)).T)
+        return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from minkval.harmonics import legendre_rows
 from minkval.integral_geom import FlatIntegrals
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
-from flat_reference import LineSections, PlaneSections, offset_sum
+from flat_reference import DenseSections, LineSections, offset_sum
 
 PROBE = np.array([0.36, -0.48, 0.8]) / np.linalg.norm([0.36, -0.48, 0.8])
 BODIES = {"cube": cube(), "hull30": random_hull(5, 30),
@@ -28,20 +28,24 @@ def directions(seed: int, m: int) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1)[:, None]
 
 
+def volumes_and_hits(sections, a, s):
+    """V_1, V_2 and the hit (V_1 > 0) of each section, (m, 3)."""
+    v1, v2 = sections.volumes(a, s)
+    return np.stack([v1, v2, v1 > 0.0], axis=1)
+
+
 @pytest.mark.parametrize("body", sorted(BODIES))
 def test_plane_closed_forms_match_offset_sums(body):
     # 20001 offsets for V_0, V_1 and the S_1 moments (the midpoint sum errs
     # by a few 1e-9 on V_1), 4000 for the pieces: the closed forms are the
     # integrals of the section kernels over the offsets, under 2 ds
     P = BODIES[body]
-    flats, sections = FlatIntegrals(P), PlaneSections(P)
+    flats, sections = FlatIntegrals(P), DenseSections(P)
     for a in directions(11, 3):
         proj = P.vertices @ a
         lo, hi = proj.min(), proj.max()
-        ref = offset_sum(lambda a_, s: np.stack(sections.volumes(a_, s), axis=1),
-                         a, lo, hi, 20001)
-        hits = offset_sum(lambda a_, s: sections.volumes(a_, s)[0] > 0.0, a, lo, hi, 20001)
-        assert flats.widths(a[None, :])[0] == pytest.approx(hits, rel=1e-12)
+        ref = offset_sum(lambda a_, s: volumes_and_hits(sections, a_, s), a, lo, hi, 20001)
+        assert flats.widths(a[None, :])[0] == pytest.approx(ref[2], rel=1e-12)
         assert flats.mean_widths(a[None, :])[0] == pytest.approx(ref[0], rel=1e-8)
         assert ref[1] == pytest.approx(2.0 * flats.volume, rel=1e-8)   # Cavalieri
         moments = offset_sum(lambda a_, s: sections.s1_moments(a_, s, PROBE, 6), a, lo, hi, 20001)

@@ -35,7 +35,7 @@ from minkval.integral_geom import (
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
 
-from flat_reference import BallFlats
+from flat_reference import BallFlats, DenseSections
 from motion_reference import SeparatingAxes
 
 
@@ -274,7 +274,7 @@ def test_tight_planes_cut_the_stderr():
     # the planes of the ball about the origin that miss [0,1]^3 add only
     # variance: the tight law has a 3.5x smaller stderr here
     P = cube()
-    sections = PlaneSections(P)
+    sections = DenseSections(P)
     ball = BallFlats.about_origin(P, 1)
     _, ball_se = run_shards(ball.law, ball.kernel(lambda a, s: sections.volumes(a, s)[0]),
                             sections.sample_bytes, 311, 20000, 20)

@@ -30,7 +30,7 @@ from minkval.valuation import (
     evaluate,
 )
 
-from flat_reference import BallFlats, LineSections, PlaneSections, origin_radius
+from flat_reference import BallFlats, DenseSections, LineSections, origin_radius
 from motion_reference import BoxMotions, MotionIntersections
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
@@ -42,7 +42,7 @@ COPIES = {"unit": (1.0, 0.0), "small": (1e-3, 0.0), "large": (1e3, 0.0), "far": 
 SHIFT = np.array([1.0, -1.0, 1.0])
 BODIES = {(b, c): P.scaled(lam).translated(shift * SHIFT)
           for b, P in BASES.items() for c, (lam, shift) in COPIES.items()}
-PLANES = {key: PlaneSections(Q) for key, Q in BODIES.items()}
+PLANES = {key: DenseSections(Q) for key, Q in BODIES.items()}
 LINES = {key: LineSections(Q) for key, Q in BODIES.items()}
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
@@ -253,7 +253,7 @@ def ball_valuation_kernel(P, value, i):
     before it integrated over the offsets: the pieces of each section
     (tests/flat_reference.py) under the law of flats in the ball about the
     origin."""
-    sections = (PlaneSections if i == 1 else LineSections)(P)
+    sections = (DenseSections if i == 1 else LineSections)(P)
     ball = BallFlats.about_origin(P, i)
     return (ball.law, ball.kernel(lambda *flats: value(sections.pieces(*flats))),
             sections.sample_bytes + sections.piece_bytes)

@@ -1,9 +1,10 @@
-"""The ordering-free plane-section kernel against the section polygons of
-convex.section_plane and against the dense-incidence kernel it replaced
-(its pieces and S_1 moments as tests/flat_reference.py keeps them), and the
-sharded Monte-Carlo loop run_shards: pinned estimates, the chunked run
-against the whole run drawn and evaluated in one step, input checks and
-bounded memory."""
+"""The ordering-free plane-section kernel's areas, and the dense-incidence
+kernel it replaced (tests/flat_reference.py, with the perimeters, pieces and
+S_1 moments that the old laws' pins run on), against the section polygons
+of convex.section_plane and against each other, and the sharded
+Monte-Carlo loop run_shards: pinned estimates, the chunked run against the
+whole run drawn and evaluated in one step, input checks and bounded memory,
+also of one kernel call."""
 
 import tracemalloc
 
@@ -13,9 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkval.convex import (
-    AreaMeasure,
-    Arcs,
-    Atoms,
     Polytope,
     area_measure,
     cube,
@@ -24,7 +22,7 @@ from minkval.convex import (
     section_plane,
 )
 from minkval import integral_geom
-from minkval.harmonics import legendre_rows
+from minkval.constants import CHUNK_BYTES
 from minkval.convex import _dots, _extent, _unit
 from minkval.integral_geom import (
     DIRECTIONS,
@@ -33,6 +31,7 @@ from minkval.integral_geom import (
     POINTS,
     ROTATIONS,
     FlatIntegrals,
+    PlaneSections,
     TranslativeIntegrals,
     _BoxPoints,
     _intrinsic_kernel,
@@ -47,7 +46,7 @@ from minkval.integral_geom import (
 from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
 from minkval.zonal import ZonalObject
 
-from flat_reference import FACET_PARALLEL_TOL, BallFlats, PlaneSections, half_circle_rule
+from flat_reference import BallFlats, DenseSections
 from motion_reference import BoxMotions
 
 KMAX = 4
@@ -61,6 +60,14 @@ SHIFT = np.array([1.0, -1.0, 1.0])
 BODIES = {(b, c): P.scaled(lam).translated(shift * SHIFT)
           for b, P in BASES.items() for c, (lam, shift) in COPIES.items()}
 SECTIONS = {key: PlaneSections(P) for key, P in BODIES.items()}
+REFERENCE = {key: DenseSections(P) for key, P in BODIES.items()}
+
+
+def areas(key, a, s):
+    """The kernel's areas of the sections of BODIES[key] by the planes
+    {x . a[t] = s[t]}, from the reference's distances of the vertices."""
+    return SECTIONS[key]._areas(a, REFERENCE[key].distances(a, s))
+
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
@@ -82,11 +89,12 @@ def test_sections_match_section_polygon(base, copy, a, t):
     assert Q.dim == 2
     ref = intrinsic_volumes(Q)
     # the same plane relative to the copy lam * P + shift
-    sections = SECTIONS[base, copy]
+    sections = REFERENCE[base, copy]
     planes = a[None, :], np.array([lam * s + shift * a @ SHIFT])
     v1, v2 = sections.volumes(*planes)
     assert abs(v1[0] / lam - ref.v1) <= 1e-9 * size
     assert abs(v2[0] / lam ** 2 - ref.v2) <= 1e-9 * size ** 2
+    assert abs(areas((base, copy), *planes)[0] / lam ** 2 - ref.v2) <= 1e-9 * size ** 2
     for kmax in (KMAX, 24):   # 24: where a 20-node Gauss rule per half circle erred by 1e-2
         expect = area_measure(Q, 1).zonal_moments(PROBE[None, :], kmax)[:, 0]
         moments = sections.s1_moments(*planes, PROBE, kmax)[0] / lam
@@ -97,8 +105,7 @@ def test_sections_match_section_polygon(base, copy, a, t):
 @given(base=st.sampled_from(sorted(BASES)), a=unit_vectors, t=st.floats(0.02, 0.98))
 def test_sections_of_small_body_match_its_section_polygon(base, a, t):
     # section_plane cuts the copy of size 1e-3 itself
-    sections = SECTIONS[base, "small"]
-    P = Polytope.from_vertices(sections.vertices)
+    P = BODIES[base, "small"]
     size = float(np.linalg.norm(np.ptp(P.vertices, axis=0)))
     proj = P.vertices @ a
     s = proj.min() + t * (proj.max() - proj.min())
@@ -107,9 +114,10 @@ def test_sections_of_small_body_match_its_section_polygon(base, a, t):
     Q = section_plane(P, s * a, normal=a)
     assert Q.dim == 2
     ref = intrinsic_volumes(Q)
-    v1, v2 = sections.volumes(a[None, :], np.array([s]))
+    v1, v2 = REFERENCE[base, "small"].volumes(a[None, :], np.array([s]))
     assert abs(v1[0] - ref.v1) <= 1e-9 * size
     assert abs(v2[0] - ref.v2) <= 1e-9 * size ** 2
+    assert abs(areas((base, "small"), a[None, :], np.array([s]))[0] - ref.v2) <= 1e-9 * size ** 2
 
 
 def test_sections_of_far_body_match_sections_about_its_centre():
@@ -129,8 +137,10 @@ def test_sections_of_far_body_match_sections_about_its_centre():
     s = along + t
     keep = (s - along == t) & (np.abs(a @ near.vertices.T - t[:, None]).min(axis=1) > 1e-4)
     a, s, t = a[keep], s[keep], t[keep]
-    near_sections, far_sections = PlaneSections(near), PlaneSections(far)
+    near_sections, far_sections = DenseSections(near), DenseSections(far)
     assert np.abs(np.subtract(far_sections.volumes(a, s), near_sections.volumes(a, t))).max() <= 1e-12
+    assert np.array_equal(PlaneSections(far)._areas(a, far_sections.distances(a, s)),
+                          far_sections.volumes(a, s)[1])
     rows, pts = far_sections.crossings(a, s)
     near_rows, near_pts = near_sections.crossings(a, t)
     assert np.array_equal(rows, near_rows)
@@ -157,92 +167,6 @@ def test_section_plane_of_far_body_matches_section_about_its_centre():
         ref = intrinsic_volumes(section_plane(near, tk * ak, ak))
         got = intrinsic_volumes(section_plane(far, centre + tk * ak, ak))
         assert abs(got.v1 - ref.v1) <= 1e-12 and abs(got.v2 - ref.v2) <= 1e-12
-
-
-# -- the dense-incidence kernel that PlaneSections replaced ---------------------
-
-class DenseSections:
-    """The plane kernel before it scattered the crossed edges: a crossing
-    point for every edge, (m, 3, E), and the facet segments of every plane
-    and facet, (m, 3, F), from two dense products with the signed incidence
-    B (E, F) (+1 where the ccw cycle of F runs along e = (i, j) from i to j,
-    else -1) and with |B|; the moments scatter with np.add.at."""
-
-    def __init__(self, P):
-        self.normals = P.facet_normals
-        ij = np.array([(i, j) for i, j, _, _ in P.edges])
-        self.vi, self.vj = ij[:, 0], ij[:, 1]
-        self.centre = P.vertices.mean(axis=0)
-        self.local = local = P.vertices - self.centre
-        self.start, self.step = local[self.vi].T, (local[self.vj] - local[self.vi]).T
-        self.cut = 1e-12 * _extent(P.vertices)
-        index = {(i, j): e for e, (i, j) in enumerate(ij.tolist())}
-        B = np.zeros((len(ij), len(P.facet_cycles)))
-        for f, cyc in enumerate(P.facet_cycles):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if (a, b) in index:
-                    B[index[a, b], f] = 1.0
-                else:
-                    B[index[b, a], f] = -1.0
-        self.incidence, self.touches = B, np.abs(B)
-
-    def segments(self, a, s):
-        # the distances as the kernel takes them, row by row
-        d = _dots(a, self.local.T) - (s - _dots(a, self.centre[:, None])[:, 0])[:, None]
-        above = d > self.cut
-        c = above[:, self.vi].astype(float) - above[:, self.vj]
-        di, dj = d[:, self.vi], d[:, self.vj]
-        lam = np.divide(di, di - dj, out=np.zeros_like(di), where=c != 0)
-        p = self.start + np.clip(lam, 0.0, 1.0)[:, None, :] * self.step
-        m, c = a.shape[0], c[:, None, :]
-        v = ((c * p).reshape(3 * m, -1) @ self.incidence).reshape(m, 3, -1)
-        mid = 0.5 * ((np.abs(c) * p).reshape(3 * m, -1) @ self.touches).reshape(m, 3, -1)
-        return v, mid
-
-    def volumes(self, a, s):
-        v, mid = self.segments(a, s)
-        return np.linalg.norm(v, axis=1).sum(axis=1) / 2.0, self.area(a, v, mid)
-
-    @staticmethod
-    def area(a, v, mid):
-        return 0.5 * np.abs(np.einsum("mi,mif->m", a, np.cross(mid, v, axis=1)))
-
-    def crossed_facets(self, a, v):
-        length = np.linalg.norm(v, axis=1)
-        rows, cols = np.nonzero(length > 0.0)
-        nf, ar = self.normals[cols], a[rows]
-        m_f = nf - np.sum(nf * ar, axis=1)[:, None] * ar
-        # a facet in the plane up to rounding: the normal a x v_F of its segment
-        flat = np.linalg.norm(m_f, axis=1) <= FACET_PARALLEL_TOL
-        m_f[flat] = np.cross(ar[flat], v[rows[flat], :, cols[flat]])
-        return rows, length[rows, cols], _unit(m_f)
-
-    def pieces(self, a, s):
-        v, mid = self.segments(a, s)
-        rows, length, m_f = self.crossed_facets(a, v)
-        hit = np.bincount(rows, minlength=a.shape[0]) > 0
-        ar, t = a[rows], np.flatnonzero(hit)
-        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
-        atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
-                 np.repeat(self.area(a[t], v[t], mid[t]), 2))
-        m = a.shape[0]
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=Arcs(*arcs), bodies=m),
-                             AreaMeasure(3, 2, atoms=Atoms(*atoms), bodies=m))
-
-    def s1_moments(self, a, s, w, kmax):
-        rows, length, m_f = self.crossed_facets(a, self.segments(a, s)[0])
-        arc_cos, arc_sin, arc_weights = half_circle_rule(kmax)
-        w = w[:, None]
-        dots = arc_cos[None, :] * _dots(a[rows], w) + arc_sin[None, :] * _dots(m_f, w)
-        arc = np.array([np.multiply(pk, arc_weights[k % 2]).sum(axis=1) for k, pk in
-                        enumerate(legendre_rows(3, kmax, np.clip(dots, -1, 1)))])
-        out = np.zeros((a.shape[0], kmax + 1))
-        np.add.at(out, rows, (arc * (0.5 * length)).T)
-        return out
-
-
-REFERENCE = {key: DenseSections(P) for key, P in BODIES.items()}
 
 
 def special_planes(P, a, t, vertex, edge, facet, delta):
@@ -280,15 +204,10 @@ def piece_arrays(pieces):
        delta=st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, -9e-13]))
 def test_sections_match_dense_incidence_kernel(base, copy, a, t, vertex, edge, facet, delta):
     # the scatter over the crossed edges adds each facet's terms as the dense
-    # products did, so V_1, V_2, the pieces and the moments agree bit for
-    # bit, also for planes through a vertex, an edge or a facet
+    # products did, so the areas agree bit for bit, also for planes through a
+    # vertex, an edge or a facet
     planes = special_planes(BODIES[base, copy], a, t, vertex, edge, facet, delta)
-    new, ref = SECTIONS[base, copy], REFERENCE[base, copy]
-    assert same_bits(new.volumes(*planes), ref.volumes(*planes))
-    got, want = new.pieces(*planes), ref.pieces(*planes)
-    assert same_bits(piece_arrays(got), piece_arrays(want))
-    moments = new.s1_moments(*planes, PROBE, KMAX), ref.s1_moments(*planes, PROBE, KMAX)
-    assert same_bits(moments[:1], moments[1:])
+    assert same_bits([areas((base, copy), *planes)], REFERENCE[base, copy].volumes(*planes)[1:])
 
 
 def tight_planes(P, rng, m):
@@ -302,14 +221,9 @@ def tight_planes(P, rng, m):
 def test_sections_match_dense_incidence_kernel_on_tight_planes():
     # a batch of 2000 planes of the body-tight law per body, a few chunks'
     # worth in one call
-    w = PROBE / np.linalg.norm(PROBE)
     for key, P in BODIES.items():
         a, s = tight_planes(P, np.random.default_rng(41), 2000)
-        new, ref = SECTIONS[key], REFERENCE[key]
-        assert same_bits(new.volumes(a, s), ref.volumes(a, s)), key
-        got, want = new.pieces(a, s), ref.pieces(a, s)
-        assert same_bits(piece_arrays(got), piece_arrays(want)), key
-        assert same_bits([new.s1_moments(a, s, w, KMAX)], [ref.s1_moments(a, s, w, KMAX)]), key
+        assert same_bits([areas(key, a, s)], REFERENCE[key].volumes(a, s)[1:]), key
 
 
 # planes of random_hull(77) at the cut tolerance of a facet F,
@@ -324,15 +238,14 @@ def test_sections_match_dense_incidence_kernel_on_tight_planes():
 @pytest.mark.parametrize("copy,facet", [("unit", 13), ("small", 6), ("large", 13), ("large", 5)])
 def test_planes_in_a_facet_plane_match_the_plane_inside(copy, facet):
     P = BODIES["hull14", copy]
-    sections = SECTIONS["hull14", copy]
+    sections = REFERENCE["hull14", copy]
     a = P.facet_normals[facet][None, :]
     value = PieceEvaluator(builtin_spec("difference_body"), PROBE)
     w = PROBE / np.linalg.norm(PROBE)
     offsets = [np.array([P.facet_offsets[facet] - d * _extent(P.vertices)]) for d in (1e-12, 1e-9)]
-    got, inside = ([value(sections.pieces(a, s)), sections.s1_moments(a, s, w, KMAX)]
-                   for s in offsets)
-    rows, facets = sections._facets(a, sections.distances(a, offsets[0]))[:2]
-    assert facet in facets[rows == 0]
+    got, inside = ([value(sections.pieces(a, s)), sections.s1_moments(a, s, w, KMAX),
+                    areas(("hull14", copy), a, s)] for s in offsets)
+    assert np.linalg.norm(sections.segments(a, offsets[0])[0][0, :, facet]) > 0.0
     for x, ref in zip(got, inside):
         assert np.all(np.isfinite(x))
         assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
@@ -362,10 +275,10 @@ def test_kernel_values_do_not_depend_on_the_batch(body):
     # in V_2 and by 1.1e-13 in the moments on the large hull far away
     P = cube() if body == "cube" else random_hull(5, 30).scaled(1e3).translated(1e3 * SHIFT)
     a, s = tight_planes(P, np.random.default_rng(43), 400)
-    sections = PlaneSections(P)
+    sections, reference = PlaneSections(P), DenseSections(P)
     w = PROBE / np.linalg.norm(PROBE)
-    for kernel in (sections.volumes, sections.pieces,
-                   lambda a, s: sections.s1_moments(a, s, w, 16)):
+    for kernel in (lambda a, s: sections._areas(a, reference.distances(a, s)), reference.volumes,
+                   reference.pieces, lambda a, s: reference.s1_moments(a, s, w, 16)):
         whole = in_batches(kernel, a, s, len(a))
         for size in (1, 7):
             assert same_bits(in_batches(kernel, a, s, size), whole), size
@@ -399,10 +312,11 @@ def test_line_and_point_values_do_not_depend_on_the_batch(body):
 
 
 def test_sections_of_missed_planes_vanish():
-    sections = SECTIONS["hull30", "unit"]
+    sections = REFERENCE["hull30", "unit"]
     a = np.array([[0.0, 0.6, 0.8]] * 2)
     v1, v2 = sections.volumes(a, np.array([5.0, -5.0]))
     assert np.all(v1 == 0.0) and np.all(v2 == 0.0)
+    assert np.all(areas(("hull30", "unit"), a, np.array([5.0, -5.0])) == 0.0)
     assert np.all(sections.s1_moments(a, np.array([5.0, -5.0]), PROBE, KMAX) == 0.0)
 
 
@@ -418,7 +332,7 @@ BALL = BallFlats.about_origin(cube(), 1)
     (2, 2.004437493393808, 0.0474768236541027),
 ])
 def test_crofton_section_estimates_pinned(j, estimate, stderr):
-    sections = PlaneSections(cube())
+    sections = DenseSections(cube())
     est, se = run_shards(BALL.law, BALL.kernel(lambda a, s: sections.volumes(a, s)[j - 1]),
                          sections.sample_bytes, 99, 5000, 20)
     assert est == pytest.approx(estimate, rel=1e-12)
@@ -427,7 +341,7 @@ def test_crofton_section_estimates_pinned(j, estimate, stderr):
 
 def test_crofton_minkowski_estimates_pinned():
     # the lhs rows k = 0, 2, 3, 4 of crofton_minkowski, under the ball law
-    sections = PlaneSections(cube())
+    sections = DenseSections(cube())
     a_mu = ZonalObject.dirac_pole(3, kmax=8).multipliers[:KMAX + 1]
     est, se = run_shards(BALL.law, BALL.kernel(
         lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX)),
@@ -601,6 +515,41 @@ def test_plane_section_memory_is_bounded():
     # 0.7 GB of temporaries
     peak = _peak_bytes(lambda: crofton_intrinsic(random_hull(5, 30), 1, 2, 200_000, seed=13))
     assert peak < 16 * 2 ** 20
+
+
+def prism(sides: int) -> Polytope:
+    """The prism of height 3 over the regular polygon of `sides` in the unit circle."""
+    t = 2.0 * np.pi * np.arange(sides) / sides
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(sides)])
+    return Polytope.from_vertices(np.vstack([ring, ring + [0.0, 0.0, 3.0]]))
+
+
+# the cube; 30 points on the ellipsoid of semi-axes 1, 0.8, 0.6, every one a
+# vertex (84 edges, 56 facets); and a 40-gon prism, whose planes of normals
+# near its axis cross all 40 side edges, the most crossings a plane can have
+KERNEL_BODIES = {
+    "cube": cube(),
+    "hull": Polytope.from_vertices(
+        _unit(np.random.default_rng(1).standard_normal((30, 3))) * [1.0, 0.8, 0.6]),
+    "prism": prism(40),
+}
+
+
+@pytest.mark.parametrize("body,i,j", [("cube", 1, 2), ("hull", 1, 2), ("prism", 1, 2),
+                                      ("cube", 2, 1), ("hull", 2, 1),
+                                      ("cube", 3, 0), ("hull", 3, 0)])
+def test_one_kernel_call_stays_within_its_bytes(body, i, j):
+    # the plane, line and point kernels on a whole chunk of run_shards, its
+    # draws made beforehand: the tracemalloc peak of their temporaries stays
+    # within the chunk's sample_bytes, and with the draws within CHUNK_BYTES
+    law, kernel, sample_bytes = _intrinsic_kernel(KERNEL_BODIES[body], j, i)
+    m = CHUNK_BYTES // (sample_bytes + law.bytes)
+    variates = law.variates(integral_geom._streams(5), m)
+    if body == "prism":
+        variates[0][:, :2] *= 0.05
+    draws = law.draw(*variates)
+    peak = _peak_bytes(lambda: kernel(*draws))
+    assert peak <= m * sample_bytes <= CHUNK_BYTES - m * law.bytes
 
 
 def test_point_sampling_memory_not_above_per_shard_loop():

@@ -1,29 +1,39 @@
 """The stratified laws of offsets (PLANES, LINES, POINTS): their last
 stratum's end, which the kernels take; and, over many seeds, the
 calibration of the Crofton terms' estimates, those with i + j = 3 under
-the stratified laws and the others under the iid law of directions, and of
-the kinematic integrals' under the iid law of rotations: unbiased, with a
-per-shard standard error that is neither understated nor overstated."""
+the stratified laws and the others under the iid law of directions, of the
+kinematic integrals' under the iid law of rotations, of the rows of
+`crofton-mv` and of both sides of `kinematic --spec`: unbiased, with a
+per-shard standard error that is neither understated nor overstated.
+Every plane and line term of `kinematic --hadwiger` is one of the tabled
+Crofton estimators (`_intrinsic_kernel`)."""
 
 import numpy as np
 import pytest
 
 from minkval.convex import _unit, cube, random_hull
 from minkval.integral_geom import (
+    DIRECTIONS,
     PLANES,
     ROTATIONS,
+    FlatIntegrals,
     PlaneSections,
     TranslativeIntegrals,
     _BoxPoints,
     _intrinsic_kernel,
     _LineChords,
+    _valuation_kernel,
+    crofton_minkowski,
     crofton_target,
     kinematic_target,
     run_shards,
 )
+from minkval.valuation import PieceEvaluator, builtin_spec
+from minkval.zonal import builtin_zonal
 
 TOP = 1.0 - 2.0 ** -53   # the largest double of Generator.random
 BODIES = {"cube": cube(), "hull": random_hull(5, 30)}
+PROBE = np.array([0.36, -0.48, 0.8])   # crofton-mv's default probe, and the --dir of --spec
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 1000, 999_983, 10 ** 6])
@@ -89,6 +99,36 @@ def kinematic(body, j):
             kinematic_target(P, L, j))
 
 
+def crofton_mv(body, k):
+    """Row k of `crofton-mv` with its default mu (dirac_pole) and probe:
+    the moment of degree k of the sections' S_1 times mu's multiplier, under
+    the directions (`FlatIntegrals.moments`), and the row's rhs."""
+    P = BODIES[body]
+    mu = builtin_zonal("dirac_pole", n=3, kmax=32)
+    flats, w, a_k = FlatIntegrals(P), _unit(PROBE), mu.multipliers[k]
+    rhs = crofton_minkowski(P, mu, 1, 1, 40, 0, degrees=(k,))["rows"][0]["rhs"]
+    return DIRECTIONS, lambda a: a_k * flats.moments(a, w, k)[:, k], flats.sample_bytes + 8 * (k + 1), rhs
+
+
+def kinematic_spec(side):
+    """A side of `kinematic --spec projection_body` on the cube pair at
+    PROBE: the motion integral under the rotations, or the plane term of its
+    Hadwiger decomposition under the directions; the target is the estimate
+    of one run of 80000 samples, whose stderr is at most 1/20 of a run of
+    200's."""
+    P = BODIES["cube"]
+    value = PieceEvaluator(builtin_spec("projection_body"), PROBE)
+    if side == "lhs":
+        integrals = TranslativeIntegrals(P, P)
+        estimator = (ROTATIONS, lambda R: value(integrals.pieces(R, value.degrees)),
+                     integrals.sample_bytes + integrals.piece_bytes)
+    else:
+        estimator = _valuation_kernel(P, value, 1)
+    target, se = run_shards(*estimator, 10 ** 6, 80_000, 20)
+    assert se <= run_shards(*estimator, 10 ** 6, 200, 20)[1] / 20.0
+    return (*estimator, target)
+
+
 # the terms V_2 of planes, V_1 of lines and V_0 of points, at small N
 @pytest.mark.parametrize("body", sorted(BODIES))
 @pytest.mark.parametrize("i,j", [(1, 2), (2, 1), (3, 0)])
@@ -102,11 +142,15 @@ def test_stratified_estimates_are_calibrated(body, i, j):
     assert_calibrated(z)
 
 
-# the iid laws: the directions of the Crofton terms with i + j < n
-# (DIRECTIONS) and the rotations of the kinematic integrals of V_0 and V_1
+# the iid laws: the directions of the Crofton terms with i + j < n, of the
+# crofton-mv rows and of the plane term of kinematic --spec (DIRECTIONS), and
+# the rotations of the kinematic integrals of V_0 and V_1 and of the motion
+# side of kinematic --spec
 IID = {**{f"crofton-{body}-i{i}-j{j}": (crofton, body, i, j)
           for body in BODIES for i, j in [(1, 0), (1, 1), (2, 0)]},
-       **{f"kinematic-{body}-cube-j{j}": (kinematic, body, j) for body in BODIES for j in (0, 1)}}
+       **{f"kinematic-{body}-cube-j{j}": (kinematic, body, j) for body in BODIES for j in (0, 1)},
+       **{f"crofton-mv-hull-k{k}": (crofton_mv, "hull", k) for k in (0, 2)},
+       **{f"kinematic-spec-cube-cube-{side}": (kinematic_spec, side) for side in ("lhs", "planes")}}
 
 
 @pytest.mark.parametrize("estimator", sorted(IID))
