@@ -30,17 +30,18 @@ terms, and only the plane and line terms on which the integrand can be
 nonzero run by Monte Carlo.
 
 Every estimator runs through one shard loop, `run_shards`, which averages
-a kernel's values under a `Law` and knows no weight.  A run draws its
-random numbers (`Law.variates`) from two streams seeded once from its
-seed, one of normals and one of doubles, in sample order; shard k is
-simply the samples [start_k, end_k) of the run.  The run goes in chunks of
-bounded memory, cut without regard to the shards: each chunk's first
-doubles are stratified per shard where the law is (`Law.stratify`), its
-normals made unit directions or rotations (`Law.draw`), a kernel evaluates
-them, and each shard's values are summed in fixed blocks from its start.
-The draws, the kernels and the sums are elementwise or blocked per shard,
-so no value depends on the chunking, and the standard error comes from
-the per-shard spread.  Results are deterministic in (seed, N, shards), and
+a kernel's values under a law (`Lattice` or `Law`) and knows no weight.  A
+run draws its random numbers from two streams seeded once from its seed,
+one of normals and one of doubles: first the lattices' shift of each
+shard, then each sample's variates in sample order; shard k is simply the
+samples [start_k, end_k) of the run.  The run goes in chunks of bounded
+memory, cut without regard to the shards: each chunk's samples are drawn
+from their variates and their places in their shards (the lattice point,
+the stratum of a stratified double), a kernel evaluates them, and each
+shard's values are summed in fixed blocks from its start.  The draws, the
+kernels and the sums are elementwise or blocked per shard, so no value
+depends on the chunking, and the standard error comes from the per-shard
+spread.  Results are deterministic in (seed, N, shards), and
 memory is bounded by CHUNK_BYTES whatever the number or size of the
 shards.  The uniform variates are Generator.random doubles, stratified or
 not, that the kernels scale to their windows as Generator.uniform would.
@@ -83,6 +84,7 @@ __all__ = [
     "EstimateReport",
     "agrees",
     "Law",
+    "Lattice",
     "FlatIntegrals",
     "PlaneSections",
     "TranslativeIntegrals",
@@ -164,25 +166,24 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class Law:
-    """The random numbers of one sample: `normals` standard normals from the
-    run's stream of normals and `uniforms` doubles in [0, 1) from its
-    stream of doubles, for m samples one (m, normals) and one (m, uniforms)
-    array (`variates`).  Each stream runs in sample order, so the next m
-    samples' numbers do not depend on how the run is cut, and run_shards
-    draws them a chunk at a time, within CHUNK_BYTES whatever the size of
-    the shards.  `draw` makes
-    unit directions of 3 normals (plane normals, line directions) and
-    uniform rotations of 4 (unit quaternions), and hands the kernel the
-    doubles' columns as they are.  Where `stratified`, run_shards makes the
-    first double of sample j of a shard's m samples (j + U_j) / m
-    (`stratify`), with U_j that sample's double of the stream: one sample
-    in each stratum [j / m, (j + 1) / m), in stream order, every other
-    variate iid (Owen, Monte Carlo theory, methods and examples, 2013,
-    ch. 8).  The shard mean stays unbiased, the shards stay independent
-    replicates, and the per-shard standard error stays valid.  A law knows
-    no body: a kernel scales the doubles to its window about the body, as
-    Generator.uniform would (`_uniform`), and weights its values by the
-    window's measure."""
+    """The random numbers of one sample of the laws of offsets (PLANES,
+    LINES, POINTS): `normals` standard normals from the run's stream of
+    normals and `uniforms` doubles in [0, 1) from its stream of doubles,
+    for m samples one (m, normals) and one (m, uniforms) array
+    (`variates`).  Each stream runs in sample order, so the next m samples'
+    numbers do not depend on how the run is cut, and run_shards draws them
+    a chunk at a time, within CHUNK_BYTES whatever the size of the shards.
+    `draw` makes the normals a unit vector (a plane normal, a line
+    direction) and hands the kernel the doubles' columns as they are.
+    Where `stratified`, it first makes the first double of sample j of a
+    shard's m samples (j + U_j) / m (`stratify`), with U_j that sample's
+    double of the stream: one sample in each stratum [j / m, (j + 1) / m),
+    in stream order, every other variate iid (Owen, Monte Carlo theory,
+    methods and examples, 2013, ch. 8).  The shard mean stays unbiased, the
+    shards stay independent replicates, and the per-shard standard error
+    stays valid.  A law knows no body: a kernel scales the doubles to its
+    window about the body, as Generator.uniform would (`_uniform`), and
+    weights its values by the window's measure."""
 
     normals: int
     uniforms: int = 0
@@ -192,6 +193,10 @@ class Law:
     def bytes(self) -> int:
         """The bytes of one sample's variates."""
         return 8 * (self.normals + self.uniforms)
+
+    def shifts(self, doubles: np.random.Generator, shards: int) -> None:
+        """Nothing is drawn per shard."""
+        return None
 
     def variates(self, streams: tuple[np.random.Generator, np.random.Generator],
                  m: int) -> tuple[np.ndarray, ...]:
@@ -211,16 +216,108 @@ class Law:
         u += j
         u /= m
 
-    def draw(self, *variates: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = ()
-        if self.normals:
-            unit = _unit(variates[0])
-            out = (unit if self.normals == 3 else _rotations_from_quaternions(unit),)
+    def draw(self, variates: tuple[np.ndarray, ...], strata=None,
+             shifts=None) -> tuple[np.ndarray, ...]:
+        """The kernel's arguments from the variates, stratified where the law
+        is by the samples' strata (j, m, shard) of `_chunk_strata`."""
+        if self.stratified:
+            self.stratify(variates, *strata[:2])
+        out = (_unit(variates[0]),) if self.normals else ()
         return out + (tuple(variates[-1].T) if self.uniforms else ())
 
 
-DIRECTIONS = Law(3)               # plane normals and line directions
-ROTATIONS = Law(4)
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Uniform directions, or uniform rotations, from one randomly shifted
+    lattice per shard.  Sample j of a shard of m samples is the point
+    u = ((j + 1/2) / m, j g) + s mod 1 of the spherical Fibonacci rank-1
+    lattice, g = (sqrt 5 - 1) / 2, shifted by the shard's s, two doubles
+    that run_shards draws per shard, in shard order, before the first
+    chunk (`shifts`): a Cranley-Patterson rotation (Cranley & Patterson,
+    SIAM J. Numer. Anal. 13, 1976).  The equal-area map z = 1 - 2 u_0,
+    phi = 2 pi u_1 takes it to a direction (Marques et al., Comput. Graph.
+    Forum 32, 2013).  A rotation takes that direction as the axis of its
+    Hopf coordinates and one iid double u_2 of the stream, drawn with the
+    chunk (`variates`), for its angle psi = 2 pi u_2: the unit quaternion
+    (sqrt(1 - u_0) cos psi/2, sqrt(1 - u_0) sin psi/2,
+    sqrt(u_0) cos(phi + psi/2), sqrt(u_0) sin(phi + psi/2)) is uniform on
+    SO(3) when u is uniform (Yershova et al., IJRR 29, 2010).  Every point
+    is uniform, so a shard's mean is unbiased; the shards' shifts are
+    independent, so the shards stay independent replicates and the
+    per-shard standard error stays valid.  A sample's point depends on its
+    j, m and shard only, not on how the run is chunked."""
+
+    rotations: bool = False
+
+    @property
+    def bytes(self) -> int:
+        """The bytes of one sample's draws: its strata and point, and the
+        direction, or its four unit complex numbers and rotation matrix."""
+        return 8 * (28 if self.rotations else 13)
+
+    def shifts(self, doubles: np.random.Generator, shards: int) -> np.ndarray:
+        """The shards' shifts s (shards, 2), from the stream of doubles."""
+        return doubles.random((shards, 2))
+
+    def variates(self, streams: tuple[np.random.Generator, np.random.Generator],
+                 m: int) -> tuple[np.ndarray, ...]:
+        """The next m rotations' angle doubles; directions draw none."""
+        return (streams[1].random(m),) if self.rotations else ()
+
+    def draw(self, variates: tuple[np.ndarray, ...], strata,
+             shifts: np.ndarray) -> tuple[np.ndarray]:
+        """The directions (m, 3) or rotation matrices (m, 3, 3) of the
+        samples of strata (j, m, shard) (`_chunk_strata`)."""
+        j, size, shard = strata
+        m = len(j)
+        w = np.empty((4, m))   # u_0, u_1, then 1 - u_0 and r = 2 sqrt(u_0 (1 - u_0))
+        u0, u1, p, r = w
+        np.add(j, 0.5, out=u0)
+        u0 /= size
+        np.multiply(j, GOLDEN, out=u1)
+        w[:2] += shifts.take(shard, axis=0).T
+        w[:2] -= np.floor(w[:2])
+        np.subtract(1.0, u0, out=p)
+        np.multiply(u0, p, out=r)
+        np.sqrt(r, out=r)
+        r *= 2.0
+        if not self.rotations:
+            u1 *= 2.0 * math.pi
+            return (np.stack([r * np.cos(u1), r * np.sin(u1), p - u0], axis=1),)
+        # the matrix of the quaternion, entry by entry in the layout (3, 3, m)
+        # that the kernels read, from e^(i phi), e^(i psi), their product
+        # e^(i (phi + psi)) and e^(i chi), chi = 2 phi + psi: its first row
+        # is the direction (z, -y, x), its lower right block
+        # (1 - u_0) Rot(psi) + u_0 Refl(chi)
+        z = np.zeros((2, m), dtype=complex)
+        np.multiply(u1, 2.0 * math.pi, out=z.imag[0])
+        np.multiply(variates[0], 2.0 * math.pi, out=z.imag[1])
+        np.exp(z, out=z)
+        phi, psi = z
+        both = phi * psi
+        chi = phi * both
+        psi *= p
+        chi *= u0
+        phi *= r
+        both *= r
+        e = np.empty((3, 3, m))
+        np.subtract(p, u0, out=e[0, 0])
+        np.negative(phi.imag, out=e[0, 1])
+        e[0, 2] = phi.real
+        e[1, 0] = both.imag
+        np.negative(both.real, out=e[2, 0])
+        np.add(psi.real, chi.real, out=e[1, 1])
+        np.subtract(chi.imag, psi.imag, out=e[1, 2])
+        np.add(chi.imag, psi.imag, out=e[2, 1])
+        np.subtract(psi.real, chi.real, out=e[2, 2])
+        return (e.transpose(2, 0, 1),)
+
+
+DIRECTIONS = Lattice()            # plane normals and line directions
+ROTATIONS = Lattice(rotations=True)
 # a normal, then the stratified double of its offset
 PLANES = Law(3, 1, stratified=True)
 # a direction, then the doubles of its point's squared radius (stratified) and angle
@@ -255,22 +352,6 @@ def _shard_sizes(n_samples: int, shards: int) -> list[int]:
     for k in range(n_samples - base * shards):
         sizes[k] += 1
     return sizes
-
-
-def _rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices from unit quaternions (m, 4) -> (m, 3, 3)."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((q.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - z * w)
-    R[:, 0, 2] = 2 * (x * z + y * w)
-    R[:, 1, 0] = 2 * (x * y + z * w)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - x * w)
-    R[:, 2, 0] = 2 * (x * z - y * w)
-    R[:, 2, 1] = 2 * (y * z + x * w)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
 
 
 class _ShardSums:
@@ -317,13 +398,16 @@ class _ShardSums:
 
 
 def _chunk_strata(sizes: np.ndarray, ends: np.ndarray, lo: int,
-                  m: int) -> tuple[np.ndarray, np.ndarray]:
+                  m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index j of the run's samples lo, ..., lo + m - 1 in their shards,
-    and their shards' sizes (`Law.stratify`), for the shards of `sizes`
-    samples ending at `ends`."""
+    their shards' sizes and their shards (`Law.stratify`, `Lattice`), for
+    the shards of `sizes` samples ending at `ends`."""
     i = np.arange(lo, lo + m)
     k = ends.searchsorted(i, side="right")
-    return i - ends[k] + sizes[k], sizes[k]
+    size = sizes.take(k)
+    i -= ends.take(k)
+    i += size
+    return i, size, k
 
 
 def _check_shards(n_samples: int, shards: int) -> None:
@@ -333,33 +417,34 @@ def _check_shards(n_samples: int, shards: int) -> None:
                          f"n_samples={n_samples}, shards={shards}")
 
 
-def run_shards(law: Law, kernel, sample_bytes: int, seed: int, n_samples: int,
+def run_shards(law: Law | Lattice, kernel, sample_bytes: int, seed: int, n_samples: int,
                shards: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of E[kernel(sample)] over n_samples samples of the law: the
     mean of the per-shard means, with its standard error.  The run draws
-    its variates (`law.variates`) from the two streams of `_streams(seed)`
-    in sample order, and shard k is its samples [start_k, end_k).  A chunk
-    holds at most CHUNK_BYTES / (sample_bytes + law.bytes) samples,
-    sample_bytes being the kernel's temporary memory per sample, wherever
-    the shards end: it is stratified per shard (`law.stratify`), drawn
-    (`law.draw`), and mapped by `kernel(*draws)` to values (m,) or
-    (m, width).  Memory is bounded by CHUNK_BYTES whatever the size of the
-    shards, and neither the strata nor the sums (`_ShardSums`) depend on
-    the chunking."""
+    its numbers from the two streams of `_streams(seed)`: first what the
+    law draws per shard, in shard order (`law.shifts`), then each sample's
+    variates (`law.variates`) in sample order, and shard k is its samples
+    [start_k, end_k).  A chunk holds at most
+    CHUNK_BYTES / (sample_bytes + law.bytes) samples, sample_bytes being
+    the kernel's temporary memory per sample, wherever the shards end: it
+    is drawn (`law.draw`) from its variates, its samples' places in their
+    shards (`_chunk_strata`) and the shifts, and mapped by
+    `kernel(*draws)` to values (m,) or (m, width).  Memory is bounded by
+    CHUNK_BYTES whatever the size of the shards, and neither the draws nor
+    the sums (`_ShardSums`) depend on the chunking."""
     _check_shards(n_samples, shards)
     sizes = np.array(_shard_sizes(n_samples, shards))
     ends = np.cumsum(sizes)
     chunk = max(1, CHUNK_BYTES // (sample_bytes + law.bytes))
     streams, totals = _streams(seed), _ShardSums(sizes)
+    shifts = law.shifts(streams[1], shards)
     for lo in range(0, n_samples, chunk):
         m = min(chunk, n_samples - lo)
         variates = law.variates(streams, m)
-        if law.stratified:
-            law.stratify(variates, *_chunk_strata(sizes, ends, lo, m))
         # each array goes as soon as it is used, to bound the peak memory:
-        # the normals before the kernel, the samples before the sums and the
-        # values before the next chunk
-        draws = law.draw(*variates)
+        # the variates before the kernel, the samples before the sums and
+        # the values before the next chunk
+        draws = law.draw(variates, _chunk_strata(sizes, ends, lo, m), shifts)
         del variates
         vals = np.asarray(kernel(*draws), dtype=float)
         del draws
@@ -734,14 +819,14 @@ class TranslativeIntegrals:
         self.pair_areas = np.multiply.outer(self.a_p, self.a_l)         # (F_P, F_L)
         self.edges = [_edge_arcs(B) for B in (P, L)]
         fp, fl, vp, vl = len(self.a_p), len(self.a_l), len(self.v_p), len(self.v_l)
-        ep, el = (len(d) for _, d in self.edges)
-        # temporaries per rotation: its quaternion and matrix, the turned
+        el = len(self.edges[1][1])
+        # temporaries per rotation: its matrix and draws (13 doubles), the turned
         # normals of both bodies, the (V_L, F_P) and (V_P, F_L) projections,
         # and the (F_P, F_L) arrays of the facet pairs
         self.sample_bytes = 8 * (13 + 6 * (fp + fl) + 2 * (fp * vl + fl * vp) + 6 * fp * fl)
-        # and in pieces(), per rotation: the arcs of the edges and of the
-        # facet pairs, and the atoms of the facets
-        self.piece_bytes = 8 * (16 * (ep + el + fp * fl) + 10 * (fp + fl))
+        # and in pieces(), per rotation: the arcs of the edges of L and of
+        # the facet pairs, and the atoms of the facets of L
+        self.piece_bytes = 8 * (16 * (el + fp * fl) + 10 * fl)
 
     def _turned(self, R: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The entries (3, 3, m) of the rotations R (m, 3, 3), each entry's
@@ -785,12 +870,12 @@ class TranslativeIntegrals:
 
     def pieces(self, R: np.ndarray, degrees) -> MeasurePieces:
         """The integrals over x of the area measures of P n (R L + x), per
-        rotation, as pieces: S_2 the atoms A_F V_3(L) at n_F and
-        A_G V_3(P) at R n_G; S_1 the arcs of the edges of P (density l / 2)
-        scaled by V_3(L), those of R L scaled by V_3(P), and per facet pair
-        the arc n_F -> R n_G of density A_F A_G sin(theta_FG) / 2; only the
-        measures of the given degrees are built, the others left empty.
-        `hit` carries int V_0 dx = vol(P - R L), and `volume`
+        rotation, as pieces, less those of P's own faces (`fixed_pieces`):
+        S_2 the atoms A_G V_3(P) at R n_G; S_1 the arcs of the edges of R L
+        (density l / 2) scaled by V_3(P), and per facet pair the arc
+        n_F -> R n_G of density A_F A_G sin(theta_FG) / 2; only the measures
+        of the given degrees are built, the others left empty.  `hit`
+        carries int V_0 dx = vol(P - R L), and `volume`
         int V_3 dx = V_3(P) V_3(L).  Each rotation's pieces run in that
         order, whatever the batch."""
         m = len(R)
@@ -798,32 +883,41 @@ class TranslativeIntegrals:
         turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
         fp, fl = len(self.a_p), len(self.a_l)
         s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
-
-        def each(x: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(x, (m,) + x.shape)
-
         if 1 in degrees:
             sin, _ = self._pair_sines(g)
             sin *= 0.5 * self.pair_areas[:, :, None]
-            (p_from, p_to), p_half = self.edges[0]
             (l_from, l_to), l_half = self.edges[1]
-            a = np.concatenate([each(self.n_p[p_from]), turned[:, l_from],
-                                each(np.repeat(self.n_p, fl, axis=0))], axis=1)
-            b = np.concatenate([each(self.n_p[p_to]), turned[:, l_to],
-                                np.broadcast_to(turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)],
-                               axis=1)
-            density = np.concatenate([each(self.volume_l * p_half), each(self.volume_p * l_half),
+            a = np.concatenate([turned[:, l_from], np.broadcast_to(
+                np.repeat(self.n_p, fl, axis=0), (m, fp * fl, 3))], axis=1)
+            b = np.concatenate([turned[:, l_to], np.broadcast_to(
+                turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)], axis=1)
+            density = np.concatenate([np.broadcast_to(self.volume_p * l_half, (m, len(l_half))),
                                       sin.reshape(-1, m).T], axis=1)
             s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
                 np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
                 density.ravel()))
         if 2 in degrees:
-            normals = np.concatenate([each(self.n_p), turned], axis=1)
-            masses = np.concatenate([self.volume_l * self.a_p, self.volume_p * self.a_l])
             s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
-                np.repeat(np.arange(m), fp + fl), normals.reshape(-1, 3), np.tile(masses, m)))
+                np.repeat(np.arange(m), fl), turned.reshape(-1, 3),
+                np.tile(self.volume_p * self.a_l, m)))
         return MeasurePieces(self._volumes(entries, g), s1, s2,
                              np.full(m, self.volume_p * self.volume_l))
+
+    def fixed_pieces(self, degrees) -> MeasurePieces:
+        """The pieces that `pieces` leaves out, the same for every rotation,
+        as one body: the arcs of the edges of P scaled by V_3(L) (S_1) and
+        its atoms A_F V_3(L) at n_F (S_2), of the given degrees, with no hit
+        and no volume."""
+        s1, s2 = AreaMeasure(3, 1, bodies=1), AreaMeasure(3, 2, bodies=1)
+        if 1 in degrees:
+            (p_from, p_to), p_half = self.edges[0]
+            s1 = AreaMeasure(3, 1, bodies=1, arcs=Arcs(
+                np.zeros(len(p_half), dtype=int), self.n_p[p_from], self.n_p[p_to],
+                self.volume_l * p_half))
+        if 2 in degrees:
+            s2 = AreaMeasure(3, 2, bodies=1, atoms=Atoms(
+                np.zeros(len(self.a_p), dtype=int), self.n_p, self.volume_l * self.a_p))
+        return MeasurePieces(np.zeros(1), s1, s2)
 
 
 def crofton_target(P: Polytope, i: int, j: int) -> float:
@@ -998,6 +1092,7 @@ def kinematic_minkowski_check(spec, P: Polytope, L: Polytope, direction,
     lhs, lhs_se = run_shards(ROTATIONS, lambda R: value(integrals.pieces(R, value.degrees)),
                              integrals.sample_bytes + integrals.piece_bytes, seed, n_samples,
                              shards)
+    lhs += value(integrals.fixed_pieces(value.degrees))[0]
     degree = 0 if spec.c0 != 0.0 else min((i for i, _ in spec.degrees()), default=n)
     side = _hadwiger(P, L, float(lhs), float(lhs_se), degree,
                      float(evaluate(spec, P, u).values[0]), spec.c0,

@@ -24,6 +24,11 @@ from minkval.integral_geom import Law, _clip_lines, _uniform
 from minkval.valuation import MeasurePieces
 
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
+# uniform directions from 3 iid normals each, the law of directions that
+# `integral_geom.DIRECTIONS`, a shifted lattice per shard, replaced: the
+# estimates pinned before the lattice, and the iid side of the variance
+# comparisons, run on it
+IID_DIRECTIONS = Law(3)
 
 
 def origin_radius(P) -> float:

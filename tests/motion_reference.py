@@ -1,6 +1,7 @@
-"""Reference kernels of rigid motions, kept for the tests: the box law of
-translations, the intersections P n (R L + x) edge by edge, the exact
-separating-axis test and the lattice intersection by successive clipping.
+"""Reference kernels of rigid motions, kept for the tests: the iid law of
+rotations from normal quaternions, the box law of translations, the
+intersections P n (R L + x) edge by edge, the exact separating-axis test
+and the lattice intersection by successive clipping.
 
 kinematic_check and kinematic_minkowski_check integrate the translations in
 closed form (integral_geom.TranslativeIntegrals) and draw rotations only;
@@ -24,6 +25,39 @@ from minkval.valuation import MeasurePieces
 SAT_TOL = 1e-12   # slack of the separating-axis test, per unit axis length
 
 
+def rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices from unit quaternions (m, 4) -> (m, 3, 3)."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    R = np.empty((q.shape[0], 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - z * w)
+    R[:, 0, 2] = 2 * (x * z + y * w)
+    R[:, 1, 0] = 2 * (x * y + z * w)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - x * w)
+    R[:, 2, 0] = 2 * (x * z - y * w)
+    R[:, 2, 1] = 2 * (y * z + x * w)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+@dataclass(frozen=True)
+class QuaternionLaw(Law):
+    """A law whose 4 normals make a uniform unit quaternion, handed to the
+    kernel as its rotation matrix, then the doubles' columns: the iid law
+    of rotations that `integral_geom.ROTATIONS`, a shifted lattice per
+    shard, replaced."""
+
+    def draw(self, variates, strata=None, shifts=None):
+        q, *rest = super().draw(variates, strata, shifts)
+        return (rotations_from_quaternions(q), *rest)
+
+
+# uniform rotations from 4 iid normals each: the estimates pinned before the
+# lattice, and the iid side of the variance comparisons, run on it
+IID_ROTATIONS = QuaternionLaw(4)
+
+
 @dataclass(frozen=True)
 class BoxMotions:
     """Rigid-motion law of g L = R L + x against a fixed body P, the box
@@ -38,7 +72,7 @@ class BoxMotions:
     the pins taken under it drew them; the window and the weight are the
     kernel's (`kernel`)."""
 
-    law: ClassVar[Law] = Law(4, 3)
+    law: ClassVar[Law] = QuaternionLaw(4, 3)
 
     box: np.ndarray      # (2, 3): [lo_P, hi_P]
     moving: np.ndarray   # (V, 3): the vertices of L

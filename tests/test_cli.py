@@ -500,7 +500,10 @@ def test_unknown_zonal_builtin_is_an_input_error(tmp_path, argv, config):
     (["check-valuation", "--seed", "5"],
      {"spec": "projection_body", "body": "cube", "plane": "0,0,1,0.5"}),
     (["kinematic", "--j", "0", "--N", "100", "--seed", "1"], {"body": "cube"}),
-    (["crofton-mv", "--N", "100", "--seed", "5"], {"body": "cube"}),
+    # seed 6: at seed 5 the lattice of directions puts the k = 2 row at
+    # z = 4.15, the largest |z| of seeds 0-399 (a t_19 tail of about 1 in
+    # 2000), and the gate's exit 1 is not what this test checks
+    (["crofton-mv", "--N", "100", "--seed", "6"], {"body": "cube"}),
 ])
 def test_required_options_may_come_from_the_config(tmp_path, argv, config):
     # argparse refused the command: "required: --body, --i, --j"

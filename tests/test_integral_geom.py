@@ -20,7 +20,7 @@ from minkval.integral_geom import (
     PlaneSections,
     _BoxPoints,
     _LineChords,
-    _rotations_from_quaternions,
+    _intrinsic_kernel,
     agrees,
     crofton_intrinsic,
     crofton_minkowski,
@@ -35,8 +35,8 @@ from minkval.integral_geom import (
 from minkval.valuation import builtin_spec
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
 
-from flat_reference import BallFlats, DenseSections
-from motion_reference import SeparatingAxes
+from flat_reference import IID_DIRECTIONS, BallFlats, DenseSections
+from motion_reference import SeparatingAxes, rotations_from_quaternions
 
 
 # -- constants ------------------------------------------------------------------
@@ -281,15 +281,28 @@ def test_tight_planes_cut_the_stderr():
     assert 2.5 * crofton_intrinsic(P, 1, 1, 20000, seed=311).stderr <= ball_se
 
 
+def _stderrs(law, N=(1000, 10000, 100000)):
+    # the term of crofton_intrinsic(cube(), 1, 0, N, seed=13, shards=200)
+    # under the law; 200 shards keep the noise of the stderr estimate itself
+    # around 5%, so its law in N is resolvable at the 20% level
+    _, kernel, sample_bytes = _intrinsic_kernel(cube(), 0, 1)
+    return [run_shards(law, kernel, sample_bytes, 13, n, 200)[1] for n in N]
+
+
 def test_stderr_scales_like_inverse_sqrt():
-    # 200 shards keep the noise of the stderr estimate itself around 5%,
-    # so the N^(-1/2) law is resolvable at the 20% level
-    ses = []
-    for N in (1000, 10000, 100000):
-        rep = crofton_intrinsic(cube(), 1, 0, N, seed=13, shards=200)
-        ses.append(rep.stderr)
+    # under the iid law of directions, the N^(-1/2) law of Monte Carlo
+    ses = _stderrs(IID_DIRECTIONS)
     for a, b in zip(ses, ses[1:]):
         assert a / b == pytest.approx(math.sqrt(10.0), rel=0.20)
+
+
+def test_lattice_stderr_falls_faster_than_inverse_sqrt():
+    # the shifted lattice of DIRECTIONS: the integrand, 2 (h(a) + h(-a)), is
+    # continuous, and the stderr falls at least as N^(-3/4) (about N^(-1) to
+    # N^(-1.35) here)
+    ses = _stderrs(integral_geom.DIRECTIONS)
+    for a, b in zip(ses, ses[1:]):
+        assert a / b >= 10.0 ** 0.75
 
 
 def test_determinism_bit_identical():
@@ -395,7 +408,7 @@ def test_separating_axes_memory_is_bounded_by_the_chunk():
     # projections took 23 MB when they ran on all motions at once
     P, L = jittered_icosahedra(1)
     q = np.random.default_rng(2).standard_normal((100, 4))
-    R = _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
+    R = rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
     test = SeparatingAxes(P, L)
     tracemalloc.start()
     try:

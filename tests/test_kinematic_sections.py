@@ -18,7 +18,6 @@ from minkval.convex import Polytope, _unit, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import (
     FlatIntegrals,
     TranslativeIntegrals,
-    _rotations_from_quaternions,
     kinematic_minkowski_check,
     run_shards,
 )
@@ -31,7 +30,7 @@ from minkval.valuation import (
 )
 
 from flat_reference import BallFlats, DenseSections, LineSections, origin_radius
-from motion_reference import BoxMotions, MotionIntersections
+from motion_reference import BoxMotions, MotionIntersections, rotations_from_quaternions
 
 SPECS = ("projection_body", "difference_body", "mean_width_ball",
          "mean_section:2", "mean_section:3")
@@ -164,7 +163,7 @@ def test_piece_values_carry_the_constants_of_the_spec():
     a /= np.linalg.norm(a, axis=1)[:, None]
     s, p = rng.uniform(-1.2, 1.2, m), rng.uniform(-0.8, 0.8, (m, 3))
     q = rng.standard_normal((m, 4))
-    R = _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
+    R = rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
     x = rng.uniform(-1.5, 1.5, (m, 3))
     motions = MotionIntersections(P, random_hull(78))
     for path in PATHS:
@@ -205,7 +204,7 @@ def test_piece_values_do_not_depend_on_the_batch(path, monkeypatch):
     a = rng.standard_normal((m, 3))
     a /= np.linalg.norm(a, axis=1)[:, None]
     q = rng.standard_normal((m, 4))
-    R = _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
+    R = rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
     key = ("hull", "unit")
     batches = [PLANES[key].pieces(a, rng.uniform(-0.8, 0.8, m)),
                LINES[key].pieces(a, rng.uniform(-0.5, 0.5, (m, 3))),
@@ -229,7 +228,7 @@ def test_pieces_of_the_evaluated_degrees_give_the_values_of_all_pieces(path):
     # difference_body, both for a spec with data of both degrees
     rng = np.random.default_rng(5)
     a = _unit(rng.standard_normal((40, 3)))
-    R = _rotations_from_quaternions(_unit(rng.standard_normal((40, 4))))
+    R = rotations_from_quaternions(_unit(rng.standard_normal((40, 4))))
     P, L = random_hull(51), random_hull(52, 20)
     flats, motions = FlatIntegrals(P), TranslativeIntegrals(P, L)
     both = MinkowskiValuationSpec(c0=0.7, mu=dict(_spec("difference_body").mu),

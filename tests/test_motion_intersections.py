@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull
-from minkval.integral_geom import _rotations_from_quaternions, kinematic_check, run_shards
+from minkval.integral_geom import kinematic_check, run_shards
 from minkval.valuation import PieceEvaluator, builtin_spec, evaluate
 
 from flat_reference import origin_radius
-from motion_reference import BoxMotions, MotionIntersections, intersect
+from motion_reference import BoxMotions, MotionIntersections, intersect, rotations_from_quaternions
 
 BASES = {"cube": cube(), "hull14": random_hull(51), "hull20": random_hull(52, 20)}
 PAIRS = [("cube", "cube"), ("cube", "hull14"), ("hull14", "hull20")]
@@ -30,7 +30,7 @@ KERNELS = {(p, c): MotionIntersections(*(BASES[b].scaled(lam).translated(shift *
            for p in PAIRS for c, (lam, shift) in COPIES.items()}
 # a fixed generic rotation after the drawn one keeps the identity, and with
 # it parallel facets of the cube pair, away from the simplest draws
-TILT = _rotations_from_quaternions(np.array([[0.9, 0.3, -0.2, 0.25]]) / np.sqrt(1.0025))[0]
+TILT = rotations_from_quaternions(np.array([[0.9, 0.3, -0.2, 0.25]]) / np.sqrt(1.0025))[0]
 
 quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).map(np.array).filter(
     lambda q: np.linalg.norm(q) > 0.1).map(lambda q: q / np.linalg.norm(q))
@@ -54,7 +54,7 @@ def _motion(pair, q, t) -> tuple[np.ndarray, np.ndarray]:
     R L within 0.8 of the sum of their radii from the centre of P; draws
     that are not generic are rejected."""
     P, L = (BASES[b] for b in pair)
-    R = _rotations_from_quaternions(q[None, :])[0] @ TILT
+    R = rotations_from_quaternions(q[None, :])[0] @ TILT
     assume(_generic(P, L, R))
     reach = np.linalg.norm(P.vertices - P.vertices.mean(axis=0), axis=1).max() + np.linalg.norm(
         L.vertices - L.vertices.mean(axis=0), axis=1).max()

@@ -7,6 +7,7 @@ whole run drawn and evaluated in one step, input checks and bounded memory,
 also of one kernel call."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from minkval.integral_geom import (
     POINTS,
     ROTATIONS,
     FlatIntegrals,
+    Lattice,
     PlaneSections,
     TranslativeIntegrals,
     _BoxPoints,
@@ -47,7 +49,7 @@ from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
 from minkval.zonal import ZonalObject
 
 from flat_reference import BallFlats, DenseSections
-from motion_reference import BoxMotions
+from motion_reference import IID_ROTATIONS, BoxMotions
 
 KMAX = 4
 PROBE = np.array([0.36, -0.48, 0.8])
@@ -299,7 +301,8 @@ def test_line_and_point_values_do_not_depend_on_the_batch(body):
     centres = np.array([P.vertices[cycle].mean(axis=0) for cycle in P.facet_cycles])
     on_bound = centres + (points.bound - b)[:, None] * A
     doubles = np.vstack([rng.random((400, 3)), (on_bound - points.lo) / (points.hi - points.lo)])
-    for kernel, draws in ((lines, LINES.draw(*LINES.variates((rng, rng), 400))),
+    strata = (np.arange(400), 400, None)
+    for kernel, draws in ((lines, LINES.draw(LINES.variates((rng, rng), 400), strata)),
                           (points, tuple(doubles.T))):
         whole = kernel(*(d.copy() for d in draws))   # the kernels scale the doubles in place
         one = [kernel(*(d[t:t + 1].copy() for d in draws)) for t in range(len(draws[0]))]
@@ -363,25 +366,34 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
 
 def per_shard_loop(law, kernel, seed, n_samples, shards):
     """run_shards in one step: the run's normals and doubles drawn at once,
-    each from its own child of SeedSequence(seed), sample by sample; the
-    first double u_j of the j-th of a shard's m samples made (j + u_j) / m
-    where the law is stratified; the kernel run on all samples; and each
-    shard's values summed as a whole in blocks of SUM_BLOCK from its start
-    (one reduceat each), the block sums added in order."""
+    each from its own child of SeedSequence(seed), the lattices' shifts of
+    all shards first, then sample by sample; the first double u_j of the
+    j-th of a shard's m samples made (j + u_j) / m where the law is
+    stratified; the kernel run on all samples, each lattice point from its
+    j, m and shard; and each shard's values summed as a whole in blocks of
+    SUM_BLOCK from its start (one reduceat each), the block sums added in
+    order."""
     normals, doubles = (np.random.default_rng(child)
                         for child in np.random.SeedSequence(seed).spawn(2))
-    variates = []
-    if law.normals:
-        variates.append(normals.standard_normal((n_samples, law.normals)))
-    if law.uniforms:
-        variates.append(doubles.random((n_samples, law.uniforms)))
     sizes = _shard_sizes(n_samples, shards)
     starts = np.cumsum([0] + sizes[:-1])
-    if law.stratified:
-        first = variates[-1][:, 0]
-        for start, size in zip(starts, sizes):
-            first[start:start + size] = (np.arange(size) + first[start:start + size]) / size
-    vals = kernel(*law.draw(*variates))
+    strata = (np.concatenate([np.arange(size) for size in sizes]), np.repeat(sizes, sizes),
+              np.repeat(np.arange(shards), sizes))
+    if isinstance(law, Lattice):
+        shifts = doubles.random((shards, 2))
+        vals = kernel(*law.draw((doubles.random(n_samples),) if law.rotations else (), strata,
+                                shifts))
+    else:
+        variates = []
+        if law.normals:
+            variates.append(normals.standard_normal((n_samples, law.normals)))
+        if law.uniforms:
+            variates.append(doubles.random((n_samples, law.uniforms)))
+        if law.stratified:
+            first = variates[-1][:, 0]
+            for start, size in zip(starts, sizes):
+                first[start:start + size] = (np.arange(size) + first[start:start + size]) / size
+        vals = kernel(*replace(law, stratified=False).draw(variates))
     sums = []
     for start, size in zip(starts, sizes):
         total = 0.0
@@ -414,6 +426,8 @@ SAMPLERS = {
     "box": (BoxMotions.law, BoxMotions.tight(cube(), random_hull(51)).kernel(every_coordinate),
             25),
     "rotations": (ROTATIONS, every_coordinate, 27),
+    "directions": (DIRECTIONS, every_coordinate, 28),
+    "iid rotations": (IID_ROTATIONS, every_coordinate, 29),
 }
 
 
@@ -547,7 +561,7 @@ def test_one_kernel_call_stays_within_its_bytes(body, i, j):
     variates = law.variates(integral_geom._streams(5), m)
     if body == "prism":
         variates[0][:, :2] *= 0.05
-    draws = law.draw(*variates)
+    draws = law.draw(variates, (np.arange(m), m, None))
     peak = _peak_bytes(lambda: kernel(*draws))
     assert peak <= m * sample_bytes <= CHUNK_BYTES - m * law.bytes
 

@@ -20,17 +20,15 @@ from minkval.integral_geom import (
     LINES,
     PLANES,
     POINTS,
-    ROTATIONS,
     Law,
     PlaneSections,
     _BoxPoints,
     _LineChords,
-    _rotations_from_quaternions,
     _streams,
     crofton_intrinsic,
 )
 
-from motion_reference import BoxMotions
+from motion_reference import IID_ROTATIONS, BoxMotions, rotations_from_quaternions
 
 
 def assert_streams_match(seed):
@@ -166,14 +164,14 @@ def uniform_motions(window, rng, m):
     q = rng.standard_normal((m, 4))
     t = rng.uniform(-h, h, (m, 3))
     side = 2.0 * h
-    return _rotations_from_quaternions(_unit(q)), t, np.full(m, side * side * side)
+    return rotations_from_quaternions(_unit(q)), t, np.full(m, side * side * side)
 
 
 def box_motions(window, rng, m):
     """The box law of BoxMotions drawn with rng.uniform: translations
     uniform in the coordinate box of P - R L of each rotation."""
     q = rng.standard_normal((m, 4))
-    R = _rotations_from_quaternions(_unit(q))
+    R = rotations_from_quaternions(_unit(q))
     coords = R @ window.of.moving.T              # (m, 3, V): coordinates of R v
     lo, hi = window.of.box[0] - coords.max(axis=2), window.of.box[1] - coords.min(axis=2)
     return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
@@ -182,7 +180,7 @@ def box_motions(window, rng, m):
 def uniform_rotations(window, rng, m):
     """Uniform rotations from normal quaternions, the only draws of the
     rotation law: the translations are integrated in closed form."""
-    return (_rotations_from_quaternions(_unit(rng.standard_normal((m, 4)))),)
+    return (rotations_from_quaternions(_unit(rng.standard_normal((m, 4)))),)
 
 
 FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])
@@ -199,7 +197,7 @@ SAMPLERS = [
                               cube().scaled(1e-3))), box_motions),
     (tight_planes(cube()), tight_flats),
     (tight_planes(FAR_HULL), tight_flats),
-    (Window(ROTATIONS, lambda R: (R,), None), uniform_rotations),
+    (Window(IID_ROTATIONS, lambda R: (R,), None), uniform_rotations),
 ]
 
 
@@ -213,9 +211,7 @@ def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     law = sampler.law
     variates = law.variates((rng, rng), m)
-    if law.stratified:
-        law.stratify(variates, np.arange(m), m)
-    got = sampler.samples(*law.draw(*variates))
+    got = sampler.samples(*law.draw(variates, (np.arange(m), m, None)))
     want = reference(sampler, ref, m)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

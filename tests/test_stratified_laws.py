@@ -1,12 +1,15 @@
 """The stratified laws of offsets (PLANES, LINES, POINTS): their last
 stratum's end, which the kernels take; and, over many seeds, the
 calibration of the Crofton terms' estimates, those with i + j = 3 under
-the stratified laws and the others under the iid law of directions, of the
-kinematic integrals' under the iid law of rotations, of the rows of
-`crofton-mv` and of both sides of `kinematic --spec`: unbiased, with a
+the stratified laws and the others under the lattice law of directions, of
+the kinematic integrals' under the lattice law of rotations, of the rows
+of `crofton-mv` and of both sides of `kinematic --spec`, and of the same
+estimators under the iid laws that the lattices replaced: unbiased, with a
 per-shard standard error that is neither understated nor overstated.
 Every plane and line term of `kinematic --hadwiger` is one of the tabled
 Crofton estimators (`_intrinsic_kernel`)."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from minkval.integral_geom import (
 )
 from minkval.valuation import PieceEvaluator, builtin_spec
 from minkval.zonal import builtin_zonal
+
+from flat_reference import IID_DIRECTIONS
+from motion_reference import IID_ROTATIONS
 
 TOP = 1.0 - 2.0 ** -53   # the largest double of Generator.random
 BODIES = {"cube": cube(), "hull": random_hull(5, 30)}
@@ -110,12 +116,14 @@ def crofton_mv(body, k):
     return DIRECTIONS, lambda a: a_k * flats.moments(a, w, k)[:, k], flats.sample_bytes + 8 * (k + 1), rhs
 
 
+@functools.cache
 def kinematic_spec(side):
     """A side of `kinematic --spec projection_body` on the cube pair at
-    PROBE: the motion integral under the rotations, or the plane term of its
-    Hadwiger decomposition under the directions; the target is the estimate
-    of one run of 80000 samples, whose stderr is at most 1/20 of a run of
-    200's."""
+    PROBE: the motion integral under the rotations (less the pieces of P's
+    own faces, `TranslativeIntegrals.fixed_pieces`), or the plane term of
+    its Hadwiger decomposition under the directions; the target is the
+    estimate of one run of 80000 samples, whose stderr is at most 1/20 of a
+    run of 200's under either law."""
     P = BODIES["cube"]
     value = PieceEvaluator(builtin_spec("projection_body"), PROBE)
     if side == "lhs":
@@ -125,8 +133,14 @@ def kinematic_spec(side):
     else:
         estimator = _valuation_kernel(P, value, 1)
     target, se = run_shards(*estimator, 10 ** 6, 80_000, 20)
-    assert se <= run_shards(*estimator, 10 ** 6, 200, 20)[1] / 20.0
+    for law in (estimator[0], iid(estimator[0])):
+        assert se <= run_shards(law, *estimator[1:], 10 ** 6, 200, 20)[1] / 20.0
     return (*estimator, target)
+
+
+def iid(law):
+    """The iid law of directions or rotations that the lattice law replaced."""
+    return {DIRECTIONS: IID_DIRECTIONS, ROTATIONS: IID_ROTATIONS}[law]
 
 
 # the terms V_2 of planes, V_1 of lines and V_0 of points, at small N
@@ -142,18 +156,29 @@ def test_stratified_estimates_are_calibrated(body, i, j):
     assert_calibrated(z)
 
 
-# the iid laws: the directions of the Crofton terms with i + j < n, of the
-# crofton-mv rows and of the plane term of kinematic --spec (DIRECTIONS), and
-# the rotations of the kinematic integrals of V_0 and V_1 and of the motion
-# side of kinematic --spec
-IID = {**{f"crofton-{body}-i{i}-j{j}": (crofton, body, i, j)
-          for body in BODIES for i, j in [(1, 0), (1, 1), (2, 0)]},
-       **{f"kinematic-{body}-cube-j{j}": (kinematic, body, j) for body in BODIES for j in (0, 1)},
-       **{f"crofton-mv-hull-k{k}": (crofton_mv, "hull", k) for k in (0, 2)},
-       **{f"kinematic-spec-cube-cube-{side}": (kinematic_spec, side) for side in ("lhs", "planes")}}
+# the estimators of directions and rotations: the directions of the Crofton
+# terms with i + j < n, of the crofton-mv rows and of the plane term of
+# kinematic --spec (DIRECTIONS), and the rotations of the kinematic
+# integrals of V_0 and V_1 and of the motion side of kinematic --spec
+# (ROTATIONS)
+ESTIMATORS = {**{f"crofton-{body}-i{i}-j{j}": (crofton, body, i, j)
+                 for body in BODIES for i, j in [(1, 0), (1, 1), (2, 0)]},
+              **{f"kinematic-{body}-cube-j{j}": (kinematic, body, j)
+                 for body in BODIES for j in (0, 1)},
+              **{f"crofton-mv-hull-k{k}": (crofton_mv, "hull", k) for k in (0, 2)},
+              **{f"kinematic-spec-cube-cube-{side}": (kinematic_spec, side)
+                 for side in ("lhs", "planes")}}
 
 
-@pytest.mark.parametrize("estimator", sorted(IID))
-def test_iid_estimates_are_calibrated(estimator):
-    make, *args = IID[estimator]
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_lattice_estimates_are_calibrated(estimator):
+    make, *args = ESTIMATORS[estimator]
     assert_calibrated(calibration_runs(*make(*args))[2])
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_iid_estimates_are_calibrated(estimator):
+    # the same estimators under the iid laws of the tests' references
+    make, *args = ESTIMATORS[estimator]
+    law, *rest = make(*args)
+    assert_calibrated(calibration_runs(iid(law), *rest)[2])

@@ -17,14 +17,13 @@ from minkval import integral_geom
 from minkval.convex import Polytope, cube, intrinsic_volumes, random_hull
 from minkval.integral_geom import (
     TranslativeIntegrals,
-    _rotations_from_quaternions,
     hadwiger_check,
     kinematic_check,
     kinematic_target,
 )
 from minkval.valuation import MinkowskiValuationSpec, PieceEvaluator, builtin_spec
 
-from motion_reference import MotionIntersections
+from motion_reference import MotionIntersections, rotations_from_quaternions
 from test_integral_geom import slab_and_needle
 
 FAR = np.array([1e3, -1e3, 1e3])
@@ -50,7 +49,7 @@ def _values():
 
 def _rotations(seed: int, m: int) -> np.ndarray:
     q = np.random.default_rng(seed).standard_normal((m, 4))
-    return _rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
+    return rotations_from_quaternions(q / np.linalg.norm(q, axis=1)[:, None])
 
 
 def _box_law(P: Polytope, L: Polytope, R: np.ndarray, rng: np.random.Generator,
@@ -78,11 +77,12 @@ def test_closed_form_matches_box_law_monte_carlo(pair, seed):
     for R in _rotations(seed, 2):
         x, box = _box_law(P, L, R, rng, m)
         Rs = np.repeat(R[None], m, axis=0)
-        pieces = exact.pieces(R[None], (1, 2))
+        pieces, fixed = exact.pieces(R[None], (1, 2)), exact.fixed_pieces((1, 2))
         checks = list(zip(reference.volumes(Rs, x).T,
                           [exact.volumes(R[None])[0], exact.mean_widths(R[None])[0],
                            vp[2] * vl[3] + vp[3] * vl[2], vp[3] * vl[3]]))
-        checks += [(value(reference.pieces(Rs, x)), value(pieces)[0]) for value in _values()]
+        checks += [(value(reference.pieces(Rs, x)), value(pieces)[0] + value(fixed)[0])
+                   for value in _values()]
         for k, (samples, want) in enumerate(checks):
             samples = box * samples
             se = samples.std(ddof=1) / math.sqrt(m)

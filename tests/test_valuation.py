@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from minkval import valuation
 from minkval.constants import omega
 from minkval.convex import Polytope, area_measure, cube, intrinsic_volumes, random_hull
-from minkval.integral_geom import TranslativeIntegrals, _rotations_from_quaternions, agrees
+from minkval.integral_geom import TranslativeIntegrals, agrees
 from minkval.valuation import (
     PATHS,
     MeasurePieces,
@@ -28,6 +28,8 @@ from minkval.valuation import (
     valuation_identity_check,
 )
 from minkval.zonal import ZonalObject, box_multiplier, builtin_zonal
+
+from motion_reference import rotations_from_quaternions
 
 
 def random_directions(rng, m):
@@ -242,7 +244,7 @@ def test_rotation_equivariance_relative(name, seed, exponent, q, u):
     # rounding of the rotated lattice, at any scale
     spec = builtin_spec(name)
     P = random_hull(seed).scaled(10.0 ** exponent)
-    R = _rotations_from_quaternions(q[None])[0]
+    R = rotations_from_quaternions(q[None])[0]
     dirs = np.array([u, -u, [0.0, 0.0, 1.0]])
     got = evaluate(spec, P.rotated(R), dirs @ R.T).values
     want = evaluate(spec, P, dirs).values
@@ -262,9 +264,9 @@ def test_rotation_equivariance_of_the_translative_pieces(name, seed, exponent, q
     spec = builtin_spec(name)
     lam = 10.0 ** exponent
     P, L = random_hull(seed).scaled(lam), random_hull(seed + 1, 10).scaled(lam)
-    Q = _rotations_from_quaternions(q[None])[0]
+    Q = rotations_from_quaternions(q[None])[0]
     turns = np.random.default_rng(seed).standard_normal((5, 4))
-    R = _rotations_from_quaternions(turns / np.linalg.norm(turns, axis=1)[:, None])
+    R = rotations_from_quaternions(turns / np.linalg.norm(turns, axis=1)[:, None])
     pieces = TranslativeIntegrals(P, L).pieces(R, (1, 2))
     turned = TranslativeIntegrals(P.rotated(Q), L.rotated(Q)).pieces(Q @ R @ Q.T, (1, 2))
     value = PieceEvaluator(spec, u)
