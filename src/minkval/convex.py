@@ -166,8 +166,9 @@ class Polytope:
     """Convex polytope in R^3, possibly of lower dimension or empty.
 
     Full-dimensional bodies carry merged facets (outward unit normal,
-    ordered vertex cycle, area) and the edge graph; planar bodies carry the
-    polygon cycle, plane normal, and in-plane outward edge normals.
+    ordered vertex cycle, area) and the edge graph; planar bodies carry
+    their vertices in cycle order, the plane normal, and in-plane outward
+    edge normals.
     """
 
     def __init__(self):
@@ -180,9 +181,8 @@ class Polytope:
         self.facet_cycles: list[list[int]] = []
         self.facet_areas = np.zeros(0)
         self.edges: list[tuple[int, int, int, int]] = []  # (i, j, facet1, facet2)
-        # dim 2 lattice
+        # dim 2 lattice: the vertices in counterclockwise order about the normal
         self.plane_normal: np.ndarray | None = None
-        self.polygon_cycle: list[int] = []
         self.edge_normals_inplane = np.zeros((0, 3))
 
     # -- construction -----------------------------------------------------
@@ -316,13 +316,11 @@ class Polytope:
         hull = ConvexHull(xy)
         cyc = _prune_collinear(hull.vertices, pts)  # counterclockwise in (b1, b2)
         self.vertices = pts[cyc]
-        self.polygon_cycle = list(range(len(cyc)))
         self.plane_normal = np.cross(b1, b2)
-        m = len(self.polygon_cycle)
+        m = len(cyc)
         normals = []
         for k in range(m):
-            a = self.vertices[self.polygon_cycle[k]]
-            b = self.vertices[self.polygon_cycle[(k + 1) % m]]
+            a, b = self.vertices[k], self.vertices[(k + 1) % m]
             d = b - a
             d2 = np.array([np.dot(d, b1), np.dot(d, b2)])
             out2 = np.array([d2[1], -d2[0]])  # outward for a CCW cycle
@@ -358,8 +356,8 @@ class Polytope:
         if self.dim == 3:
             return [(a, b) for a, b, _, _ in self.edges]
         if self.dim == 2:
-            cyc = self.polygon_cycle
-            return [(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc))]
+            m = self.num_vertices
+            return [(k, (k + 1) % m) for k in range(m)]
         if self.dim == 1:
             return [(0, 1)]
         return []
@@ -418,27 +416,6 @@ def _slerp(a: np.ndarray, b: np.ndarray, th: np.ndarray, s: np.ndarray) -> np.nd
     return ((np.sin(np.multiply.outer(th, 1.0 - s))[..., None] * a[:, None, :]
              + np.sin(np.multiply.outer(th, s))[..., None] * b[:, None, :])
             / np.sin(th)[:, None, None])
-
-
-def _spherical_triangle_area(tri: np.ndarray) -> np.ndarray:
-    """Spherical excess E of triangles stacked on the leading axes of an
-    (..., 3, 3) array of unit vectors, by the formula of Van Oosterom and
-    Strackee (IEEE Trans. Biomed. Eng. 30, 1983),
-
-        tan(E/2) = |A . (B x C)| / (1 + A . B + B . C + C . A).
-
-    The triple product is taken as A . ((B - A) x (C - B)), each triangle
-    turned so that B C is its shortest side: the cross product of the
-    shortest side with another is accurate on thin triangles, where
-    l'Huilier's formula lost up to 1e-8 relative."""
-    tri = np.asarray(tri, dtype=float)
-    side = np.stack([_norms(tri[..., (k + 2) % 3, :] - tri[..., (k + 1) % 3, :])
-                     for k in range(3)], axis=-1)         # the side opposite each vertex
-    first = np.argmin(side, axis=-1)[..., None, None]
-    tri = np.take_along_axis(tri, (first + np.arange(3)[:, None]) % 3, axis=-2)
-    A, B, C = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    num = np.abs(np.vecdot(A, np.cross(B - A, C - B)))
-    return 2.0 * np.arctan2(num, 1.0 + np.vecdot(A, B) + np.vecdot(B, C) + np.vecdot(C, A))
 
 
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -729,74 +706,32 @@ def _facet_entries(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return cyc, np.repeat(np.arange(len(lens)), lens)
 
 
-def _vertex_cone_triangles(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """The fan triangles (T, 3, 3) of the normal cones of the vertices of a
-    full-dimensional P, vertex by vertex, and the vertex of each (T,).
-
-    A vertex's cone is the cycle of the normals of its facets.  The cycle
-    starts at the lower facet of the vertex's first edge in P.edges and
-    leaves it across its other edge at the vertex; it is fanned from its
-    normalised vertex sum (added in cycle order), and a triangle whose
-    sides at the centre have |cross| <= 1e-14 is dropped."""
-    cyc, facet = _facet_entries(P)
-    nv = P.num_vertices
-    lens = np.bincount(facet)
-    first = (np.cumsum(lens) - lens)[facet]
-    pos = np.arange(len(cyc)) - first
-    succ = cyc[first + (pos + 1) % lens[facet]]
-    pred = cyc[first + (pos - 1) % lens[facet]]
-    # the entry across the edge (v, succ) is the one of v whose predecessor
-    # is succ (cycles run counterclockwise from outside); across (pred, v)
-    # is the inverse step
-    key = cyc * nv + pred
-    by_key = np.argsort(key)
-    across_succ = by_key[np.searchsorted(key[by_key], cyc * nv + succ)]
-    across_pred = np.empty_like(across_succ)
-    across_pred[across_succ] = np.arange(len(cyc))
-    # each vertex's first edge, its lower facet, and the entry of both
-    edges = _edge_array(P)
-    e0 = np.full(nv, len(edges))
-    np.minimum.at(e0, edges[:, 0], np.arange(len(edges)))
-    np.minimum.at(e0, edges[:, 1], np.arange(len(edges)))
-    v = np.arange(nv)
-    other = np.where(edges[e0, 0] == v, edges[e0, 1], edges[e0, 0])
-    key = facet * nv + cyc
-    by_key = np.argsort(key)
-    start = by_key[np.searchsorted(key[by_key], edges[e0, 2] * nv + v)]
-    step = np.where((succ[start] == other)[cyc], across_pred, across_succ)
-    # walk all cones at once, one facet per vertex and step
-    deg = np.bincount(cyc, minlength=nv)
-    offset = np.cumsum(deg) - deg
-    walk = np.empty(len(cyc), dtype=int)
-    cur = start
-    for k in range(int(deg.max())):
-        live = deg > k
-        walk[offset[live] + k] = cur[live]
-        cur = step[cur]
-    pts = P.facet_normals[facet[walk]]
-    owner = np.repeat(v, deg)
-    centre = np.zeros((nv, 3))
-    np.add.at(centre, owner, pts)   # in cycle order, as ndarray.sum(axis=0)
-    c = _unit(centre)[owner]
-    rank = np.arange(len(cyc)) - offset[owner]
-    nxt = pts[offset[owner] + (rank + 1) % deg[owner]]
-    keep = _norms(np.cross(pts - c, nxt - c)) > 1e-14
-    return np.stack([c, pts, nxt], axis=1)[keep], owner[keep]
-
-
 def normal_cone_masses(P: Polytope) -> np.ndarray:
     """The solid angle of the normal cone of each vertex of P, in vertex
     order.  The cones tile the sphere, so the masses add up to 4 pi; they
-    make the pieces of the `area-measure --i 0` report.  A full body adds
-    the spherical excesses of each cone's fan triangles in fan order; a
-    polygon's cones are lunes of twice the angle between the normals of a
-    vertex's two edges; a segment has two hemispheres and a point the
-    whole sphere."""
+    make the pieces of the `area-measure --i 0` report.  A full body's cone
+    at v is its angle defect 2 pi - sum_F theta_F(v), theta_F(v) the angle
+    of facet F at v between its neighbours in F's cycle (Gauss-Bonnet: the
+    cone's spherical polygon has the angles pi - theta_F(v)), clipped at 0
+    for a vertex flat to rounding.  The angles are taken in [0, 2 pi) in the
+    facets' planes: a facet merged within MERGE_TOL is planar only that far,
+    and in its plane its angles still add up to (k - 2) pi, so that the
+    defects add up to 4 pi by Euler's relation (Descartes' theorem) even on
+    a facet merged across a fold.  A polygon's cones are lunes of twice the
+    angle between the normals of a vertex's two edges; a segment has two
+    hemispheres and a point the whole sphere."""
     if P.dim == 3:
-        tris, owner = _vertex_cone_triangles(P)
-        masses = np.zeros(P.num_vertices)
-        np.add.at(masses, owner, _spherical_triangle_area(tris))   # in fan order
-        return masses
+        cyc, facet = _facet_entries(P)
+        lens = np.bincount(facet)
+        first = (np.cumsum(lens) - lens)[facet]
+        pos = np.arange(len(cyc)) - first
+        v, n = P.vertices[cyc], P.facet_normals[facet]
+        a = P.vertices[cyc[first + (pos - 1) % lens[facet]]] - v
+        b = P.vertices[cyc[first + (pos + 1) % lens[facet]]] - v
+        # the angle from b round n to a, of the sides as projected on the facet's plane
+        angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
+                           np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b)) % (2.0 * math.pi)
+        return np.maximum(2.0 * math.pi - np.bincount(cyc, angle, P.num_vertices), 0.0)
     if P.dim == 2:
         me = P.edge_normals_inplane
         return 2.0 * _arc_angles(np.roll(me, 1, axis=0), me)
@@ -834,8 +769,7 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
             a, b = P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]]
             density = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]]) / binom
     elif P.dim == 2:
-        w = P.plane_normal
-        pts = P.vertices[P.polygon_cycle]
+        w, pts = P.plane_normal, P.vertices
         if i == 2:
             normals, masses = np.array([w, -w]), np.full(2, _polygon_area3d(pts))
         else:
@@ -921,7 +855,7 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
         v1 = sum((length * angle).tolist())
         return IntrinsicVolumes(1.0, v1 / (2.0 * math.pi), surf / 2.0, float(vol))
     if P.dim == 2:
-        pts = P.vertices[P.polygon_cycle]
+        pts = P.vertices
         per = sum(_norms(np.roll(pts, -1, axis=0) - pts).tolist())
         return IntrinsicVolumes(1.0, per / 2.0, _polygon_area3d(pts), 0.0)
     if P.dim == 1:

@@ -588,7 +588,10 @@ class _LineChords:
         self.radius = float(np.max(reach)) * (1.0 + 1e-12)
         self.weight = math.comb(3, 2) * kappa(3) / kappa(1) * self.radius ** 2
         self.cut = 1e-12 * _extent(P.vertices)
-        self.sample_bytes = 8 * (8 * len(self.b) + 16)   # the (m, F) arrays of _clip_lines
+        # at the peak of _clip_lines: den, num and their ratio, (m, F) doubles,
+        # and one np.where of the ratio with its (m, F) mask; then the points
+        # and the clipped ends
+        self.sample_bytes = 33 * len(self.b) + 128
 
     def points(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
         """The lines' points (m, 3) from the doubles r of their radii and ang

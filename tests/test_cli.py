@@ -14,6 +14,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,17 @@ def test_area_measure_command(tmp_path):
     assert rep["total_mass"] == pytest.approx(3 * 3.141592653589793, abs=1e-9)
     assert rep["pass"] is True
     assert rep["arcs"] == 12
+
+
+def test_area_measure_of_a_thin_slab_tiles_the_sphere(tmp_path):
+    # a slab 1e-8 thick: the fan of facet normals about their sum, which
+    # meet nearly antipodal at its rim, left a residual of 5.5e-3 and exit 1
+    body = tmp_path / "slab.json"
+    points = np.random.default_rng(0).standard_normal((40, 3)) * [1.0, 1.0, 1e-8]
+    body.write_text(json.dumps({"dimension": 3, "vertices": points.tolist()}))
+    code, rep = run(tmp_path, "area-measure", "--body", str(body), "--i", "0")
+    assert code == 0 and rep["pass"] is True
+    assert rep["residual"] <= 1e-14
 
 
 def test_evaluate_command(tmp_path):
@@ -345,6 +357,21 @@ def test_lower_dimensional_body_is_an_input_error(tmp_path, argv, monkeypatch):
     assert code == 2
     assert set(rep) == {"error"}
     assert rep["error"].startswith(f"bad body {bad!r}") and "full-dimensional" in rep["error"]
+
+
+@pytest.mark.parametrize("seed,error", [(1, "facet boundary is not a single cycle"),
+                                        (3, "facet boundary touches itself")])
+def test_lattice_build_failure_is_an_input_error(tmp_path, capsys, monkeypatch, seed, error):
+    # facets merged across normals 0.3 apart are not disks: the build's own
+    # checks reject them, and the command reports the body as bad input
+    monkeypatch.setattr(convex, "MERGE_TOL", 0.3)
+    with pytest.raises(ValueError, match=error):
+        convex.random_hull(seed, 200)
+    capsys.readouterr()
+    code, rep = run(tmp_path, "area-measure", "--body", f"random:{seed}:200", "--i", "0")
+    assert code == 2
+    assert rep == {"error": f"bad body 'random:{seed}:200': {error}"}
+    assert "Traceback" not in "".join(capsys.readouterr())
 
 
 def test_switches_turn_off_with_their_no_flags(tmp_path):

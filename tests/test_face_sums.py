@@ -16,7 +16,6 @@ from minkval.convex import (
     Polytope,
     _arc_angles,
     _polygon_area3d,
-    _spherical_triangle_area,
     _unit,
     area_measure,
     ball_polytope,
@@ -50,37 +49,13 @@ def loop_intrinsic_volumes(P):
                                       float(np.dot(n1, n2)))
         return (1.0, v1 / (2.0 * math.pi), float(np.sum(P.facet_areas)) / 2.0, float(vol))
     if P.dim == 2:
-        cyc = P.polygon_cycle
-        per = sum(float(np.linalg.norm(P.vertices[cyc[(k + 1) % len(cyc)]] - P.vertices[cyc[k]]))
-                  for k in range(len(cyc)))
-        return (1.0, per / 2.0, _polygon_area3d(P.vertices[cyc]), 0.0)
+        m = P.num_vertices
+        per = sum(float(np.linalg.norm(P.vertices[(k + 1) % m] - P.vertices[k]))
+                  for k in range(m))
+        return (1.0, per / 2.0, _polygon_area3d(P.vertices), 0.0)
     if P.dim == 1:
         return (1.0, float(np.linalg.norm(P.vertices[1] - P.vertices[0])), 0.0, 0.0)
     return (1.0, 0.0, 0.0, 0.0)
-
-
-def loop_vertex_cone(P, incident):
-    """Facet normals about a vertex, walked facet to facet from the lower
-    facet of its first incident edge (in the order of P.edges)."""
-    edge_of = {}
-    for idx, (_, _, f1, f2) in enumerate(incident):
-        edge_of.setdefault(f1, []).append(idx)
-        edge_of.setdefault(f2, []).append(idx)
-    cycle, used = [incident[0][2]], {0}
-    while len(cycle) < len(edge_of):
-        nxt = next(idx for idx in edge_of[cycle[-1]] if idx not in used)
-        used.add(nxt)
-        _, _, f1, f2 = incident[nxt]
-        cycle.append(f2 if f1 == cycle[-1] else f1)
-    return P.facet_normals[cycle]
-
-
-def loop_fan(cycle_pts):
-    """Fan triangles of a spherical polygon about its normalised vertex sum."""
-    c = _unit(cycle_pts.sum(axis=0))
-    nxt = np.roll(cycle_pts, -1, axis=0)
-    keep = np.linalg.norm(np.cross(cycle_pts - c, nxt - c), axis=1) > 1e-14
-    return np.stack([np.broadcast_to(c, cycle_pts.shape), cycle_pts, nxt], axis=1)[keep]
 
 
 def loop_pieces(P, i):
@@ -97,40 +72,52 @@ def loop_pieces(P, i):
                 length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
                 arcs.append((P.facet_normals[f1], P.facet_normals[f2], length / binom))
     else:
-        w, cyc = P.plane_normal, P.polygon_cycle
-        m = len(cyc)
+        w, m = P.plane_normal, P.num_vertices
         if i == 2:
-            area = _polygon_area3d(P.vertices[cyc])
+            area = _polygon_area3d(P.vertices)
             atoms = [(w, area), (-w, area)]
         elif i == 1:
             for k in range(m):
-                length = float(np.linalg.norm(P.vertices[cyc[(k + 1) % m]] - P.vertices[cyc[k]]))
+                length = float(np.linalg.norm(P.vertices[(k + 1) % m] - P.vertices[k]))
                 me = P.edge_normals_inplane[k]
                 arcs += [(w, me, length / binom), (me, -w, length / binom)]
     return atoms, arcs
 
 
+def loop_triangle_excess(tri):
+    """Spherical excesses of the triangles (T, 3, 3) of unit vectors, by
+    the formula of Van Oosterom and Strackee (IEEE Trans. Biomed. Eng. 30,
+    1983): tan(E/2) = |A . (B x C)| / (1 + A . B + B . C + C . A)."""
+    A, B, C = tri[:, 0], tri[:, 1], tri[:, 2]
+    num = np.abs(np.vecdot(A, np.cross(B, C)))
+    return 2.0 * np.arctan2(num, 1.0 + np.vecdot(A, B) + np.vecdot(B, C) + np.vecdot(C, A))
+
+
 def loop_cone_masses(P):
     """The solid angle of each vertex's normal cone of a polytope of
-    dimension 2 or 3, vertex by vertex: the excesses of its fan triangles
-    added in order, and for a polygon the four triangles of the lune
-    between the normals of the vertex's edges, about their normalised sum."""
+    dimension 2 or 3, vertex by vertex.  A full body's is its angle defect,
+    2 pi less the angles at the vertex of its facets in their planes, added
+    in facet order and clipped at 0; a polygon's is the excess of the four
+    triangles of the lune between the normals of the vertex's edges, about
+    their normalised sum."""
     masses = []
     if P.dim == 3:
-        incident = [[] for _ in range(P.num_vertices)]
-        for e in P.edges:
-            incident[e[0]].append(e)
-            incident[e[1]].append(e)
-        for v in range(P.num_vertices):
-            masses.append(sum(_spherical_triangle_area(
-                loop_fan(loop_vertex_cone(P, incident[v]))).tolist()))
+        angles = [[] for _ in range(P.num_vertices)]
+        for cyc, n in zip(P.facet_cycles, P.facet_normals):
+            for k, v in enumerate(cyc):
+                x = P.vertices[v]
+                a, b = P.vertices[cyc[k - 1]] - x, P.vertices[cyc[(k + 1) % len(cyc)]] - x
+                angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
+                                   np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b))
+                angles[v].append(float(angle % (2.0 * math.pi)))
+        masses = [max(2.0 * math.pi - sum(a), 0.0) for a in angles]
     else:
-        w, m = P.plane_normal, len(P.polygon_cycle)
+        w, m = P.plane_normal, P.num_vertices
         for k in range(m):
             m_prev, m_next = P.edge_normals_inplane[(k - 1) % m], P.edge_normals_inplane[k]
             c = _unit(m_prev + m_next)
             lune = np.array([(c, w, m_prev), (c, m_prev, -w), (c, -w, m_next), (c, m_next, w)])
-            masses.append(sum(_spherical_triangle_area(lune).tolist()))
+            masses.append(sum(loop_triangle_excess(lune).tolist()))
     return masses
 
 
@@ -224,7 +211,7 @@ def test_area_measure_pieces_equal_the_face_loop(i):
 
 
 def test_normal_cone_masses_equal_the_vertex_loop():
-    # a full body's cones sum the excesses of the same fan triangles; a
+    # a full body's cones sum the same face angles in the same order; a
     # polygon's lunes are twice the angle of their edge normals, in closed form
     for P in (P for P in BODIES if P.dim >= 2):
         masses, ref = normal_cone_masses(P).tolist(), loop_cone_masses(P)
@@ -243,7 +230,9 @@ def test_masses_equal_the_piece_loop(i):
 
 
 def test_total_mass_is_one_batched_pass(monkeypatch):
-    calls = {"_arc_angles": 0, "_spherical_triangle_area": 0}
+    # the arcs' angles in one call, and the facet angles of every vertex's
+    # cone in one pass over the facet cycles
+    calls = {"_arc_angles": 0, "_facet_entries": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(convex, name)):
             calls[_name] += 1
@@ -254,9 +243,9 @@ def test_total_mass_is_one_batched_pass(monkeypatch):
     meas = s0.merged(s1).merged(area_measure(P, 2))
     assert len(meas.arcs.density) > 100 and meas.uniform == 1.0
     meas.total_mass
-    assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 0}
+    assert calls == {"_arc_angles": 1, "_facet_entries": 0}
     normal_cone_masses(P)
-    assert calls == {"_arc_angles": 1, "_spherical_triangle_area": 1}
+    assert calls == {"_arc_angles": 1, "_facet_entries": 1}
 
 
 def test_empty_measure_has_zero_mass():

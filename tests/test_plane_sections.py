@@ -555,7 +555,9 @@ KERNEL_BODIES = {
 def test_one_kernel_call_stays_within_its_bytes(body, i, j):
     # the plane, line and point kernels on a whole chunk of run_shards, its
     # draws made beforehand: the tracemalloc peak of their temporaries stays
-    # within the chunk's sample_bytes, and with the draws within CHUNK_BYTES
+    # within the chunk's sample_bytes, and with the draws within CHUNK_BYTES;
+    # the line kernel's count is no more than twice its peak (it counted
+    # 64 bytes a facet where _clip_lines holds 33, and ran chunks half full)
     law, kernel, sample_bytes = _intrinsic_kernel(KERNEL_BODIES[body], j, i)
     m = CHUNK_BYTES // (sample_bytes + law.bytes)
     variates = law.variates(integral_geom._streams(5), m)
@@ -564,6 +566,8 @@ def test_one_kernel_call_stays_within_its_bytes(body, i, j):
     draws = law.draw(variates, (np.arange(m), m, None))
     peak = _peak_bytes(lambda: kernel(*draws))
     assert peak <= m * sample_bytes <= CHUNK_BYTES - m * law.bytes
+    if law is LINES:
+        assert m * sample_bytes <= 2 * peak
 
 
 def test_point_sampling_memory_not_above_per_shard_loop():
