@@ -172,7 +172,6 @@ class Polytope:
     """
 
     def __init__(self):
-        self.n = 3
         self.dim = -1
         self.vertices = np.zeros((0, 3))
         # dim 3 lattice
@@ -180,7 +179,7 @@ class Polytope:
         self.facet_offsets = np.zeros(0)
         self.facet_cycles: list[list[int]] = []
         self.facet_areas = np.zeros(0)
-        self.edges: list[tuple[int, int, int, int]] = []  # (i, j, facet1, facet2)
+        self.edges = np.zeros((0, 4), dtype=int)   # (i, j, facet1, facet2) per edge, i < j
         # dim 2 lattice: the vertices in counterclockwise order about the normal
         self.plane_normal: np.ndarray | None = None
         self.edge_normals_inplane = np.zeros((0, 3))
@@ -299,8 +298,7 @@ class Polytope:
         # each edge once, where the walk of its lower facet crosses it
         r = walk[f[walk] < g[walk]]
         a, b = remap[tail[r]], remap[head[r]]
-        self.edges = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(),
-                              f[r].tolist(), g[r].tolist()))
+        self.edges = np.column_stack([np.minimum(a, b), np.maximum(a, b), f[r], g[r]])
         self.dim = 3
         ne, nf = len(self.edges), len(self.facet_cycles)
         if len(self.vertices) - ne + nf != 2:
@@ -352,15 +350,14 @@ class Polytope:
         u = np.asarray(u, dtype=float)
         return float(np.max(self.vertices @ u))
 
-    def edge_index_pairs(self) -> list[tuple[int, int]]:
+    def edge_index_pairs(self) -> np.ndarray:
+        """The ends (E, 2) of the edges, as vertex indices."""
         if self.dim == 3:
-            return [(a, b) for a, b, _, _ in self.edges]
+            return self.edges[:, :2]
         if self.dim == 2:
-            m = self.num_vertices
-            return [(k, (k + 1) % m) for k in range(m)]
-        if self.dim == 1:
-            return [(0, 1)]
-        return []
+            k = np.arange(self.num_vertices)
+            return np.column_stack([k, np.roll(k, -1)])
+        return np.array([[0, 1]] if self.dim == 1 else [], dtype=int).reshape(-1, 2)
 
     def inequalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Facet inequalities A x <= b of a full-dimensional body."""
@@ -387,6 +384,8 @@ class Polytope:
         import json as _json
         if isinstance(data, str):
             data = _json.loads(data)
+        if not isinstance(data, dict) or "vertices" not in data:
+            raise ValueError('a body is a JSON object with a "vertices" list')
         if int(data.get("dimension", 3)) != 3:
             raise ValueError("only ambient dimension 3 bodies are supported")
         return cls.from_vertices(data["vertices"])
@@ -485,7 +484,6 @@ class AreaMeasure:
     The normal cones of the vertices, which tile the sphere, appear only in
     the `area-measure --i 0` report, through normal_cone_masses."""
 
-    n: int
     degree: int
     atoms: Atoms = field(default_factory=lambda: Atoms(
         np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0)))
@@ -555,7 +553,7 @@ class AreaMeasure:
         """The moments of degree <= kmax (kmax+1, D) by the addition theorem
         where that is the cheaper route for one body in R^3, else None."""
         nodes = len(self.atoms.mass) + ARC_NODES * len(self.arcs.density)
-        if self.bodies is None and self.n == 3 and _harmonic_is_cheaper(nodes, len(dirs), kmax):
+        if self.bodies is None and _harmonic_is_cheaper(nodes, len(dirs), kmax):
             return _harmonic_moments(*self.node_cloud()[:2], dirs, kmax)
         return None
 
@@ -575,7 +573,7 @@ class AreaMeasure:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         out = self._addition_theorem(dirs, kmax)
         if out is None:
-            out = self._node_sums(dirs, kmax + 1, lambda t: legendre_rows(self.n, kmax, t))
+            out = self._node_sums(dirs, kmax + 1, lambda t: legendre_rows(3, kmax, t))
         out[0] += 4.0 * math.pi * self.uniform
         return out
 
@@ -693,11 +691,6 @@ def _harmonic_moments(pts: np.ndarray, wts: np.ndarray, dirs: np.ndarray, kmax: 
 
 # -- area measures of polytopes ---------------------------------------------
 
-def _edge_array(P: Polytope) -> np.ndarray:
-    """P.edges of a full-dimensional P as an (E, 4) integer array."""
-    return np.array(P.edges, dtype=int).reshape(-1, 4)
-
-
 def _facet_entries(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """The facet cycles of a full-dimensional P, concatenated in order: the
     vertex and the facet of each entry."""
@@ -731,7 +724,10 @@ def normal_cone_masses(P: Polytope) -> np.ndarray:
         # the angle from b round n to a, of the sides as projected on the facet's plane
         angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
                            np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b)) % (2.0 * math.pi)
-        return np.maximum(2.0 * math.pi - np.bincount(cyc, angle, P.num_vertices), 0.0)
+        # the double 2 pi lies 2.449e-16 below 2 pi: add the remainder back
+        defect = 2.0 * math.pi - np.bincount(cyc, angle, P.num_vertices)
+        defect += 2.4492935982947064e-16
+        return np.maximum(defect, 0.0)
     if P.dim == 2:
         me = P.edge_normals_inplane
         return 2.0 * _arc_angles(np.roll(me, 1, axis=0), me)
@@ -754,7 +750,7 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
     """
     if not 0 <= i <= 2:
         raise ValueError(f"degree must satisfy 0 <= i <= n-1 = 2, got {i}")
-    meas = AreaMeasure(3, i)
+    meas = AreaMeasure(i)
     if P.is_empty:
         return meas
     if i == 0:
@@ -765,9 +761,9 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
         if i == 2:
             normals, masses = P.facet_normals, P.facet_areas
         else:
-            edges = _edge_array(P)
-            a, b = P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]]
-            density = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]]) / binom
+            tail, head, f, g = P.edges.T
+            a, b = P.facet_normals[f], P.facet_normals[g]
+            density = _norms(P.vertices[head] - P.vertices[tail]) / binom
     elif P.dim == 2:
         w, pts = P.plane_normal, P.vertices
         if i == 2:
@@ -797,7 +793,7 @@ def steiner_area_measure(P: Polytope, i: int, t: float) -> AreaMeasure:
     """S_i(P + tB, .) = sum_j t^(i-j) C(i, j) S_j(P, .), t >= 0."""
     if t < 0:
         raise ValueError("outer parallel radius t must be >= 0")
-    out = AreaMeasure(3, i)
+    out = AreaMeasure(i)
     for j in range(i + 1):
         coef = t ** (i - j) * math.comb(i, j)
         if coef == 0.0:
@@ -843,9 +839,9 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
         centroid = centroid / np.bincount(facet)[:, None] - P.vertices.mean(axis=0)
         vol = sum((P.facet_areas * np.vecdot(P.facet_normals, centroid) / 3.0).tolist())
         surf = float(np.sum(P.facet_areas))
-        edges = _edge_array(P)
-        length = _norms(P.vertices[edges[:, 1]] - P.vertices[edges[:, 0]])
-        n1, n2 = P.facet_normals[edges[:, 2]], P.facet_normals[edges[:, 3]]
+        tail, head, f, g = P.edges.T
+        length = _norms(P.vertices[head] - P.vertices[tail])
+        n1, n2 = P.facet_normals[f], P.facet_normals[g]
         # math.atan2, not np.arctan2 (as in _arc_angles): numpy's array
         # arctan2 differs from libm's by one ulp on some arguments, which
         # moves V1 in its last bit on 7 of the 220 full-dimensional bodies
@@ -872,7 +868,7 @@ def _cut(P: Polytope, d: np.ndarray, halfspace: bool) -> Polytope:
     _extent lie on the plane."""
     tol = POINT_TOL * _extent(P.vertices)
     keep = (d if halfspace else np.abs(d)) <= tol
-    ij = np.array(P.edge_index_pairs(), dtype=int).reshape(-1, 2)
+    ij = P.edge_index_pairs()
     di, dj = d[ij[:, 0]], d[ij[:, 1]]
     cross = ((di > tol) & (dj < -tol)) | ((di < -tol) & (dj > tol))
     vi, vj = P.vertices[ij[cross, 0]], P.vertices[ij[cross, 1]]

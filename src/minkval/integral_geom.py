@@ -31,20 +31,22 @@ nonzero run by Monte Carlo.
 
 Every estimator runs through one shard loop, `run_shards`, which averages
 a kernel's values under a law (`Lattice` or `Law`) and knows no weight.  A
-run draws its random numbers from two streams seeded once from its seed,
-one of normals and one of doubles: first the lattices' shift of each
-shard, then each sample's variates in sample order; shard k is simply the
-samples [start_k, end_k) of the run.  The run goes in chunks of bounded
-memory, cut without regard to the shards: each chunk's samples are drawn
-from their variates and their places in their shards (the lattice point,
-the stratum of a stratified double), a kernel evaluates them, and each
-shard's values are summed in fixed blocks from its start.  The draws, the
-kernels and the sums are elementwise or blocked per shard, so no value
-depends on the chunking, and the standard error comes from the per-shard
-spread.  Results are deterministic in (seed, N, shards), and
-memory is bounded by CHUNK_BYTES whatever the number or size of the
-shards.  The uniform variates are Generator.random doubles, stratified or
-not, that the kernels scale to their windows as Generator.uniform would.
+run draws its random numbers from one stream of doubles seeded once from
+its seed: first the lattices' shift of each shard, then each sample's
+doubles in sample order; shard k is simply the samples [start_k, end_k)
+of the run.  Each random object comes from its doubles through one map: a
+direction through the equal-area map (`direction_map`), a rotation
+through its Hopf matrix (`rotation_map`), and an offset, a radius or a
+coordinate scaled to its window as Generator.uniform would scale it
+(`_uniform`).  The run goes in chunks of bounded memory, cut without
+regard to the shards: each chunk's samples are drawn from their doubles
+and their places in their shards (the lattice point, the stratum of a
+stratified double), a kernel evaluates them, and each shard's values are
+summed in fixed blocks from its start.  The draws, the kernels and the
+sums are elementwise or blocked per shard, so no value depends on the
+chunking, and the standard error comes from the per-shard spread.
+Results are deterministic in (seed, N, shards), and memory is bounded by
+CHUNK_BYTES whatever the number or size of the shards.
 The kernels build no face lattice: the valuation-valued check integrates
 the profiles of `evaluate` (`valuation.PieceEvaluator`) against the area
 measures of a whole chunk, integrated over the offsets or the
@@ -56,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,11 +71,11 @@ from .convex import (
     Polytope,
     _cross,
     _dots,
-    _edge_array,
     _extent,
     _norms,
     _plane_basis,
     _unit,
+    area_measure,
     intrinsic_volumes,
 )
 from .harmonics import legendre_rows
@@ -164,66 +166,104 @@ class EstimateReport:
         }
 
 
+def _polar(u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 - u_0 and r = 2 sqrt(u_0 (1 - u_0)), the radius sqrt(1 - z^2) at
+    the height z = 1 - 2 u_0 = (1 - u_0) - u_0."""
+    p = 1.0 - u0
+    r = u0 * p
+    np.sqrt(r, out=r)
+    r *= 2.0
+    return p, r
+
+
+def direction_map(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """The directions (m, 3) of the doubles u_0, u_1 (m,) by the equal-area
+    map z = 1 - 2 u_0, phi = 2 pi u_1 (Marques et al., Comput. Graph. Forum
+    32, 2013): uniform on the sphere when (u_0, u_1) is uniform on the unit
+    square."""
+    p, r = _polar(u0)
+    phi = u1 * (2.0 * math.pi)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), p - u0], axis=1)
+
+
+def rotation_map(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The rotation matrices (m, 3, 3) of the doubles u_0, u_1, u_2 (m,):
+    those of the unit quaternions of Hopf coordinates (u_0, phi = 2 pi u_1,
+    psi = 2 pi u_2), (sqrt(1 - u_0) cos psi/2, sqrt(1 - u_0) sin psi/2,
+    sqrt(u_0) cos(phi + psi/2), sqrt(u_0) sin(phi + psi/2)), uniform on
+    SO(3) when u is uniform on the unit cube (Yershova et al., IJRR 29,
+    2010).  Entry by entry in the layout (3, 3, m) that the kernels read,
+    from e^(i phi), e^(i psi), their product e^(i (phi + psi)) and
+    e^(i chi), chi = 2 phi + psi: the first row is the direction (z, -y, x)
+    of direction_map(u_0, u_1), the lower right block
+    (1 - u_0) Rot(psi) + u_0 Refl(chi)."""
+    p, r = _polar(u0)
+    z = np.zeros((2, len(u0)), dtype=complex)
+    np.multiply(u1, 2.0 * math.pi, out=z.imag[0])
+    np.multiply(u2, 2.0 * math.pi, out=z.imag[1])
+    np.exp(z, out=z)
+    phi, psi = z
+    both = phi * psi
+    chi = phi * both
+    psi *= p
+    chi *= u0
+    phi *= r
+    both *= r
+    e = np.empty((3, 3, len(u0)))
+    np.subtract(p, u0, out=e[0, 0])
+    np.negative(phi.imag, out=e[0, 1])
+    e[0, 2] = phi.real
+    e[1, 0] = both.imag
+    np.negative(both.real, out=e[2, 0])
+    np.add(psi.real, chi.real, out=e[1, 1])
+    np.subtract(chi.imag, psi.imag, out=e[1, 2])
+    np.add(chi.imag, psi.imag, out=e[2, 1])
+    np.subtract(psi.real, chi.real, out=e[2, 2])
+    return e.transpose(2, 0, 1)
+
+
 @dataclass(frozen=True)
 class Law:
-    """The random numbers of one sample of the laws of offsets (PLANES,
-    LINES, POINTS): `normals` standard normals from the run's stream of
-    normals and `uniforms` doubles in [0, 1) from its stream of doubles,
-    for m samples one (m, normals) and one (m, uniforms) array
-    (`variates`).  Each stream runs in sample order, so the next m samples'
-    numbers do not depend on how the run is cut, and run_shards draws them
-    a chunk at a time, within CHUNK_BYTES whatever the size of the shards.
-    `draw` makes the normals a unit vector (a plane normal, a line
-    direction) and hands the kernel the doubles' columns as they are.
-    Where `stratified`, it first makes the first double of sample j of a
-    shard's m samples (j + U_j) / m (`stratify`), with U_j that sample's
-    double of the stream: one sample in each stratum [j / m, (j + 1) / m),
-    in stream order, every other variate iid (Owen, Monte Carlo theory,
-    methods and examples, 2013, ch. 8).  The shard mean stays unbiased, the
-    shards stay independent replicates, and the per-shard standard error
-    stays valid.  A law knows no body: a kernel scales the doubles to its
-    window about the body, as Generator.uniform would (`_uniform`), and
-    weights its values by the window's measure."""
+    """The laws of offsets (PLANES, LINES, POINTS): per sample, `uniforms`
+    doubles in [0, 1) that the kernel scales to its window, the first
+    stratified, then, for flats with a `direction`, the two doubles that
+    `direction_map` makes a plane's normal or a line's direction.  A law
+    draws nothing per shard.  `draw` makes the first double of sample j of
+    a shard's m samples (j + U_j) / m, with U_j that sample's double of the
+    stream: one sample in each stratum [j / m, (j + 1) / m), in stream
+    order, every other double iid (Owen, Monte Carlo theory, methods and
+    examples, 2013, ch. 8).  The shard mean stays unbiased, the shards stay
+    independent replicates, and the per-shard standard error stays valid.
+    A law knows no body: a kernel scales the doubles to its window about
+    the body, as Generator.uniform would (`_uniform`), and weights its
+    values by the window's measure."""
 
-    normals: int
-    uniforms: int = 0
-    stratified: bool = False
+    uniforms: int
+    direction: bool = False
+    shard_doubles = 0
+
+    @property
+    def sample_doubles(self) -> int:
+        return self.uniforms + 2 * self.direction
 
     @property
     def bytes(self) -> int:
-        """The bytes of one sample's variates."""
-        return 8 * (self.normals + self.uniforms)
+        """The bytes of one sample's draw at its peak: its strata and
+        doubles, and the direction with the temporaries of its map."""
+        return 8 * (3 + self.sample_doubles + 9 * self.direction)
 
-    def shifts(self, doubles: np.random.Generator, shards: int) -> None:
-        """Nothing is drawn per shard."""
-        return None
-
-    def variates(self, streams: tuple[np.random.Generator, np.random.Generator],
-                 m: int) -> tuple[np.ndarray, ...]:
-        """The next m samples' normals and doubles from the run's streams
-        (`_streams`)."""
-        normals, doubles = streams
-        return (((normals.standard_normal((m, self.normals)),) if self.normals else ())
-                + ((doubles.random((m, self.uniforms)),) if self.uniforms else ()))
-
-    def stratify(self, variates: tuple[np.ndarray, ...], j: np.ndarray, m: np.ndarray) -> None:
-        """Make the first doubles u of a stratified law's variates
-        (j + u) / m in place, with j the index of each sample in its shard
-        and m its shard's size.  The last stratum's (m - 1 + u) / m rounds
-        to 1 for u near 1 and m >= 2, as Generator.uniform may round to its
-        upper end; the kernels take it."""
-        u = variates[-1][:, 0]
-        u += j
-        u /= m
-
-    def draw(self, variates: tuple[np.ndarray, ...], strata=None,
-             shifts=None) -> tuple[np.ndarray, ...]:
-        """The kernel's arguments from the variates, stratified where the law
-        is by the samples' strata (j, m, shard) of `_chunk_strata`."""
-        if self.stratified:
-            self.stratify(variates, *strata[:2])
-        out = (_unit(variates[0]),) if self.normals else ()
-        return out + (tuple(variates[-1].T) if self.uniforms else ())
+    def draw(self, u: np.ndarray, strata, shifts=None) -> tuple[np.ndarray, ...]:
+        """The kernel's arguments from the doubles u (m, sample_doubles) of
+        the samples of strata (j, m, shard) (`_chunk_strata`): the
+        direction, then the columns of the doubles, the first stratified in
+        place.  The last stratum's (m - 1 + u) / m rounds to 1 for u near 1
+        and m >= 2, as Generator.uniform may round to its upper end; the
+        kernels take it."""
+        first = u[:, 0]
+        first += strata[0]
+        first /= strata[1]
+        out = (direction_map(u[:, -2], u[:, -1]),) if self.direction else ()
+        return out + tuple(u[:, :self.uniforms].T)
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -234,23 +274,23 @@ class Lattice:
     """Uniform directions, or uniform rotations, from one randomly shifted
     lattice per shard.  Sample j of a shard of m samples is the point
     u = ((j + 1/2) / m, j g) + s mod 1 of the spherical Fibonacci rank-1
-    lattice, g = (sqrt 5 - 1) / 2, shifted by the shard's s, two doubles
-    that run_shards draws per shard, in shard order, before the first
-    chunk (`shifts`): a Cranley-Patterson rotation (Cranley & Patterson,
-    SIAM J. Numer. Anal. 13, 1976).  The equal-area map z = 1 - 2 u_0,
-    phi = 2 pi u_1 takes it to a direction (Marques et al., Comput. Graph.
-    Forum 32, 2013).  A rotation takes that direction as the axis of its
-    Hopf coordinates and one iid double u_2 of the stream, drawn with the
-    chunk (`variates`), for its angle psi = 2 pi u_2: the unit quaternion
-    (sqrt(1 - u_0) cos psi/2, sqrt(1 - u_0) sin psi/2,
-    sqrt(u_0) cos(phi + psi/2), sqrt(u_0) sin(phi + psi/2)) is uniform on
-    SO(3) when u is uniform (Yershova et al., IJRR 29, 2010).  Every point
-    is uniform, so a shard's mean is unbiased; the shards' shifts are
+    lattice, g = (sqrt 5 - 1) / 2, shifted by the shard's s, the two
+    doubles that run_shards draws per shard, in shard order, before the
+    first chunk: a Cranley-Patterson rotation (Cranley & Patterson, SIAM J.
+    Numer. Anal. 13, 1976).  A direction is the point's `direction_map`; a
+    rotation takes the point as the axis of its Hopf coordinates and the
+    sample's one iid double u_2 for its angle (`rotation_map`).  Every
+    point is uniform, so a shard's mean is unbiased; the shards' shifts are
     independent, so the shards stay independent replicates and the
     per-shard standard error stays valid.  A sample's point depends on its
     j, m and shard only, not on how the run is chunked."""
 
     rotations: bool = False
+    shard_doubles = 2
+
+    @property
+    def sample_doubles(self) -> int:
+        return int(self.rotations)
 
     @property
     def bytes(self) -> int:
@@ -258,85 +298,43 @@ class Lattice:
         direction, or its four unit complex numbers and rotation matrix."""
         return 8 * (28 if self.rotations else 13)
 
-    def shifts(self, doubles: np.random.Generator, shards: int) -> np.ndarray:
-        """The shards' shifts s (shards, 2), from the stream of doubles."""
-        return doubles.random((shards, 2))
-
-    def variates(self, streams: tuple[np.random.Generator, np.random.Generator],
-                 m: int) -> tuple[np.ndarray, ...]:
-        """The next m rotations' angle doubles; directions draw none."""
-        return (streams[1].random(m),) if self.rotations else ()
-
-    def draw(self, variates: tuple[np.ndarray, ...], strata,
-             shifts: np.ndarray) -> tuple[np.ndarray]:
+    def draw(self, u: np.ndarray, strata, shifts: np.ndarray) -> tuple[np.ndarray]:
         """The directions (m, 3) or rotation matrices (m, 3, 3) of the
-        samples of strata (j, m, shard) (`_chunk_strata`)."""
+        samples of strata (j, m, shard) (`_chunk_strata`), with the
+        rotations' angle doubles u (m, 1)."""
         j, size, shard = strata
-        m = len(j)
-        w = np.empty((4, m))   # u_0, u_1, then 1 - u_0 and r = 2 sqrt(u_0 (1 - u_0))
-        u0, u1, p, r = w
+        w = np.empty((2, len(j)))
+        u0, u1 = w
         np.add(j, 0.5, out=u0)
         u0 /= size
         np.multiply(j, GOLDEN, out=u1)
-        w[:2] += shifts.take(shard, axis=0).T
-        w[:2] -= np.floor(w[:2])
-        np.subtract(1.0, u0, out=p)
-        np.multiply(u0, p, out=r)
-        np.sqrt(r, out=r)
-        r *= 2.0
-        if not self.rotations:
-            u1 *= 2.0 * math.pi
-            return (np.stack([r * np.cos(u1), r * np.sin(u1), p - u0], axis=1),)
-        # the matrix of the quaternion, entry by entry in the layout (3, 3, m)
-        # that the kernels read, from e^(i phi), e^(i psi), their product
-        # e^(i (phi + psi)) and e^(i chi), chi = 2 phi + psi: its first row
-        # is the direction (z, -y, x), its lower right block
-        # (1 - u_0) Rot(psi) + u_0 Refl(chi)
-        z = np.zeros((2, m), dtype=complex)
-        np.multiply(u1, 2.0 * math.pi, out=z.imag[0])
-        np.multiply(variates[0], 2.0 * math.pi, out=z.imag[1])
-        np.exp(z, out=z)
-        phi, psi = z
-        both = phi * psi
-        chi = phi * both
-        psi *= p
-        chi *= u0
-        phi *= r
-        both *= r
-        e = np.empty((3, 3, m))
-        np.subtract(p, u0, out=e[0, 0])
-        np.negative(phi.imag, out=e[0, 1])
-        e[0, 2] = phi.real
-        e[1, 0] = both.imag
-        np.negative(both.real, out=e[2, 0])
-        np.add(psi.real, chi.real, out=e[1, 1])
-        np.subtract(chi.imag, psi.imag, out=e[1, 2])
-        np.add(chi.imag, psi.imag, out=e[2, 1])
-        np.subtract(psi.real, chi.real, out=e[2, 2])
-        return (e.transpose(2, 0, 1),)
+        w += shifts.take(shard, axis=0).T
+        w -= np.floor(w)
+        return (rotation_map(u0, u1, u[:, 0]) if self.rotations else direction_map(u0, u1),)
 
 
 DIRECTIONS = Lattice()            # plane normals and line directions
 ROTATIONS = Lattice(rotations=True)
-# a normal, then the stratified double of its offset
-PLANES = Law(3, 1, stratified=True)
-# a direction, then the doubles of its point's squared radius (stratified) and angle
-LINES = Law(3, 2, stratified=True)
+# the stratified double of a plane's offset, then its normal's two
+PLANES = Law(1, direction=True)
+# the doubles of a line's point's squared radius (stratified) and angle, then its direction's two
+LINES = Law(2, direction=True)
 # the doubles of a point's coordinates, x stratified
-POINTS = Law(0, 3, stratified=True)
+POINTS = Law(3)
 
 
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The run's two streams, of normals and of doubles: PCG64 generators
-    of the two children of SeedSequence(seed)."""
-    return tuple(np.random.Generator(np.random.PCG64(child))
-                 for child in np.random.SeedSequence(seed).spawn(2))
+def _stream(seed: int) -> np.random.Generator:
+    """The run's stream of doubles: a PCG64 generator of the second child
+    of SeedSequence(seed).  The first child gave the normals that planes
+    and lines once drew their directions from; the second keeps the bits of
+    every draw of the lattices, the points and the rotations' angles."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
 
 
 def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
     """lo + (hi - lo) * u, in place: of the doubles u of Generator.random,
     the values that Generator.uniform(lo, hi) draws from the same stream,
-    and of a stratified double (j + u) / m (`Law.stratify`) the same map of
+    and of a stratified double (j + u) / m (`Law.draw`) the same map of
     it, a value in the j-th of m equal parts of [lo, hi]."""
     u *= hi - lo
     u += lo
@@ -400,7 +398,7 @@ class _ShardSums:
 def _chunk_strata(sizes: np.ndarray, ends: np.ndarray, lo: int,
                   m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index j of the run's samples lo, ..., lo + m - 1 in their shards,
-    their shards' sizes and their shards (`Law.stratify`, `Lattice`), for
+    their shards' sizes and their shards (`Law.draw`, `Lattice.draw`), for
     the shards of `sizes` samples ending at `ends`."""
     i = np.arange(lo, lo + m)
     k = ends.searchsorted(i, side="right")
@@ -421,31 +419,32 @@ def run_shards(law: Law | Lattice, kernel, sample_bytes: int, seed: int, n_sampl
                shards: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of E[kernel(sample)] over n_samples samples of the law: the
     mean of the per-shard means, with its standard error.  The run draws
-    its numbers from the two streams of `_streams(seed)`: first what the
-    law draws per shard, in shard order (`law.shifts`), then each sample's
-    variates (`law.variates`) in sample order, and shard k is its samples
-    [start_k, end_k).  A chunk holds at most
-    CHUNK_BYTES / (sample_bytes + law.bytes) samples, sample_bytes being
-    the kernel's temporary memory per sample, wherever the shards end: it
-    is drawn (`law.draw`) from its variates, its samples' places in their
-    shards (`_chunk_strata`) and the shifts, and mapped by
-    `kernel(*draws)` to values (m,) or (m, width).  Memory is bounded by
-    CHUNK_BYTES whatever the size of the shards, and neither the draws nor
-    the sums (`_ShardSums`) depend on the chunking."""
+    its doubles from the stream of `_stream(seed)`: first the law's
+    shard_doubles per shard, in shard order, then its sample_doubles per
+    sample, in sample order, and shard k is its samples [start_k, end_k).
+    A chunk holds at most CHUNK_BYTES / max(sample_bytes, law.bytes)
+    samples, wherever the shards end, sample_bytes being the kernel's
+    memory per sample, the draws it is handed included, and law.bytes the
+    draw's: it is drawn (`law.draw`) from its doubles, its samples' places
+    in their shards (`_chunk_strata`) and the shifts, which frees the
+    draw's temporaries, and mapped by `kernel(*draws)` to values (m,) or
+    (m, width).  Memory is bounded by CHUNK_BYTES whatever the size of the
+    shards, and neither the draws nor the sums (`_ShardSums`) depend on
+    the chunking."""
     _check_shards(n_samples, shards)
     sizes = np.array(_shard_sizes(n_samples, shards))
     ends = np.cumsum(sizes)
-    chunk = max(1, CHUNK_BYTES // (sample_bytes + law.bytes))
-    streams, totals = _streams(seed), _ShardSums(sizes)
-    shifts = law.shifts(streams[1], shards)
+    chunk = max(1, CHUNK_BYTES // max(sample_bytes, law.bytes))
+    stream, totals = _stream(seed), _ShardSums(sizes)
+    shifts = stream.random((shards, law.shard_doubles))
     for lo in range(0, n_samples, chunk):
         m = min(chunk, n_samples - lo)
-        variates = law.variates(streams, m)
+        u = stream.random((m, law.sample_doubles))
         # each array goes as soon as it is used, to bound the peak memory:
-        # the variates before the kernel, the samples before the sums and
+        # the doubles before the kernel, the samples before the sums and
         # the values before the next chunk
-        draws = law.draw(variates, _chunk_strata(sizes, ends, lo, m), shifts)
-        del variates
+        draws = law.draw(u, _chunk_strata(sizes, ends, lo, m), shifts)
+        del u
         vals = np.asarray(kernel(*draws), dtype=float)
         del draws
         totals.add(vals)
@@ -491,8 +490,7 @@ class PlaneSections:
     about the vertex centroid."""
 
     def __init__(self, P: Polytope):
-        edges = _edge_array(P)
-        self.vi, self.vj = edges[:, 0], edges[:, 1]
+        self.vi, self.vj = P.edges[:, 0], P.edges[:, 1]
         local = P.vertices - P.vertices.mean(axis=0)
         self.local_t = np.ascontiguousarray(local.T)                       # (3, V)
         self.cut = 1e-12 * _extent(P.vertices)
@@ -503,15 +501,16 @@ class PlaneSections:
         runs = {(i, j): f for f, cyc in enumerate(P.facet_cycles)
                 for i, j in zip(cyc, cyc[1:] + cyc[:1])}
         self.facets = np.array([(f, g) if runs[i, j] == f else (g, f)
-                                for i, j, f, g in P.edges], dtype=int).ravel()
-        V, E, self.nf = len(P.vertices), len(edges), len(P.facet_cycles)
+                                for i, j, f, g in P.edges.tolist()], dtype=int).ravel()
+        V, E, self.nf = len(P.vertices), len(P.edges), len(P.facet_cycles)
         # the temporaries of areas() per plane: the (m, V) distances, the
         # (m, E) distances of the ends and their flags, then the (m, F) sums
         # of the scatter and their flags, with the arrays of the at most F
         # crossings and F crossed facets (peaks of 3.9 kB for a 30-point
         # ellipsoid hull, 7.0 kB for a 40-gon prism whose planes cross all 40
-        # side edges, tracemalloc)
-        self.sample_bytes = 8 * (V + 3 * E + 12 * self.nf)
+        # side edges, tracemalloc), and the normal and three doubles of
+        # PLANES that it is handed
+        self.sample_bytes = 8 * (V + 3 * E + 12 * self.nf + 6)
 
     def _crossings(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The edges that planes cross, by plane, then edge, from the signed
@@ -590,8 +589,9 @@ class _LineChords:
         self.cut = 1e-12 * _extent(P.vertices)
         # at the peak of _clip_lines: den, num and their ratio, (m, F) doubles,
         # and one np.where of the ratio with its (m, F) mask; then the points
-        # and the clipped ends
-        self.sample_bytes = 33 * len(self.b) + 128
+        # and the clipped ends; and the direction and four doubles of LINES
+        # that it is handed
+        self.sample_bytes = 33 * len(self.b) + 184
 
     def points(self, u: np.ndarray, r: np.ndarray, ang: np.ndarray) -> np.ndarray:
         """The lines' points (m, 3) from the doubles r of their radii and ang
@@ -637,7 +637,8 @@ class _BoxPoints:
         # this band for every point of the box
         reach = np.maximum(np.abs(self.lo), np.abs(self.hi))
         self.band = 1e-12 * float(np.max(np.abs(self.A) @ reach + np.abs(self.bound)))
-        self.sample_bytes = 9 * len(b) + 80   # the (F, m) gaps, the points, their maxima
+        # the (F, m) gaps, the points, their maxima, and the three doubles handed
+        self.sample_bytes = 9 * len(b) + 104
 
     def points(self, *x: np.ndarray) -> np.ndarray:
         """The points from the doubles x of their coordinates, as the rows
@@ -676,8 +677,8 @@ class FlatIntegrals:
     def __init__(self, P: Polytope):
         self.vertices, self.areas, self.volume = P.vertices, P.facet_areas, intrinsic_volumes(P)[3]
         self.normals = np.ascontiguousarray(P.facet_normals.T)            # (3, F)
-        # per direction: the vertices' projections, the (F, m) arrays; the arcs
-        self.sample_bytes = 8 * (2 * len(P.vertices) + 16 * len(self.areas) + 16)
+        # per direction: itself, the vertices' projections, the (F, m) arrays; the arcs
+        self.sample_bytes = 8 * (2 * len(P.vertices) + 16 * len(self.areas) + 19)
         self.piece_bytes = self.sample_bytes + 8 * (24 * len(self.areas) + 16)
 
     def widths(self, a: np.ndarray) -> np.ndarray:
@@ -709,18 +710,18 @@ class FlatIntegrals:
         Only the measures of the given degrees are built, the others left
         empty."""
         m = len(a)
-        s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
+        s1, s2 = AreaMeasure(1, bodies=m), AreaMeasure(2, bodies=m)
         if 1 in degrees:
             c, sin = self._sines(a)
             rows, facet = np.nonzero(sin.T > 0.0)
             ar = np.take(a, rows, axis=0)
             m_f = _unit(np.stack(_cross(ar.T, [x[facet, rows] for x in c]), axis=1))
-            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+            s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
                 np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
                 np.stack([m_f, -ar], axis=1).reshape(-1, 3),
                 np.repeat(self.areas[facet] * sin[facet, rows], 2)))
         if 2 in degrees:
-            s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
+            s2 = AreaMeasure(2, bodies=m, atoms=Atoms(
                 np.repeat(np.arange(m), 2), np.stack([a, -a], axis=1).reshape(-1, 3),
                 np.full(2 * m, 2.0 * self.volume)))
         return MeasurePieces(self.widths(a), s1, s2)
@@ -731,14 +732,14 @@ class FlatIntegrals:
         of _plane_basis, of density V_3(P) (Fubini), built where degree 1
         is asked for; and the hits' integral."""
         m = len(u)
-        s1 = AreaMeasure(3, 1, bodies=m)
+        s1 = AreaMeasure(1, bodies=m)
         if 1 in degrees:
             p1, p2 = _plane_basis(u)
             ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (m, 4, 3)
-            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+            s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
                 np.repeat(np.arange(m), 4), ring.reshape(-1, 3),
                 np.roll(ring, -1, axis=1).reshape(-1, 3), np.full(4 * m, self.volume)))
-        return MeasurePieces(self.hits(u), s1, AreaMeasure(3, 2, bodies=m))
+        return MeasurePieces(self.hits(u), s1, AreaMeasure(2, bodies=m))
 
     def moments(self, a: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
         """The moments int P_k(v . w) dS_1(v), k <= kmax, of the sections by
@@ -782,13 +783,6 @@ def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(terms.T, weights, order="C").sum(axis=1)
 
 
-def _edge_arcs(B: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """The S_1 arcs of a full-dimensional body, one per edge: the facets
-    (2, E) whose normals end it, and its density, half the edge's length."""
-    e = _edge_array(B)
-    return e[:, 2:].T, 0.5 * _norms(B.vertices[e[:, 1]] - B.vertices[e[:, 0]])
-
-
 class TranslativeIntegrals:
     """For rotations R, the integrals over all translations x of functionals
     of P n (R L + x), in closed form: the translative integral formulas
@@ -820,9 +814,11 @@ class TranslativeIntegrals:
         self.n_p, self.n_l = P.facet_normals, L.facet_normals
         self.a_p, self.a_l = P.facet_areas, L.facet_areas
         self.pair_areas = np.multiply.outer(self.a_p, self.a_l)         # (F_P, F_L)
-        self.edges = [_edge_arcs(B) for B in (P, L)]
+        # S_1 and S_2 of P scaled by V_3(L), and of L by V_3(P)
+        self.s_p, self.s_l = ({i: area_measure(B, i).scaled_mass(c) for i in (1, 2)}
+                              for B, c in ((P, self.volume_l), (L, self.volume_p)))
         fp, fl, vp, vl = len(self.a_p), len(self.a_l), len(self.v_p), len(self.v_l)
-        el = len(self.edges[1][1])
+        el = len(self.s_l[1].arcs.density)
         # temporaries per rotation: its matrix and draws (13 doubles), the turned
         # normals of both bodies, the (V_L, F_P) and (V_P, F_L) projections,
         # and the (F_P, F_L) arrays of the facet pairs
@@ -874,52 +870,47 @@ class TranslativeIntegrals:
     def pieces(self, R: np.ndarray, degrees) -> MeasurePieces:
         """The integrals over x of the area measures of P n (R L + x), per
         rotation, as pieces, less those of P's own faces (`fixed_pieces`):
-        S_2 the atoms A_G V_3(P) at R n_G; S_1 the arcs of the edges of R L
-        (density l / 2) scaled by V_3(P), and per facet pair the arc
-        n_F -> R n_G of density A_F A_G sin(theta_FG) / 2; only the measures
-        of the given degrees are built, the others left empty.  `hit`
-        carries int V_0 dx = vol(P - R L), and `volume`
-        int V_3 dx = V_3(P) V_3(L).  Each rotation's pieces run in that
-        order, whatever the batch."""
+        S_1 and S_2 of L scaled by V_3(P) and turned by R, the arcs of the
+        edges of R L (density l / 2) and the atoms A_G V_3(P) at R n_G, and
+        per facet pair the arc n_F -> R n_G of density
+        A_F A_G sin(theta_FG) / 2 (S_1); only the measures of the given
+        degrees are built, the others left empty.  `hit` carries
+        int V_0 dx = vol(P - R L), and `volume` int V_3 dx = V_3(P) V_3(L).
+        Each rotation's pieces run in that order, whatever the batch."""
         m = len(R)
         entries, g = self._turned(R)
         turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
         fp, fl = len(self.a_p), len(self.a_l)
-        s1, s2 = AreaMeasure(3, 1, bodies=m), AreaMeasure(3, 2, bodies=m)
+        s1, s2 = AreaMeasure(1, bodies=m), AreaMeasure(2, bodies=m)
         if 1 in degrees:
             sin, _ = self._pair_sines(g)
             sin *= 0.5 * self.pair_areas[:, :, None]
-            (l_from, l_to), l_half = self.edges[1]
-            a = np.concatenate([turned[:, l_from], np.broadcast_to(
+            arcs = self.s_l[1].arcs
+            # the arcs' ends turned by the _dots of _turned, (m, E_L, 3)
+            a, b = (np.stack([_dots(end, row) for row in entries], axis=-1).transpose(1, 0, 2)
+                    for end in (arcs.a, arcs.b))
+            a = np.concatenate([a, np.broadcast_to(
                 np.repeat(self.n_p, fl, axis=0), (m, fp * fl, 3))], axis=1)
-            b = np.concatenate([turned[:, l_to], np.broadcast_to(
+            b = np.concatenate([b, np.broadcast_to(
                 turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)], axis=1)
-            density = np.concatenate([np.broadcast_to(self.volume_p * l_half, (m, len(l_half))),
+            density = np.concatenate([np.broadcast_to(arcs.density, (m, len(arcs.density))),
                                       sin.reshape(-1, m).T], axis=1)
-            s1 = AreaMeasure(3, 1, bodies=m, arcs=Arcs(
+            s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
                 np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
                 density.ravel()))
-        if 2 in degrees:
-            s2 = AreaMeasure(3, 2, bodies=m, atoms=Atoms(
+        if 2 in degrees:   # the atoms' normals are those of L's facets, turned in g
+            s2 = AreaMeasure(2, bodies=m, atoms=Atoms(
                 np.repeat(np.arange(m), fl), turned.reshape(-1, 3),
-                np.tile(self.volume_p * self.a_l, m)))
+                np.tile(self.s_l[2].atoms.mass, m)))
         return MeasurePieces(self._volumes(entries, g), s1, s2,
                              np.full(m, self.volume_p * self.volume_l))
 
     def fixed_pieces(self, degrees) -> MeasurePieces:
         """The pieces that `pieces` leaves out, the same for every rotation,
-        as one body: the arcs of the edges of P scaled by V_3(L) (S_1) and
-        its atoms A_F V_3(L) at n_F (S_2), of the given degrees, with no hit
-        and no volume."""
-        s1, s2 = AreaMeasure(3, 1, bodies=1), AreaMeasure(3, 2, bodies=1)
-        if 1 in degrees:
-            (p_from, p_to), p_half = self.edges[0]
-            s1 = AreaMeasure(3, 1, bodies=1, arcs=Arcs(
-                np.zeros(len(p_half), dtype=int), self.n_p[p_from], self.n_p[p_to],
-                self.volume_l * p_half))
-        if 2 in degrees:
-            s2 = AreaMeasure(3, 2, bodies=1, atoms=Atoms(
-                np.zeros(len(self.a_p), dtype=int), self.n_p, self.volume_l * self.a_p))
+        as one body: S_1 and S_2 of P scaled by V_3(L), of the given
+        degrees, with no hit and no volume."""
+        s1, s2 = (replace(self.s_p[i], bodies=1) if i in degrees else AreaMeasure(i, bodies=1)
+                  for i in (1, 2))
         return MeasurePieces(np.zeros(1), s1, s2)
 
 

@@ -20,15 +20,45 @@ import numpy as np
 from minkval.constants import kappa
 from minkval.convex import AreaMeasure, Arcs, Atoms, _dots, _extent, _plane_basis, _unit
 from minkval.harmonics import legendre_rows
-from minkval.integral_geom import Law, _clip_lines, _uniform
+from minkval.integral_geom import _clip_lines, _uniform, direction_map, rotation_map
 from minkval.valuation import MeasurePieces
 
 FACET_PARALLEL_TOL = 1e-12   # |n_F - (n_F . a) a| up to which facet F lies in the plane
-# uniform directions from 3 iid normals each, the law of directions that
-# `integral_geom.DIRECTIONS`, a shifted lattice per shard, replaced: the
-# estimates pinned before the lattice, and the iid side of the variance
-# comparisons, run on it
-IID_DIRECTIONS = Law(3)
+
+
+@dataclass(frozen=True)
+class IIDLaw:
+    """A law of iid doubles, none stratified: per sample, `uniforms` doubles
+    handed to the kernel as they are, after the direction (2 doubles,
+    `direction_map`) or the rotation (3 doubles, `rotation_map`) made of
+    the sample's last doubles, as the laws of `integral_geom` make them.
+    It draws nothing per shard."""
+
+    rotations: bool = False
+    uniforms: int = 0
+    shard_doubles = 0
+
+    @property
+    def sample_doubles(self) -> int:
+        return self.uniforms + (3 if self.rotations else 2)
+
+    @property
+    def bytes(self) -> int:
+        """The bytes of one sample's doubles and draw, at most those of the
+        lattice's point and its direction or rotation."""
+        return 8 * (self.sample_doubles + (28 if self.rotations else 13))
+
+    def draw(self, u: np.ndarray, strata=None, shifts=None) -> tuple[np.ndarray, ...]:
+        make = rotation_map if self.rotations else direction_map
+        return (make(*u[:, self.uniforms:].T), *u[:, :self.uniforms].T)
+
+
+# uniform directions and rotations from iid doubles: the iid sides of the
+# variance comparisons and the calibration table, of the laws that
+# `integral_geom.DIRECTIONS` and `ROTATIONS`, shifted lattices per shard,
+# replaced
+IID_DIRECTIONS = IIDLaw()
+IID_ROTATIONS = IIDLaw(rotations=True)
 
 
 def origin_radius(P) -> float:
@@ -56,11 +86,10 @@ class BallFlats:
         return cls(codim, origin_radius(P) * (1.0 + 1e-12))
 
     @property
-    def law(self) -> Law:
-        """A normal direction, then the doubles of the offset (codim 1), the
-        radius (codim 2, 3) and the angle (codim 2), all iid: the pins taken
-        under this law keep running on it."""
-        return Law(3, 2 if self.codim == 2 else 1)
+    def law(self) -> IIDLaw:
+        """A direction, then the doubles of the offset (codim 1), the
+        radius (codim 2, 3) and the angle (codim 2), all iid."""
+        return IIDLaw(uniforms=2 if self.codim == 2 else 1)
 
     @property
     def weight(self) -> float:
@@ -201,8 +230,8 @@ class DenseSections:
         atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
                  np.repeat(self.area(a[t], v[t], mid[t]), 2))
         m = a.shape[0]
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=Arcs(*arcs), bodies=m),
-                             AreaMeasure(3, 2, atoms=Atoms(*atoms), bodies=m))
+        return MeasurePieces(hit, AreaMeasure(1, arcs=Arcs(*arcs), bodies=m),
+                             AreaMeasure(2, atoms=Atoms(*atoms), bodies=m))
 
     def s1_moments(self, a, s, w, kmax: int) -> np.ndarray:
         """Moments int P_k(u . w) dS_1(u), k <= kmax, of each section (m, kmax+1):
@@ -274,8 +303,8 @@ class LineSections:
         ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
         arcs = Arcs(np.repeat(t, 4), ring.reshape(-1, 3),
                     np.roll(ring, -1, axis=1).reshape(-1, 3), np.repeat(0.5 * (hi[t] - lo[t]), 4))
-        return MeasurePieces(hit, AreaMeasure(3, 1, arcs=arcs, bodies=len(hit)),
-                             AreaMeasure(3, 2, bodies=len(hit)))
+        return MeasurePieces(hit, AreaMeasure(1, arcs=arcs, bodies=len(hit)),
+                             AreaMeasure(2, bodies=len(hit)))
 
 
 def offset_sum(kernel, a, lo, hi, offsets: int):

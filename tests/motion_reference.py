@@ -1,5 +1,5 @@
-"""Reference kernels of rigid motions, kept for the tests: the iid law of
-rotations from normal quaternions, the box law of translations, the
+"""Reference kernels of rigid motions, kept for the tests: rotations from
+quaternions, the box law of translations, the
 intersections P n (R L + x) edge by edge, the exact separating-axis test
 and the lattice intersection by successive clipping.
 
@@ -19,8 +19,10 @@ from typing import ClassVar
 import numpy as np
 
 from minkval.convex import CHUNK_BYTES, AreaMeasure, Arcs, Atoms, Polytope, _unit, clip_halfspace
-from minkval.integral_geom import Law, _clip_lines
+from minkval.integral_geom import _clip_lines
 from minkval.valuation import MeasurePieces
+
+from flat_reference import IIDLaw
 
 SAT_TOL = 1e-12   # slack of the separating-axis test, per unit axis length
 
@@ -42,23 +44,6 @@ def rotations_from_quaternions(q: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuaternionLaw(Law):
-    """A law whose 4 normals make a uniform unit quaternion, handed to the
-    kernel as its rotation matrix, then the doubles' columns: the iid law
-    of rotations that `integral_geom.ROTATIONS`, a shifted lattice per
-    shard, replaced."""
-
-    def draw(self, variates, strata=None, shifts=None):
-        q, *rest = super().draw(variates, strata, shifts)
-        return (rotations_from_quaternions(q), *rest)
-
-
-# uniform rotations from 4 iid normals each: the estimates pinned before the
-# lattice, and the iid side of the variance comparisons, run on it
-IID_ROTATIONS = QuaternionLaw(4)
-
-
-@dataclass(frozen=True)
 class BoxMotions:
     """Rigid-motion law of g L = R L + x against a fixed body P, the box
     law: uniform rotations R (the probability law), and x uniform in the
@@ -68,11 +53,10 @@ class BoxMotions:
     meets P lies in it, so the box volume as a per-sample weight keeps the
     motion integral unbiased (conditional Monte Carlo: Asmussen & Glynn,
     Stochastic Simulation, 2007, ch. V), wherever P and L lie.  The law
-    draws normal quaternions, then the translations' doubles, all iid, as
-    the pins taken under it drew them; the window and the weight are the
-    kernel's (`kernel`)."""
+    draws the translations' doubles and the rotation's, all iid; the
+    window and the weight are the kernel's (`kernel`)."""
 
-    law: ClassVar[Law] = QuaternionLaw(4, 3)
+    law: ClassVar[IIDLaw] = IIDLaw(rotations=True, uniforms=3)
 
     box: np.ndarray      # (2, 3): [lo_P, hi_P]
     moving: np.ndarray   # (V, 3): the vertices of L
@@ -319,8 +303,8 @@ class MotionIntersections:
         atoms = (np.repeat(rows, 2), np.stack([nk, nl], axis=1).reshape(-1, 3),
                  np.stack([ak, al], axis=1).ravel())
         return MeasurePieces(np.bincount(rows, minlength=m) > 0,
-                             AreaMeasure(3, 1, arcs=Arcs(rows, nk, nl, 0.5 * length), bodies=m),
-                             AreaMeasure(3, 2, atoms=Atoms(*atoms), bodies=m),
+                             AreaMeasure(1, arcs=Arcs(rows, nk, nl, 0.5 * length), bodies=m),
+                             AreaMeasure(2, atoms=Atoms(*atoms), bodies=m),
                              np.bincount(rows, cone, m))
 
 

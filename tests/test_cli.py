@@ -374,6 +374,21 @@ def test_lattice_build_failure_is_an_input_error(tmp_path, capsys, monkeypatch, 
     assert "Traceback" not in "".join(capsys.readouterr())
 
 
+@pytest.mark.parametrize("content", [[[0, 0, 0]], {"dimension": 3}])
+def test_malformed_body_file_is_an_input_error(tmp_path, capsys, content):
+    # a top level that is not an object ended in an AttributeError
+    # traceback, and an object without "vertices" in a KeyError traceback,
+    # both with exit code 1
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(content))
+    out = tmp_path / "report.json"
+    code = main(["area-measure", "--body", str(body), "--i", "1", "--out", str(out)])
+    rep = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert code == 2
+    assert set(rep) == {"error"} and '"vertices"' in rep["error"]
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
 def test_switches_turn_off_with_their_no_flags(tmp_path):
     # the box column is on by default, and --box could only set it on
     code, rep = run(tmp_path, "multipliers", "--no-box")

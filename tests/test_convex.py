@@ -314,6 +314,8 @@ ORACLE_BODIES = {
     "hull-42-200": lambda: random_hull(42, 200),
     "hull-61-200": lambda: random_hull(61, 200),
     "hull-42-2000": lambda: random_hull(42, 2000),
+    "ellipsoid-240": lambda: Polytope.from_vertices(
+        _unit(np.random.default_rng(240).standard_normal((240, 3))) * [1.0, 0.8, 0.6]),
     **{f"midpoints-{jitter:g}": lambda jitter=jitter: Polytope.from_vertices(
         cube_with_edge_midpoints()
         + jitter * np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3)))
@@ -333,7 +335,13 @@ def test_cone_masses_match_50_digit_defects(name):
     for P in bodies if isinstance(bodies, list) else [bodies]:
         assert P.dim == 3
         masses = normal_cone_masses(P)
-        assert np.abs(masses - _defects_50_digits(P)).max() <= 4e-15
+        error = masses - _defects_50_digits(P)
+        assert np.abs(error).max() <= 4e-15
+        if P.num_vertices >= 200:
+            # the double 2 pi lies 2.449e-16 below 2 pi: subtracted from it
+            # alone, the masses of hull-42-2000 and ellipsoid-240 averaged
+            # -2.7e-16 and -2.3e-16 off
+            assert abs(error.mean()) < 1e-16
         assert sum(masses.tolist()) == pytest.approx(4 * math.pi, abs=1e-13)
 
 
@@ -462,7 +470,7 @@ def stacked(measures):
     tagged b."""
     arcs = [Arcs(np.full(len(m.arcs.body), b), *m.arcs[1:]) for b, m in enumerate(measures)]
     atoms = [Atoms(np.full(len(m.atoms.body), b), *m.atoms[1:]) for b, m in enumerate(measures)]
-    return AreaMeasure(3, measures[0].degree, atoms=Atoms(*map(np.concatenate, zip(*atoms))),
+    return AreaMeasure(measures[0].degree, atoms=Atoms(*map(np.concatenate, zip(*atoms))),
                        arcs=Arcs(*map(np.concatenate, zip(*arcs))), bodies=len(measures))
 
 
@@ -805,7 +813,7 @@ def test_arc_geometry():
                np.array([2.0]))
     angle = _arc_angles(arc.a, arc.b)
     assert angle[0] == pytest.approx(math.pi / 2)
-    assert AreaMeasure(3, 1, arcs=arc).total_mass == pytest.approx(math.pi)
+    assert AreaMeasure(1, arcs=arc).total_mass == pytest.approx(math.pi)
     pts = _slerp(arc.a, arc.b, angle, np.array([0.0, 0.5, 1.0]))[0]
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert np.allclose(pts[1], [math.sqrt(0.5), math.sqrt(0.5), 0.0])

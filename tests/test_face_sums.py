@@ -97,7 +97,7 @@ def loop_cone_masses(P):
     """The solid angle of each vertex's normal cone of a polytope of
     dimension 2 or 3, vertex by vertex.  A full body's is its angle defect,
     2 pi less the angles at the vertex of its facets in their planes, added
-    in facet order and clipped at 0; a polygon's is the excess of the four
+    in facet order, plus 2 pi - fl(2 pi), and clipped at 0; a polygon's is the excess of the four
     triangles of the lune between the normals of the vertex's edges, about
     their normalised sum."""
     masses = []
@@ -110,7 +110,7 @@ def loop_cone_masses(P):
                 angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
                                    np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b))
                 angles[v].append(float(angle % (2.0 * math.pi)))
-        masses = [max(2.0 * math.pi - sum(a), 0.0) for a in angles]
+        masses = [max(2.0 * math.pi - sum(a) + 2.4492935982947064e-16, 0.0) for a in angles]
     else:
         w, m = P.plane_normal, P.num_vertices
         for k in range(m):
@@ -249,7 +249,7 @@ def test_total_mass_is_one_batched_pass(monkeypatch):
 
 
 def test_empty_measure_has_zero_mass():
-    assert AreaMeasure(3, 0).total_mass == 0
+    assert AreaMeasure(0).total_mass == 0
     assert area_measure(Polytope.empty(), 1).total_mass == 0
 
 

@@ -260,15 +260,16 @@ def ball_valuation_kernel(P, value, i):
 
 # lhs, lhs_stderr, rhs, rhs_stderr of the check that sliced a lattice per
 # plane and per line (section_plane, section_line), under the laws of
-# planes and motions that check drew.  The check now integrates the
+# planes and motions that check drew, with directions and rotations made
+# from doubles (`direction_map`, `rotation_map`).  The check now integrates the
 # translations and the flats' offsets in closed form: its lhs is pinned on
 # the reference kernel of whole motions (MotionIntersections) under the
 # cube law, its rhs on the check with the reference kernels of sections.
 @pytest.mark.parametrize("name,pinned", [
     ("projection_body",
-     (2.192308458913837, 0.30667572632430395, 2.574964112239807, 0.04623423819477144)),
+     (2.345058667257801, 0.3287935378022358, 2.5401726675521124, 0.061357638206493495)),
     ("difference_body",
-     (4.628047354044177, 0.6461742679797173, 5.6602408327016285, 0.12690307659428762)),
+     (5.5721500293722865, 0.7511571014654869, 5.658003064015847, 0.1446582254367103)),
 ])
 def test_kinematic_minkowski_check_pinned(monkeypatch, name, pinned):
     # planes and lines in the ball of the enclosing radius about the origin

@@ -118,7 +118,7 @@ def assert_same_lattice(P, ref):
     assert np.array_equal(P.facet_offsets, offsets)
     assert P.facet_cycles == cycles
     assert np.array_equal(P.facet_areas, areas)
-    assert P.edges == edges
+    assert P.edges.tolist() == [list(e) for e in edges]
 
 
 # -- inputs -------------------------------------------------------------------

@@ -53,8 +53,8 @@ def test_points_are_the_shifted_fibonacci_lattice():
     q = np.stack([np.sqrt(1.0 - u0) * np.cos(psi / 2), np.sqrt(1.0 - u0) * np.sin(psi / 2),
                   np.sqrt(u0) * np.cos(phi + psi / 2), np.sqrt(u0) * np.sin(phi + psi / 2)],
                  axis=1)
-    (a,) = DIRECTIONS.draw((), strata, shifts)
-    (R,) = ROTATIONS.draw((angle,), strata, shifts)
+    (a,) = DIRECTIONS.draw(np.empty((m, 0)), strata, shifts)
+    (R,) = ROTATIONS.draw(angle[:, None], strata, shifts)
     assert np.abs(a - want).max() <= 1e-14
     assert np.abs(R - rotations_from_quaternions(q)).max() <= 1e-14
     assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-14
@@ -78,7 +78,7 @@ def test_estimates_do_not_depend_on_the_chunking(monkeypatch, kind):
     law, kernel, sample_bytes = _lattice_estimators()[kind]
     assert sorted(set(_shard_sizes(213, 20))) == [10, 11]
     whole = run_shards(law, kernel, sample_bytes, 31, 213, 20)
-    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 7 * (sample_bytes + law.bytes))
+    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", 7 * max(sample_bytes, law.bytes))
     for _ in range(2):
         est, se = run_shards(law, kernel, sample_bytes, 31, 213, 20)
         assert np.array_equal(est, whole[0]) and np.array_equal(se, whole[1])

@@ -137,11 +137,12 @@ def test_kernel_of_missed_motions_vanishes():
 # estimates of the per-motion loop (hull of the moved body, then intersect)
 # that MotionIntersections replaced, under the law of translations it drew:
 # uniform in the centred cube of side 4 R, R the cube's enclosing radius,
-# which is the box law of a point in that cube
+# which is the box law of a point in that cube, with rotations made from
+# doubles (`rotation_map`)
 @pytest.mark.parametrize("j,estimate,stderr", [
-    (1, 13.627753489191164, 5.029105939861276),
-    (2, 5.705744565348389, 2.2953089608021364),
-    (3, 0.8144450105358298, 0.3565125981032247),
+    (1, 11.45511320412725, 3.0847088882389557),
+    (2, 5.0029629583638195, 1.861235319445711),
+    (3, 0.7949031571810652, 0.36991832981556744),
 ])
 def test_kinematic_estimates_pinned(j, estimate, stderr):
     h = 2.0 * origin_radius(cube())

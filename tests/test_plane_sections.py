@@ -7,7 +7,6 @@ whole run drawn and evaluated in one step, input checks and bounded memory,
 also of one kernel call."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from minkval.integral_geom import (
     POINTS,
     ROTATIONS,
     FlatIntegrals,
-    Lattice,
+    Law,
     PlaneSections,
     TranslativeIntegrals,
     _BoxPoints,
@@ -48,8 +47,8 @@ from minkval.integral_geom import (
 from minkval.valuation import MeasurePieces, PieceEvaluator, builtin_spec
 from minkval.zonal import ZonalObject
 
-from flat_reference import BallFlats, DenseSections
-from motion_reference import IID_ROTATIONS, BoxMotions
+from flat_reference import IID_ROTATIONS, BallFlats, DenseSections
+from motion_reference import BoxMotions
 
 KMAX = 4
 PROBE = np.array([0.36, -0.48, 0.8])
@@ -302,7 +301,7 @@ def test_line_and_point_values_do_not_depend_on_the_batch(body):
     on_bound = centres + (points.bound - b)[:, None] * A
     doubles = np.vstack([rng.random((400, 3)), (on_bound - points.lo) / (points.hi - points.lo)])
     strata = (np.arange(400), 400, None)
-    for kernel, draws in ((lines, LINES.draw(LINES.variates((rng, rng), 400), strata)),
+    for kernel, draws in ((lines, LINES.draw(rng.random((400, LINES.sample_doubles)), strata)),
                           (points, tuple(doubles.T))):
         whole = kernel(*(d.copy() for d in draws))   # the kernels scale the doubles in place
         one = [kernel(*(d[t:t + 1].copy() for d in draws)) for t in range(len(draws[0]))]
@@ -329,10 +328,11 @@ BALL = BallFlats.about_origin(cube(), 1)
 
 
 # estimates of the per-sample section loop that PlaneSections replaced,
-# under the ball law of planes that loop drew
+# under the ball law of planes that loop drew, with normals made from
+# doubles (`direction_map`)
 @pytest.mark.parametrize("j,estimate,stderr", [
-    (1, 4.7589175358470905, 0.09609528623654183),
-    (2, 2.004437493393808, 0.0474768236541027),
+    (1, 4.647725246605731, 0.08798265603467756),
+    (2, 1.967552119579771, 0.04016431567660521),
 ])
 def test_crofton_section_estimates_pinned(j, estimate, stderr):
     sections = DenseSections(cube())
@@ -349,10 +349,10 @@ def test_crofton_minkowski_estimates_pinned():
     est, se = run_shards(BALL.law, BALL.kernel(
         lambda a, s: sections.s1_moments(a, s, PROBE / np.linalg.norm(PROBE), KMAX)),
         sections.sample_bytes + 8 * (KMAX + 1), 8, 4000, 20)
-    pinned = [(14.891303139699971, 0.2618284893477261),
-              (0.015945357629520977, 0.044847198220193174),
-              (-0.03567029823942484, 0.02298100097900334),
-              (-0.36352729272169676, 0.02565459261106721)]
+    pinned = [(14.517989397329696, 0.29974993889080664),
+              (-0.011904330941561984, 0.05220569359655613),
+              (0.005406182135684485, 0.02219381399107627),
+              (-0.3428014395715833, 0.027688603573605686)]
     for k, (lhs, stderr) in zip((0, 2, 3, 4), pinned):
         assert est[k] * a_mu[k] == pytest.approx(lhs, rel=1e-12)
         assert se[k] * abs(a_mu[k]) == pytest.approx(stderr, rel=1e-12)
@@ -365,35 +365,27 @@ def test_run_shards_rejects_degenerate_shards(n_samples, shards):
 
 
 def per_shard_loop(law, kernel, seed, n_samples, shards):
-    """run_shards in one step: the run's normals and doubles drawn at once,
-    each from its own child of SeedSequence(seed), the lattices' shifts of
-    all shards first, then sample by sample; the first double u_j of the
-    j-th of a shard's m samples made (j + u_j) / m where the law is
-    stratified; the kernel run on all samples, each lattice point from its
-    j, m and shard; and each shard's values summed as a whole in blocks of
+    """run_shards in one step: the run's doubles drawn at once from the
+    second child of SeedSequence(seed), the lattices' shifts of all shards
+    first, then sample by sample; the first double u_j of the j-th of a
+    shard's m samples made (j + u_j) / m where the law is stratified (a
+    `Law`); the kernel run on all samples, each lattice point from its j, m
+    and shard; and each shard's values summed as a whole in blocks of
     SUM_BLOCK from its start (one reduceat each), the block sums added in
     order."""
-    normals, doubles = (np.random.default_rng(child)
-                        for child in np.random.SeedSequence(seed).spawn(2))
+    doubles = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     sizes = _shard_sizes(n_samples, shards)
     starts = np.cumsum([0] + sizes[:-1])
     strata = (np.concatenate([np.arange(size) for size in sizes]), np.repeat(sizes, sizes),
               np.repeat(np.arange(shards), sizes))
-    if isinstance(law, Lattice):
-        shifts = doubles.random((shards, 2))
-        vals = kernel(*law.draw((doubles.random(n_samples),) if law.rotations else (), strata,
-                                shifts))
-    else:
-        variates = []
-        if law.normals:
-            variates.append(normals.standard_normal((n_samples, law.normals)))
-        if law.uniforms:
-            variates.append(doubles.random((n_samples, law.uniforms)))
-        if law.stratified:
-            first = variates[-1][:, 0]
-            for start, size in zip(starts, sizes):
-                first[start:start + size] = (np.arange(size) + first[start:start + size]) / size
-        vals = kernel(*replace(law, stratified=False).draw(variates))
+    shifts = doubles.random((shards, law.shard_doubles))
+    u = doubles.random((n_samples, law.sample_doubles))
+    if isinstance(law, Law):
+        first = u[:, 0]
+        for start, size in zip(starts, sizes):
+            first[start:start + size] = (np.arange(size) + first[start:start + size]) / size
+        strata = (0, 1)   # the strata of a shard of one sample leave the doubles as they are
+    vals = kernel(*law.draw(u, strata, shifts))
     sums = []
     for start, size in zip(starts, sizes):
         total = 0.0
@@ -434,7 +426,7 @@ SAMPLERS = {
 def chunks_of(monkeypatch, law, chunk):
     """Make run_shards cut its runs in chunks of `chunk` samples, for
     kernels of 8 bytes per sample."""
-    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", (8 + law.bytes) * chunk)
+    monkeypatch.setattr(integral_geom, "CHUNK_BYTES", max(8, law.bytes) * chunk)
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
@@ -501,7 +493,7 @@ def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch, kind):
     law, kernel, sample_bytes = estimator(kind)
     ref = run_shards(law, kernel, sample_bytes, 31, 300, 7)
     for chunk in (1, 7):
-        monkeypatch.setattr(integral_geom, "CHUNK_BYTES", chunk * (sample_bytes + law.bytes))
+        monkeypatch.setattr(integral_geom, "CHUNK_BYTES", chunk * max(sample_bytes, law.bytes))
         est, se = run_shards(law, kernel, sample_bytes, 31, 300, 7)
         assert np.array_equal(est, ref[0]) and np.array_equal(se, ref[1]), chunk
 
@@ -553,19 +545,23 @@ KERNEL_BODIES = {
                                       ("cube", 2, 1), ("hull", 2, 1),
                                       ("cube", 3, 0), ("hull", 3, 0)])
 def test_one_kernel_call_stays_within_its_bytes(body, i, j):
-    # the plane, line and point kernels on a whole chunk of run_shards, its
-    # draws made beforehand: the tracemalloc peak of their temporaries stays
-    # within the chunk's sample_bytes, and with the draws within CHUNK_BYTES;
-    # the line kernel's count is no more than twice its peak (it counted
-    # 64 bytes a facet where _clip_lines holds 33, and ran chunks half full)
+    # the plane, line and point kernels on a whole chunk of run_shards: the
+    # tracemalloc peak of the draw, its doubles included, stays within the
+    # law's bytes, and that of the kernel, with the draws it is handed,
+    # within its sample_bytes, both within CHUNK_BYTES; the line kernel's
+    # count is no more than twice its peak (it counted 64 bytes a facet
+    # where _clip_lines holds 33, and ran chunks half full)
     law, kernel, sample_bytes = _intrinsic_kernel(KERNEL_BODIES[body], j, i)
-    m = CHUNK_BYTES // (sample_bytes + law.bytes)
-    variates = law.variates(integral_geom._streams(5), m)
-    if body == "prism":
-        variates[0][:, :2] *= 0.05
-    draws = law.draw(variates, (np.arange(m), m, None))
-    peak = _peak_bytes(lambda: kernel(*draws))
-    assert peak <= m * sample_bytes <= CHUNK_BYTES - m * law.bytes
+    m = CHUNK_BYTES // max(sample_bytes, law.bytes)
+    u = integral_geom._stream(5).random((m, law.sample_doubles))
+    if body == "prism":   # normals within 2 sqrt(u_0) <= 0.05 of the z axis
+        u[:, -2] *= 0.000625
+    strata = (np.arange(m), m, None)
+    assert _peak_bytes(lambda: law.draw(u.copy(), strata)) <= m * law.bytes <= CHUNK_BYTES
+    draws = law.draw(u, strata)
+    held = u.nbytes + sum(d.nbytes for d in draws if not np.shares_memory(d, u))
+    peak = _peak_bytes(lambda: kernel(*draws)) + held
+    assert peak <= m * sample_bytes <= CHUNK_BYTES
     if law is LINES:
         assert m * sample_bytes <= 2 * peak
 

@@ -77,7 +77,7 @@ def box_motions(pair: str, rng: np.random.Generator, m: int):
     corners and widths of their windows."""
     P, L = PAIRS[pair]
     box = BoxMotions.tight(P, L)
-    R, *t = box.law.draw((rng.standard_normal((m, 4)), rng.random((m, 3))))
+    R, *t = box.law.draw(rng.random((m, box.law.sample_doubles)))
     x, _ = box.motions(R, np.stack(t, axis=1))
     coords = R @ L.vertices.T
     lo = box.box[0] - coords.max(axis=2)

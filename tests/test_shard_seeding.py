@@ -1,9 +1,9 @@
-"""The seeding of run_shards' streams against numpy's SeedSequence, and the
+"""The seeding of run_shards' stream against numpy's SeedSequence, and the
 laws' draws from Generator.random, taken to the kernels' windows, against
-rng.uniform draws: a run draws from two streams, of normals and of doubles,
-the children of SeedSequence(seed), however many shards it has; the iid
-laws draw what rng.uniform drew, and the stratified laws of offsets draw
-each shard's first doubles as rng.uniform's u scaled to the strata,
+rng.uniform draws: a run draws from one stream of doubles, the second
+child of SeedSequence(seed), however many shards it has; the iid laws
+draw what rng.uniform drew, and the stratified laws of offsets draw each
+shard's first doubles as rng.uniform's u scaled to the strata,
 (j + u) / m."""
 
 import math
@@ -20,25 +20,25 @@ from minkval.integral_geom import (
     LINES,
     PLANES,
     POINTS,
-    Law,
     PlaneSections,
     _BoxPoints,
     _LineChords,
-    _streams,
+    _stream,
     crofton_intrinsic,
+    direction_map,
+    rotation_map,
 )
 
-from motion_reference import IID_ROTATIONS, BoxMotions, rotations_from_quaternions
+from flat_reference import IID_ROTATIONS
+from motion_reference import BoxMotions
 
 
 def assert_streams_match(seed):
-    # the run's streams of normals and of doubles are default_rng of the two
-    # children of SeedSequence(seed)
-    children = np.random.SeedSequence(seed).spawn(2)
-    for rng, child in zip(_streams(seed), children):
-        ref = np.random.default_rng(child)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(rng.random(3), ref.random(3))
+    # the run's stream of doubles is default_rng of the second child of
+    # SeedSequence(seed)
+    rng, ref = _stream(seed), np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(rng.random(3), ref.random(3))
 
 
 # 2^128 + 7 has five 32-bit words, one more than SeedSequence's pool
@@ -61,7 +61,7 @@ def test_negative_seed_is_rejected_like_seed_sequence():
         crofton_intrinsic(cube(), 1, 1, 40, seed=-1, shards=4)
 
 
-def test_run_shards_builds_two_generators_whatever_the_shards(monkeypatch):
+def test_run_shards_builds_one_generator_whatever_the_shards(monkeypatch):
     built = []
 
     class Counting(np.random.PCG64):
@@ -75,7 +75,7 @@ def test_run_shards_builds_two_generators_whatever_the_shards(monkeypatch):
         built.clear()
         crofton_intrinsic(cube(), 1, 1, 2000, seed=4, shards=shards)
         counts.append(len(built))
-    assert counts == [2, 2, 2]
+    assert counts == [1, 1, 1]
 
 
 # -- the laws and windows as they drew with rng.uniform ---------------------------
@@ -86,7 +86,7 @@ class Window:
     kernel's window, which the reference draws with rng.uniform in one
     step; `of` is the body or the box law that the window is taken from."""
 
-    law: Law
+    law: object
     samples: Callable
     of: object
 
@@ -124,12 +124,11 @@ def uniform_flats(window, rng, m):
         x = rng.uniform(0.0, 1.0, (m, 3))
         x[:, 0] = strata(x[:, 0])
         return (lo + (hi - lo) * x,)
-    g = rng.standard_normal((m, 3))
-    u, ang = rng.uniform([0.0, 0.0], [1.0, 2.0 * math.pi], (m, 2)).T
+    u, ang, d0, d1 = rng.uniform([0.0, 0.0, 0.0, 0.0], [1.0, 2.0 * math.pi, 1.0, 1.0], (m, 4)).T
     u = strata(u)
     c = (lo + hi) / 2.0
     R = float(np.max(np.linalg.norm(v - c, axis=1))) * (1.0 + 1e-12)
-    dirs = _unit(g)
+    dirs = direction_map(d0, d1)
     aux = np.where(np.abs(dirs[:, :1]) < 0.9, [1.0, 0, 0], [0, 1.0, 0])
     e1 = _unit(np.cross(dirs, aux))
     e2 = np.cross(dirs, e1)
@@ -142,11 +141,12 @@ def tight_flats(window, rng, m):
     the support interval of the body's vertices about their centroid,
     stratified, given as the vertices' signed distances to the planes, and
     the planes' weights, twice the interval's width."""
-    a = _unit(rng.standard_normal((m, 3)))
+    t, d0, d1 = rng.uniform(0.0, 1.0, (m, 3)).T
+    a = direction_map(d0, d1)
     v = window.of.vertices - window.of.vertices.mean(axis=0)
     proj = a[:, :1] * v[:, 0] + a[:, 1:2] * v[:, 1] + a[:, 2:] * v[:, 2]
     lo, hi = proj.min(axis=1), proj.max(axis=1)
-    s = lo + (hi - lo) * strata(rng.uniform(0.0, 1.0, m))
+    s = lo + (hi - lo) * strata(t)
     return a, proj - s[:, None], 2.0 * (hi - lo)
 
 
@@ -159,28 +159,29 @@ def cube_law(side):
 def uniform_motions(window, rng, m):
     """The cube law of translations, as the motion sampler drew it with
     rng.uniform before the box law replaced it: uniform in the centred cube
-    [-h, h]^3 of the box of a point, with the cube's volume as weight."""
+    [-h, h]^3 of the box of a point, with the cube's volume as weight, each
+    translation's doubles before its rotation's three."""
     h = window.of.box[1, 0]
-    q = rng.standard_normal((m, 4))
-    t = rng.uniform(-h, h, (m, 3))
+    u = rng.uniform([-h] * 3 + [0.0] * 3, [h] * 3 + [1.0] * 3, (m, 6))
     side = 2.0 * h
-    return rotations_from_quaternions(_unit(q)), t, np.full(m, side * side * side)
+    return rotation_map(*u[:, 3:].T), u[:, :3], np.full(m, side * side * side)
 
 
 def box_motions(window, rng, m):
     """The box law of BoxMotions drawn with rng.uniform: translations
-    uniform in the coordinate box of P - R L of each rotation."""
-    q = rng.standard_normal((m, 4))
-    R = rotations_from_quaternions(_unit(q))
+    uniform in the coordinate box [lo, hi] of P - R L of each rotation,
+    whose three doubles follow the translation's."""
+    u = rng.uniform(0.0, 1.0, (m, 6))
+    R = rotation_map(*u[:, 3:].T)
     coords = R @ window.of.moving.T              # (m, 3, V): coordinates of R v
     lo, hi = window.of.box[0] - coords.max(axis=2), window.of.box[1] - coords.min(axis=2)
-    return R, rng.uniform(lo, hi), np.prod(hi - lo, axis=1)
+    return R, lo + (hi - lo) * u[:, :3], np.prod(hi - lo, axis=1)
 
 
 def uniform_rotations(window, rng, m):
-    """Uniform rotations from normal quaternions, the only draws of the
+    """Uniform rotations from three iid doubles each, the only draws of the
     rotation law: the translations are integrated in closed form."""
-    return (rotations_from_quaternions(_unit(rng.standard_normal((m, 4)))),)
+    return (rotation_map(*rng.uniform(0.0, 1.0, (m, 3)).T),)
 
 
 FAR_HULL = random_hull(52).translated([1e3, -1e3, 1e3])
@@ -206,12 +207,11 @@ SAMPLERS = [
 @pytest.mark.parametrize("m", [1, 5, 1000])
 def test_sampler_draws_equal_uniform_draws(sampler, reference, seed, m):
     # the law's draws of one shard, taken to the kernel's window, equal the
-    # draws of rng.uniform in the window, from one stream of normals and
-    # doubles
+    # draws of rng.uniform in the window, from one stream of doubles
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     law = sampler.law
-    variates = law.variates((rng, rng), m)
-    got = sampler.samples(*law.draw(variates, (np.arange(m), m, None)))
+    u = rng.random((m, law.sample_doubles))
+    got = sampler.samples(*law.draw(u, (np.arange(m), m, None)))
     want = reference(sampler, ref, m)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -17,7 +17,7 @@ import pytest
 from minkval.convex import _unit, cube, random_hull
 from minkval.integral_geom import (
     DIRECTIONS,
-    PLANES,
+    POINTS,
     ROTATIONS,
     FlatIntegrals,
     PlaneSections,
@@ -34,8 +34,7 @@ from minkval.integral_geom import (
 from minkval.valuation import PieceEvaluator, builtin_spec
 from minkval.zonal import builtin_zonal
 
-from flat_reference import IID_DIRECTIONS
-from motion_reference import IID_ROTATIONS
+from flat_reference import IID_DIRECTIONS, IID_ROTATIONS
 
 TOP = 1.0 - 2.0 ** -53   # the largest double of Generator.random
 BODIES = {"cube": cube(), "hull": random_hull(5, 30)}
@@ -46,8 +45,8 @@ PROBE = np.array([0.36, -0.48, 0.8])   # crofton-mv's default probe, and the --d
 def test_last_stratum_ends_at_1(m):
     # (m - 1 + u) / m rounds to 1 at the largest u for every m >= 2, and
     # never above; every other stratum keeps its double below its end
-    u = np.full((m, 1), TOP)
-    PLANES.stratify((np.zeros((m, 3)), u), np.arange(m), m)
+    u = np.full((m, 3), TOP)
+    POINTS.draw(u, (np.arange(m), m, None))
     u = u[:, 0]
     assert u[-1] == (TOP if m == 1 else 1.0)
     assert np.all(u <= (np.arange(m) + 1.0) / m)
