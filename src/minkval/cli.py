@@ -27,6 +27,7 @@ from operator import itemgetter
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from . import convex, integral_geom, valuation, zonal
 from .constants import berg_multiplier_frac, box_multiplier_frac, kappa
@@ -42,6 +43,13 @@ MAX_SHARDS = 10_000   # largest --shards: the shard reduction holds O(shards) ar
 MAX_COUNT = 10_000    # largest --num-dirs and --samples
 MAX_BALL_DEPTH = 6    # ball:6 has 16386 vertices; each level has 4x as many
 MAX_POINTS = 100_000  # largest POINTS of random:SEED:POINTS
+# The bodies the commands support: coordinates at most MAX_COORDINATE in
+# absolute value, whose squares stay normal doubles, and an extent (the
+# largest coordinate about the centroid) of 0, a point, or within EXTENTS,
+# where the squares of the largest values formed, V_3(P) V_3(L) in the
+# error bars of `kinematic`, stay normal doubles with room for their sums.
+MAX_COORDINATE = 1e150
+EXTENTS = (1e-20, 1e20)
 
 
 class InputError(Exception):
@@ -52,16 +60,16 @@ def load_body(name: str, full_dimensional: bool = False) -> convex.Polytope:
     """Resolve a body argument: a JSON path, a corpus name (cube, simplex,
     octahedron -- looked up under $MINKVAL_DATA first, then the packaged
     data), "ball:DEPTH" (DEPTH in [0, MAX_BALL_DEPTH]), or
-    "random:SEED[:POINTS]" (POINTS in [1, MAX_POINTS]).  A body the lattice
-    build rejects (such as one with non-finite coordinates) is an input
-    error, and so is a lower-dimensional one where the command samples it
-    by Monte Carlo (`full_dimensional`)."""
+    "random:SEED[:POINTS]" (POINTS in [1, MAX_POINTS]).  A body file
+    outside the supported domain (MAX_COORDINATE, EXTENTS), one the lattice
+    build or qhull rejects, and a lower-dimensional one where the command
+    samples it by Monte Carlo (`full_dimensional`) are input errors."""
     try:
         body = _resolve_body(name)
         if full_dimensional:
             integral_geom.check_full_dimensional(body)
         return body
-    except ValueError as exc:
+    except (ValueError, QhullError) as exc:
         raise InputError(f"bad body {name!r}: {exc}") from None
 
 
@@ -71,7 +79,10 @@ def _resolve_body(name: str) -> convex.Polytope:
     for path in (name, os.path.join(data, stem + ".json")) if data else (name,):
         if os.path.exists(path):
             with open(path) as fh:
-                return convex.Polytope.from_json(json.load(fh))
+                content = json.load(fh)
+            if isinstance(content, dict) and "vertices" in content:
+                _check_domain(content["vertices"])
+            return convex.Polytope.from_json(content)
     if stem in BUILTIN_BODIES:
         from importlib.resources import files
         text = files("minkval.data").joinpath(stem + ".json").read_text()
@@ -82,6 +93,19 @@ def _resolve_body(name: str) -> convex.Polytope:
         seed, _, num = stem[7:].partition(":")
         return convex.random_hull(int(seed), _bounded(num or "14", "POINTS", 1, MAX_POINTS))
     raise InputError(f"cannot resolve body {name!r}")
+
+
+def _check_domain(points) -> None:
+    """Raise ValueError for points outside MAX_COORDINATE or EXTENTS."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    top = float(np.abs(pts).max(initial=0.0))
+    if not top <= MAX_COORDINATE:
+        raise ValueError(f"vertex coordinates must be finite and at most "
+                         f"{MAX_COORDINATE:g} in absolute value, got {top:g}")
+    extent = convex._extent(pts) if len(pts) else 0.0
+    if extent and not EXTENTS[0] <= extent <= EXTENTS[1]:
+        raise ValueError(f"the extent {extent:g} (largest coordinate about the centroid) "
+                         f"must be 0 or in [{EXTENTS[0]:g}, {EXTENTS[1]:g}]")
 
 
 def _bounded(text: str, what: str, lo: int, hi: int) -> int:
@@ -361,7 +385,8 @@ def cmd_area_measure(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "pass": agrees(residual, 0.0, abs(total) + abs(target), tol),
     }
     rows = [*_rows("atom", atom_mass, meas.atoms.normal),
-            *_rows("arc", arc_mass, meas.arcs.a, meas.arcs.b), *_rows("patch", cone_mass)]
+            *_rows("arc", arc_mass, meas.arcs.a, meas.arcs.t, meas.arcs.angle),
+            *_rows("patch", cone_mass)]
     return (0 if report["pass"] else 1), report, rows, ["piece", "mass", "data"]
 
 
@@ -636,6 +661,9 @@ def main(argv=None) -> int:
                        csv_rows=csv_rows, csv_path=args.csv, csv_header=csv_header)
     except OSError as exc:
         return _fail(f"cannot write the output: {exc}", None)
+    except ValueError:     # the strict JSON writer met an infinite or NaN value
+        return _fail("a result is not a finite number: the input lies beyond "
+                     "the range of double precision", args.out)
     return status
 
 

@@ -2,12 +2,15 @@
 volumes, and slicing.
 
 Lower-dimensional bodies (polygons, segments, points from plane sections)
-are first class: their lattice is built in the ambient space, so the normal
-cones fatten to arcs, lunes and hemispheres and the area measures remain
-exact.  Area measure pieces are point atoms (facet normals), great-circle
-arcs (edge normal cones) and a uniform part: S_0 is the spherical Lebesgue
-measure for every nonempty body, and is held exactly as such.  One
-AreaMeasure may hold the measures of many bodies, its pieces tagged by body.
+are first class: every body of dimension 1 to 3 carries the same face
+lattice, a polygon two-sided (the facets +w and -w on its cycle and on the
+reverse) and a segment the 2-gon of its ends, so one set of formulas gives
+the intrinsic volumes, area measures and normal cones of all of them.  Area
+measure pieces are point atoms (facet normals), great-circle arcs (edge
+normal cones: start, unit tangent, angle, so a half or a full circle is one
+arc) and a uniform part: S_0 is the spherical Lebesgue measure for every
+nonempty body, and is held exactly as such.  One AreaMeasure may hold the
+measures of many bodies, its pieces tagged by body.
 """
 
 from __future__ import annotations
@@ -165,24 +168,26 @@ def _prune_collinear(cycle: np.ndarray, pts: np.ndarray, tol: float = MERGE_TOL)
 class Polytope:
     """Convex polytope in R^3, possibly of lower dimension or empty.
 
-    Full-dimensional bodies carry merged facets (outward unit normal,
-    ordered vertex cycle, area) and the edge graph; planar bodies carry
-    their vertices in cycle order, the plane normal, and in-plane outward
-    edge normals.
+    Every body of dimension 1 to 3 carries the same face lattice: facets
+    (outward unit normal, offset, vertex cycle counterclockwise from outside,
+    area, centroid) and edges (tail, head, f, g), each walked from tail to
+    head along the cycle of facet f, whose other facet is g.  A polygon is
+    two-sided: the facets +w and -w, w its plane's normal, on its cycle and
+    on the reverse, each with the polygon's area; a segment is the 2-gon
+    [lo, hi] of area 0 in a plane through it.  So V - E + F = 2 for all of
+    them, and `dim` is the affine dimension.  A point has its vertex only.
     """
 
     def __init__(self):
         self.dim = -1
         self.vertices = np.zeros((0, 3))
-        # dim 3 lattice
         self.facet_normals = np.zeros((0, 3))
         self.facet_offsets = np.zeros(0)
         self.facet_cycles: list[list[int]] = []
         self.facet_areas = np.zeros(0)
-        self.edges = np.zeros((0, 4), dtype=int)   # (i, j, facet1, facet2) per edge, i < j
-        # dim 2 lattice: the vertices in counterclockwise order about the normal
-        self.plane_normal: np.ndarray | None = None
-        self.edge_normals_inplane = np.zeros((0, 3))
+        # the mean of each facet's vertices, added in cycle order
+        self.facet_centroids = np.zeros((0, 3))
+        self.edges = np.zeros((0, 4), dtype=int)   # (tail, head, f, g) per edge
 
     # -- construction -----------------------------------------------------
 
@@ -210,10 +215,8 @@ class Polytope:
         dim = int(np.sum(sv > flat * math.sqrt(pts.shape[0])))
         if dim >= 3:
             P._build_3d(pts)
-        elif dim == 2:
-            P._build_2d(pts)
-        elif dim == 1:
-            P._build_1d(pts)
+        elif dim >= 1:
+            P._build_flat(pts, dim)
         else:
             P.dim = 0
             P.vertices = pts[:1]
@@ -285,6 +288,8 @@ class Polytope:
         rel = pts[cyc] - np.repeat(pts[cyc[cyc_start]], lens, axis=0)
         fan = np.zeros((len(first), 3))
         np.add.at(fan, f[walk[:-1]], np.cross(rel[:-1], rel[1:]))
+        vertex_sums = np.zeros((len(first), 3))
+        np.add.at(vertex_sums, f[walk], pts[cyc])
         # re-index to extreme vertices only
         used = np.unique(cyc)
         remap = np.empty(pts.shape[0], dtype=int)
@@ -295,44 +300,46 @@ class Polytope:
         self.facet_offsets = np.vecdot(normals, pts[tail[walk[cyc_start]]])
         self.facet_cycles = [cyc[a:a + n] for a, n in zip(cyc_start.tolist(), lens.tolist())]
         self.facet_areas = 0.5 * _norms(fan)
+        self.facet_centroids = vertex_sums / lens[:, None]
         # each edge once, where the walk of its lower facet crosses it
         r = walk[f[walk] < g[walk]]
-        a, b = remap[tail[r]], remap[head[r]]
-        self.edges = np.column_stack([np.minimum(a, b), np.maximum(a, b), f[r], g[r]])
+        self.edges = np.column_stack([remap[tail[r]], remap[head[r]], f[r], g[r]])
         self.dim = 3
         ne, nf = len(self.edges), len(self.facet_cycles)
         if len(self.vertices) - ne + nf != 2:
             raise ValueError(
                 f"Euler relation violated: V={len(self.vertices)} E={ne} F={nf}")
 
-    def _build_2d(self, pts: np.ndarray):
-        center = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - center)
-        normal = _unit(vt[2])
-        b1, b2 = _plane_basis(normal)
-        xy = np.column_stack(((pts - center) @ b1, (pts - center) @ b2))
-        hull = ConvexHull(xy)
-        cyc = _prune_collinear(hull.vertices, pts)  # counterclockwise in (b1, b2)
+    def _build_flat(self, pts: np.ndarray, dim: int):
+        """The two-sided lattice of a polygon (dim 2) or a segment (dim 1):
+        the facets +w and -w on the cycle, counterclockwise about w, and on
+        its reverse, both with the polygon's area (fan about the first
+        vertex), offset and centroid, and the edges (cyc[k], cyc[k+1], 0, 1).
+        A polygon's cycle is its hull in the plane's basis, collinear
+        vertices pruned; a segment's is [lo, hi] along its spread, and w the
+        first vector of _plane_basis of its direction."""
+        centre = pts.mean(axis=0)
+        if dim == 2:
+            w = _unit(np.linalg.svd(pts - centre)[2][2])
+            b1, b2 = _plane_basis(w)
+            xy = np.column_stack(((pts - centre) @ b1, (pts - centre) @ b2))
+            cyc = _prune_collinear(ConvexHull(xy).vertices, pts)
+        else:
+            d = _unit(pts[np.argmax(_norms(pts - centre))] - centre)
+            cyc = np.array([np.argmin(pts @ d), np.argmax(pts @ d)])
+            w = _plane_basis(d)[0]
         self.vertices = pts[cyc]
-        self.plane_normal = np.cross(b1, b2)
-        m = len(cyc)
-        normals = []
-        for k in range(m):
-            a, b = self.vertices[k], self.vertices[(k + 1) % m]
-            d = b - a
-            d2 = np.array([np.dot(d, b1), np.dot(d, b2)])
-            out2 = np.array([d2[1], -d2[0]])  # outward for a CCW cycle
-            out2 /= np.linalg.norm(out2)
-            normals.append(out2[0] * b1 + out2[1] * b2)
-        self.edge_normals_inplane = np.array(normals)
-        self.dim = 2
-
-    def _build_1d(self, pts: np.ndarray):
-        d = _unit(pts[np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))] - pts.mean(axis=0))
-        proj = pts @ d
-        lo, hi = int(np.argmin(proj)), int(np.argmax(proj))
-        self.vertices = pts[[lo, hi]]
-        self.dim = 1
+        k = np.arange(len(cyc))
+        rel = self.vertices - self.vertices[0]
+        offset = float(w @ self.vertices[0])
+        self.facet_normals = np.array([w, -w])
+        self.facet_offsets = np.array([offset, -offset])
+        self.facet_cycles = [k.tolist(), np.roll(k[::-1], 1).tolist()]
+        self.facet_areas = np.full(2, 0.5 * float(_norms(np.cross(rel[:-1], rel[1:]).sum(axis=0))))
+        # one centroid for both sides, so that their volume terms cancel
+        self.facet_centroids = np.repeat(self.vertices.mean(axis=0)[None], 2, axis=0)
+        self.edges = np.column_stack([k, np.roll(k, -1), np.zeros_like(k), np.ones_like(k)])
+        self.dim = dim
 
     # -- queries -----------------------------------------------------------
 
@@ -351,13 +358,8 @@ class Polytope:
         return float(np.max(self.vertices @ u))
 
     def edge_index_pairs(self) -> np.ndarray:
-        """The ends (E, 2) of the edges, as vertex indices."""
-        if self.dim == 3:
-            return self.edges[:, :2]
-        if self.dim == 2:
-            k = np.arange(self.num_vertices)
-            return np.column_stack([k, np.roll(k, -1)])
-        return np.array([[0, 1]] if self.dim == 1 else [], dtype=int).reshape(-1, 2)
+        """The ends (E, 2) of the edges, tail and head, as vertex indices."""
+        return self.edges[:, :2]
 
     def inequalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Facet inequalities A x <= b of a full-dimensional body."""
@@ -394,27 +396,11 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={self.num_vertices})"
 
 
-def _polygon_area3d(pts: np.ndarray) -> float:
-    if pts.shape[0] < 3:
-        return 0.0
-    # a sum over axis 0 adds the fan's cross products row after row
-    s = np.cross(pts[1:-1] - pts[0], pts[2:] - pts[0]).sum(axis=0)
-    return 0.5 * float(np.linalg.norm(s))
-
-
 # -- area measure pieces ---------------------------------------------------
 
 def _arc_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angles between the rows of a and b."""
     return np.arctan2(_norms(np.cross(a, b)), np.vecdot(a, b))
-
-
-def _slerp(a: np.ndarray, b: np.ndarray, th: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Points at parameters s in [0, 1] of the great-circle arcs from a[r]
-    to b[r] (R, 3) of angles th[r] > 0: (R, len(s), 3)."""
-    return ((np.sin(np.multiply.outer(th, 1.0 - s))[..., None] * a[:, None, :]
-             + np.sin(np.multiply.outer(th, s))[..., None] * b[:, None, :])
-            / np.sin(th)[:, None, None])
 
 
 def _gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,26 +419,40 @@ def _split_triangle(tri: np.ndarray) -> np.ndarray:
 
 
 # The quadrature rules of the area measures: Gauss-Legendre on ARC_NODES
-# points per arc, and for the uniform part the UNIFORM_ORDER-point Gauss rule
-# on each of [-1, 0] and [0, 1] (the kink of abs_half), exact for polynomial
-# profiles up to the degree BERG_NATIVE_KMAX of the Berg expansions.
+# points per panel of an arc, and for the uniform part the
+# UNIFORM_ORDER-point Gauss rule on each of [-1, 0] and [0, 1] (the kink of
+# abs_half), exact for polynomial profiles up to the degree BERG_NATIVE_KMAX
+# of the Berg expansions.
 ARC_NODES = 24
 UNIFORM_ORDER = BERG_NATIVE_KMAX // 2 + 1
 _ARC_RULE = _gauss01(ARC_NODES)
 
 
-def _arc_nodes(a: np.ndarray, b: np.ndarray,
-              density: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quadrature rule of arcs from a[r] to b[r] (R, 3) with densities
-    (R,): Gauss-Legendre on ARC_NODES points of each arc of angle at least
-    1e-14 (shorter arcs carry no mass), as nodes (R', ARC_NODES, 3) and
-    weights (R', ARC_NODES), and the mask (R,) of the arcs kept.  An arc
-    with a NaN end is kept, so that the NaN shows in every sum over it."""
-    th = _arc_angles(a, b)
-    live = ~(th < 1e-14)
+def _arc_panels(angle: np.ndarray) -> np.ndarray:
+    """The panel rule: an arc of angle theta is cut into
+    max(1, floor(2 theta / pi)) equal panels, one below pi, two for a half
+    circle and four for a full one (1 for a NaN angle)."""
+    return np.fmax(np.floor(angle / (0.5 * math.pi)), 1.0).astype(int)
+
+
+def _arc_nodes(arcs: "Arcs") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature rule of the arcs: Gauss-Legendre on ARC_NODES points
+    of each panel (_arc_panels) of each arc of angle at least 1e-14 (shorter
+    arcs carry no mass), the node at angle phi from the start a being
+    cos(phi) a + sin(phi) t.  Nodes (N, 3), weights (N,) and the arc of each
+    node (N,), arc by arc and panel by panel.  An arc with a NaN start,
+    tangent or angle is kept, so that the NaN shows in every sum over it."""
+    live = np.flatnonzero(~(arcs.angle < 1e-14))
+    panels = _arc_panels(arcs.angle[live])
+    arc = np.repeat(live, panels)                                  # the arc of each panel
+    index = np.arange(len(arc)) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = arcs.angle[arc] / np.repeat(panels, panels)
     s, w = _ARC_RULE
-    return (_slerp(a[live], b[live], th[live], s),
-            (density[live] * th[live])[:, None] * w, live)
+    phi = (index[:, None] + s) * step[:, None]
+    nodes = (np.cos(phi)[..., None] * arcs.a[arc][:, None, :]
+             + np.sin(phi)[..., None] * arcs.t[arc][:, None, :])
+    weights = (arcs.density[arc] * step)[:, None] * w
+    return nodes.reshape(-1, 3), weights.ravel(), np.repeat(arc, ARC_NODES)
 
 
 class Atoms(NamedTuple):
@@ -463,10 +463,14 @@ class Atoms(NamedTuple):
 
 
 class Arcs(NamedTuple):
-    """Great-circle arcs (angle < pi): body (R,), ends a, b (R, 3), density (R,)."""
+    """Great-circle arcs: body (R,), start a (R, 3), unit tangent t (R, 3)
+    at a, orthogonal to it, angle (R,) in (0, 2 pi] and density (R,).  The
+    arc runs through cos(phi) a + sin(phi) t for 0 <= phi <= angle, so a
+    half or a full circle is one arc; its mass is density times angle."""
     body: np.ndarray
     a: np.ndarray
-    b: np.ndarray
+    t: np.ndarray
+    angle: np.ndarray
     density: np.ndarray
 
 
@@ -488,7 +492,7 @@ class AreaMeasure:
     atoms: Atoms = field(default_factory=lambda: Atoms(
         np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0)))
     arcs: Arcs = field(default_factory=lambda: Arcs(
-        np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)))
+        np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0)))
     uniform: float = 0.0
     bodies: int | None = None
 
@@ -504,22 +508,28 @@ class AreaMeasure:
 
     def piece_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Masses of the atoms and of the arcs (density times angle)."""
-        return self.atoms.mass, self.arcs.density * _arc_angles(self.arcs.a, self.arcs.b)
+        return self.atoms.mass, self.arcs.density * self.arcs.angle
 
     def node_cloud(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Quadrature nodes (N, 3), weights (N,) and bodies (N,): the atoms
-        (exact), then the arcs (Gauss-Legendre on ARC_NODES points); the
-        uniform part is integrated exactly and has no nodes."""
-        arc_pts, arc_wts, live = _arc_nodes(*self.arcs[1:])
-        return (np.concatenate([self.atoms.normal, arc_pts.reshape(-1, 3)]),
-                np.concatenate([self.atoms.mass, arc_wts.ravel()]),
-                np.concatenate([self.atoms.body, np.repeat(self.arcs.body[live], ARC_NODES)]))
+        (exact), then the arcs (`_arc_nodes`); the uniform part is
+        integrated exactly and has no nodes."""
+        arc_pts, arc_wts, arc = _arc_nodes(self.arcs)
+        return (np.concatenate([self.atoms.normal, arc_pts]),
+                np.concatenate([self.atoms.mass, arc_wts]),
+                np.concatenate([self.atoms.body, self.arcs.body[arc]]))
+
+    def _node_counts(self) -> np.ndarray:
+        """The nodes of each piece, atoms first: 1 per atom and ARC_NODES
+        per panel of an arc, counted for a short arc too."""
+        return np.concatenate([np.ones(len(self.atoms.mass), dtype=int),
+                               ARC_NODES * _arc_panels(self.arcs.angle)])
 
     def _parts(self) -> list["AreaMeasure"]:
         """The measure cut into runs of consecutive pieces, atoms first, of
         about CHUNK_BYTES / (2 _PAIR_BYTES) nodes each."""
-        ta, ra = len(self.atoms.mass), len(self.arcs.density)
-        count = np.cumsum(np.concatenate([np.ones(ta, dtype=int), np.full(ra, ARC_NODES)]))
+        ta = len(self.atoms.mass)
+        count = np.cumsum(self._node_counts())
         part = max(1, CHUNK_BYTES // (2 * _PAIR_BYTES))
         cuts = np.flatnonzero(np.diff((count - 1) // part)) + 1
         return [replace(self, atoms=Atoms(*(x[min(lo, ta):min(hi, ta)] for x in self.atoms)),
@@ -531,28 +541,25 @@ class AreaMeasure:
         for the nrows functions r that rows(cosines) yields, at every
         direction w: (nrows, D), or (nrows, m, D) over m bodies.  Nodes come
         in parts (_parts), directions in blocks; the cosines are elementwise
-        products, and one np.bincount over the (node, direction) pairs adds
-        to each (body, direction) bin its sum so far, then the part's nodes
-        in order.  So a value depends on its body and its direction alone:
-        not on the others, the parts, the blocks or the BLAS threads."""
+        products, and one np.add.at over the (node, direction) pairs adds
+        the part's nodes in order onto each (body, direction) bin's sum so
+        far.  So a value depends on its body and its direction alone: not
+        on the others, the parts, the blocks or the BLAS threads."""
         m = self.bodies or 1
         out = np.zeros((nrows, m, len(dirs)))
         for part in self._parts():
             pts, wts, body = part.node_cloud()
             for block in _direction_blocks(len(wts), len(dirs)):
-                d, nb = dirs[block], len(dirs[block])
-                cos = np.clip(_dots(pts, d.T), -1.0, 1.0)
-                at = (body[:, None] * nb + np.arange(nb)).ravel()
-                at = np.concatenate([np.arange(m * nb), at])   # the sums so far come first
+                cos = np.clip(_dots(pts, dirs[block].T), -1.0, 1.0)
+                at = (body[:, None], np.arange(block.start, block.start + cos.shape[1]))
                 for k, r in enumerate(rows(cos)):
-                    sums = np.concatenate([out[k, :, block].ravel(), (wts[:, None] * r).ravel()])
-                    out[k, :, block] = np.bincount(at, sums, m * nb).reshape(m, nb)
+                    np.add.at(out[k], at, wts[:, None] * r)
         return out[:, 0] if self.bodies is None else out
 
     def _addition_theorem(self, dirs: np.ndarray, kmax: int) -> np.ndarray | None:
         """The moments of degree <= kmax (kmax+1, D) by the addition theorem
         where that is the cheaper route for one body in R^3, else None."""
-        nodes = len(self.atoms.mass) + ARC_NODES * len(self.arcs.density)
+        nodes = int(self._node_counts().sum())
         if self.bodies is None and _harmonic_is_cheaper(nodes, len(dirs), kmax):
             return _harmonic_moments(*self.node_cloud()[:2], dirs, kmax)
         return None
@@ -702,40 +709,34 @@ def _facet_entries(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
 def normal_cone_masses(P: Polytope) -> np.ndarray:
     """The solid angle of the normal cone of each vertex of P, in vertex
     order.  The cones tile the sphere, so the masses add up to 4 pi; they
-    make the pieces of the `area-measure --i 0` report.  A full body's cone
-    at v is its angle defect 2 pi - sum_F theta_F(v), theta_F(v) the angle
-    of facet F at v between its neighbours in F's cycle (Gauss-Bonnet: the
-    cone's spherical polygon has the angles pi - theta_F(v)), clipped at 0
-    for a vertex flat to rounding.  The angles are taken in [0, 2 pi) in the
+    make the pieces of the `area-measure --i 0` report.  The cone at v is
+    its angle defect 2 pi - sum_F theta_F(v), theta_F(v) the angle of facet
+    F at v between its neighbours in F's cycle (Gauss-Bonnet: the cone's
+    spherical polygon has the angles pi - theta_F(v)), clipped at 0 for a
+    vertex flat to rounding.  The angles are taken in [0, 2 pi) in the
     facets' planes: a facet merged within MERGE_TOL is planar only that far,
     and in its plane its angles still add up to (k - 2) pi, so that the
     defects add up to 4 pi by Euler's relation (Descartes' theorem) even on
-    a facet merged across a fold.  A polygon's cones are lunes of twice the
-    angle between the normals of a vertex's two edges; a segment has two
-    hemispheres and a point the whole sphere."""
-    if P.dim == 3:
-        cyc, facet = _facet_entries(P)
-        lens = np.bincount(facet)
-        first = (np.cumsum(lens) - lens)[facet]
-        pos = np.arange(len(cyc)) - first
-        v, n = P.vertices[cyc], P.facet_normals[facet]
-        a = P.vertices[cyc[first + (pos - 1) % lens[facet]]] - v
-        b = P.vertices[cyc[first + (pos + 1) % lens[facet]]] - v
-        # the angle from b round n to a, of the sides as projected on the facet's plane
-        angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
-                           np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b)) % (2.0 * math.pi)
-        # the double 2 pi lies 2.449e-16 below 2 pi: add the remainder back
-        defect = 2.0 * math.pi - np.bincount(cyc, angle, P.num_vertices)
-        defect += 2.4492935982947064e-16
-        return np.maximum(defect, 0.0)
-    if P.dim == 2:
-        me = P.edge_normals_inplane
-        return 2.0 * _arc_angles(np.roll(me, 1, axis=0), me)
-    if P.dim == 1:
-        return np.array([2.0 * math.pi, 2.0 * math.pi])
+    a facet merged across a fold.  On a two-sided polygon both facets have
+    the angle theta at a vertex, whose cone is the lune 2 (pi - theta); a
+    segment's angles are 0, its cones two hemispheres.  A point's cone is
+    the whole sphere."""
     if P.dim == 0:
         return np.array([4.0 * math.pi])
-    return np.zeros(0)
+    cyc, facet = _facet_entries(P)
+    lens = np.bincount(facet)
+    first = (np.cumsum(lens) - lens)[facet]
+    pos = np.arange(len(cyc)) - first
+    v, n = P.vertices[cyc], P.facet_normals[facet]
+    a = P.vertices[cyc[first + (pos - 1) % lens[facet]]] - v
+    b = P.vertices[cyc[first + (pos + 1) % lens[facet]]] - v
+    # the angle from b round n to a, of the sides as projected on the facet's plane
+    angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
+                       np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b)) % (2.0 * math.pi)
+    # the double 2 pi lies 2.449e-16 below 2 pi: add the remainder back
+    defect = 2.0 * math.pi - np.bincount(cyc, angle, P.num_vertices)
+    defect += 2.4492935982947064e-16
+    return np.maximum(defect, 0.0)
 
 
 def area_measure(P: Polytope, i: int) -> AreaMeasure:
@@ -745,8 +746,11 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
     Hausdorff measure on the normal cone of F; the binomial normalization
     makes the total mass equal to n V(P[i]; B[n-i]).  The normal cones of
     the vertices tile the sphere, so S_0 is the uniform measure sigma for
-    every nonempty P.  The faces' lengths and cones are computed for all
-    faces at once.
+    every nonempty P.  S_2 has an atom per facet, S_1 an arc per edge from
+    n_f to n_g (`Polytope.edges`), its tangent at n_f the unit
+    (head - tail) x n_f: on a two-sided polygon a half circle w -> -w, on a
+    segment two that close the circle about it.  The faces' lengths and
+    cones are computed for all faces at once.
     """
     if not 0 <= i <= 2:
         raise ValueError(f"degree must satisfy 0 <= i <= n-1 = 2, got {i}")
@@ -755,37 +759,14 @@ def area_measure(P: Polytope, i: int) -> AreaMeasure:
         return meas
     if i == 0:
         meas.uniform = 1.0
-        return meas
-    binom = math.comb(2, i)
-    if P.dim == 3:
-        if i == 2:
-            normals, masses = P.facet_normals, P.facet_areas
-        else:
-            tail, head, f, g = P.edges.T
-            a, b = P.facet_normals[f], P.facet_normals[g]
-            density = _norms(P.vertices[head] - P.vertices[tail]) / binom
-    elif P.dim == 2:
-        w, pts = P.plane_normal, P.vertices
-        if i == 2:
-            normals, masses = np.array([w, -w]), np.full(2, _polygon_area3d(pts))
-        else:
-            # per edge the quarter arcs w -> m_e -> -w of its in-plane normal m_e
-            me = P.edge_normals_inplane
-            a = np.stack([np.broadcast_to(w, me.shape), me], axis=1).reshape(-1, 3)
-            b = np.stack([me, np.broadcast_to(-w, me.shape)], axis=1).reshape(-1, 3)
-            density = np.repeat(_norms(np.roll(pts, -1, axis=0) - pts) / binom, 2)
-    elif P.dim == 1 and i == 1:
-        d = _unit(P.vertices[1] - P.vertices[0])
-        length = float(np.linalg.norm(P.vertices[1] - P.vertices[0]))
-        p, q = _plane_basis(d)
-        a = np.array([p, q, -p, -q])
-        b, density = np.roll(a, -1, axis=0), np.full(4, length / binom)
+    elif i == 2:
+        meas.atoms = Atoms(np.zeros(len(P.facet_areas), dtype=int), P.facet_normals,
+                           P.facet_areas)
     else:
-        return meas
-    if i == 2:
-        meas.atoms = Atoms(np.zeros(len(masses), dtype=int), normals, masses)
-    else:
-        meas.arcs = Arcs(np.zeros(len(density), dtype=int), a, b, density)
+        tail, head, f, g = P.edges.T
+        a, step = P.facet_normals[f], P.vertices[head] - P.vertices[tail]
+        meas.arcs = Arcs(np.zeros(len(f), dtype=int), a, _unit(np.cross(step, a)),
+                         _arc_angles(a, P.facet_normals[g]), _norms(step) / 2.0)
     return meas
 
 
@@ -821,8 +802,9 @@ class IntrinsicVolumes:
 def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
     """Intrinsic volumes (V0, V1, V2, V3) from the face lattice: volume by
     the divergence theorem about the vertex centroid, V2 = surface/2, V1
-    from edge lengths and exterior dihedral angles; lower-dimensional bodies
-    use their own closed forms (V1 of a planar body is half its perimeter).
+    from edge lengths and exterior dihedral angles.  On a two-sided polygon
+    the angles are pi, so V1 is half the perimeter, V2 the area, and the
+    volume terms of the two sides cancel exactly.
 
     Each sum over faces is one batched pass over the lattice's arrays: the
     per-face terms are computed for all faces at once and added in face
@@ -830,33 +812,22 @@ def intrinsic_volumes(P: Polytope) -> IntrinsicVolumes:
     are those of a loop over the faces."""
     if P.is_empty:
         return IntrinsicVolumes(0.0, 0.0, 0.0, 0.0)
-    if P.dim == 3:
-        # cones from the vertex centroid: terms stay of the body's size
-        # wherever it sits
-        cyc, facet = _facet_entries(P)
-        centroid = np.zeros((len(P.facet_cycles), 3))
-        np.add.at(centroid, facet, P.vertices[cyc])
-        centroid = centroid / np.bincount(facet)[:, None] - P.vertices.mean(axis=0)
-        vol = sum((P.facet_areas * np.vecdot(P.facet_normals, centroid) / 3.0).tolist())
-        surf = float(np.sum(P.facet_areas))
-        tail, head, f, g = P.edges.T
-        length = _norms(P.vertices[head] - P.vertices[tail])
-        n1, n2 = P.facet_normals[f], P.facet_normals[g]
-        # math.atan2, not np.arctan2 (as in _arc_angles): numpy's array
-        # arctan2 differs from libm's by one ulp on some arguments, which
-        # moves V1 in its last bit on 7 of the 220 full-dimensional bodies
-        # of tests/test_face_sums.py
-        angle = list(map(math.atan2, _norms(np.cross(n1, n2)).tolist(),
-                         np.vecdot(n1, n2).tolist()))
-        v1 = sum((length * angle).tolist())
-        return IntrinsicVolumes(1.0, v1 / (2.0 * math.pi), surf / 2.0, float(vol))
-    if P.dim == 2:
-        pts = P.vertices
-        per = sum(_norms(np.roll(pts, -1, axis=0) - pts).tolist())
-        return IntrinsicVolumes(1.0, per / 2.0, _polygon_area3d(pts), 0.0)
-    if P.dim == 1:
-        return IntrinsicVolumes(1.0, float(np.linalg.norm(P.vertices[1] - P.vertices[0])), 0.0, 0.0)
-    return IntrinsicVolumes(1.0, 0.0, 0.0, 0.0)
+    # cones from the vertex centroid: terms stay of the body's size
+    # wherever it sits
+    centroid = P.facet_centroids - P.vertices.mean(axis=0)
+    vol = sum((P.facet_areas * np.vecdot(P.facet_normals, centroid) / 3.0).tolist())
+    surf = float(np.sum(P.facet_areas))
+    tail, head, f, g = P.edges.T
+    length = _norms(P.vertices[head] - P.vertices[tail])
+    n1, n2 = P.facet_normals[f], P.facet_normals[g]
+    # math.atan2, not np.arctan2 (as in _arc_angles): numpy's array
+    # arctan2 differs from libm's by one ulp on some arguments, which
+    # moves V1 in its last bit on 7 of the 220 full-dimensional bodies
+    # of tests/test_face_sums.py
+    angle = list(map(math.atan2, _norms(np.cross(n1, n2)).tolist(),
+                     np.vecdot(n1, n2).tolist()))
+    v1 = sum((length * angle).tolist())
+    return IntrinsicVolumes(1.0, v1 / (2.0 * math.pi), surf / 2.0, float(vol))
 
 
 # -- slicing ------------------------------------------------------------------

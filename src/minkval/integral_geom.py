@@ -498,10 +498,7 @@ class PlaneSections:
         self.step = np.ascontiguousarray((local[self.vj] - local[self.vi]).T)
         # per edge, the facet whose ccw cycle runs along it from i to j, then
         # the other one, flat: entry 2 e + (i below) takes +p_e
-        runs = {(i, j): f for f, cyc in enumerate(P.facet_cycles)
-                for i, j in zip(cyc, cyc[1:] + cyc[:1])}
-        self.facets = np.array([(f, g) if runs[i, j] == f else (g, f)
-                                for i, j, f, g in P.edges.tolist()], dtype=int).ravel()
+        self.facets = P.edges[:, 2:].ravel()
         V, E, self.nf = len(P.vertices), len(P.edges), len(P.facet_cycles)
         # the temporaries of areas() per plane: the (m, V) distances, the
         # (m, E) distances of the ends and their flags, then the (m, F) sums
@@ -703,7 +700,7 @@ class FlatIntegrals:
 
     def plane_pieces(self, a: np.ndarray, degrees) -> MeasurePieces:
         """The area measures of the sections by the planes of normal a,
-        integrated: S_1 the quarter arcs a -> m_F -> -a of density
+        integrated: S_1 the half circles a -> m_F -> -a of density
         A_F |n_F x a| per facet with n_F x a != 0, m_F = unit(a x (n_F x a))
         the outward normal of its segments; S_2 the atoms +-a of mass
         2 V_3(P) (Cavalieri); and twice the width in place of the hit.
@@ -717,9 +714,7 @@ class FlatIntegrals:
             ar = np.take(a, rows, axis=0)
             m_f = _unit(np.stack(_cross(ar.T, [x[facet, rows] for x in c]), axis=1))
             s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
-                np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                np.stack([m_f, -ar], axis=1).reshape(-1, 3),
-                np.repeat(self.areas[facet] * sin[facet, rows], 2)))
+                rows, ar, m_f, np.full(len(rows), math.pi), self.areas[facet] * sin[facet, rows]))
         if 2 in degrees:
             s2 = AreaMeasure(2, bodies=m, atoms=Atoms(
                 np.repeat(np.arange(m), 2), np.stack([a, -a], axis=1).reshape(-1, 3),
@@ -727,18 +722,16 @@ class FlatIntegrals:
         return MeasurePieces(self.widths(a), s1, s2)
 
     def line_pieces(self, u: np.ndarray, degrees) -> MeasurePieces:
-        """The area measures of the chords along u, integrated: S_1 the
-        quarter arcs p1 -> p2 -> -p1 -> -p2 -> p1 orthogonal to u, (p1, p2)
-        of _plane_basis, of density V_3(P) (Fubini), built where degree 1
-        is asked for; and the hits' integral."""
+        """The area measures of the chords along u, integrated: S_1 the full
+        circle orthogonal to u from p1 towards p2, (p1, p2) of _plane_basis,
+        of density V_3(P) (Fubini), built where degree 1 is asked for; and
+        the hits' integral."""
         m = len(u)
         s1 = AreaMeasure(1, bodies=m)
         if 1 in degrees:
             p1, p2 = _plane_basis(u)
-            ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (m, 4, 3)
             s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
-                np.repeat(np.arange(m), 4), ring.reshape(-1, 3),
-                np.roll(ring, -1, axis=1).reshape(-1, 3), np.full(4 * m, self.volume)))
+                np.arange(m), p1, p2, np.full(m, 2.0 * math.pi), np.full(m, self.volume)))
         return MeasurePieces(self.hits(u), s1, AreaMeasure(2, bodies=m))
 
     def moments(self, a: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
@@ -872,7 +865,8 @@ class TranslativeIntegrals:
         rotation, as pieces, less those of P's own faces (`fixed_pieces`):
         S_1 and S_2 of L scaled by V_3(P) and turned by R, the arcs of the
         edges of R L (density l / 2) and the atoms A_G V_3(P) at R n_G, and
-        per facet pair the arc n_F -> R n_G of density
+        per facet pair with sin(theta_FG) > 0 the arc n_F -> R n_G, of
+        tangent (R n_G - cos(theta_FG) n_F) / sin(theta_FG) and density
         A_F A_G sin(theta_FG) / 2 (S_1); only the measures of the given
         degrees are built, the others left empty.  `hit` carries
         int V_0 dx = vol(P - R L), and `volume` int V_3 dx = V_3(P) V_3(L).
@@ -880,24 +874,24 @@ class TranslativeIntegrals:
         m = len(R)
         entries, g = self._turned(R)
         turned = np.stack(g, axis=-1).transpose(1, 0, 2)              # (m, F_L, 3)
-        fp, fl = len(self.a_p), len(self.a_l)
+        fl = len(self.a_l)
         s1, s2 = AreaMeasure(1, bodies=m), AreaMeasure(2, bodies=m)
         if 1 in degrees:
-            sin, _ = self._pair_sines(g)
-            sin *= 0.5 * self.pair_areas[:, :, None]
+            sin, cos = (x.reshape(-1, m).T for x in self._pair_sines(g))    # (m, F_P F_L)
+            r, k = np.nonzero(sin > 0.0)       # the pairs with mass, by rotation
+            sin, cos, n_f = sin[r, k], cos[r, k], self.n_p[k // fl]
             arcs = self.s_l[1].arcs
-            # the arcs' ends turned by the _dots of _turned, (m, E_L, 3)
-            a, b = (np.stack([_dots(end, row) for row in entries], axis=-1).transpose(1, 0, 2)
-                    for end in (arcs.a, arcs.b))
-            a = np.concatenate([a, np.broadcast_to(
-                np.repeat(self.n_p, fl, axis=0), (m, fp * fl, 3))], axis=1)
-            b = np.concatenate([b, np.broadcast_to(
-                turned[:, None], (m, fp, fl, 3)).reshape(m, -1, 3)], axis=1)
-            density = np.concatenate([np.broadcast_to(arcs.density, (m, len(arcs.density))),
-                                      sin.reshape(-1, m).T], axis=1)
+            # L's arcs turned by the _dots of _turned, (m E_L, 3)
+            a, t = (np.stack([_dots(v, row) for row in entries], axis=-1).transpose(1, 0, 2)
+                    .reshape(-1, 3) for v in (arcs.a, arcs.t))
+            body = np.concatenate([np.repeat(np.arange(m), len(arcs.density)), r])
+            order = np.argsort(body, kind="stable")     # per rotation L's arcs, then the pairs
             s1 = AreaMeasure(1, bodies=m, arcs=Arcs(
-                np.repeat(np.arange(m), density.shape[1]), a.reshape(-1, 3), b.reshape(-1, 3),
-                density.ravel()))
+                body[order], np.concatenate([a, n_f])[order],
+                np.concatenate([t, (turned[r, k % fl] - cos[:, None] * n_f) / sin[:, None]])[order],
+                np.concatenate([np.tile(arcs.angle, m), np.arctan2(sin, cos)])[order],
+                np.concatenate([np.tile(arcs.density, m),
+                                0.5 * self.pair_areas.ravel()[k] * sin])[order]))
         if 2 in degrees:   # the atoms' normals are those of L's facets, turned in g
             s2 = AreaMeasure(2, bodies=m, atoms=Atoms(
                 np.repeat(np.arange(m), fl), turned.reshape(-1, 3),

@@ -219,14 +219,13 @@ class DenseSections:
     def pieces(self, a, s) -> MeasurePieces:
         """The area measures of the sections, as area_measure gives them for
         a polygon: S_2 the atoms a and -a, each with the section's area, and
-        S_1 per crossed facet F the quarter arcs a -> m_F and m_F -> -a, of
-        density |v_F| / 2 each."""
+        S_1 per crossed facet F the half circle a -> m_F -> -a, of density
+        |v_F| / 2."""
         v, mid = self.segments(a, s)
         rows, length, m_f = self.crossed_facets(a, v)
         hit = np.bincount(rows, minlength=a.shape[0]) > 0
-        ar, t = a[rows], np.flatnonzero(hit)
-        arcs = (np.repeat(rows, 2), np.stack([ar, m_f], axis=1).reshape(-1, 3),
-                np.stack([m_f, -ar], axis=1).reshape(-1, 3), np.repeat(0.5 * length, 2))
+        t = np.flatnonzero(hit)
+        arcs = (rows, a[rows], m_f, np.full(len(rows), math.pi), 0.5 * length)
         atoms = (np.repeat(t, 2), np.stack([a[t], -a[t]], axis=1).reshape(-1, 3),
                  np.repeat(self.area(a[t], v[t], mid[t]), 2))
         m = a.shape[0]
@@ -294,15 +293,13 @@ class LineSections:
 
     def pieces(self, u, p) -> MeasurePieces:
         """The area measures of the chords, as area_measure gives them for a
-        segment of length l along u: S_1 the four quarter arcs p1 -> p2 ->
-        -p1 -> -p2 -> p1 of the great circle orthogonal to u, with the basis
-        (p1, p2) of _plane_basis, of density l / 2 each, and no S_2."""
+        segment of length l along u: S_1 the great circle orthogonal to u,
+        here one arc from p1 towards p2, (p1, p2) of _plane_basis, of
+        density l / 2, and no S_2."""
         lo, hi, hit = self.chords(u, p)
         t = np.flatnonzero(hit)
         p1, p2 = _plane_basis(u[t])
-        ring = np.stack([p1, p2, -p1, -p2], axis=1)       # (K, 4, 3)
-        arcs = Arcs(np.repeat(t, 4), ring.reshape(-1, 3),
-                    np.roll(ring, -1, axis=1).reshape(-1, 3), np.repeat(0.5 * (hi[t] - lo[t]), 4))
+        arcs = Arcs(t, p1, p2, np.full(len(t), 2.0 * math.pi), 0.5 * (hi[t] - lo[t]))
         return MeasurePieces(hit, AreaMeasure(1, arcs=arcs, bodies=len(hit)),
                              AreaMeasure(2, bodies=len(hit)))
 

@@ -295,15 +295,17 @@ class MotionIntersections:
     def pieces(self, R: np.ndarray, x: np.ndarray) -> MeasurePieces:
         """The area measures of P n (R[t] L + x[t]) and their volumes, edge
         by edge: each edge of length l on planes k and l gives the S_1 arc
-        n_k -> n_l of density l / 2 and the S_2 atoms (n_k, a_k) and
-        (n_l, a_l), its shares of the facet areas; a facet's shares add up
-        to its area."""
+        n_k -> n_l, of tangent (n_l - cos n_k) / sin and density l / 2, and
+        the S_2 atoms (n_k, a_k) and (n_l, a_l), its shares of the facet
+        areas; a facet's shares add up to its area."""
         m = R.shape[0]
-        rows, length, nk, nl, _, _, ak, al, cone = self._shares(R, x)
+        rows, length, nk, nl, cos, sin, ak, al, cone = self._shares(R, x)
         atoms = (np.repeat(rows, 2), np.stack([nk, nl], axis=1).reshape(-1, 3),
                  np.stack([ak, al], axis=1).ravel())
+        arcs = Arcs(rows, nk, (nl - cos[:, None] * nk) / sin[:, None], np.arctan2(sin, cos),
+                    0.5 * length)
         return MeasurePieces(np.bincount(rows, minlength=m) > 0,
-                             AreaMeasure(1, arcs=Arcs(rows, nk, nl, 0.5 * length), bodies=m),
+                             AreaMeasure(1, arcs=arcs, bodies=m),
                              AreaMeasure(2, atoms=Atoms(*atoms), bodies=m),
                              np.bincount(rows, cone, m))
 

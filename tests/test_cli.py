@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 import minkval
 from minkval import convex, integral_geom, valuation
@@ -373,6 +374,74 @@ def test_lattice_build_failure_is_an_input_error(tmp_path, capsys, monkeypatch, 
     assert rep == {"error": f"bad body 'random:{seed}:200': {error}"}
     assert "Traceback" not in "".join(capsys.readouterr())
 
+
+SIMPLEX = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def strict_run(tmp_path, *argv):
+    """The exit code and the report of a run, read as strict JSON."""
+    out = tmp_path / "report.json"
+    code = main([*argv, "--out", str(out)])
+    return code, json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("vertices,command,error", [
+    (SIMPLEX + [[1e308, 0.0, 0.0]], ["area-measure", "--i", "1"], "at most 1e+150"),
+    (SIMPLEX + [[1e308, 0.0, 0.0]], ["evaluate", "--spec", "projection_body"], "at most 1e+150"),
+    (np.multiply(SIMPLEX, 1e100).tolist(), ["area-measure", "--i", "1"], "extent 7.5e+99"),
+    (np.multiply(SIMPLEX, 1e-100).tolist(), ["area-measure", "--i", "2"], "extent 7.5e-101"),
+])
+def test_body_outside_the_domain_is_an_input_error(tmp_path, capsys, vertices, command, error):
+    # the vertex 1e308 ended in a ValueError traceback of the JSON writer
+    # (area-measure) or gave the value 0.0 with exit 0 (evaluate); legs of
+    # 1e100 ended in a QhullError traceback, and legs of 1e-100 reported
+    # V_2 = V_3 = 0.0 with exit 0
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"dimension": 3, "vertices": vertices}))
+    code, rep = strict_run(tmp_path, command[0], "--body", str(body), *command[1:])
+    assert code == 2
+    assert set(rep) == {"error"} and error in rep["error"]
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("leg", [1.3e20, 1.4e-20])
+def test_bodies_at_the_ends_of_the_domain_scale(tmp_path, leg):
+    # the simplex of legs 1 and leg: V_i scales as leg^i, and the S_1 mass
+    # as leg, to rounding
+    reports = []
+    for scale in (1.0, leg):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"dimension": 3, "vertices": (np.multiply(SIMPLEX, scale)).tolist()}))
+        code, rep = strict_run(tmp_path, "area-measure", "--body", str(body), "--i", "1")
+        assert code == 0
+        reports.append(rep)
+    unit, scaled = reports
+    assert scaled["total_mass"] == pytest.approx(leg * unit["total_mass"], rel=1e-14)
+    assert scaled["intrinsic_volumes"] == pytest.approx(
+        [v * leg ** i for i, v in enumerate(unit["intrinsic_volumes"])], rel=1e-14)
+
+
+def test_qhull_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def failing(points):
+        raise QhullError("QH6154 Qhull precision error: Initial simplex is flat")
+    monkeypatch.setattr(convex, "ConvexHull", failing)
+    code, rep = strict_run(tmp_path, "area-measure", "--body", "random:1:20", "--i", "1")
+    assert code == 2
+    assert rep == {"error": "bad body 'random:1:20': QH6154 Qhull precision error: "
+                            "Initial simplex is flat"}
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [["--body", "ball:3"], ["--body", "cube", "--crosscheck"]])
+def test_nonfinite_result_is_an_input_error(tmp_path, capsys, argv):
+    # a profile of 1e308 overflows to inf (and inf - inf to nan in the
+    # cross-check): both ended in a ValueError traceback of the JSON writer
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 3, "cn": 1e308}')
+    code, rep = strict_run(tmp_path, "evaluate", "--spec", str(spec), *argv)
+    assert code == 2
+    assert set(rep) == {"error"} and "not a finite number" in rep["error"]
+    assert "Traceback" not in "".join(capsys.readouterr())
 
 @pytest.mark.parametrize("content", [[[0, 0, 0]], {"dimension": 3}])
 def test_malformed_body_file_is_an_input_error(tmp_path, capsys, content):

@@ -20,10 +20,9 @@ from minkval.convex import (
     Arcs,
     Atoms,
     Polytope,
-    _arc_angles,
     _harmonic_is_cheaper,
     _harmonic_moments,
-    _slerp,
+    _arc_nodes,
     _unit,
     area_measure,
     ball_polytope,
@@ -96,12 +95,15 @@ def test_lattice_merges_coplanar_triangles():
 
 def assert_two_facets_per_edge(P):
     """Every side of every facet cycle is an edge of P, lying in exactly the
-    two facets that P.edges names."""
-    sides = {}
+    two facets that P.edges names, and walked from tail to head by the cycle
+    of the first."""
+    sides, runs = {}, set()
     for f, cyc in enumerate(P.facet_cycles):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             sides.setdefault((min(a, b), max(a, b)), []).append(f)
-    assert sides == {(a, b): [f, g] for a, b, f, g in P.edges}
+            runs.add((a, b, f))
+    assert sides == {(min(a, b), max(a, b)): [f, g] for a, b, f, g in P.edges}
+    assert all((a, b, f) in runs for a, b, f, _ in P.edges.tolist())
     assert P.num_vertices - len(P.edges) + len(P.facet_cycles) == 2
 
 
@@ -217,7 +219,7 @@ def test_cube_area_measures():
     assert s2.atoms.mass == pytest.approx(np.ones(6))
     s1 = area_measure(Q, 1)
     assert len(s1.arcs.density) == 12
-    assert _arc_angles(s1.arcs.a, s1.arcs.b) == pytest.approx(np.full(12, math.pi / 2))
+    assert s1.arcs.angle == pytest.approx(np.full(12, math.pi / 2))
     assert s1.arcs.density == pytest.approx(np.full(12, 0.5))
     assert s1.total_mass == pytest.approx(3 * math.pi, abs=1e-12)
     assert sum(normal_cone_masses(Q).tolist()) == pytest.approx(omega(3), abs=1e-9)
@@ -310,6 +312,20 @@ def thin_body(seed: int, kind: str) -> Polytope:
     return Polytope.from_vertices(np.random.default_rng(seed).standard_normal((40, 3)) * squash)
 
 
+def flat_body(seed: int, count: int, exponent: float) -> tuple[Polytope, np.ndarray]:
+    """A convex polygon of `count` >= 3 vertices on an ellipse of semi-axes
+    1 and 0.6, one in each of `count` equal sectors of angle, or for count
+    2 a segment, in a random plane, scaled by 10^exponent and shifted by up
+    to 100 times that: the body and its vertices in the plane, scaled."""
+    rng = np.random.default_rng(seed)
+    step = 2 * math.pi / count
+    angle = step * (np.arange(count) + rng.uniform(0.0, 0.5, count))
+    xy = 10.0 ** exponent * np.column_stack([np.cos(angle), 0.6 * np.sin(angle)])
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    shift = 10.0 ** exponent * rng.uniform(-100.0, 100.0, 3)
+    return Polytope.from_vertices(xy @ frame[:2] + shift), xy
+
+
 ORACLE_BODIES = {
     "hull-42-200": lambda: random_hull(42, 200),
     "hull-61-200": lambda: random_hull(61, 200),
@@ -322,6 +338,9 @@ ORACLE_BODIES = {
        for jitter in (1e-7, 1e-5, 1e-3)},
     "slabs": lambda: [thin_body(seed, "slab") for seed in range(50)],
     "needles": lambda: [thin_body(seed, "needle") for seed in range(50)],
+    "polygons": lambda: [flat_body(seed, 3 + seed % 10, seed % 13 - 6.0)[0]
+                         for seed in range(50)],
+    "segments": lambda: [flat_body(seed, 2, seed % 13 - 6.0)[0] for seed in range(20)],
 }
 
 
@@ -331,9 +350,11 @@ def test_cone_masses_match_50_digit_defects(name):
     # needles the fan of facet normals about their sum missed by up to 0.15.
     # The 1e-8 slab of seed 49 has a facet merged across a fold, whose
     # vertex angles taken in space put 0.15 too much on one vertex
+    # a polygon's or a segment's two-sided lattice gives each vertex its
+    # angle theta in both facets, so its cone is the lune 2 (pi - theta)
     bodies = ORACLE_BODIES[name]()
     for P in bodies if isinstance(bodies, list) else [bodies]:
-        assert P.dim == 3
+        assert P.dim == {"polygons": 2, "segments": 1}.get(name, 3)
         masses = normal_cone_masses(P)
         error = masses - _defects_50_digits(P)
         assert np.abs(error).max() <= 4e-15
@@ -507,30 +528,29 @@ def test_arc_integrals_of_a_linear_function_in_closed_form():
     # t the unit tangent at a: int u . w ds = sin(theta) a.w + (1 - cos(theta)) t.w
     w = np.array([0.36, -0.48, 0.8])
     s1 = area_measure(random_hull(4), 1)
-    a, b, density = s1.arcs.a, s1.arcs.b, s1.arcs.density
-    th = _arc_angles(a, b)
-    t = b - np.sum(a * b, axis=1)[:, None] * a
-    t /= np.linalg.norm(t, axis=1)[:, None]
+    a, t, th, density = s1.arcs[1:]
     expect = np.sum(density * (np.sin(th) * (a @ w) + (1.0 - np.cos(th)) * (t @ w)))
     assert zonal_integral(s1, lambda t: t, w) == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
 def loop_node_cloud(meas):
-    """The node cloud built piece by piece: the atoms, and one slerp per arc
-    on 24 Gauss-Legendre nodes."""
+    """The node cloud built piece by piece: the atoms, and per arc of angle
+    theta its max(1, floor(2 theta / pi)) equal panels, each on 24
+    Gauss-Legendre nodes cos(phi) a + sin(phi) t."""
     x, wx = np.polynomial.legendre.leggauss(24)
     s, ws = 0.5 * (x + 1.0), 0.5 * wx
     pts, wts = [], []
     for u, m in zip(meas.atoms.normal, meas.atoms.mass):
         pts.append(np.asarray(u, dtype=float)[None, :])
         wts.append(np.array([m]))
-    for a, b, density in zip(meas.arcs.a, meas.arcs.b, meas.arcs.density):
-        th = float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
+    for a, t, th, density in zip(*meas.arcs[1:]):
         if th < 1e-14:
             continue
-        pts.append((np.sin((1.0 - s)[:, None] * th) * a
-                    + np.sin(s[:, None] * th) * b) / math.sin(th))
-        wts.append(density * th * ws)
+        panels = max(1, math.floor(th / (math.pi / 2)))
+        for p in range(panels):
+            phi = (p + s) * (th / panels)
+            pts.append(np.cos(phi)[:, None] * a + np.sin(phi)[:, None] * t)
+            wts.append(density * (th / panels) * ws)
     if not pts:
         return np.zeros((0, 3)), np.zeros(0)
     return np.vstack(pts), np.concatenate(wts)
@@ -538,11 +558,16 @@ def loop_node_cloud(meas):
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_node_cloud_is_bit_identical_to_loop_build(i):
-    meas = area_measure(random_hull(42, 200), i)
-    pts, wts, _ = meas.node_cloud()
-    ref_pts, ref_wts = loop_node_cloud(meas)
-    assert np.array_equal(pts, ref_pts)
-    assert np.array_equal(wts, ref_wts)
+    # a full body's arcs lie below pi, a polygon's are half circles and a
+    # segment's close a circle
+    for P in (random_hull(42, 200), section_plane(random_hull(42, 200), [0.1, 0.0, 0.0],
+                                                  [0.36, -0.48, 0.8]),
+              Polytope.from_vertices([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])):
+        meas = area_measure(P, i)
+        pts, wts, _ = meas.node_cloud()
+        ref_pts, ref_wts = loop_node_cloud(meas)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(wts, ref_wts)
 
 
 # a positive zonal-polynomial probe: 1 + sum_k 2^-k P_k(u . w) >= 1/16
@@ -685,6 +710,43 @@ def test_s0_integrates_polynomials_up_to_the_berg_degree_exactly():
         assert np.abs(s0.integrate_zonal(g, S0_DIRS) - 4 * math.pi).max() <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), count=st.integers(2, 12), exponent=st.floats(-6.0, 6.0))
+def test_flat_bodies_are_two_sided_lattices(seed, count, exponent):
+    # a polygon (count >= 3) or a segment in a random plane, at a random
+    # scale and place: the full-dimensional formulas read its perimeter and
+    # area off the facets +w and -w and its edges
+    P, xy = flat_body(seed, count, exponent)
+    hull = ConvexHull(xy) if count > 2 else None
+    half_perimeter = hull.area / 2 if hull else float(np.linalg.norm(xy[1] - xy[0]))
+    area = hull.volume if hull else 0.0
+    assert P.dim == (2 if count > 2 else 1)
+    assert (P.num_vertices, len(P.edges), len(P.facet_cycles)) == (count, count, 2)
+    assert P.num_vertices - len(P.edges) + len(P.facet_cycles) == 2
+    iv = intrinsic_volumes(P)
+    assert iv.v1 == pytest.approx(half_perimeter, rel=1e-13)
+    assert iv.v2 == pytest.approx(area, rel=1e-12, abs=0.0)
+    assert iv.v3 == 0.0
+    # S_1: per edge the half circle from w, the normal of the first facet,
+    # towards the edge's outward normal in the plane, of density length / 2
+    s1 = area_measure(P, 1)
+    tail, head = P.vertices[P.edges[:, 0]], P.vertices[P.edges[:, 1]]
+    length = np.linalg.norm(head - tail, axis=1)
+    assert np.all(s1.arcs.angle == math.pi)
+    assert np.array_equal(s1.arcs.a, np.broadcast_to(P.facet_normals[0], (count, 3)))
+    assert s1.arcs.density == pytest.approx(length / 2, rel=1e-15)
+    assert sum(length.tolist()) == pytest.approx(2 * half_perimeter, rel=1e-13)
+    t = s1.arcs.t
+    assert np.linalg.norm(t, axis=1) == pytest.approx(np.ones(count), abs=1e-15)
+    assert np.abs(np.sum(t * s1.arcs.a, axis=1)).max() <= 1e-15
+    assert np.abs(np.sum(t * (head - tail), axis=1)).max() <= 1e-15 * length.max()
+    if count > 2:
+        assert np.all(np.sum(t * ((tail + head) / 2 - P.vertices.mean(axis=0)), axis=1) > 0)
+    masses = normal_cone_masses(P)
+    assert masses.min() >= 0.0
+    assert sum(masses.tolist()) == pytest.approx(4 * math.pi, abs=1e-13)
+
+
 def test_segment_and_point_measures():
     seg = Polytope.from_vertices([[0, 0, 0], [0, 0, 2.0]])
     assert area_measure(seg, 2).total_mass == 0.0
@@ -809,14 +871,18 @@ def test_intersect_and_sat_agree():
 
 
 def test_arc_geometry():
-    arc = Arcs(np.zeros(1, dtype=int), np.array([[1.0, 0, 0]]), np.array([[0, 1.0, 0]]),
-               np.array([2.0]))
-    angle = _arc_angles(arc.a, arc.b)
-    assert angle[0] == pytest.approx(math.pi / 2)
-    assert AreaMeasure(1, arcs=arc).total_mass == pytest.approx(math.pi)
-    pts = _slerp(arc.a, arc.b, angle, np.array([0.0, 0.5, 1.0]))[0]
-    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
-    assert np.allclose(pts[1], [math.sqrt(0.5), math.sqrt(0.5), 0.0])
+    # a quarter, a half and a full circle from e_x towards e_y, of density
+    # 2: one, two and four panels of 24 nodes on the circle z = 0
+    x, y = np.array([[1.0, 0, 0]]), np.array([[0, 1.0, 0]])
+    for angle, panels in ((math.pi / 2, 1), (math.pi, 2), (2 * math.pi, 4)):
+        arc = Arcs(np.zeros(1, dtype=int), x, y, np.array([angle]), np.array([2.0]))
+        assert AreaMeasure(1, arcs=arc).total_mass == 2.0 * angle
+        pts, wts, which = _arc_nodes(arc)
+        assert len(pts) == 24 * panels and which.tolist() == [0] * 24 * panels
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0) and np.all(pts[:, 2] == 0.0)
+        phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+        assert np.all((0 < phi) & (phi < angle)) and np.all(np.diff(phi) > 0)
+        assert sum(wts.tolist()) == pytest.approx(2.0 * angle, rel=1e-15)
 
 
 def test_json_round_trip():

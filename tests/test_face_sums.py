@@ -14,8 +14,6 @@ from minkval import cli, convex
 from minkval.convex import (
     AreaMeasure,
     Polytope,
-    _arc_angles,
-    _polygon_area3d,
     _unit,
     area_measure,
     ball_polytope,
@@ -35,97 +33,70 @@ def loop_intrinsic_volumes(P):
     edge lengths times libm's atan2 of the dihedral angle."""
     if P.is_empty:
         return (0.0, 0.0, 0.0, 0.0)
-    if P.dim == 3:
-        center = P.vertices.mean(axis=0)
-        vol = 0.0
-        for f, cyc in enumerate(P.facet_cycles):
-            centroid = P.vertices[cyc].mean(axis=0) - center
-            vol += P.facet_areas[f] * float(np.dot(P.facet_normals[f], centroid)) / 3.0
-        v1 = 0.0
-        for a, b, f1, f2 in P.edges:
-            length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
-            n1, n2 = P.facet_normals[f1], P.facet_normals[f2]
-            v1 += length * math.atan2(float(np.linalg.norm(np.cross(n1, n2))),
-                                      float(np.dot(n1, n2)))
-        return (1.0, v1 / (2.0 * math.pi), float(np.sum(P.facet_areas)) / 2.0, float(vol))
-    if P.dim == 2:
-        m = P.num_vertices
-        per = sum(float(np.linalg.norm(P.vertices[(k + 1) % m] - P.vertices[k]))
-                  for k in range(m))
-        return (1.0, per / 2.0, _polygon_area3d(P.vertices), 0.0)
-    if P.dim == 1:
-        return (1.0, float(np.linalg.norm(P.vertices[1] - P.vertices[0])), 0.0, 0.0)
-    return (1.0, 0.0, 0.0, 0.0)
+    center = P.vertices.mean(axis=0)
+    vol = 0.0
+    for f in range(len(P.facet_cycles)):
+        centroid = P.facet_centroids[f] - center
+        vol += P.facet_areas[f] * float(np.dot(P.facet_normals[f], centroid)) / 3.0
+    v1 = 0.0
+    for a, b, f1, f2 in P.edges:
+        length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
+        n1, n2 = P.facet_normals[f1], P.facet_normals[f2]
+        v1 += length * math.atan2(float(np.linalg.norm(np.cross(n1, n2))),
+                                  float(np.dot(n1, n2)))
+    return (1.0, v1 / (2.0 * math.pi), float(np.sum(P.facet_areas)) / 2.0, float(vol))
+
+
+def loop_centroids(P):
+    """Each facet's vertices added in cycle order, over their number; a flat
+    body's two sides both take the centroid of the first."""
+    cycles = P.facet_cycles[:1] * 2 if P.dim < 3 else P.facet_cycles
+    return [P.vertices[cyc].mean(axis=0) for cyc in cycles]
 
 
 def loop_pieces(P, i):
-    """The atoms (normal, mass) and arcs (a, b, density) of S_i of a
-    polytope of dimension 2 or 3, face by face."""
+    """The atoms (normal, mass) and arcs (start, tangent, angle, density)
+    of S_i, face by face: an atom per facet, an arc per edge from the
+    normal of its facet f to that of g, its tangent (head - tail) x n_f."""
     binom = math.comb(2, i)
     atoms, arcs = [], []
-    if P.dim == 3:
-        if i == 2:
-            atoms = [(P.facet_normals[f], float(P.facet_areas[f]))
-                     for f in range(len(P.facet_cycles))]
-        elif i == 1:
-            for a, b, f1, f2 in P.edges:
-                length = float(np.linalg.norm(P.vertices[b] - P.vertices[a]))
-                arcs.append((P.facet_normals[f1], P.facet_normals[f2], length / binom))
-    else:
-        w, m = P.plane_normal, P.num_vertices
-        if i == 2:
-            area = _polygon_area3d(P.vertices)
-            atoms = [(w, area), (-w, area)]
-        elif i == 1:
-            for k in range(m):
-                length = float(np.linalg.norm(P.vertices[(k + 1) % m] - P.vertices[k]))
-                me = P.edge_normals_inplane[k]
-                arcs += [(w, me, length / binom), (me, -w, length / binom)]
+    if i == 2:
+        atoms = [(P.facet_normals[f], float(P.facet_areas[f]))
+                 for f in range(len(P.facet_cycles))]
+    elif i == 1:
+        for a, b, f1, f2 in P.edges:
+            step = P.vertices[b] - P.vertices[a]
+            n1, n2 = P.facet_normals[f1], P.facet_normals[f2]
+            t = np.cross(step, n1)
+            angle = np.arctan2(np.linalg.norm(np.cross(n1, n2))[None], np.dot(n1, n2)[None])[0]
+            arcs.append((n1, t / np.linalg.norm(t), float(angle),
+                         float(np.linalg.norm(step)) / binom))
     return atoms, arcs
 
 
-def loop_triangle_excess(tri):
-    """Spherical excesses of the triangles (T, 3, 3) of unit vectors, by
-    the formula of Van Oosterom and Strackee (IEEE Trans. Biomed. Eng. 30,
-    1983): tan(E/2) = |A . (B x C)| / (1 + A . B + B . C + C . A)."""
-    A, B, C = tri[:, 0], tri[:, 1], tri[:, 2]
-    num = np.abs(np.vecdot(A, np.cross(B, C)))
-    return 2.0 * np.arctan2(num, 1.0 + np.vecdot(A, B) + np.vecdot(B, C) + np.vecdot(C, A))
-
-
 def loop_cone_masses(P):
-    """The solid angle of each vertex's normal cone of a polytope of
-    dimension 2 or 3, vertex by vertex.  A full body's is its angle defect,
-    2 pi less the angles at the vertex of its facets in their planes, added
-    in facet order, plus 2 pi - fl(2 pi), and clipped at 0; a polygon's is the excess of the four
-    triangles of the lune between the normals of the vertex's edges, about
-    their normalised sum."""
-    masses = []
-    if P.dim == 3:
-        angles = [[] for _ in range(P.num_vertices)]
-        for cyc, n in zip(P.facet_cycles, P.facet_normals):
-            for k, v in enumerate(cyc):
-                x = P.vertices[v]
-                a, b = P.vertices[cyc[k - 1]] - x, P.vertices[cyc[(k + 1) % len(cyc)]] - x
-                angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
-                                   np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b))
-                angles[v].append(float(angle % (2.0 * math.pi)))
-        masses = [max(2.0 * math.pi - sum(a) + 2.4492935982947064e-16, 0.0) for a in angles]
-    else:
-        w, m = P.plane_normal, P.num_vertices
-        for k in range(m):
-            m_prev, m_next = P.edge_normals_inplane[(k - 1) % m], P.edge_normals_inplane[k]
-            c = _unit(m_prev + m_next)
-            lune = np.array([(c, w, m_prev), (c, m_prev, -w), (c, -w, m_next), (c, m_next, w)])
-            masses.append(sum(loop_triangle_excess(lune).tolist()))
-    return masses
+    """The solid angle of each vertex's normal cone, vertex by vertex: 2 pi
+    less the angles at the vertex of its facets in their planes, added in
+    facet order, plus 2 pi - fl(2 pi), and clipped at 0; a point's is the
+    sphere."""
+    if P.dim == 0:
+        return [4.0 * math.pi]
+    angles = [[] for _ in range(P.num_vertices)]
+    for cyc, n in zip(P.facet_cycles, P.facet_normals):
+        for k, v in enumerate(cyc):
+            x = P.vertices[v]
+            a, b = P.vertices[cyc[k - 1]] - x, P.vertices[cyc[(k + 1) % len(cyc)]] - x
+            angle = np.arctan2(np.vecdot(n, np.cross(b, a)),
+                               np.vecdot(a, b) - np.vecdot(n, a) * np.vecdot(n, b))
+            angles[v].append(float(angle % (2.0 * math.pi)))
+    return [max(2.0 * math.pi - sum(a) + 2.4492935982947064e-16, 0.0) for a in angles]
 
 
 def loop_piece_masses(meas):
     """Atom masses and arc masses (density times angle, arc by arc)."""
     return (meas.atoms.mass.tolist(),
-            [float(density) * float(_arc_angles(a, b))
-             for a, b, density in zip(meas.arcs.a, meas.arcs.b, meas.arcs.density)])
+            [float(density) * float(angle)
+             for angle, density in zip(meas.arcs.angle, meas.arcs.density)])
 
 
 def loop_total_mass(meas):
@@ -143,8 +114,8 @@ def loop_csv(P, i):
     writer = csv.writer(buf)
     writer.writerow(["piece", "mass", "data"])
     writer.writerows([["atom", float(m), *map(float, u)] for u, m in zip(meas.atoms.normal, atoms)])
-    writer.writerows([["arc", m, *map(float, a), *map(float, b)]
-                      for a, b, m in zip(meas.arcs.a, meas.arcs.b, arcs)])
+    writer.writerows([["arc", m, *map(float, a), *map(float, t), float(angle)]
+                      for a, t, angle, m in zip(meas.arcs.a, meas.arcs.t, meas.arcs.angle, arcs)])
     writer.writerows([["patch", m] for m in patches])
     return buf.getvalue()
 
@@ -193,11 +164,13 @@ def test_body_set_covers_every_dimension():
 def test_intrinsic_volumes_equal_the_face_loop():
     for P in BODIES:
         assert intrinsic_volumes(P).as_tuple() == loop_intrinsic_volumes(P)
+        assert np.array_equal(P.facet_centroids.reshape(-1, 3),
+                              np.reshape(loop_centroids(P), (-1, 3)))
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_area_measure_pieces_equal_the_face_loop(i):
-    for P in (P for P in BODIES if P.dim >= 2):
+    for P in BODIES:
         meas = area_measure(P, i)
         atoms, arcs = loop_pieces(P, i)
         assert meas.uniform == (1.0 if i == 0 else 0.0)
@@ -205,20 +178,16 @@ def test_area_measure_pieces_equal_the_face_loop(i):
         for u, m, (ru, rm) in zip(meas.atoms.normal, meas.atoms.mass, atoms):
             assert np.array_equal(u, ru) and m == rm
         assert len(meas.arcs.density) == len(arcs)
-        for a, b, density, (ra, rb, rdensity) in zip(*meas.arcs[1:], arcs):
-            assert np.array_equal(a, ra) and np.array_equal(b, rb)
-            assert density == rdensity
+        for a, t, angle, density, (ra, rt, rangle, rdensity) in zip(*meas.arcs[1:], arcs):
+            assert np.array_equal(a, ra) and np.array_equal(t, rt)
+            assert angle == rangle and density == rdensity
 
 
 def test_normal_cone_masses_equal_the_vertex_loop():
-    # a full body's cones sum the same face angles in the same order; a
-    # polygon's lunes are twice the angle of their edge normals, in closed form
-    for P in (P for P in BODIES if P.dim >= 2):
-        masses, ref = normal_cone_masses(P).tolist(), loop_cone_masses(P)
-        if P.dim == 3:
-            assert masses == ref
-        else:
-            assert masses == pytest.approx(ref, rel=1e-15)
+    # every body sums the same face angles in the same order; a polygon's
+    # and a segment's are checked against 50 digits in test_convex
+    for P in BODIES:
+        assert normal_cone_masses(P).tolist() == loop_cone_masses(P)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -230,8 +199,9 @@ def test_masses_equal_the_piece_loop(i):
 
 
 def test_total_mass_is_one_batched_pass(monkeypatch):
-    # the arcs' angles in one call, and the facet angles of every vertex's
-    # cone in one pass over the facet cycles
+    # the arcs' angles in one call when S_1 is built, none for the masses,
+    # and the facet angles of every vertex's cone in one pass over the
+    # facet cycles
     calls = {"_arc_angles": 0, "_facet_entries": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(convex, name)):
@@ -242,6 +212,7 @@ def test_total_mass_is_one_batched_pass(monkeypatch):
     s0, s1 = area_measure(P, 0), area_measure(P, 1)
     meas = s0.merged(s1).merged(area_measure(P, 2))
     assert len(meas.arcs.density) > 100 and meas.uniform == 1.0
+    assert calls == {"_arc_angles": 1, "_facet_entries": 0}
     meas.total_mass
     assert calls == {"_arc_angles": 1, "_facet_entries": 0}
     normal_cone_masses(P)

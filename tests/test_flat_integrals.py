@@ -118,6 +118,27 @@ def test_moments_match_direct_half_circle_quadrature(body):
         assert np.abs(got[t] - ref).max() <= 1e-12 * ref[0]
 
 
+@pytest.mark.parametrize("body", ["cube", "hull30"])
+def test_half_and_full_circle_arcs_integrate_in_closed_form(body):
+    # a plane's S_1 holds one arc of angle pi per facet, on two panels of
+    # the Gauss rule, and a line's one of angle 2 pi, on four: to degree 4
+    # they give the closed-form moments, pi P_k(0) P_k(z) + the odd terms
+    # for the half circles and 2 pi P_k(0) P_k(u . w) for the full circle
+    P, kmax = BODIES[body], 4
+    flats, a = FlatIntegrals(P), directions(17, 40)
+    planes = flats.plane_pieces(a, (1,)).s1
+    assert np.all(planes.arcs.angle == np.pi)
+    got = planes.zonal_moments(PROBE[None], kmax)[:, :, 0].T
+    want = flats.moments(a, PROBE, kmax)
+    assert np.abs(got - want).max() <= 1e-14 * want[:, 0].max()
+    lines = flats.line_pieces(a, (1,)).s1
+    assert np.all(lines.arcs.angle == 2 * np.pi)
+    got = lines.zonal_moments(PROBE[None], kmax)[:, :, 0].T
+    p0, pu = (np.array(list(legendre_rows(3, kmax, x))) for x in (0.0, a @ PROBE))
+    want = 2 * np.pi * flats.volume * (p0[:, None] * pu).T
+    assert np.abs(got - want).max() <= 1e-14 * want[:, 0].max()
+
+
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
 

@@ -105,8 +105,9 @@ def pairwise_lattice(points):
     edge_map = {}
     for f, cyc in enumerate(cycles):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_map.setdefault((min(a, b), max(a, b)), []).append(f)
-    edges = [(a, b, fs[0], fs[1]) for (a, b), fs in edge_map.items()]
+            edge_map.setdefault((min(a, b), max(a, b)), []).append((f, a, b))
+    # each edge from tail to head along the cycle of its lower facet
+    edges = [(a, b, f, g) for (f, a, b), (g, _, _) in edge_map.values()]
     return (pts[used], np.array(normals), np.array(offsets), cycles, np.array(areas), edges)
 
 

@@ -261,7 +261,7 @@ def in_batches(kernel, a, s, size):
         if isinstance(out, MeasurePieces):
             out = piece_arrays(out)
             out[1] = out[1] + lo          # the arcs' planes
-            out[5] = out[5] + lo          # the atoms' planes
+            out[6] = out[6] + lo          # the atoms' planes
         elif isinstance(out, np.ndarray):
             out = [out]
         parts.append(out)
