@@ -155,13 +155,25 @@ def _text(v) -> bool:
     return isinstance(v, str) and v != ""
 
 
+def _parse_vecs(texts: list[str]) -> np.ndarray:
+    """The vectors x,y,z (m, 3) of `texts`, each of a squared length that
+    is a finite nonzero float, so that it can be normalized: float() of
+    every component, and one test of all squared lengths, x^2 + y^2 + z^2
+    added in that order."""
+    if not all(text.count(",") == 2 for text in texts):
+        raise ValueError("a vector has three components")
+    v = np.array(list(map(float, ",".join(texts).split(",")))).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        sq = v * v
+        length2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    if not ((0.0 < length2) & (length2 < math.inf)).all():
+        raise ValueError("a vector of zero or non-finite length")
+    return v
+
+
 def _parse_vec(text: str) -> np.ndarray:
-    """A vector x,y,z whose squared length is a finite nonzero float, so
-    that it can be normalized."""
-    v = [float(x) for x in text.split(",")]
-    if len(v) != 3 or not 0 < sum(x * x for x in v) < math.inf:
-        raise ValueError(text)
-    return np.array(v)
+    """A vector x,y,z as _parse_vecs reads it."""
+    return _parse_vecs([text])[0]
 
 
 def _parse_plane(text: str) -> tuple[np.ndarray, float]:
@@ -201,7 +213,7 @@ PLANE = Type("nx,ny,nz,c with a normal of finite nonzero length and a finite off
 DIRS = Type("vectors x,y,z of finite nonzero length (repeat the flag; a JSON list of "
             "such strings in --config)",
             lambda v: isinstance(v, list) and v and all(map(_text, v)),
-            lambda dirs: [_parse_vec(d) for d in dirs], {"action": "append"})
+            _parse_vecs, {"action": "append"})
 DEGREES = Type("comma-separated integers", _text, lambda t: [int(k) for k in t.split(",")])
 PATH = Type(f"one of {', '.join(valuation.PATHS)}", lambda v: v in valuation.PATHS)
 
@@ -267,12 +279,76 @@ class Option:
         return f"{self.help}: {text}" if self.help else text
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _block(open_: str, items, close: str, level: int) -> str:
+    """The items of a list or dict at indent `level`, one per line."""
+    inner = "\n" + "  " * (level + 1)
+    text = ("," + inner).join(items)
+    return f"{open_}{inner}{text}\n{'  ' * level}{close}" if text else open_ + close
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _floats(a: np.ndarray, level: int) -> str:
+    """A 1-D or 2-D float array, checked finite once, as nested lists."""
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    values = a.tolist()
+    if a.ndim == 1:
+        return _block("[", map(float.__repr__, values), "]", level)
+    inner = ",\n" + "  " * (level + 2)
+    head, tail = "[" + inner[1:], "\n" + "  " * (level + 1) + "]"
+    rows = [head + inner.join(map(float.__repr__, row)) + tail for row in values] \
+        if a.shape[1] else ["[]"] * len(values)
+    return _block("[", rows, "]", level)
+
+
+def _json(obj, level: int = 0) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True, default=float,
+    allow_nan=False), built by joins instead of the pure-Python encoder that
+    any indent selects: a 1-D or 2-D float64 array is written as its list,
+    and a list of strings and each row of floats in one join.  A NaN or
+    infinite float raises ValueError, as there."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if -math.inf < obj < math.inf:
+            return float.__repr__(obj)
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    if isinstance(obj, (list, tuple)):
+        items = map(_quote, obj) if all(isinstance(x, str) for x in obj) else \
+            [_json(x, level + 1) for x in obj]
+        return _block("[", items, "]", level)
+    if isinstance(obj, dict):
+        return _block("{", [f"{_key(k)}: {_json(v, level + 1)}" for k, v in sorted(obj.items())],
+                      "}", level)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return _floats(obj, level)
+    return _json(float(obj), level)
+
+
 def _write_outputs(report: dict, out: str | None, csv_rows=None,
                    csv_path: str | None = None, csv_header=None) -> None:
     """Write the report to `out` (stdout without it) and the rows to
     `csv_path`.  Both files are opened before anything is written, so a
     path that cannot be opened (OSError) leaves stdout empty."""
-    payload = json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    payload = _json(report) + "\n"
     csv_fh = open(csv_path, "w", newline="") if csv_path and csv_rows is not None else None
     try:
         if out:
@@ -399,8 +475,8 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
         "path": res.path,
         "band": res.band,
         "truncation_tail": res.truncation_tail,
-        "directions": [list(map(float, d)) for d in res.directions],
-        "values": [float(v) for v in res.values],
+        "directions": res.directions,
+        "values": res.values,
     }
     status = 0
     if cfg["crosscheck"]:
@@ -409,11 +485,12 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[int, dict, list, list]:
         else:
             a, b = res, _evaluate(spec, body, dirs, path="spectral", band=band)
         dev = float(np.max(np.abs(a.values - b.values)))
-        scale = float(np.max(np.abs(a.values) + np.abs(b.values)))
+        with np.errstate(over="ignore"):     # an infinite scale fails in the writer
+            scale = float(np.max(np.abs(a.values) + np.abs(b.values)))
         report["crosscheck_deviation"] = dev
         report["crosscheck_tolerance"] = b.truncation_tail + tol * scale
         status = 0 if agrees(dev, b.truncation_tail, scale, tol) else 1
-    rows = [[*map(float, d), float(v)] for d, v in zip(res.directions, res.values)]
+    rows = np.column_stack((res.directions, res.values)).tolist()
     return status, report, rows, ["x", "y", "z", "value"]
 
 
@@ -421,7 +498,7 @@ def _evaluate(spec, body, dirs, **options) -> valuation.SupportFunctionResult:
     """valuation.evaluate, whose errors are the input's (a datum with atoms
     on the pointwise path, a band beyond a datum): input errors here."""
     try:
-        return valuation.evaluate(spec, body, np.array(dirs), **options)
+        return valuation.evaluate(spec, body, dirs, **options)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

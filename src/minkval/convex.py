@@ -210,6 +210,11 @@ class Polytope:
         scale = _extent(pts)
         pts = _dedupe_points(pts, POINT_TOL * scale)
         centered = pts - pts.mean(axis=0)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.vecdot(centered, centered)).all()
+        if not finite:
+            raise ValueError("the squared distances of the points about their mean "
+                             "must be finite")
         sv = np.linalg.svd(centered, compute_uv=False) if pts.shape[0] > 1 else np.zeros(3)
         flat = max(1e-9 * scale, 4.0 * np.finfo(float).eps * float(np.abs(pts).max()))
         dim = int(np.sum(sv > flat * math.sqrt(pts.shape[0])))

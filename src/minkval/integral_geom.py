@@ -295,8 +295,11 @@ class Lattice:
     @property
     def bytes(self) -> int:
         """The bytes of one sample's draws: its strata and point, and the
-        direction, or its four unit complex numbers and rotation matrix."""
-        return 8 * (28 if self.rotations else 13)
+        direction with the temporaries of its map, or its angle double,
+        four unit complex numbers and rotation matrix; and a twentieth of
+        the draw's fixed cost, numpy's per array (about 2 kB a draw), so
+        that the count holds at chunks of 20 samples and more."""
+        return 8 * (25 if self.rotations else 14) + 128
 
     def draw(self, u: np.ndarray, strata, shifts: np.ndarray) -> tuple[np.ndarray]:
         """The directions (m, 3) or rotation matrices (m, 3, 3) of the

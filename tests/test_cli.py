@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,10 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import QhullError
 
 import minkval
-from minkval import convex, integral_geom, valuation
+from minkval import cli, convex, integral_geom, valuation
 from minkval.cli import load_body, load_spec, main
 from minkval.valuation import MinkowskiValuationSpec, builtin_spec
 from minkval.zonal import ZonalObject
@@ -432,10 +434,13 @@ def test_qhull_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in "".join(capsys.readouterr())
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [["--body", "ball:3"], ["--body", "cube", "--crosscheck"]])
 def test_nonfinite_result_is_an_input_error(tmp_path, capsys, argv):
     # a profile of 1e308 overflows to inf (and inf - inf to nan in the
-    # cross-check): both ended in a ValueError traceback of the JSON writer
+    # cross-check): both ended in a ValueError traceback of the JSON writer;
+    # the cross-check's scale then printed an overflow warning before the
+    # error JSON
     spec = tmp_path / "spec.json"
     spec.write_text('{"n": 3, "cn": 1e308}')
     code, rep = strict_run(tmp_path, "evaluate", "--spec", str(spec), *argv)
@@ -779,6 +784,8 @@ def test_reports_are_reproducible(tmp_path):
     main([*argv, "--out", str(a)])
     main([*argv, "--out", str(b)])
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
+    for path, rep in ((a, da), (b, db)):
+        assert path.read_text() == json.dumps(rep, indent=2, sort_keys=True) + "\n"
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
@@ -803,6 +810,90 @@ def test_reports_round_trip_as_json(tmp_path):
     assert rep["config"]["command"] == "multipliers"
     again = json.dumps(rep, indent=2, sort_keys=True) + "\n"
     assert again == out.read_text()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REPORT_LEAVES = st.one_of(
+    st.text(max_size=8), st.sampled_from(['"', "\\\\", "\x00\x1f\x7f", "é€😀\ud800"]),
+    st.none(), st.booleans(), st.integers(),
+    st.builds(pow, st.sampled_from([10, -10]), st.sampled_from([30, 300, 4300])),
+    FINITE, st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.builds(np.float64, FINITE), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+               elements=st.one_of(FINITE, st.sampled_from([-0.0, 5e-324, 1e308, math.nan]))))
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-3, 3)),
+                                            inner, max_size=4)),
+    max_leaves=16)
+
+
+def _as_lists(obj):
+    """obj with its arrays as nested lists, which json.dumps writes."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@example({"empty": (np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), [], {}, "")})
+@given(REPORTS)
+def test_report_writer_writes_the_bytes_of_json_dumps(obj):
+    # the reports' writer against the pure-Python encoder it replaced: the
+    # same text, or the same error (ValueError for a NaN, an infinity or an
+    # int beyond 4300 digits, TypeError for keys that do not sort)
+    try:
+        expected = json.dumps(_as_lists(obj), indent=2, sort_keys=True, default=float,
+                              allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            cli._json(obj)
+    else:
+        assert cli._json(obj) == expected
+
+
+def _parse_one(text: str) -> np.ndarray:
+    """The rule that read one --dir string at a time."""
+    v = [float(x) for x in text.split(",")]
+    if len(v) != 3 or not 0 < sum(x * x for x in v) < math.inf:
+        raise ValueError(text)
+    return np.array(v)
+
+
+COMPONENTS = st.one_of(
+    st.sampled_from([" 1", "1_0", "1e400", "nan", "-inf", "0", "-0.0", "1e200", "1e154",
+                     "1e-200", "5e-324", "x", "", "0x1", "1,"]),
+    FINITE.map(repr))
+VECTOR_TEXTS = st.one_of(st.lists(COMPONENTS, min_size=1, max_size=4).map(",".join),
+                         st.sampled_from(["0,0,0", "1e200,0,0", "1,2", "1,2,3,4"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VECTOR_TEXTS, min_size=1, max_size=6))
+def test_direction_lists_are_read_as_each_string_was(texts):
+    # the bulk parser accepts a list exactly when the per-string rule accepts
+    # every string, with the same vectors, and warns of no overflow
+    try:
+        expected = np.array([_parse_one(t) for t in texts])
+    except ValueError:
+        expected = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            with pytest.raises(ValueError):
+                cli._parse_vecs(texts)
+        else:
+            got = cli._parse_vecs(texts)
+            assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+            assert all(cli._parse_vec(t).tobytes() == e.tobytes()
+                       for t, e in zip(texts, expected))
 
 
 def test_config_file_precedence(tmp_path):
@@ -855,6 +946,9 @@ def test_help_states_each_range_default_and_need(capsys):
             "default 200000") in text
 
 
+# fifty directions, so that the runs read and write direction lists in bulk
+FIFTY_DIRS = [",".join(map(repr, d))
+              for d in np.random.default_rng(0).standard_normal((50, 3)).tolist()]
 # every key of every command, with values that make a run of that command
 # (small sample counts, so that each call ends in a fraction of a second)
 PLAUSIBLE = {
@@ -864,22 +958,18 @@ PLAUSIBLE = {
     "mu": ["dirac_pole", "berg:3"],
     "i": [1], "j": [1], "n": [3], "kmax": [4, 8], "band": [2, 4], "berg": [2, 3],
     "N": [40], "seed": [1], "shards": [2, 4], "samples": [3], "num-dirs": [5],
-    "dir": [["0,0,1"], ["1,1,0", "0,1,0"]], "probe": ["0,0,1"], "plane": ["0,0,1,0.5"],
+    "dir": [["0,0,1"], ["1,1,0", "0,1,0"], FIFTY_DIRS], "probe": ["0,0,1"], "plane": ["0,0,1,0.5"],
     "degrees": ["0,2"], "path": ["auto", "pointwise", "spectral"], "q": [0.5],
     "tol": [1e-6], "flux-tol": [1e-8], "box": [True, False], "hadwiger": [True, False],
     "crosscheck": [True, False],
 }
-COMMAND_KEYS = {
-    "multipliers": ["n", "kmax", "berg", "box"],
-    "area-measure": ["body", "i", "tol"],
-    "evaluate": ["spec", "body", "dir", "band", "path", "kmax", "crosscheck", "tol"],
-    "check-valuation": ["spec", "body", "plane", "num-dirs", "seed", "tol", "kmax"],
-    "crofton": ["body", "i", "j", "n", "N", "seed", "shards"],
-    "kinematic": ["body", "other", "j", "N", "seed", "hadwiger", "spec", "dir", "kmax",
-                  "shards"],
-    "crofton-mv": ["body", "mu", "i", "j", "N", "seed", "degrees", "probe", "kmax", "shards"],
-    "lemma52": ["n", "samples", "seed", "q", "band", "flux-tol"],
-}
+COMMAND_KEYS = {name: [opt.name for opt in command.options]
+                for name, command in cli.COMMANDS.items()}
+
+
+def test_plausible_values_cover_every_option():
+    assert {key for keys in COMMAND_KEYS.values() for key in keys} <= set(PLAUSIBLE)
+
 # any JSON value; integral numbers stay small or far out of every range
 ANY_JSON = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([1e12, 1e300, 10**400]),
@@ -941,5 +1031,7 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         code = main(shlex.split(line)[1:])
-        rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        text = capsys.readouterr().out
+        rep = json.loads(text, parse_constant=_reject_constant)
         assert code == 0 and "error" not in rep, line
+        assert text == json.dumps(rep, indent=2, sort_keys=True) + "\n", line

@@ -830,6 +830,14 @@ def test_nonfinite_vertex_is_rejected():
             Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, bad]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_vertex_whose_square_overflows_is_rejected():
+    # the squared distances about the mean overflowed to inf, and the unit
+    # tetrahedron with this vertex became a segment of two equal points
+    with pytest.raises(ValueError, match="squared distances"):
+        Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1e308, 0, 0]])
+
+
 def test_slice_plane_through_cube():
     sq = section_plane(cube(), [0.5, 0.5, 0.5], normal=[0, 0, 1.0])
     iv = intrinsic_volumes(sq)

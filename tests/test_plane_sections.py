@@ -566,6 +566,28 @@ def test_one_kernel_call_stays_within_its_bytes(body, i, j):
         assert m * sample_bytes <= 2 * peak
 
 
+@pytest.mark.parametrize("m", [20, 52, None])
+@pytest.mark.parametrize("law", [DIRECTIONS, ROTATIONS], ids=["directions", "rotations"])
+def test_lattice_draw_stays_within_its_bytes(law, m):
+    # the draw of a chunk of m samples, at small chunks and at the full one:
+    # its tracemalloc peak, the strata and doubles included, stays within
+    # the law's bytes; numpy's fixed cost per array weighs most at small
+    # chunks, where the rotations took 246-257 bytes a sample against the
+    # 224 once counted, and the directions' 104 fell short at every size
+    m = m or CHUNK_BYTES // law.bytes
+    sizes = np.array(_shard_sizes(m + 7, 3))
+    ends = np.cumsum(sizes)
+    stream = integral_geom._stream(5)
+    shifts = stream.random((3, law.shard_doubles))
+    u = stream.random((m, law.sample_doubles))
+
+    def draw():
+        return law.draw(u.copy(), integral_geom._chunk_strata(sizes, ends, 2, m), shifts)
+
+    draw()      # the first call's one-time allocations are not the draw's
+    assert _peak_bytes(draw) <= m * law.bytes <= CHUNK_BYTES
+
+
 def test_point_sampling_memory_not_above_per_shard_loop():
     runs = {
         # the per-shard loop that run_shards replaced peaked at 0.93-0.98 MB
